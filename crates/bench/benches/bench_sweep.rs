@@ -4,9 +4,8 @@
 //!
 //! On a machine with ≥ 4 cores the `sweep_scaling` group shows the ≥ 2×
 //! speedup of `threads=4` over `threads=1` (the runs are independent and
-//! the engine's only shared state is the shard cursor); on a single-core
-//! container the numbers collapse to ~1×, which measures engine overhead
-//! instead.
+//! the engine's only shared state is the shard cursor); the speedup is
+//! capped by the core count.
 
 use adversary::enumerate::{AdversarySpace, EnumerationConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,173 +1,12 @@
 //! Renderers turning the `sweep::experiments` result structs into the
-//! plain-text tables the experiment binaries print, plus the shared schema
-//! of the checked-in `BENCH_*.json` perf snapshots.
+//! plain-text tables the `sweep` CLI prints.
 //!
-//! Both the per-experiment `exp_*` binaries and the unified `sweep` CLI go
-//! through these functions, so their output is byte-identical for the same
-//! fold data.
+//! The one-shot and daemon paths of the CLI both go through these
+//! functions, so their output is byte-identical for the same fold data.
 
-use std::fmt::Write as _;
-use std::path::Path;
-
-use serde::{Deserialize, Serialize};
 use sweep::experiments::{Fig4Row, Prop2Report, Thm1Case, Thm3Row};
-use sweep::SweepStats;
 
 use crate::Table;
-
-/// Renders the execution statistics of a sweep — scenario count, the
-/// analysis-cache counters, the run-structure reuse counters, and the
-/// scenario-cursor allocation counters — as the one-line trailer the
-/// experiment binaries print under their tables.
-///
-/// The canonical renderer is [`SweepStats::stats_line`] in the `sweep`
-/// crate (the service daemon and client print the same line); this is the
-/// historical alias the experiment binaries call.
-pub fn sweep_stats_line(stats: &SweepStats) -> String {
-    stats.stats_line()
-}
-
-/// One measured arm of a [`BenchSnapshot`]: a named section carrying a wall
-/// time and its counters — e.g. `"reuse_on"` with `structures_simulated`,
-/// or `"cursor_off"` with `scenarios_materialized`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchSection {
-    /// Section name (the JSON key of the nested object).
-    pub name: String,
-    /// Wall time of this arm, in milliseconds.
-    pub wall_ms: f64,
-    /// Named counters of this arm, in insertion order.
-    pub counters: Vec<(String, f64)>,
-}
-
-/// The shared schema of the checked-in `BENCH_*.json` perf snapshots
-/// (`BENCH_sweep_cache.json`, `BENCH_run_reuse.json`,
-/// `BENCH_block_cursor.json`): an experiment label, the scenario count, one
-/// nested section per measured arm, and flat derived metrics (speedups,
-/// baselines).
-///
-/// The snapshot binaries used to render and scan these files ad hoc; this
-/// struct is the one place the schema lives now.  [`BenchSnapshot::to_json`]
-/// is the canonical writer (the checked-in flat-object shape), and
-/// [`BenchSnapshot::read_wall_ms`] / [`BenchSnapshot::load_wall_ms`] scan it
-/// (tolerantly, so every historical `BENCH_*.json` in the repo parses) with
-/// clear errors instead of panics — the snapshot chain (each bench reading
-/// its predecessor's baseline) must degrade gracefully when a file is
-/// missing.  The `serde` derives record intent for the eventual swap to the
-/// real crate (see `vendor/README.md`); note that serde's *default*
-/// rendering of this struct would nest `sections`/`metrics` as arrays, so
-/// the swap should keep `to_json` (or add the matching `#[serde]`
-/// attributes) to preserve the on-disk format.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchSnapshot {
-    /// What was measured (e.g. `"exp_thm1_unbeatability exhaustive scopes"`).
-    pub experiment: String,
-    /// Scenarios executed per arm.
-    pub scenarios: u64,
-    /// The measured arms, in insertion order.
-    pub sections: Vec<BenchSection>,
-    /// Flat derived metrics (speedups, external baselines), in insertion
-    /// order.
-    pub metrics: Vec<(String, f64)>,
-}
-
-impl BenchSnapshot {
-    /// Creates an empty snapshot for the given experiment.
-    pub fn new(experiment: impl Into<String>, scenarios: u64) -> Self {
-        BenchSnapshot {
-            experiment: experiment.into(),
-            scenarios,
-            sections: Vec::new(),
-            metrics: Vec::new(),
-        }
-    }
-
-    /// Appends a measured arm.
-    pub fn section(&mut self, name: &str, wall_ms: f64, counters: &[(&str, f64)]) -> &mut Self {
-        self.sections.push(BenchSection {
-            name: name.to_owned(),
-            wall_ms,
-            counters: counters.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
-        });
-        self
-    }
-
-    /// Appends a flat derived metric.
-    pub fn metric(&mut self, name: &str, value: f64) -> &mut Self {
-        self.metrics.push((name.to_owned(), value));
-        self
-    }
-
-    /// Renders the snapshot as the pretty-printed JSON the repo checks in:
-    /// a flat object with one nested object per section and one flat entry
-    /// per metric, matching the shape of every historical `BENCH_*.json`.
-    ///
-    /// (The vendored serde stub has no serializer, so the shape is rendered
-    /// by hand; it is the *file format* of the chain, not serde's default
-    /// rendering of this struct — a future swap to real serde would keep
-    /// this method as the canonical writer.)
-    pub fn to_json(&self) -> String {
-        fn number(value: f64) -> String {
-            if value.fract() == 0.0 && value.abs() < 1e15 {
-                format!("{}", value as i64)
-            } else {
-                format!("{value:.4}")
-            }
-        }
-        let mut entries = Vec::with_capacity(2 + self.sections.len() + self.metrics.len());
-        entries.push(format!("  \"experiment\": \"{}\"", self.experiment));
-        entries.push(format!("  \"scenarios\": {}", self.scenarios));
-        for section in &self.sections {
-            let mut entry =
-                format!("  \"{}\": {{ \"wall_ms\": {:.1}", section.name, section.wall_ms);
-            for (key, value) in &section.counters {
-                let _ = write!(entry, ", \"{key}\": {}", number(*value));
-            }
-            entry.push_str(" }");
-            entries.push(entry);
-        }
-        for (key, value) in &self.metrics {
-            entries.push(format!("  \"{key}\": {}", number(*value)));
-        }
-        format!("{{\n{}\n}}\n", entries.join(",\n"))
-    }
-
-    /// Scans a snapshot's JSON text for the `wall_ms` of the named section.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming what is missing — the section or its
-    /// `wall_ms` field — so callers can report *why* a baseline is
-    /// unavailable instead of panicking.
-    pub fn read_wall_ms(json: &str, section: &str) -> Result<f64, String> {
-        let needle = format!("\"{section}\"");
-        let object = json
-            .split(&needle)
-            .nth(1)
-            .ok_or_else(|| format!("no section {section:?} in the snapshot"))?;
-        let number = object
-            .split("\"wall_ms\":")
-            .nth(1)
-            .ok_or_else(|| format!("section {section:?} has no \"wall_ms\" field"))?;
-        number
-            .split([',', '}'])
-            .next()
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| format!("section {section:?} has an unparsable \"wall_ms\""))
-    }
-
-    /// Reads `path` and scans it for the `wall_ms` of the named section.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the file and what went wrong (unreadable
-    /// file, missing section, unparsable number).
-    pub fn load_wall_ms(path: &Path, section: &str) -> Result<f64, String> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::read_wall_ms(&json, section).map_err(|reason| format!("{}: {reason}", path.display()))
-    }
-}
 
 /// The paper-claim trailer of the Theorem 1 experiment.
 pub const THM1_CLAIM: &str =
@@ -350,64 +189,4 @@ pub fn prop2_tables(report: &Prop2Report) -> (Table, Table) {
     detail.push(&["link reduced Betti numbers".to_owned(), format!("{:?}", targeted.link_betti)]);
     detail.push(&["link is (k-2)-connected".to_owned(), targeted.link_connected.to_string()]);
     (exhaustive, detail)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_roundtrips_through_its_own_json() {
-        let mut snapshot = BenchSnapshot::new("demo", 42);
-        snapshot
-            .section("cursor_off", 123.45, &[("scenarios_materialized", 42.0)])
-            .section("cursor_on", 67.8, &[("scenarios_stepped", 40.0), ("rate", 0.9523)])
-            .metric("wall_speedup", 1.82);
-        let json = snapshot.to_json();
-        assert!((BenchSnapshot::read_wall_ms(&json, "cursor_off").unwrap() - 123.5).abs() < 0.05);
-        assert!((BenchSnapshot::read_wall_ms(&json, "cursor_on").unwrap() - 67.8).abs() < 0.05);
-        assert!(json.contains("\"wall_speedup\": 1.8200"));
-        assert!(json.contains("\"scenarios_stepped\": 40"));
-        assert!(json.ends_with("}\n"));
-    }
-
-    /// A snapshot with sections but no metrics (the shape
-    /// `bench_block_cursor` writes when its baseline is missing) must still
-    /// render valid JSON — no dangling commas.
-    #[test]
-    fn snapshot_without_metrics_renders_valid_json() {
-        let mut snapshot = BenchSnapshot::new("demo", 1);
-        snapshot.section("only", 5.0, &[]);
-        let json = snapshot.to_json();
-        assert!(json.contains("\"only\": { \"wall_ms\": 5.0 }\n}"), "dangling comma in:\n{json}");
-        assert_eq!(BenchSnapshot::read_wall_ms(&json, "only"), Ok(5.0));
-        // Degenerate but still well-formed: no sections, no metrics.
-        let empty = BenchSnapshot::new("empty", 0).to_json();
-        assert!(empty.ends_with("\"scenarios\": 0\n}\n"), "dangling comma in:\n{empty}");
-    }
-
-    /// The tolerant scanner must parse every historical snapshot format in
-    /// the repo — here, the PR 3 `BENCH_run_reuse.json` shape the block-
-    /// cursor bench reads its baseline from.
-    #[test]
-    fn scanner_reads_the_legacy_run_reuse_format() {
-        let legacy = r#"{
-  "experiment": "exp_thm1_unbeatability exhaustive scopes",
-  "config": { "shards": 1, "threads": 1, "cache": true },
-  "scenarios": 167890,
-  "reuse_off": { "wall_ms": 1852.1, "structures_simulated": 167890 },
-  "reuse_on": { "wall_ms": 755.7, "structures_simulated": 3278, "reuse_rate": 0.9805 }
-}"#;
-        assert_eq!(BenchSnapshot::read_wall_ms(legacy, "reuse_on"), Ok(755.7));
-        assert_eq!(BenchSnapshot::read_wall_ms(legacy, "reuse_off"), Ok(1852.1));
-        let missing = BenchSnapshot::read_wall_ms(legacy, "cursor_on").unwrap_err();
-        assert!(missing.contains("cursor_on"), "error should name the section: {missing}");
-    }
-
-    #[test]
-    fn loader_reports_missing_files_instead_of_panicking() {
-        let error = BenchSnapshot::load_wall_ms(Path::new("/nonexistent/BENCH_x.json"), "reuse_on")
-            .unwrap_err();
-        assert!(error.contains("BENCH_x.json"), "{error}");
-    }
 }

@@ -177,7 +177,7 @@ mod tests {
 
         let nonuniform = params(7, 5, 2);
         let protocols: [&dyn Protocol; 3] = [&FloodMin, &EarlyFloodMin, &EarlyUniformFloodMin];
-        let mut runner = BatchRunner::cached();
+        let mut runner = BatchRunner::new();
         for seed in 0..35u64 {
             let adversary = random_adversary(seed, 7, 5, 2, 3);
             runner.execute_batch(&protocols, &nonuniform, &adversary).unwrap();

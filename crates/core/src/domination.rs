@@ -211,7 +211,7 @@ pub fn compare(
 ) -> Result<DominationReport, ModelError> {
     let mut first_improvements = Vec::new();
     let mut second_improvements = Vec::new();
-    let mut runner = BatchRunner::cached();
+    let mut runner = BatchRunner::new();
     for (index, adversary) in adversaries.iter().enumerate() {
         let (run, transcripts) = runner.execute_batch(&[first, second], params, adversary)?;
         compare_transcripts(
@@ -292,7 +292,7 @@ pub fn compare_last_decider(
 ) -> Result<LastDeciderReport, ModelError> {
     let mut first_earlier = Vec::new();
     let mut second_earlier = Vec::new();
-    let mut runner = BatchRunner::cached();
+    let mut runner = BatchRunner::new();
     for (index, adversary) in adversaries.iter().enumerate() {
         let (_, transcripts) = runner.execute_batch(&[first, second], params, adversary)?;
         let la = transcripts[0].last_decision_time();

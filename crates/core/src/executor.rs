@@ -119,14 +119,13 @@ pub type NodeObserver<'a> =
 ///   when consecutive adversaries share a failure pattern (the
 ///   structure-major order of exhaustive sweeps), the simulation is skipped
 ///   outright and only the input overlay is swapped — counted in
-///   [`BatchRunner::run_stats`] and controllable via
-///   [`BatchRunner::structure_reuse`];
+///   [`BatchRunner::run_stats`];
 /// * the per-protocol decision buffers (and the [`Transcript`]s wrapping
 ///   them, including their protocol-name strings) are reused across runs;
 /// * each node's knowledge analysis is computed **once per run** and shared
 ///   by every protocol in the batch, instead of once per protocol;
-/// * with [`BatchRunner::cached`], the *structural* part of each analysis is
-///   additionally shared **across runs** through a view-keyed
+/// * the *structural* part of each analysis is shared **across runs**
+///   through the runner's view-keyed
 ///   [`AnalysisCache`]: adversaries that induce the same view pattern at a
 ///   node (the common case in exhaustive sweeps, where input vectors are
 ///   crossed with failure patterns) reuse one construction;
@@ -139,8 +138,7 @@ pub type NodeObserver<'a> =
 ///   see [`BatchRunner::batch_parts`] and [`BatchRunner::count_violations`].
 ///
 /// The produced transcripts are identical (`==`) to those of
-/// [`execute_on_run`] executed per protocol — with or without the cache and
-/// with or without structure reuse.
+/// [`execute_on_run`] executed per protocol.
 ///
 /// ```
 /// use set_consensus::{executor::BatchRunner, Optmin, FloodMin, TaskParams};
@@ -170,7 +168,6 @@ pub struct BatchRunner {
     /// `true` from the first [`StructureReuse::Reused`] run on the current
     /// structure until its next re-simulation.
     memo_live: bool,
-    reuse: bool,
     run_stats: RunReuseStats,
     /// Reusable buffers for the correctness checks of the runner's batches
     /// — see [`BatchRunner::batch_parts`] and
@@ -185,40 +182,18 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// Creates an empty runner without a cross-run analysis cache; buffers
-    /// are allocated lazily by the first batch.
+    /// Creates an empty runner with its own cross-run [`AnalysisCache`];
+    /// buffers are allocated lazily by the first batch.
     pub fn new() -> Self {
-        BatchRunner::with_cache(AnalysisCache::disabled())
-    }
-
-    /// Creates an empty runner with an enabled cross-run [`AnalysisCache`].
-    pub fn cached() -> Self {
-        BatchRunner::with_cache(AnalysisCache::new())
-    }
-
-    /// Creates an empty runner around an existing cache handle (shared or
-    /// disabled), so several runners — or a runner and auxiliary analyses —
-    /// can pool one cache.
-    pub fn with_cache(cache: AnalysisCache) -> Self {
         BatchRunner {
             run: None,
             transcripts: Vec::new(),
-            cache,
+            cache: AnalysisCache::new(),
             memo: StructureMemo::new(),
             memo_live: false,
-            reuse: true,
             run_stats: RunReuseStats::default(),
             checks: CheckScratch::new(),
         }
-    }
-
-    /// Sets whether consecutive runs with an identical failure pattern may
-    /// share one communication structure (default `true`).  Disabling forces
-    /// a full re-simulation per run — the reuse-off arm of A/B comparisons;
-    /// results are identical either way.
-    pub fn structure_reuse(mut self, enabled: bool) -> Self {
-        self.reuse = enabled;
-        self
     }
 
     /// Returns a handle to the runner's analysis cache.  The handle shares
@@ -418,9 +393,8 @@ impl BatchRunner {
     /// Simulates the run induced by `adversary` into the reused run buffer
     /// without executing any protocol — for jobs that only need the
     /// communication structure (e.g. topology sweeps).  When the adversary's
-    /// failure pattern matches the previous run's (and structure reuse is
-    /// enabled), the simulation is skipped and only the input overlay is
-    /// swapped.
+    /// failure pattern matches the previous run's, the simulation is skipped
+    /// and only the input overlay is swapped.
     ///
     /// # Errors
     ///
@@ -433,7 +407,7 @@ impl BatchRunner {
         horizon: Time,
     ) -> Result<&Run, ModelError> {
         let reuse = match self.run.as_mut() {
-            Some(run) => run.regenerate_with(system, adversary, horizon, self.reuse)?,
+            Some(run) => run.regenerate(system, adversary, horizon)?,
             None => {
                 self.run = Some(Run::generate(system, adversary.clone(), horizon)?);
                 StructureReuse::Simulated
@@ -545,10 +519,10 @@ mod tests {
         let protocols: [&dyn Protocol; 3] = [&Optmin, &EarlyFloodMin, &FloodMin];
         let mut rng = StdRng::seed_from_u64(99);
         let mut runner = BatchRunner::new();
-        let mut cached_runner = BatchRunner::cached();
         for _ in 0..25 {
             let adversary = random_adversary(&mut rng, n, t, k);
 
+            // The cross-run cache must not change a single decision.
             let (run, batched) = runner.execute_batch(&protocols, &params, &adversary).unwrap();
             let reference_run =
                 synchrony::Run::generate(params.system(), adversary.clone(), params.horizon())
@@ -558,25 +532,16 @@ mod tests {
                 let reference = execute_on_run(*protocol, &params, &reference_run).unwrap();
                 assert_eq!(transcript, &reference);
             }
-            // The cross-run cache must not change a single decision.
-            let (cached_run, cached) =
-                cached_runner.execute_batch(&protocols, &params, &adversary).unwrap();
-            assert_eq!(cached_run, &reference_run);
-            for (protocol, transcript) in protocols.iter().zip(cached) {
-                let reference = execute_on_run(*protocol, &params, &reference_run).unwrap();
-                assert_eq!(transcript, &reference);
-            }
         }
-        let stats = cached_runner.cache().stats();
+        let stats = runner.cache().stats();
         assert!(stats.hits > 0, "repeated view patterns must hit the cache");
     }
 
-    /// Replaying input vectors over a fixed failure pattern must (a) reuse
-    /// the communication structure, (b) produce transcripts identical to
-    /// one-shot execution, and (c) stop reusing when reuse is disabled —
-    /// without changing a single decision.
+    /// Replaying input vectors over a fixed failure pattern must reuse the
+    /// communication structure and produce transcripts identical to one-shot
+    /// execution.
     #[test]
-    fn structure_reuse_is_counted_and_invisible() {
+    fn reused_structures_are_counted_and_invisible() {
         use crate::Optmin;
 
         let params = TaskParams::new(SystemParams::new(4, 2).unwrap(), 2).unwrap();
@@ -584,27 +549,19 @@ mod tests {
         failures.crash(0, 1, [1]).unwrap();
         let inputs = [[0u64, 1, 2, 2], [2, 2, 1, 0], [1, 1, 1, 1], [0, 0, 2, 1]];
 
-        let mut reusing = BatchRunner::cached();
-        let mut rebuilding = BatchRunner::cached().structure_reuse(false);
+        let mut reusing = BatchRunner::new();
         for values in inputs {
             let adversary =
                 Adversary::new(InputVector::from_values(values), failures.clone()).unwrap();
             let (_, expected) = execute(&Optmin, &params, adversary.clone()).unwrap();
             let (_, transcript) = reusing.execute_one(&Optmin, &params, &adversary).unwrap();
             assert_eq!(transcript, &expected);
-            let (_, transcript) = rebuilding.execute_one(&Optmin, &params, &adversary).unwrap();
-            assert_eq!(transcript, &expected);
         }
         assert_eq!(
             reusing.run_stats(),
             RunReuseStats { simulated: 1, reused: inputs.len() as u64 - 1 }
         );
-        assert_eq!(
-            rebuilding.run_stats(),
-            RunReuseStats { simulated: inputs.len() as u64, reused: 0 }
-        );
         assert!(reusing.run_stats().reuse_rate() > 0.7);
-        assert_eq!(rebuilding.run_stats().reuse_rate(), 0.0);
     }
 
     /// The observed batch loop must visit every active node exactly once, in
@@ -620,7 +577,7 @@ mod tests {
         let params = TaskParams::new(SystemParams::new(n, t).unwrap(), k).unwrap();
         let protocols: [&dyn Protocol; 2] = [&Optmin, &FloodMin];
         let mut rng = StdRng::seed_from_u64(7);
-        let mut runner = BatchRunner::cached();
+        let mut runner = BatchRunner::new();
         for _ in 0..10 {
             let adversary = random_adversary(&mut rng, n, t, k);
             let mut visited: Vec<Node> = Vec::new();
@@ -683,7 +640,7 @@ mod tests {
         let params = TaskParams::new(SystemParams::new(n, t).unwrap(), k).unwrap();
         let protocols: [&dyn Protocol; 2] = [&Optmin, &FloodMin];
         let mut rng = StdRng::seed_from_u64(17);
-        let mut runner = BatchRunner::cached();
+        let mut runner = BatchRunner::new();
         for _ in 0..10 {
             let adversary = random_adversary(&mut rng, n, t, k);
             runner.execute_batch(&protocols, &params, &adversary).unwrap();

@@ -41,10 +41,8 @@ const MAX_ENTRIES: usize = 1 << 20;
 /// Hit/miss counters of an [`AnalysisCache`].
 ///
 /// A *miss* is a full structural construction (the expensive part of
-/// [`ViewAnalysis::new`]); a *hit* is a construction avoided.  Disabled
-/// caches count every lookup as a miss, so `misses` always equals the number
-/// of structural constructions performed, cached or not — which is what the
-/// sweep benchmarks compare.
+/// [`ViewAnalysis::new`]); a *hit* is a construction avoided, so `misses`
+/// equals the number of structural constructions performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -89,7 +87,6 @@ impl CacheStats {
 
 #[derive(Debug)]
 struct CacheInner {
-    enabled: bool,
     map: HashMap<ViewKey, ViewStructure>,
     stats: CacheStats,
 }
@@ -124,31 +121,14 @@ pub struct AnalysisCache {
 }
 
 impl AnalysisCache {
-    /// Creates an empty, enabled cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_enabled(true)
-    }
-
-    /// Creates a disabled cache: [`AnalysisCache::analyze`] always performs
-    /// the full construction (and counts it as a miss), and nothing is
-    /// stored.  This is the cache-off arm of A/B comparisons.
-    pub fn disabled() -> Self {
-        Self::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> Self {
         AnalysisCache {
             inner: Rc::new(RefCell::new(CacheInner {
-                enabled,
                 map: HashMap::new(),
                 stats: CacheStats::default(),
             })),
         }
-    }
-
-    /// Returns `true` if lookups may be answered from the cache.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.borrow().enabled
     }
 
     /// Analyzes the node `⟨i, m⟩` of `run`, reusing the cached structural
@@ -179,7 +159,7 @@ impl AnalysisCache {
     /// The lookup-or-compute core shared by [`AnalysisCache::analyze`] and
     /// [`AnalysisCache::structure_for`]: validates the node, resolves its
     /// [`ViewStructure`] (from the map on a hit, computed — and stored, up
-    /// to [`MAX_ENTRIES`] — on a miss, always computed when disabled),
+    /// to [`MAX_ENTRIES`] — on a miss),
     /// counts the hit/miss, and hands the structure to `use_structure`.
     fn with_structure<T>(
         &self,
@@ -191,11 +171,6 @@ impl AnalysisCache {
         // structures directly and must only ever see validated nodes.
         validate_node(run, node)?;
         let mut inner = self.inner.borrow_mut();
-        if !inner.enabled {
-            let structure = ViewStructure::compute(run, node)?;
-            inner.stats.misses += 1;
-            return Ok(use_structure(&structure));
-        }
         let key = ViewKey::from_run(run, node);
         if let Some(structure) = inner.map.get(&key) {
             let result = use_structure(structure);
@@ -295,31 +270,17 @@ mod tests {
     }
 
     /// Invalid nodes must surface the same `Err` as `ViewAnalysis::new` —
-    /// never a panic from key extraction — whether the cache is on or off.
+    /// never a panic from key extraction.
     #[test]
     fn invalid_nodes_error_instead_of_panicking() {
         let run = run_with([0, 1, 2, 3], |f| {
             f.crash_silent(0, 1).unwrap();
         });
-        for cache in [AnalysisCache::new(), AnalysisCache::disabled()] {
-            assert!(cache.analyze(&run, Node::new(0, Time::new(2))).is_err(), "inactive");
-            assert!(cache.analyze(&run, Node::new(9, Time::new(1))).is_err(), "no such process");
-            assert!(cache.analyze(&run, Node::new(1, Time::new(9))).is_err(), "beyond horizon");
-            assert!(cache.is_empty());
-        }
-    }
-
-    #[test]
-    fn disabled_cache_stores_nothing_and_counts_constructions() {
-        let cache = AnalysisCache::disabled();
-        assert!(!cache.is_enabled());
-        let run = run_with([0, 1, 2, 3], |_| {});
-        let node = Node::new(0, Time::new(1));
-        for _ in 0..3 {
-            cache.analyze(&run, node).unwrap();
-        }
+        let cache = AnalysisCache::new();
+        assert!(cache.analyze(&run, Node::new(0, Time::new(2))).is_err(), "inactive");
+        assert!(cache.analyze(&run, Node::new(9, Time::new(1))).is_err(), "no such process");
+        assert!(cache.analyze(&run, Node::new(1, Time::new(9))).is_err(), "beyond horizon");
         assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 3 });
     }
 
     #[test]

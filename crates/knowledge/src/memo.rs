@@ -187,20 +187,4 @@ mod tests {
             ViewAnalysis::new(&free, node).unwrap()
         );
     }
-
-    /// The memo works in front of a disabled cache too (structure reuse
-    /// without cross-pattern sharing).
-    #[test]
-    fn memo_composes_with_a_disabled_cache() {
-        let cache = AnalysisCache::disabled();
-        let mut memo = StructureMemo::new();
-        let node = Node::new(2, Time::new(1));
-        for inputs in [[0u64, 1, 2, 3], [3, 2, 1, 0]] {
-            let run = run_with(inputs, |_| {});
-            let reference = ViewAnalysis::new(&run, node).unwrap();
-            assert_eq!(memo.analyze(&cache, &run, node).unwrap(), &reference);
-        }
-        assert!(cache.is_empty(), "a disabled cache stores nothing");
-        assert_eq!(cache.stats().misses, 1, "only the memo miss reached the cache");
-    }
 }

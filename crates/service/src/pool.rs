@@ -53,10 +53,7 @@ impl WorkerPool {
             .map(|_| {
                 let receiver: Arc<Mutex<Receiver<Task>>> = Arc::clone(&receiver);
                 std::thread::spawn(move || {
-                    let mut state = WorkerState {
-                        runner: BatchRunner::cached().structure_reuse(true),
-                        scratch: None,
-                    };
+                    let mut state = WorkerState { runner: BatchRunner::new(), scratch: None };
                     loop {
                         // Hold the queue lock only while popping, never
                         // while running a task.

@@ -1492,20 +1492,20 @@ fn run_prop2(
     };
     let key = fingerprint.shard(0);
     let cached = if spec.shard_cache { caches.prop2.get(&key) } else { None };
-    let (report, stats, was_cached) = match cached {
-        Some((report, _range)) => (report, SweepStats::default(), true),
+    let (report, stats, range, was_cached) = match cached {
+        Some((report, range)) => (report, SweepStats::default(), range, true),
         None => {
             let config = SweepConfig {
                 shards: resolved_shards(spec, pool),
                 threads: pool.workers(),
                 seed: spec.seed,
-                ..SweepConfig::default()
             };
             let (report, stats) = experiments::prop2_with_stats(&config)?;
+            let range = (0, stats.scenarios as usize);
             if spec.shard_cache {
-                caches.prop2.insert(key, (0, stats.scenarios as usize), report.clone());
+                caches.prop2.insert(key, range, report.clone());
             }
-            (report, stats, false)
+            (report, stats, range, false)
         }
     };
     send_frame(
@@ -1516,8 +1516,8 @@ fn run_prop2(
             cases: 1,
             shard: 0,
             shards: 1,
-            start: 0,
-            end: stats.scenarios as usize,
+            start: range.0,
+            end: range.1,
             cached: was_cached,
             stats,
         }),
@@ -1698,7 +1698,6 @@ where
                     &mut state.runner,
                     &mut state.scratch,
                     range,
-                    true,
                 )
                 .map_err(JobError::Model);
                 shard_exec_us.observe(exec_started.elapsed());

@@ -134,8 +134,7 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
 
     // One warm runner + scratch slot, reused across leases — the same
     // warmth the local pool keeps, with the same bit-identity guarantee.
-    let mut state =
-        WorkerState { runner: BatchRunner::cached().structure_reuse(true), scratch: None };
+    let mut state = WorkerState { runner: BatchRunner::new(), scratch: None };
     loop {
         match read_frame(&mut reader)? {
             Some(Frame::Lease(grant)) => {
@@ -315,15 +314,8 @@ where
                 ranges.len()
             ),
         })?;
-    let (acc, stats) = fold_shard_stats(
-        source,
-        reducer,
-        &job,
-        &mut state.runner,
-        &mut state.scratch,
-        range,
-        true,
-    )?;
+    let (acc, stats) =
+        fold_shard_stats(source, reducer, &job, &mut state.runner, &mut state.scratch, range)?;
     Ok((acc.to_wire(), range, stats))
 }
 
@@ -334,7 +326,7 @@ mod tests {
     use sweep::experiments::Thm1Outcome;
 
     fn warm_state() -> WorkerState {
-        WorkerState { runner: BatchRunner::cached().structure_reuse(true), scratch: None }
+        WorkerState { runner: BatchRunner::new(), scratch: None }
     }
 
     #[test]
@@ -376,7 +368,6 @@ mod tests {
             &mut reference.runner,
             &mut reference.scratch,
             ranges[1],
-            true,
         )
         .unwrap();
         assert_eq!(Thm1Outcome::from_wire(&payload).unwrap(), expected);

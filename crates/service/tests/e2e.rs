@@ -1,7 +1,8 @@
 //! End-to-end daemon tests: determinism of the streamed fold against the
 //! in-process engine (cold and warm cache, several shard/worker combos),
-//! concurrent dispatch, cancellation, queue backpressure, the
-//! thread-scaling smoke hook, and graceful shutdown.
+//! the job-granularity Proposition 2 path, concurrent dispatch,
+//! cancellation, queue backpressure, the thread-scaling smoke hook, and
+//! graceful shutdown.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -260,6 +261,47 @@ fn crash_and_omission_jobs_share_a_daemon_without_cross_replay() {
     stop_daemon(&endpoint, handle);
 }
 
+/// Proposition 2 through the daemon, which caches it at job granularity (one
+/// "shard" covering the whole report): a cold and a warm job both equal the
+/// in-process `experiments::prop2`, the warm job is 100% cached, and both
+/// `ShardDone` frames carry the same scenario range.
+#[test]
+fn prop2_jobs_match_in_process_cold_and_warm() {
+    let (endpoint, handle) = start_daemon("prop2", 2);
+    let expected = QueryResult::Prop2(
+        experiments::prop2(&SweepConfig { threads: 2, ..SweepConfig::default() })
+            .expect("in-process prop2"),
+    );
+    let spec = |id: u64| JobSpec {
+        id,
+        query: QueryKind::Prop2,
+        scope: None,
+        shards: 0,
+        seed: SweepConfig::DEFAULT_SEED,
+        shard_cache: true,
+    };
+
+    let cold = client::submit(&endpoint, &spec(51)).expect("cold prop2 submit");
+    assert_eq!(cold.result, expected, "cold prop2 report");
+    assert_eq!((cold.shards_total, cold.shards_cached, cold.shards_executed), (1, 0, 1));
+    let warm = client::submit(&endpoint, &spec(52)).expect("warm prop2 submit");
+    assert_eq!(warm.result, expected, "warm prop2 report");
+    assert_eq!(warm.shards_cached, warm.shards_total, "warm prop2 must be 100% cached");
+    assert_eq!(warm.shards_executed, 0);
+    assert_eq!(warm.stats.scenarios, 0, "warm prop2 must execute no scenarios");
+
+    let [cold_frame] = cold.shard_frames.as_slice() else { panic!("one cold shard frame") };
+    let [warm_frame] = warm.shard_frames.as_slice() else { panic!("one warm shard frame") };
+    assert!(!cold_frame.cached && warm_frame.cached);
+    assert!(cold_frame.end > 0, "the cold frame covers the executed scenarios");
+    assert_eq!(
+        (warm_frame.start, warm_frame.end),
+        (cold_frame.start, cold_frame.end),
+        "the warm frame reports the cached range"
+    );
+    stop_daemon(&endpoint, handle);
+}
+
 /// A shard count that does not match the cached partition is a different
 /// fingerprint: it must re-execute (no unsound partial replay) and still
 /// fold identically.
@@ -324,10 +366,9 @@ fn shutdown_is_graceful_and_removes_the_socket() {
 }
 
 /// Thread-scaling smoke, gated on real parallelism: on a multi-core
-/// runner it exercises a >1-worker pool end to end and reports the scaling
-/// ratio; on the 1-core dev container it skips cleanly.  (The ready-made
-/// hook for the ROADMAP's still-open multi-core CI item — the ratio is
-/// printed, not asserted, because CI hardware varies.)
+/// machine it exercises a >1-worker pool end to end and reports the scaling
+/// ratio; with a single core it skips.  (The ratio is printed, not
+/// asserted, because hardware varies.)
 #[test]
 fn thread_scaling_smoke() {
     let cores = thread::available_parallelism().map(usize::from).unwrap_or(1);

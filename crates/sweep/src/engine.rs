@@ -14,7 +14,9 @@ use synchrony::{Adversary, ModelError};
 /// A sweep is deterministic in `(source, reducer, job, seed)`: neither
 /// `shards` nor `threads` may change the fold result (see [`Reducer`] for
 /// the laws that guarantee this; the shard-determinism integration tests
-/// enforce it).
+/// enforce it).  How a shard is executed is not configurable: every worker
+/// owns a [`BatchRunner`] (view-keyed analysis cache, run-structure reuse)
+/// and walks its shards through [`ScenarioSource::cursor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Number of deterministic shards the scenario space is partitioned
@@ -29,40 +31,12 @@ pub struct SweepConfig {
     /// Seed forwarded to seeded scenario sources (ignored by exhaustive and
     /// fixed sources).
     pub seed: u64,
-    /// Whether each worker keeps a cross-adversary, view-keyed
-    /// [`knowledge::AnalysisCache`] (default `true`).  The cache can only
-    /// change how fast a fold is computed, never its value — cached and
-    /// uncached sweeps are bit-identical at any shard/thread count, which
-    /// the determinism tests pin down.
-    pub cache: bool,
-    /// Whether each worker's [`BatchRunner`] may reuse one simulated
-    /// communication structure across consecutive scenarios that share a
-    /// failure pattern (default `true`).  Like the cache, reuse is purely a
-    /// speed knob: folds with reuse on and off are bit-identical at any
-    /// parallelism.
-    pub reuse: bool,
-    /// Whether each shard walks its scenarios through the source's
-    /// [`ScenarioSource::cursor`] (default `true`), which reuses one
-    /// caller-owned scratch [`Scenario`] per worker and — for block-cursor
-    /// sources like `source::ExhaustiveSource` — steps the scenario in
-    /// place instead of materializing it per index.  The third speed-only
-    /// knob: cursor-on and cursor-off folds are bit-identical at any
-    /// parallelism (pinned by the determinism tests); only
-    /// [`SweepStats::cursor`] differs.
-    pub cursor: bool,
 }
 
 impl SweepConfig {
     /// A fully sequential configuration: one shard, one thread.
     pub fn sequential() -> Self {
-        SweepConfig {
-            shards: 1,
-            threads: 1,
-            seed: Self::DEFAULT_SEED,
-            cache: true,
-            reuse: true,
-            cursor: true,
-        }
+        SweepConfig { shards: 1, threads: 1, seed: Self::DEFAULT_SEED }
     }
 
     /// The default seed, matching the seed the pre-engine experiment
@@ -90,14 +64,7 @@ impl SweepConfig {
 
 impl Default for SweepConfig {
     fn default() -> Self {
-        SweepConfig {
-            shards: 0,
-            threads: 0,
-            seed: Self::DEFAULT_SEED,
-            cache: true,
-            reuse: true,
-            cursor: true,
-        }
+        SweepConfig { shards: 0, threads: 0, seed: Self::DEFAULT_SEED }
     }
 }
 
@@ -106,13 +73,12 @@ impl Default for SweepConfig {
 ///
 /// This is [`adversary::enumerate::CursorCounters`] — one definition for
 /// the whole stack, read here as "scenarios" rather than "adversaries".
-/// With [`SweepConfig::cursor`] on and a block-cursor source, steady state
-/// means **zero per-scenario pattern/input allocations**: `materialized`
-/// equals the number of non-empty shards (one wholesale construction
-/// each), `patterns_unranked` the number of structure blocks, and every
-/// other scenario is `stepped` in place.  With the cursor off — or for
-/// sources without an in-place representation — every scenario counts as
-/// `materialized`, exactly the old per-index [`ScenarioSource::scenario`]
+/// For a block-cursor source, steady state means **zero per-scenario
+/// pattern/input allocations**: `materialized` equals the number of
+/// non-empty shards (one wholesale construction each), `patterns_unranked`
+/// the number of structure blocks, and every other scenario is `stepped` in
+/// place.  For sources without an in-place representation every scenario
+/// counts as `materialized`, the per-index [`ScenarioSource::scenario`]
 /// cost.
 pub use adversary::enumerate::CursorCounters as CursorStats;
 
@@ -150,11 +116,11 @@ impl SweepStats {
     }
 
     /// Renders the statistics as the canonical one-line stderr trailer the
-    /// experiment binaries and the `sweep serve` daemon print — the format
+    /// `sweep` CLI and the `sweep serve` daemon print — the format
     /// documented field by field in the crate docs ("The stderr stats
-    /// line").  Every consumer (the `exp_*` binaries, the `sweep` CLI, the
-    /// service daemon and client) goes through this one renderer so the
-    /// line stays greppable across the whole stack.
+    /// line").  Every consumer (the `sweep` CLI, the service daemon and
+    /// client) goes through this one renderer so the line stays greppable
+    /// across the whole stack.
     pub fn stats_line(&self) -> String {
         format!(
             "sweep stats: {} scenarios; knowledge analyses: {} requested, {} constructed, \
@@ -229,7 +195,7 @@ pub trait ScenarioSource: Sync {
     }
 
     /// Returns a cursor over the half-open index range `start..end` — the
-    /// engine's shard access path when [`SweepConfig::cursor`] is on.
+    /// engine's shard access path.
     ///
     /// The default implementation materializes each scenario through
     /// [`ScenarioSource::scenario`] (counting it in
@@ -239,9 +205,8 @@ pub trait ScenarioSource: Sync {
     /// `adversary::enumerate::AdversarySpace`, which unranks the failure
     /// pattern once per structure block and then only steps the mixed-radix
     /// input code inside the worker's scratch scenario.  Either way the
-    /// yielded sequence must be identical to `scenario(start..end)` — the
-    /// cursor is the third speed-only knob of the engine, never a semantic
-    /// one.
+    /// yielded sequence must be identical to `scenario(start..end)`: the
+    /// cursor changes how fast a shard is walked, never what it folds.
     fn cursor(&self, start: usize, end: usize) -> Box<dyn ScenarioCursor + '_> {
         Box::new(NthCursor {
             source: self,
@@ -275,8 +240,7 @@ pub trait ScenarioCursor {
 }
 
 /// The fallback cursor behind the default [`ScenarioSource::cursor`]:
-/// materializes every scenario per index, exactly as the engine's pre-cursor
-/// shard loop did.
+/// materializes every scenario per index.
 struct NthCursor<'a, S: ?Sized> {
     source: &'a S,
     next: usize,
@@ -378,9 +342,8 @@ pub const FOLD_SEMANTICS_VERSION: u32 = 2;
 /// This is the single-shard kernel shared by [`sweep_with_stats`] (which
 /// spawns its own worker threads) and external shard schedulers like the
 /// `service` daemon's persistent worker pool (which owns long-lived runners
-/// and calls this per queued shard).  `use_cursor` selects between the
-/// source's [`ScenarioSource::cursor`] and per-index materialization —
-/// exactly the [`SweepConfig::cursor`] knob.
+/// and calls this per queued shard).  The range is walked through the
+/// source's [`ScenarioSource::cursor`].
 ///
 /// # Errors
 ///
@@ -392,7 +355,6 @@ pub fn fold_shard_range<S, R, F>(
     runner: &mut BatchRunner,
     scratch: &mut Option<Scenario>,
     range: (usize, usize),
-    use_cursor: bool,
 ) -> Result<(R::Acc, CursorStats), ModelError>
 where
     S: ScenarioSource + ?Sized,
@@ -400,24 +362,12 @@ where
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
 {
     let mut acc = reducer.empty();
-    if use_cursor {
-        let mut cursor = source.cursor(range.0, range.1);
-        while cursor.next(scratch)? {
-            let scenario = scratch.as_ref().expect("the cursor just yielded a scenario");
-            reducer.fold(&mut acc, job(runner, scenario)?);
-        }
-        Ok((acc, cursor.stats()))
-    } else {
-        // The pre-cursor path, kept as the A/B arm: materialize every
-        // scenario per index.
-        let mut stats = CursorStats::default();
-        for index in range.0..range.1 {
-            let scenario = source.scenario(index)?;
-            stats.materialized += 1;
-            reducer.fold(&mut acc, job(runner, &scenario)?);
-        }
-        Ok((acc, stats))
+    let mut cursor = source.cursor(range.0, range.1);
+    while cursor.next(scratch)? {
+        let scenario = scratch.as_ref().expect("the cursor just yielded a scenario");
+        reducer.fold(&mut acc, job(runner, scenario)?);
     }
+    Ok((acc, cursor.stats()))
 }
 
 /// One completed shard of a [`sweep_shards`] call.
@@ -484,7 +434,6 @@ pub fn fold_shard_stats<S, R, F>(
     runner: &mut BatchRunner,
     scratch: &mut Option<Scenario>,
     range: (usize, usize),
-    use_cursor: bool,
 ) -> Result<(R::Acc, SweepStats), ModelError>
 where
     S: ScenarioSource + ?Sized,
@@ -492,7 +441,7 @@ where
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
 {
     let before = runner_counters(runner);
-    let (acc, cursor) = fold_shard_range(source, reducer, job, runner, scratch, range, use_cursor)?;
+    let (acc, cursor) = fold_shard_range(source, reducer, job, runner, scratch, range)?;
     let stats = shard_stats(range, before, runner_counters(runner), cursor);
     Ok((acc, stats))
 }
@@ -548,10 +497,6 @@ where
     let total = source.len();
     let threads = config.resolved_threads();
     let ranges = shard_ranges(total, config.resolved_shards(), source.structure_block());
-    let make_runner = || {
-        let runner = if config.cache { BatchRunner::cached() } else { BatchRunner::new() };
-        runner.structure_reuse(config.reuse)
-    };
 
     // Warm pass first, in shard order: replayed accumulators are reported
     // before any execution starts, so a fully warm sweep streams instantly.
@@ -578,13 +523,12 @@ where
                      shard: usize|
      -> Result<ShardOutcome<R::Acc>, ModelError> {
         let range = ranges[shard];
-        let (acc, stats) =
-            fold_shard_stats(source, reducer, &job, runner, scratch, range, config.cursor)?;
+        let (acc, stats) = fold_shard_stats(source, reducer, &job, runner, scratch, range)?;
         Ok(ShardOutcome { shard, range, cached: false, acc, stats })
     };
 
     if threads <= 1 || cold.len() <= 1 {
-        let mut runner = make_runner();
+        let mut runner = BatchRunner::new();
         let mut scratch = None;
         for &shard in &cold {
             let outcome = fold_cold(&mut runner, &mut scratch, shard)?;
@@ -601,7 +545,7 @@ where
         thread::scope(|scope| {
             for _ in 0..threads.min(cold.len()) {
                 scope.spawn(|| {
-                    let mut runner = make_runner();
+                    let mut runner = BatchRunner::new();
                     let mut scratch = None;
                     loop {
                         if failed.load(Ordering::Relaxed) {
@@ -792,18 +736,16 @@ where
 /// [`ScenarioSource::structure_block`]; worker threads *steal* shards from
 /// a shared queue (an atomic cursor), so a slow shard never idles the other
 /// workers.  Each worker owns a [`BatchRunner`] — with a cross-adversary
-/// [`knowledge::AnalysisCache`] when [`SweepConfig::cache`] is set, and
-/// run-structure reuse across same-pattern scenarios when
-/// [`SweepConfig::reuse`] is set — so run/transcript buffers, cached view
-/// analyses and whole communication structures are reused across every
-/// scenario the worker executes.  With [`SweepConfig::cursor`] set, each
-/// shard is walked through the source's [`ScenarioSource::cursor`] into a
-/// per-worker scratch [`Scenario`], so block-cursor sources materialize
-/// nothing per scenario in steady state.  Shard accumulators are merged in
-/// shard order, which — given the [`Reducer`] laws — makes the fold
-/// identical for every shard/thread count, cache setting, reuse setting and
-/// cursor setting, including the fully sequential path; only the statistics
-/// may differ between parallelisms.
+/// [`knowledge::AnalysisCache`] and run-structure reuse across same-pattern
+/// scenarios — so run/transcript buffers, cached view analyses and whole
+/// communication structures are reused across every scenario the worker
+/// executes.  Each shard is walked through the source's
+/// [`ScenarioSource::cursor`] into a per-worker scratch [`Scenario`], so
+/// block-cursor sources materialize nothing per scenario in steady state.
+/// Shard accumulators are merged in shard order, which — given the
+/// [`Reducer`] laws — makes the fold identical for every shard/thread
+/// count, including the fully sequential path; only the statistics may
+/// differ between parallelisms.
 ///
 /// # Errors
 ///
@@ -882,9 +824,6 @@ mod tests {
         let config = SweepConfig::default();
         assert!(config.resolved_threads() >= 1);
         assert_eq!(config.resolved_shards(), config.resolved_threads() * 4);
-        assert!(config.cache, "the analysis cache defaults to on");
-        assert!(config.reuse, "run-structure reuse defaults to on");
-        assert!(config.cursor, "the block cursor defaults to on");
         assert_eq!(SweepConfig::sequential().resolved_threads(), 1);
         assert_eq!(SweepConfig::sequential().resolved_shards(), 1);
     }

@@ -28,17 +28,16 @@
 //!   structure block) and lets worker threads *steal* shards from a shared
 //!   queue; every worker owns a `set_consensus::BatchRunner`, so run,
 //!   transcript and analysis buffers are reused across all the runs it
-//!   executes.  Two cross-adversary reuse layers ride on top, both on by
-//!   default and both invisible to the fold: with [`SweepConfig::cache`], a
-//!   `knowledge::AnalysisCache` shares the structural part of every node's
-//!   knowledge analysis between all the adversaries the worker visits; with
-//!   [`SweepConfig::reuse`], the runner executes *structure-major* — every
-//!   scenario that repeats the previous failure pattern (the whole
-//!   input-vector block of an exhaustive scope) skips the run simulation
-//!   outright and only swaps the input overlay (`synchrony::RunStructure`);
-//!   and with [`SweepConfig::cursor`], shards are walked through the
-//!   source's cursor into a per-worker scratch scenario.  All counters are
-//!   reported through [`SweepStats`];
+//!   executes.  Two cross-adversary reuse layers ride on top, always on
+//!   and invisible to the fold: a `knowledge::AnalysisCache` shares the
+//!   structural part of every node's knowledge analysis between all the
+//!   adversaries the worker visits, and the runner executes
+//!   *structure-major* — every scenario that repeats the previous failure
+//!   pattern (the whole input-vector block of an exhaustive scope) skips
+//!   the run simulation outright and only swaps the input overlay
+//!   (`synchrony::RunStructure`).  Shards are walked through the source's
+//!   cursor into a per-worker scratch scenario.  All counters are reported
+//!   through [`SweepStats`];
 //! * [`Reducer`] — folds per-run outcomes (decision-time histograms, check
 //!   violations, domination counters, …) into per-shard accumulators that
 //!   are merged in shard order.  The reducer law
@@ -48,8 +47,8 @@
 //!   `--threads 64`;
 //! * [`experiments`] — the paper's headline experiments (Theorem 1,
 //!   Theorem 3, Fig. 4, Proposition 2) ported onto the engine; the `sweep`
-//!   CLI binary and the `exp_*` binaries in the `bench_harness` crate are
-//!   thin formatting wrappers around them.
+//!   CLI binary in the `bench_harness` crate is a thin formatting wrapper
+//!   around them.
 //!
 //! The three reuse layers — analysis cache, run-structure memo, block
 //! cursor — are documented as one system in `docs/ARCHITECTURE.md` at the
@@ -57,7 +56,7 @@
 //!
 //! # The stderr stats line
 //!
-//! The experiment binaries print the engine's [`SweepStats`] as a one-line
+//! The `sweep` CLI prints the engine's [`SweepStats`] as a one-line
 //! stderr trailer (stdout stays parallelism-invariant for diffing).  Its
 //! fields, in order:
 //!
@@ -81,11 +80,12 @@
 //!   scenario cursors, summed: scenarios stepped in place inside a
 //!   worker's scratch vs. materialized wholesale (a fresh
 //!   pattern/input/adversary allocation, as `nth` would do), plus the
-//!   number of failure patterns unranked (once per structure block).  With
-//!   the block cursor on, steady state shows `mat` equal to the number of
+//!   number of failure patterns unranked (once per structure block).  On
+//!   an exhaustive source, steady state shows `mat` equal to the number of
 //!   non-empty shards and `pat` equal to the number of pattern blocks —
-//!   zero per-scenario allocations; with `--no-cursor` every scenario is
-//!   `materialized`.  `in-place rate` is `st / (st + mat)`.
+//!   zero per-scenario allocations; sources without a block cursor
+//!   (random, fixed) count every scenario as `materialized`.  `in-place
+//!   rate` is `st / (st + mat)`.
 //!
 //! The counters describe *how* the fold was computed and may legally vary
 //! with the shard/thread counts; the fold value itself never does.

@@ -1,17 +1,21 @@
 //! Shard-determinism contract of the sweep engine: for a fixed seed and
 //! scenario family, the fold result is identical for every shard and thread
-//! count (ISSUE acceptance: 1, 2 and 8 shards) — and for every setting of
-//! the cross-adversary analysis cache, of run-structure reuse, and of the
-//! block cursor, which may only change how fast a fold is computed, never
-//! its value.
+//! count (1, 2 and 8 shards) — and the engine's reused runner (analysis
+//! cache, run-structure reuse, block cursor) produces exactly the
+//! transcripts of one-shot `set_consensus::execute`.
+
+use std::collections::BTreeSet;
 
 use adversary::enumerate::{AdversarySpace, EnumerationConfig};
 use adversary::{OmissionConfig, RandomConfig};
 use knowledge::ViewAnalysis;
-use set_consensus::{check, Optmin, Protocol, TaskParams, TaskVariant, UPmin};
+use set_consensus::{
+    check, execute, EarlyFloodMin, FloodMin, Optmin, Protocol, TaskParams, TaskVariant, UPmin,
+};
+use sweep::experiments;
 use sweep::reduce::{Count, DecisionTimeHistogram};
 use sweep::source::{ExhaustiveSource, RandomSource};
-use sweep::{sweep, sweep_with_stats, ScenarioSource, SweepConfig};
+use sweep::{shard_ranges, sweep, sweep_with_stats, ScenarioSource, SweepConfig};
 use synchrony::{Node, SystemParams, Time};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -54,26 +58,9 @@ fn exhaustive_histogram_is_shard_invariant() {
     assert!(!reference.is_empty());
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
-            for cache in [false, true] {
-                for reuse in [false, true] {
-                    for cursor in [false, true] {
-                        let config = SweepConfig {
-                            shards,
-                            threads,
-                            seed: SweepConfig::DEFAULT_SEED,
-                            cache,
-                            reuse,
-                            cursor,
-                        };
-                        let fold = sweep(&source, &config, &DecisionTimeHistogram, job).unwrap();
-                        assert_eq!(
-                            fold, reference,
-                            "histogram diverged at shards={shards}, threads={threads}, \
-                             cache={cache}, reuse={reuse}, cursor={cursor}"
-                        );
-                    }
-                }
-            }
+            let config = SweepConfig { shards, threads, ..SweepConfig::default() };
+            let fold = sweep(&source, &config, &DecisionTimeHistogram, job).unwrap();
+            assert_eq!(fold, reference, "histogram diverged at shards={shards}, threads={threads}");
         }
     }
 }
@@ -94,15 +81,12 @@ fn random_family_fold_is_seed_deterministic_and_shard_invariant() {
     let reference = sweep(&random_source(42), &SweepConfig::sequential(), &Count, job).unwrap();
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
-            for cursor in [false, true] {
-                let config =
-                    SweepConfig { shards, threads, seed: 42, cache: true, reuse: true, cursor };
-                let fold = sweep(&random_source(42), &config, &Count, job).unwrap();
-                assert_eq!(
-                    fold, reference,
-                    "random fold diverged at shards={shards}, threads={threads}, cursor={cursor}"
-                );
-            }
+            let config = SweepConfig { shards, threads, seed: 42 };
+            let fold = sweep(&random_source(42), &config, &Count, job).unwrap();
+            assert_eq!(
+                fold, reference,
+                "random fold diverged at shards={shards}, threads={threads}"
+            );
         }
     }
     let other_seed = sweep(&random_source(43), &SweepConfig::sequential(), &Count, job).unwrap();
@@ -110,271 +94,133 @@ fn random_family_fold_is_seed_deterministic_and_shard_invariant() {
 }
 
 /// The ported experiments themselves are shard- and thread-invariant (the
-/// acceptance criterion behind `sweep <exp>` matching the `exp_*`
-/// binaries).  Fig. 4 and Theorem 3 are the cheap ones; Theorem 1 and
+/// acceptance criterion behind `sweep <exp> --threads 1` matching any other
+/// parallelism).  Fig. 4 and Theorem 3 are the cheap ones; Theorem 1 and
 /// Proposition 2 are covered by the same engine path.
 #[test]
 fn ported_experiments_are_parallelism_invariant() {
     let sequential = SweepConfig::sequential();
-    let fig4_reference = sweep::experiments::fig4(&sequential).unwrap();
-    let thm3_reference = sweep::experiments::thm3(&sequential).unwrap();
+    let fig4_reference = experiments::fig4(&sequential).unwrap();
+    let thm3_reference = experiments::thm3(&sequential).unwrap();
     for shards in SHARD_COUNTS {
-        for cache in [false, true] {
-            for cursor in [false, true] {
-                let config = SweepConfig {
-                    shards,
-                    threads: 4,
-                    seed: SweepConfig::DEFAULT_SEED,
-                    cache,
-                    reuse: true,
-                    cursor,
-                };
-                assert_eq!(sweep::experiments::fig4(&config).unwrap(), fig4_reference);
-                assert_eq!(sweep::experiments::thm3(&config).unwrap(), thm3_reference);
-            }
-        }
+        let config = SweepConfig { shards, threads: 4, ..SweepConfig::default() };
+        assert_eq!(experiments::fig4(&config).unwrap(), fig4_reference);
+        assert_eq!(experiments::thm3(&config).unwrap(), thm3_reference);
     }
 }
 
-/// The cached-vs-uncached bit-identity contract on a Theorem-1-shaped job
-/// (batched executor *plus* per-node structure analyses through the worker's
-/// cache handle — the sweep hot path the cache was built for), across every
-/// shard/thread combination.  On the side, the hit counters must show the
-/// cache actually collapsing the per-adversary constructions: the scope
-/// crosses 8 input vectors with every failure pattern, so the number of full
-/// constructions must drop by well over the 3× acceptance floor.
-#[test]
-fn analysis_cache_is_invisible_to_folds_and_collapses_constructions() {
-    let source = exhaustive_source();
-    let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
-        let protocols: [&dyn Protocol; 2] = [&Optmin, &UPmin];
-        let analyzer = runner.cache().clone();
-        let (run, transcripts) =
-            runner.execute_batch(&protocols, &scenario.params, &scenario.adversary)?;
-        let mut fingerprint = 0u64;
-        for transcript in transcripts {
-            fingerprint = fingerprint.wrapping_mul(31).wrapping_add(
-                check::check(run, transcript, &scenario.params, scenario.variant).len() as u64,
-            );
-        }
-        // Per-node knowledge analyses outside the executor, mixed into the
-        // fold so any cache-induced divergence would flip it.
-        for m in 0..=run.horizon().index() {
-            let time = Time::new(m as u32);
-            for i in 0..run.n() {
-                if !run.is_active(i, time) {
-                    continue;
-                }
-                let analysis = analyzer.analyze(run, Node::new(i, time))?;
-                let reference = ViewAnalysis::new(run, Node::new(i, time))?;
-                assert_eq!(analysis, reference, "cached analysis diverged at ⟨{i}, {m}⟩");
-                fingerprint = fingerprint
-                    .wrapping_mul(31)
-                    .wrapping_add(analysis.hidden_capacity() as u64)
-                    .wrapping_add(analysis.min_value().get() << 8);
-            }
-        }
-        // Bound the per-scenario value so the `Count` sum cannot overflow.
-        Ok(fingerprint % (1 << 32))
-    };
-
-    let sequential = SweepConfig::sequential();
-    let uncached = SweepConfig { cache: false, ..sequential };
-    let (reference, cold_stats) = sweep_with_stats(&source, &uncached, &Count, job).unwrap();
-    let (cached_fold, warm_stats) = sweep_with_stats(&source, &sequential, &Count, job).unwrap();
-    assert_eq!(cached_fold, reference, "cache on/off diverged sequentially");
-    assert_eq!(cold_stats.cache.hits, 0, "a disabled cache never hits");
-    assert!(
-        warm_stats.cache.constructions() * 3 <= cold_stats.cache.constructions(),
-        "expected ≥3× fewer ViewAnalysis constructions, got {} (cached) vs {} (uncached)",
-        warm_stats.cache.constructions(),
-        cold_stats.cache.constructions(),
-    );
-
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            for cache in [false, true] {
-                let config = SweepConfig {
-                    shards,
-                    threads,
-                    seed: SweepConfig::DEFAULT_SEED,
-                    cache,
-                    reuse: true,
-                    cursor: true,
-                };
-                let fold = sweep(&source, &config, &Count, job).unwrap();
-                assert_eq!(
-                    fold, reference,
-                    "fold diverged at shards={shards}, threads={threads}, cache={cache}"
-                );
-            }
+/// Sampled indices of an exhaustive source for the one-shot oracle: the
+/// first, middle and last index of 17 pattern blocks spread evenly over
+/// the space (the first and last block included), plus both ends of every
+/// shard of `config`'s partition.
+fn oracle_indices(source: &ExhaustiveSource, config: &SweepConfig) -> BTreeSet<usize> {
+    const SPREAD: usize = 16;
+    let (total, block) = (source.len(), source.structure_block());
+    let blocks = total.div_ceil(block);
+    let mut indices = BTreeSet::new();
+    for step in 0..=SPREAD {
+        let start = step * (blocks - 1) / SPREAD * block;
+        let end = (start + block).min(total);
+        indices.extend([start, start + (end - start) / 2, end - 1]);
+    }
+    for (start, end) in shard_ranges(total, config.resolved_shards(), block) {
+        if start < end {
+            indices.extend([start, end - 1]);
         }
     }
+    indices
 }
 
-/// The structure-reuse bit-identity contract (tentpole acceptance): folds
-/// with run-structure reuse on and off are identical at every shard/thread
-/// combination, and the pattern-aligned sharding guarantees *exactly one*
-/// communication-structure simulation per failure pattern no matter how the
-/// space is cut — the property that makes the reuse survive any
-/// `--shards`/`--threads` setting.
+/// The one-shot oracle: on every built-in Theorem 1 and omission scope,
+/// the transcripts the engine's reused runner produces at the sampled
+/// indices equal one-shot `execute` on `source.scenario(i)` for Optmin,
+/// EarlyFloodMin and FloodMin.  The runner's analysis-cache handle — warmed
+/// by every pattern the worker swept before — must also agree with
+/// `ViewAnalysis::new` at every active node there.  On the side, the whole
+/// sweep simulates and unranks each failure pattern exactly once.
 #[test]
-fn structure_reuse_is_invisible_to_folds_and_collapses_simulations() {
-    let source = exhaustive_source();
-    let patterns = source.space().num_patterns() as u64;
-    let inputs_per_pattern = source.space().inputs_per_pattern() as u64;
-    let total = ScenarioSource::len(&source) as u64;
-    assert_eq!(patterns * inputs_per_pattern, total);
+fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
+    let config = SweepConfig { shards: 7, threads: 2, ..SweepConfig::default() };
+    let mut sources = Vec::new();
+    for (n, t, k) in experiments::THM1_CASES {
+        let source = experiments::thm1_source(experiments::thm1_scope(n, t, k), k).unwrap();
+        sources.push((format!("crash ({n},{t},{k})"), source));
+    }
+    for (n, t, k) in experiments::OMISSION_CASES {
+        let source = experiments::omission_source(experiments::omission_scope(n, t, k), k).unwrap();
+        sources.push((format!("omission ({n},{t},{k})"), source));
+    }
 
-    let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
-        let protocols: [&dyn Protocol; 2] = [&Optmin, &UPmin];
-        let (run, transcripts) =
-            runner.execute_batch(&protocols, &scenario.params, &scenario.adversary)?;
-        // Mix decisions and run shape into the fold so any structure-reuse
-        // divergence (wrong pattern, stale overlay, stale layers) flips it.
-        let mut fingerprint = run.num_failures() as u64;
-        for transcript in transcripts {
-            fingerprint = fingerprint.wrapping_mul(31).wrapping_add(
-                check::check(run, transcript, &scenario.params, scenario.variant).len() as u64,
-            );
-            for i in 0..run.n() {
-                fingerprint = fingerprint.wrapping_mul(31).wrapping_add(
-                    transcript
-                        .decision_time(i)
-                        .map(|t| u64::from(t.value()) + 1)
-                        .unwrap_or_default(),
-                );
+    for (label, source) in &sources {
+        let samples = oracle_indices(source, &config);
+        let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
+            let protocols: [&dyn Protocol; 3] = [&Optmin, &EarlyFloodMin, &FloodMin];
+            let analyzer = runner.cache().clone();
+            let (run, transcripts) =
+                runner.execute_batch(&protocols, &scenario.params, &scenario.adversary)?;
+            if !samples.contains(&scenario.index) {
+                return Ok(0);
             }
-        }
-        Ok(fingerprint % (1 << 32))
-    };
-
-    let sequential = SweepConfig::sequential();
-    let rebuild = SweepConfig { reuse: false, ..sequential };
-    let (reference, rebuild_stats) = sweep_with_stats(&source, &rebuild, &Count, job).unwrap();
-    let (reused_fold, reuse_stats) = sweep_with_stats(&source, &sequential, &Count, job).unwrap();
-    assert_eq!(reused_fold, reference, "reuse on/off diverged sequentially");
-    assert_eq!(rebuild_stats.runs.reused, 0, "a reuse-disabled runner never reuses a structure");
-    assert_eq!(rebuild_stats.runs.simulated, total);
-    assert_eq!(
-        reuse_stats.runs.simulated, patterns,
-        "sequential reuse must simulate exactly once per failure pattern"
-    );
-    assert_eq!(reuse_stats.runs.reused, total - patterns);
-
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            for reuse in [false, true] {
-                for cursor in [false, true] {
-                    let config = SweepConfig {
-                        shards,
-                        threads,
-                        seed: SweepConfig::DEFAULT_SEED,
-                        cache: true,
-                        reuse,
-                        cursor,
-                    };
-                    let (fold, stats) = sweep_with_stats(&source, &config, &Count, job).unwrap();
+            let index = scenario.index;
+            let oracle = source.scenario(index)?;
+            assert_eq!(scenario.adversary, oracle.adversary, "{label}: cursor ≠ scenario({index})");
+            for (protocol, transcript) in protocols.iter().zip(transcripts) {
+                let (_, expected) = execute(*protocol, &oracle.params, oracle.adversary.clone())?;
+                assert_eq!(transcript, &expected, "{label}: {} at {index}", protocol.name());
+            }
+            for m in 0..=run.horizon().index() {
+                let time = Time::new(m as u32);
+                for i in (0..run.n()).filter(|&i| run.is_active(i, time)) {
+                    let node = Node::new(i, time);
+                    let expected = ViewAnalysis::new(run, node)?;
                     assert_eq!(
-                        fold, reference,
-                        "fold diverged at shards={shards}, threads={threads}, reuse={reuse}, \
-                         cursor={cursor}"
+                        analyzer.analyze(run, node)?,
+                        expected,
+                        "{label}: {node} at {index}"
                     );
-                    if reuse {
-                        // Pattern-aligned shard boundaries: every pattern
-                        // block lands in one shard, so the whole sweep still
-                        // simulates exactly one structure per pattern, at any
-                        // parallelism.
-                        assert_eq!(
-                            stats.runs.simulated, patterns,
-                            "shards={shards}, threads={threads} split a pattern block"
-                        );
-                        assert_eq!(stats.runs.reused, total - patterns);
-                    }
                 }
             }
-        }
+            Ok(1)
+        };
+        let (checked, stats) = sweep_with_stats(source, &config, &Count, job).unwrap();
+        assert_eq!(checked, samples.len() as u64, "{label}: every sample was checked");
+        let patterns = source.space().num_patterns() as u64;
+        assert_eq!(stats.runs.simulated, patterns, "{label}: one simulation per pattern");
+        assert_eq!(stats.cursor.patterns_unranked, patterns, "{label}: one unranking per pattern");
     }
 }
 
-/// The block-cursor bit-identity contract (tentpole acceptance): folds with
-/// the cursor on and off are identical at every shard/thread combination —
-/// and with the cursor on, the allocation counters show the steady state
-/// materializing nothing per scenario: exactly one wholesale construction
-/// per non-empty shard, one pattern unranking per structure block, and
-/// every remaining scenario stepped in place inside the worker's scratch.
+/// The engine's counter invariants at every shard/thread count: pattern-
+/// aligned shard boundaries keep every pattern block in one shard, so the
+/// sweep simulates and unranks each failure pattern exactly once, and the
+/// block cursor materializes one scenario wholesale per non-empty shard
+/// and steps every other one in place.
 #[test]
-fn block_cursor_is_invisible_to_folds_and_materializes_nothing() {
+fn engine_counters_hold_at_every_parallelism() {
     let source = exhaustive_source();
     let patterns = source.space().num_patterns() as u64;
     let block = source.structure_block();
-    let total = ScenarioSource::len(&source) as u64;
+    let total = ScenarioSource::len(&source);
+    assert_eq!(patterns * source.space().inputs_per_pattern() as u64, total as u64);
 
     let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
-        let protocols: [&dyn Protocol; 2] = [&Optmin, &UPmin];
-        runner.execute_batch(&protocols, &scenario.params, &scenario.adversary)?;
-        // Check through the runner's scratch — the allocation-free path —
-        // and mix everything into the fold so a stale scratch scenario, a
-        // mis-stepped input vector or a wrong pattern would flip it.
-        let (run, transcripts, checks) = runner.batch_parts();
-        let mut fingerprint = (scenario.index as u64).wrapping_mul(0x9E37_79B9);
-        fingerprint = fingerprint.wrapping_add(run.num_failures() as u64);
-        for transcript in transcripts {
-            fingerprint = fingerprint.wrapping_mul(31).wrapping_add(
-                checks.check(run, transcript, &scenario.params, scenario.variant).len() as u64,
-            );
-            for i in 0..run.n() {
-                fingerprint = fingerprint.wrapping_mul(31).wrapping_add(
-                    transcript
-                        .decision_time(i)
-                        .map(|t| u64::from(t.value()) + 1)
-                        .unwrap_or_default(),
-                );
-            }
-        }
-        Ok(fingerprint % (1 << 32))
+        runner.execute_one(&Optmin, &scenario.params, &scenario.adversary)?;
+        Ok(runner.count_violations(&scenario.params, scenario.variant))
     };
-
-    let nth = SweepConfig { cursor: false, ..SweepConfig::sequential() };
-    let (reference, nth_stats) = sweep_with_stats(&source, &nth, &Count, job).unwrap();
-    // Cursor off: the pre-cursor path materializes every scenario.
-    assert_eq!(nth_stats.cursor.materialized, total);
-    assert_eq!(nth_stats.cursor.stepped, 0);
-
     for shards in SHARD_COUNTS {
         for threads in THREAD_COUNTS {
-            for cursor in [false, true] {
-                let config = SweepConfig {
-                    shards,
-                    threads,
-                    seed: SweepConfig::DEFAULT_SEED,
-                    cache: true,
-                    reuse: true,
-                    cursor,
-                };
-                let (fold, stats) = sweep_with_stats(&source, &config, &Count, job).unwrap();
-                assert_eq!(
-                    fold, reference,
-                    "fold diverged at shards={shards}, threads={threads}, cursor={cursor}"
-                );
-                assert_eq!(stats.cursor.total(), total);
-                if cursor {
-                    // One wholesale materialization per non-empty shard, one
-                    // unranking per pattern block, everything else stepped in
-                    // place — zero per-scenario allocations in steady state.
-                    let blocks = (total as usize).div_ceil(block) as u64;
-                    let nonempty_shards = (shards as u64).min(blocks);
-                    assert_eq!(
-                        stats.cursor.materialized, nonempty_shards,
-                        "shards={shards}, threads={threads}"
-                    );
-                    assert_eq!(stats.cursor.patterns_unranked, patterns);
-                    assert_eq!(stats.cursor.stepped, total - nonempty_shards);
-                } else {
-                    assert_eq!(stats.cursor.materialized, total);
-                    assert_eq!(stats.cursor.stepped, 0);
-                }
-            }
+            let config = SweepConfig { shards, threads, ..SweepConfig::default() };
+            let (violations, stats) = sweep_with_stats(&source, &config, &Count, job).unwrap();
+            assert_eq!(violations, 0);
+            let at = format!("shards={shards}, threads={threads}");
+            assert_eq!(stats.scenarios, total as u64, "{at}");
+            assert_eq!(stats.runs.simulated, patterns, "{at} split a pattern block");
+            assert_eq!(stats.runs.reused, total as u64 - patterns, "{at}");
+            let nonempty_shards =
+                shard_ranges(total, shards, block).iter().filter(|(s, e)| s < e).count() as u64;
+            assert_eq!(stats.cursor.materialized, nonempty_shards, "{at}");
+            assert_eq!(stats.cursor.patterns_unranked, patterns, "{at}");
+            assert_eq!(stats.cursor.stepped, total as u64 - nonempty_shards, "{at}");
         }
     }
 }
@@ -458,11 +304,9 @@ fn sweep_shards_warm_replay_is_bit_identical() {
     }
 }
 
-/// Cross-space determinism (satellite acceptance): the full bit-identity
-/// matrix — cold/warm analysis cache, structure reuse on/off, block
-/// cursor on/off, at every shard×thread combination — holds for **both**
-/// pattern spaces under the real Theorem-1 fold.  A third pattern space
-/// joins the matrix by adding one line to the source list.
+/// Cross-space determinism: the shard×thread bit-identity matrix holds for
+/// **both** pattern spaces under the real Theorem-1 fold.  A third pattern
+/// space joins the matrix by adding one line to the source list.
 #[test]
 fn both_pattern_spaces_fold_shard_invariantly() {
     use sweep::experiments::{thm1_job, Thm1Reducer};
@@ -473,26 +317,12 @@ fn both_pattern_spaces_fold_shard_invariantly() {
         let reference = sweep(&source, &SweepConfig::sequential(), &Thm1Reducer, thm1_job).unwrap();
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
-                for cache in [false, true] {
-                    for reuse in [false, true] {
-                        for cursor in [false, true] {
-                            let config = SweepConfig {
-                                shards,
-                                threads,
-                                seed: SweepConfig::DEFAULT_SEED,
-                                cache,
-                                reuse,
-                                cursor,
-                            };
-                            let fold = sweep(&source, &config, &Thm1Reducer, thm1_job).unwrap();
-                            assert_eq!(
-                                fold, reference,
-                                "{label} fold diverged at shards={shards}, threads={threads}, \
-                                 cache={cache}, reuse={reuse}, cursor={cursor}"
-                            );
-                        }
-                    }
-                }
+                let config = SweepConfig { shards, threads, ..SweepConfig::default() };
+                let fold = sweep(&source, &config, &Thm1Reducer, thm1_job).unwrap();
+                assert_eq!(
+                    fold, reference,
+                    "{label} fold diverged at shards={shards}, threads={threads}"
+                );
             }
         }
     }
@@ -530,7 +360,7 @@ fn enumeration_digest(space: &AdversarySpace) -> u64 {
 /// can replay a wrong accumulator.
 #[test]
 fn crash_space_golden_pins_survive_the_pattern_space_refactor() {
-    use sweep::experiments::{self, Thm1Outcome, Thm1Reducer};
+    use sweep::experiments::{Thm1Outcome, Thm1Reducer};
 
     let golden_sizes = [200u128, 25_616, 129_681, 12_393];
     for (&(n, t, k), golden) in experiments::THM1_CASES.iter().zip(golden_sizes) {

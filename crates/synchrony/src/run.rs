@@ -300,9 +300,11 @@ impl Run {
     ///   of the previous simulation (`O(horizon² · n)` of layer structure).
     ///
     /// Either way the resulting run is indistinguishable (`==`) from one
-    /// produced by [`Run::generate`] with the same arguments.  Use
-    /// [`Run::regenerate_with`] to force re-simulation (the reuse-off arm of
-    /// A/B comparisons).
+    /// produced by [`Run::generate`] with the same arguments.
+    ///
+    /// The adversary is taken by reference so the reuse path clones only
+    /// the input vector — the failure pattern (a heap-backed map) is merely
+    /// compared, never copied, on the hot path of a structure-major sweep.
     ///
     /// # Errors
     ///
@@ -314,32 +316,11 @@ impl Run {
         adversary: &Adversary,
         horizon: Time,
     ) -> Result<StructureReuse, ModelError> {
-        self.regenerate_with(params, adversary, horizon, true)
-    }
-
-    /// [`Run::regenerate`] with structure reuse under the caller's control:
-    /// `allow_reuse = false` always re-simulates, even when the failure
-    /// pattern is unchanged.
-    ///
-    /// The adversary is taken by reference so the reuse path clones only
-    /// the input vector — the failure pattern (a heap-backed map) is merely
-    /// compared, never copied, on the hot path of a structure-major sweep.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Run::regenerate`].
-    pub fn regenerate_with(
-        &mut self,
-        params: SystemParams,
-        adversary: &Adversary,
-        horizon: Time,
-        allow_reuse: bool,
-    ) -> Result<StructureReuse, ModelError> {
         adversary.validate_against(&params)?;
         if horizon == Time::ZERO {
             return Err(ModelError::EmptyHorizon);
         }
-        if allow_reuse && self.structure.matches(&params, adversary.failures(), horizon) {
+        if self.structure.matches(&params, adversary.failures(), horizon) {
             self.inputs.clone_from(adversary.inputs());
             return Ok(StructureReuse::Reused);
         }
@@ -680,11 +661,6 @@ mod tests {
             assert_eq!(reuse, StructureReuse::Reused, "same pattern must skip resimulation");
             assert_eq!(run.structure(), &reference_structure);
             let fresh = Run::generate(params, adversary, horizon).unwrap();
-            assert_eq!(run, fresh);
-            // Forcing re-simulation must produce the same run and report it.
-            let forced =
-                run.regenerate_with(params, &fresh.to_adversary(), horizon, false).unwrap();
-            assert_eq!(forced, StructureReuse::Simulated);
             assert_eq!(run, fresh);
         }
 

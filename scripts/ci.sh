@@ -4,23 +4,17 @@
 #
 #   scripts/ci.sh           # fmt --check + clippy -D warnings + tests
 #                           #   + doctests + cargo doc -D warnings
+#                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + observability smoke (stats/--prom/--log-json)
-#   scripts/ci.sh --bench   # additionally re-record the perf snapshot chain
+#   scripts/ci.sh --bench   # additionally run the benchmark declared in
+#                           #   BENCHMARK.json on all four workloads
 #
-# The --bench arm runs the snapshot binaries in chain order —
-# `bench_sweep_cache` (analysis cache off vs on, reuse+cursor pinned off),
-# `bench_run_reuse` (structure reuse off vs on, cursor pinned off, reading
-# the freshly re-recorded cached baseline), `bench_block_cursor` (block
-# cursor off vs on, reading the freshly re-recorded reuse-on baseline),
-# then `bench_service_cache` (daemon warm vs cold, reading the freshly
-# re-recorded cursor-on baseline) and `bench_telemetry` (instrumented
-# daemon cold path + metric primitives, reading the freshly re-recorded
-# service-cache cold baseline) — and overwrites the checked-in
-# BENCH_*.json chain under one same-machine, best-of-N discipline; run it
-# on an otherwise idle machine.
+# The --bench arm runs `perfbench` (see perfbench/README.md) once per
+# workload at seed 1 and prints each run's metric table and JSON line.
+# Run it on an otherwise idle machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +25,12 @@ cargo test --workspace -q
 # and warning-free API docs.
 cargo test --workspace --doc -q
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+# --- Benchmark smoke --------------------------------------------------------
+# perfbench is a workspace of its own that builds against the library
+# crates; its smoke tests run every workload through the correctness gate.
+# A library change that breaks the benchmark's build or gate fails here.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # --- Daemon smoke -----------------------------------------------------------
 # Boot `sweep serve` on a temp socket, submit the same small thm1 job twice,
@@ -260,9 +260,8 @@ rm -rf "$SMOKE_DIR"
 echo "ci.sh: observability smoke passed (stats table/json/prom valid, JSON log clean)"
 
 if [[ "${1:-}" == "--bench" ]]; then
-    cargo run --release -p bench_harness --bin bench_sweep_cache
-    cargo run --release -p bench_harness --bin bench_run_reuse
-    cargo run --release -p bench_harness --bin bench_block_cursor
-    cargo run --release -p bench_harness --bin bench_service_cache
-    cargo run --release -p bench_harness --bin bench_telemetry
+    for workload in exhaustive fresh-patterns daemon-mixed fleet-cold; do
+        cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 25 --trace 0
+    done
 fi
