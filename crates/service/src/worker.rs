@@ -323,54 +323,100 @@ where
 mod tests {
     use super::*;
     use crate::wire::{FromWire, ScopeSpec};
-    use sweep::experiments::Thm1Outcome;
+    use adversary::enumerate::EnumerationConfig;
+    use adversary::OmissionConfig;
+    use sweep::experiments::{self, Fig4Reducer, Thm1Reducer, Thm3Reducer, THM3_CASES};
+    use sweep::{Reducer, Scenario, ScenarioSource};
 
     fn warm_state() -> WorkerState {
         WorkerState { runner: BatchRunner::new(), scratch: None }
     }
 
+    /// Executes `task` as a worker would and folds the same shard directly
+    /// from `source`; the decoded payload and covered range must agree.
+    fn assert_matches_local_fold<S, R>(
+        task: &TaskSpec,
+        source: &S,
+        reducer: &R,
+        job: fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
+    ) where
+        S: ScenarioSource,
+        R: Reducer,
+        R::Acc: FromWire + PartialEq + std::fmt::Debug,
+    {
+        let (payload, range, _stats) = execute_task(task, &mut warm_state()).expect("task executes");
+        let ranges = shard_ranges(source.len(), task.shards, source.structure_block());
+        assert_eq!(range, ranges[task.shard], "{} range", task.query.name());
+        let mut reference = warm_state();
+        let (expected, _) = fold_shard_stats(
+            source,
+            reducer,
+            &job,
+            &mut reference.runner,
+            &mut reference.scratch,
+            range,
+        )
+        .unwrap();
+        assert_eq!(R::Acc::from_wire(&payload).unwrap(), expected, "{} fold", task.query.name());
+    }
+
     #[test]
-    fn thm1_task_matches_the_local_fold() {
+    fn every_leasable_task_matches_the_local_fold() {
         let scope = ScopeSpec {
             n: 3,
             t: 1,
             k: 1,
             max_value: 1,
-            max_crash_round: 0,
+            max_crash_round: 1,
             partial_delivery: false,
         };
-        let task = TaskSpec {
-            query: QueryKind::Thm1,
-            case: 0,
-            scope: Some(scope),
-            seed: 0,
-            shards: 3,
-            shard: 1,
+        let task = |query, case, scope, seed, shards, shard| TaskSpec {
+            query,
+            case,
+            scope,
+            seed,
+            shards,
+            shard,
         };
-        let mut state = warm_state();
-        let (payload, range, _stats) = execute_task(&task, &mut state).expect("task executes");
-        // Reference: the same shard folded directly.
-        let config = EnumerationConfig {
+
+        let crash = EnumerationConfig {
             n: 3,
             t: 1,
             max_value: 1,
-            max_crash_round: 0,
+            max_crash_round: 1,
             partial_delivery: false,
         };
-        let source = experiments::thm1_source(config, 1).unwrap();
-        let ranges = shard_ranges(source.len(), 3, source.structure_block());
-        assert_eq!(range, ranges[1]);
-        let mut reference = warm_state();
-        let (expected, _) = fold_shard_stats(
-            &source,
+        assert_matches_local_fold(
+            &task(QueryKind::Thm1, 0, Some(scope), 0, 3, 1),
+            &experiments::thm1_source(crash, 1).unwrap(),
             &Thm1Reducer,
-            &(experiments::thm1_job as JobFn<_>),
-            &mut reference.runner,
-            &mut reference.scratch,
-            ranges[1],
-        )
-        .unwrap();
-        assert_eq!(Thm1Outcome::from_wire(&payload).unwrap(), expected);
+            experiments::thm1_job,
+        );
+
+        // Shared wire frame: `max_crash_round` is the omission round horizon.
+        let omission = OmissionConfig { n: 3, t: 1, max_value: 1, rounds: 1 };
+        assert_matches_local_fold(
+            &task(QueryKind::Omission, 0, Some(scope), 0, 3, 2),
+            &experiments::omission_source(omission, 1).unwrap(),
+            &Thm1Reducer,
+            experiments::thm1_job,
+        );
+
+        let (n, t, k) = THM3_CASES[1];
+        assert_matches_local_fold(
+            &task(QueryKind::Thm3, 1, None, 5, 3, 2),
+            &experiments::thm3_source(n, t, k, 5).unwrap(),
+            &Thm3Reducer,
+            experiments::thm3_job,
+        );
+
+        let (fig4, _shapes) = experiments::fig4_source().unwrap();
+        assert_matches_local_fold(
+            &task(QueryKind::Fig4, 0, None, 0, 4, 1),
+            &fig4,
+            &Fig4Reducer,
+            experiments::fig4_job,
+        );
     }
 
     #[test]

@@ -302,6 +302,33 @@ fn prop2_jobs_match_in_process_cold_and_warm() {
     stop_daemon(&endpoint, handle);
 }
 
+/// Theorem 3 and Fig. 4 through the daemon: a cold job at 2 shards on a
+/// 2-worker pool equals the in-process fold, and its warm repeat replays
+/// every shard from the cache with the same result.
+#[test]
+fn thm3_and_fig4_jobs_match_in_process_cold_and_warm() {
+    let seed = 777;
+    let config = SweepConfig { seed, ..SweepConfig::default() };
+    let expected = [
+        (QueryKind::Thm3, QueryResult::Thm3(experiments::thm3(&config).expect("in-process thm3"))),
+        (QueryKind::Fig4, QueryResult::Fig4(experiments::fig4(&config).expect("in-process fig4"))),
+    ];
+    let (endpoint, handle) = start_daemon("thm3-fig4", 2);
+    for (index, (query, expected)) in expected.into_iter().enumerate() {
+        let spec = |id: u64| JobSpec { id, query, scope: None, shards: 2, seed, shard_cache: true };
+        let id = 60 + 10 * index as u64;
+        let cold = client::submit(&endpoint, &spec(id)).expect("cold submit");
+        assert_eq!(cold.result, expected, "cold {} fold", query.name());
+        assert_eq!(cold.shards_cached, 0, "first {} run must be fully cold", query.name());
+        assert_eq!(cold.shards_executed, cold.shards_total);
+        let warm = client::submit(&endpoint, &spec(id + 1)).expect("warm submit");
+        assert_eq!(warm.result, expected, "warm {} fold", query.name());
+        assert_eq!(warm.shards_cached, warm.shards_total, "warm {} must be 100% cached", query.name());
+        assert_eq!(warm.shards_executed, 0);
+    }
+    stop_daemon(&endpoint, handle);
+}
+
 /// A shard count that does not match the cached partition is a different
 /// fingerprint: it must re-execute (no unsound partial replay) and still
 /// fold identically.

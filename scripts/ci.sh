@@ -8,6 +8,7 @@
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
+#                           #   + query-parity smoke (one-shot ≡ submit)
 #                           #   + observability smoke (stats/--prom/--log-json)
 #   scripts/ci.sh --bench   # additionally run the benchmark declared in
 #                           #   BENCHMARK.json on all four workloads
@@ -202,6 +203,51 @@ target/debug/sweep shutdown --socket "$FLEET_SOCK" 2>/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
 echo "ci.sh: fleet smoke passed (SIGKILL re-queue + empty-fleet degradation diff clean)"
+
+# --- Query-parity smoke -----------------------------------------------------
+# Every built-in query but thm1 (its debug wall is several seconds; the legs
+# above cover it) through all three paths: the one-shot CLI, a cold daemon
+# submit and its warm repeat must print the same stdout.  One `sweep worker`
+# is attached, so the cold submit of each sharded query runs shards on the
+# fleet, and each warm repeat is served 100% from the shard cache.
+PARITY_SOCK="$SMOKE_DIR/parity.sock"
+target/debug/sweep serve --socket "$PARITY_SOCK" --workers 1 \
+    2>"$SMOKE_DIR/parity-serve.log" &
+SERVE_PID=$!
+for _ in $(seq 1 100); do [[ -S "$PARITY_SOCK" ]] && break; sleep 0.1; done
+target/debug/sweep worker --connect "$PARITY_SOCK" 2>"$SMOKE_DIR/parity-worker.log" &
+WORKER1_PID=$!
+for _ in $(seq 1 100); do
+    grep -q "registered as worker" "$SMOKE_DIR/parity-worker.log" 2>/dev/null && break
+    sleep 0.1
+done
+if ! grep -q "registered as worker" "$SMOKE_DIR/parity-worker.log"; then
+    echo "ci.sh: parity worker did not register" >&2
+    cat "$SMOKE_DIR/parity-serve.log" "$SMOKE_DIR/parity-worker.log" >&2
+    exit 1
+fi
+for query in omission thm3 fig4 prop2; do
+    target/debug/sweep "$query" >"$SMOKE_DIR/$query-oneshot.txt" 2>/dev/null
+    target/debug/sweep submit --socket "$PARITY_SOCK" "$query" \
+        >"$SMOKE_DIR/$query-cold.txt" 2>"$SMOKE_DIR/$query-cold.log"
+    target/debug/sweep submit --socket "$PARITY_SOCK" "$query" \
+        >"$SMOKE_DIR/$query-warm.txt" 2>"$SMOKE_DIR/$query-warm.log"
+    diff "$SMOKE_DIR/$query-oneshot.txt" "$SMOKE_DIR/$query-cold.txt"
+    diff "$SMOKE_DIR/$query-oneshot.txt" "$SMOKE_DIR/$query-warm.txt"
+    if [[ "$query" != prop2 ]] &&
+        ! grep -Eq "executed \([1-9][0-9]* remote\)" "$SMOKE_DIR/$query-cold.log"; then
+        echo "ci.sh: cold $query job ran no shard on the fleet" >&2
+        cat "$SMOKE_DIR/$query-cold.log" >&2
+        exit 1
+    fi
+    grep -q "(100.0% cached)" "$SMOKE_DIR/$query-warm.log"
+done
+target/debug/sweep shutdown --socket "$PARITY_SOCK" 2>/dev/null
+wait "$SERVE_PID"
+SERVE_PID=""
+wait "$WORKER1_PID" 2>/dev/null || true
+WORKER1_PID=""
+echo "ci.sh: query-parity smoke passed (one-shot ≡ cold ≡ warm submit for every query)"
 
 # --- Observability smoke ----------------------------------------------------
 # Boot a fresh daemon, submit the same job twice (the second with --log-json),
