@@ -42,6 +42,7 @@
 //! `SWEEP_TOKEN` environment variable) is required by daemons started
 //! with a token on TCP endpoints; Unix sockets never need it.
 
+use adversary::PatternModel;
 use bench_harness::{report, sweep_config_from_args};
 use service::wire::ToWire;
 use service::{
@@ -49,7 +50,6 @@ use service::{
     Server, WorkerOptions,
 };
 use std::time::Duration;
-use sweep::experiments;
 use sweep::SweepConfig;
 
 /// Log target of the CLI's own stderr lines (daemon/worker internals log
@@ -120,83 +120,72 @@ fn main() {
     }
 }
 
+/// Prints a query result on stdout — its tables, then its claim trailer.
+/// The one-shot and the `submit` path both print through here, so they
+/// print the same bytes for the same fold.
+fn print_result(result: &QueryResult) {
+    let (tables, claim) = report::result_tables(result);
+    for table in tables {
+        println!("{table}");
+    }
+    println!("{claim}");
+}
+
+/// Resolves a query name and its `--model`: `omission` reroutes `thm1`
+/// onto its send-omission twin (the only experiment with one), `crash` is
+/// the explicit default.
+fn resolve_query(name: &str, model: Option<&str>) -> QueryKind {
+    let query =
+        QueryKind::parse(name).unwrap_or_else(|_| usage_exit(&format!("unknown query {name:?}")));
+    let Some(name) = model else { return query };
+    let model = PatternModel::parse(name)
+        .unwrap_or_else(|| usage_exit(&format!("unknown --model {name:?} (crash|omission)")));
+    query.with_model(model).unwrap_or_else(|| {
+        usage_exit(&format!("experiment {} has no {model}-model variant (only thm1)", query.name()))
+    })
+}
+
 // ---------------------------------------------------------------------------
-// One-shot experiment mode (unchanged behavior).
+// One-shot experiment mode.
 // ---------------------------------------------------------------------------
 
 fn experiment_main(experiment: &str, mut args: impl Iterator<Item = String>) {
-    // `--model` selects the pattern space before the engine flags are
-    // parsed: `--model omission` reroutes `thm1` onto its send-omission
-    // twin (the only experiment with one), `--model crash` is the
-    // explicit default.  Everything else passes through untouched.
-    let mut model = String::from("crash");
+    // `--model` is pulled out before the engine flags are parsed;
+    // everything else passes through untouched.
+    let mut model = None;
     let mut passthrough = Vec::new();
     while let Some(arg) = args.next() {
         if arg == "--model" {
-            model = args.next().unwrap_or_else(|| usage_exit("missing value for --model"));
+            model = Some(args.next().unwrap_or_else(|| usage_exit("missing value for --model")));
         } else {
             passthrough.push(arg);
         }
     }
-    let experiment = match (experiment, model.as_str()) {
-        (name, "crash") => name.to_string(),
-        ("thm1" | "omission", "omission") => "omission".to_string(),
-        (name, "omission") => {
-            usage_exit(&format!("experiment {name} has no omission-model variant (only thm1)"))
-        }
-        (_, other) => usage_exit(&format!("unknown --model {other:?} (crash|omission)")),
-    };
-    let experiment = experiment.as_str();
+    let names =
+        if experiment == "all" { vec!["thm1", "thm3", "fig4", "prop2"] } else { vec![experiment] };
+    let queries: Vec<QueryKind> =
+        names.into_iter().map(|name| resolve_query(name, model.as_deref())).collect();
     let config = match sweep_config_from_args(passthrough.into_iter()) {
         Ok(config) => config,
         Err(message) => usage_exit(&message),
     };
 
-    let run = |name: &str| -> Result<(), synchrony::ModelError> {
-        match name {
-            "thm1" => {
-                let (rows, stats) = experiments::thm1_with_stats(&config)?;
-                println!("{}", report::thm1_table(&rows));
-                println!("{}", report::THM1_CLAIM);
+    for query in queries {
+        match service::fold_local(query, &config) {
+            Ok((result, stats)) => {
+                print_result(&result);
                 // Stats may vary with parallelism; stderr keeps stdout diffs
                 // (the CI determinism smoke test) parallelism-invariant.
                 telemetry::log::info(LOG_TARGET, stats.stats_line(), &[]);
             }
-            "omission" => {
-                let (rows, stats) = experiments::omission_with_stats(&config)?;
-                println!("{}", report::omission_table(&rows));
-                println!("{}", report::OMISSION_CLAIM);
-                telemetry::log::info(LOG_TARGET, stats.stats_line(), &[]);
+            Err(error) => {
+                telemetry::log::error(
+                    LOG_TARGET,
+                    format!("experiment {} failed: {error}", query.name()),
+                    &[("experiment", query.name().into()), ("error", error.to_string().into())],
+                );
+                std::process::exit(1);
             }
-            "thm3" => {
-                println!("{}", report::thm3_table(&experiments::thm3(&config)?));
-                println!("{}", report::THM3_CLAIM);
-            }
-            "fig4" => {
-                println!("{}", report::fig4_table(&experiments::fig4(&config)?));
-                println!("{}", report::FIG4_CLAIM);
-            }
-            "prop2" => {
-                let (exhaustive, targeted) = report::prop2_tables(&experiments::prop2(&config)?);
-                println!("{exhaustive}");
-                println!("{targeted}");
-                println!("{}", report::PROP2_CLAIM);
-            }
-            other => usage_exit(&format!("unknown experiment {other}")),
-        }
-        Ok(())
-    };
-
-    let experiments: Vec<&str> =
-        if experiment == "all" { vec!["thm1", "thm3", "fig4", "prop2"] } else { vec![experiment] };
-    for name in experiments {
-        if let Err(error) = run(name) {
-            telemetry::log::error(
-                LOG_TARGET,
-                format!("experiment {name} failed: {error}"),
-                &[("experiment", name.into()), ("error", error.to_string().into())],
-            );
-            std::process::exit(1);
         }
     }
 }
@@ -376,23 +365,27 @@ fn parse_scope(text: &str) -> ScopeSpec {
     if !(3..=6).contains(&parts.len()) {
         usage_exit(&format!("invalid --scope {text:?} (expected n,t,k[,maxv[,mcr[,pd]]])"));
     }
-    let n: usize = parse_number("--scope n", parts[0]);
-    let t: usize = parse_number("--scope t", parts[1]);
-    let k: usize = parse_number("--scope k", parts[2]);
+    let base = ScopeSpec::builtin(
+        parse_number("--scope n", parts[0]),
+        parse_number("--scope t", parts[1]),
+        parse_number("--scope k", parts[2]),
+    );
     ScopeSpec {
-        n,
-        t,
-        k,
-        max_value: parts.get(3).map_or(k as u64, |p| parse_number("--scope max_value", p)),
-        max_crash_round: parts.get(4).map_or(2, |p| parse_number("--scope max_crash_round", p)),
-        partial_delivery: parts.get(5).map_or(n <= 4, |p| parse_number("--scope pd", p)),
+        max_value: parts.get(3).map_or(base.max_value, |p| parse_number("--scope max_value", p)),
+        max_crash_round: parts
+            .get(4)
+            .map_or(base.max_crash_round, |p| parse_number("--scope max_crash_round", p)),
+        partial_delivery: parts
+            .get(5)
+            .map_or(base.partial_delivery, |p| parse_number("--scope pd", p)),
+        ..base
     }
 }
 
 fn submit_main(mut args: impl Iterator<Item = String>) {
     let mut endpoint = EndpointFlag(None);
     let mut connect = ConnectFlags::new(Duration::from_secs(5));
-    let mut query: Option<QueryKind> = None;
+    let mut query: Option<String> = None;
     let mut model: Option<String> = None;
     let mut spec = JobSpec {
         id: std::process::id() as u64,
@@ -416,25 +409,13 @@ fn submit_main(mut args: impl Iterator<Item = String>) {
             "--seed" => spec.seed = parse_number(&flag, &value_of(&flag, &mut args)),
             "--id" => spec.id = parse_number(&flag, &value_of(&flag, &mut args)),
             "--no-shard-cache" => spec.shard_cache = false,
-            other if !other.starts_with('-') && query.is_none() => {
-                query =
-                    Some(QueryKind::parse(other).unwrap_or_else(|e| usage_exit(&format!("{e}"))));
-            }
+            other if !other.starts_with('-') && query.is_none() => query = Some(flag.clone()),
             other => usage_exit(&format!("unknown flag {other}")),
         }
     }
-    spec.query =
+    let query =
         query.unwrap_or_else(|| usage_exit("missing query (thm1|omission|thm3|fig4|prop2)"));
-    // `--model omission` is sugar for the omission query on the thm1 fold
-    // (the two share the row shape); any other combination is a mistake.
-    match model.as_deref() {
-        None | Some("crash") => {}
-        Some("omission") => match spec.query {
-            QueryKind::Thm1 | QueryKind::Omission => spec.query = QueryKind::Omission,
-            _ => usage_exit("--model omission only applies to thm1/omission queries"),
-        },
-        Some(other) => usage_exit(&format!("unknown --model {other:?} (crash|omission)")),
-    }
+    spec.query = resolve_query(&query, model.as_deref());
     let endpoint = endpoint.require();
 
     let outcome = match client::submit_with(&endpoint, &spec, &connect.options()) {
@@ -445,31 +426,7 @@ fn submit_main(mut args: impl Iterator<Item = String>) {
         }
     };
 
-    // stdout: the same tables the one-shot mode prints for the same fold.
-    match &outcome.result {
-        QueryResult::Thm1(rows) => {
-            println!("{}", report::thm1_table(rows));
-            println!("{}", report::THM1_CLAIM);
-        }
-        QueryResult::Omission(rows) => {
-            println!("{}", report::omission_table(rows));
-            println!("{}", report::OMISSION_CLAIM);
-        }
-        QueryResult::Thm3(rows) => {
-            println!("{}", report::thm3_table(rows));
-            println!("{}", report::THM3_CLAIM);
-        }
-        QueryResult::Fig4(rows) => {
-            println!("{}", report::fig4_table(rows));
-            println!("{}", report::FIG4_CLAIM);
-        }
-        QueryResult::Prop2(prop2) => {
-            let (exhaustive, targeted) = report::prop2_tables(prop2);
-            println!("{exhaustive}");
-            println!("{targeted}");
-            println!("{}", report::PROP2_CLAIM);
-        }
-    }
+    print_result(&outcome.result);
 
     // stderr: the canonical stats line (executed work only) plus the
     // job-level cache split and fleet accounting — the lines the CI smoke

@@ -1,8 +1,8 @@
 //! The incremental shard-accumulator cache.
 //!
-//! PRs 2–4 made every sweep fold shard- and thread-invariant and
-//! bit-identical across all engine knobs — which is exactly the property
-//! that makes a *completed per-shard reducer accumulator* reusable across
+//! Every sweep fold is shard- and thread-invariant — bit-identical at any
+//! shard and thread count — which is exactly the property that makes a
+//! *completed per-shard reducer accumulator* reusable across
 //! requests: a repeated (or overlapping, as long as the shard partition
 //! matches) query replays the cached accumulators and only executes the
 //! cold shards.  This module is the typed front: `server` decides what to

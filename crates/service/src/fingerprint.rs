@@ -16,15 +16,15 @@
 //!   ranges;
 //! * the **code version** — see [`code_version`].
 //!
-//! Deliberately *not* in the key: thread/worker counts and the
-//! cache/reuse/cursor engine knobs, which are speed-only and provably
-//! value-invariant (the determinism tests pin this at every combination).
-//! Keying on them would only shrink hit rates.
+//! Deliberately *not* in the key: the thread and worker counts.  Folds are
+//! shard- and thread-invariant (the determinism tests pin this across
+//! shard and thread counts), so keying on them would only shrink hit
+//! rates.
+//!
+//! The query, model, scope-string and protocol-set fields of a sharded
+//! query come from its `sweep::experiments::Query` descriptor.
 
 use std::fmt;
-
-use adversary::enumerate::EnumerationConfig;
-use adversary::{OmissionConfig, PatternModel};
 
 /// Returns the code-version component of every fingerprint:
 /// `<crate version>+fold.v<N>` with `N = sweep::FOLD_SEMANTICS_VERSION`.
@@ -53,8 +53,7 @@ pub struct JobFingerprint {
     /// never replay each other's accumulators even if their scope strings
     /// were ever to collide.
     pub model: String,
-    /// Canonical scope string of the case (see [`scope_string`] /
-    /// [`omission_scope_string`]).
+    /// Canonical scope string of the case (`Query::scope_string`).
     pub scope: String,
     /// Protocol set folded by the job, in batch order.
     pub protocols: String,
@@ -123,73 +122,60 @@ impl ShardKey {
     }
 }
 
-/// Canonicalizes an exhaustive enumeration scope (plus the agreement
-/// degree `k`, which selects the task parameters) into the fingerprint's
-/// scope string.
-pub fn scope_string(scope: &EnumerationConfig, k: usize) -> String {
-    format!(
-        "n={},t={},k={},maxv={},mcr={},pd={}",
-        scope.n, scope.t, k, scope.max_value, scope.max_crash_round, scope.partial_delivery
-    )
-}
-
-/// Canonicalizes an exhaustive send-omission scope into the fingerprint's
-/// scope string.  The field set differs from [`scope_string`] (no
-/// delivery flags; an explicit round horizon), but the `model` key field
-/// is what keeps the two families disjoint, not the string shape.
-pub fn omission_scope_string(scope: &OmissionConfig, k: usize) -> String {
-    format!("n={},t={},k={},maxv={},rounds={}", scope.n, scope.t, k, scope.max_value, scope.rounds)
-}
-
-/// The canonical `model` field value of a fingerprint.
-pub fn model_string(model: PatternModel) -> String {
-    model.name().to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweep::experiments::{Fig4Query, Query, ScopeSpec, Thm1Query, Thm3Query};
 
     #[test]
     fn scope_strings_are_injective_over_the_fields() {
-        let base = EnumerationConfig::small(3, 1, 2);
-        let k = 2;
-        let mut seen = std::collections::HashSet::new();
-        for scope in [
-            base,
-            EnumerationConfig { n: 4, ..base },
-            EnumerationConfig { t: 2, ..base },
-            EnumerationConfig { max_value: 1, ..base },
-            EnumerationConfig { max_crash_round: 1, ..base },
-            EnumerationConfig { partial_delivery: false, ..base },
-        ] {
-            assert!(seen.insert(scope_string(&scope, k)), "collision for {scope:?}");
+        for query in [Thm1Query::CRASH, Thm1Query::OMISSION] {
+            let base = ScopeSpec::builtin(3, 1, 2);
+            let mut seen = std::collections::HashSet::new();
+            for scope in [
+                base,
+                ScopeSpec { n: 4, ..base },
+                ScopeSpec { t: 2, ..base },
+                ScopeSpec { k: 1, ..base },
+                ScopeSpec { max_value: 1, ..base },
+                ScopeSpec { max_crash_round: 3, ..base },
+                ScopeSpec { partial_delivery: false, ..base },
+            ] {
+                let scope = query.scoped_case(&scope).expect("thm1 takes scopes");
+                seen.insert(query.scope_string(&scope));
+            }
+            // Omission scopes have no delivery flag to tell apart.
+            let distinct = if query == Thm1Query::CRASH { 7 } else { 6 };
+            assert_eq!(seen.len(), distinct, "{} scope strings collide", query.name());
         }
-        assert!(seen.insert(scope_string(&base, 1)), "k must be part of the scope string");
     }
 
+    /// Persisted shard caches are keyed on these bytes: changing any of
+    /// them orphans every stored accumulator of the query.
     #[test]
-    fn omission_scope_strings_are_injective_over_the_fields() {
-        let base = OmissionConfig::small(3, 1, 2);
-        let k = 2;
-        let mut seen = std::collections::HashSet::new();
-        for scope in [
-            base,
-            OmissionConfig { n: 4, ..base },
-            OmissionConfig { t: 2, ..base },
-            OmissionConfig { max_value: 1, ..base },
-            OmissionConfig { rounds: 3, ..base },
-        ] {
-            assert!(seen.insert(omission_scope_string(&scope, k)), "collision for {scope:?}");
-        }
-        assert!(seen.insert(omission_scope_string(&base, 1)), "k must be part of the string");
+    fn descriptor_fingerprint_fields_are_pinned() {
+        let (crash, omission) = (Thm1Query::CRASH, Thm1Query::OMISSION);
+        assert_eq!(crash.name(), "thm1");
+        assert_eq!(crash.scope_string(&crash.cases()[3]), "n=5,t=2,k=2,maxv=2,mcr=2,pd=false");
+        assert_eq!(omission.name(), "omission");
+        assert_eq!(omission.scope_string(&omission.cases()[1]), "n=4,t=1,k=1,maxv=1,rounds=2");
+        assert_eq!(Thm3Query.scope_string(&Thm3Query.cases()[2]), "n=12,t=9,k=4,samples=400");
+        assert_eq!(Fig4Query.scope_string(&()), "uniform-gap builtin k*rounds");
+        assert_eq!(
+            [Thm1Query::PROTOCOLS, Thm3Query::PROTOCOLS, Fig4Query::PROTOCOLS],
+            [
+                "optmin,earlyfloodmin,floodmin",
+                "upmin",
+                "upmin,optmin,earlyuniformfloodmin,floodmin"
+            ]
+        );
     }
 
     #[test]
     fn shard_keys_differ_per_shard_and_version() {
         let fingerprint = JobFingerprint {
             query: "thm1".into(),
-            model: model_string(PatternModel::Crash),
+            model: "crash".into(),
             scope: "n=3,t=1,k=1".into(),
             protocols: "optmin".into(),
             seed: 0,
@@ -199,8 +185,7 @@ mod tests {
         assert_ne!(fingerprint.shard(0), fingerprint.shard(1));
         let stale = JobFingerprint { code_version: "0.0.0+fold.v0".into(), ..fingerprint.clone() };
         assert_ne!(fingerprint.shard(0), stale.shard(0));
-        let omission =
-            JobFingerprint { model: model_string(PatternModel::Omission), ..fingerprint.clone() };
+        let omission = JobFingerprint { model: "omission".into(), ..fingerprint.clone() };
         assert_ne!(fingerprint.shard(0), omission.shard(0), "model must enter the key");
         assert!(code_version().contains("+fold.v"));
     }
@@ -209,7 +194,7 @@ mod tests {
     fn canonical_strings_are_injective_and_reparse() {
         let fingerprint = JobFingerprint {
             query: "thm1".into(),
-            model: model_string(PatternModel::Crash),
+            model: "crash".into(),
             scope: "n=3,t=1,k=1".into(),
             protocols: "optmin".into(),
             seed: 0,
@@ -218,8 +203,7 @@ mod tests {
         };
         let canonical = fingerprint.shard(1).canonical_string();
         assert_ne!(canonical, fingerprint.shard(2).canonical_string());
-        let omission =
-            JobFingerprint { model: model_string(PatternModel::Omission), ..fingerprint.clone() };
+        let omission = JobFingerprint { model: "omission".into(), ..fingerprint.clone() };
         assert_ne!(
             canonical,
             omission.shard(1).canonical_string(),

@@ -6,13 +6,16 @@
 //! repeated or overlapping query executes only its cold shards.
 //!
 //! The layer turns the batch engine of the `sweep` crate into a queryable
-//! server without changing any fold bit: determinism (shard-, thread- and
-//! knob-invariance, PRs 1–4) is exactly what makes per-shard accumulators
-//! safe to cache across requests.  Module map:
+//! server without changing any fold bit: determinism (shard- and
+//! thread-invariance) is exactly what makes per-shard accumulators safe to
+//! cache across requests.  Module map:
 //!
 //! * [`wire`] — the line-delimited JSON protocol (hand-rolled, with
 //!   `ToWire`/`FromWire` traits shaped for an eventual swap to the real
 //!   serde; see `vendor/README.md`);
+//! * [`query`] — the wire-side facts of each `sweep::experiments::Query`
+//!   descriptor (its `QueryKind`, `QueryResult` variant and typed shard
+//!   cache) and [`fold_local`], the in-process fold of any query kind;
 //! * [`fingerprint`] — the cache key: scope, protocol set, reducer id,
 //!   seed, shard partition and code version, with the invalidation rule on
 //!   version mismatch;
@@ -23,14 +26,16 @@
 //! * [`pool`] — the persistent worker pool (warm `BatchRunner` per
 //!   worker, shared across jobs and connections);
 //! * [`server`] — accept loop, bounded job queue, concurrent
-//!   dispatchers, shard scheduler, streaming, cancellation, graceful
-//!   shutdown;
+//!   dispatchers, the shard scheduler (one generic `run_sharded` over the
+//!   descriptors, plus the job-level Proposition 2 runner), streaming,
+//!   cancellation, graceful shutdown;
 //! * [`lease`] — the coordinator-side lease table of the distributed
 //!   fleet: shard grants with TTL expiry, heartbeat liveness, capped
 //!   backoff re-queue, generation-based duplicate drop, and fallback to
 //!   local execution;
 //! * [`worker`] — the remote worker process loop behind
-//!   `sweep worker --connect`;
+//!   `sweep worker --connect`, folding each lease through one generic
+//!   `fold_task` over the descriptors;
 //! * [`client`] — blocking submit/cancel/shutdown calls used by
 //!   `sweep submit`/`sweep cancel` and the end-to-end tests;
 //! * [`net`] — Unix/TCP endpoints behind one stream type, with
@@ -50,6 +55,7 @@ pub mod fingerprint;
 pub mod lease;
 pub mod net;
 pub mod pool;
+pub mod query;
 pub mod server;
 pub mod store;
 pub mod wire;
@@ -59,6 +65,7 @@ use std::fmt;
 
 pub use client::{cancel, stats, submit, JobOutcome};
 pub use net::{ConnectOptions, Endpoint};
+pub use query::fold_local;
 pub use server::{ServeOptions, Server};
 pub use store::{CacheStore, DurableStore, StoreAccounting, StoredEntry};
 pub use wire::{ErrorKind, JobSpec, QueryKind, QueryResult, ScopeSpec};

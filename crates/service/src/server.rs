@@ -60,30 +60,26 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use adversary::enumerate::EnumerationConfig;
-use adversary::{OmissionConfig, PatternModel};
-use set_consensus::BatchRunner;
+use adversary::PatternModel;
 use sweep::experiments::{
-    self, Fig4Acc, Fig4Reducer, Thm1Outcome, Thm1Reducer, Thm3Acc, Thm3Reducer, OMISSION_CASES,
-    THM1_CASES, THM3_CASES, THM3_SAMPLES,
+    self, Fig4Acc, Fig4Query, QueryAcc, Thm1Outcome, Thm1Query, Thm3Acc, Thm3Query,
 };
 use sweep::{
-    fold_shard_stats, shard_ranges, try_merge_shard_outcomes, MergeError, Reducer, Scenario,
-    ScenarioSource, ShardOutcome, SweepConfig, SweepStats,
+    fold_shard_stats, shard_ranges, try_merge_shard_outcomes, MergeError, Reducer, ScenarioSource,
+    ShardOutcome, SweepConfig, SweepStats,
 };
 use synchrony::ModelError;
 
 use crate::cache::ShardCache;
-use crate::fingerprint::{
-    code_version, model_string, omission_scope_string, scope_string, JobFingerprint,
-};
+use crate::fingerprint::{code_version, JobFingerprint};
 use crate::lease::{FleetConfig, LeaseTable, RemoteTask, TaskOutcome};
 use crate::net::{Endpoint, Listener, Stream};
 use crate::pool::WorkerPool;
+use crate::query::ServedQuery;
 use crate::store::{CacheStore, DurableStore};
 use crate::wire::{
     self, encode_line, ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, Partial,
-    QueryKind, QueryResult, ScopeSpec, ShardDone, TaskSpec, ToWire, Value,
+    QueryKind, QueryResult, ShardDone, TaskSpec, ToWire,
 };
 use crate::ServiceError;
 use telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -157,23 +153,16 @@ impl ServeOptions {
     }
 }
 
-/// The protocol sets of each query, in batch order — part of every
-/// fingerprint, so a future protocol change cannot replay accumulators
-/// folded over a different set.
-pub(crate) const THM1_PROTOCOLS: &str = "optmin,earlyfloodmin,floodmin";
-const THM3_PROTOCOLS: &str = "upmin";
-const FIG4_PROTOCOLS: &str = "upmin,optmin,earlyuniformfloodmin,floodmin";
-
 /// The daemon-lifetime shard-accumulator caches, one typed front per
-/// reducer (plus the job-level Proposition 2 report cache), all sharing
-/// one optional durable store (the keys embed the query name, so one
-/// keyspace holds every type).
+/// query (see `query::ServedQuery::cache`; plus the job-level
+/// Proposition 2 report cache), all sharing one optional durable store
+/// (the keys embed the query name, so one keyspace holds every type).
 #[derive(Debug)]
-struct DaemonCaches {
-    thm1: ShardCache<Thm1Outcome>,
-    omission: ShardCache<Thm1Outcome>,
-    thm3: ShardCache<Thm3Acc>,
-    fig4: ShardCache<Fig4Acc>,
+pub(crate) struct DaemonCaches {
+    pub(crate) thm1: ShardCache<Thm1Outcome>,
+    pub(crate) omission: ShardCache<Thm1Outcome>,
+    pub(crate) thm3: ShardCache<Thm3Acc>,
+    pub(crate) fig4: ShardCache<Fig4Acc>,
     prop2: ShardCache<experiments::Prop2Report>,
     store: Option<Arc<DurableStore>>,
 }
@@ -1069,7 +1058,16 @@ fn execute_job(
         // Revoked while still queued: never starts executing.
         Err(JobError::Cancelled)
     } else {
-        run_query(pool, caches, fleet, metrics, &spec, &reply, &cancel)
+        let job = JobContext {
+            pool,
+            caches,
+            fleet,
+            metrics,
+            spec: &spec,
+            reply: &reply,
+            cancel: &cancel,
+        };
+        run_query(&job)
     };
     registry.lock().expect("cancel registry lock").remove(&spec.id);
     match outcome {
@@ -1170,304 +1168,64 @@ fn resolved_shards(spec: &JobSpec, pool: &WorkerPool) -> usize {
     }
 }
 
-fn run_query(
-    pool: &WorkerPool,
-    caches: &DaemonCaches,
-    fleet: &Arc<LeaseTable>,
-    metrics: &ServerTelemetry,
-    spec: &JobSpec,
-    reply: &Reply,
-    cancel: &Arc<AtomicBool>,
-) -> Result<JobSummary, JobError> {
-    if spec.scope.is_some() && !matches!(spec.query, QueryKind::Thm1 | QueryKind::Omission) {
-        return Err(JobError::Model(ModelError::InvalidTaskParameter {
-            reason: "custom scopes are only supported for thm1 and omission jobs".into(),
-        }));
-    }
-    match spec.query {
-        QueryKind::Thm1 => run_thm1(pool, caches, fleet, metrics, spec, reply, cancel),
-        QueryKind::Omission => run_omission(pool, caches, fleet, metrics, spec, reply, cancel),
-        QueryKind::Thm3 => run_thm3(pool, caches, fleet, metrics, spec, reply, cancel),
-        QueryKind::Fig4 => run_fig4(pool, caches, fleet, metrics, spec, reply, cancel),
-        QueryKind::Prop2 => run_prop2(pool, caches, spec, reply),
+/// What the runners of one job share: the daemon's pool, caches, fleet
+/// and telemetry, plus the job's spec, reply stream and cancel token.
+struct JobContext<'a> {
+    pool: &'a WorkerPool,
+    caches: &'a DaemonCaches,
+    fleet: &'a Arc<LeaseTable>,
+    metrics: &'a ServerTelemetry,
+    spec: &'a JobSpec,
+    reply: &'a Reply,
+    cancel: &'a Arc<AtomicBool>,
+}
+
+fn run_query(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
+    match job.spec.query {
+        QueryKind::Thm1 => run_sharded(Thm1Query::CRASH, job),
+        QueryKind::Omission => run_sharded(Thm1Query::OMISSION, job),
+        QueryKind::Thm3 => run_sharded(Thm3Query, job),
+        QueryKind::Fig4 => run_sharded(Fig4Query, job),
+        QueryKind::Prop2 => run_prop2(job),
     }
 }
 
-fn run_thm1(
-    pool: &WorkerPool,
-    caches: &DaemonCaches,
-    fleet: &Arc<LeaseTable>,
-    metrics: &ServerTelemetry,
-    spec: &JobSpec,
-    reply: &Reply,
-    cancel: &Arc<AtomicBool>,
-) -> Result<JobSummary, JobError> {
-    let cases: Vec<(EnumerationConfig, usize)> = match &spec.scope {
-        Some(scope) => vec![(
-            EnumerationConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                max_crash_round: scope.max_crash_round,
-                partial_delivery: scope.partial_delivery,
-            },
-            scope.k,
-        )],
-        None => THM1_CASES.iter().map(|&(n, t, k)| (experiments::thm1_scope(n, t, k), k)).collect(),
-    };
-    let shards = resolved_shards(spec, pool);
+/// Runs a sharded query: every case of the job (the built-in ones, or the
+/// one its explicit scope names) is fingerprinted, scheduled by
+/// [`run_case`] and turned into rows, all by the query's descriptor.
+fn run_sharded<Q: ServedQuery>(query: Q, job: &JobContext<'_>) -> Result<JobSummary, JobError> {
+    let cases = query.job_cases(job.spec.scope.as_ref())?;
+    let shards = resolved_shards(job.spec, job.pool);
+    let seed = if Q::SEEDED { job.spec.seed } else { 0 };
     let mut rows = Vec::new();
-    let mut summary = JobSummary::new(QueryResult::Thm1(Vec::new()));
-    for (case_index, &(scope, k)) in cases.iter().enumerate() {
-        let source = experiments::thm1_source(scope, k)?;
-        let adversaries = source.space().len();
+    let mut summary = JobSummary::new(query.result(Vec::new()));
+    for (index, case) in cases.iter().enumerate() {
+        let source = Arc::new(query.source(case, seed)?);
         let fingerprint = JobFingerprint {
-            query: "thm1".into(),
-            model: model_string(PatternModel::Crash),
-            scope: scope_string(&scope, k),
-            protocols: THM1_PROTOCOLS.into(),
-            seed: 0,
+            query: query.name().into(),
+            model: query.model().name().into(),
+            scope: query.scope_string(case),
+            protocols: Q::PROTOCOLS.into(),
+            seed,
             shards,
             code_version: code_version(),
         };
-        // Remote workers rebuild the case from an explicit scope, so even
-        // built-in cases ship theirs.
-        let lease_scope = Some(ScopeSpec {
-            n: scope.n,
-            t: scope.t,
-            k,
-            max_value: scope.max_value,
-            max_crash_round: scope.max_crash_round,
-            partial_delivery: scope.partial_delivery,
-        });
-        let case = run_case(CaseContext {
-            pool,
-            reply,
-            fleet,
-            metrics,
-            query: QueryKind::Thm1,
-            lease_scope,
-            seed: 0,
-            job_id: spec.id,
-            case: case_index,
-            cases: cases.len(),
+        // What a remote worker needs to rebuild the case: its explicit
+        // scope where the query has one (even for built-in cases), its
+        // index among the built-in cases otherwise.
+        let lease = TaskSpec {
+            query: job.spec.query,
+            case: index,
+            scope: query.case_scope(case),
+            seed,
             shards,
-            use_shard_cache: spec.shard_cache,
-            cancel,
-            source: Arc::new(source),
-            reducer: Arc::new(Thm1Reducer),
-            job: experiments::thm1_job,
-            cache: &caches.thm1,
-            fingerprint,
-            encode_partial: |acc: &Thm1Outcome| {
-                Value::Object(vec![
-                    ("violations".into(), Value::Int(acc.violations as i128)),
-                    ("beaten_earlyfloodmin".into(), Value::Bool(acc.beaten[0])),
-                    ("beaten_floodmin".into(), Value::Bool(acc.beaten[1])),
-                    ("structure_violations".into(), Value::Int(acc.structure as i128)),
-                ])
-            },
-        })?;
-        summary.absorb(&case);
-        rows.push(experiments::thm1_case_row(&scope, k, adversaries, case.acc));
-    }
-    summary.result = QueryResult::Thm1(rows);
-    Ok(summary)
-}
-
-/// The omission twin of [`run_thm1`]: same job, reducer and row shape,
-/// folded over the exhaustive send-omission space.  Its fingerprints
-/// carry `model=omission`, so crash and omission accumulators over the
-/// same `(n, t, k)` shape live under disjoint cache keys.
-fn run_omission(
-    pool: &WorkerPool,
-    caches: &DaemonCaches,
-    fleet: &Arc<LeaseTable>,
-    metrics: &ServerTelemetry,
-    spec: &JobSpec,
-    reply: &Reply,
-    cancel: &Arc<AtomicBool>,
-) -> Result<JobSummary, JobError> {
-    let cases: Vec<(OmissionConfig, usize)> = match &spec.scope {
-        // The wire frame is shared with thm1: `max_crash_round` carries the
-        // omission round horizon and `partial_delivery` is ignored.
-        Some(scope) => vec![(
-            OmissionConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                rounds: scope.max_crash_round,
-            },
-            scope.k,
-        )],
-        None => OMISSION_CASES
-            .iter()
-            .map(|&(n, t, k)| (experiments::omission_scope(n, t, k), k))
-            .collect(),
-    };
-    let shards = resolved_shards(spec, pool);
-    let mut rows = Vec::new();
-    let mut summary = JobSummary::new(QueryResult::Omission(Vec::new()));
-    for (case_index, &(scope, k)) in cases.iter().enumerate() {
-        let source = experiments::omission_source(scope, k)?;
-        let adversaries = source.space().len();
-        let fingerprint = JobFingerprint {
-            query: "omission".into(),
-            model: model_string(PatternModel::Omission),
-            scope: omission_scope_string(&scope, k),
-            protocols: THM1_PROTOCOLS.into(),
-            seed: 0,
-            shards,
-            code_version: code_version(),
+            shard: 0,
         };
-        let lease_scope = Some(ScopeSpec {
-            n: scope.n,
-            t: scope.t,
-            k,
-            max_value: scope.max_value,
-            max_crash_round: scope.rounds,
-            partial_delivery: false,
-        });
-        let case = run_case(CaseContext {
-            pool,
-            reply,
-            fleet,
-            metrics,
-            query: QueryKind::Omission,
-            lease_scope,
-            seed: 0,
-            job_id: spec.id,
-            case: case_index,
-            cases: cases.len(),
-            shards,
-            use_shard_cache: spec.shard_cache,
-            cancel,
-            source: Arc::new(source),
-            reducer: Arc::new(Thm1Reducer),
-            job: experiments::thm1_job,
-            cache: &caches.omission,
-            fingerprint,
-            encode_partial: |acc: &Thm1Outcome| {
-                Value::Object(vec![
-                    ("violations".into(), Value::Int(acc.violations as i128)),
-                    ("beaten_earlyfloodmin".into(), Value::Bool(acc.beaten[0])),
-                    ("beaten_floodmin".into(), Value::Bool(acc.beaten[1])),
-                    ("structure_violations".into(), Value::Int(acc.structure as i128)),
-                ])
-            },
-        })?;
-        summary.absorb(&case);
-        rows.push(experiments::omission_case_row(&scope, k, adversaries, case.acc));
+        let outcome = run_case(query, job, Arc::clone(&source), lease, cases.len(), fingerprint)?;
+        summary.absorb(&outcome);
+        rows.extend(query.rows(case, &source, &outcome.acc)?);
     }
-    summary.result = QueryResult::Omission(rows);
-    Ok(summary)
-}
-
-fn run_thm3(
-    pool: &WorkerPool,
-    caches: &DaemonCaches,
-    fleet: &Arc<LeaseTable>,
-    metrics: &ServerTelemetry,
-    spec: &JobSpec,
-    reply: &Reply,
-    cancel: &Arc<AtomicBool>,
-) -> Result<JobSummary, JobError> {
-    let shards = resolved_shards(spec, pool);
-    let mut rows = Vec::new();
-    let mut summary = JobSummary::new(QueryResult::Thm3(Vec::new()));
-    for (case_index, &(n, t, k)) in THM3_CASES.iter().enumerate() {
-        let source = experiments::thm3_source(n, t, k, spec.seed)?;
-        let fingerprint = JobFingerprint {
-            query: "thm3".into(),
-            model: model_string(PatternModel::Crash),
-            scope: format!("n={n},t={t},k={k},samples={THM3_SAMPLES}"),
-            protocols: THM3_PROTOCOLS.into(),
-            seed: spec.seed,
-            shards,
-            code_version: code_version(),
-        };
-        let case = run_case(CaseContext {
-            pool,
-            reply,
-            fleet,
-            metrics,
-            query: QueryKind::Thm3,
-            lease_scope: None,
-            seed: spec.seed,
-            job_id: spec.id,
-            case: case_index,
-            cases: THM3_CASES.len(),
-            shards,
-            use_shard_cache: spec.shard_cache,
-            cancel,
-            source: Arc::new(source),
-            reducer: Arc::new(Thm3Reducer),
-            job: experiments::thm3_job,
-            cache: &caches.thm3,
-            fingerprint,
-            encode_partial: |acc: &Thm3Acc| {
-                Value::Object(vec![
-                    (
-                        "runs".into(),
-                        Value::Int(acc.per_f.values().map(|&(_, runs)| runs as i128).sum()),
-                    ),
-                    ("violations".into(), Value::Int(acc.violations as i128)),
-                ])
-            },
-        })?;
-        summary.absorb(&case);
-        rows.extend(experiments::thm3_rows(n, t, k, &case.acc)?);
-    }
-    summary.result = QueryResult::Thm3(rows);
-    Ok(summary)
-}
-
-fn run_fig4(
-    pool: &WorkerPool,
-    caches: &DaemonCaches,
-    fleet: &Arc<LeaseTable>,
-    metrics: &ServerTelemetry,
-    spec: &JobSpec,
-    reply: &Reply,
-    cancel: &Arc<AtomicBool>,
-) -> Result<JobSummary, JobError> {
-    let shards = resolved_shards(spec, pool);
-    let (source, shapes) = experiments::fig4_source()?;
-    let fingerprint = JobFingerprint {
-        query: "fig4".into(),
-        model: model_string(PatternModel::Crash),
-        scope: "uniform-gap builtin k*rounds".into(),
-        protocols: FIG4_PROTOCOLS.into(),
-        seed: 0,
-        shards,
-        code_version: code_version(),
-    };
-    let case = run_case(CaseContext {
-        pool,
-        reply,
-        fleet,
-        metrics,
-        query: QueryKind::Fig4,
-        lease_scope: None,
-        seed: 0,
-        job_id: spec.id,
-        case: 0,
-        cases: 1,
-        shards,
-        use_shard_cache: spec.shard_cache,
-        cancel,
-        source: Arc::new(source),
-        reducer: Arc::new(Fig4Reducer),
-        job: experiments::fig4_job,
-        cache: &caches.fig4,
-        fingerprint,
-        encode_partial: |acc: &Fig4Acc| {
-            Value::Object(vec![("points".into(), Value::Int(acc.len() as i128))])
-        },
-    })?;
-    let mut summary =
-        JobSummary::new(QueryResult::Fig4(experiments::fig4_rows(&shapes, &case.acc)));
-    summary.absorb(&case);
+    summary.result = query.result(rows);
     Ok(summary)
 }
 
@@ -1475,15 +1233,16 @@ fn run_fig4(
 /// is cached at job granularity (one "shard" covering the whole report)
 /// and executed on the dispatcher thread with the engine's own scoped
 /// parallelism.
-fn run_prop2(
-    pool: &WorkerPool,
-    caches: &DaemonCaches,
-    spec: &JobSpec,
-    reply: &Reply,
-) -> Result<JobSummary, JobError> {
+fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
+    let JobContext { pool, caches, spec, reply, .. } = *job;
+    if spec.scope.is_some() {
+        return Err(JobError::Model(ModelError::InvalidTaskParameter {
+            reason: "custom scopes are only supported for thm1 and omission jobs".into(),
+        }));
+    }
     let fingerprint = JobFingerprint {
         query: "prop2".into(),
-        model: model_string(PatternModel::Crash),
+        model: PatternModel::Crash.name().into(),
         scope: "builtin".into(),
         protocols: "none".into(),
         seed: spec.seed,
@@ -1544,40 +1303,6 @@ struct CaseOutcome<A> {
     requeues: u64,
 }
 
-/// The per-scenario job of a case, as a plain function pointer so pool
-/// tasks can capture it without boxing.
-type JobFn<I> = fn(&mut BatchRunner, &Scenario) -> Result<I, ModelError>;
-
-/// Everything [`run_case`] needs — bundled because the scheduler is
-/// monomorphized per query.
-struct CaseContext<'a, S, R: Reducer> {
-    pool: &'a WorkerPool,
-    reply: &'a Reply,
-    fleet: &'a Arc<LeaseTable>,
-    /// Phase histograms (`phase.dispatch_us` / `phase.shard_exec_us` /
-    /// `phase.merge_us`) recorded by the scheduler.
-    metrics: &'a ServerTelemetry,
-    /// Which query the case belongs to — remote workers rebuild the
-    /// scenario source from `(query, case, lease_scope, seed, shards)`.
-    query: QueryKind,
-    /// Explicit scope shipped in lease grants (Theorem 1 only).
-    lease_scope: Option<ScopeSpec>,
-    /// Seed shipped in lease grants (seeded sources only).
-    seed: u64,
-    job_id: u64,
-    case: usize,
-    cases: usize,
-    shards: usize,
-    use_shard_cache: bool,
-    cancel: &'a Arc<AtomicBool>,
-    source: Arc<S>,
-    reducer: Arc<R>,
-    job: JobFn<R::Item>,
-    cache: &'a ShardCache<R::Acc>,
-    fingerprint: JobFingerprint,
-    encode_partial: fn(&R::Acc) -> Value,
-}
-
 /// Schedules one case: splits its scenario range into block-aligned
 /// shards, replays warm shards from the accumulator cache, fans the cold
 /// ones out across the persistent pool, streams `shard-done`/`partial`
@@ -1595,42 +1320,31 @@ struct CaseContext<'a, S, R: Reducer> {
 ///   corrupted persisted entry fails `try_merge_shard_outcomes` as a
 ///   typed [`JobError::Merge`] (daemon stays alive) instead of silently
 ///   folding wrong data.
-fn run_case<S, R>(context: CaseContext<'_, S, R>) -> Result<CaseOutcome<R::Acc>, JobError>
-where
-    S: ScenarioSource + Send + Sync + 'static,
-    R: Reducer + Send + Sync + 'static,
-    R::Acc: Clone + Send + ToWire + FromWire + 'static,
-{
-    let CaseContext {
-        pool,
-        reply,
-        fleet,
-        metrics,
-        query,
-        lease_scope,
-        seed,
-        job_id,
-        case,
-        cases,
-        shards,
-        use_shard_cache,
-        cancel,
-        source,
-        reducer,
-        job,
-        cache,
-        fingerprint,
-        encode_partial,
-    } = context;
+///
+/// `lease` is the shard-lease template of the case (every field but the
+/// shard index); `cases` is the job's case count, for the streamed frames.
+fn run_case<Q: ServedQuery>(
+    query: Q,
+    job: &JobContext<'_>,
+    source: Arc<Q::Source>,
+    lease: TaskSpec,
+    cases: usize,
+    fingerprint: JobFingerprint,
+) -> Result<CaseOutcome<QueryAcc<Q>>, JobError> {
+    let JobContext { pool, caches, fleet, metrics, spec, reply, cancel } = *job;
+    let (job_id, case, use_shard_cache) = (spec.id, lease.case, spec.shard_cache);
+    let cache = query.cache(caches);
+    let reducer = Q::Reducer::default();
     let total = source.len();
-    let ranges = shard_ranges(total, shards, source.structure_block());
+    let ranges = shard_ranges(total, lease.shards, source.structure_block());
     let shard_count = ranges.len();
-    let mut outcomes: Vec<Option<ShardOutcome<R::Acc>>> = (0..shard_count).map(|_| None).collect();
-    let mut prefix = PrefixFold::new(&*reducer);
+    let mut outcomes: Vec<Option<ShardOutcome<QueryAcc<Q>>>> =
+        (0..shard_count).map(|_| None).collect();
+    let mut prefix = PrefixFold::new(&reducer);
     let mut cold = Vec::new();
     let mut cached_count = 0usize;
 
-    let stream_shard = |outcome: &ShardOutcome<R::Acc>| {
+    let stream_shard = |outcome: &ShardOutcome<QueryAcc<Q>>| {
         send_frame(
             reply,
             &Frame::ShardDone(ShardDone {
@@ -1663,7 +1377,7 @@ where
             None => cold.push(shard),
         }
     }
-    prefix.emit_if_grown(reply, job_id, case, &ranges, &outcomes, &*reducer, encode_partial);
+    prefix.emit_if_grown(reply, job_id, case, &ranges, &outcomes, &reducer);
 
     // Cold pass: offer every cold shard to the remote fleet first; shards
     // the fleet cannot take (zero workers) or gives up on (exhausted
@@ -1676,10 +1390,9 @@ where
         Local { shard: usize, folded: Result<(A, SweepStats), JobError> },
         Remote { shard: usize, outcome: TaskOutcome },
     }
-    let (done_tx, done_rx) = mpsc::channel::<Completion<R::Acc>>();
+    let (done_tx, done_rx) = mpsc::channel::<Completion<QueryAcc<Q>>>();
     let dispatch_local = |shard: usize| {
         let source = Arc::clone(&source);
-        let reducer = Arc::clone(&reducer);
         let cancel = Arc::clone(cancel);
         let done_tx = done_tx.clone();
         let range = ranges[shard];
@@ -1693,8 +1406,8 @@ where
                 let exec_started = Instant::now();
                 let folded = fold_shard_stats(
                     &*source,
-                    &*reducer,
-                    &job,
+                    &Q::Reducer::default(),
+                    &Q::JOB,
                     &mut state.runner,
                     &mut state.scratch,
                     range,
@@ -1712,7 +1425,7 @@ where
     for &shard in &cold {
         let remote_tx = done_tx.clone();
         let task = RemoteTask {
-            spec: TaskSpec { query, case, scope: lease_scope, seed, shards, shard },
+            spec: TaskSpec { shard, ..lease.clone() },
             complete: Box::new(move |outcome| {
                 // Fires under the lease-table lock — forward and return.
                 let _ = remote_tx.send(Completion::Remote { shard, outcome });
@@ -1760,7 +1473,7 @@ where
                 TaskOutcome::Done { payload, range, stats, requeues } => {
                     requeues_total += requeues;
                     let decoded = if range == ranges[shard] {
-                        R::Acc::from_wire(&payload).ok()
+                        QueryAcc::<Q>::from_wire(&payload).ok()
                     } else {
                         None
                     };
@@ -1814,29 +1527,21 @@ where
             }
             stream_shard(&outcome);
             outcomes[shard] = Some(outcome);
-            prefix.emit_if_grown(
-                reply,
-                job_id,
-                case,
-                &ranges,
-                &outcomes,
-                &*reducer,
-                encode_partial,
-            );
+            prefix.emit_if_grown(reply, job_id, case, &ranges, &outcomes, &reducer);
         }
     }
     if let Some((_, error)) = first_error {
         return Err(error);
     }
 
-    let outcomes: Vec<ShardOutcome<R::Acc>> =
+    let outcomes: Vec<ShardOutcome<QueryAcc<Q>>> =
         outcomes.into_iter().map(|slot| slot.expect("every shard completed")).collect();
     let mut stats = SweepStats::default();
     for outcome in &outcomes {
         stats.merge(outcome.stats);
     }
     let merge_started = Instant::now();
-    let merged = try_merge_shard_outcomes(&*reducer, outcomes);
+    let merged = try_merge_shard_outcomes(&reducer, outcomes);
     metrics.merge_us.observe(merge_started.elapsed());
     let acc = merged.map_err(JobError::Merge)?;
     Ok(CaseOutcome {
@@ -1859,14 +1564,14 @@ struct PrefixFold<A> {
     acc: A,
 }
 
-impl<A: Clone> PrefixFold<A> {
+impl<A: Clone + ToWire> PrefixFold<A> {
     fn new<R: Reducer<Acc = A>>(reducer: &R) -> Self {
         PrefixFold { done: 0, acc: reducer.empty() }
     }
 
     /// Extends the prefix over newly completed shards and emits a
-    /// `partial` frame if it grew.
-    #[allow(clippy::too_many_arguments)]
+    /// `partial` frame, carrying the prefix accumulator in its wire codec,
+    /// if it grew.
     fn emit_if_grown<R: Reducer<Acc = A>>(
         &mut self,
         reply: &Reply,
@@ -1875,7 +1580,6 @@ impl<A: Clone> PrefixFold<A> {
         ranges: &[(usize, usize)],
         outcomes: &[Option<ShardOutcome<A>>],
         reducer: &R,
-        encode_partial: fn(&A) -> Value,
     ) {
         let before = self.done;
         while self.done < outcomes.len() {
@@ -1896,7 +1600,7 @@ impl<A: Clone> PrefixFold<A> {
                 shards_done: self.done,
                 shards: outcomes.len(),
                 scenarios_done: ranges[self.done - 1].1 as u64,
-                fold: encode_partial(&self.acc),
+                fold: self.acc.to_wire(),
             }),
         );
     }

@@ -49,6 +49,7 @@
 
 use std::fmt;
 
+use adversary::PatternModel;
 use sweep::experiments::{
     Fig4Acc, Fig4Row, Prop2ExhaustiveRow, Prop2Report, Prop2Targeted, Thm1Case, Thm1Outcome,
     Thm3Acc, Thm3Row,
@@ -122,6 +123,19 @@ pub trait FromWire: Sized {
     ///
     /// Returns a [`WireError`] naming the missing field or type mismatch.
     fn from_wire(value: &Value) -> Result<Self, WireError>;
+}
+
+/// A list renders as a wire array of its elements.
+impl<T: ToWire> ToWire for Vec<T> {
+    fn to_wire(&self) -> Value {
+        Value::Array(self.iter().map(ToWire::to_wire).collect())
+    }
+}
+
+impl<T: FromWire> FromWire for Vec<T> {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        value.as_array("list")?.iter().map(T::from_wire).collect()
+    }
 }
 
 impl Value {
@@ -532,38 +546,25 @@ impl QueryKind {
     ///
     /// Rejects unknown query names.
     pub fn parse(name: &str) -> Result<Self, WireError> {
-        match name {
-            "thm1" => Ok(QueryKind::Thm1),
-            "omission" => Ok(QueryKind::Omission),
-            "thm3" => Ok(QueryKind::Thm3),
-            "fig4" => Ok(QueryKind::Fig4),
-            "prop2" => Ok(QueryKind::Prop2),
-            other => Err(WireError::new(format!("unknown query {other:?}"))),
+        [QueryKind::Thm1, QueryKind::Omission, QueryKind::Thm3, QueryKind::Fig4, QueryKind::Prop2]
+            .into_iter()
+            .find(|kind| kind.name() == name)
+            .ok_or_else(|| WireError::new(format!("unknown query {name:?}")))
+    }
+
+    /// The query folding this one's experiment over `model`'s pattern
+    /// space, or `None` if it has no variant there (Theorem 1 is the only
+    /// experiment with a send-omission twin).
+    pub fn with_model(self, model: PatternModel) -> Option<Self> {
+        let thm1 = matches!(self, QueryKind::Thm1 | QueryKind::Omission);
+        match model {
+            PatternModel::Crash => Some(self),
+            PatternModel::Omission => thm1.then_some(QueryKind::Omission),
         }
     }
 }
 
-/// A custom exhaustive scope for a [`QueryKind::Thm1`] or
-/// [`QueryKind::Omission`] job: the fields of
-/// `adversary::enumerate::EnumerationConfig` plus the agreement degree.
-/// Omission jobs reuse the same frame — `max_crash_round` carries the
-/// omission round horizon and `partial_delivery` is ignored (the omission
-/// space has no crash-delivery choice to make).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ScopeSpec {
-    /// Number of processes.
-    pub n: usize,
-    /// Failure bound.
-    pub t: usize,
-    /// Agreement degree.
-    pub k: usize,
-    /// Largest initial value.
-    pub max_value: u64,
-    /// Latest round in which a crash may occur.
-    pub max_crash_round: u32,
-    /// Whether crashing processes may deliver to arbitrary subsets.
-    pub partial_delivery: bool,
-}
+pub use sweep::experiments::ScopeSpec;
 
 impl ToWire for ScopeSpec {
     fn to_wire(&self) -> Value {
@@ -936,7 +937,8 @@ pub struct Partial {
     pub shards: usize,
     /// Scenarios covered by the prefix.
     pub scenarios_done: u64,
-    /// Query-specific rendering of the prefix fold.
+    /// The prefix fold: the case's reducer accumulator in its wire codec
+    /// (the rendering the cache store and `lease-done` frames carry).
     pub fold: Value,
 }
 
@@ -1155,10 +1157,7 @@ impl FromWire for Prop2Targeted {
 impl ToWire for Prop2Report {
     fn to_wire(&self) -> Value {
         Value::Object(vec![
-            (
-                "exhaustive".into(),
-                Value::Array(self.exhaustive.iter().map(ToWire::to_wire).collect()),
-            ),
+            ("exhaustive".into(), self.exhaustive.to_wire()),
             ("targeted".into(), self.targeted.to_wire()),
         ])
     }
@@ -1167,21 +1166,16 @@ impl ToWire for Prop2Report {
 impl FromWire for Prop2Report {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
         Ok(Prop2Report {
-            exhaustive: value
-                .field("exhaustive")?
-                .as_array("prop2.exhaustive")?
-                .iter()
-                .map(Prop2ExhaustiveRow::from_wire)
-                .collect::<Result<_, _>>()?,
+            exhaustive: Vec::from_wire(value.field("exhaustive")?)?,
             targeted: Prop2Targeted::from_wire(value.field("targeted")?)?,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard accumulators — the payloads of the persisted cache store.
-// These never travel on the socket; they share the wire codec so one
-// `Value` model (and one torn-input discipline) covers both surfaces.
+// Per-shard accumulators — the payloads of the persisted cache store, of
+// `lease-done` frames and of `partial` previews.  One `Value` model (and
+// one torn-input discipline) covers every surface.
 // ---------------------------------------------------------------------------
 
 impl ToWire for Thm1Outcome {
@@ -1295,55 +1289,27 @@ impl FromWire for Fig4Acc {
 
 impl ToWire for QueryResult {
     fn to_wire(&self) -> Value {
-        let (query, payload) = match self {
-            QueryResult::Thm1(rows) => {
-                ("thm1", Value::Array(rows.iter().map(ToWire::to_wire).collect()))
-            }
-            QueryResult::Omission(rows) => {
-                ("omission", Value::Array(rows.iter().map(ToWire::to_wire).collect()))
-            }
-            QueryResult::Thm3(rows) => {
-                ("thm3", Value::Array(rows.iter().map(ToWire::to_wire).collect()))
-            }
-            QueryResult::Fig4(rows) => {
-                ("fig4", Value::Array(rows.iter().map(ToWire::to_wire).collect()))
-            }
+        let (query, rows) = match self {
+            QueryResult::Thm1(rows) => ("thm1", rows.to_wire()),
+            QueryResult::Omission(rows) => ("omission", rows.to_wire()),
+            QueryResult::Thm3(rows) => ("thm3", rows.to_wire()),
+            QueryResult::Fig4(rows) => ("fig4", rows.to_wire()),
             QueryResult::Prop2(report) => ("prop2", report.to_wire()),
         };
-        Value::Object(vec![("query".into(), Value::Str(query.into())), ("rows".into(), payload)])
+        Value::Object(vec![("query".into(), Value::Str(query.into())), ("rows".into(), rows)])
     }
 }
 
 impl FromWire for QueryResult {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
         let rows = value.field("rows")?;
-        match QueryKind::parse(value.field("query")?.as_str("result.query")?)? {
-            QueryKind::Thm1 => Ok(QueryResult::Thm1(
-                rows.as_array("thm1 rows")?
-                    .iter()
-                    .map(Thm1Case::from_wire)
-                    .collect::<Result<_, _>>()?,
-            )),
-            QueryKind::Omission => Ok(QueryResult::Omission(
-                rows.as_array("omission rows")?
-                    .iter()
-                    .map(Thm1Case::from_wire)
-                    .collect::<Result<_, _>>()?,
-            )),
-            QueryKind::Thm3 => Ok(QueryResult::Thm3(
-                rows.as_array("thm3 rows")?
-                    .iter()
-                    .map(Thm3Row::from_wire)
-                    .collect::<Result<_, _>>()?,
-            )),
-            QueryKind::Fig4 => Ok(QueryResult::Fig4(
-                rows.as_array("fig4 rows")?
-                    .iter()
-                    .map(Fig4Row::from_wire)
-                    .collect::<Result<_, _>>()?,
-            )),
-            QueryKind::Prop2 => Ok(QueryResult::Prop2(Prop2Report::from_wire(rows)?)),
-        }
+        Ok(match QueryKind::parse(value.field("query")?.as_str("result.query")?)? {
+            QueryKind::Thm1 => QueryResult::Thm1(Vec::from_wire(rows)?),
+            QueryKind::Omission => QueryResult::Omission(Vec::from_wire(rows)?),
+            QueryKind::Thm3 => QueryResult::Thm3(Vec::from_wire(rows)?),
+            QueryKind::Fig4 => QueryResult::Fig4(Vec::from_wire(rows)?),
+            QueryKind::Prop2 => QueryResult::Prop2(Prop2Report::from_wire(rows)?),
+        })
     }
 }
 

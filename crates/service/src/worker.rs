@@ -22,16 +22,15 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use adversary::enumerate::EnumerationConfig;
-use adversary::OmissionConfig;
 use set_consensus::BatchRunner;
-use sweep::experiments::{self, Fig4Reducer, Thm1Reducer, Thm3Reducer, THM3_CASES};
-use sweep::{fold_shard_stats, shard_ranges, Reducer, Scenario, ScenarioSource, SweepStats};
+use sweep::experiments::{Fig4Query, Thm1Query, Thm3Query};
+use sweep::{fold_shard_stats, shard_ranges, ScenarioSource, SweepStats};
 use synchrony::ModelError;
 
 use crate::client::open;
 use crate::net::{ConnectOptions, Endpoint, Stream};
 use crate::pool::WorkerState;
+use crate::query::ServedQuery;
 use crate::wire::{
     self, encode_line, Frame, LeaseDone, LeaseFailed, QueryKind, TaskSpec, ToWire, Value,
 };
@@ -230,10 +229,6 @@ fn read_frame(reader: &mut BufReader<Stream>) -> Result<Option<Frame>, ServiceEr
     }
 }
 
-/// The per-scenario job of a query, as a plain function pointer (mirrors
-/// the local scheduler in `server`).
-type JobFn<I> = fn(&mut BatchRunner, &Scenario) -> Result<I, ModelError>;
-
 /// Rebuilds the task's scenario source and executes its shard through the
 /// shared `fold_shard_stats` kernel, returning the accumulator's wire
 /// rendering, the range actually covered, and the execution statistics.
@@ -242,69 +237,26 @@ pub(crate) fn execute_task(
     state: &mut WorkerState,
 ) -> Result<(Value, (usize, usize), SweepStats), ModelError> {
     match task.query {
-        QueryKind::Thm1 => {
-            let Some(scope) = &task.scope else {
-                return Err(ModelError::InvalidTaskParameter {
-                    reason: "thm1 lease without an explicit scope".into(),
-                });
-            };
-            let config = EnumerationConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                max_crash_round: scope.max_crash_round,
-                partial_delivery: scope.partial_delivery,
-            };
-            let source = experiments::thm1_source(config, scope.k)?;
-            fold_task(&source, &Thm1Reducer, experiments::thm1_job, task, state)
-        }
-        QueryKind::Omission => {
-            let Some(scope) = &task.scope else {
-                return Err(ModelError::InvalidTaskParameter {
-                    reason: "omission lease without an explicit scope".into(),
-                });
-            };
-            // Shared wire frame: `max_crash_round` carries the omission
-            // round horizon (see `wire::ScopeSpec`).
-            let config = OmissionConfig {
-                n: scope.n,
-                t: scope.t,
-                max_value: scope.max_value,
-                rounds: scope.max_crash_round,
-            };
-            let source = experiments::omission_source(config, scope.k)?;
-            fold_task(&source, &Thm1Reducer, experiments::thm1_job, task, state)
-        }
-        QueryKind::Thm3 => {
-            let &(n, t, k) =
-                THM3_CASES.get(task.case).ok_or_else(|| ModelError::InvalidTaskParameter {
-                    reason: format!("thm3 lease for unknown case {}", task.case),
-                })?;
-            let source = experiments::thm3_source(n, t, k, task.seed)?;
-            fold_task(&source, &Thm3Reducer, experiments::thm3_job, task, state)
-        }
-        QueryKind::Fig4 => {
-            let (source, _shapes) = experiments::fig4_source()?;
-            fold_task(&source, &Fig4Reducer, experiments::fig4_job, task, state)
-        }
+        QueryKind::Thm1 => fold_task(Thm1Query::CRASH, task, state),
+        QueryKind::Omission => fold_task(Thm1Query::OMISSION, task, state),
+        QueryKind::Thm3 => fold_task(Thm3Query, task, state),
+        QueryKind::Fig4 => fold_task(Fig4Query, task, state),
         QueryKind::Prop2 => Err(ModelError::InvalidTaskParameter {
             reason: "prop2 is job-level work and is never shard-leased".into(),
         }),
     }
 }
 
-fn fold_task<S, R>(
-    source: &S,
-    reducer: &R,
-    job: JobFn<R::Item>,
+/// Executes one leased shard of a sharded query: the descriptor resolves
+/// the task's case (rejecting one the query does not have) and builds its
+/// source; the worker recomputes the coordinator's partition.
+fn fold_task<Q: ServedQuery>(
+    query: Q,
     task: &TaskSpec,
     state: &mut WorkerState,
-) -> Result<(Value, (usize, usize), SweepStats), ModelError>
-where
-    S: ScenarioSource,
-    R: Reducer,
-    R::Acc: ToWire,
-{
+) -> Result<(Value, (usize, usize), SweepStats), ModelError> {
+    let case = query.task_case(task.case, task.scope.as_ref())?;
+    let source = query.source(&case, task.seed)?;
     let ranges = shard_ranges(source.len(), task.shards, source.structure_block());
     let range =
         ranges.get(task.shard).copied().ok_or_else(|| ModelError::InvalidTaskParameter {
@@ -314,8 +266,14 @@ where
                 ranges.len()
             ),
         })?;
-    let (acc, stats) =
-        fold_shard_stats(source, reducer, &job, &mut state.runner, &mut state.scratch, range)?;
+    let (acc, stats) = fold_shard_stats(
+        &source,
+        &Q::Reducer::default(),
+        &Q::JOB,
+        &mut state.runner,
+        &mut state.scratch,
+        range,
+    )?;
     Ok((acc.to_wire(), range, stats))
 }
 
@@ -323,10 +281,12 @@ where
 mod tests {
     use super::*;
     use crate::wire::{FromWire, ScopeSpec};
-    use adversary::enumerate::EnumerationConfig;
-    use adversary::OmissionConfig;
     use sweep::experiments::{self, Fig4Reducer, Thm1Reducer, Thm3Reducer, THM3_CASES};
-    use sweep::{Reducer, Scenario, ScenarioSource};
+    use sweep::{Reducer, Scenario};
+
+    /// A lease of fig4's single case; each test overrides what it probes.
+    const LEASE: TaskSpec =
+        TaskSpec { query: QueryKind::Fig4, case: 0, scope: None, seed: 0, shards: 2, shard: 0 };
 
     fn warm_state() -> WorkerState {
         WorkerState { runner: BatchRunner::new(), scratch: None }
@@ -344,7 +304,7 @@ mod tests {
         R: Reducer,
         R::Acc: FromWire + PartialEq + std::fmt::Debug,
     {
-        let (payload, range, _stats) = execute_task(task, &mut warm_state()).expect("task executes");
+        let (payload, range, _) = execute_task(task, &mut warm_state()).expect("task executes");
         let ranges = shard_ranges(source.len(), task.shards, source.structure_block());
         assert_eq!(range, ranges[task.shard], "{} range", task.query.name());
         let mut reference = warm_state();
@@ -370,50 +330,35 @@ mod tests {
             max_crash_round: 1,
             partial_delivery: false,
         };
-        let task = |query, case, scope, seed, shards, shard| TaskSpec {
-            query,
-            case,
-            scope,
-            seed,
-            shards,
-            shard,
-        };
-
-        let crash = EnumerationConfig {
-            n: 3,
-            t: 1,
-            max_value: 1,
-            max_crash_round: 1,
-            partial_delivery: false,
-        };
         assert_matches_local_fold(
-            &task(QueryKind::Thm1, 0, Some(scope), 0, 3, 1),
-            &experiments::thm1_source(crash, 1).unwrap(),
+            &TaskSpec { query: QueryKind::Thm1, scope: Some(scope), shards: 3, shard: 1, ..LEASE },
+            &experiments::thm1_source(scope.to_crash(), 1).unwrap(),
             &Thm1Reducer,
             experiments::thm1_job,
         );
-
         // Shared wire frame: `max_crash_round` is the omission round horizon.
-        let omission = OmissionConfig { n: 3, t: 1, max_value: 1, rounds: 1 };
         assert_matches_local_fold(
-            &task(QueryKind::Omission, 0, Some(scope), 0, 3, 2),
-            &experiments::omission_source(omission, 1).unwrap(),
+            &TaskSpec {
+                query: QueryKind::Omission,
+                scope: Some(scope),
+                shards: 3,
+                shard: 2,
+                ..LEASE
+            },
+            &experiments::omission_source(scope.to_omission(), 1).unwrap(),
             &Thm1Reducer,
             experiments::thm1_job,
         );
-
         let (n, t, k) = THM3_CASES[1];
         assert_matches_local_fold(
-            &task(QueryKind::Thm3, 1, None, 5, 3, 2),
+            &TaskSpec { query: QueryKind::Thm3, case: 1, seed: 5, shards: 3, shard: 2, ..LEASE },
             &experiments::thm3_source(n, t, k, 5).unwrap(),
             &Thm3Reducer,
             experiments::thm3_job,
         );
-
-        let (fig4, _shapes) = experiments::fig4_source().unwrap();
         assert_matches_local_fold(
-            &task(QueryKind::Fig4, 0, None, 0, 4, 1),
-            &fig4,
+            &TaskSpec { shards: 4, shard: 1, ..LEASE },
+            &experiments::fig4_source().unwrap().0,
             &Fig4Reducer,
             experiments::fig4_job,
         );
@@ -422,33 +367,15 @@ mod tests {
     #[test]
     fn malformed_tasks_are_typed_rejections() {
         let mut state = warm_state();
-        // thm1 without a scope.
-        let no_scope =
-            TaskSpec { query: QueryKind::Thm1, case: 0, scope: None, seed: 0, shards: 2, shard: 0 };
-        assert!(execute_task(&no_scope, &mut state).is_err());
-        // thm3 with an out-of-range case.
-        let bad_case = TaskSpec {
-            query: QueryKind::Thm3,
-            case: 99,
-            scope: None,
-            seed: 0,
-            shards: 2,
-            shard: 0,
-        };
-        assert!(execute_task(&bad_case, &mut state).is_err());
-        // prop2 is never leasable.
-        let prop2 = TaskSpec {
-            query: QueryKind::Prop2,
-            case: 0,
-            scope: None,
-            seed: 0,
-            shards: 1,
-            shard: 0,
-        };
-        assert!(execute_task(&prop2, &mut state).is_err());
-        // shard index beyond the partition.
-        let bad_shard =
-            TaskSpec { query: QueryKind::Fig4, case: 0, scope: None, seed: 0, shards: 2, shard: 7 };
-        assert!(execute_task(&bad_shard, &mut state).is_err());
+        for (what, task) in [
+            ("thm1 without a scope", TaskSpec { query: QueryKind::Thm1, ..LEASE }),
+            ("thm3 with an unknown case", TaskSpec { query: QueryKind::Thm3, case: 99, ..LEASE }),
+            ("fig4 with an unknown case", TaskSpec { case: 5, ..LEASE }),
+            ("prop2, never leasable", TaskSpec { query: QueryKind::Prop2, ..LEASE }),
+            ("a shard beyond the partition", TaskSpec { shard: 7, ..LEASE }),
+        ] {
+            let error = execute_task(&task, &mut state).expect_err(what);
+            assert!(matches!(error, ModelError::InvalidTaskParameter { .. }), "{what}: {error}");
+        }
     }
 }

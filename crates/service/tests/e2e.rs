@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use adversary::enumerate::EnumerationConfig;
 use service::net::Stream;
 use service::wire::{self, encode_line, ErrorKind, Frame, QueryResult};
 use service::{client, Endpoint, JobSpec, QueryKind, ScopeSpec, ServeOptions, Server};
@@ -133,13 +132,7 @@ fn small_scope_spec(id: u64, shards: usize, shard_cache: bool) -> JobSpec {
 /// The in-process reference: `sweep_with_stats` over the same scope —
 /// the fold the daemon must reproduce bit-identically.
 fn in_process_reference(shards: usize, threads: usize) -> (experiments::Thm1Case, u64) {
-    let scope = EnumerationConfig {
-        n: SMALL_SCOPE.n,
-        t: SMALL_SCOPE.t,
-        max_value: SMALL_SCOPE.max_value,
-        max_crash_round: SMALL_SCOPE.max_crash_round,
-        partial_delivery: SMALL_SCOPE.partial_delivery,
-    };
+    let scope = SMALL_SCOPE.to_crash();
     let source = experiments::thm1_source(scope, SMALL_SCOPE.k).expect("small scope");
     let adversaries = source.space().len();
     let config = SweepConfig { shards, threads, ..SweepConfig::default() };
@@ -323,7 +316,12 @@ fn thm3_and_fig4_jobs_match_in_process_cold_and_warm() {
         assert_eq!(cold.shards_executed, cold.shards_total);
         let warm = client::submit(&endpoint, &spec(id + 1)).expect("warm submit");
         assert_eq!(warm.result, expected, "warm {} fold", query.name());
-        assert_eq!(warm.shards_cached, warm.shards_total, "warm {} must be 100% cached", query.name());
+        assert_eq!(
+            warm.shards_cached,
+            warm.shards_total,
+            "warm {} must be 100% cached",
+            query.name()
+        );
         assert_eq!(warm.shards_executed, 0);
     }
     stop_daemon(&endpoint, handle);

@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use adversary::enumerate::EnumerationConfig;
 use service::net::Stream;
 use service::wire::{self, encode_line, ErrorKind, Frame, LeaseDone, QueryResult, Value};
 use service::{
@@ -204,13 +203,7 @@ fn spec(id: u64, scope: ScopeSpec, shards: usize) -> JobSpec {
 /// The in-process reference fold the daemon must reproduce bit-identically
 /// regardless of which mix of local pool and remote fleet executed it.
 fn in_process_reference(scope: ScopeSpec, shards: usize) -> QueryResult {
-    let config = EnumerationConfig {
-        n: scope.n,
-        t: scope.t,
-        max_value: scope.max_value,
-        max_crash_round: scope.max_crash_round,
-        partial_delivery: scope.partial_delivery,
-    };
+    let config = scope.to_crash();
     let source = experiments::thm1_source(config, scope.k).expect("reference scope");
     let adversaries = source.space().len();
     let sweep_config = SweepConfig { shards, ..SweepConfig::default() };

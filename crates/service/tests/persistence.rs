@@ -15,14 +15,13 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use adversary::enumerate::EnumerationConfig;
-use service::fingerprint::{code_version, scope_string, JobFingerprint};
+use service::fingerprint::{code_version, JobFingerprint};
 use service::wire::{QueryResult, ToWire};
 use service::{
     client, CacheStore, DurableStore, Endpoint, ErrorKind, JobSpec, QueryKind, ScopeSpec,
     ServeOptions, Server, ServiceError, StoredEntry,
 };
-use sweep::experiments::{self, Thm1Reducer};
+use sweep::experiments::{self, Query, Thm1Query, Thm1Reducer};
 use sweep::{sweep_with_stats, SweepConfig};
 
 /// When spawned with the environment below, this "test" is the daemon
@@ -119,24 +118,19 @@ fn spec(id: u64) -> JobSpec {
     }
 }
 
-fn enumeration() -> EnumerationConfig {
-    EnumerationConfig {
-        n: SCOPE.n,
-        t: SCOPE.t,
-        max_value: SCOPE.max_value,
-        max_crash_round: SCOPE.max_crash_round,
-        partial_delivery: SCOPE.partial_delivery,
-    }
-}
-
 /// The in-process fold the daemon must reproduce bit-identically.
 fn in_process_reference() -> QueryResult {
-    let source = experiments::thm1_source(enumeration(), SCOPE.k).expect("scope");
+    let source = experiments::thm1_source(SCOPE.to_crash(), SCOPE.k).expect("scope");
     let adversaries = source.space().len();
     let config = SweepConfig { shards: SHARDS, threads: 1, ..SweepConfig::default() };
     let (acc, _) = sweep_with_stats(&source, &config, &Thm1Reducer, experiments::thm1_job)
         .expect("in-process sweep");
-    QueryResult::Thm1(vec![experiments::thm1_case_row(&enumeration(), SCOPE.k, adversaries, acc)])
+    QueryResult::Thm1(vec![experiments::thm1_case_row(
+        &SCOPE.to_crash(),
+        SCOPE.k,
+        adversaries,
+        acc,
+    )])
 }
 
 /// The fingerprint the daemon computes for this job's shards — used to
@@ -146,7 +140,7 @@ fn job_fingerprint() -> JobFingerprint {
     JobFingerprint {
         query: "thm1".into(),
         model: "crash".into(),
-        scope: scope_string(&enumeration(), SCOPE.k),
+        scope: Thm1Query::CRASH.scope_string(&SCOPE),
         protocols: "optmin,earlyfloodmin,floodmin".into(),
         seed: 0,
         shards: SHARDS,

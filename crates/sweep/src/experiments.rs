@@ -6,22 +6,29 @@
 //! `sweep thm1 --threads 16` and `sweep thm1 --threads 1` print the same
 //! tables.  Formatting lives in `bench_harness::report`; this module only
 //! produces the data.
+//!
+//! Every sharded experiment is defined once, as a [`Query`] descriptor:
+//! [`Thm1Query`] (over the crash or the send-omission pattern space),
+//! [`Thm3Query`] and [`Fig4Query`].  The in-process fold ([`fold_cases`]),
+//! the service daemon's shard scheduler and its remote workers all read
+//! that one definition.  Proposition 2 mixes sweeps with global
+//! protocol-complex builds and stays a plain function ([`prop2`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use adversary::enumerate::{self, AdversarySpace, EnumerationConfig};
-use adversary::{scenarios, OmissionConfig, RandomConfig};
+use adversary::{scenarios, OmissionConfig, PatternModel, RandomConfig};
 use knowledge::ViewAnalysis;
 use set_consensus::{
-    EarlyFloodMin, EarlyUniformFloodMin, FloodMin, Optmin, Protocol, TaskParams, TaskVariant,
-    Transcript, UPmin,
+    BatchRunner, EarlyFloodMin, EarlyUniformFloodMin, FloodMin, Optmin, Protocol, TaskParams,
+    TaskVariant, Transcript, UPmin,
 };
 use synchrony::{
     Adversary, FailurePattern, InputVector, ModelError, Node, Run, SystemParams, Time,
 };
 use topology::{homology, ProtocolComplex};
 
-use crate::engine::{sweep, sweep_with_stats, Reducer, Scenario, SweepConfig, SweepStats};
+use crate::engine::{sweep_with_stats, Reducer, Scenario, ScenarioSource, SweepConfig, SweepStats};
 use crate::source::{ExhaustiveSource, FixedSource, RandomSource};
 
 /// Latest decision time among the correct processes of a run (`0` if no
@@ -32,6 +39,164 @@ fn latest_correct_decision(run: &Run, transcript: &Transcript) -> u32 {
         .filter_map(|i| transcript.decision_time(i).map(Time::value))
         .max()
         .unwrap_or(0)
+}
+
+// ---------------------------------------------------------------------------
+// Query descriptors.
+// ---------------------------------------------------------------------------
+
+/// An explicit exhaustive scope — the fields of [`EnumerationConfig`] plus
+/// the agreement degree — naming a custom Theorem 1 case.  The omission
+/// model reads `max_crash_round` as its round horizon and ignores
+/// `partial_delivery`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ScopeSpec {
+    /// Number of processes.
+    pub n: usize,
+    /// Failure bound.
+    pub t: usize,
+    /// Agreement degree.
+    pub k: usize,
+    /// Largest initial value.
+    pub max_value: u64,
+    /// Latest round in which a crash may occur.
+    pub max_crash_round: u32,
+    /// Whether crashing processes may deliver to arbitrary subsets.
+    pub partial_delivery: bool,
+}
+
+impl ScopeSpec {
+    /// The built-in scope of an `(n, t, k)` case: values `0..=k`, a
+    /// two-round horizon, and partial crash delivery up to four processes.
+    pub fn builtin(n: usize, t: usize, k: usize) -> Self {
+        ScopeSpec { n, t, k, max_value: k as u64, max_crash_round: 2, partial_delivery: n <= 4 }
+    }
+
+    /// The crash-model enumeration this scope names.
+    pub fn to_crash(&self) -> EnumerationConfig {
+        let ScopeSpec { n, t, max_value, max_crash_round, partial_delivery, .. } = *self;
+        EnumerationConfig { n, t, max_value, max_crash_round, partial_delivery }
+    }
+
+    /// The send-omission enumeration this scope names.
+    pub fn to_omission(&self) -> OmissionConfig {
+        let ScopeSpec { n, t, max_value, max_crash_round: rounds, .. } = *self;
+        OmissionConfig { n, t, max_value, rounds }
+    }
+}
+
+/// The accumulator type of a query's reducer.
+pub type QueryAcc<Q> = <<Q as Query>::Reducer as Reducer>::Acc;
+
+/// The per-scenario job of a query, as a plain function pointer (shard
+/// schedulers capture it without boxing).
+pub type JobFn<Q> =
+    fn(&mut BatchRunner, &Scenario) -> Result<<<Q as Query>::Reducer as Reducer>::Item, ModelError>;
+
+/// One sharded experiment, defined once: its cases, the source, reducer
+/// and job of a case, the cache-fingerprint fields and the row builder —
+/// read by [`fold_cases`], the service daemon and its remote workers alike.
+/// The fingerprint fields ([`Query::name`], [`Query::model`],
+/// [`Query::scope_string`], [`Query::PROTOCOLS`]) key persisted shard
+/// caches: changing their bytes orphans every stored accumulator.
+pub trait Query: Copy + Send + Sync + 'static {
+    /// One sub-sweep of the query.
+    type Case;
+    /// The scenario source of a case.
+    type Source: ScenarioSource + Send + Sync + 'static;
+    /// The reducer folding the job outcomes of a case.
+    type Reducer: Reducer + Default + Send + Sync + 'static;
+    /// One table row.
+    type Row;
+
+    /// The protocol set the job folds, in batch order.
+    const PROTOCOLS: &'static str;
+    /// Whether the sources draw from the job seed; unseeded queries are
+    /// fingerprinted and leased with seed 0.
+    const SEEDED: bool = false;
+    /// The per-scenario job.
+    const JOB: JobFn<Self>;
+
+    /// The query name: the wire name and the fingerprint `query` field.
+    fn name(self) -> &'static str;
+
+    /// The pattern space the query folds over.
+    fn model(self) -> PatternModel {
+        PatternModel::Crash
+    }
+
+    /// The built-in cases, in table order.
+    fn cases(self) -> Vec<Self::Case>;
+
+    /// The case an explicit scope names (`None`: built-in cases only).
+    fn scoped_case(self, _scope: &ScopeSpec) -> Option<Self::Case> {
+        None
+    }
+
+    /// The scope a shard lease ships for `case` (`None`: workers look the
+    /// case up by its index in [`Query::cases`]).
+    fn case_scope(self, _case: &Self::Case) -> Option<ScopeSpec> {
+        None
+    }
+
+    /// The canonical fingerprint scope string of a case.
+    fn scope_string(self, case: &Self::Case) -> String;
+
+    /// Builds the scenario source of a case, rejecting invalid parameters
+    /// and oversized scopes.
+    fn source(self, case: &Self::Case, seed: u64) -> Result<Self::Source, ModelError>;
+
+    /// The table rows of one folded case.
+    fn rows(
+        self,
+        case: &Self::Case,
+        source: &Self::Source,
+        acc: &QueryAcc<Self>,
+    ) -> Result<Vec<Self::Row>, ModelError>;
+
+    /// The cases of a job: the built-in ones, or the one its scope names
+    /// (an error on a query without scoped cases).
+    fn job_cases(self, scope: Option<&ScopeSpec>) -> Result<Vec<Self::Case>, ModelError> {
+        let Some(scope) = scope else { return Ok(self.cases()) };
+        let case = self.scoped_case(scope).ok_or_else(|| ModelError::InvalidTaskParameter {
+            reason: "custom scopes are only supported for thm1 and omission jobs".into(),
+        })?;
+        Ok(vec![case])
+    }
+
+    /// The case a shard lease names: its scope, or else its built-in index.
+    /// A case leased with a scope must arrive with one; a lease naming no
+    /// case of the query is an error.
+    fn task_case(self, index: usize, scope: Option<&ScopeSpec>) -> Result<Self::Case, ModelError> {
+        let case = match scope {
+            Some(scope) => self.scoped_case(scope),
+            None => self.cases().into_iter().nth(index).filter(|c| self.case_scope(c).is_none()),
+        };
+        case.ok_or_else(|| ModelError::InvalidTaskParameter {
+            reason: format!("{} lease names no case (case {index}, scope {scope:?})", self.name()),
+        })
+    }
+}
+
+/// Folds every built-in case of `query` in process and returns the table
+/// rows, plus the execution statistics summed over the per-case sweeps.
+///
+/// # Errors
+///
+/// Propagates source-construction and executor errors.
+pub fn fold_cases<Q: Query>(
+    query: Q,
+    config: &SweepConfig,
+) -> Result<(Vec<Q::Row>, SweepStats), ModelError> {
+    let mut rows = Vec::new();
+    let mut stats = SweepStats::default();
+    for case in query.cases() {
+        let source = query.source(&case, config.seed)?;
+        let (acc, case_stats) = sweep_with_stats(&source, config, &Q::Reducer::default(), Q::JOB)?;
+        stats.merge(case_stats);
+        rows.extend(query.rows(&case, &source, &acc)?);
+    }
+    Ok((rows, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -120,7 +285,7 @@ pub const THM1_CASES: [(usize, usize, usize); 4] = [(3, 1, 1), (4, 2, 1), (4, 2,
 /// built-in cases use, parameterized so the service daemon can serve the
 /// same query over custom `(n, t, k)` scopes.
 pub fn thm1_scope(n: usize, t: usize, k: usize) -> EnumerationConfig {
-    EnumerationConfig { n, t, max_value: k as u64, max_crash_round: 2, partial_delivery: n <= 4 }
+    ScopeSpec::builtin(n, t, k).to_crash()
 }
 
 /// Builds the exhaustive [`ExhaustiveSource`] of a Theorem 1 case over an
@@ -238,17 +403,7 @@ pub fn thm1_case_row(
 /// Propagates model errors from the executor (none occur for the built-in
 /// scopes).
 pub fn thm1_with_stats(config: &SweepConfig) -> Result<(Vec<Thm1Case>, SweepStats), ModelError> {
-    let mut rows = Vec::new();
-    let mut stats = SweepStats::default();
-    for (n, t, k) in THM1_CASES {
-        let scope = thm1_scope(n, t, k);
-        let source = thm1_source(scope, k)?;
-        let adversaries = source.space().len();
-        let (acc, case_stats) = sweep_with_stats(&source, config, &Thm1Reducer, thm1_job)?;
-        stats.merge(case_stats);
-        rows.push(thm1_case_row(&scope, k, adversaries, acc));
-    }
-    Ok((rows, stats))
+    fold_cases(Thm1Query::CRASH, config)
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +420,7 @@ pub const OMISSION_CASES: [(usize, usize, usize); 2] = [(3, 1, 1), (4, 1, 1)];
 /// The exhaustive send-omission scope of one omission-scan case,
 /// mirroring [`thm1_scope`]'s two-round horizon.
 pub fn omission_scope(n: usize, t: usize, k: usize) -> OmissionConfig {
-    OmissionConfig { n, t, max_value: k as u64, rounds: 2 }
+    ScopeSpec::builtin(n, t, k).to_omission()
 }
 
 /// Builds the exhaustive [`ExhaustiveSource`] of an omission-scan case
@@ -288,15 +443,7 @@ pub fn omission_case_row(
     adversaries: u128,
     acc: Thm1Outcome,
 ) -> Thm1Case {
-    Thm1Case {
-        n: scope.n,
-        t: scope.t,
-        k,
-        adversaries,
-        correctness_violations: acc.violations,
-        beaten_by: acc.beaten.iter().filter(|&&b| b).count(),
-        structure_violations: acc.structure,
-    }
+    thm1_case_row(&thm1_scope(scope.n, scope.t, k), k, adversaries, acc)
 }
 
 /// Sweeps the exhaustive send-omission scopes of [`OMISSION_CASES`] and
@@ -314,32 +461,104 @@ pub fn omission(config: &SweepConfig) -> Result<Vec<Thm1Case>, ModelError> {
 /// [`omission`], plus the execution statistics summed over the per-case
 /// sweeps.
 ///
-/// The job, reducer and row shape are shared with the Theorem 1 sweep
-/// ([`thm1_job`] / [`Thm1Reducer`] / [`Thm1Case`]): only the pattern
-/// space changes, which is the point — the omission scan measures how the
-/// crash-model claims fare when faulty senders stay alive and drop
-/// messages instead.  Columns other than the adversary count are
-/// *observations* here, not theorems: the paper proves unbeatability in
-/// the crash model only, so nonzero structure columns are honest data,
-/// not failures.
-///
 /// # Errors
 ///
 /// Propagates model errors from the executor.
 pub fn omission_with_stats(
     config: &SweepConfig,
 ) -> Result<(Vec<Thm1Case>, SweepStats), ModelError> {
-    let mut rows = Vec::new();
-    let mut stats = SweepStats::default();
-    for (n, t, k) in OMISSION_CASES {
-        let scope = omission_scope(n, t, k);
-        let source = omission_source(scope, k)?;
-        let adversaries = source.space().len();
-        let (acc, case_stats) = sweep_with_stats(&source, config, &Thm1Reducer, thm1_job)?;
-        stats.merge(case_stats);
-        rows.push(omission_case_row(&scope, k, adversaries, acc));
+    fold_cases(Thm1Query::OMISSION, config)
+}
+
+/// The Theorem 1 query over one pattern space: `thm1` over crashes,
+/// `omission` over mobile send omissions.  The job ([`thm1_job`]), reducer
+/// and row shape are shared; the model picks the cases, the source and the
+/// fingerprint scope string.  The omission scan measures how the
+/// crash-model claims fare when faulty senders stay alive and drop
+/// messages instead, so its columns other than the adversary count are
+/// *observations*, not theorems: the paper proves unbeatability in the
+/// crash model only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Thm1Query {
+    /// The pattern space folded.
+    pub model: PatternModel,
+}
+
+impl Thm1Query {
+    /// The crash-model query (`thm1`).
+    pub const CRASH: Thm1Query = Thm1Query { model: PatternModel::Crash };
+    /// The send-omission query (`omission`).
+    pub const OMISSION: Thm1Query = Thm1Query { model: PatternModel::Omission };
+}
+
+impl Query for Thm1Query {
+    type Case = ScopeSpec;
+    type Source = ExhaustiveSource;
+    type Reducer = Thm1Reducer;
+    type Row = Thm1Case;
+
+    const PROTOCOLS: &'static str = "optmin,earlyfloodmin,floodmin";
+    const JOB: JobFn<Self> = thm1_job;
+
+    fn name(self) -> &'static str {
+        match self.model {
+            PatternModel::Crash => "thm1",
+            PatternModel::Omission => "omission",
+        }
     }
-    Ok((rows, stats))
+
+    fn model(self) -> PatternModel {
+        self.model
+    }
+
+    fn cases(self) -> Vec<ScopeSpec> {
+        let cases = match self.model {
+            PatternModel::Crash => &THM1_CASES[..],
+            PatternModel::Omission => &OMISSION_CASES[..],
+        };
+        cases
+            .iter()
+            .filter_map(|&(n, t, k)| self.scoped_case(&ScopeSpec::builtin(n, t, k)))
+            .collect()
+    }
+
+    fn scoped_case(self, scope: &ScopeSpec) -> Option<ScopeSpec> {
+        // The omission space has no delivery choice to make.
+        let omission = self.model == PatternModel::Omission;
+        Some(ScopeSpec { partial_delivery: scope.partial_delivery && !omission, ..*scope })
+    }
+
+    fn case_scope(self, case: &ScopeSpec) -> Option<ScopeSpec> {
+        Some(*case)
+    }
+
+    fn scope_string(self, case: &ScopeSpec) -> String {
+        let ScopeSpec { n, t, k, max_value, max_crash_round, partial_delivery } = *case;
+        match self.model {
+            PatternModel::Crash => format!(
+                "n={n},t={t},k={k},maxv={max_value},mcr={max_crash_round},pd={partial_delivery}"
+            ),
+            PatternModel::Omission => {
+                format!("n={n},t={t},k={k},maxv={max_value},rounds={max_crash_round}")
+            }
+        }
+    }
+
+    fn source(self, case: &ScopeSpec, _seed: u64) -> Result<ExhaustiveSource, ModelError> {
+        match self.model {
+            PatternModel::Crash => thm1_source(case.to_crash(), case.k),
+            PatternModel::Omission => omission_source(case.to_omission(), case.k),
+        }
+    }
+
+    fn rows(
+        self,
+        case: &ScopeSpec,
+        source: &ExhaustiveSource,
+        acc: &Thm1Outcome,
+    ) -> Result<Vec<Thm1Case>, ModelError> {
+        Ok(vec![thm1_case_row(&case.to_crash(), case.k, source.space().len(), *acc)])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -482,13 +701,51 @@ pub fn thm3_rows(n: usize, t: usize, k: usize, acc: &Thm3Acc) -> Result<Vec<Thm3
 ///
 /// Propagates model errors from the executor.
 pub fn thm3(config: &SweepConfig) -> Result<Vec<Thm3Row>, ModelError> {
-    let mut rows = Vec::new();
-    for (n, t, k) in THM3_CASES {
-        let source = thm3_source(n, t, k, config.seed)?;
-        let acc = sweep(&source, config, &Thm3Reducer, thm3_job)?;
-        rows.extend(thm3_rows(n, t, k, &acc)?);
+    fold_cases(Thm3Query, config).map(|(rows, _)| rows)
+}
+
+/// The Theorem 3 query: one seeded random case per [`THM3_CASES`] entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Thm3Query;
+
+impl Query for Thm3Query {
+    type Case = (usize, usize, usize);
+    type Source = RandomSource;
+    type Reducer = Thm3Reducer;
+    type Row = Thm3Row;
+
+    const PROTOCOLS: &'static str = "upmin";
+    const SEEDED: bool = true;
+    const JOB: JobFn<Self> = thm3_job;
+
+    fn name(self) -> &'static str {
+        "thm3"
     }
-    Ok(rows)
+
+    fn cases(self) -> Vec<(usize, usize, usize)> {
+        THM3_CASES.to_vec()
+    }
+
+    fn scope_string(self, &(n, t, k): &(usize, usize, usize)) -> String {
+        format!("n={n},t={t},k={k},samples={THM3_SAMPLES}")
+    }
+
+    fn source(
+        self,
+        &(n, t, k): &(usize, usize, usize),
+        seed: u64,
+    ) -> Result<RandomSource, ModelError> {
+        thm3_source(n, t, k, seed)
+    }
+
+    fn rows(
+        self,
+        &(n, t, k): &(usize, usize, usize),
+        _: &RandomSource,
+        acc: &Thm3Acc,
+    ) -> Result<Vec<Thm3Row>, ModelError> {
+        thm3_rows(n, t, k, acc)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -618,9 +875,42 @@ pub fn fig4_rows(shapes: &[(usize, usize, usize)], acc: &Fig4Acc) -> Vec<Fig4Row
 ///
 /// Propagates scenario-construction and executor errors.
 pub fn fig4(config: &SweepConfig) -> Result<Vec<Fig4Row>, ModelError> {
-    let (source, shapes) = fig4_source()?;
-    let acc = sweep(&source, config, &Fig4Reducer, fig4_job)?;
-    Ok(fig4_rows(&shapes, &acc))
+    fold_cases(Fig4Query, config).map(|(rows, _)| rows)
+}
+
+/// The Fig. 4 query: one case, the whole uniform-gap family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fig4Query;
+
+impl Query for Fig4Query {
+    type Case = ();
+    type Source = FixedSource;
+    type Reducer = Fig4Reducer;
+    type Row = Fig4Row;
+
+    const PROTOCOLS: &'static str = "upmin,optmin,earlyuniformfloodmin,floodmin";
+    const JOB: JobFn<Self> = fig4_job;
+
+    fn name(self) -> &'static str {
+        "fig4"
+    }
+
+    fn cases(self) -> Vec<()> {
+        vec![()]
+    }
+
+    fn scope_string(self, _: &()) -> String {
+        "uniform-gap builtin k*rounds".into()
+    }
+
+    fn source(self, _: &(), _seed: u64) -> Result<FixedSource, ModelError> {
+        fig4_source().map(|(source, _)| source)
+    }
+
+    fn rows(self, _: &(), _: &FixedSource, acc: &Fig4Acc) -> Result<Vec<Fig4Row>, ModelError> {
+        let (_, shapes) = fig4_source()?;
+        Ok(fig4_rows(&shapes, acc))
+    }
 }
 
 // ---------------------------------------------------------------------------
