@@ -14,8 +14,8 @@
 //!   `ToWire`/`FromWire` traits shaped for an eventual swap to the real
 //!   serde; see `vendor/README.md`);
 //! * [`query`] — the wire-side facts of each `sweep::experiments::Query`
-//!   descriptor (its `QueryKind`, `QueryResult` variant and typed shard
-//!   cache) and [`fold_local`], the in-process fold of any query kind;
+//!   descriptor (its `QueryResult` variant and typed shard cache) and
+//!   [`fold_local`], the in-process fold of any query kind;
 //! * [`fingerprint`] — the cache key: scope, protocol set, reducer id,
 //!   seed, shard partition and code version, with the invalidation rule on
 //!   version mismatch;

@@ -1026,15 +1026,6 @@ impl JobSummary {
             leases_requeued: 0,
         }
     }
-
-    fn absorb<A>(&mut self, case: &CaseOutcome<A>) {
-        self.stats.merge(case.stats);
-        self.shards_total += case.shards_total as u64;
-        self.shards_cached += case.shards_cached as u64;
-        self.shards_executed += (case.shards_total - case.shards_cached) as u64;
-        self.shards_remote += case.shards_remote;
-        self.leases_requeued += case.requeues;
-    }
 }
 
 /// Runs one queued job end to end and streams its terminal frame.  A job
@@ -1221,9 +1212,8 @@ fn run_sharded<Q: ServedQuery>(query: Q, job: &JobContext<'_>) -> Result<JobSumm
             shards,
             shard: 0,
         };
-        let outcome = run_case(query, job, Arc::clone(&source), lease, cases.len(), fingerprint)?;
-        summary.absorb(&outcome);
-        rows.extend(query.rows(case, &source, &outcome.acc)?);
+        let acc = run_case(query, job, &source, lease, cases.len(), fingerprint, &mut summary)?;
+        rows.extend(query.rows(case, &source, &acc)?);
     }
     summary.result = query.result(rows);
     Ok(summary)
@@ -1292,17 +1282,6 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
     })
 }
 
-/// Result of one case: the merged accumulator, the executed statistics,
-/// the warm/cold split, and the fleet accounting of the cold pass.
-struct CaseOutcome<A> {
-    acc: A,
-    stats: SweepStats,
-    shards_total: usize,
-    shards_cached: usize,
-    shards_remote: u64,
-    requeues: u64,
-}
-
 /// Schedules one case: splits its scenario range into block-aligned
 /// shards, replays warm shards from the accumulator cache, fans the cold
 /// ones out across the persistent pool, streams `shard-done`/`partial`
@@ -1323,14 +1302,17 @@ struct CaseOutcome<A> {
 ///
 /// `lease` is the shard-lease template of the case (every field but the
 /// shard index); `cases` is the job's case count, for the streamed frames.
+/// The case's shard accounting (warm/cold split, executed statistics,
+/// fleet counts) is added to `summary`; the merged accumulator returned.
 fn run_case<Q: ServedQuery>(
     query: Q,
     job: &JobContext<'_>,
-    source: Arc<Q::Source>,
+    source: &Arc<Q::Source>,
     lease: TaskSpec,
     cases: usize,
     fingerprint: JobFingerprint,
-) -> Result<CaseOutcome<QueryAcc<Q>>, JobError> {
+    summary: &mut JobSummary,
+) -> Result<QueryAcc<Q>, JobError> {
     let JobContext { pool, caches, fleet, metrics, spec, reply, cancel } = *job;
     let (job_id, case, use_shard_cache) = (spec.id, lease.case, spec.shard_cache);
     let cache = query.cache(caches);
@@ -1342,7 +1324,6 @@ fn run_case<Q: ServedQuery>(
         (0..shard_count).map(|_| None).collect();
     let mut prefix = PrefixFold::new(&reducer);
     let mut cold = Vec::new();
-    let mut cached_count = 0usize;
 
     let stream_shard = |outcome: &ShardOutcome<QueryAcc<Q>>| {
         send_frame(
@@ -1368,7 +1349,7 @@ fn run_case<Q: ServedQuery>(
         let warm = if use_shard_cache { cache.get(&fingerprint.shard(shard)) } else { None };
         match warm {
             Some((acc, range)) => {
-                cached_count += 1;
+                summary.shards_cached += 1;
                 let outcome =
                     ShardOutcome { shard, range, cached: true, acc, stats: SweepStats::default() };
                 stream_shard(&outcome);
@@ -1392,7 +1373,7 @@ fn run_case<Q: ServedQuery>(
     }
     let (done_tx, done_rx) = mpsc::channel::<Completion<QueryAcc<Q>>>();
     let dispatch_local = |shard: usize| {
-        let source = Arc::clone(&source);
+        let source = Arc::clone(source);
         let cancel = Arc::clone(cancel);
         let done_tx = done_tx.clone();
         let range = ranges[shard];
@@ -1443,8 +1424,6 @@ fn run_case<Q: ServedQuery>(
     // shard the fleet hands back re-enters the count via `dispatch_local`
     // (pending unchanged), so the counter is exact.
     let mut first_error: Option<(usize, JobError)> = None;
-    let mut shards_remote = 0u64;
-    let mut requeues_total = 0u64;
     let mut pending = cold.len();
     while pending > 0 {
         let landed = match done_rx.recv().expect("pool workers alive") {
@@ -1471,7 +1450,7 @@ fn run_case<Q: ServedQuery>(
             }
             Completion::Remote { shard, outcome } => match outcome {
                 TaskOutcome::Done { payload, range, stats, requeues } => {
-                    requeues_total += requeues;
+                    summary.leases_requeued += requeues;
                     let decoded = if range == ranges[shard] {
                         QueryAcc::<Q>::from_wire(&payload).ok()
                     } else {
@@ -1480,7 +1459,7 @@ fn run_case<Q: ServedQuery>(
                     match decoded {
                         Some(acc) => {
                             pending -= 1;
-                            shards_remote += 1;
+                            summary.shards_remote += 1;
                             Some((shard, acc, stats))
                         }
                         None => {
@@ -1507,7 +1486,7 @@ fn run_case<Q: ServedQuery>(
                     }
                 }
                 TaskOutcome::Fallback { requeues } => {
-                    requeues_total += requeues;
+                    summary.leases_requeued += requeues;
                     if first_error.is_some() {
                         pending -= 1;
                     } else {
@@ -1536,22 +1515,15 @@ fn run_case<Q: ServedQuery>(
 
     let outcomes: Vec<ShardOutcome<QueryAcc<Q>>> =
         outcomes.into_iter().map(|slot| slot.expect("every shard completed")).collect();
-    let mut stats = SweepStats::default();
     for outcome in &outcomes {
-        stats.merge(outcome.stats);
+        summary.stats.merge(outcome.stats);
     }
+    summary.shards_total += shard_count as u64;
+    summary.shards_executed += cold.len() as u64;
     let merge_started = Instant::now();
     let merged = try_merge_shard_outcomes(&reducer, outcomes);
     metrics.merge_us.observe(merge_started.elapsed());
-    let acc = merged.map_err(JobError::Merge)?;
-    Ok(CaseOutcome {
-        acc,
-        stats,
-        shards_total: shard_count,
-        shards_cached: cached_count,
-        shards_remote,
-        requeues: requeues_total,
-    })
+    merged.map_err(JobError::Merge)
 }
 
 /// The streamed-preview state of one case: the contiguous completed
