@@ -3,11 +3,10 @@
 //! typed shard cache) and [`fold_local`], the in-process fold of any
 //! [`QueryKind`] behind the one-shot `sweep <query>` path.
 
+use adversary::PatternModel;
 use sweep::experiments::{self, fold_cases, Fig4Query, Query, QueryAcc, Thm1Query, Thm3Query};
 use sweep::{Reducer, SweepConfig, SweepStats};
 use synchrony::ModelError;
-
-use adversary::PatternModel;
 
 use crate::cache::ShardCache;
 use crate::server::DaemonCaches;
