@@ -22,7 +22,7 @@ use service::{
     ServeOptions, Server, ServiceError, StoredEntry,
 };
 use sweep::experiments::{self, Query, Thm1Query, Thm1Reducer};
-use sweep::{sweep_with_stats, SweepConfig};
+use sweep::{shard_ranges, sweep_with_stats, ScenarioSource, SweepConfig};
 
 /// When spawned with the environment below, this "test" is the daemon
 /// child: it serves until killed or shut down.  In a normal test run the
@@ -226,40 +226,51 @@ fn shards_observed_before_a_mid_job_sigkill_replay_after_restart() {
 }
 
 /// The poisoned-cache regression: a forged persisted entry whose scenario
-/// range cannot tile the partition makes the job fail with a typed
+/// range disagrees with the partition makes the job fail with a typed
 /// `merge` error frame — the daemon survives and completes the next job.
+/// Two forgeries, each in a cache dir of its own: shard 0 with a range
+/// that cannot tile the partition, and the last shard with the right start
+/// but a wrong end, which no check of where a range *starts* can catch.
 #[test]
 fn forged_cache_ranges_fail_the_job_with_a_merge_error_and_daemon_survives() {
-    let cache_dir = temp_path("poison-dir");
+    let source = experiments::thm1_source(SCOPE.to_crash(), SCOPE.k).expect("scope");
+    let ranges = shard_ranges(source.len(), SHARDS, source.structure_block());
+    let last = SHARDS - 1;
+    let forgeries = [(0, (0, 5)), (last, (ranges[last].0, ranges[last].1 + 1))];
+    for (shard, (start, end)) in forgeries {
+        assert_ne!((start, end), ranges[shard], "the forged range must be wrong");
+        let cache_dir = temp_path("poison-dir");
 
-    // Forge shard 0 at the exact key the daemon will look up, with a
-    // well-formed accumulator but a range that cannot tile the partition.
-    {
-        let store = DurableStore::open(&cache_dir, None, &code_version()).expect("open store");
-        let poisoned = experiments::Thm1Outcome::default().to_wire().render();
-        store.store(
-            &job_fingerprint().shard(0).canonical_string(),
-            StoredEntry { start: 0, end: 5, payload: poisoned },
-        );
-    }
-
-    let daemon = Daemon::spawn("poison", &cache_dir);
-    let error = client::submit(&daemon.endpoint, &spec(1)).expect_err("poisoned job must fail");
-    match &error {
-        ServiceError::Remote { kind, message } => {
-            assert_eq!(*kind, ErrorKind::Merge, "unexpected kind for: {message}");
-            assert!(message.contains("merge"), "message should name the merge: {message}");
+        // Forge the shard at the exact key the daemon will look up, with a
+        // well-formed accumulator but the wrong range.
+        {
+            let store = DurableStore::open(&cache_dir, None, &code_version()).expect("open store");
+            let poisoned = experiments::Thm1Outcome::default().to_wire().render();
+            store.store(
+                &job_fingerprint().shard(shard).canonical_string(),
+                StoredEntry { start, end, payload: poisoned },
+            );
         }
-        other => panic!("expected a remote merge error, got {other:?}"),
+
+        let daemon = Daemon::spawn(&format!("poison-{shard}"), &cache_dir);
+        let error = client::submit(&daemon.endpoint, &spec(1)).expect_err("poisoned job must fail");
+        match &error {
+            ServiceError::Remote { kind, message } => {
+                assert_eq!(*kind, ErrorKind::Merge, "unexpected kind for: {message}");
+                assert!(message.contains("merge"), "message should name the merge: {message}");
+            }
+            other => panic!("shard {shard}: expected a remote merge error, got {other:?}"),
+        }
+
+        // The daemon is alive and the next job — bypassing the poisoned
+        // cache — completes with the true fold.
+        let mut clean = spec(2);
+        clean.shard_cache = false;
+        let next =
+            client::submit(&daemon.endpoint, &clean).expect("daemon must survive the poison");
+        assert_eq!(next.result, in_process_reference());
+        daemon.shutdown();
+
+        std::fs::remove_dir_all(&cache_dir).expect("cleanup cache dir");
     }
-
-    // The daemon is alive and the next job — bypassing the poisoned cache —
-    // completes with the true fold.
-    let mut clean = spec(2);
-    clean.shard_cache = false;
-    let next = client::submit(&daemon.endpoint, &clean).expect("daemon must survive the poison");
-    assert_eq!(next.result, in_process_reference());
-    daemon.shutdown();
-
-    std::fs::remove_dir_all(&cache_dir).expect("cleanup cache dir");
 }
