@@ -37,7 +37,7 @@ use std::fmt;
 /// `FOLD_SEMANTICS_VERSION` turns every stale accumulator into a miss
 /// instead of a wrong answer.  Within one daemon process the version is
 /// constant; the rule matters the moment keys outlive the process (a
-/// future persisted cache) or several daemon builds share a store.
+/// `--cache-dir` store) or several daemon builds share a store.
 pub fn code_version() -> String {
     format!("{}+fold.v{}", env!("CARGO_PKG_VERSION"), sweep::FOLD_SEMANTICS_VERSION)
 }
@@ -100,9 +100,8 @@ pub struct ShardKey {
 
 impl ShardKey {
     /// Renders the key as its canonical string — the identity used by the
-    /// persisted [`CacheStore`](crate::store::CacheStore) backends, where
-    /// keys outlive the typed `HashMap` and must survive a restart
-    /// byte-identically.
+    /// [`DurableStore`](crate::store::DurableStore), where keys outlive
+    /// the process and must survive a restart byte-identically.
     ///
     /// The rendering is the compact wire-JSON object of every key field in
     /// a fixed order; two keys are equal iff their canonical strings are.

@@ -13,22 +13,24 @@
 //! * [`wire`] — the line-delimited JSON protocol (hand-rolled, with
 //!   `ToWire`/`FromWire` traits shaped for an eventual swap to the real
 //!   serde; see `vendor/README.md`);
-//! * [`query`] — the wire-side facts of each `sweep::experiments::Query`
-//!   descriptor (its `QueryResult` variant and typed shard cache) and
-//!   [`fold_local`], the in-process fold of any query kind;
+//! * [`query`] — the wire-side fact of each `sweep::experiments::Query`
+//!   descriptor (its `QueryResult` variant) and [`fold_local`], the
+//!   in-process fold of any query kind;
 //! * [`fingerprint`] — the cache key: scope, protocol set, reducer id,
 //!   seed, shard partition and code version, with the invalidation rule on
 //!   version mismatch;
-//! * [`cache`] — the typed shard-accumulator store;
-//! * [`store`] — the durable backend behind it: an object-safe
-//!   [`CacheStore`] seam with a CRC-framed append-log + snapshot
-//!   implementation ([`DurableStore`]) and byte-budgeted LRU eviction;
+//! * [`cache`] — the typed front of the daemon's one shard-accumulator
+//!   cache, with hit/miss counters per query;
+//! * [`store`] — the one backend behind it, [`DurableStore`]:
+//!   memory-only by default, a CRC-framed append-log + snapshot under a
+//!   cache dir, with byte-budgeted LRU eviction;
 //! * [`pool`] — the persistent worker pool (warm `BatchRunner` per
 //!   worker, shared across jobs and connections);
 //! * [`server`] — accept loop, bounded job queue, concurrent
 //!   dispatchers, the shard scheduler (one generic `run_sharded` over the
-//!   descriptors, plus the job-level Proposition 2 runner), streaming,
-//!   cancellation, graceful shutdown;
+//!   descriptors, whose `run_case` is the one warm/cold shard-replay path,
+//!   plus the job-level Proposition 2 runner), streaming, cancellation,
+//!   graceful shutdown;
 //! * [`lease`] — the coordinator-side lease table of the distributed
 //!   fleet: shard grants with TTL expiry, heartbeat liveness, capped
 //!   backoff re-queue, generation-based duplicate drop, and fallback to
@@ -67,7 +69,7 @@ pub use client::{cancel, stats, submit, JobOutcome};
 pub use net::{ConnectOptions, Endpoint};
 pub use query::fold_local;
 pub use server::{ServeOptions, Server};
-pub use store::{CacheStore, DurableStore, StoreAccounting, StoredEntry};
+pub use store::{DurableStore, StoreAccounting, StoredEntry};
 pub use wire::{ErrorKind, JobSpec, QueryKind, QueryResult, ScopeSpec};
 pub use worker::WorkerOptions;
 

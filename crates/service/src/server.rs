@@ -15,7 +15,7 @@
 //!                                  │ cold shards ──►  persistent worker pool
 //!                                  │                   (fold_shard_stats each)
 //!                                  ◄── completions; streams shard-done/partial
-//!                                  └─ try_merge_shard_outcomes → job-done
+//!                                  └─ ordered merge → job-done
 //!                                     (typed error frame on failure)
 //! ```
 //!
@@ -23,20 +23,23 @@
 //! sharing one worker pool — a long job no longer blocks a warm
 //! cache-replay behind it.  *Within* a job, each case's block-aligned
 //! shards fan out across the pool and complete in any order.  Determinism
-//! is unaffected: accumulators are merged in shard order through
-//! `sweep::try_merge_shard_outcomes`, so the streamed final fold is
-//! bit-identical to an in-process `sweep::sweep_with_stats` at any worker
-//! count, warm or cold — the end-to-end tests pin this.  A failed merge
-//! precondition (a gapped or out-of-order partition, e.g. from a forged
-//! persisted entry) terminates *that job* with a typed error frame; the
-//! daemon itself never panics on cache contents.
+//! is unaffected: `run_case` owns the daemon's one shard-replay path,
+//! cutting the space with `sweep::shard_ranges`, folding cold shards with
+//! `sweep::fold_shard_stats` and merging accumulators in shard order, so
+//! the streamed final fold is bit-identical to an in-process
+//! `sweep::sweep_with_stats` at any worker count, warm or cold — the
+//! end-to-end tests pin this.  Every replayed or remote accumulator's
+//! range is checked against the partition before it can reach the merge:
+//! a forged persisted entry terminates *that job* with a typed `merge`
+//! error frame; the daemon itself never panics on cache contents.
 //!
-//! With a `--cache-dir` (or `--cache-budget`), the shard-accumulator
-//! caches route through one shared `store::DurableStore` — persisted,
-//! byte-budgeted, LRU-evicted; see `store` for the format and recovery
-//! rules.  Shard accumulators are inserted into the store *before* their
-//! `shard-done` frame is streamed, so any shard a client observed as done
-//! is durably replayable after a crash.
+//! The shard cache is one `cache::ShardCache` over one
+//! `store::DurableStore` — memory-only by default, persisted under
+//! `--cache-dir`, byte-budgeted and LRU-evicted under `--cache-budget`;
+//! see `store` for the format and recovery rules.  Shard accumulators are
+//! inserted into the store *before* their `shard-done` frame is streamed,
+//! so with a cache dir any shard a client observed as done is durably
+//! replayable after a crash.
 //!
 //! **Distributed execution.**  Remote `sweep worker` processes register
 //! over the same endpoint (a `register` frame turns the connection into a
@@ -61,13 +64,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use adversary::PatternModel;
-use sweep::experiments::{
-    self, Fig4Acc, Fig4Query, QueryAcc, Thm1Outcome, Thm1Query, Thm3Acc, Thm3Query,
-};
-use sweep::{
-    fold_shard_stats, shard_ranges, try_merge_shard_outcomes, MergeError, Reducer, ScenarioSource,
-    ShardOutcome, SweepConfig, SweepStats,
-};
+use sweep::experiments::{self, Fig4Query, QueryAcc, Thm1Query, Thm3Query};
+use sweep::{fold_shard_stats, shard_ranges, Reducer, ScenarioSource, SweepConfig, SweepStats};
 use synchrony::ModelError;
 
 use crate::cache::ShardCache;
@@ -76,7 +74,7 @@ use crate::lease::{FleetConfig, LeaseTable, RemoteTask, TaskOutcome};
 use crate::net::{Endpoint, Listener, Stream};
 use crate::pool::WorkerPool;
 use crate::query::ServedQuery;
-use crate::store::{CacheStore, DurableStore};
+use crate::store::DurableStore;
 use crate::wire::{
     self, encode_line, ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, Partial,
     QueryKind, QueryResult, ShardDone, TaskSpec, ToWire,
@@ -153,48 +151,6 @@ impl ServeOptions {
     }
 }
 
-/// The daemon-lifetime shard-accumulator caches, one typed front per
-/// query (see `query::ServedQuery::cache`; plus the job-level
-/// Proposition 2 report cache), all sharing one optional durable store
-/// (the keys embed the query name, so one keyspace holds every type).
-#[derive(Debug)]
-pub(crate) struct DaemonCaches {
-    pub(crate) thm1: ShardCache<Thm1Outcome>,
-    pub(crate) omission: ShardCache<Thm1Outcome>,
-    pub(crate) thm3: ShardCache<Thm3Acc>,
-    pub(crate) fig4: ShardCache<Fig4Acc>,
-    prop2: ShardCache<experiments::Prop2Report>,
-    store: Option<Arc<DurableStore>>,
-}
-
-impl DaemonCaches {
-    fn new(store: Option<Arc<DurableStore>>) -> Self {
-        fn cache<A: Clone + ToWire + FromWire>(store: &Option<Arc<DurableStore>>) -> ShardCache<A> {
-            match store {
-                Some(store) => ShardCache::with_store(Arc::clone(store) as Arc<dyn CacheStore>),
-                None => ShardCache::new(),
-            }
-        }
-        DaemonCaches {
-            thm1: cache(&store),
-            omission: cache(&store),
-            thm3: cache(&store),
-            fig4: cache(&store),
-            prop2: cache(&store),
-            store,
-        }
-    }
-
-    /// The `; cache store: …` suffix of the per-job stats line — empty
-    /// without a store, the live accounting with one.
-    fn store_suffix(&self) -> String {
-        match &self.store {
-            Some(store) => format!("; cache store: {}", store.accounting()),
-            None => String::new(),
-        }
-    }
-}
-
 /// The daemon's recording half of the telemetry subsystem: the registry
 /// plus cached hot-path handles (`Registry::counter` takes a lock, so the
 /// dispatchers record through these lock-free atomics instead), and the
@@ -202,7 +158,7 @@ impl DaemonCaches {
 ///
 /// The registry owns only the metrics that are *new* with telemetry (job
 /// counters, phase histograms, queue depth, uptime).  Subsystems that
-/// already kept their own counters — the typed shard caches, the lease
+/// already kept their own counters — the shard cache, the lease
 /// table, the durable store — are **sampled** into the snapshot at stats
 /// time, so nothing is double-counted by mirroring them live.
 struct ServerTelemetry {
@@ -275,23 +231,17 @@ impl ServerTelemetry {
     }
 
     /// Assembles the `stats-result` payload: the registry's own metrics
-    /// plus point-in-time samples of the typed shard caches, the durable
-    /// store and the lease table.  `cache.replays` — the headline "warm
-    /// submits replayed instead of re-executed" number — is the hit sum
-    /// across the five typed caches.
-    fn snapshot(&self, caches: &DaemonCaches, fleet: &LeaseTable) -> MetricsSnapshot {
+    /// plus point-in-time samples of the shard cache, its store and the
+    /// lease table.  `cache.replays` — the headline "warm submits replayed
+    /// instead of re-executed" number — is the hit sum across the queries.
+    fn snapshot(&self, cache: &ShardCache, fleet: &LeaseTable) -> MetricsSnapshot {
         self.registry.gauge("uptime.seconds").set(self.started.elapsed().as_secs() as i64);
         let mut snapshot = self.registry.snapshot();
-        let typed: [(&str, u64, u64); 5] = [
-            ("thm1", caches.thm1.hits(), caches.thm1.misses()),
-            ("omission", caches.omission.hits(), caches.omission.misses()),
-            ("thm3", caches.thm3.hits(), caches.thm3.misses()),
-            ("fig4", caches.fig4.hits(), caches.fig4.misses()),
-            ("prop2", caches.prop2.hits(), caches.prop2.misses()),
-        ];
         let mut replays = 0u64;
         let mut misses_total = 0u64;
-        for (name, hits, misses) in typed {
+        for kind in QueryKind::ALL {
+            let name = kind.name();
+            let (hits, misses) = (cache.hits(name), cache.misses(name));
             snapshot.push_counter(&format!("cache.{name}.hits"), hits);
             snapshot.push_counter(&format!("cache.{name}.misses"), misses);
             replays += hits;
@@ -299,22 +249,21 @@ impl ServerTelemetry {
         }
         snapshot.push_counter("cache.replays", replays);
         snapshot.push_counter("cache.misses_total", misses_total);
-        if let Some(store) = &caches.store {
-            let accounting = store.accounting();
-            snapshot.push_gauge("store.entries", accounting.entries as i64);
-            snapshot.push_gauge("store.bytes", accounting.bytes as i64);
-            if let Some(budget) = accounting.budget {
-                snapshot.push_gauge("store.budget_bytes", budget as i64);
-            }
-            snapshot.push_counter("store.evictions", accounting.evictions);
-            snapshot.push_counter("store.loaded", accounting.loaded as u64);
-            snapshot.push_counter("store.dropped_damaged", accounting.dropped_damaged as u64);
-            snapshot.push_counter("store.dropped_stale", accounting.dropped_stale as u64);
-            snapshot.push_gauge("store.recovery_us", store.recovery_us() as i64);
-            snapshot.histograms.push(store.append_timings().snapshot("store.append_us"));
-            snapshot.histograms.push(store.compact_timings().snapshot("store.compact_us"));
-            snapshot.histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        let store = cache.store();
+        let accounting = store.accounting();
+        snapshot.push_gauge("store.entries", accounting.entries as i64);
+        snapshot.push_gauge("store.bytes", accounting.bytes as i64);
+        if let Some(budget) = accounting.budget {
+            snapshot.push_gauge("store.budget_bytes", budget as i64);
         }
+        snapshot.push_counter("store.evictions", accounting.evictions);
+        snapshot.push_counter("store.loaded", accounting.loaded as u64);
+        snapshot.push_counter("store.dropped_damaged", accounting.dropped_damaged as u64);
+        snapshot.push_counter("store.dropped_stale", accounting.dropped_stale as u64);
+        snapshot.push_gauge("store.recovery_us", store.recovery_us() as i64);
+        snapshot.histograms.push(store.append_timings().snapshot("store.append_us"));
+        snapshot.histograms.push(store.compact_timings().snapshot("store.compact_us"));
+        snapshot.histograms.sort_by(|a, b| a.name.cmp(&b.name));
         snapshot.push_counter("lease.granted", fleet.granted_total());
         snapshot.push_counter("lease.completed", fleet.completed_total());
         snapshot.push_counter("lease.expired", fleet.expired_total());
@@ -337,10 +286,17 @@ impl ServerTelemetry {
 enum JobError {
     /// The sweep engine rejected the job parameters.
     Model(ModelError),
-    /// Cached/fresh accumulators failed the shard-merge preconditions —
-    /// the typed, daemon-survivable form of what used to be a worker
-    /// panic.
-    Merge(MergeError),
+    /// A replayed shard's stored range is not the partition's range for
+    /// that shard — a forged or corrupted cache entry, refused before it
+    /// can reach the merge.
+    Merge {
+        /// The replayed shard.
+        shard: usize,
+        /// The range its cache entry claims.
+        stored: (usize, usize),
+        /// The range the partition assigns it.
+        expected: (usize, usize),
+    },
     /// The job was revoked by a `cancel` frame.
     Cancelled,
 }
@@ -349,7 +305,7 @@ impl JobError {
     fn kind(&self) -> ErrorKind {
         match self {
             JobError::Model(_) => ErrorKind::Model,
-            JobError::Merge(_) => ErrorKind::Merge,
+            JobError::Merge { .. } => ErrorKind::Merge,
             JobError::Cancelled => ErrorKind::Cancelled,
         }
     }
@@ -359,7 +315,11 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Model(error) => write!(f, "{error}"),
-            JobError::Merge(error) => write!(f, "shard merge failed: {error}"),
+            JobError::Merge { shard, stored, expected } => write!(
+                f,
+                "shard merge failed: shard {shard} replayed range {stored:?}, but the partition \
+                 assigns it {expected:?}"
+            ),
             JobError::Cancelled => write!(f, "job cancelled"),
         }
     }
@@ -412,7 +372,7 @@ pub struct Server {
     workers: usize,
     dispatchers: usize,
     queue_capacity: usize,
-    store: Option<Arc<DurableStore>>,
+    cache: Arc<ShardCache>,
     fleet_config: FleetConfig,
     auth_token: Option<String>,
     stats_interval: Option<Duration>,
@@ -421,7 +381,8 @@ pub struct Server {
 
 impl Server {
     /// Binds the endpoint, resolves the worker/dispatcher counts, and
-    /// opens the cache store when one is configured.
+    /// opens the shard cache's store: persisted under
+    /// [`ServeOptions::cache_dir`], memory-only without it.
     ///
     /// # Errors
     ///
@@ -448,12 +409,8 @@ impl Server {
             ServeOptions::DEFAULT_QUEUE_CAPACITY
         };
         let store = match &options.cache_dir {
-            Some(dir) => {
-                Some(Arc::new(DurableStore::open(dir, options.cache_budget, &code_version())?))
-            }
-            None => {
-                options.cache_budget.map(|budget| Arc::new(DurableStore::in_memory(Some(budget))))
-            }
+            Some(dir) => DurableStore::open(dir, options.cache_budget, &code_version())?,
+            None => DurableStore::in_memory(options.cache_budget),
         };
         Ok(Server {
             listener,
@@ -461,7 +418,7 @@ impl Server {
             workers,
             dispatchers,
             queue_capacity,
-            store,
+            cache: Arc::new(ShardCache::new(store)),
             fleet_config: FleetConfig::with_ttl_ms(options.lease_ttl_ms),
             auth_token: options.auth_token.clone(),
             stats_interval: options.stats_interval,
@@ -502,19 +459,18 @@ impl Server {
         let job_rx = Arc::new(Mutex::new(job_rx));
         let registry: CancelRegistry = Arc::new(Mutex::new(HashMap::new()));
 
-        // The dispatchers share the pool, the caches and the fleet's lease
+        // The dispatchers share the pool, the cache and the fleet's lease
         // table: jobs are popped FIFO, up to `dispatchers` run at once,
         // shards go to remote workers when any are registered and fan out
         // across the persistent local workers otherwise.
         let pool = Arc::new(WorkerPool::new(self.workers));
-        let caches = Arc::new(DaemonCaches::new(self.store.clone()));
         let fleet = Arc::new(LeaseTable::new(self.fleet_config.clone()));
         let metrics = Arc::new(ServerTelemetry::new(Arc::clone(&self.metrics)));
         let dispatchers: Vec<_> = (0..self.dispatchers)
             .map(|_| {
                 let job_rx = Arc::clone(&job_rx);
                 let pool = Arc::clone(&pool);
-                let caches = Arc::clone(&caches);
+                let cache = Arc::clone(&self.cache);
                 let registry = Arc::clone(&registry);
                 let fleet = Arc::clone(&fleet);
                 let metrics = Arc::clone(&metrics);
@@ -523,7 +479,7 @@ impl Server {
                     // executing a job.
                     let task = job_rx.lock().expect("job queue lock").recv();
                     match task {
-                        Ok(task) => execute_job(&pool, &caches, &registry, &fleet, &metrics, task),
+                        Ok(task) => execute_job(&pool, &cache, &registry, &fleet, &metrics, task),
                         Err(_) => break, // queue closed: shutdown
                     }
                 })
@@ -554,7 +510,7 @@ impl Server {
         // latency bounded by ~50 ms rather than by the interval.
         let heartbeat = self.stats_interval.map(|interval| {
             let metrics = Arc::clone(&metrics);
-            let caches = Arc::clone(&caches);
+            let cache = Arc::clone(&self.cache);
             let fleet = Arc::clone(&fleet);
             let shutdown = Arc::clone(&shutdown);
             thread::spawn(move || {
@@ -565,7 +521,7 @@ impl Server {
                         continue;
                     }
                     last = Instant::now();
-                    let snapshot = metrics.snapshot(&caches, &fleet);
+                    let snapshot = metrics.snapshot(&cache, &fleet);
                     let uptime = snapshot.gauge("uptime.seconds").unwrap_or(0);
                     let jobs = snapshot.counter("jobs.total").unwrap_or(0);
                     let depth = snapshot.gauge("queue.depth").unwrap_or(0);
@@ -605,24 +561,22 @@ impl Server {
                 ("code_version", code_version().into()),
             ],
         );
-        if let Some(store) = &self.store {
-            let accounting = store.accounting();
-            telemetry::log::info(
-                LOG_TARGET,
-                format!(
-                    "sweep serve: cache store ready: {accounting}; {} loaded from disk, \
-                     {} damaged line(s) dropped, {} stale entr(ies) dropped",
-                    accounting.loaded, accounting.dropped_damaged, accounting.dropped_stale
-                ),
-                &[
-                    ("entries", accounting.entries.into()),
-                    ("bytes", accounting.bytes.into()),
-                    ("loaded", accounting.loaded.into()),
-                    ("dropped_damaged", accounting.dropped_damaged.into()),
-                    ("dropped_stale", accounting.dropped_stale.into()),
-                ],
-            );
-        }
+        let accounting = self.cache.store().accounting();
+        telemetry::log::info(
+            LOG_TARGET,
+            format!(
+                "sweep serve: cache store ready: {accounting}; {} loaded from disk, \
+                 {} damaged line(s) dropped, {} stale entr(ies) dropped",
+                accounting.loaded, accounting.dropped_damaged, accounting.dropped_stale
+            ),
+            &[
+                ("entries", accounting.entries.into()),
+                ("bytes", accounting.bytes.into()),
+                ("loaded", accounting.loaded.into()),
+                ("dropped_damaged", accounting.dropped_damaged.into()),
+                ("dropped_stale", accounting.dropped_stale.into()),
+            ],
+        );
 
         let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
         while !shutdown.load(Ordering::Relaxed) {
@@ -636,7 +590,7 @@ impl Server {
                     let registry = Arc::clone(&registry);
                     let shutdown = Arc::clone(&shutdown);
                     let fleet = Arc::clone(&fleet);
-                    let caches = Arc::clone(&caches);
+                    let cache = Arc::clone(&self.cache);
                     let metrics = Arc::clone(&metrics);
                     let auth_token = self.auth_token.clone();
                     connections.push(thread::spawn(move || {
@@ -646,7 +600,7 @@ impl Server {
                             &registry,
                             &shutdown,
                             &fleet,
-                            &caches,
+                            &cache,
                             &metrics,
                             auth_token.as_deref(),
                         );
@@ -722,7 +676,7 @@ fn handle_connection(
     registry: &CancelRegistry,
     shutdown: &AtomicBool,
     fleet: &Arc<LeaseTable>,
-    caches: &Arc<DaemonCaches>,
+    cache: &ShardCache,
     metrics: &Arc<ServerTelemetry>,
     auth_token: Option<&str>,
 ) {
@@ -852,7 +806,7 @@ fn handle_connection(
                 // Live introspection: assemble a fresh snapshot (registry
                 // metrics plus sampled cache/store/lease counters) and
                 // stream it back on this connection.
-                send_frame(&reply, &Frame::StatsResult(metrics.snapshot(caches, fleet)));
+                send_frame(&reply, &Frame::StatsResult(metrics.snapshot(cache, fleet)));
             }
             Ok(_) => {
                 send_frame(
@@ -1034,7 +988,7 @@ impl JobSummary {
 /// dispatcher) serving.
 fn execute_job(
     pool: &WorkerPool,
-    caches: &DaemonCaches,
+    cache: &ShardCache,
     registry: &CancelRegistry,
     fleet: &Arc<LeaseTable>,
     metrics: &ServerTelemetry,
@@ -1049,15 +1003,8 @@ fn execute_job(
         // Revoked while still queued: never starts executing.
         Err(JobError::Cancelled)
     } else {
-        let job = JobContext {
-            pool,
-            caches,
-            fleet,
-            metrics,
-            spec: &spec,
-            reply: &reply,
-            cancel: &cancel,
-        };
+        let job =
+            JobContext { pool, cache, fleet, metrics, spec: &spec, reply: &reply, cancel: &cancel };
         run_query(&job)
     };
     registry.lock().expect("cancel registry lock").remove(&spec.id);
@@ -1068,15 +1015,15 @@ fn execute_job(
             metrics.jobs_completed.inc();
             metrics.absorb_job(&summary);
             // The daemon-side job trailer, reusing the canonical stats-line
-            // renderer of the sweep crate, plus the store accounting when a
-            // durable/bounded cache is configured and the fleet accounting
+            // renderer of the sweep crate, plus the cache store accounting
+            // and the fleet accounting
             // (lifetime counters of the lease table — the CI smoke leg and
             // the e2e tests grep this line).
             telemetry::log::info(
                 LOG_TARGET,
                 format!(
                     "sweep serve: job {} ({}) done in {:.0} ms; shards: {} total, {} cached, \
-                     {} executed ({} remote); {}{}; fleet: {} workers, {} leases active, \
+                     {} executed ({} remote); {}; cache store: {}; fleet: {} workers, {} leases active, \
                      {} granted, {} expired, {} re-queued, {} duplicates dropped",
                     spec.id,
                     spec.query.name(),
@@ -1086,7 +1033,7 @@ fn execute_job(
                     summary.shards_executed,
                     summary.shards_remote,
                     summary.stats.stats_line(),
-                    caches.store_suffix(),
+                    cache.store().accounting(),
                     fleet.live_workers(),
                     fleet.active_leases(),
                     fleet.granted_total(),
@@ -1159,11 +1106,11 @@ fn resolved_shards(spec: &JobSpec, pool: &WorkerPool) -> usize {
     }
 }
 
-/// What the runners of one job share: the daemon's pool, caches, fleet
+/// What the runners of one job share: the daemon's pool, cache, fleet
 /// and telemetry, plus the job's spec, reply stream and cancel token.
 struct JobContext<'a> {
     pool: &'a WorkerPool,
-    caches: &'a DaemonCaches,
+    cache: &'a ShardCache,
     fleet: &'a Arc<LeaseTable>,
     metrics: &'a ServerTelemetry,
     spec: &'a JobSpec,
@@ -1212,7 +1159,7 @@ fn run_sharded<Q: ServedQuery>(query: Q, job: &JobContext<'_>) -> Result<JobSumm
             shards,
             shard: 0,
         };
-        let acc = run_case(query, job, &source, lease, cases.len(), fingerprint, &mut summary)?;
+        let acc = run_case::<Q>(job, &source, lease, cases.len(), fingerprint, &mut summary)?;
         rows.extend(query.rows(case, &source, &acc)?);
     }
     summary.result = query.result(rows);
@@ -1224,7 +1171,7 @@ fn run_sharded<Q: ServedQuery>(query: Q, job: &JobContext<'_>) -> Result<JobSumm
 /// and executed on the dispatcher thread with the engine's own scoped
 /// parallelism.
 fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
-    let JobContext { pool, caches, spec, reply, .. } = *job;
+    let JobContext { pool, cache, spec, reply, .. } = *job;
     if spec.scope.is_some() {
         return Err(JobError::Model(ModelError::InvalidTaskParameter {
             reason: "custom scopes are only supported for thm1 and omission jobs".into(),
@@ -1240,7 +1187,7 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
         code_version: code_version(),
     };
     let key = fingerprint.shard(0);
-    let cached = if spec.shard_cache { caches.prop2.get(&key) } else { None };
+    let cached = if spec.shard_cache { cache.get(&key) } else { None };
     let (report, stats, range, was_cached) = match cached {
         Some((report, range)) => (report, SweepStats::default(), range, true),
         None => {
@@ -1252,7 +1199,7 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
             let (report, stats) = experiments::prop2_with_stats(&config)?;
             let range = (0, stats.scenarios as usize);
             if spec.shard_cache {
-                caches.prop2.insert(key, range, report.clone());
+                cache.insert(&key, range, &report);
             }
             (report, stats, range, false)
         }
@@ -1284,28 +1231,30 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
 
 /// Schedules one case: splits its scenario range into block-aligned
 /// shards, replays warm shards from the accumulator cache, fans the cold
-/// ones out across the persistent pool, streams `shard-done`/`partial`
-/// frames as they land, and merges everything in shard order.
+/// ones out across the remote fleet and the persistent pool, streams
+/// `shard-done`/`partial` frames as they land, and merges everything in
+/// shard order.
 ///
-/// The daemon-side sibling of `sweep::sweep_shards`: both share
-/// `shard_ranges` for the partition, `fold_shard_stats` for the per-shard
-/// kernel and `try_merge_shard_outcomes` for the law-checked merge, so
-/// their folds are bit-identical by construction.  Two hardening details:
+/// This is the one warm/cold shard protocol of the stack: the partition
+/// is `sweep::shard_ranges` and the per-shard kernel
+/// `sweep::fold_shard_stats`, exactly as in `sweep::sweep_with_stats`, so
+/// the folds are bit-identical by construction.  Two hardening details:
 ///
 /// * a cold shard's accumulator is inserted into the cache **before** its
 ///   `shard-done` frame is streamed, so with a durable store any shard a
 ///   client observed is replayable after a crash;
-/// * a replayed shard carries the *stored* scenario range, so a forged or
-///   corrupted persisted entry fails `try_merge_shard_outcomes` as a
-///   typed [`JobError::Merge`] (daemon stays alive) instead of silently
-///   folding wrong data.
+/// * every accumulator that crossed a trust boundary is checked against
+///   the partition: a replayed shard whose stored range is not
+///   `ranges[shard]` (a forged or corrupted persisted entry) fails the job
+///   with a typed [`JobError::Merge`] (daemon stays alive), and a remote
+///   result with the wrong range re-runs locally.  The merge itself then
+///   only ever sees the partition, in order.
 ///
 /// `lease` is the shard-lease template of the case (every field but the
 /// shard index); `cases` is the job's case count, for the streamed frames.
 /// The case's shard accounting (warm/cold split, executed statistics,
 /// fleet counts) is added to `summary`; the merged accumulator returned.
 fn run_case<Q: ServedQuery>(
-    query: Q,
     job: &JobContext<'_>,
     source: &Arc<Q::Source>,
     lease: TaskSpec,
@@ -1313,52 +1262,49 @@ fn run_case<Q: ServedQuery>(
     fingerprint: JobFingerprint,
     summary: &mut JobSummary,
 ) -> Result<QueryAcc<Q>, JobError> {
-    let JobContext { pool, caches, fleet, metrics, spec, reply, cancel } = *job;
+    let JobContext { pool, cache, fleet, metrics, spec, reply, cancel } = *job;
     let (job_id, case, use_shard_cache) = (spec.id, lease.case, spec.shard_cache);
-    let cache = query.cache(caches);
     let reducer = Q::Reducer::default();
-    let total = source.len();
-    let ranges = shard_ranges(total, lease.shards, source.structure_block());
+    let ranges = shard_ranges(source.len(), lease.shards, source.structure_block());
     let shard_count = ranges.len();
-    let mut outcomes: Vec<Option<ShardOutcome<QueryAcc<Q>>>> =
-        (0..shard_count).map(|_| None).collect();
+    let mut accs: Vec<Option<QueryAcc<Q>>> = (0..shard_count).map(|_| None).collect();
     let mut prefix = PrefixFold::new(&reducer);
     let mut cold = Vec::new();
 
-    let stream_shard = |outcome: &ShardOutcome<QueryAcc<Q>>| {
+    let stream_shard = |shard: usize, cached: bool, stats: SweepStats| {
         send_frame(
             reply,
             &Frame::ShardDone(ShardDone {
                 job: job_id,
                 case,
                 cases,
-                shard: outcome.shard,
+                shard,
                 shards: shard_count,
-                start: outcome.range.0,
-                end: outcome.range.1,
-                cached: outcome.cached,
-                stats: outcome.stats,
+                start: ranges[shard].0,
+                end: ranges[shard].1,
+                cached,
+                stats,
             }),
         );
     };
 
     // Warm pass, in shard order: replayed shards stream before any
-    // execution starts.  The stored range is used verbatim — validation
-    // happens at merge time.
-    for (shard, _) in ranges.iter().enumerate() {
+    // execution starts.
+    for (shard, &range) in ranges.iter().enumerate() {
         let warm = if use_shard_cache { cache.get(&fingerprint.shard(shard)) } else { None };
         match warm {
-            Some((acc, range)) => {
+            Some((_, stored)) if stored != range => {
+                return Err(JobError::Merge { shard, stored, expected: range });
+            }
+            Some((acc, _)) => {
                 summary.shards_cached += 1;
-                let outcome =
-                    ShardOutcome { shard, range, cached: true, acc, stats: SweepStats::default() };
-                stream_shard(&outcome);
-                outcomes[shard] = Some(outcome);
+                stream_shard(shard, true, SweepStats::default());
+                accs[shard] = Some(acc);
             }
             None => cold.push(shard),
         }
     }
-    prefix.emit_if_grown(reply, job_id, case, &ranges, &outcomes, &reducer);
+    prefix.emit_if_grown(reply, job_id, case, &ranges, &accs, &reducer);
 
     // Cold pass: offer every cold shard to the remote fleet first; shards
     // the fleet cannot take (zero workers) or gives up on (exhausted
@@ -1497,33 +1443,30 @@ fn run_case<Q: ServedQuery>(
             },
         };
         if let Some((shard, acc, stats)) = landed {
-            let outcome = ShardOutcome { shard, range: ranges[shard], cached: false, acc, stats };
             // Insert before streaming: a client that saw shard-done may
             // rely on the shard being durably cached.  Remote results take
             // the same store-before-stream path as local ones.
             if use_shard_cache {
-                cache.insert(fingerprint.shard(shard), ranges[shard], outcome.acc.clone());
+                cache.insert(&fingerprint.shard(shard), ranges[shard], &acc);
             }
-            stream_shard(&outcome);
-            outcomes[shard] = Some(outcome);
-            prefix.emit_if_grown(reply, job_id, case, &ranges, &outcomes, &reducer);
+            summary.stats.merge(stats);
+            stream_shard(shard, false, stats);
+            accs[shard] = Some(acc);
+            prefix.emit_if_grown(reply, job_id, case, &ranges, &accs, &reducer);
         }
     }
     if let Some((_, error)) = first_error {
         return Err(error);
     }
 
-    let outcomes: Vec<ShardOutcome<QueryAcc<Q>>> =
-        outcomes.into_iter().map(|slot| slot.expect("every shard completed")).collect();
-    for outcome in &outcomes {
-        summary.stats.merge(outcome.stats);
-    }
     summary.shards_total += shard_count as u64;
     summary.shards_executed += cold.len() as u64;
     let merge_started = Instant::now();
-    let merged = try_merge_shard_outcomes(&reducer, outcomes);
+    let merged = accs.into_iter().fold(reducer.empty(), |merged, acc| {
+        reducer.merge(merged, acc.expect("every shard completed"))
+    });
     metrics.merge_us.observe(merge_started.elapsed());
-    merged.map_err(JobError::Merge)
+    Ok(merged)
 }
 
 /// The streamed-preview state of one case: the contiguous completed
@@ -1550,14 +1493,14 @@ impl<A: Clone + ToWire> PrefixFold<A> {
         job_id: u64,
         case: usize,
         ranges: &[(usize, usize)],
-        outcomes: &[Option<ShardOutcome<A>>],
+        accs: &[Option<A>],
         reducer: &R,
     ) {
         let before = self.done;
-        while self.done < outcomes.len() {
-            let Some(outcome) = &outcomes[self.done] else { break };
-            let merged = reducer
-                .merge(std::mem::replace(&mut self.acc, reducer.empty()), outcome.acc.clone());
+        while self.done < accs.len() {
+            let Some(acc) = &accs[self.done] else { break };
+            let merged =
+                reducer.merge(std::mem::replace(&mut self.acc, reducer.empty()), acc.clone());
             self.acc = merged;
             self.done += 1;
         }
@@ -1570,7 +1513,7 @@ impl<A: Clone + ToWire> PrefixFold<A> {
                 job: job_id,
                 case,
                 shards_done: self.done,
-                shards: outcomes.len(),
+                shards: accs.len(),
                 scenarios_done: ranges[self.done - 1].1 as u64,
                 fold: self.acc.to_wire(),
             }),

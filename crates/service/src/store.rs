@@ -1,11 +1,9 @@
-//! The durable, bounded backend behind the shard-accumulator cache.
+//! The one backend of the shard-accumulator cache.
 //!
-//! [`ShardCache`](crate::cache::ShardCache) keeps its typed, in-memory
-//! fast path; when the daemon is given a `--cache-dir` (or a byte budget)
-//! it instead routes every lookup and insert through an object-safe
-//! [`CacheStore`] — the persistence seam (the Weavegraph
-//! "in-memory or persisted behind one trait" shape).  The one backend,
-//! [`DurableStore`], provides:
+//! Every daemon caches through exactly one [`DurableStore`]: memory-only
+//! by default ([`DurableStore::in_memory`]), persisted under `--cache-dir`
+//! ([`DurableStore::open`]).  [`ShardCache`](crate::cache::ShardCache) is
+//! the typed front over it.  The store provides:
 //!
 //! * **byte-budgeted LRU eviction** — the store never holds more than its
 //!   budget of serialized entries, evicting least-recently-used shards
@@ -55,7 +53,7 @@ pub struct StoredEntry {
     pub payload: String,
 }
 
-/// A point-in-time accounting snapshot of a [`CacheStore`].
+/// A point-in-time accounting snapshot of a [`DurableStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreAccounting {
     /// Live entries.
@@ -86,24 +84,6 @@ impl fmt::Display for StoreAccounting {
         }
         write!(f, ", {} evicted", self.evictions)
     }
-}
-
-/// The object-safe persistence seam behind the shard-accumulator cache.
-///
-/// Implementations own eviction and durability; the typed cache above owns
-/// encoding, decoding and the replay/refuse decision.  All methods take
-/// `&self` and must be thread-safe — one store instance is shared by every
-/// connection and dispatcher of the daemon.
-pub trait CacheStore: Send + Sync + fmt::Debug {
-    /// Looks up an entry by its canonical key string, bumping its recency.
-    fn load(&self, key: &str) -> Option<StoredEntry>;
-
-    /// Inserts (or overwrites) an entry, then evicts least-recently-used
-    /// entries until the store is back within its byte budget.
-    fn store(&self, key: &str, entry: StoredEntry);
-
-    /// Returns the current accounting snapshot.
-    fn accounting(&self) -> StoreAccounting;
 }
 
 // ---------------------------------------------------------------------------
@@ -250,10 +230,12 @@ struct Inner {
     disk: Option<DiskBacking>,
 }
 
-/// The one [`CacheStore`] backend: a byte-budgeted LRU map, optionally
+/// The shard-accumulator store: a byte-budgeted LRU map, optionally
 /// persisted as an append-log + snapshot pair under a cache directory.
 ///
-/// See the module docs for the disk layout and recovery rules.
+/// All methods take `&self` and are thread-safe — one store instance is
+/// shared by every connection and dispatcher of the daemon.  See the
+/// module docs for the disk layout and recovery rules.
 #[derive(Debug)]
 pub struct DurableStore {
     inner: Mutex<Inner>,
@@ -268,8 +250,8 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Creates a memory-only store with an optional byte budget — the
-    /// bounded-but-not-persisted configuration (`--cache-budget` without
-    /// `--cache-dir`).
+    /// daemon's store without `--cache-dir` (bounded by `--cache-budget`
+    /// when one is given).
     pub fn in_memory(budget: Option<u64>) -> Self {
         DurableStore {
             inner: Mutex::new(Inner::default()),
@@ -341,6 +323,52 @@ impl DurableStore {
             let _ = compact(&mut inner);
         }
         Ok(store)
+    }
+
+    /// Looks up an entry by its canonical key string, bumping its recency.
+    pub fn load(&self, key: &str) -> Option<StoredEntry> {
+        let mut inner = self.inner.lock().expect("cache store lock");
+        let entry = inner.entries.get(key)?;
+        let (stored, old_recency) = (entry.stored.clone(), entry.recency);
+        // Bump recency: a replayed shard is warm again.
+        let recency = inner.next_recency;
+        inner.next_recency += 1;
+        inner.by_recency.remove(&old_recency);
+        inner.by_recency.insert(recency, key.to_owned());
+        inner.entries.get_mut(key).expect("entry present").recency = recency;
+        Some(stored)
+    }
+
+    /// Inserts (or overwrites) an entry, then evicts least-recently-used
+    /// entries until the store is back within its byte budget.
+    pub fn store(&self, key: &str, entry: StoredEntry) {
+        let mut inner = self.inner.lock().expect("cache store lock");
+        let append_start = Instant::now();
+        insert_entry(&mut inner, self.budget, key.to_owned(), entry, true);
+        self.append_us.observe(append_start.elapsed());
+        let should_compact = inner
+            .disk
+            .as_ref()
+            .is_some_and(|d| d.log_bytes > COMPACT_MIN_LOG_BYTES && d.log_bytes > 2 * inner.bytes);
+        if should_compact {
+            let compact_start = Instant::now();
+            let _ = compact(&mut inner);
+            self.compact_us.observe(compact_start.elapsed());
+        }
+    }
+
+    /// Returns the current accounting snapshot.
+    pub fn accounting(&self) -> StoreAccounting {
+        let inner = self.inner.lock().expect("cache store lock");
+        StoreAccounting {
+            entries: inner.entries.len(),
+            bytes: inner.bytes,
+            budget: self.budget,
+            evictions: inner.evictions,
+            loaded: inner.loaded,
+            dropped_damaged: inner.dropped_damaged,
+            dropped_stale: inner.dropped_stale,
+        }
     }
 
     /// The configured byte budget.
@@ -494,50 +522,6 @@ fn compact(inner: &mut Inner) -> std::io::Result<()> {
     disk.log = log;
     disk.log_bytes = header.len() as u64;
     Ok(())
-}
-
-impl CacheStore for DurableStore {
-    fn load(&self, key: &str) -> Option<StoredEntry> {
-        let mut inner = self.inner.lock().expect("cache store lock");
-        let entry = inner.entries.get(key)?;
-        let (stored, old_recency) = (entry.stored.clone(), entry.recency);
-        // Bump recency: a replayed shard is warm again.
-        let recency = inner.next_recency;
-        inner.next_recency += 1;
-        inner.by_recency.remove(&old_recency);
-        inner.by_recency.insert(recency, key.to_owned());
-        inner.entries.get_mut(key).expect("entry present").recency = recency;
-        Some(stored)
-    }
-
-    fn store(&self, key: &str, entry: StoredEntry) {
-        let mut inner = self.inner.lock().expect("cache store lock");
-        let append_start = Instant::now();
-        insert_entry(&mut inner, self.budget, key.to_owned(), entry, true);
-        self.append_us.observe(append_start.elapsed());
-        let should_compact = inner
-            .disk
-            .as_ref()
-            .is_some_and(|d| d.log_bytes > COMPACT_MIN_LOG_BYTES && d.log_bytes > 2 * inner.bytes);
-        if should_compact {
-            let compact_start = Instant::now();
-            let _ = compact(&mut inner);
-            self.compact_us.observe(compact_start.elapsed());
-        }
-    }
-
-    fn accounting(&self) -> StoreAccounting {
-        let inner = self.inner.lock().expect("cache store lock");
-        StoreAccounting {
-            entries: inner.entries.len(),
-            bytes: inner.bytes,
-            budget: self.budget,
-            evictions: inner.evictions,
-            loaded: inner.loaded,
-            dropped_damaged: inner.dropped_damaged,
-            dropped_stale: inner.dropped_stale,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -529,6 +529,10 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
+    /// Every query kind, in wire order.
+    pub const ALL: [QueryKind; 5] =
+        [QueryKind::Thm1, QueryKind::Omission, QueryKind::Thm3, QueryKind::Fig4, QueryKind::Prop2];
+
     /// The wire (and fingerprint) name of the query.
     pub fn name(self) -> &'static str {
         match self {
@@ -546,7 +550,7 @@ impl QueryKind {
     ///
     /// Rejects unknown query names.
     pub fn parse(name: &str) -> Result<Self, WireError> {
-        [QueryKind::Thm1, QueryKind::Omission, QueryKind::Thm3, QueryKind::Fig4, QueryKind::Prop2]
+        QueryKind::ALL
             .into_iter()
             .find(|kind| kind.name() == name)
             .ok_or_else(|| WireError::new(format!("unknown query {name:?}")))

@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use service::fingerprint::{code_version, JobFingerprint};
 use service::wire::{QueryResult, ToWire};
 use service::{
-    client, CacheStore, DurableStore, Endpoint, ErrorKind, JobSpec, QueryKind, ScopeSpec,
-    ServeOptions, Server, ServiceError, StoredEntry,
+    client, DurableStore, Endpoint, ErrorKind, JobSpec, QueryKind, ScopeSpec, ServeOptions, Server,
+    ServiceError, StoredEntry,
 };
 use sweep::experiments::{self, Query, Thm1Query, Thm1Reducer};
 use sweep::{shard_ranges, sweep_with_stats, ScenarioSource, SweepConfig};

@@ -7,13 +7,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use service::cache::ShardCache;
 use service::fingerprint::{code_version, JobFingerprint};
-use service::{CacheStore, DurableStore, StoredEntry};
+use service::{DurableStore, StoredEntry};
 use sweep::experiments::Thm1Outcome;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -172,9 +171,9 @@ fn persisted_entries_from_another_code_version_refuse_to_replay() {
 
 /// Cross-model cache isolation (satellite acceptance): crash and omission
 /// fingerprints over the same `(n, t, k)` shape produce distinct shard
-/// keys at every index, and a durable store populated by one model's job
-/// replays nothing into the other model's cache — even through a fresh
-/// typed front over the same shared store.
+/// keys at every index, and a shard cache populated by one model's job
+/// replays nothing into the other model's lookups, while the first
+/// model's entries stay replayable.
 #[test]
 fn crash_and_omission_caches_never_collide_on_the_same_scope() {
     let crash = fingerprint(8);
@@ -193,23 +192,20 @@ fn crash_and_omission_caches_never_collide_on_the_same_scope() {
         assert_ne!(crash.shard(shard).canonical_string(), twin.shard(shard).canonical_string());
     }
 
-    // A store written under the crash model: omission lookups only miss.
-    let store = Arc::new(DurableStore::in_memory(None));
-    let crash_cache: ShardCache<Thm1Outcome> = ShardCache::with_store(store.clone());
+    // A cache written under the crash model: omission lookups only miss.
+    let cache = ShardCache::new(DurableStore::in_memory(None));
     let acc = Thm1Outcome { violations: 3, beaten: [false, true], structure: 1 };
     for shard in 0..8 {
-        crash_cache.insert(crash.shard(shard), (shard * 25, shard * 25 + 25), acc);
+        cache.insert(&crash.shard(shard), (shard * 25, shard * 25 + 25), &acc);
     }
-    let omission_cache: ShardCache<Thm1Outcome> = ShardCache::with_store(store.clone());
     for shard in 0..8 {
-        assert_eq!(omission_cache.get(&omission.shard(shard)), None, "cross-model replay");
-        assert_eq!(omission_cache.get(&twin.shard(shard)), None, "model field ignored");
+        assert_eq!(cache.get::<Thm1Outcome>(&omission.shard(shard)), None, "cross-model replay");
+        assert_eq!(cache.get::<Thm1Outcome>(&twin.shard(shard)), None, "model field ignored");
     }
     // The crash entries themselves stay replayable through the shared
     // store — isolation, not destruction.
-    let fresh: ShardCache<Thm1Outcome> = ShardCache::with_store(store);
     for shard in 0..8 {
-        assert_eq!(fresh.get(&crash.shard(shard)), Some((acc, (shard * 25, shard * 25 + 25))));
+        assert_eq!(cache.get(&crash.shard(shard)), Some((acc, (shard * 25, shard * 25 + 25))));
     }
 }
 
@@ -310,23 +306,23 @@ fn evicted_then_recomputed_shards_replay_bit_identically() {
     let probe = DurableStore::in_memory(None);
     probe.store(&key(0), StoredEntry { start: 0, end: 25, payload: String::new() });
     let one = probe.accounting().bytes + 60; // payload ≈ rendered Thm1Outcome
-    let store = Arc::new(DurableStore::in_memory(Some(2 * one + one / 2)));
-    let cache: ShardCache<Thm1Outcome> = ShardCache::with_store(store.clone());
+    let cache = ShardCache::new(DurableStore::in_memory(Some(2 * one + one / 2)));
+    let store = cache.store();
 
-    cache.insert(shard_key(0), (0, 25), acc);
+    cache.insert(&shard_key(0), (0, 25), &acc);
     let first_payload =
         store.load(&shard_key(0).canonical_string()).expect("present before eviction").payload;
 
     // Fill past the budget so shard 0 (least recently used) is evicted.
-    cache.insert(shard_key(1), (25, 50), acc);
-    cache.insert(shard_key(2), (50, 75), acc);
-    assert_eq!(cache.get(&shard_key(0)), None, "LRU shard must have been evicted");
+    cache.insert(&shard_key(1), (25, 50), &acc);
+    cache.insert(&shard_key(2), (50, 75), &acc);
+    assert_eq!(cache.get::<Thm1Outcome>(&shard_key(0)), None, "LRU shard must have been evicted");
     assert!(store.accounting().evictions >= 1);
 
     // "Recompute" the shard (the accumulator is a pure fold, so it is the
     // same value) and re-insert: the replay is bit-identical, payload and
     // range included.
-    cache.insert(shard_key(0), (0, 25), acc);
+    cache.insert(&shard_key(0), (0, 25), &acc);
     assert_eq!(cache.get(&shard_key(0)), Some((acc, (0, 25))));
     let second_payload =
         store.load(&shard_key(0).canonical_string()).expect("present after re-insert").payload;

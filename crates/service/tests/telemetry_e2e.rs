@@ -93,6 +93,10 @@ fn stats_counters_match_cold_then_warm_submits() {
     assert_eq!(snapshot.counter("cache.misses_total"), Some(SHARDS));
     assert_eq!(snapshot.counter("cache.omission.hits"), Some(0));
 
+    // A daemon started with neither a cache dir nor a budget still caches
+    // through its one (memory-only) store: one entry per cached shard.
+    assert_eq!(snapshot.gauge("store.entries"), Some(SHARDS as i64));
+
     // Both jobs are done: the queue is drained and no leases ever existed.
     assert_eq!(snapshot.gauge("queue.depth"), Some(0));
     assert_eq!(snapshot.counter("lease.granted"), Some(0));

@@ -1,6 +1,5 @@
 //! The sharded, work-stealing sweep loop.
 
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -336,93 +335,22 @@ pub fn shard_ranges(total: usize, shards: usize, block: usize) -> Vec<(usize, us
 /// instead of a wrong answer.
 pub const FOLD_SEMANTICS_VERSION: u32 = 2;
 
-/// Folds the scenarios of one contiguous index range into a fresh
-/// accumulator, using a caller-owned runner and scratch slot.
-///
-/// This is the single-shard kernel shared by [`sweep_with_stats`] (which
-/// spawns its own worker threads) and external shard schedulers like the
-/// `service` daemon's persistent worker pool (which owns long-lived runners
-/// and calls this per queued shard).  The range is walked through the
-/// source's [`ScenarioSource::cursor`].
-///
-/// # Errors
-///
-/// Returns the first job or source error of the range.
-pub fn fold_shard_range<S, R, F>(
-    source: &S,
-    reducer: &R,
-    job: &F,
-    runner: &mut BatchRunner,
-    scratch: &mut Option<Scenario>,
-    range: (usize, usize),
-) -> Result<(R::Acc, CursorStats), ModelError>
-where
-    S: ScenarioSource + ?Sized,
-    R: Reducer,
-    F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
-{
-    let mut acc = reducer.empty();
-    let mut cursor = source.cursor(range.0, range.1);
-    while cursor.next(scratch)? {
-        let scenario = scratch.as_ref().expect("the cursor just yielded a scenario");
-        reducer.fold(&mut acc, job(runner, scenario)?);
-    }
-    Ok((acc, cursor.stats()))
-}
-
-/// One completed shard of a [`sweep_shards`] call.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome<A> {
-    /// Index of the shard in the deterministic [`shard_ranges`] partition.
-    pub shard: usize,
-    /// The half-open scenario index range the shard covers.
-    pub range: (usize, usize),
-    /// `true` if the accumulator was replayed from the caller's warm store
-    /// instead of executed — its `stats` are then all zero.
-    pub cached: bool,
-    /// The shard's accumulator.
-    pub acc: A,
-    /// Execution statistics of this shard alone (scenario, analysis-cache,
-    /// run-reuse and cursor counters accrued while folding it).
-    pub stats: SweepStats,
-}
-
-/// Result of a [`sweep_shards`] call: every per-shard outcome in shard
-/// order, plus the statistics of the **executed** (non-warm) work.
-pub type ShardSweep<A> = (Vec<ShardOutcome<A>>, SweepStats);
-
 /// Snapshots a runner's cumulative counters so a per-shard delta can be
-/// taken around one [`fold_shard_range`] call.
+/// taken around one shard fold.
 fn runner_counters(runner: &BatchRunner) -> (CacheStats, RunReuseStats) {
     (runner.cache().stats(), runner.run_stats())
 }
 
-/// Per-shard statistics: the runner-counter delta across one shard plus the
-/// shard's own scenario and cursor counts.
-fn shard_stats(
-    range: (usize, usize),
-    before: (CacheStats, RunReuseStats),
-    after: (CacheStats, RunReuseStats),
-    cursor: CursorStats,
-) -> SweepStats {
-    SweepStats {
-        scenarios: (range.1 - range.0) as u64,
-        cache: CacheStats {
-            hits: after.0.hits - before.0.hits,
-            misses: after.0.misses - before.0.misses,
-        },
-        runs: RunReuseStats {
-            simulated: after.1.simulated - before.1.simulated,
-            reused: after.1.reused - before.1.reused,
-        },
-        cursor,
-    }
-}
-
-/// [`fold_shard_range`], plus the full per-shard [`SweepStats`]: the
-/// runner's cache and run-reuse counter deltas are snapshotted around the
-/// fold, so the statistics describe **this shard alone** even on a
-/// long-lived runner (the service daemon's persistent workers).
+/// Folds the scenarios of one contiguous index range into a fresh
+/// accumulator, using a caller-owned runner and scratch slot, and reports
+/// the statistics of **this shard alone**: the runner's cache and
+/// run-reuse counters are snapshotted around the fold, so the numbers stay
+/// per-shard even on a long-lived runner.
+///
+/// This is the single-shard kernel of every execution path: the worker
+/// threads of [`sweep_with_stats`], the `service` daemon's persistent
+/// worker pool and its remote `sweep worker` processes.  The range is
+/// walked through the source's [`ScenarioSource::cursor`].
 ///
 /// # Errors
 ///
@@ -441,267 +369,26 @@ where
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
 {
     let before = runner_counters(runner);
-    let (acc, cursor) = fold_shard_range(source, reducer, job, runner, scratch, range)?;
-    let stats = shard_stats(range, before, runner_counters(runner), cursor);
-    Ok((acc, stats))
-}
-
-/// Runs `job` over `source` shard by shard, returning every per-shard
-/// accumulator instead of only the global fold — the in-process form of
-/// the warm/cold shard protocol behind the `service` daemon's incremental
-/// shard-accumulator cache.  ([`sweep_with_stats`] and the determinism
-/// tests run on this function directly; the daemon's scheduler mirrors the
-/// same protocol over its *persistent* worker pool, sharing
-/// [`shard_ranges`], [`fold_shard_stats`] and [`merge_shard_outcomes`]
-/// with it — keep the two in step when changing the protocol.)
-///
-/// The scenario space is partitioned exactly as in [`sweep_with_stats`]
-/// (contiguous [`shard_ranges`] aligned to the source's structure block,
-/// stolen by `config.threads` workers).  Two hooks surround the execution:
-///
-/// * `warm(shard, range)` may supply a previously computed accumulator for
-///   a shard; the engine then **skips that shard entirely** and reports it
-///   as [`ShardOutcome::cached`] with zeroed statistics.  Warm shards are
-///   reported first, in shard order, before any cold execution starts.
-/// * `on_shard` is invoked once per shard as it completes — from worker
-///   threads, in completion order, for cold shards — so callers can stream
-///   progress (the daemon's `ShardDone` frames) and persist accumulators
-///   while later shards are still running.
-///
-/// The returned vector is ordered by shard index and covers every shard;
-/// the accompanying [`SweepStats`] sum the **executed** work only (a fully
-/// warm sweep reports zero scenarios).  Feed the vector to
-/// [`merge_shard_outcomes`] for the global fold; by the [`Reducer`] laws it
-/// is bit-identical to a direct [`sweep_with_stats`] fold at any shard,
-/// thread and warm/cold split — the service determinism tests pin this.
-///
-/// # Errors
-///
-/// Returns the job or source error of the lowest-indexed failing shard;
-/// remaining shards are abandoned as soon as possible.
-pub fn sweep_shards<S, R, F, W, O>(
-    source: &S,
-    config: &SweepConfig,
-    reducer: &R,
-    job: F,
-    warm: W,
-    on_shard: O,
-) -> Result<ShardSweep<R::Acc>, ModelError>
-where
-    S: ScenarioSource + ?Sized,
-    R: Reducer,
-    F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError> + Sync,
-    W: FnMut(usize, (usize, usize)) -> Option<R::Acc>,
-    O: Fn(&ShardOutcome<R::Acc>) + Sync,
-{
-    let total = source.len();
-    let threads = config.resolved_threads();
-    let ranges = shard_ranges(total, config.resolved_shards(), source.structure_block());
-
-    // Warm pass first, in shard order: replayed accumulators are reported
-    // before any execution starts, so a fully warm sweep streams instantly.
-    let mut warm = warm;
-    let mut slots: Vec<Option<ShardOutcome<R::Acc>>> = Vec::with_capacity(ranges.len());
-    let mut cold: Vec<usize> = Vec::new();
-    for (shard, &range) in ranges.iter().enumerate() {
-        match warm(shard, range) {
-            Some(acc) => {
-                let outcome =
-                    ShardOutcome { shard, range, cached: true, acc, stats: SweepStats::default() };
-                on_shard(&outcome);
-                slots.push(Some(outcome));
-            }
-            None => {
-                cold.push(shard);
-                slots.push(None);
-            }
-        }
+    let mut acc = reducer.empty();
+    let mut cursor = source.cursor(range.0, range.1);
+    while cursor.next(scratch)? {
+        let scenario = scratch.as_ref().expect("the cursor just yielded a scenario");
+        reducer.fold(&mut acc, job(runner, scenario)?);
     }
-
-    let fold_cold = |runner: &mut BatchRunner,
-                     scratch: &mut Option<Scenario>,
-                     shard: usize|
-     -> Result<ShardOutcome<R::Acc>, ModelError> {
-        let range = ranges[shard];
-        let (acc, stats) = fold_shard_stats(source, reducer, &job, runner, scratch, range)?;
-        Ok(ShardOutcome { shard, range, cached: false, acc, stats })
+    let after = runner_counters(runner);
+    let stats = SweepStats {
+        scenarios: (range.1 - range.0) as u64,
+        cache: CacheStats {
+            hits: after.0.hits - before.0.hits,
+            misses: after.0.misses - before.0.misses,
+        },
+        runs: RunReuseStats {
+            simulated: after.1.simulated - before.1.simulated,
+            reused: after.1.reused - before.1.reused,
+        },
+        cursor: cursor.stats(),
     };
-
-    if threads <= 1 || cold.len() <= 1 {
-        let mut runner = BatchRunner::new();
-        let mut scratch = None;
-        for &shard in &cold {
-            let outcome = fold_cold(&mut runner, &mut scratch, shard)?;
-            on_shard(&outcome);
-            slots[shard] = Some(outcome);
-        }
-    } else {
-        let next_cold = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let done: Mutex<Vec<(usize, ShardOutcome<R::Acc>)>> = Mutex::new(Vec::new());
-        let first_error: Mutex<Option<(usize, ModelError)>> = Mutex::new(None);
-        let cold = &cold;
-
-        thread::scope(|scope| {
-            for _ in 0..threads.min(cold.len()) {
-                scope.spawn(|| {
-                    let mut runner = BatchRunner::new();
-                    let mut scratch = None;
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let slot = next_cold.fetch_add(1, Ordering::Relaxed);
-                        let Some(&shard) = cold.get(slot) else { break };
-                        match fold_cold(&mut runner, &mut scratch, shard) {
-                            Ok(outcome) => {
-                                on_shard(&outcome);
-                                done.lock().expect("sweep outcome lock").push((shard, outcome));
-                            }
-                            Err(error) => {
-                                failed.store(true, Ordering::Relaxed);
-                                let mut slot = first_error.lock().expect("sweep error lock");
-                                if slot.as_ref().is_none_or(|(s, _)| shard < *s) {
-                                    *slot = Some((shard, error));
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some((_, error)) = first_error.into_inner().expect("sweep error lock") {
-            return Err(error);
-        }
-        for (shard, outcome) in done.into_inner().expect("sweep outcome lock") {
-            slots[shard] = Some(outcome);
-        }
-    }
-
-    let outcomes: Vec<ShardOutcome<R::Acc>> =
-        slots.into_iter().map(|slot| slot.expect("every shard completed")).collect();
-    let mut stats = SweepStats::default();
-    for outcome in &outcomes {
-        stats.merge(outcome.stats);
-    }
-    Ok((outcomes, stats))
-}
-
-/// A violated [`merge_shard_outcomes`] precondition: the handed outcomes
-/// are not the complete, in-order, contiguous shard partition a
-/// [`sweep_shards`] call produces.
-///
-/// Surfaced as a value (rather than only a panic) because the accumulators
-/// being merged may have been replayed from a *persisted* cache — a torn
-/// or forged entry must become a reportable job error, never a lawless
-/// merge and never a dead worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeError {
-    /// No outcomes at all.
-    Empty,
-    /// A shard index out of sequence.
-    OutOfOrder {
-        /// The offending shard index.
-        shard: usize,
-        /// The shard merged immediately before it, if any.
-        previous: Option<usize>,
-    },
-    /// A shard range that does not start where its predecessor ended.
-    Gap {
-        /// The offending shard index.
-        shard: usize,
-        /// The offending shard's range.
-        range: (usize, usize),
-        /// Where the range was expected to start.
-        expected_start: usize,
-    },
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::Empty => write!(f, "a shard partition has at least one shard"),
-            MergeError::OutOfOrder { shard, previous } => {
-                write!(f, "shard {shard} merged out of order (previous shard {previous:?})")
-            }
-            MergeError::Gap { shard, range, expected_start } => write!(
-                f,
-                "shard {shard} range {range:?} is not contiguous with its predecessor \
-                 (expected start {expected_start})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// Merges the per-shard accumulators of a [`sweep_shards`] call into the
-/// global fold, re-validating the [`Reducer`]-law preconditions and
-/// returning a [`MergeError`] instead of panicking on a violation.
-///
-/// This is the merge path for accumulators that crossed a trust boundary —
-/// replayed from a persisted cache, received over the wire — where a
-/// damaged entry must surface as a typed job error while the process keeps
-/// serving.  [`merge_shard_outcomes`] is the panicking wrapper for
-/// in-process partitions that are correct by construction.
-///
-/// # Errors
-///
-/// Returns the first structural violation: an empty partition, a shard
-/// index out of sequence, or a range gap.
-pub fn try_merge_shard_outcomes<R: Reducer>(
-    reducer: &R,
-    outcomes: Vec<ShardOutcome<R::Acc>>,
-) -> Result<R::Acc, MergeError> {
-    if outcomes.is_empty() {
-        return Err(MergeError::Empty);
-    }
-    let mut merged = reducer.empty();
-    let mut expected_start = 0usize;
-    let mut last_shard: Option<usize> = None;
-    for outcome in outcomes {
-        if !last_shard.map_or(outcome.shard == 0, |last| outcome.shard == last + 1) {
-            return Err(MergeError::OutOfOrder { shard: outcome.shard, previous: last_shard });
-        }
-        if outcome.range.0 != expected_start {
-            return Err(MergeError::Gap {
-                shard: outcome.shard,
-                range: outcome.range,
-                expected_start,
-            });
-        }
-        last_shard = Some(outcome.shard);
-        expected_start = outcome.range.1;
-        merged = reducer.merge(merged, outcome.acc);
-    }
-    Ok(merged)
-}
-
-/// Merges the per-shard accumulators of a [`sweep_shards`] call into the
-/// global fold — the *law-checked* merge path.
-///
-/// The [`Reducer`] contract only covers merging accumulators of **adjacent
-/// slices, in order**; merging shards out of order or with gaps would
-/// silently produce a fold no in-process sweep can produce.  Because the
-/// accumulators handed here may have been replayed from a cache (a
-/// different process, an earlier request), this function re-validates that
-/// precondition structurally — outcomes sorted by shard index, ranges
-/// contiguous from the first shard's start — and panics on any violation
-/// rather than returning a lawless merge.  Callers that merge accumulators
-/// from an untrusted store should use [`try_merge_shard_outcomes`] and
-/// surface the error instead.
-///
-/// # Panics
-///
-/// Panics if the outcomes are not the complete, in-order, contiguous shard
-/// partition produced by [`sweep_shards`] — empty, not starting at shard 0
-/// and scenario 0, out of order, or with range gaps.
-pub fn merge_shard_outcomes<R: Reducer>(
-    reducer: &R,
-    outcomes: Vec<ShardOutcome<R::Acc>>,
-) -> R::Acc {
-    try_merge_shard_outcomes(reducer, outcomes).unwrap_or_else(|error| panic!("{error}"))
+    Ok((acc, stats))
 }
 
 /// Runs `job` on every scenario of `source` and folds the outcomes with
@@ -762,8 +449,69 @@ where
     R: Reducer,
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError> + Sync,
 {
-    let (outcomes, stats) = sweep_shards(source, config, reducer, job, |_, _| None, |_| {})?;
-    Ok((merge_shard_outcomes(reducer, outcomes), stats))
+    let threads = config.resolved_threads();
+    let ranges = shard_ranges(source.len(), config.resolved_shards(), source.structure_block());
+    let fold = |runner: &mut BatchRunner, scratch: &mut Option<Scenario>, shard: usize| {
+        fold_shard_stats(source, reducer, &job, runner, scratch, ranges[shard])
+    };
+
+    let mut folded: Vec<Option<(R::Acc, SweepStats)>> = (0..ranges.len()).map(|_| None).collect();
+    if threads <= 1 || ranges.len() <= 1 {
+        let mut runner = BatchRunner::new();
+        let mut scratch = None;
+        for (shard, slot) in folded.iter_mut().enumerate() {
+            *slot = Some(fold(&mut runner, &mut scratch, shard)?);
+        }
+    } else {
+        let next_shard = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let slots = Mutex::new(&mut folded);
+        let first_error: Mutex<Option<(usize, ModelError)>> = Mutex::new(None);
+
+        thread::scope(|scope| {
+            for _ in 0..threads.min(ranges.len()) {
+                scope.spawn(|| {
+                    let mut runner = BatchRunner::new();
+                    let mut scratch = None;
+                    loop {
+                        if failed.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let shard = next_shard.fetch_add(1, Ordering::Relaxed);
+                        if shard >= ranges.len() {
+                            break;
+                        }
+                        match fold(&mut runner, &mut scratch, shard) {
+                            Ok(shard_fold) => {
+                                slots.lock().expect("sweep outcome lock")[shard] = Some(shard_fold);
+                            }
+                            Err(error) => {
+                                failed.store(true, Ordering::Relaxed);
+                                let mut slot = first_error.lock().expect("sweep error lock");
+                                if slot.as_ref().is_none_or(|(s, _)| shard < *s) {
+                                    *slot = Some((shard, error));
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
+
+        if let Some((_, error)) = first_error.into_inner().expect("sweep error lock") {
+            return Err(error);
+        }
+    }
+
+    // Merge in shard order: the only order the `Reducer` laws cover.
+    let mut acc = reducer.empty();
+    let mut stats = SweepStats::default();
+    for slot in folded {
+        let (shard_acc, shard_stats) = slot.expect("every shard folded");
+        acc = reducer.merge(acc, shard_acc);
+        stats.merge(shard_stats);
+    }
+    Ok((acc, stats))
 }
 
 #[cfg(test)]
@@ -846,80 +594,6 @@ mod tests {
         assert_eq!(stats.cache, CacheStats { hits: 11, misses: 22 });
         assert_eq!(stats.runs, RunReuseStats { simulated: 3, reused: 12 });
         assert_eq!(stats.cursor, CursorStats { materialized: 2, stepped: 5, patterns_unranked: 3 });
-    }
-
-    /// A minimal reducer for exercising the merge-law checks without a
-    /// scenario source.
-    struct Sum;
-
-    impl Reducer for Sum {
-        type Item = u64;
-        type Acc = u64;
-
-        fn empty(&self) -> u64 {
-            0
-        }
-
-        fn fold(&self, acc: &mut u64, item: u64) {
-            *acc += item;
-        }
-
-        fn merge(&self, left: u64, right: u64) -> u64 {
-            left + right
-        }
-    }
-
-    fn outcome(shard: usize, range: (usize, usize)) -> ShardOutcome<u64> {
-        ShardOutcome { shard, range, cached: false, acc: 1, stats: SweepStats::default() }
-    }
-
-    /// A contiguous sub-range that misses shard 0 is not a complete
-    /// partition: merging it would silently fold a subset of the space.
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn merge_shard_outcomes_requires_shard_zero() {
-        let _ = merge_shard_outcomes(&Sum, vec![outcome(1, (0, 4)), outcome(2, (4, 8))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn merge_shard_outcomes_rejects_empty_partitions() {
-        let _ = merge_shard_outcomes(&Sum, Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "not contiguous")]
-    fn merge_shard_outcomes_rejects_range_gaps() {
-        let _ = merge_shard_outcomes(&Sum, vec![outcome(0, (0, 4)), outcome(1, (5, 8))]);
-    }
-
-    #[test]
-    fn merge_shard_outcomes_accepts_the_full_partition() {
-        let merged = merge_shard_outcomes(&Sum, vec![outcome(0, (0, 4)), outcome(1, (4, 8))]);
-        assert_eq!(merged, 2);
-    }
-
-    /// The fallible merge reports each violation as a typed value — the
-    /// path the service daemon takes for cache-replayed accumulators.
-    #[test]
-    fn try_merge_shard_outcomes_reports_typed_errors() {
-        assert_eq!(try_merge_shard_outcomes(&Sum, Vec::new()), Err(MergeError::Empty));
-        assert_eq!(
-            try_merge_shard_outcomes(&Sum, vec![outcome(1, (0, 4))]),
-            Err(MergeError::OutOfOrder { shard: 1, previous: None })
-        );
-        assert_eq!(
-            try_merge_shard_outcomes(&Sum, vec![outcome(0, (0, 4)), outcome(2, (4, 8))]),
-            Err(MergeError::OutOfOrder { shard: 2, previous: Some(0) })
-        );
-        assert_eq!(
-            try_merge_shard_outcomes(&Sum, vec![outcome(0, (0, 4)), outcome(1, (5, 8))]),
-            Err(MergeError::Gap { shard: 1, range: (5, 8), expected_start: 4 })
-        );
-        assert_eq!(
-            try_merge_shard_outcomes(&Sum, vec![outcome(0, (0, 4)), outcome(1, (4, 8))]),
-            Ok(2)
-        );
     }
 
     #[test]

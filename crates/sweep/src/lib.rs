@@ -37,7 +37,10 @@
 //!   the run simulation outright and only swaps the input overlay
 //!   (`synchrony::RunStructure`).  Shards are walked through the source's
 //!   cursor into a per-worker scratch scenario.  All counters are reported
-//!   through [`SweepStats`];
+//!   through [`SweepStats`].  The partition ([`shard_ranges`]) and the
+//!   per-shard kernel ([`fold_shard_stats`]) are public: the `service`
+//!   daemon schedules the same shards over its own worker pool and remote
+//!   workers, and replays completed ones from its shard cache;
 //! * [`Reducer`] — folds per-run outcomes (decision-time histograms, check
 //!   violations, domination counters, …) into per-shard accumulators that
 //!   are merged in shard order.  The reducer law
@@ -134,8 +137,6 @@ pub mod reduce;
 pub mod source;
 
 pub use engine::{
-    fold_shard_range, fold_shard_stats, merge_shard_outcomes, shard_ranges, sweep, sweep_shards,
-    sweep_with_stats, try_merge_shard_outcomes, CursorStats, MergeError, Reducer, Scenario,
-    ScenarioCursor, ScenarioSource, ShardOutcome, ShardSweep, SweepConfig, SweepStats,
-    FOLD_SEMANTICS_VERSION,
+    fold_shard_stats, shard_ranges, sweep, sweep_with_stats, CursorStats, Reducer, Scenario,
+    ScenarioCursor, ScenarioSource, SweepConfig, SweepStats, FOLD_SEMANTICS_VERSION,
 };

@@ -225,85 +225,6 @@ fn engine_counters_hold_at_every_parallelism() {
     }
 }
 
-/// The per-shard engine hook behind the service daemon's accumulator
-/// cache: `sweep_shards` splits the fold into per-shard accumulators,
-/// warm-replaying any subset of them reproduces the direct fold
-/// bit-identically, and a fully warm sweep executes zero scenarios.
-#[test]
-fn sweep_shards_warm_replay_is_bit_identical() {
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    use sweep::{merge_shard_outcomes, sweep_shards};
-
-    let source = exhaustive_source();
-    let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
-        runner.execute_one(&Optmin, &scenario.params, &scenario.adversary)?;
-        Ok(runner.count_violations(&scenario.params, scenario.variant))
-    };
-    let reference = sweep(&source, &SweepConfig::sequential(), &Count, job).unwrap();
-
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let config = SweepConfig { shards, threads, ..SweepConfig::default() };
-
-            // Cold pass: every shard executes; the streamed outcomes arrive
-            // exactly once per shard.
-            let streamed = Mutex::new(0usize);
-            let (outcomes, stats) = sweep_shards(
-                &source,
-                &config,
-                &Count,
-                job,
-                |_, _| None,
-                |_| *streamed.lock().unwrap() += 1,
-            )
-            .unwrap();
-            assert_eq!(*streamed.lock().unwrap(), outcomes.len());
-            assert_eq!(stats.scenarios as usize, source.len());
-            assert!(outcomes.iter().all(|o| !o.cached));
-            let store: HashMap<usize, u64> = outcomes.iter().map(|o| (o.shard, o.acc)).collect();
-            assert_eq!(
-                merge_shard_outcomes(&Count, outcomes),
-                reference,
-                "cold merge diverged at shards={shards}, threads={threads}"
-            );
-
-            // Warm pass: every accumulator replayed, nothing executed.
-            let (warm_outcomes, warm_stats) = sweep_shards(
-                &source,
-                &config,
-                &Count,
-                job,
-                |shard, _| store.get(&shard).copied(),
-                |outcome| assert!(outcome.cached, "warm pass must not execute"),
-            )
-            .unwrap();
-            assert_eq!(warm_stats.scenarios, 0, "a fully warm sweep executes nothing");
-            assert_eq!(
-                merge_shard_outcomes(&Count, warm_outcomes),
-                reference,
-                "warm merge diverged at shards={shards}, threads={threads}"
-            );
-
-            // Mixed pass: replay only the even shards; the fold is still
-            // bit-identical and only the odd shards execute.
-            let (mixed, mixed_stats) = sweep_shards(
-                &source,
-                &config,
-                &Count,
-                job,
-                |shard, _| if shard % 2 == 0 { store.get(&shard).copied() } else { None },
-                |_| {},
-            )
-            .unwrap();
-            let executed: u64 =
-                mixed.iter().filter(|o| !o.cached).map(|o| (o.range.1 - o.range.0) as u64).sum();
-            assert_eq!(mixed_stats.scenarios, executed);
-            assert_eq!(merge_shard_outcomes(&Count, mixed), reference);
-        }
-    }
-}
-
 /// Cross-space determinism: the shard×thread bit-identity matrix holds for
 /// **both** pattern spaces under the real Theorem-1 fold.  A third pattern
 /// space joins the matrix by adding one line to the source list.
@@ -391,24 +312,4 @@ fn crash_space_golden_pins_survive_the_pattern_space_refactor() {
         0x0c3d_1a3e_e236_211d,
         "omission (3,1,1) enumeration order drifted"
     );
-}
-
-/// The law-checked merge path refuses shard accumulators presented out of
-/// order — merging non-adjacent slices is outside the `Reducer` contract
-/// and must never silently produce a fold.
-#[test]
-#[should_panic(expected = "out of order")]
-fn merge_shard_outcomes_rejects_unordered_shards() {
-    use sweep::{merge_shard_outcomes, sweep_shards};
-
-    let source = exhaustive_source();
-    let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
-        runner.execute_one(&Optmin, &scenario.params, &scenario.adversary)?;
-        Ok(runner.count_violations(&scenario.params, scenario.variant))
-    };
-    let config = SweepConfig { shards: 4, threads: 1, ..SweepConfig::default() };
-    let (mut outcomes, _) =
-        sweep_shards(&source, &config, &Count, job, |_, _| None, |_| {}).unwrap();
-    outcomes.swap(1, 2);
-    let _ = merge_shard_outcomes(&Count, outcomes);
 }

@@ -6,6 +6,7 @@
 #                           #   + doctests + cargo doc -D warnings
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
+#                           #   + determinism smoke (fig4 at 1 vs 4 threads)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + query-parity smoke (one-shot ≡ submit)
@@ -78,6 +79,14 @@ if [[ -e "$SMOKE_SOCK" ]]; then
     exit 1
 fi
 echo "ci.sh: daemon smoke passed (warm run 100% cached, graceful shutdown)"
+
+# --- Determinism smoke ------------------------------------------------------
+# The same fold at different parallelism must print the same bytes: fig4
+# sequentially versus four threads over eight shards.
+target/debug/sweep fig4 --threads 1 >"$SMOKE_DIR/fig4-seq.txt" 2>/dev/null
+target/debug/sweep fig4 --threads 4 --shards 8 >"$SMOKE_DIR/fig4-par.txt" 2>/dev/null
+diff "$SMOKE_DIR/fig4-seq.txt" "$SMOKE_DIR/fig4-par.txt"
+echo "ci.sh: determinism smoke passed (fig4 --threads 1 ≡ --threads 4 --shards 8)"
 
 # --- Omission smoke ---------------------------------------------------------
 # The omission pattern space end to end.  One-shot: `sweep omission` and its
