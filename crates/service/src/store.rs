@@ -371,11 +371,6 @@ impl DurableStore {
         }
     }
 
-    /// The configured byte budget.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     /// Per-insert latency histogram (memory bookkeeping + log append +
     /// eviction), for the daemon's metrics snapshot.
     pub fn append_timings(&self) -> &Histogram {

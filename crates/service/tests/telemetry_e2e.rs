@@ -84,9 +84,9 @@ fn stats_counters_match_cold_then_warm_submits() {
     assert_eq!(snapshot.counter("jobs.shards_executed"), Some(SHARDS), "cold run executed");
     assert_eq!(snapshot.counter("jobs.shards_remote"), Some(0), "no fleet registered");
 
-    // Cache counters sampled from the typed shard caches: the cold run
-    // missed every shard, the warm run hit every shard, and the headline
-    // replay counter is the hit sum (only the thm1 cache was touched).
+    // Cache counters sampled from the shard cache, per query: the cold
+    // run missed every shard, the warm run hit every shard, and the
+    // headline replay counter is the hit sum (only thm1 was looked up).
     assert_eq!(snapshot.counter("cache.thm1.hits"), Some(SHARDS));
     assert_eq!(snapshot.counter("cache.thm1.misses"), Some(SHARDS));
     assert_eq!(snapshot.counter("cache.replays"), Some(SHARDS));

@@ -32,7 +32,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # perfbench is a workspace of its own that builds against the library
 # crates; its smoke tests run every workload through the correctness gate.
 # A library change that breaks the benchmark's build or gate fails here.
-cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+# One test at a time: the traced run's gate compares traced and untraced
+# walls, which concurrent workloads on a 2-core machine skew past its band.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml -- --test-threads 1
 
 # --- Daemon smoke -----------------------------------------------------------
 # Boot `sweep serve` on a temp socket, submit the same small thm1 job twice,
