@@ -13,12 +13,24 @@
 //!   `serde::Deserialize`), rejecting missing fields, wrong types and
 //!   out-of-range numbers with a [`WireError`] instead of panicking.
 //!
+//! Scalars, `String`, `Value`, [`QueryKind`], `Vec<T>`, `[T; N]` and
+//! `Option<T>` implement both traits.  A plain record — a JSON object of
+//! its fields under their own names — gets its pair from one
+//! `wire_record!` line listing the fields in wire order; an optional field
+//! is left out when `None` and read as `None` when absent.
+//!
 //! **Swapping in the real serde** (once the build environment has network
 //! access): `Value` is isomorphic to `serde_json::Value` with ordered
-//! object fields, and each `ToWire`/`FromWire` impl is the explicit form
-//! of a `#[derive(Serialize, Deserialize)]` plus `#[serde(tag = "type")]`
-//! on [`Frame`].  The swap replaces the impls with derives and
-//! [`encode_line`]/[`decode_line`] with `serde_json::to_string`/
+//! object fields, and each `wire_record!` line maps to one
+//! `#[derive(Serialize, Deserialize)]` (plus `#[serde(tag = "type")]` for a
+//! tagged record and `skip_serializing_if = "Option::is_none"` on its
+//! optional fields).  What a swap would still write by hand is what is
+//! hand-written here, because its encoding is not field by field: the
+//! [`Value`] parser, the [`QueryKind`]/[`ErrorKind`] names, [`QueryResult`]
+//! (keyed by its query), [`Frame`] and its inline variants, the
+//! counter/gauge pairs of a [`MetricsSnapshot`], the tuple arrays of
+//! [`Thm3Acc`] and [`Fig4Acc`], and the flattened [`SweepStats`].
+//! [`encode_line`]/[`decode_line`] become `serde_json::to_string`/
 //! `from_str`; the on-wire format is designed to come out identical, so
 //! old clients keep working.
 //!
@@ -47,6 +59,7 @@
 //!                   {"type":"lease-revoke","lease":N,...}   (grant withdrawn)
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use adversary::PatternModel;
@@ -97,6 +110,13 @@ impl WireError {
     fn new(message: impl Into<String>) -> Self {
         WireError { message: message.into() }
     }
+
+    /// Names what failed to decode: `must be …` becomes `<what> must be …`.
+    fn at(mut self, what: &str) -> Self {
+        self.message.insert(0, ' ');
+        self.message.insert_str(0, what);
+        self
+    }
 }
 
 impl fmt::Display for WireError {
@@ -112,6 +132,12 @@ impl std::error::Error for WireError {}
 pub trait ToWire {
     /// Returns the wire representation of `self`.
     fn to_wire(&self) -> Value;
+
+    /// The value of a record field holding `self`, or `None` to leave the
+    /// field out (what `Option` does with `None`).
+    fn to_wire_field(&self) -> Option<Value> {
+        Some(self.to_wire())
+    }
 }
 
 /// Rebuilds a type from a wire [`Value`] — the hand-rolled analogue of
@@ -123,6 +149,122 @@ pub trait FromWire: Sized {
     ///
     /// Returns a [`WireError`] naming the missing field or type mismatch.
     fn from_wire(value: &Value) -> Result<Self, WireError>;
+
+    /// What a record field of this type reads as when it is absent, or
+    /// `None` if the field is required (`Option` reads as `None`).
+    fn from_absent_field() -> Option<Self> {
+        None
+    }
+}
+
+fn type_error(expected: &str, value: &Value) -> WireError {
+    WireError::new(format!("must be {expected}, got {value:?}"))
+}
+
+fn int<T: TryFrom<i128>>(value: &Value, range_error: &'static str) -> Result<T, WireError> {
+    match value {
+        Value::Int(i) => T::try_from(*i).map_err(|_| WireError::new(range_error)),
+        _ => Err(type_error("an integer", value)),
+    }
+}
+
+macro_rules! wire_int {
+    ($($int:ty),*) => {$(
+        impl ToWire for $int {
+            fn to_wire(&self) -> Value {
+                Value::Int(*self as i128)
+            }
+        }
+
+        impl FromWire for $int {
+            fn from_wire(value: &Value) -> Result<Self, WireError> {
+                int(value, concat!("out of ", stringify!($int), " range"))
+            }
+        }
+    )*};
+}
+
+wire_int!(u64, u32, usize, i64);
+
+/// Scope sizes are bounded by the engine (`ExhaustiveSource` rejects spaces
+/// beyond `usize::MAX`), so they always fit the wire's `i128` integers.
+impl ToWire for u128 {
+    fn to_wire(&self) -> Value {
+        Value::Int(i128::try_from(*self).expect("scope size fits i128"))
+    }
+}
+
+impl FromWire for u128 {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        int(value, "out of u128 range")
+    }
+}
+
+impl ToWire for bool {
+    fn to_wire(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+impl FromWire for bool {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        match value {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(type_error("a boolean", value)),
+        }
+    }
+}
+
+impl ToWire for f64 {
+    fn to_wire(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+/// A float field accepts an integer.
+impl FromWire for f64 {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        match value {
+            Value::Float(f) => Ok(*f),
+            Value::Int(i) => Ok(*i as f64),
+            _ => Err(type_error("a number", value)),
+        }
+    }
+}
+
+impl ToWire for String {
+    fn to_wire(&self) -> Value {
+        Value::Str(self.clone())
+    }
+}
+
+impl FromWire for String {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        match value {
+            Value::Str(s) => Ok(s.clone()),
+            _ => Err(type_error("a string", value)),
+        }
+    }
+}
+
+/// An opaque payload (an accumulator in its own codec) travels as is.
+impl ToWire for Value {
+    fn to_wire(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl FromWire for Value {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        Ok(value.clone())
+    }
+}
+
+fn entries(value: &Value) -> Result<&[Value], WireError> {
+    match value {
+        Value::Array(items) => Ok(items),
+        _ => Err(type_error("an array", value)),
+    }
 }
 
 /// A list renders as a wire array of its elements.
@@ -134,8 +276,110 @@ impl<T: ToWire> ToWire for Vec<T> {
 
 impl<T: FromWire> FromWire for Vec<T> {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        value.as_array("list")?.iter().map(T::from_wire).collect()
+        entries(value)?.iter().map(T::from_wire).collect()
     }
+}
+
+/// A fixed-length array renders like a list and must read back with
+/// exactly `N` entries.
+impl<T: ToWire, const N: usize> ToWire for [T; N] {
+    fn to_wire(&self) -> Value {
+        Value::Array(self.iter().map(ToWire::to_wire).collect())
+    }
+}
+
+impl<T: FromWire + Copy + Default, const N: usize> FromWire for [T; N] {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        let items = entries(value)?;
+        if items.len() != N {
+            return Err(WireError::new(format!("must have exactly {N} entries")));
+        }
+        let mut array = [T::default(); N];
+        for (slot, item) in array.iter_mut().zip(items) {
+            *slot = T::from_wire(item).map_err(|e| e.at("entry"))?;
+        }
+        Ok(array)
+    }
+}
+
+/// An optional record field: left out when `None`, read as `None` when
+/// absent.  On its own, `None` is `null`.
+impl<T: ToWire> ToWire for Option<T> {
+    fn to_wire(&self) -> Value {
+        self.as_ref().map_or(Value::Null, ToWire::to_wire)
+    }
+
+    fn to_wire_field(&self) -> Option<Value> {
+        self.as_ref().map(ToWire::to_wire)
+    }
+}
+
+impl<T: FromWire> FromWire for Option<T> {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        match value {
+            Value::Null => Ok(None),
+            _ => T::from_wire(value).map(Some),
+        }
+    }
+
+    fn from_absent_field() -> Option<Self> {
+        Some(None)
+    }
+}
+
+/// Emits the `ToWire`/`FromWire` pair of a plain record: a JSON object
+/// holding each listed field under its own name, in the order listed.
+///
+/// `wire_record!(Type, "prefix" { field, … })` names the record `prefix`
+/// in its decode errors (`scope.n must be an integer, got …`);
+/// `wire_record!(Type, "prefix", tag "name" { … })` also writes
+/// `"type":"name"` first, for the records that are whole frames (the tag is
+/// read by [`Frame`]'s decoder, not here).  Each field is encoded and
+/// decoded by its own type's impls, and the error text is built only on
+/// the error path.
+macro_rules! wire_record {
+    ($record:ty, $prefix:literal $(, tag $tag:literal)? { $($field:ident),+ $(,)? }) => {
+        impl ToWire for $record {
+            fn to_wire(&self) -> Value {
+                let mut fields = Vec::with_capacity(1 + [$(stringify!($field)),+].len());
+                $(fields.push(("type".into(), Value::Str($tag.into())));)?
+                $(
+                    if let Some(value) = self.$field.to_wire_field() {
+                        fields.push((stringify!($field).into(), value));
+                    }
+                )+
+                Value::Object(fields)
+            }
+        }
+
+        impl FromWire for $record {
+            fn from_wire(value: &Value) -> Result<Self, WireError> {
+                Ok(Self {
+                    $($field: value.field(
+                        stringify!($field),
+                        concat!($prefix, ".", stringify!($field)),
+                    )?,)+
+                })
+            }
+        }
+    };
+}
+
+/// Builds an object from `(name, value)` pairs.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.into_iter().map(|(name, value)| (name.to_owned(), value)).collect())
+}
+
+/// Builds a frame object: its `"type"` tag, then `fields`.
+fn tagged<const N: usize>(tag: &str, fields: [(&str, Value); N]) -> Value {
+    let mut object = Vec::with_capacity(N + 1);
+    object.push(("type".to_owned(), Value::Str(tag.to_owned())));
+    object.extend(fields.map(|(name, value)| (name.to_owned(), value)));
+    Value::Object(object)
+}
+
+fn missing(key: &str) -> WireError {
+    WireError::new(format!("missing field {key:?}"))
 }
 
 impl Value {
@@ -147,64 +391,12 @@ impl Value {
         }
     }
 
-    /// Looks up a required field, with a clear error when absent.
-    fn field(&self, key: &str) -> Result<&Value, WireError> {
-        self.get(key).ok_or_else(|| WireError::new(format!("missing field {key:?}")))
-    }
-
-    fn as_i128(&self, what: &str) -> Result<i128, WireError> {
-        match self {
-            Value::Int(i) => Ok(*i),
-            _ => Err(WireError::new(format!("{what} must be an integer, got {self:?}"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, WireError> {
-        u64::try_from(self.as_i128(what)?)
-            .map_err(|_| WireError::new(format!("{what} out of u64 range")))
-    }
-
-    fn as_u32(&self, what: &str) -> Result<u32, WireError> {
-        u32::try_from(self.as_i128(what)?)
-            .map_err(|_| WireError::new(format!("{what} out of u32 range")))
-    }
-
-    fn as_usize(&self, what: &str) -> Result<usize, WireError> {
-        usize::try_from(self.as_i128(what)?)
-            .map_err(|_| WireError::new(format!("{what} out of usize range")))
-    }
-
-    fn as_u128(&self, what: &str) -> Result<u128, WireError> {
-        u128::try_from(self.as_i128(what)?)
-            .map_err(|_| WireError::new(format!("{what} out of u128 range")))
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, WireError> {
-        match self {
-            Value::Float(f) => Ok(*f),
-            Value::Int(i) => Ok(*i as f64),
-            _ => Err(WireError::new(format!("{what} must be a number, got {self:?}"))),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, WireError> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(WireError::new(format!("{what} must be a boolean, got {self:?}"))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, WireError> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err(WireError::new(format!("{what} must be a string, got {self:?}"))),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Value], WireError> {
-        match self {
-            Value::Array(items) => Ok(items),
-            _ => Err(WireError::new(format!("{what} must be an array, got {self:?}"))),
+    /// Decodes the field `key` of an object, naming it `what` in a decode
+    /// error; an absent field is an error unless `T` is optional.
+    fn field<T: FromWire>(&self, key: &str, what: &str) -> Result<T, WireError> {
+        match self.get(key) {
+            Some(value) => T::from_wire(value).map_err(|e| e.at(what)),
+            None => T::from_absent_field().ok_or_else(|| missing(key)),
         }
     }
 
@@ -568,33 +760,25 @@ impl QueryKind {
     }
 }
 
+/// A query travels as its name.
+impl ToWire for QueryKind {
+    fn to_wire(&self) -> Value {
+        Value::Str(self.name().into())
+    }
+}
+
+impl FromWire for QueryKind {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        match value {
+            Value::Str(name) => QueryKind::parse(name),
+            _ => Err(type_error("a string", value)),
+        }
+    }
+}
+
 pub use sweep::experiments::ScopeSpec;
 
-impl ToWire for ScopeSpec {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("n".into(), Value::Int(self.n as i128)),
-            ("t".into(), Value::Int(self.t as i128)),
-            ("k".into(), Value::Int(self.k as i128)),
-            ("max_value".into(), Value::Int(self.max_value as i128)),
-            ("max_crash_round".into(), Value::Int(self.max_crash_round as i128)),
-            ("partial_delivery".into(), Value::Bool(self.partial_delivery)),
-        ])
-    }
-}
-
-impl FromWire for ScopeSpec {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(ScopeSpec {
-            n: value.field("n")?.as_usize("scope.n")?,
-            t: value.field("t")?.as_usize("scope.t")?,
-            k: value.field("k")?.as_usize("scope.k")?,
-            max_value: value.field("max_value")?.as_u64("scope.max_value")?,
-            max_crash_round: value.field("max_crash_round")?.as_u32("scope.max_crash_round")?,
-            partial_delivery: value.field("partial_delivery")?.as_bool("scope.partial_delivery")?,
-        })
-    }
-}
+wire_record!(ScopeSpec, "scope" { n, t, k, max_value, max_crash_round, partial_delivery });
 
 /// A submitted sweep job.
 #[derive(Debug, Clone, PartialEq)]
@@ -616,38 +800,7 @@ pub struct JobSpec {
     pub shard_cache: bool,
 }
 
-impl ToWire for JobSpec {
-    fn to_wire(&self) -> Value {
-        let mut fields = vec![
-            ("type".into(), Value::Str("job".into())),
-            ("id".into(), Value::Int(self.id as i128)),
-            ("query".into(), Value::Str(self.query.name().into())),
-        ];
-        if let Some(scope) = &self.scope {
-            fields.push(("scope".into(), scope.to_wire()));
-        }
-        fields.push(("shards".into(), Value::Int(self.shards as i128)));
-        fields.push(("seed".into(), Value::Int(self.seed as i128)));
-        fields.push(("shard_cache".into(), Value::Bool(self.shard_cache)));
-        Value::Object(fields)
-    }
-}
-
-impl FromWire for JobSpec {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(JobSpec {
-            id: value.field("id")?.as_u64("job.id")?,
-            query: QueryKind::parse(value.field("query")?.as_str("job.query")?)?,
-            scope: match value.get("scope") {
-                Some(scope) => Some(ScopeSpec::from_wire(scope)?),
-                None => None,
-            },
-            shards: value.field("shards")?.as_usize("job.shards")?,
-            seed: value.field("seed")?.as_u64("job.seed")?,
-            shard_cache: value.field("shard_cache")?.as_bool("job.shard_cache")?,
-        })
-    }
-}
+wire_record!(JobSpec, "job", tag "job" { id, query, scope, shards, seed, shard_cache });
 
 /// One shard of one case, described self-containedly so a remote worker
 /// can rebuild the scenario source and execute the fold with nothing but
@@ -673,37 +826,7 @@ pub struct TaskSpec {
     pub shard: usize,
 }
 
-impl ToWire for TaskSpec {
-    fn to_wire(&self) -> Value {
-        let mut fields = vec![
-            ("query".into(), Value::Str(self.query.name().into())),
-            ("case".into(), Value::Int(self.case as i128)),
-        ];
-        if let Some(scope) = &self.scope {
-            fields.push(("scope".into(), scope.to_wire()));
-        }
-        fields.push(("seed".into(), Value::Int(self.seed as i128)));
-        fields.push(("shards".into(), Value::Int(self.shards as i128)));
-        fields.push(("shard".into(), Value::Int(self.shard as i128)));
-        Value::Object(fields)
-    }
-}
-
-impl FromWire for TaskSpec {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(TaskSpec {
-            query: QueryKind::parse(value.field("query")?.as_str("task.query")?)?,
-            case: value.field("case")?.as_usize("task.case")?,
-            scope: match value.get("scope") {
-                Some(scope) => Some(ScopeSpec::from_wire(scope)?),
-                None => None,
-            },
-            seed: value.field("seed")?.as_u64("task.seed")?,
-            shards: value.field("shards")?.as_usize("task.shards")?,
-            shard: value.field("shard")?.as_usize("task.shard")?,
-        })
-    }
-}
+wire_record!(TaskSpec, "task" { query, case, scope, seed, shards, shard });
 
 /// Server → worker: one shard to execute.  The `(lease, generation)` pair
 /// identifies the grant; a completion carrying a stale generation (the
@@ -719,26 +842,7 @@ pub struct LeaseGrant {
     pub task: TaskSpec,
 }
 
-impl ToWire for LeaseGrant {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("type".into(), Value::Str("lease".into())),
-            ("lease".into(), Value::Int(self.lease as i128)),
-            ("generation".into(), Value::Int(self.generation as i128)),
-            ("task".into(), self.task.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for LeaseGrant {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(LeaseGrant {
-            lease: value.field("lease")?.as_u64("lease.lease")?,
-            generation: value.field("generation")?.as_u64("lease.generation")?,
-            task: TaskSpec::from_wire(value.field("task")?)?,
-        })
-    }
-}
+wire_record!(LeaseGrant, "lease", tag "lease" { lease, generation, task });
 
 /// Worker → server: a leased shard finished; `payload` is the wire
 /// rendering of the per-shard reducer accumulator (lossless — the
@@ -762,34 +866,9 @@ pub struct LeaseDone {
     pub payload: Value,
 }
 
-impl ToWire for LeaseDone {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("type".into(), Value::Str("lease-done".into())),
-            ("lease".into(), Value::Int(self.lease as i128)),
-            ("generation".into(), Value::Int(self.generation as i128)),
-            ("worker".into(), Value::Int(self.worker as i128)),
-            ("start".into(), Value::Int(self.start as i128)),
-            ("end".into(), Value::Int(self.end as i128)),
-            ("stats".into(), self.stats.to_wire()),
-            ("payload".into(), self.payload.clone()),
-        ])
-    }
-}
-
-impl FromWire for LeaseDone {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(LeaseDone {
-            lease: value.field("lease")?.as_u64("lease-done.lease")?,
-            generation: value.field("generation")?.as_u64("lease-done.generation")?,
-            worker: value.field("worker")?.as_u64("lease-done.worker")?,
-            start: value.field("start")?.as_usize("lease-done.start")?,
-            end: value.field("end")?.as_usize("lease-done.end")?,
-            stats: SweepStats::from_wire(value.field("stats")?)?,
-            payload: value.field("payload")?.clone(),
-        })
-    }
-}
+wire_record!(LeaseDone, "lease-done", tag "lease-done" {
+    lease, generation, worker, start, end, stats, payload,
+});
 
 /// Worker → server: a leased shard could not be executed (the model
 /// rejected the task's parameters).  Deterministic failures re-queue like
@@ -805,38 +884,21 @@ pub struct LeaseFailed {
     pub message: String,
 }
 
-impl ToWire for LeaseFailed {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("type".into(), Value::Str("lease-failed".into())),
-            ("lease".into(), Value::Int(self.lease as i128)),
-            ("generation".into(), Value::Int(self.generation as i128)),
-            ("message".into(), Value::Str(self.message.clone())),
-        ])
-    }
-}
+wire_record!(LeaseFailed, "lease-failed", tag "lease-failed" { lease, generation, message });
 
-impl FromWire for LeaseFailed {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(LeaseFailed {
-            lease: value.field("lease")?.as_u64("lease-failed.lease")?,
-            generation: value.field("generation")?.as_u64("lease-failed.generation")?,
-            message: value.field("message")?.as_str("lease-failed.message")?.to_owned(),
-        })
-    }
-}
-
+/// The engine's statistics travel flat: one field per counter of its
+/// nested cache, run-reuse and cursor stats.
 impl ToWire for SweepStats {
     fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("scenarios".into(), Value::Int(self.scenarios as i128)),
-            ("cache_hits".into(), Value::Int(self.cache.hits as i128)),
-            ("cache_misses".into(), Value::Int(self.cache.misses as i128)),
-            ("runs_simulated".into(), Value::Int(self.runs.simulated as i128)),
-            ("runs_reused".into(), Value::Int(self.runs.reused as i128)),
-            ("cursor_materialized".into(), Value::Int(self.cursor.materialized as i128)),
-            ("cursor_stepped".into(), Value::Int(self.cursor.stepped as i128)),
-            ("patterns_unranked".into(), Value::Int(self.cursor.patterns_unranked as i128)),
+        object([
+            ("scenarios", self.scenarios.to_wire()),
+            ("cache_hits", self.cache.hits.to_wire()),
+            ("cache_misses", self.cache.misses.to_wire()),
+            ("runs_simulated", self.runs.simulated.to_wire()),
+            ("runs_reused", self.runs.reused.to_wire()),
+            ("cursor_materialized", self.cursor.materialized.to_wire()),
+            ("cursor_stepped", self.cursor.stepped.to_wire()),
+            ("patterns_unranked", self.cursor.patterns_unranked.to_wire()),
         ])
     }
 }
@@ -844,23 +906,19 @@ impl ToWire for SweepStats {
 impl FromWire for SweepStats {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
         Ok(SweepStats {
-            scenarios: value.field("scenarios")?.as_u64("stats.scenarios")?,
+            scenarios: value.field("scenarios", "stats.scenarios")?,
             cache: knowledge::CacheStats {
-                hits: value.field("cache_hits")?.as_u64("stats.cache_hits")?,
-                misses: value.field("cache_misses")?.as_u64("stats.cache_misses")?,
+                hits: value.field("cache_hits", "stats.cache_hits")?,
+                misses: value.field("cache_misses", "stats.cache_misses")?,
             },
             runs: set_consensus::RunReuseStats {
-                simulated: value.field("runs_simulated")?.as_u64("stats.runs_simulated")?,
-                reused: value.field("runs_reused")?.as_u64("stats.runs_reused")?,
+                simulated: value.field("runs_simulated", "stats.runs_simulated")?,
+                reused: value.field("runs_reused", "stats.runs_reused")?,
             },
             cursor: CursorStats {
-                materialized: value
-                    .field("cursor_materialized")?
-                    .as_u64("stats.cursor_materialized")?,
-                stepped: value.field("cursor_stepped")?.as_u64("stats.cursor_stepped")?,
-                patterns_unranked: value
-                    .field("patterns_unranked")?
-                    .as_u64("stats.patterns_unranked")?,
+                materialized: value.field("cursor_materialized", "stats.cursor_materialized")?,
+                stepped: value.field("cursor_stepped", "stats.cursor_stepped")?,
+                patterns_unranked: value.field("patterns_unranked", "stats.patterns_unranked")?,
             },
         })
     }
@@ -892,38 +950,9 @@ pub struct ShardDone {
     pub stats: SweepStats,
 }
 
-impl ToWire for ShardDone {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("type".into(), Value::Str("shard-done".into())),
-            ("job".into(), Value::Int(self.job as i128)),
-            ("case".into(), Value::Int(self.case as i128)),
-            ("cases".into(), Value::Int(self.cases as i128)),
-            ("shard".into(), Value::Int(self.shard as i128)),
-            ("shards".into(), Value::Int(self.shards as i128)),
-            ("start".into(), Value::Int(self.start as i128)),
-            ("end".into(), Value::Int(self.end as i128)),
-            ("cached".into(), Value::Bool(self.cached)),
-            ("stats".into(), self.stats.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for ShardDone {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(ShardDone {
-            job: value.field("job")?.as_u64("shard-done.job")?,
-            case: value.field("case")?.as_usize("shard-done.case")?,
-            cases: value.field("cases")?.as_usize("shard-done.cases")?,
-            shard: value.field("shard")?.as_usize("shard-done.shard")?,
-            shards: value.field("shards")?.as_usize("shard-done.shards")?,
-            start: value.field("start")?.as_usize("shard-done.start")?,
-            end: value.field("end")?.as_usize("shard-done.end")?,
-            cached: value.field("cached")?.as_bool("shard-done.cached")?,
-            stats: SweepStats::from_wire(value.field("stats")?)?,
-        })
-    }
-}
+wire_record!(ShardDone, "shard-done", tag "shard-done" {
+    job, case, cases, shard, shards, start, end, cached, stats,
+});
 
 /// The fold over the completed *prefix* of a case's shards grew — the
 /// streaming preview of the final fold.  (Only a contiguous prefix can be
@@ -946,32 +975,9 @@ pub struct Partial {
     pub fold: Value,
 }
 
-impl ToWire for Partial {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("type".into(), Value::Str("partial".into())),
-            ("job".into(), Value::Int(self.job as i128)),
-            ("case".into(), Value::Int(self.case as i128)),
-            ("shards_done".into(), Value::Int(self.shards_done as i128)),
-            ("shards".into(), Value::Int(self.shards as i128)),
-            ("scenarios_done".into(), Value::Int(self.scenarios_done as i128)),
-            ("fold".into(), self.fold.clone()),
-        ])
-    }
-}
-
-impl FromWire for Partial {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(Partial {
-            job: value.field("job")?.as_u64("partial.job")?,
-            case: value.field("case")?.as_usize("partial.case")?,
-            shards_done: value.field("shards_done")?.as_usize("partial.shards_done")?,
-            shards: value.field("shards")?.as_usize("partial.shards")?,
-            scenarios_done: value.field("scenarios_done")?.as_u64("partial.scenarios_done")?,
-            fold: value.field("fold")?.clone(),
-        })
-    }
-}
+wire_record!(Partial, "partial", tag "partial" {
+    job, case, shards_done, shards, scenarios_done, fold,
+});
 
 /// The final result of a job.
 #[derive(Debug, Clone, PartialEq)]
@@ -989,192 +995,19 @@ pub enum QueryResult {
     Prop2(Prop2Report),
 }
 
-impl ToWire for Thm1Case {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("n".into(), Value::Int(self.n as i128)),
-            ("t".into(), Value::Int(self.t as i128)),
-            ("k".into(), Value::Int(self.k as i128)),
-            (
-                "adversaries".into(),
-                // Scope sizes are bounded by the engine (ExhaustiveSource
-                // rejects spaces beyond usize::MAX), so they always fit the
-                // wire's i128 integer model.
-                Value::Int(i128::try_from(self.adversaries).expect("scope size fits i128")),
-            ),
-            ("correctness_violations".into(), Value::Int(self.correctness_violations as i128)),
-            ("beaten_by".into(), Value::Int(self.beaten_by as i128)),
-            ("structure_violations".into(), Value::Int(self.structure_violations as i128)),
-        ])
-    }
-}
-
-impl FromWire for Thm1Case {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(Thm1Case {
-            n: value.field("n")?.as_usize("thm1.n")?,
-            t: value.field("t")?.as_usize("thm1.t")?,
-            k: value.field("k")?.as_usize("thm1.k")?,
-            adversaries: value.field("adversaries")?.as_u128("thm1.adversaries")?,
-            correctness_violations: value
-                .field("correctness_violations")?
-                .as_u64("thm1.correctness_violations")?,
-            beaten_by: value.field("beaten_by")?.as_usize("thm1.beaten_by")?,
-            structure_violations: value
-                .field("structure_violations")?
-                .as_u64("thm1.structure_violations")?,
-        })
-    }
-}
-
-impl ToWire for Thm3Row {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("n".into(), Value::Int(self.n as i128)),
-            ("t".into(), Value::Int(self.t as i128)),
-            ("k".into(), Value::Int(self.k as i128)),
-            ("f".into(), Value::Int(self.f as i128)),
-            ("runs".into(), Value::Int(self.runs as i128)),
-            ("worst".into(), Value::Int(self.worst as i128)),
-            ("bound".into(), Value::Int(self.bound as i128)),
-            ("violations".into(), Value::Int(self.violations as i128)),
-        ])
-    }
-}
-
-impl FromWire for Thm3Row {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(Thm3Row {
-            n: value.field("n")?.as_usize("thm3.n")?,
-            t: value.field("t")?.as_usize("thm3.t")?,
-            k: value.field("k")?.as_usize("thm3.k")?,
-            f: value.field("f")?.as_usize("thm3.f")?,
-            runs: value.field("runs")?.as_u64("thm3.runs")?,
-            worst: value.field("worst")?.as_u32("thm3.worst")?,
-            bound: value.field("bound")?.as_u32("thm3.bound")?,
-            violations: value.field("violations")?.as_u64("thm3.violations")?,
-        })
-    }
-}
-
-impl ToWire for Fig4Row {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("k".into(), Value::Int(self.k as i128)),
-            ("t".into(), Value::Int(self.t as i128)),
-            ("n".into(), Value::Int(self.n as i128)),
-            ("bound".into(), Value::Int(self.bound as i128)),
-            (
-                "latest".into(),
-                Value::Array(self.latest.iter().map(|&l| Value::Int(l as i128)).collect()),
-            ),
-            ("violations".into(), Value::Int(self.violations as i128)),
-        ])
-    }
-}
-
-impl FromWire for Fig4Row {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        let latest_values = value.field("latest")?.as_array("fig4.latest")?;
-        if latest_values.len() != 4 {
-            return Err(WireError::new("fig4.latest must have exactly 4 entries"));
-        }
-        let mut latest = [0u32; 4];
-        for (slot, entry) in latest_values.iter().enumerate() {
-            latest[slot] = entry.as_u32("fig4.latest entry")?;
-        }
-        Ok(Fig4Row {
-            k: value.field("k")?.as_usize("fig4.k")?,
-            t: value.field("t")?.as_usize("fig4.t")?,
-            n: value.field("n")?.as_usize("fig4.n")?,
-            bound: value.field("bound")?.as_usize("fig4.bound")?,
-            latest,
-            violations: value.field("violations")?.as_u64("fig4.violations")?,
-        })
-    }
-}
-
-impl ToWire for Prop2ExhaustiveRow {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("n".into(), Value::Int(self.n as i128)),
-            ("t".into(), Value::Int(self.t as i128)),
-            ("states".into(), Value::Int(self.states as i128)),
-            ("with_capacity".into(), Value::Int(self.with_capacity as i128)),
-            ("connected".into(), Value::Int(self.connected as i128)),
-            ("counterexamples".into(), Value::Int(self.counterexamples as i128)),
-        ])
-    }
-}
-
-impl FromWire for Prop2ExhaustiveRow {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(Prop2ExhaustiveRow {
-            n: value.field("n")?.as_usize("prop2.n")?,
-            t: value.field("t")?.as_usize("prop2.t")?,
-            states: value.field("states")?.as_usize("prop2.states")?,
-            with_capacity: value.field("with_capacity")?.as_usize("prop2.with_capacity")?,
-            connected: value.field("connected")?.as_usize("prop2.connected")?,
-            counterexamples: value.field("counterexamples")?.as_usize("prop2.counterexamples")?,
-        })
-    }
-}
-
-fn usize_array(values: &[usize]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::Int(v as i128)).collect())
-}
-
-fn usize_vec(value: &Value, what: &str) -> Result<Vec<usize>, WireError> {
-    value.as_array(what)?.iter().map(|entry| entry.as_usize(what)).collect()
-}
-
-impl ToWire for Prop2Targeted {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("hidden_capacity".into(), Value::Int(self.hidden_capacity as i128)),
-            ("executions".into(), Value::Int(self.executions as i128)),
-            ("star_states".into(), Value::Int(self.star_states as i128)),
-            ("star_facets".into(), Value::Int(self.star_facets as i128)),
-            ("star_betti".into(), usize_array(&self.star_betti)),
-            ("star_connected".into(), Value::Bool(self.star_connected)),
-            ("link_betti".into(), usize_array(&self.link_betti)),
-            ("link_connected".into(), Value::Bool(self.link_connected)),
-        ])
-    }
-}
-
-impl FromWire for Prop2Targeted {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(Prop2Targeted {
-            hidden_capacity: value.field("hidden_capacity")?.as_usize("prop2.hidden_capacity")?,
-            executions: value.field("executions")?.as_usize("prop2.executions")?,
-            star_states: value.field("star_states")?.as_usize("prop2.star_states")?,
-            star_facets: value.field("star_facets")?.as_usize("prop2.star_facets")?,
-            star_betti: usize_vec(value.field("star_betti")?, "prop2.star_betti")?,
-            star_connected: value.field("star_connected")?.as_bool("prop2.star_connected")?,
-            link_betti: usize_vec(value.field("link_betti")?, "prop2.link_betti")?,
-            link_connected: value.field("link_connected")?.as_bool("prop2.link_connected")?,
-        })
-    }
-}
-
-impl ToWire for Prop2Report {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("exhaustive".into(), self.exhaustive.to_wire()),
-            ("targeted".into(), self.targeted.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for Prop2Report {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(Prop2Report {
-            exhaustive: Vec::from_wire(value.field("exhaustive")?)?,
-            targeted: Prop2Targeted::from_wire(value.field("targeted")?)?,
-        })
-    }
-}
+wire_record!(Thm1Case, "thm1" {
+    n, t, k, adversaries, correctness_violations, beaten_by, structure_violations,
+});
+wire_record!(Thm3Row, "thm3" { n, t, k, f, runs, worst, bound, violations });
+wire_record!(Fig4Row, "fig4" { k, t, n, bound, latest, violations });
+wire_record!(Prop2ExhaustiveRow, "prop2" {
+    n, t, states, with_capacity, connected, counterexamples,
+});
+wire_record!(Prop2Targeted, "prop2" {
+    hidden_capacity, executions, star_states, star_facets, star_betti, star_connected,
+    link_betti, link_connected,
+});
+wire_record!(Prop2Report, "prop2" { exhaustive, targeted });
 
 // ---------------------------------------------------------------------------
 // Per-shard accumulators — the payloads of the persisted cache store, of
@@ -1182,85 +1015,53 @@ impl FromWire for Prop2Report {
 // one torn-input discipline) covers every surface.
 // ---------------------------------------------------------------------------
 
-impl ToWire for Thm1Outcome {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("violations".into(), Value::Int(self.violations as i128)),
-            ("beaten".into(), Value::Array(self.beaten.iter().map(|&b| Value::Bool(b)).collect())),
-            ("structure".into(), Value::Int(self.structure as i128)),
-        ])
-    }
-}
+wire_record!(Thm1Outcome, "thm1-acc" { violations, beaten, structure });
 
-impl FromWire for Thm1Outcome {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        let beaten_values = value.field("beaten")?.as_array("thm1-acc.beaten")?;
-        if beaten_values.len() != 2 {
-            return Err(WireError::new("thm1-acc.beaten must have exactly 2 entries"));
-        }
-        let mut beaten = [false; 2];
-        for (slot, entry) in beaten_values.iter().enumerate() {
-            beaten[slot] = entry.as_bool("thm1-acc.beaten entry")?;
-        }
-        Ok(Thm1Outcome {
-            violations: value.field("violations")?.as_u64("thm1-acc.violations")?,
-            beaten,
-            structure: value.field("structure")?.as_u64("thm1-acc.structure")?,
-        })
-    }
-}
-
+/// `per_f` travels as `[f, worst, runs]` triples in `f` order.
 impl ToWire for Thm3Acc {
     fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            (
-                "per_f".into(),
-                Value::Array(
-                    self.per_f
-                        .iter()
-                        .map(|(&f, &(worst, runs))| {
-                            Value::Array(vec![
-                                Value::Int(f as i128),
-                                Value::Int(worst as i128),
-                                Value::Int(runs as i128),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("violations".into(), Value::Int(self.violations as i128)),
-        ])
+        let per_f = self
+            .per_f
+            .iter()
+            .map(|(f, (worst, runs))| {
+                Value::Array(vec![f.to_wire(), worst.to_wire(), runs.to_wire()])
+            })
+            .collect();
+        object([("per_f", Value::Array(per_f)), ("violations", self.violations.to_wire())])
     }
 }
 
 impl FromWire for Thm3Acc {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        let mut per_f = std::collections::BTreeMap::new();
-        for entry in value.field("per_f")?.as_array("thm3-acc.per_f")? {
-            let triple = entry.as_array("thm3-acc.per_f entry")?;
-            if triple.len() != 3 {
+        let triples = value.get("per_f").ok_or_else(|| missing("per_f"))?;
+        let mut per_f = BTreeMap::new();
+        for triple in entries(triples).map_err(|e| e.at("thm3-acc.per_f"))? {
+            let [f, worst, runs] = entries(triple).map_err(|e| e.at("thm3-acc.per_f entry"))?
+            else {
                 return Err(WireError::new("thm3-acc.per_f entries must be [f, worst, runs]"));
-            }
+            };
             per_f.insert(
-                triple[0].as_usize("thm3-acc.per_f f")?,
+                usize::from_wire(f).map_err(|e| e.at("thm3-acc.per_f f"))?,
                 (
-                    triple[1].as_u32("thm3-acc.per_f worst")?,
-                    triple[2].as_u64("thm3-acc.per_f runs")?,
+                    u32::from_wire(worst).map_err(|e| e.at("thm3-acc.per_f worst"))?,
+                    u64::from_wire(runs).map_err(|e| e.at("thm3-acc.per_f runs"))?,
                 ),
             );
         }
-        Ok(Thm3Acc { per_f, violations: value.field("violations")?.as_u64("thm3-acc.violations")? })
+        Ok(Thm3Acc { per_f, violations: value.field("violations", "thm3-acc.violations")? })
     }
 }
 
+/// The map travels as `[index, l0, l1, l2, l3, violations]` rows in index
+/// order.
 impl ToWire for Fig4Acc {
     fn to_wire(&self) -> Value {
         Value::Array(
             self.iter()
-                .map(|(&index, &(latest, violations))| {
-                    let mut row = vec![Value::Int(index as i128)];
-                    row.extend(latest.iter().map(|&l| Value::Int(l as i128)));
-                    row.push(Value::Int(violations as i128));
+                .map(|(index, (latest, violations))| {
+                    let mut row = vec![index.to_wire()];
+                    row.extend(latest.iter().map(ToWire::to_wire));
+                    row.push(violations.to_wire());
                     Value::Array(row)
                 })
                 .collect(),
@@ -1271,48 +1072,49 @@ impl ToWire for Fig4Acc {
 impl FromWire for Fig4Acc {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
         let mut acc = Fig4Acc::new();
-        for entry in value.as_array("fig4-acc")? {
-            let row = entry.as_array("fig4-acc entry")?;
-            if row.len() != 6 {
+        for row in entries(value).map_err(|e| e.at("fig4-acc"))? {
+            let cells = entries(row).map_err(|e| e.at("fig4-acc entry"))?;
+            let [index, l0, l1, l2, l3, violations] = cells else {
                 return Err(WireError::new(
                     "fig4-acc entries must be [index, l0, l1, l2, l3, violations]",
                 ));
-            }
+            };
             let mut latest = [0u32; 4];
-            for (slot, cell) in row[1..5].iter().enumerate() {
-                latest[slot] = cell.as_u32("fig4-acc latest entry")?;
+            for (slot, cell) in latest.iter_mut().zip([l0, l1, l2, l3]) {
+                *slot = u32::from_wire(cell).map_err(|e| e.at("fig4-acc latest entry"))?;
             }
             acc.insert(
-                row[0].as_usize("fig4-acc index")?,
-                (latest, row[5].as_u64("fig4-acc violations")?),
+                usize::from_wire(index).map_err(|e| e.at("fig4-acc index"))?,
+                (latest, u64::from_wire(violations).map_err(|e| e.at("fig4-acc violations"))?),
             );
         }
         Ok(acc)
     }
 }
 
+/// A result travels as its query's name and the rows (or report) of that
+/// query.
 impl ToWire for QueryResult {
     fn to_wire(&self) -> Value {
         let (query, rows) = match self {
-            QueryResult::Thm1(rows) => ("thm1", rows.to_wire()),
-            QueryResult::Omission(rows) => ("omission", rows.to_wire()),
-            QueryResult::Thm3(rows) => ("thm3", rows.to_wire()),
-            QueryResult::Fig4(rows) => ("fig4", rows.to_wire()),
-            QueryResult::Prop2(report) => ("prop2", report.to_wire()),
+            QueryResult::Thm1(rows) => (QueryKind::Thm1, rows.to_wire()),
+            QueryResult::Omission(rows) => (QueryKind::Omission, rows.to_wire()),
+            QueryResult::Thm3(rows) => (QueryKind::Thm3, rows.to_wire()),
+            QueryResult::Fig4(rows) => (QueryKind::Fig4, rows.to_wire()),
+            QueryResult::Prop2(report) => (QueryKind::Prop2, report.to_wire()),
         };
-        Value::Object(vec![("query".into(), Value::Str(query.into())), ("rows".into(), rows)])
+        object([("query", query.to_wire()), ("rows", rows)])
     }
 }
 
 impl FromWire for QueryResult {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        let rows = value.field("rows")?;
-        Ok(match QueryKind::parse(value.field("query")?.as_str("result.query")?)? {
-            QueryKind::Thm1 => QueryResult::Thm1(Vec::from_wire(rows)?),
-            QueryKind::Omission => QueryResult::Omission(Vec::from_wire(rows)?),
-            QueryKind::Thm3 => QueryResult::Thm3(Vec::from_wire(rows)?),
-            QueryKind::Fig4 => QueryResult::Fig4(Vec::from_wire(rows)?),
-            QueryKind::Prop2 => QueryResult::Prop2(Prop2Report::from_wire(rows)?),
+        Ok(match value.field("query", "result.query")? {
+            QueryKind::Thm1 => QueryResult::Thm1(value.field("rows", "result.rows")?),
+            QueryKind::Omission => QueryResult::Omission(value.field("rows", "result.rows")?),
+            QueryKind::Thm3 => QueryResult::Thm3(value.field("rows", "result.rows")?),
+            QueryKind::Fig4 => QueryResult::Fig4(value.field("rows", "result.rows")?),
+            QueryKind::Prop2 => QueryResult::Prop2(value.field("rows", "result.rows")?),
         })
     }
 }
@@ -1345,40 +1147,10 @@ pub struct JobDone {
     pub wall_ms: f64,
 }
 
-impl ToWire for JobDone {
-    fn to_wire(&self) -> Value {
-        Value::Object(vec![
-            ("type".into(), Value::Str("job-done".into())),
-            ("job".into(), Value::Int(self.job as i128)),
-            ("result".into(), self.result.to_wire()),
-            ("stats".into(), self.stats.to_wire()),
-            ("shards_total".into(), Value::Int(self.shards_total as i128)),
-            ("shards_cached".into(), Value::Int(self.shards_cached as i128)),
-            ("shards_executed".into(), Value::Int(self.shards_executed as i128)),
-            ("fleet_workers".into(), Value::Int(self.fleet_workers as i128)),
-            ("shards_remote".into(), Value::Int(self.shards_remote as i128)),
-            ("leases_requeued".into(), Value::Int(self.leases_requeued as i128)),
-            ("wall_ms".into(), Value::Float(self.wall_ms)),
-        ])
-    }
-}
-
-impl FromWire for JobDone {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(JobDone {
-            job: value.field("job")?.as_u64("job-done.job")?,
-            result: QueryResult::from_wire(value.field("result")?)?,
-            stats: SweepStats::from_wire(value.field("stats")?)?,
-            shards_total: value.field("shards_total")?.as_u64("job-done.shards_total")?,
-            shards_cached: value.field("shards_cached")?.as_u64("job-done.shards_cached")?,
-            shards_executed: value.field("shards_executed")?.as_u64("job-done.shards_executed")?,
-            fleet_workers: value.field("fleet_workers")?.as_u64("job-done.fleet_workers")?,
-            shards_remote: value.field("shards_remote")?.as_u64("job-done.shards_remote")?,
-            leases_requeued: value.field("leases_requeued")?.as_u64("job-done.leases_requeued")?,
-            wall_ms: value.field("wall_ms")?.as_f64("job-done.wall_ms")?,
-        })
-    }
-}
+wire_record!(JobDone, "job-done", tag "job-done" {
+    job, result, stats, shards_total, shards_cached, shards_executed, fleet_workers,
+    shards_remote, leases_requeued, wall_ms,
+});
 
 /// Machine-readable classification of an [`ErrorFrame`] — what failed, so
 /// clients can react (retry a [`ErrorKind::QueueFull`] rejection, treat
@@ -1434,6 +1206,27 @@ impl ErrorKind {
     }
 }
 
+/// A kind travels as its name; an absent kind reads as
+/// [`ErrorKind::Internal`], like an unknown one.
+impl ToWire for ErrorKind {
+    fn to_wire(&self) -> Value {
+        Value::Str(self.name().into())
+    }
+}
+
+impl FromWire for ErrorKind {
+    fn from_wire(value: &Value) -> Result<Self, WireError> {
+        match value {
+            Value::Str(name) => Ok(ErrorKind::parse(name)),
+            _ => Err(type_error("a string", value)),
+        }
+    }
+
+    fn from_absent_field() -> Option<Self> {
+        Some(ErrorKind::Internal)
+    }
+}
+
 /// The terminal failure frame of a job (or of a malformed request outside
 /// any job).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1446,120 +1239,62 @@ pub struct ErrorFrame {
     pub message: String,
 }
 
-impl ToWire for ErrorFrame {
-    fn to_wire(&self) -> Value {
-        let mut fields = vec![("type".into(), Value::Str("error".into()))];
-        if let Some(job) = self.job {
-            fields.push(("job".into(), Value::Int(job as i128)));
-        }
-        fields.push(("kind".into(), Value::Str(self.kind.name().into())));
-        fields.push(("message".into(), Value::Str(self.message.clone())));
-        Value::Object(fields)
+wire_record!(ErrorFrame, "error", tag "error" { job, kind, message });
+
+wire_record!(HistogramSnapshot, "histogram" {
+    name, count, sum_us, max_us, p50_us, p95_us, p99_us,
+});
+
+/// Renders a `[[name, value], …]` metrics section.
+fn metric_pairs<T: ToWire>(pairs: &[(String, T)]) -> Value {
+    Value::Array(
+        pairs.iter().map(|(name, v)| Value::Array(vec![name.to_wire(), v.to_wire()])).collect(),
+    )
+}
+
+/// Decodes a metrics section, naming a bad `[name, value]` pair `pair`.
+fn metric_pairs_from<T: FromWire>(
+    section: Vec<Value>,
+    pair: &str,
+) -> Result<Vec<(String, T)>, WireError> {
+    section.iter().map(|entry| metric_pair(entry).map_err(|e| e.at(pair))).collect()
+}
+
+fn metric_pair<T: FromWire>(entry: &Value) -> Result<(String, T), WireError> {
+    match entries(entry)? {
+        [name, value] => Ok((String::from_wire(name)?, T::from_wire(value)?)),
+        _ => Err(WireError::new("must be a [name, value] pair")),
     }
 }
 
-impl FromWire for ErrorFrame {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        Ok(ErrorFrame {
-            job: match value.get("job") {
-                Some(job) => Some(job.as_u64("error.job")?),
-                None => None,
-            },
-            kind: match value.get("kind") {
-                Some(kind) => ErrorKind::parse(kind.as_str("error.kind")?),
-                None => ErrorKind::Internal,
-            },
-            message: value.field("message")?.as_str("error.message")?.to_owned(),
-        })
-    }
-}
-
+/// Counters and gauges travel as `[name, value]` pairs, histograms as
+/// records.
 impl ToWire for MetricsSnapshot {
     fn to_wire(&self) -> Value {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, v)| Value::Array(vec![Value::Str(name.clone()), Value::Int(*v as i128)]))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(name, v)| Value::Array(vec![Value::Str(name.clone()), Value::Int(*v as i128)]))
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|h| {
-                Value::Object(vec![
-                    ("name".into(), Value::Str(h.name.clone())),
-                    ("count".into(), Value::Int(h.count as i128)),
-                    ("sum_us".into(), Value::Int(h.sum_us as i128)),
-                    ("max_us".into(), Value::Int(h.max_us as i128)),
-                    ("p50_us".into(), Value::Float(h.p50_us)),
-                    ("p95_us".into(), Value::Float(h.p95_us)),
-                    ("p99_us".into(), Value::Float(h.p99_us)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("type".into(), Value::Str("stats-result".into())),
-            ("counters".into(), Value::Array(counters)),
-            ("gauges".into(), Value::Array(gauges)),
-            ("histograms".into(), Value::Array(histograms)),
-        ])
+        tagged(
+            "stats-result",
+            [
+                ("counters", metric_pairs(&self.counters)),
+                ("gauges", metric_pairs(&self.gauges)),
+                ("histograms", self.histograms.to_wire()),
+            ],
+        )
     }
-}
-
-/// Decodes one `[name, value]` metric pair.
-fn metric_pair(entry: &Value, what: &str) -> Result<(String, i128), WireError> {
-    let pair = entry.as_array(what)?;
-    if pair.len() != 2 {
-        return Err(WireError::new(format!("{what} must be a [name, value] pair")));
-    }
-    Ok((pair[0].as_str(what)?.to_owned(), pair[1].as_i128(what)?))
 }
 
 impl FromWire for MetricsSnapshot {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        let counters = value
-            .field("counters")?
-            .as_array("stats-result.counters")?
-            .iter()
-            .map(|entry| {
-                let (name, v) = metric_pair(entry, "stats-result counter")?;
-                let v = u64::try_from(v)
-                    .map_err(|_| WireError::new("stats-result counter out of u64 range"))?;
-                Ok((name, v))
-            })
-            .collect::<Result<_, WireError>>()?;
-        let gauges = value
-            .field("gauges")?
-            .as_array("stats-result.gauges")?
-            .iter()
-            .map(|entry| {
-                let (name, v) = metric_pair(entry, "stats-result gauge")?;
-                let v = i64::try_from(v)
-                    .map_err(|_| WireError::new("stats-result gauge out of i64 range"))?;
-                Ok((name, v))
-            })
-            .collect::<Result<_, WireError>>()?;
-        let histograms = value
-            .field("histograms")?
-            .as_array("stats-result.histograms")?
-            .iter()
-            .map(|h| {
-                Ok(HistogramSnapshot {
-                    name: h.field("name")?.as_str("histogram.name")?.to_owned(),
-                    count: h.field("count")?.as_u64("histogram.count")?,
-                    sum_us: h.field("sum_us")?.as_u64("histogram.sum_us")?,
-                    max_us: h.field("max_us")?.as_u64("histogram.max_us")?,
-                    p50_us: h.field("p50_us")?.as_f64("histogram.p50_us")?,
-                    p95_us: h.field("p95_us")?.as_f64("histogram.p95_us")?,
-                    p99_us: h.field("p99_us")?.as_f64("histogram.p99_us")?,
-                })
-            })
-            .collect::<Result<_, WireError>>()?;
-        Ok(MetricsSnapshot { counters, gauges, histograms })
+        Ok(MetricsSnapshot {
+            counters: metric_pairs_from(
+                value.field("counters", "stats-result.counters")?,
+                "stats-result counter",
+            )?,
+            gauges: metric_pairs_from(
+                value.field("gauges", "stats-result.gauges")?,
+                "stats-result gauge",
+            )?,
+            histograms: value.field("histograms", "stats-result.histograms")?,
+        })
     }
 }
 
@@ -1644,47 +1379,35 @@ impl ToWire for Frame {
     fn to_wire(&self) -> Value {
         match self {
             Frame::Job(spec) => spec.to_wire(),
-            Frame::Cancel { job } => Value::Object(vec![
-                ("type".into(), Value::Str("cancel".into())),
-                ("job".into(), Value::Int(*job as i128)),
-            ]),
-            Frame::Shutdown => Value::Object(vec![("type".into(), Value::Str("shutdown".into()))]),
-            Frame::ShuttingDown => {
-                Value::Object(vec![("type".into(), Value::Str("shutting-down".into()))])
+            Frame::Cancel { job } => tagged("cancel", [("job", job.to_wire())]),
+            Frame::Shutdown => tagged("shutdown", []),
+            Frame::ShuttingDown => tagged("shutting-down", []),
+            Frame::CancelAck { job, found } => {
+                tagged("cancel-ack", [("job", job.to_wire()), ("found", found.to_wire())])
             }
-            Frame::CancelAck { job, found } => Value::Object(vec![
-                ("type".into(), Value::Str("cancel-ack".into())),
-                ("job".into(), Value::Int(*job as i128)),
-                ("found".into(), Value::Bool(*found)),
-            ]),
             Frame::ShardDone(frame) => frame.to_wire(),
             Frame::Partial(frame) => frame.to_wire(),
             Frame::JobDone(frame) => frame.to_wire(),
             Frame::Error(frame) => frame.to_wire(),
-            Frame::Hello { token } => Value::Object(vec![
-                ("type".into(), Value::Str("hello".into())),
-                ("token".into(), Value::Str(token.clone())),
-            ]),
-            Frame::Register => Value::Object(vec![("type".into(), Value::Str("register".into()))]),
-            Frame::Registered { worker, lease_ttl_ms, heartbeat_ms } => Value::Object(vec![
-                ("type".into(), Value::Str("registered".into())),
-                ("worker".into(), Value::Int(*worker as i128)),
-                ("lease_ttl_ms".into(), Value::Int(*lease_ttl_ms as i128)),
-                ("heartbeat_ms".into(), Value::Int(*heartbeat_ms as i128)),
-            ]),
-            Frame::Heartbeat { worker } => Value::Object(vec![
-                ("type".into(), Value::Str("heartbeat".into())),
-                ("worker".into(), Value::Int(*worker as i128)),
-            ]),
+            Frame::Hello { token } => tagged("hello", [("token", token.to_wire())]),
+            Frame::Register => tagged("register", []),
+            Frame::Registered { worker, lease_ttl_ms, heartbeat_ms } => tagged(
+                "registered",
+                [
+                    ("worker", worker.to_wire()),
+                    ("lease_ttl_ms", lease_ttl_ms.to_wire()),
+                    ("heartbeat_ms", heartbeat_ms.to_wire()),
+                ],
+            ),
+            Frame::Heartbeat { worker } => tagged("heartbeat", [("worker", worker.to_wire())]),
             Frame::Lease(frame) => frame.to_wire(),
             Frame::LeaseDone(frame) => frame.to_wire(),
-            Frame::LeaseRevoke { lease, generation } => Value::Object(vec![
-                ("type".into(), Value::Str("lease-revoke".into())),
-                ("lease".into(), Value::Int(*lease as i128)),
-                ("generation".into(), Value::Int(*generation as i128)),
-            ]),
+            Frame::LeaseRevoke { lease, generation } => tagged(
+                "lease-revoke",
+                [("lease", lease.to_wire()), ("generation", generation.to_wire())],
+            ),
             Frame::LeaseFailed(frame) => frame.to_wire(),
-            Frame::Stats => Value::Object(vec![("type".into(), Value::Str("stats".into()))]),
+            Frame::Stats => tagged("stats", []),
             Frame::StatsResult(snapshot) => snapshot.to_wire(),
         }
     }
@@ -1692,42 +1415,39 @@ impl ToWire for Frame {
 
 impl FromWire for Frame {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        match value.field("type")?.as_str("frame type")? {
-            "job" => Ok(Frame::Job(JobSpec::from_wire(value)?)),
-            "cancel" => Ok(Frame::Cancel { job: value.field("job")?.as_u64("cancel.job")? }),
-            "shutdown" => Ok(Frame::Shutdown),
-            "shutting-down" => Ok(Frame::ShuttingDown),
-            "cancel-ack" => Ok(Frame::CancelAck {
-                job: value.field("job")?.as_u64("cancel-ack.job")?,
-                found: value.field("found")?.as_bool("cancel-ack.found")?,
-            }),
-            "shard-done" => Ok(Frame::ShardDone(ShardDone::from_wire(value)?)),
-            "partial" => Ok(Frame::Partial(Partial::from_wire(value)?)),
-            "job-done" => Ok(Frame::JobDone(JobDone::from_wire(value)?)),
-            "error" => Ok(Frame::Error(ErrorFrame::from_wire(value)?)),
-            "hello" => {
-                Ok(Frame::Hello { token: value.field("token")?.as_str("hello.token")?.to_owned() })
-            }
-            "register" => Ok(Frame::Register),
-            "registered" => Ok(Frame::Registered {
-                worker: value.field("worker")?.as_u64("registered.worker")?,
-                lease_ttl_ms: value.field("lease_ttl_ms")?.as_u64("registered.lease_ttl_ms")?,
-                heartbeat_ms: value.field("heartbeat_ms")?.as_u64("registered.heartbeat_ms")?,
-            }),
-            "heartbeat" => {
-                Ok(Frame::Heartbeat { worker: value.field("worker")?.as_u64("heartbeat.worker")? })
-            }
-            "lease" => Ok(Frame::Lease(LeaseGrant::from_wire(value)?)),
-            "lease-done" => Ok(Frame::LeaseDone(LeaseDone::from_wire(value)?)),
-            "lease-revoke" => Ok(Frame::LeaseRevoke {
-                lease: value.field("lease")?.as_u64("lease-revoke.lease")?,
-                generation: value.field("generation")?.as_u64("lease-revoke.generation")?,
-            }),
-            "lease-failed" => Ok(Frame::LeaseFailed(LeaseFailed::from_wire(value)?)),
-            "stats" => Ok(Frame::Stats),
-            "stats-result" => Ok(Frame::StatsResult(MetricsSnapshot::from_wire(value)?)),
-            other => Err(WireError::new(format!("unknown frame type {other:?}"))),
-        }
+        let tag: String = value.field("type", "frame type")?;
+        Ok(match tag.as_str() {
+            "job" => Frame::Job(JobSpec::from_wire(value)?),
+            "cancel" => Frame::Cancel { job: value.field("job", "cancel.job")? },
+            "shutdown" => Frame::Shutdown,
+            "shutting-down" => Frame::ShuttingDown,
+            "cancel-ack" => Frame::CancelAck {
+                job: value.field("job", "cancel-ack.job")?,
+                found: value.field("found", "cancel-ack.found")?,
+            },
+            "shard-done" => Frame::ShardDone(ShardDone::from_wire(value)?),
+            "partial" => Frame::Partial(Partial::from_wire(value)?),
+            "job-done" => Frame::JobDone(JobDone::from_wire(value)?),
+            "error" => Frame::Error(ErrorFrame::from_wire(value)?),
+            "hello" => Frame::Hello { token: value.field("token", "hello.token")? },
+            "register" => Frame::Register,
+            "registered" => Frame::Registered {
+                worker: value.field("worker", "registered.worker")?,
+                lease_ttl_ms: value.field("lease_ttl_ms", "registered.lease_ttl_ms")?,
+                heartbeat_ms: value.field("heartbeat_ms", "registered.heartbeat_ms")?,
+            },
+            "heartbeat" => Frame::Heartbeat { worker: value.field("worker", "heartbeat.worker")? },
+            "lease" => Frame::Lease(LeaseGrant::from_wire(value)?),
+            "lease-done" => Frame::LeaseDone(LeaseDone::from_wire(value)?),
+            "lease-revoke" => Frame::LeaseRevoke {
+                lease: value.field("lease", "lease-revoke.lease")?,
+                generation: value.field("generation", "lease-revoke.generation")?,
+            },
+            "lease-failed" => Frame::LeaseFailed(LeaseFailed::from_wire(value)?),
+            "stats" => Frame::Stats,
+            "stats-result" => Frame::StatsResult(MetricsSnapshot::from_wire(value)?),
+            other => return Err(WireError::new(format!("unknown frame type {other:?}"))),
+        })
     }
 }
 
