@@ -667,25 +667,41 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Value, WireError> {
+    /// Consumes `byte` if it is next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.bytes.get(self.pos) == Some(&byte);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Consumes a run of decimal digits; `false` if there was none.
+    fn digits(&mut self) -> bool {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        self.pos > start
+    }
+
+    /// Scans an RFC 8259 number, `-? (0 | [1-9][0-9]*) (.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`, before `str::parse` sees it: std would also
+    /// take leading zeros (`007`) and bare dots (`1.`, `-.5`).
+    fn number(&mut self) -> Result<Value, WireError> {
+        let start = self.pos;
+        self.eat(b'-');
+        let mut malformed = !self.eat(b'0') && !self.digits();
+        let fraction = self.eat(b'.');
+        malformed |= fraction && !self.digits();
+        let exponent = self.eat(b'e') || self.eat(b'E');
+        if exponent && !self.eat(b'+') {
+            self.eat(b'-');
         }
+        malformed |= exponent && !self.digits();
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if is_float {
+        if malformed {
+            Err(self.error(format!("invalid number {text:?}")))
+        } else if fraction || exponent {
             text.parse::<f64>()
                 .ok()
                 .filter(|f| f.is_finite())
@@ -1507,8 +1523,24 @@ mod tests {
             "1e999",
             "\"bad escape \\q\"",
             "170141183460469231731687303715884105728", // i128::MAX + 1
+            // Numbers std's parsers accept but RFC 8259 forbids.
+            "01",
+            "-007",
+            "1.",
+            "-.5",
+            "1.e3",
         ] {
             assert!(Value::parse(bad).is_err(), "accepted malformed input {bad:?}");
+        }
+        assert!(decode_line("{\"type\":\"cancel\",\"job\":007}").is_err());
+        for (good, value) in [
+            ("0", Value::Int(0)),
+            ("-0", Value::Int(0)),
+            ("0.5", Value::Float(0.5)),
+            ("1e5", Value::Float(1e5)),
+            ("-1.5E-3", Value::Float(-1.5e-3)),
+        ] {
+            assert_eq!(Value::parse(good), Ok(value), "rejected {good:?}");
         }
     }
 
