@@ -12,7 +12,9 @@
 //!
 //! * [`wire`] — the line-delimited JSON protocol (hand-rolled, with
 //!   `ToWire`/`FromWire` traits shaped for an eventual swap to the real
-//!   serde; see `vendor/README.md`);
+//!   serde; see `vendor/README.md`): every plain record gets its codec from
+//!   one `wire_record!` line, and only encodings that are not field by
+//!   field (`Value`, `Frame`, `QueryResult`, …) are written by hand;
 //! * [`query`] — the wire-side fact of each `sweep::experiments::Query`
 //!   descriptor (its `QueryResult` variant) and [`fold_local`], the
 //!   in-process fold of any query kind;

@@ -1180,8 +1180,9 @@ pub enum ErrorKind {
     QueueFull,
     /// The job was revoked by a `cancel` frame.
     Cancelled,
-    /// A cached/fresh accumulator set failed the shard-merge
-    /// preconditions (out-of-order or gapped partition).
+    /// A replayed shard's stored range is not the range the job's
+    /// partition gives that shard — a forged or corrupted cache entry,
+    /// refused before it can reach the merge.
     Merge,
     /// The sweep engine rejected the job's parameters mid-execution.
     Model,
