@@ -168,11 +168,14 @@ fn int<T: TryFrom<i128>>(value: &Value, range_error: &'static str) -> Result<T, 
     }
 }
 
+/// Every integer the protocol carries fits the wire's `i128` integers: the
+/// one `u128`, a scope size, is bounded by the engine (`ExhaustiveSource`
+/// rejects spaces beyond `usize::MAX`).
 macro_rules! wire_int {
     ($($int:ty),*) => {$(
         impl ToWire for $int {
             fn to_wire(&self) -> Value {
-                Value::Int(*self as i128)
+                Value::Int(i128::try_from(*self).expect("wire integers fit i128"))
             }
         }
 
@@ -184,21 +187,7 @@ macro_rules! wire_int {
     )*};
 }
 
-wire_int!(u64, u32, usize, i64);
-
-/// Scope sizes are bounded by the engine (`ExhaustiveSource` rejects spaces
-/// beyond `usize::MAX`), so they always fit the wire's `i128` integers.
-impl ToWire for u128 {
-    fn to_wire(&self) -> Value {
-        Value::Int(i128::try_from(*self).expect("scope size fits i128"))
-    }
-}
-
-impl FromWire for u128 {
-    fn from_wire(value: &Value) -> Result<Self, WireError> {
-        int(value, "out of u128 range")
-    }
-}
+wire_int!(u64, u32, usize, u128, i64);
 
 impl ToWire for bool {
     fn to_wire(&self) -> Value {
@@ -303,7 +292,7 @@ impl<T: FromWire + Copy + Default, const N: usize> FromWire for [T; N] {
 }
 
 /// An optional record field: left out when `None`, read as `None` when
-/// absent.  On its own, `None` is `null`.
+/// absent.  A present field must hold a `T` (`null` is not `None`).
 impl<T: ToWire> ToWire for Option<T> {
     fn to_wire(&self) -> Value {
         self.as_ref().map_or(Value::Null, ToWire::to_wire)
@@ -316,10 +305,7 @@ impl<T: ToWire> ToWire for Option<T> {
 
 impl<T: FromWire> FromWire for Option<T> {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        match value {
-            Value::Null => Ok(None),
-            _ => T::from_wire(value).map(Some),
-        }
+        T::from_wire(value).map(Some)
     }
 
     fn from_absent_field() -> Option<Self> {
@@ -785,10 +771,7 @@ impl ToWire for QueryKind {
 
 impl FromWire for QueryKind {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        match value {
-            Value::Str(name) => QueryKind::parse(name),
-            _ => Err(type_error("a string", value)),
-        }
+        QueryKind::parse(&String::from_wire(value)?)
     }
 }
 
@@ -1233,10 +1216,7 @@ impl ToWire for ErrorKind {
 
 impl FromWire for ErrorKind {
     fn from_wire(value: &Value) -> Result<Self, WireError> {
-        match value {
-            Value::Str(name) => Ok(ErrorKind::parse(name)),
-            _ => Err(type_error("a string", value)),
-        }
+        String::from_wire(value).map(|name| ErrorKind::parse(&name))
     }
 
     fn from_absent_field() -> Option<Self> {
