@@ -13,8 +13,8 @@
 //!   `serde::Deserialize`), rejecting missing fields, wrong types and
 //!   out-of-range numbers with a [`WireError`] instead of panicking.
 //!
-//! Scalars, `String`, `Value`, [`QueryKind`], `Vec<T>`, `[T; N]` and
-//! `Option<T>` implement both traits.  A plain record — a JSON object of
+//! Scalars, `String`, `Value`, [`QueryKind`], [`ErrorKind`], `Vec<T>`,
+//! `[T; N]` and `Option<T>` implement both traits.  A plain record — a JSON object of
 //! its fields under their own names — gets its pair from one
 //! `wire_record!` line listing the fields in wire order; an optional field
 //! is left out when `None` and read as `None` when absent.
