@@ -60,7 +60,7 @@ const USAGE: &str = "usage: sweep <thm1|omission|thm3|fig4|prop2|all> [--model c
                      [--shards N] [--threads N] [--seed N]\n\
        sweep serve    (--socket PATH | --tcp ADDR) [--workers N] [--dispatchers N] \
                       [--queue-capacity N] [--cache-dir PATH] [--cache-budget BYTES] \
-                      [--lease-ttl-ms N] [--auth-token TOKEN] [--stats-interval SECS]\n\
+                      [--lease-ttl-ms N] [--auth-token TOKEN]\n\
        sweep worker   (--connect ADDR | --socket PATH | --tcp ADDR) [--auth-token TOKEN] \
                       [--connect-timeout SECS] [--heartbeat-ms N]\n\
        sweep submit   (--socket PATH | --tcp ADDR) <thm1|omission|thm3|fig4|prop2> \
@@ -275,7 +275,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) {
     let mut cache_budget: Option<u64> = None;
     let mut lease_ttl_ms = 0u64;
     let mut auth_token: Option<String> = None;
-    let mut stats_interval: Option<Duration> = None;
     while let Some(flag) = args.next() {
         if endpoint.accept(&flag, || value_of(&flag, &mut args)) {
             continue;
@@ -290,10 +289,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) {
             }
             "--lease-ttl-ms" => lease_ttl_ms = parse_number(&flag, &value_of(&flag, &mut args)),
             "--auth-token" => auth_token = Some(value_of(&flag, &mut args)),
-            "--stats-interval" => {
-                let secs: u64 = parse_number(&flag, &value_of(&flag, &mut args));
-                stats_interval = (secs > 0).then(|| Duration::from_secs(secs));
-            }
             other => usage_exit(&format!("unknown flag {other}")),
         }
     }
@@ -306,7 +301,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) {
         cache_budget,
         lease_ttl_ms,
         auth_token: auth_token.or_else(token_from_env),
-        stats_interval,
         metrics: None,
     };
     let server = match Server::bind(&options) {

@@ -117,9 +117,6 @@ pub struct ServeOptions {
     /// `hello` first frame, constant-time compared).  `None` disables the
     /// handshake; Unix sockets never require it.
     pub auth_token: Option<String>,
-    /// Emit a one-line telemetry heartbeat on stderr at this interval
-    /// (`sweep serve --stats-interval SECS`); `None` disables it.
-    pub stats_interval: Option<Duration>,
     /// Metrics registry the daemon records into.  `None` uses the
     /// process-wide [`telemetry::global`] registry; tests embedding
     /// several daemons in one process inject fresh registries here so
@@ -145,7 +142,6 @@ impl ServeOptions {
             cache_budget: None,
             lease_ttl_ms: 0,
             auth_token: None,
-            stats_interval: None,
             metrics: None,
         }
     }
@@ -375,7 +371,6 @@ pub struct Server {
     cache: Arc<ShardCache>,
     fleet_config: FleetConfig,
     auth_token: Option<String>,
-    stats_interval: Option<Duration>,
     metrics: Arc<Registry>,
 }
 
@@ -421,7 +416,6 @@ impl Server {
             cache: Arc::new(ShardCache::new(store)),
             fleet_config: FleetConfig::with_ttl_ms(options.lease_ttl_ms),
             auth_token: options.auth_token.clone(),
-            stats_interval: options.stats_interval,
             metrics: options.metrics.clone().unwrap_or_else(telemetry::global),
         })
     }
@@ -504,46 +498,6 @@ impl Server {
                 }
             })
         };
-
-        // The opt-in telemetry heartbeat: a one-line snapshot summary on
-        // stderr every `--stats-interval`.  The short sleep keeps shutdown
-        // latency bounded by ~50 ms rather than by the interval.
-        let heartbeat = self.stats_interval.map(|interval| {
-            let metrics = Arc::clone(&metrics);
-            let cache = Arc::clone(&self.cache);
-            let fleet = Arc::clone(&fleet);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || {
-                let mut last = Instant::now();
-                while !shutdown.load(Ordering::Relaxed) {
-                    thread::sleep(Duration::from_millis(50));
-                    if last.elapsed() < interval {
-                        continue;
-                    }
-                    last = Instant::now();
-                    let snapshot = metrics.snapshot(&cache, &fleet);
-                    let uptime = snapshot.gauge("uptime.seconds").unwrap_or(0);
-                    let jobs = snapshot.counter("jobs.total").unwrap_or(0);
-                    let depth = snapshot.gauge("queue.depth").unwrap_or(0);
-                    let replays = snapshot.counter("cache.replays").unwrap_or(0);
-                    let workers = snapshot.gauge("fleet.workers").unwrap_or(0);
-                    telemetry::log::info(
-                        LOG_TARGET,
-                        format!(
-                            "sweep serve: stats: up {uptime} s; {jobs} job(s), queue depth \
-                             {depth}; {replays} cache replay(s); fleet: {workers} worker(s)"
-                        ),
-                        &[
-                            ("uptime_s", uptime.into()),
-                            ("jobs_total", jobs.into()),
-                            ("queue_depth", depth.into()),
-                            ("cache_replays", replays.into()),
-                            ("fleet_workers", workers.into()),
-                        ],
-                    );
-                }
-            })
-        });
 
         telemetry::log::info(
             LOG_TARGET,
@@ -630,9 +584,6 @@ impl Server {
             dispatcher.join().expect("dispatcher thread panicked");
         }
         sweeper.join().expect("sweeper thread panicked");
-        if let Some(heartbeat) = heartbeat {
-            heartbeat.join().expect("stats heartbeat thread panicked");
-        }
         // Dropping the last pool handle closes its queue and joins the
         // workers.
         drop(pool);
