@@ -1,13 +1,11 @@
 //! The `sweep submit` client: submit a job, stream its frames, return the
 //! final result.
 
-use std::io::{BufRead, BufReader, Write};
-
 use sweep::SweepStats;
 use telemetry::MetricsSnapshot;
 
-use crate::net::{ConnectOptions, Endpoint, Stream};
-use crate::wire::{self, encode_line, Frame, JobSpec, QueryResult, ShardDone};
+use crate::net::{ConnectOptions, Endpoint, FrameReader, FrameWriter, Stream};
+use crate::wire::{Frame, JobSpec, QueryResult, ShardDone};
 use crate::ServiceError;
 
 /// Everything a completed job streamed back.
@@ -50,23 +48,56 @@ impl JobOutcome {
     }
 }
 
-fn write_frame(stream: &mut Stream, frame: &Frame) -> Result<(), ServiceError> {
-    stream
-        .write_all(encode_line(frame).as_bytes())
-        .and_then(|()| stream.flush())
-        .map_err(|e| ServiceError::io("sending a frame", e))
-}
-
 /// Connects under `options`: capped-backoff retries until the connect
 /// timeout elapses, then — on a TCP endpoint with a configured token —
 /// the `hello` auth handshake as the first frame.  Unix sockets skip the
 /// handshake (filesystem permissions already gate them).
-pub(crate) fn open(endpoint: &Endpoint, options: &ConnectOptions) -> Result<Stream, ServiceError> {
-    let mut stream = Stream::connect_with(endpoint, options.timeout)?;
+pub(crate) fn open(
+    endpoint: &Endpoint,
+    options: &ConnectOptions,
+) -> Result<(FrameReader<'static>, FrameWriter), ServiceError> {
+    let stream = Stream::connect_with(endpoint, options.timeout)?;
+    let writer = FrameWriter::new(stream.try_clone()?);
     if let (Some(token), Endpoint::Tcp(_)) = (&options.auth_token, endpoint) {
-        write_frame(&mut stream, &Frame::Hello { token: token.clone() })?;
+        writer.send(&Frame::Hello { token: token.clone() });
     }
-    Ok(stream)
+    Ok((FrameReader::new(stream, None), writer))
+}
+
+/// The one request loop of every client call: connects, sends `request`,
+/// and feeds each reply frame to `reply` until it returns a value.  An
+/// `error` frame ends the call as [`ServiceError::Remote`], and EOF as a
+/// protocol violation described by `closed`.
+///
+/// A failed send is not reported by itself: the daemon may have closed
+/// the connection with an `error` frame saying why (a refused auth
+/// token), and reading on surfaces that frame, or EOF.
+fn request<T>(
+    endpoint: &Endpoint,
+    options: &ConnectOptions,
+    request: &Frame,
+    closed: &str,
+    mut reply: impl FnMut(Frame) -> Result<Option<T>, ServiceError>,
+) -> Result<T, ServiceError> {
+    let (mut reader, writer) = open(endpoint, options)?;
+    writer.send(request);
+    loop {
+        match reader.read_frame()? {
+            None => return Err(ServiceError::Protocol(closed.into())),
+            Some(Frame::Error(error)) => {
+                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
+            }
+            Some(frame) => {
+                if let Some(value) = reply(frame)? {
+                    return Ok(value);
+                }
+            }
+        }
+    }
+}
+
+fn unexpected(frame: Frame) -> ServiceError {
+    ServiceError::Protocol(format!("unexpected frame {frame:?}"))
 }
 
 /// Submits one job to a running daemon and blocks until its terminal
@@ -90,54 +121,37 @@ pub fn submit_with(
     spec: &JobSpec,
     options: &ConnectOptions,
 ) -> Result<JobOutcome, ServiceError> {
-    let mut stream = open(endpoint, options)?;
-    write_frame(&mut stream, &Frame::Job(spec.clone()))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
     let mut shard_frames = Vec::new();
     let mut partials = 0usize;
-    loop {
-        line.clear();
-        let read =
-            reader.read_line(&mut line).map_err(|e| ServiceError::io("reading a frame", e))?;
-        if read == 0 {
-            return Err(ServiceError::Protocol("connection closed before the job finished".into()));
+    let closed = "connection closed before the job finished";
+    request(endpoint, options, &Frame::Job(spec.clone()), closed, |frame| match frame {
+        Frame::ShardDone(frame) => {
+            shard_frames.push(frame);
+            Ok(None)
         }
-        if line.trim().is_empty() {
-            continue;
+        Frame::Partial(_) => {
+            partials += 1;
+            Ok(None)
         }
-        match wire::decode_line(&line)? {
-            Frame::ShardDone(frame) => shard_frames.push(frame),
-            Frame::Partial(_) => partials += 1,
-            Frame::JobDone(done) => {
-                if done.job != spec.id {
-                    return Err(ServiceError::Protocol(format!(
-                        "job-done for job {} while waiting on job {}",
-                        done.job, spec.id
-                    )));
-                }
-                return Ok(JobOutcome {
-                    result: done.result,
-                    stats: done.stats,
-                    shards_total: done.shards_total,
-                    shards_cached: done.shards_cached,
-                    shards_executed: done.shards_executed,
-                    fleet_workers: done.fleet_workers,
-                    shards_remote: done.shards_remote,
-                    leases_requeued: done.leases_requeued,
-                    shard_frames,
-                    partials,
-                    wall_ms: done.wall_ms,
-                });
-            }
-            Frame::Error(error) => {
-                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
+        Frame::JobDone(done) if done.job != spec.id => Err(ServiceError::Protocol(format!(
+            "job-done for job {} while waiting on job {}",
+            done.job, spec.id
+        ))),
+        Frame::JobDone(done) => Ok(Some(JobOutcome {
+            result: done.result,
+            stats: done.stats,
+            shards_total: done.shards_total,
+            shards_cached: done.shards_cached,
+            shards_executed: done.shards_executed,
+            fleet_workers: done.fleet_workers,
+            shards_remote: done.shards_remote,
+            leases_requeued: done.leases_requeued,
+            shard_frames: std::mem::take(&mut shard_frames),
+            partials,
+            wall_ms: done.wall_ms,
+        })),
+        other => Err(unexpected(other)),
+    })
 }
 
 /// Asks a running daemon to revoke a queued or running job by its id,
@@ -163,38 +177,14 @@ pub fn cancel_with(
     job: u64,
     options: &ConnectOptions,
 ) -> Result<bool, ServiceError> {
-    let mut stream = open(endpoint, options)?;
-    write_frame(&mut stream, &Frame::Cancel { job })?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| ServiceError::io("reading the cancel ack", e))?;
-        if read == 0 {
-            return Err(ServiceError::Protocol("daemon closed without acknowledging".into()));
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line)? {
-            Frame::CancelAck { job: acked, found } => {
-                if acked != job {
-                    return Err(ServiceError::Protocol(format!(
-                        "cancel-ack for job {acked} while cancelling job {job}"
-                    )));
-                }
-                return Ok(found);
-            }
-            Frame::Error(error) => {
-                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
+    let closed = "daemon closed without acknowledging";
+    request(endpoint, options, &Frame::Cancel { job }, closed, |frame| match frame {
+        Frame::CancelAck { job: acked, .. } if acked != job => Err(ServiceError::Protocol(
+            format!("cancel-ack for job {acked} while cancelling job {job}"),
+        )),
+        Frame::CancelAck { found, .. } => Ok(Some(found)),
+        other => Err(unexpected(other)),
+    })
 }
 
 /// Asks a running daemon for a point-in-time metrics snapshot — job and
@@ -218,31 +208,11 @@ pub fn stats_with(
     endpoint: &Endpoint,
     options: &ConnectOptions,
 ) -> Result<MetricsSnapshot, ServiceError> {
-    let mut stream = open(endpoint, options)?;
-    write_frame(&mut stream, &Frame::Stats)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| ServiceError::io("reading the stats result", e))?;
-        if read == 0 {
-            return Err(ServiceError::Protocol("daemon closed without a stats result".into()));
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line)? {
-            Frame::StatsResult(snapshot) => return Ok(snapshot),
-            Frame::Error(error) => {
-                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
+    let closed = "daemon closed without a stats result";
+    request(endpoint, options, &Frame::Stats, closed, |frame| match frame {
+        Frame::StatsResult(snapshot) => Ok(Some(snapshot)),
+        other => Err(unexpected(other)),
+    })
 }
 
 /// Asks a running daemon to shut down gracefully and waits for the
@@ -262,29 +232,9 @@ pub fn shutdown(endpoint: &Endpoint) -> Result<(), ServiceError> {
 ///
 /// As [`shutdown`].
 pub fn shutdown_with(endpoint: &Endpoint, options: &ConnectOptions) -> Result<(), ServiceError> {
-    let mut stream = open(endpoint, options)?;
-    write_frame(&mut stream, &Frame::Shutdown)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read = reader
-            .read_line(&mut line)
-            .map_err(|e| ServiceError::io("reading the shutdown ack", e))?;
-        if read == 0 {
-            return Err(ServiceError::Protocol("daemon closed without acknowledging".into()));
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line)? {
-            Frame::ShuttingDown => return Ok(()),
-            Frame::Error(error) => {
-                return Err(ServiceError::Remote { kind: error.kind, message: error.message })
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
+    let closed = "daemon closed without acknowledging";
+    request(endpoint, options, &Frame::Shutdown, closed, |frame| match frame {
+        Frame::ShuttingDown => Ok(Some(())),
+        other => Err(unexpected(other)),
+    })
 }

@@ -1,13 +1,29 @@
-//! Transport: Unix-domain or TCP stream endpoints behind one interface.
+//! Transport: Unix-domain or TCP stream endpoints behind one interface,
+//! and the line framing every peer speaks over them.
+//!
+//! Client, daemon and worker exchange [`Frame`]s as one JSON line each.
+//! The crate reads them through one `FrameReader` and writes them
+//! through one `FrameWriter`; no other code touches socket lines.  A
+//! line longer than [`MAX_FRAME_BYTES`] is refused before it is decoded,
+//! so a peer that never sends a newline cannot grow a reader's buffer
+//! without bound.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::wire::{decode_line, encode_line, Frame};
 use crate::ServiceError;
+
+/// The longest frame line, newline excluded, that any reader accepts.
+/// The largest real frames (a `stats-result`, a thm3 `job-done`) are a
+/// few KiB, so the bound only ever stops a runaway or hostile peer.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Where the daemon listens (and clients connect).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,8 +228,8 @@ impl Stream {
     }
 
     /// Sets the read timeout — the server uses this so a connection thread
-    /// parked in `read_line` on an idle client wakes up periodically to
-    /// observe the shutdown flag.
+    /// parked in a frame read on an idle client wakes up periodically
+    /// to observe the shutdown flag.
     ///
     /// # Errors
     ///
@@ -248,5 +264,92 @@ impl Write for Stream {
             Stream::Unix(s) => s.flush(),
             Stream::Tcp(s) => s.flush(),
         }
+    }
+}
+
+/// Reads line frames off the read half of a connection.
+pub(crate) struct FrameReader<'a> {
+    reader: BufReader<Stream>,
+    /// The line assembled so far; a read timeout leaves a partial line
+    /// here for the next read to finish.
+    line: Vec<u8>,
+    /// Checked on every read timeout: once set, the reader reports EOF.
+    shutdown: Option<&'a AtomicBool>,
+}
+
+impl<'a> FrameReader<'a> {
+    /// A reader over `stream`.  With a `shutdown` flag, a read timeout set
+    /// on the stream makes the reader re-check the flag instead of failing.
+    pub(crate) fn new(stream: Stream, shutdown: Option<&'a AtomicBool>) -> Self {
+        FrameReader { reader: BufReader::new(stream), line: Vec::new(), shutdown }
+    }
+
+    /// Reads the next frame, skipping blank lines; `None` at EOF or once
+    /// the shutdown flag is seen set.  An unterminated last line before
+    /// EOF is decoded like a terminated one.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Wire`] for a line that does not decode (the reader
+    /// stays usable), [`ServiceError::Protocol`] for a line longer than
+    /// [`MAX_FRAME_BYTES`] or not UTF-8, and [`ServiceError::Io`] for a
+    /// failed read.  After a `Protocol` or `Io` error the caller closes
+    /// the connection: an over-long line cannot be skipped.
+    pub(crate) fn read_frame(&mut self) -> Result<Option<Frame>, ServiceError> {
+        loop {
+            let budget = (MAX_FRAME_BYTES + 1 - self.line.len()) as u64;
+            if let Err(error) = (&mut self.reader).take(budget).read_until(b'\n', &mut self.line) {
+                match (error.kind(), self.shutdown) {
+                    (io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut, Some(flag)) => {
+                        if flag.load(Ordering::Relaxed) {
+                            return Ok(None);
+                        }
+                        continue;
+                    }
+                    _ => return Err(ServiceError::io("reading a frame", error)),
+                }
+            }
+            // Short of the budget without a newline means EOF; a full
+            // budget without one means the line is over the bound.
+            let terminated = self.line.last() == Some(&b'\n');
+            if !terminated && self.line.len() > MAX_FRAME_BYTES {
+                self.line.clear();
+                return Err(ServiceError::Protocol(format!(
+                    "frame line longer than {MAX_FRAME_BYTES} bytes"
+                )));
+            }
+            let decoded = match std::str::from_utf8(&self.line) {
+                Ok(text) if text.trim().is_empty() => None,
+                Ok(text) => Some(decode_line(text).map_err(ServiceError::from)),
+                Err(_) => Some(Err(ServiceError::Protocol("frame line is not UTF-8".into()))),
+            };
+            self.line.clear();
+            match decoded {
+                Some(frame) => return frame.map(Some),
+                None if terminated => continue,
+                None => return Ok(None),
+            }
+        }
+    }
+}
+
+/// Writes line frames to the write half of a connection.  Clones share
+/// the half, so threads that send on one connection (a job's dispatcher,
+/// a worker's heartbeat) never interleave two frames' bytes.
+#[derive(Clone)]
+pub(crate) struct FrameWriter(Arc<Mutex<Stream>>);
+
+impl FrameWriter {
+    /// A writer over `stream`, usually a [`Stream::try_clone`] of the
+    /// half a [`FrameReader`] reads.
+    pub(crate) fn new(stream: Stream) -> Self {
+        FrameWriter(Arc::new(Mutex::new(stream)))
+    }
+
+    /// Sends one frame, reporting whether the peer is still connected.
+    pub(crate) fn send(&self, frame: &Frame) -> bool {
+        let line = encode_line(frame);
+        let mut stream = self.0.lock().expect("frame writer lock");
+        stream.write_all(line.as_bytes()).and_then(|()| stream.flush()).is_ok()
     }
 }

@@ -56,7 +56,6 @@
 //! gates every connection; Unix sockets are exempt.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -71,13 +70,13 @@ use synchrony::ModelError;
 use crate::cache::ShardCache;
 use crate::fingerprint::{code_version, JobFingerprint};
 use crate::lease::{FleetConfig, LeaseTable, RemoteTask, TaskOutcome};
-use crate::net::{Endpoint, Listener, Stream};
+use crate::net::{Endpoint, FrameReader, FrameWriter, Listener, Stream};
 use crate::pool::WorkerPool;
 use crate::query::ServedQuery;
 use crate::store::DurableStore;
 use crate::wire::{
-    self, encode_line, ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, Partial,
-    QueryKind, QueryResult, ShardDone, TaskSpec, ToWire,
+    ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, Partial, QueryKind, QueryResult,
+    ShardDone, TaskSpec, ToWire,
 };
 use crate::ServiceError;
 use telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -331,7 +330,10 @@ impl From<ModelError> for JobError {
 /// the cancel token the registry can flip.
 struct JobTask {
     spec: JobSpec,
-    reply: Reply,
+    /// Where the job's `shard-done`/`partial`/`job-done` frames go.  A
+    /// disconnected client never aborts a job — its shards keep warming
+    /// the cache — so sends ignore whether the client is still there.
+    reply: FrameWriter,
     cancel: Arc<AtomicBool>,
     /// When the job was admitted to the queue — the dispatcher that pops
     /// it records the difference as the `phase.queue_wait_us` histogram.
@@ -342,19 +344,6 @@ struct JobTask {
 /// client-chosen; a resubmitted id overwrites the previous token, so
 /// clients wanting reliable cancel semantics should keep ids unique.
 type CancelRegistry = Arc<Mutex<HashMap<u64, Arc<AtomicBool>>>>;
-
-/// The shared writer of one connection; `shard-done`/`partial`/`job-done`
-/// frames of a job go to the connection that submitted it.
-type Reply = Arc<Mutex<Stream>>;
-
-/// Sends one frame, reporting whether the client is still connected (a
-/// disconnected client never aborts a job — its shards keep warming the
-/// cache).
-fn send_frame(reply: &Reply, frame: &Frame) -> bool {
-    let line = encode_line(frame);
-    let mut writer = reply.lock().expect("reply lock");
-    writer.write_all(line.as_bytes()).and_then(|_| writer.flush()).is_ok()
-}
 
 /// A bound, not-yet-running daemon.
 ///
@@ -638,99 +627,79 @@ fn handle_connection(
     let Ok(write_half) = stream.try_clone() else { return };
     // The read timeout is what keeps shutdown graceful even while a client
     // (e.g. a human on `nc -U`) sits connected and idle: without it this
-    // thread would block in `read_line` forever and `Server::run` could
+    // thread would block in its read forever and `Server::run` could
     // never join it.
     if stream.set_read_timeout(Some(CONNECTION_READ_TIMEOUT)).is_err() {
         return;
     }
-    let reply: Reply = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    'connection: loop {
-        line.clear();
-        // Assemble one full line, waking on every read timeout to check
-        // the shutdown flag.  A timeout may leave a partial line in the
-        // buffer; `read_line` appends, so nothing is lost across retries.
-        let read = loop {
-            match reader.read_line(&mut line) {
-                Ok(read) => break read,
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break 'connection;
-                    }
-                }
-                Err(_) => break 'connection,
+    let reply = FrameWriter::new(write_half);
+    let mut reader = FrameReader::new(stream, Some(shutdown));
+    loop {
+        let frame = match reader.read_frame() {
+            Ok(Some(frame)) => frame,
+            // A line that does not decode was read whole: report it and
+            // read on.
+            Err(ServiceError::Wire(error)) => {
+                reply.send(&error_frame(None, ErrorKind::Protocol, error.to_string()));
+                continue;
             }
+            // An over-long line cannot be skipped without reading it to
+            // its end: report it and close the connection.
+            Err(ServiceError::Protocol(message)) => {
+                reply.send(&error_frame(None, ErrorKind::Protocol, message));
+                break;
+            }
+            Ok(None) | Err(_) => break,
         };
-        if read == 0 {
-            break;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match wire::decode_line(&line) {
-            Ok(Frame::Hello { token }) => {
+        match frame {
+            Frame::Hello { token } => {
                 // Ignored where no auth is required (a client configured
                 // with a token may talk to an open daemon).
                 if requires_auth {
                     if constant_time_eq(&token, auth_token.unwrap_or_default()) {
                         authed = true;
                     } else {
-                        send_frame(
-                            &reply,
-                            &Frame::Error(ErrorFrame {
-                                job: None,
-                                kind: ErrorKind::Unauthorized,
-                                message: "invalid auth token".into(),
-                            }),
-                        );
+                        reply.send(&error_frame(
+                            None,
+                            ErrorKind::Unauthorized,
+                            "invalid auth token",
+                        ));
                         break;
                     }
                 }
             }
-            Ok(_) if !authed => {
-                send_frame(
-                    &reply,
-                    &Frame::Error(ErrorFrame {
-                        job: None,
-                        kind: ErrorKind::Unauthorized,
-                        message: "this endpoint requires a hello frame with the auth token".into(),
-                    }),
-                );
+            _ if !authed => {
+                reply.send(&error_frame(
+                    None,
+                    ErrorKind::Unauthorized,
+                    "this endpoint requires a hello frame with the auth token",
+                ));
                 break;
             }
-            Ok(Frame::Register) => {
+            Frame::Register => {
                 // The connection becomes a worker session: it stops
                 // accepting job frames and serves the lease protocol
                 // until EOF or shutdown.
-                worker_session(reader, &reply, fleet, shutdown);
+                worker_session(reader, &reply, fleet);
                 return;
             }
-            Ok(Frame::Job(spec)) => {
+            Frame::Job(spec) => {
                 let id = spec.id;
                 let cancel = Arc::new(AtomicBool::new(false));
                 // Register before queueing, so a cancel can never race past
                 // a job that is queued but not yet visible.
                 registry.lock().expect("cancel registry lock").insert(id, Arc::clone(&cancel));
                 let task =
-                    JobTask { spec, reply: Arc::clone(&reply), cancel, queued_at: Instant::now() };
+                    JobTask { spec, reply: reply.clone(), cancel, queued_at: Instant::now() };
                 match job_tx.try_send(task) {
                     Ok(()) => metrics.queue_depth.add(1),
                     Err(TrySendError::Full(_)) => {
                         registry.lock().expect("cancel registry lock").remove(&id);
-                        send_frame(
-                            &reply,
-                            &Frame::Error(ErrorFrame {
-                                job: Some(id),
-                                kind: ErrorKind::QueueFull,
-                                message: "job queue is full; resubmit later".into(),
-                            }),
-                        );
+                        reply.send(&error_frame(
+                            Some(id),
+                            ErrorKind::QueueFull,
+                            "job queue is full; resubmit later",
+                        ));
                     }
                     Err(TrySendError::Disconnected(_)) => {
                         registry.lock().expect("cancel registry lock").remove(&id);
@@ -738,51 +707,41 @@ fn handle_connection(
                     }
                 }
             }
-            Ok(Frame::Cancel { job }) => {
+            Frame::Cancel { job } => {
                 let token = registry.lock().expect("cancel registry lock").get(&job).cloned();
                 let found = token.is_some();
                 if let Some(token) = token {
                     token.store(true, Ordering::Relaxed);
                 }
-                send_frame(&reply, &Frame::CancelAck { job, found });
+                reply.send(&Frame::CancelAck { job, found });
             }
-            Ok(Frame::Shutdown) => {
+            Frame::Shutdown => {
                 // Ack, then stop accepting: jobs already queued (including
                 // this connection's) still run to completion.
-                send_frame(&reply, &Frame::ShuttingDown);
+                reply.send(&Frame::ShuttingDown);
                 shutdown.store(true, Ordering::Relaxed);
                 break;
             }
-            Ok(Frame::Stats) => {
+            Frame::Stats => {
                 // Live introspection: assemble a fresh snapshot (registry
                 // metrics plus sampled cache/store/lease counters) and
                 // stream it back on this connection.
-                send_frame(&reply, &Frame::StatsResult(metrics.snapshot(cache, fleet)));
+                reply.send(&Frame::StatsResult(metrics.snapshot(cache, fleet)));
             }
-            Ok(_) => {
-                send_frame(
-                    &reply,
-                    &Frame::Error(ErrorFrame {
-                        job: None,
-                        kind: ErrorKind::Protocol,
-                        message: "unexpected frame (clients send job, cancel, stats, \
-                                  shutdown or register)"
-                            .into(),
-                    }),
-                );
-            }
-            Err(error) => {
-                send_frame(
-                    &reply,
-                    &Frame::Error(ErrorFrame {
-                        job: None,
-                        kind: ErrorKind::Protocol,
-                        message: error.to_string(),
-                    }),
-                );
+            _ => {
+                reply.send(&error_frame(
+                    None,
+                    ErrorKind::Protocol,
+                    "unexpected frame (clients send job, cancel, stats, shutdown or register)",
+                ));
             }
         }
     }
+}
+
+/// An `error` frame, terminal for the job it names.
+fn error_frame(job: Option<u64>, kind: ErrorKind, message: impl Into<String>) -> Frame {
+    Frame::Error(ErrorFrame { job, kind, message: message.into() })
 }
 
 /// Serves one registered worker connection: announces the worker to the
@@ -790,32 +749,24 @@ fn handle_connection(
 /// shutdown.  Leaving the loop — however it happens — hands the worker's
 /// in-flight lease back to the table, which re-queues or falls it back,
 /// so a SIGKILLed worker can never strand a shard.
-fn worker_session(
-    mut reader: BufReader<Stream>,
-    reply: &Reply,
-    fleet: &Arc<LeaseTable>,
-    shutdown: &AtomicBool,
-) {
+fn worker_session(mut reader: FrameReader<'_>, reply: &FrameWriter, fleet: &Arc<LeaseTable>) {
     // `registered` must be on the wire before any lease frame, so the
     // worker id handshake happens before the table may grant (the table
     // only grants from submit/tick/completion events, never from
     // `register` itself).
     let worker = fleet.register(
         {
-            let reply = Arc::clone(reply);
-            Box::new(move |frame: &Frame| send_frame(&reply, frame))
+            let reply = reply.clone();
+            Box::new(move |frame: &Frame| reply.send(frame))
         },
         Instant::now(),
     );
     let config = fleet.config();
-    if !send_frame(
-        reply,
-        &Frame::Registered {
-            worker,
-            lease_ttl_ms: config.lease_ttl.as_millis() as u64,
-            heartbeat_ms: config.heartbeat_ms(),
-        },
-    ) {
+    if !reply.send(&Frame::Registered {
+        worker,
+        lease_ttl_ms: config.lease_ttl.as_millis() as u64,
+        heartbeat_ms: config.heartbeat_ms(),
+    }) {
         fleet.worker_gone(worker, Instant::now());
         return;
     }
@@ -824,36 +775,24 @@ fn worker_session(
         format!("sweep serve: worker {worker} registered ({} in fleet)", fleet.live_workers()),
         &[("worker", worker.into()), ("fleet", fleet.live_workers().into())],
     );
-    let mut line = String::new();
-    'session: loop {
-        line.clear();
-        let read = loop {
-            match reader.read_line(&mut line) {
-                Ok(read) => break read,
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if shutdown.load(Ordering::Relaxed) {
-                        break 'session;
-                    }
-                }
-                Err(_) => break 'session,
+    loop {
+        let frame = match reader.read_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) | Err(ServiceError::Io { .. }) => break,
+            Err(error) => {
+                telemetry::log::warn(
+                    LOG_TARGET,
+                    format!("sweep serve: worker {worker} sent a malformed frame: {error}"),
+                    &[("worker", worker.into()), ("error", error.to_string().into())],
+                );
+                break;
             }
         };
-        if read == 0 {
-            break;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
         // The session's own worker id is authoritative throughout — a
         // frame cannot heartbeat or complete on behalf of another worker.
-        match wire::decode_line(&line) {
-            Ok(Frame::Heartbeat { .. }) => fleet.heartbeat(worker, Instant::now()),
-            Ok(Frame::LeaseDone(done)) => {
+        match frame {
+            Frame::Heartbeat { .. } => fleet.heartbeat(worker, Instant::now()),
+            Frame::LeaseDone(done) => {
                 fleet.lease_done(
                     done.lease,
                     done.generation,
@@ -864,7 +803,7 @@ fn worker_session(
                     Instant::now(),
                 );
             }
-            Ok(Frame::LeaseFailed(failed)) => {
+            Frame::LeaseFailed(failed) => {
                 telemetry::log::warn(
                     LOG_TARGET,
                     format!(
@@ -879,7 +818,7 @@ fn worker_session(
                 );
                 fleet.lease_failed(failed.lease, failed.generation, worker, Instant::now());
             }
-            Ok(other) => {
+            other => {
                 telemetry::log::warn(
                     LOG_TARGET,
                     format!("sweep serve: worker {worker} sent an unexpected frame {other:?}"),
@@ -887,19 +826,11 @@ fn worker_session(
                 );
                 break;
             }
-            Err(error) => {
-                telemetry::log::warn(
-                    LOG_TARGET,
-                    format!("sweep serve: worker {worker} sent a malformed frame: {error}"),
-                    &[("worker", worker.into()), ("error", error.to_string().into())],
-                );
-                break;
-            }
         }
     }
     // Best effort: tell a still-connected worker the session is over so
     // its process exits instead of blocking on a dead read.
-    send_frame(reply, &Frame::ShuttingDown);
+    reply.send(&Frame::ShuttingDown);
     fleet.worker_gone(worker, Instant::now());
     telemetry::log::info(
         LOG_TARGET,
@@ -1002,21 +933,18 @@ fn execute_job(
                     ("shards_remote", summary.shards_remote.into()),
                 ],
             );
-            send_frame(
-                &reply,
-                &Frame::JobDone(JobDone {
-                    job: spec.id,
-                    result: summary.result,
-                    stats: summary.stats,
-                    shards_total: summary.shards_total,
-                    shards_cached: summary.shards_cached,
-                    shards_executed: summary.shards_executed,
-                    fleet_workers: fleet.live_workers(),
-                    shards_remote: summary.shards_remote,
-                    leases_requeued: summary.leases_requeued,
-                    wall_ms,
-                }),
-            );
+            reply.send(&Frame::JobDone(JobDone {
+                job: spec.id,
+                result: summary.result,
+                stats: summary.stats,
+                shards_total: summary.shards_total,
+                shards_cached: summary.shards_cached,
+                shards_executed: summary.shards_executed,
+                fleet_workers: fleet.live_workers(),
+                shards_remote: summary.shards_remote,
+                leases_requeued: summary.leases_requeued,
+                wall_ms,
+            }));
         }
         Err(error) => {
             metrics.jobs_failed.inc();
@@ -1035,14 +963,7 @@ fn execute_job(
                     ("error", error.to_string().into()),
                 ],
             );
-            send_frame(
-                &reply,
-                &Frame::Error(ErrorFrame {
-                    job: Some(spec.id),
-                    kind: error.kind(),
-                    message: error.to_string(),
-                }),
-            );
+            reply.send(&error_frame(Some(spec.id), error.kind(), error.to_string()));
         }
     }
 }
@@ -1065,7 +986,7 @@ struct JobContext<'a> {
     fleet: &'a Arc<LeaseTable>,
     metrics: &'a ServerTelemetry,
     spec: &'a JobSpec,
-    reply: &'a Reply,
+    reply: &'a FrameWriter,
     cancel: &'a Arc<AtomicBool>,
 }
 
@@ -1155,20 +1076,17 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
             (report, stats, range, false)
         }
     };
-    send_frame(
-        reply,
-        &Frame::ShardDone(ShardDone {
-            job: spec.id,
-            case: 0,
-            cases: 1,
-            shard: 0,
-            shards: 1,
-            start: range.0,
-            end: range.1,
-            cached: was_cached,
-            stats,
-        }),
-    );
+    reply.send(&Frame::ShardDone(ShardDone {
+        job: spec.id,
+        case: 0,
+        cases: 1,
+        shard: 0,
+        shards: 1,
+        start: range.0,
+        end: range.1,
+        cached: was_cached,
+        stats,
+    }));
     Ok(JobSummary {
         result: QueryResult::Prop2(report),
         stats,
@@ -1223,20 +1141,17 @@ fn run_case<Q: ServedQuery>(
     let mut cold = Vec::new();
 
     let stream_shard = |shard: usize, cached: bool, stats: SweepStats| {
-        send_frame(
-            reply,
-            &Frame::ShardDone(ShardDone {
-                job: job_id,
-                case,
-                cases,
-                shard,
-                shards: shard_count,
-                start: ranges[shard].0,
-                end: ranges[shard].1,
-                cached,
-                stats,
-            }),
-        );
+        reply.send(&Frame::ShardDone(ShardDone {
+            job: job_id,
+            case,
+            cases,
+            shard,
+            shards: shard_count,
+            start: ranges[shard].0,
+            end: ranges[shard].1,
+            cached,
+            stats,
+        }));
     };
 
     // Warm pass, in shard order: replayed shards stream before any
@@ -1440,7 +1355,7 @@ impl<A: Clone + ToWire> PrefixFold<A> {
     /// if it grew.
     fn emit_if_grown<R: Reducer<Acc = A>>(
         &mut self,
-        reply: &Reply,
+        reply: &FrameWriter,
         job_id: u64,
         case: usize,
         ranges: &[(usize, usize)],
@@ -1458,16 +1373,13 @@ impl<A: Clone + ToWire> PrefixFold<A> {
         if self.done == before || self.done == 0 {
             return;
         }
-        send_frame(
-            reply,
-            &Frame::Partial(Partial {
-                job: job_id,
-                case,
-                shards_done: self.done,
-                shards: accs.len(),
-                scenarios_done: ranges[self.done - 1].1 as u64,
-                fold: self.acc.to_wire(),
-            }),
-        );
+        reply.send(&Frame::Partial(Partial {
+            job: job_id,
+            case,
+            shards_done: self.done,
+            shards: accs.len(),
+            scenarios_done: ranges[self.done - 1].1 as u64,
+            fold: self.acc.to_wire(),
+        }));
     }
 }

@@ -16,9 +16,7 @@
 //! worker that dies mid-shard simply never completes its lease; the
 //! coordinator re-queues the shard and the fold is unaffected.
 
-use std::io::{BufRead, BufReader, Write};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -28,12 +26,10 @@ use sweep::{fold_shard_stats, shard_ranges, ScenarioSource, SweepStats};
 use synchrony::ModelError;
 
 use crate::client::open;
-use crate::net::{ConnectOptions, Endpoint, Stream};
+use crate::net::{ConnectOptions, Endpoint};
 use crate::pool::WorkerState;
 use crate::query::ServedQuery;
-use crate::wire::{
-    self, encode_line, Frame, LeaseDone, LeaseFailed, QueryKind, TaskSpec, ToWire, Value,
-};
+use crate::wire::{Frame, LeaseDone, LeaseFailed, QueryKind, TaskSpec, ToWire, Value};
 use crate::ServiceError;
 
 /// Log target of the worker's structured stderr lines.
@@ -60,16 +56,6 @@ impl WorkerOptions {
     }
 }
 
-/// The shared write half of the worker's connection (the heartbeat thread
-/// and the lease loop both send on it).
-type Writer = Arc<Mutex<Stream>>;
-
-fn send(writer: &Writer, frame: &Frame) -> bool {
-    let line = encode_line(frame);
-    let mut stream = writer.lock().expect("worker writer lock");
-    stream.write_all(line.as_bytes()).and_then(|_| stream.flush()).is_ok()
-}
-
 /// Connects to the coordinator, registers, and serves leases until the
 /// coordinator shuts down or the connection drops.
 ///
@@ -80,15 +66,12 @@ fn send(writer: &Writer, frame: &Frame) -> bool {
 /// construction: a dropped connection ends the loop cleanly (`Ok`),
 /// because the coordinator re-queues whatever this worker was holding.
 pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
-    let stream = open(&options.endpoint, &options.connect)?;
-    let write_half = stream.try_clone()?;
-    let writer: Writer = Arc::new(Mutex::new(write_half));
-    let mut reader = BufReader::new(stream);
-
-    if !send(&writer, &Frame::Register) {
+    // The heartbeat thread and the lease loop both send on `writer`.
+    let (mut reader, writer) = open(&options.endpoint, &options.connect)?;
+    if !writer.send(&Frame::Register) {
         return Err(ServiceError::Protocol("connection closed during registration".into()));
     }
-    let (worker_id, advertised_heartbeat_ms) = match read_frame(&mut reader)? {
+    let (worker_id, advertised_heartbeat_ms) = match reader.read_frame()? {
         Some(Frame::Registered { worker, heartbeat_ms, .. }) => (worker, heartbeat_ms),
         Some(Frame::Error(error)) => {
             return Err(ServiceError::Remote { kind: error.kind, message: error.message })
@@ -120,11 +103,11 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
     // hold the process open for up to one interval.
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let heartbeat = (heartbeat_ms > 0).then(|| {
-        let writer = Arc::clone(&writer);
+        let writer = writer.clone();
         let interval = Duration::from_millis(heartbeat_ms);
         thread::spawn(move || {
             while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
-                if !send(&writer, &Frame::Heartbeat { worker: worker_id }) {
+                if !writer.send(&Frame::Heartbeat { worker: worker_id }) {
                     break;
                 }
             }
@@ -135,7 +118,7 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
     // warmth the local pool keeps, with the same bit-identity guarantee.
     let mut state = WorkerState { runner: BatchRunner::new(), scratch: None };
     loop {
-        match read_frame(&mut reader)? {
+        match reader.read_frame()? {
             Some(Frame::Lease(grant)) => {
                 telemetry::log::info(
                     LOG_TARGET,
@@ -175,7 +158,7 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
                         message: error.to_string(),
                     }),
                 };
-                if !send(&writer, &reply) {
+                if !writer.send(&reply) {
                     break;
                 }
             }
@@ -210,23 +193,6 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
         &[("worker", worker_id.into())],
     );
     Ok(())
-}
-
-/// Reads one frame, `None` on EOF.
-fn read_frame(reader: &mut BufReader<Stream>) -> Result<Option<Frame>, ServiceError> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let read =
-            reader.read_line(&mut line).map_err(|e| ServiceError::io("reading a frame", e))?;
-        if read == 0 {
-            return Ok(None);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        return Ok(Some(wire::decode_line(&line)?));
-    }
 }
 
 /// Rebuilds the task's scenario source and executes its shard through the
