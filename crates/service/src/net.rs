@@ -353,3 +353,83 @@ impl FrameWriter {
         stream.write_all(line.as_bytes()).and_then(|()| stream.flush()).is_ok()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Writes `bytes` into one end of a socket pair, closes it, and reads
+    /// the other end until EOF or an error that ends the connection.
+    fn read_all(bytes: &[u8]) -> Vec<Result<Option<Frame>, ServiceError>> {
+        let (mut tx, rx) = UnixStream::pair().expect("socket pair");
+        let bytes = bytes.to_vec();
+        let writer = std::thread::spawn(move || tx.write_all(&bytes).expect("write"));
+        let mut reader = FrameReader::new(Stream::Unix(rx), None);
+        let mut frames = Vec::new();
+        loop {
+            let frame = reader.read_frame();
+            let last = !matches!(frame, Ok(Some(_)) | Err(ServiceError::Wire(_)));
+            frames.push(frame);
+            if last {
+                break;
+            }
+        }
+        writer.join().expect("writer thread");
+        frames
+    }
+
+    /// A `hello` line of exactly `len` bytes.
+    fn hello_line(len: usize) -> String {
+        let empty = r#"{"type":"hello","token":""}"#;
+        let token = "x".repeat(len - empty.len());
+        format!(r#"{{"type":"hello","token":"{token}"}}"#)
+    }
+
+    #[test]
+    fn a_line_at_the_bound_decodes_and_one_byte_more_is_refused() {
+        let line = hello_line(MAX_FRAME_BYTES);
+        assert_eq!(line.len(), MAX_FRAME_BYTES);
+        let frames = read_all(format!("{line}\n").as_bytes());
+        assert!(
+            matches!(&frames[0], Ok(Some(Frame::Hello { token })) if token.len() > 1000),
+            "a line of exactly the bound decodes"
+        );
+        assert!(matches!(frames[1], Ok(None)), "then EOF");
+
+        let frames = read_all(format!("{}\n", hello_line(MAX_FRAME_BYTES + 1)).as_bytes());
+        match &frames[0] {
+            Err(ServiceError::Protocol(message)) => {
+                assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}")
+            }
+            other => panic!("expected the bound to refuse the line, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_and_a_bad_line_leaves_the_reader_usable() {
+        let frames = read_all(b"\n  \r\n{\"type\":\"stats\"}\nnot json\n{\"type\":\"shutdown\"}");
+        assert!(matches!(frames[0], Ok(Some(Frame::Stats))));
+        assert!(matches!(frames[1], Err(ServiceError::Wire(_))));
+        assert!(matches!(frames[2], Ok(Some(Frame::Shutdown))), "unterminated last line");
+        assert!(matches!(frames[3], Ok(None)));
+    }
+
+    #[test]
+    fn a_set_shutdown_flag_ends_a_reader_waiting_on_a_silent_peer() {
+        let (mut tx, rx) = UnixStream::pair().expect("socket pair");
+        rx.set_read_timeout(Some(Duration::from_millis(10))).expect("read timeout");
+        let shutdown = AtomicBool::new(false);
+        let mut reader = FrameReader::new(Stream::Unix(rx), Some(&shutdown));
+        // A partial line survives the timeouts that interrupt it.
+        tx.write_all(b"{\"type\":").expect("write");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                tx.write_all(b"\"stats\"}\n").expect("write");
+            });
+            assert!(matches!(reader.read_frame(), Ok(Some(Frame::Stats))));
+        });
+        shutdown.store(true, Ordering::Relaxed);
+        assert!(matches!(reader.read_frame(), Ok(None)));
+    }
+}

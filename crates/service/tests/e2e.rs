@@ -8,9 +8,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use service::net::Stream;
+use service::net::{Stream, MAX_FRAME_BYTES};
 use service::wire::{self, encode_line, ErrorKind, Frame, QueryResult};
 use service::{client, Endpoint, JobSpec, QueryKind, ScopeSpec, ServeOptions, Server};
 use sweep::experiments::{self, Thm1Reducer};
@@ -357,6 +357,36 @@ fn invalid_jobs_error_without_killing_the_daemon() {
     assert!(error.to_string().contains("custom scopes"), "unexpected error text: {error}");
     let good = client::submit(&endpoint, &small_scope_spec(8, 1, true));
     assert!(good.is_ok(), "daemon must survive a rejected job");
+    stop_daemon(&endpoint, handle);
+}
+
+/// A line longer than the frame bound is refused — a `protocol` error
+/// frame naming the bound, then EOF — instead of being buffered without
+/// end, and the daemon keeps serving fresh connections.  The read timeout
+/// turns a daemon that waits for the newline into a failure, not a hang.
+#[test]
+fn an_oversized_frame_line_is_refused_and_the_daemon_keeps_serving() {
+    let (endpoint, handle) = start_daemon("oversized", 1);
+    let mut stream = Stream::connect(&endpoint).expect("raw connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("raw read half"));
+    stream.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]).expect("oversized write");
+    stream.flush().expect("raw flush");
+    let mut line = String::new();
+    let read = reader.read_line(&mut line).expect("the daemon answers the oversized line");
+    if read > 0 {
+        match wire::decode_line(&line).expect("well-formed frame") {
+            Frame::Error(error) => {
+                assert_eq!(error.kind, ErrorKind::Protocol);
+                assert!(error.message.contains(&MAX_FRAME_BYTES.to_string()), "{}", error.message);
+            }
+            other => panic!("expected a protocol error frame, got {other:?}"),
+        }
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).expect("read after the error"), 0, "then EOF");
+    }
+    let outcome = client::submit(&endpoint, &small_scope_spec(9, 2, true));
+    assert!(outcome.is_ok(), "a fresh connection still gets served: {outcome:?}");
     stop_daemon(&endpoint, handle);
 }
 
