@@ -1,5 +1,4 @@
-//! Shared infrastructure for the `sweep` CLI, the experiment binaries and
-//! the Criterion benches.
+//! Shared infrastructure for the `sweep` CLI and the experiment binaries.
 //!
 //! This library provides the shared plumbing they need:
 //!
