@@ -58,14 +58,39 @@ cleanup_smoke() {
     rm -rf "$SMOKE_DIR"
 }
 trap cleanup_smoke EXIT
-target/debug/sweep serve --socket "$SMOKE_SOCK" --workers 1 2>"$SMOKE_DIR/serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [[ -S "$SMOKE_SOCK" ]] && break; sleep 0.1; done
-if [[ ! -S "$SMOKE_SOCK" ]]; then
-    echo "ci.sh: daemon did not come up" >&2
-    cat "$SMOKE_DIR/serve.log" >&2
+# start_daemon SOCK LOG [serve flags…]: boots `sweep serve` on SOCK with its
+# stderr in LOG, sets SERVE_PID and waits for the socket; if the socket never
+# appears it prints the log and fails the run.
+start_daemon() {
+    local sock="$1" log="$2"
+    shift 2
+    target/debug/sweep serve --socket "$sock" "$@" 2>"$log" &
+    SERVE_PID=$!
+    for _ in $(seq 1 100); do
+        [[ -S "$sock" ]] && return 0
+        sleep 0.1
+    done
+    echo "ci.sh: daemon on $sock did not come up" >&2
+    cat "$log" >&2
     exit 1
-fi
+}
+# wait_registered LOG…: waits until every worker log shows its registration;
+# otherwise prints the logs and fails the run.
+wait_registered() {
+    local log pending
+    for _ in $(seq 1 100); do
+        pending=0
+        for log in "$@"; do
+            grep -q "registered as worker" "$log" 2>/dev/null || pending=1
+        done
+        [[ "$pending" == 0 ]] && return 0
+        sleep 0.1
+    done
+    echo "ci.sh: fleet workers did not register" >&2
+    cat "$@" >&2
+    exit 1
+}
+start_daemon "$SMOKE_SOCK" "$SMOKE_DIR/serve.log" --workers 1
 target/debug/sweep submit --socket "$SMOKE_SOCK" thm1 --scope 3,1,1 --shards 4 \
     >"$SMOKE_DIR/cold.txt" 2>"$SMOKE_DIR/cold.log"
 target/debug/sweep submit --socket "$SMOKE_SOCK" thm1 --scope 3,1,1 --shards 4 \
@@ -103,15 +128,7 @@ target/debug/sweep thm1 --model omission --shards 7 \
     >"$SMOKE_DIR/omission-b.txt" 2>/dev/null
 diff "$SMOKE_DIR/omission-a.txt" "$SMOKE_DIR/omission-b.txt"
 OMISSION_SOCK="$SMOKE_DIR/omission.sock"
-target/debug/sweep serve --socket "$OMISSION_SOCK" --workers 1 \
-    2>"$SMOKE_DIR/omission-serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [[ -S "$OMISSION_SOCK" ]] && break; sleep 0.1; done
-if [[ ! -S "$OMISSION_SOCK" ]]; then
-    echo "ci.sh: omission-smoke daemon did not come up" >&2
-    cat "$SMOKE_DIR/omission-serve.log" >&2
-    exit 1
-fi
+start_daemon "$OMISSION_SOCK" "$SMOKE_DIR/omission-serve.log" --workers 1
 target/debug/sweep submit --socket "$OMISSION_SOCK" thm1 --scope 3,1,1 --shards 4 \
     >/dev/null 2>&1
 target/debug/sweep submit --socket "$OMISSION_SOCK" thm1 --model omission \
@@ -136,24 +153,13 @@ echo "ci.sh: omission smoke passed (no cross-model replay, warm repeat 100% cach
 # cleans it up on any failure.
 RESTART_SOCK="$SMOKE_DIR/restart.sock"
 CACHE_DIR="$SMOKE_DIR/cache"
-target/debug/sweep serve --socket "$RESTART_SOCK" --workers 1 \
-    --cache-dir "$CACHE_DIR" 2>"$SMOKE_DIR/restart-a.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [[ -S "$RESTART_SOCK" ]] && break; sleep 0.1; done
+start_daemon "$RESTART_SOCK" "$SMOKE_DIR/restart-a.log" --workers 1 --cache-dir "$CACHE_DIR"
 target/debug/sweep submit --socket "$RESTART_SOCK" thm1 --scope 3,1,1 --shards 4 \
     >"$SMOKE_DIR/before.txt" 2>/dev/null
 target/debug/sweep shutdown --socket "$RESTART_SOCK" 2>/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
-target/debug/sweep serve --socket "$RESTART_SOCK" --workers 1 \
-    --cache-dir "$CACHE_DIR" 2>"$SMOKE_DIR/restart-b.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [[ -S "$RESTART_SOCK" ]] && break; sleep 0.1; done
-if [[ ! -S "$RESTART_SOCK" ]]; then
-    echo "ci.sh: restarted daemon did not come up" >&2
-    cat "$SMOKE_DIR/restart-b.log" >&2
-    exit 1
-fi
+start_daemon "$RESTART_SOCK" "$SMOKE_DIR/restart-b.log" --workers 1 --cache-dir "$CACHE_DIR"
 target/debug/sweep submit --socket "$RESTART_SOCK" thm1 --scope 3,1,1 --shards 4 \
     >"$SMOKE_DIR/after.txt" 2>"$SMOKE_DIR/after.log"
 diff "$SMOKE_DIR/before.txt" "$SMOKE_DIR/after.txt"
@@ -171,24 +177,12 @@ echo "ci.sh: restart smoke passed (persisted cache replayed 100% after restart)"
 # empty-fleet run reports zero live workers.  Shard caching is off on both
 # submits so the second run really re-executes every shard locally.
 FLEET_SOCK="$SMOKE_DIR/fleet.sock"
-target/debug/sweep serve --socket "$FLEET_SOCK" --workers 1 \
-    --lease-ttl-ms 2000 2>"$SMOKE_DIR/fleet-serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [[ -S "$FLEET_SOCK" ]] && break; sleep 0.1; done
+start_daemon "$FLEET_SOCK" "$SMOKE_DIR/fleet-serve.log" --workers 1 --lease-ttl-ms 2000
 target/debug/sweep worker --connect "$FLEET_SOCK" 2>"$SMOKE_DIR/worker-1.log" &
 WORKER1_PID=$!
 target/debug/sweep worker --connect "$FLEET_SOCK" 2>"$SMOKE_DIR/worker-2.log" &
 WORKER2_PID=$!
-for _ in $(seq 1 100); do
-    grep -q "registered as worker" "$SMOKE_DIR/worker-1.log" 2>/dev/null &&
-        grep -q "registered as worker" "$SMOKE_DIR/worker-2.log" 2>/dev/null && break
-    sleep 0.1
-done
-if ! grep -q "registered as worker" "$SMOKE_DIR/worker-2.log"; then
-    echo "ci.sh: fleet workers did not register" >&2
-    cat "$SMOKE_DIR/worker-1.log" "$SMOKE_DIR/worker-2.log" >&2
-    exit 1
-fi
+wait_registered "$SMOKE_DIR/worker-1.log" "$SMOKE_DIR/worker-2.log"
 target/debug/sweep submit --socket "$FLEET_SOCK" thm1 --scope 4,1,1 --shards 12 \
     --no-shard-cache >"$SMOKE_DIR/fleet.txt" 2>"$SMOKE_DIR/fleet.log" &
 SUBMIT_PID=$!
@@ -222,21 +216,10 @@ echo "ci.sh: fleet smoke passed (SIGKILL re-queue + empty-fleet degradation diff
 # is attached, so the cold submit of each sharded query runs shards on the
 # fleet, and each warm repeat is served 100% from the shard cache.
 PARITY_SOCK="$SMOKE_DIR/parity.sock"
-target/debug/sweep serve --socket "$PARITY_SOCK" --workers 1 \
-    2>"$SMOKE_DIR/parity-serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [[ -S "$PARITY_SOCK" ]] && break; sleep 0.1; done
+start_daemon "$PARITY_SOCK" "$SMOKE_DIR/parity-serve.log" --workers 1
 target/debug/sweep worker --connect "$PARITY_SOCK" 2>"$SMOKE_DIR/parity-worker.log" &
 WORKER1_PID=$!
-for _ in $(seq 1 100); do
-    grep -q "registered as worker" "$SMOKE_DIR/parity-worker.log" 2>/dev/null && break
-    sleep 0.1
-done
-if ! grep -q "registered as worker" "$SMOKE_DIR/parity-worker.log"; then
-    echo "ci.sh: parity worker did not register" >&2
-    cat "$SMOKE_DIR/parity-serve.log" "$SMOKE_DIR/parity-worker.log" >&2
-    exit 1
-fi
+wait_registered "$SMOKE_DIR/parity-worker.log"
 for query in omission thm3 fig4 prop2; do
     target/debug/sweep "$query" >"$SMOKE_DIR/$query-oneshot.txt" 2>/dev/null
     target/debug/sweep submit --socket "$PARITY_SOCK" "$query" \
@@ -267,15 +250,7 @@ echo "ci.sh: query-parity smoke passed (one-shot ≡ cold ≡ warm submit for ev
 # --prom form must expose unique series with finite values, the --json form
 # one JSON object, and the --log-json submit only JSON lines on stderr.
 STATS_SOCK="$SMOKE_DIR/stats.sock"
-target/debug/sweep serve --socket "$STATS_SOCK" --workers 1 \
-    2>"$SMOKE_DIR/stats-serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [[ -S "$STATS_SOCK" ]] && break; sleep 0.1; done
-if [[ ! -S "$STATS_SOCK" ]]; then
-    echo "ci.sh: observability-smoke daemon did not come up" >&2
-    cat "$SMOKE_DIR/stats-serve.log" >&2
-    exit 1
-fi
+start_daemon "$STATS_SOCK" "$SMOKE_DIR/stats-serve.log" --workers 1
 target/debug/sweep submit --socket "$STATS_SOCK" thm1 --scope 3,1,1 --shards 4 \
     >/dev/null 2>&1
 target/debug/sweep --log-json submit --socket "$STATS_SOCK" thm1 --scope 3,1,1 \
