@@ -40,10 +40,13 @@
 //! * [`worker`] — the remote worker process loop behind
 //!   `sweep worker --connect`, folding each lease through one generic
 //!   `fold_task` over the descriptors;
-//! * [`client`] — blocking submit/cancel/shutdown calls used by
-//!   `sweep submit`/`sweep cancel` and the end-to-end tests;
+//! * [`client`] — blocking submit/cancel/stats/shutdown calls, one
+//!   request loop under all four, used by `sweep submit`/`cancel`/
+//!   `stats`/`shutdown` and the end-to-end tests;
 //! * [`net`] — Unix/TCP endpoints behind one stream type, with
-//!   capped-backoff connect retries and the TCP auth handshake.
+//!   capped-backoff connect retries and the TCP auth handshake, and the
+//!   one frame reader and writer every peer uses: line framing bounded
+//!   at [`net::MAX_FRAME_BYTES`] per line.
 //!
 //! The frame lifecycle and cache design are documented in
 //! `docs/ARCHITECTURE.md` ("The service layer", "Persistence and

@@ -3,7 +3,9 @@
 //! Every frame exchanged between `sweep serve` and `sweep submit` is one
 //! line of JSON terminated by `\n` — the rustengan/Maelstrom shape: a
 //! blocking reader can parse frames with nothing but `read_line`, and a
-//! human can drive the daemon with `nc -U`.  The vendored `serde` stubs do
+//! human can drive the daemon with `nc -U`.  The crate's own peers read
+//! lines through the bounded frame reader in [`crate::net`], which hands
+//! each complete line to [`decode_line`].  The vendored `serde` stubs do
 //! not serialize (see `vendor/README.md`), so the codec here is hand
 //! rolled around a small JSON [`Value`] model and two traits:
 //!
