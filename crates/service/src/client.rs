@@ -1,5 +1,5 @@
-//! The `sweep submit` client: submit a job, stream its frames, return the
-//! final result.
+//! The blocking clients behind `sweep submit`, `cancel`, `stats` and
+//! `shutdown`: send one request, read its reply frames, return the result.
 
 use sweep::SweepStats;
 use telemetry::MetricsSnapshot;

@@ -643,8 +643,9 @@ fn handle_connection(
                 reply.send(&error_frame(None, ErrorKind::Protocol, error.to_string()));
                 continue;
             }
-            // An over-long line cannot be skipped without reading it to
-            // its end: report it and close the connection.
+            // A line refused undecoded (over the bound, or not UTF-8):
+            // report it and close, since an over-long line cannot be
+            // skipped without reading it to its end.
             Err(ServiceError::Protocol(message)) => {
                 reply.send(&error_frame(None, ErrorKind::Protocol, message));
                 break;
@@ -739,7 +740,7 @@ fn handle_connection(
     }
 }
 
-/// An `error` frame, terminal for the job it names.
+/// An `error` frame about `job`, or about the connection when `None`.
 fn error_frame(job: Option<u64>, kind: ErrorKind, message: impl Into<String>) -> Frame {
     Frame::Error(ErrorFrame { job, kind, message: message.into() })
 }
