@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use synchrony::{Adversary, FailurePattern, InputVector, ModelError};
 
 use crate::space::{OmissionConfig, OmissionSpace, PatternModel, PatternSpace};
+use crate::symmetry::OrbitSpace;
 
 /// The scope of an exhaustive enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -366,6 +367,10 @@ impl PatternSpace for CrashSpace {
         self.config.max_value
     }
 
+    fn fault_rounds(&self) -> u32 {
+        self.config.max_crash_round
+    }
+
     fn num_patterns(&self) -> u128 {
         self.num_patterns
     }
@@ -444,6 +449,24 @@ impl AdversarySpace {
         let num_patterns = space.num_patterns();
         let num_inputs = (space.max_value() as u128 + 1).pow(space.n() as u32);
         AdversarySpace { space, num_patterns, num_inputs }
+    }
+
+    /// The same scope up to process relabeling: the orbit representatives
+    /// of this space's patterns (see [`OrbitSpace`]) crossed with every
+    /// input vector, each pattern weighted by its orbit size.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the pattern space is too large to list its
+    /// orbits, or breaks the relabeling contract.
+    pub fn up_to_relabeling(&self) -> Result<Self, ModelError> {
+        Ok(Self::from_pattern_space(Arc::new(OrbitSpace::new(self.space.clone())?)))
+    }
+
+    /// Returns how many patterns of the full scope the pattern at `rank`
+    /// stands for ([`PatternSpace::weight`]).
+    pub fn pattern_weight(&self, rank: u128) -> u64 {
+        self.space.weight(rank)
     }
 
     /// Returns the fault-model discriminant of the underlying pattern space.

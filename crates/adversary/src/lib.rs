@@ -17,7 +17,9 @@
 //!   system, used to spot-check the optimality claims;
 //! * [`space`] — the [`PatternSpace`] trait behind pluggable fault models
 //!   (the paper's crash space plus the mobile send-omission space) and the
-//!   conformance contract every space must honor.
+//!   conformance contract every space must honor;
+//! * [`symmetry`] — a pattern space up to process relabeling: one
+//!   representative per orbit, weighted by the orbit's size.
 //!
 //! ```
 //! use adversary::scenarios;
@@ -38,9 +40,11 @@ pub mod lemma2;
 pub mod random;
 pub mod scenarios;
 pub mod space;
+pub mod symmetry;
 
 pub use enumerate::{AdversarySpace, CrashSpace, EnumerationConfig};
 pub use lemma2::WitnessScenario;
 pub use random::{RandomAdversaries, RandomConfig};
 pub use scenarios::{HiddenCapacityScenario, UniformGapScenario};
 pub use space::{OmissionConfig, OmissionSpace, PatternModel, PatternSpace};
+pub use symmetry::OrbitSpace;

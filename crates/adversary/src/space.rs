@@ -28,6 +28,10 @@
 //! 3. **Scope closure** — every decoded pattern ranges over exactly `n()`
 //!    processes, so a single scratch [`synchrony::Adversary`] can absorb any
 //!    pattern of the space in place (`set_failures` never changes `n`).
+//! 4. **Relabeling closure** — relabeling the processes of any pattern of
+//!    the space gives a pattern of the space, so its relabeling orbits
+//!    partition it ([`crate::symmetry::OrbitSpace`] refuses a space that
+//!    breaks this).
 //!
 //! Rule 3 is what keeps the shard/block alignment invariant of the sweep
 //! engine model-agnostic: `AdversarySpace` crosses any conforming space with
@@ -96,6 +100,11 @@ pub trait PatternSpace: fmt::Debug + Send + Sync {
     /// the scope.
     fn max_value(&self) -> u64;
 
+    /// The last round in which a pattern of the space may fail anyone;
+    /// every crash and every omission of the space falls in rounds
+    /// `1 … fault_rounds()`.
+    fn fault_rounds(&self) -> u32;
+
     /// Total number of failure patterns in the space.
     fn num_patterns(&self) -> u128;
 
@@ -105,6 +114,17 @@ pub trait PatternSpace: fmt::Debug + Send + Sync {
     ///
     /// Panics if `rank ≥ num_patterns()`.
     fn pattern_at(&self, rank: u128) -> FailurePattern;
+
+    /// How many patterns the pattern at `rank` stands for in a fold: `1`
+    /// for a full space, the orbit size for the orbit representatives of a
+    /// [`crate::symmetry::OrbitSpace`].
+    ///
+    /// # Panics
+    ///
+    /// May panic if `rank ≥ num_patterns()`.
+    fn weight(&self, _rank: u128) -> u64 {
+        1
+    }
 }
 
 /// The scope of an exhaustive send-omission enumeration.
@@ -260,6 +280,10 @@ impl PatternSpace for OmissionSpace {
 
     fn max_value(&self) -> u64 {
         self.config.max_value
+    }
+
+    fn fault_rounds(&self) -> u32 {
+        self.config.rounds
     }
 
     fn num_patterns(&self) -> u128 {

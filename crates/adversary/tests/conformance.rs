@@ -5,9 +5,13 @@
 //! materialized reference enumeration, subtree-count totals equal the
 //! space length, and the pattern-major adversary cursor yields exactly
 //! the `nth` sequence over arbitrary — including block-straddling —
-//! ranges, materializing wholesale only on its first advance.  The suite
+//! ranges, materializing wholesale only on its first advance; and every
+//! space is closed under relabeling processes, its orbit listing agreeing
+//! with a brute-force grouping over all `n!` relabelings.  The suite
 //! below runs one generic harness against **both** implemented spaces,
 //! so a third space gets its contract checked by adding one case list.
+
+use std::collections::{BTreeSet, HashMap};
 
 use adversary::enumerate::{self, AdversarySpace, EnumerationConfig};
 use adversary::space::{omission_patterns, OmissionConfig, PatternModel};
@@ -119,6 +123,71 @@ fn assert_cursor_matches_nth(space: &AdversarySpace) {
     }
 }
 
+/// `π·F`: process `π[p]` fails as process `p` fails in `F`, towards
+/// relabeled receivers.
+fn relabel(pattern: &FailurePattern, pi: &[usize]) -> FailurePattern {
+    let mut image = FailurePattern::crash_free(pattern.n());
+    for (p, crash) in pattern.faulty() {
+        let delivered = crash.delivered().iter().map(|q| pi[q.index()]);
+        image.crash(pi[p.index()], crash.round().number(), delivered).unwrap();
+    }
+    for ((p, round), dropped) in pattern.omission_faults() {
+        image.omit(pi[p.index()], round.number(), dropped.iter().map(|q| pi[q.index()])).unwrap();
+    }
+    image
+}
+
+/// Every permutation of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for shorter in permutations(n - 1) {
+        for slot in 0..n {
+            let mut pi = shorter.clone();
+            pi.insert(slot, n - 1);
+            out.push(pi);
+        }
+    }
+    out
+}
+
+/// Law 5: the space is closed under relabeling, and its orbit listing is
+/// the brute-force grouping of the reference under all `n!` relabelings —
+/// each orbit's lowest-rank member, in rank order, with the orbit's size.
+fn assert_orbits_match_brute_force(space: &AdversarySpace, reference: &[FailurePattern]) {
+    let rank_of: HashMap<String, usize> =
+        reference.iter().enumerate().map(|(rank, pattern)| (pattern.to_string(), rank)).collect();
+    assert_eq!(rank_of.len(), reference.len(), "{:?}: renderings must be distinct", space.model());
+    let relabelings = permutations(space.n());
+    let mut grouped = vec![false; reference.len()];
+    let mut expected = Vec::new();
+    for (rank, pattern) in reference.iter().enumerate() {
+        if grouped[rank] {
+            continue;
+        }
+        let orbit: BTreeSet<usize> = relabelings
+            .iter()
+            .map(|pi| {
+                let image = relabel(pattern, pi);
+                *rank_of.get(&image.to_string()).unwrap_or_else(|| {
+                    panic!("{:?}: {pattern} relabeled by {pi:?} leaves the space", space.model())
+                })
+            })
+            .collect();
+        orbit.iter().for_each(|&member| grouped[member] = true);
+        expected.push((rank, orbit.len() as u64));
+    }
+
+    let orbits = space.up_to_relabeling().expect("a conforming space lists its orbits");
+    let listed: Vec<(usize, u64)> = (0..orbits.num_patterns())
+        .map(|rank| (rank_of[&orbits.pattern_at(rank).to_string()], orbits.pattern_weight(rank)))
+        .collect();
+    assert_eq!(listed, expected, "{:?}: orbit listing", space.model());
+    assert_eq!(orbits.inputs_per_pattern(), space.inputs_per_pattern());
+}
+
 #[test]
 fn crash_space_ranks_agree_with_the_reference() {
     for (space, reference) in crash_cases() {
@@ -164,5 +233,19 @@ fn the_two_spaces_are_genuinely_different() {
         let pattern = omission.pattern_at(rank);
         assert!(pattern.has_omissions(), "omission rank {rank} must omit");
         assert_eq!(pattern.num_faulty(), 0, "omission senders never crash");
+    }
+}
+
+#[test]
+fn crash_orbits_match_brute_force_relabeling() {
+    for (space, reference) in crash_cases() {
+        assert_orbits_match_brute_force(&space, &reference);
+    }
+}
+
+#[test]
+fn omission_orbits_match_brute_force_relabeling() {
+    for (space, reference) in omission_cases() {
+        assert_orbits_match_brute_force(&space, &reference);
     }
 }

@@ -20,7 +20,6 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
 
-use set_consensus::BatchRunner;
 use sweep::experiments::{Fig4Query, Thm1Query, Thm3Query};
 use sweep::{fold_shard_stats, shard_ranges, ScenarioSource, SweepStats};
 use synchrony::ModelError;
@@ -116,7 +115,7 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
 
     // One warm runner + scratch slot, reused across leases — the same
     // warmth the local pool keeps, with the same bit-identity guarantee.
-    let mut state = WorkerState { runner: BatchRunner::new(), scratch: None };
+    let mut state = WorkerState::new();
     loop {
         match reader.read_frame()? {
             Some(Frame::Lease(grant)) => {
@@ -222,7 +221,17 @@ fn fold_task<Q: ServedQuery>(
     state: &mut WorkerState,
 ) -> Result<(Value, (usize, usize), SweepStats), ModelError> {
     let case = query.task_case(task.case, task.scope.as_ref())?;
-    let source = query.source(&case, task.seed)?;
+    let WorkerState { runner, scratch, source: last } = state;
+    let key = TaskSpec { shard: 0, ..task.clone() };
+    let reusable =
+        last.as_ref().is_some_and(|(spec, source)| *spec == key && source.is::<Q::Source>());
+    if !reusable {
+        *last = Some((key, Box::new(query.source(&case, task.seed)?)));
+    }
+    let source = last
+        .as_ref()
+        .and_then(|(_, source)| source.downcast_ref::<Q::Source>())
+        .expect("the case's source was just kept");
     let ranges = shard_ranges(source.len(), task.shards, source.structure_block());
     let range =
         ranges.get(task.shard).copied().ok_or_else(|| ModelError::InvalidTaskParameter {
@@ -232,14 +241,8 @@ fn fold_task<Q: ServedQuery>(
                 ranges.len()
             ),
         })?;
-    let (acc, stats) = fold_shard_stats(
-        &source,
-        &Q::Reducer::default(),
-        &Q::JOB,
-        &mut state.runner,
-        &mut state.scratch,
-        range,
-    )?;
+    let (acc, stats) =
+        fold_shard_stats(source, &Q::Reducer::default(), &Q::JOB, runner, scratch, range)?;
     Ok((acc.to_wire(), range, stats))
 }
 
@@ -247,6 +250,7 @@ fn fold_task<Q: ServedQuery>(
 mod tests {
     use super::*;
     use crate::wire::{FromWire, ScopeSpec};
+    use set_consensus::BatchRunner;
     use sweep::experiments::{self, Fig4Reducer, Thm1Reducer, Thm3Reducer, THM3_CASES};
     use sweep::{Reducer, Scenario};
 
@@ -254,13 +258,11 @@ mod tests {
     const LEASE: TaskSpec =
         TaskSpec { query: QueryKind::Fig4, case: 0, scope: None, seed: 0, shards: 2, shard: 0 };
 
-    fn warm_state() -> WorkerState {
-        WorkerState { runner: BatchRunner::new(), scratch: None }
-    }
-
-    /// Executes `task` as a worker would and folds the same shard directly
-    /// from `source`; the decoded payload and covered range must agree.
+    /// Executes `task` on `state` as a worker would and folds the same
+    /// shard directly from `source`; the decoded payload and covered range
+    /// must agree.
     fn assert_matches_local_fold<S, R>(
+        state: &mut WorkerState,
         task: &TaskSpec,
         source: &S,
         reducer: &R,
@@ -270,10 +272,10 @@ mod tests {
         R: Reducer,
         R::Acc: FromWire + PartialEq + std::fmt::Debug,
     {
-        let (payload, range, _) = execute_task(task, &mut warm_state()).expect("task executes");
+        let (payload, range, _) = execute_task(task, state).expect("task executes");
         let ranges = shard_ranges(source.len(), task.shards, source.structure_block());
         assert_eq!(range, ranges[task.shard], "{} range", task.query.name());
-        let mut reference = warm_state();
+        let mut reference = WorkerState::new();
         let (expected, _) = fold_shard_stats(
             source,
             reducer,
@@ -286,6 +288,9 @@ mod tests {
         assert_eq!(R::Acc::from_wire(&payload).unwrap(), expected, "{} fold", task.query.name());
     }
 
+    /// One worker state serves every lease in turn, so consecutive leases
+    /// of one case reuse its source and a lease of another case replaces
+    /// it.
     #[test]
     fn every_leasable_task_matches_the_local_fold() {
         let scope = ScopeSpec {
@@ -296,14 +301,20 @@ mod tests {
             max_crash_round: 1,
             partial_delivery: false,
         };
-        assert_matches_local_fold(
-            &TaskSpec { query: QueryKind::Thm1, scope: Some(scope), shards: 3, shard: 1, ..LEASE },
-            &experiments::thm1_source(scope.to_crash(), 1).unwrap(),
-            &Thm1Reducer,
-            experiments::thm1_job,
-        );
+        let state = &mut WorkerState::new();
+        let thm1 = experiments::thm1_source(scope.to_crash(), 1).unwrap();
+        for shard in [1, 2] {
+            assert_matches_local_fold(
+                state,
+                &TaskSpec { query: QueryKind::Thm1, scope: Some(scope), shards: 3, shard, ..LEASE },
+                &thm1,
+                &Thm1Reducer,
+                experiments::thm1_job,
+            );
+        }
         // Shared wire frame: `max_crash_round` is the omission round horizon.
         assert_matches_local_fold(
+            state,
             &TaskSpec {
                 query: QueryKind::Omission,
                 scope: Some(scope),
@@ -317,12 +328,14 @@ mod tests {
         );
         let (n, t, k) = THM3_CASES[1];
         assert_matches_local_fold(
+            state,
             &TaskSpec { query: QueryKind::Thm3, case: 1, seed: 5, shards: 3, shard: 2, ..LEASE },
             &experiments::thm3_source(n, t, k, 5).unwrap(),
             &Thm3Reducer,
             experiments::thm3_job,
         );
         assert_matches_local_fold(
+            state,
             &TaskSpec { shards: 4, shard: 1, ..LEASE },
             &experiments::fig4_source().unwrap().0,
             &Fig4Reducer,
@@ -332,7 +345,7 @@ mod tests {
 
     #[test]
     fn malformed_tasks_are_typed_rejections() {
-        let mut state = warm_state();
+        let mut state = WorkerState::new();
         for (what, task) in [
             ("thm1 without a scope", TaskSpec { query: QueryKind::Thm1, ..LEASE }),
             ("thm3 with an unknown case", TaskSpec { query: QueryKind::Thm3, case: 99, ..LEASE }),

@@ -154,6 +154,11 @@ pub struct Scenario {
     pub variant: TaskVariant,
     /// The adversary.
     pub adversary: Adversary,
+    /// How many scenarios of the full scope this one stands for: the size
+    /// of its failure pattern's relabeling orbit when the source lists one
+    /// pattern per orbit, `1` otherwise.  The engine folds the scenario's
+    /// outcome with this weight ([`Reducer::fold_weighted`]).
+    pub weight: u64,
 }
 
 /// A deterministic, randomly-addressable stream of scenarios.
@@ -274,8 +279,9 @@ impl<S: ScenarioSource + ?Sized> ScenarioCursor for NthCursor<'_, S> {
 /// Counters, histograms, keyed maxima/minima and keyed first-writer maps
 /// all qualify; anything sensitive to global interleaving does not.
 pub trait Reducer: Sync {
-    /// Per-scenario outcome produced by the job closure.
-    type Item: Send;
+    /// Per-scenario outcome produced by the job closure.  `Clone`, so a
+    /// weighted fold can repeat it.
+    type Item: Send + Clone;
     /// Shard accumulator.
     type Acc: Send;
 
@@ -284,6 +290,23 @@ pub trait Reducer: Sync {
 
     /// Folds one outcome into a shard accumulator.
     fn fold(&self, acc: &mut Self::Acc, item: Self::Item);
+
+    /// Folds one outcome that stands for `weight` scenarios — the outcome
+    /// of an orbit representative, weighted by its orbit size.
+    ///
+    /// The law is the default body: the result must equal `weight`
+    /// repeated [`Reducer::fold`]s of the item (none for `weight = 0`).
+    /// Override it only with something cheaper that obeys the law, such
+    /// as multiplying counts and OR-ing flags once.
+    fn fold_weighted(&self, acc: &mut Self::Acc, item: Self::Item, weight: u64) {
+        if weight == 0 {
+            return;
+        }
+        for _ in 1..weight {
+            self.fold(acc, item.clone());
+        }
+        self.fold(acc, item);
+    }
 
     /// Merges two adjacent shard accumulators (`left` covers earlier
     /// scenario indices).
@@ -333,7 +356,10 @@ pub fn shard_ranges(total: usize, shards: usize, block: usize) -> Vec<(usize, us
 /// enumeration order, a different shard alignment rule, a reducer-law
 /// change — and every stale accumulator silently becomes a cache miss
 /// instead of a wrong answer.
-pub const FOLD_SEMANTICS_VERSION: u32 = 2;
+///
+/// Version 3: Theorem 1 and omission sources list one failure pattern per
+/// relabeling orbit, so their shard ranges index the reduced space.
+pub const FOLD_SEMANTICS_VERSION: u32 = 3;
 
 /// Snapshots a runner's cumulative counters so a per-shard delta can be
 /// taken around one shard fold.
@@ -373,7 +399,7 @@ where
     let mut cursor = source.cursor(range.0, range.1);
     while cursor.next(scratch)? {
         let scenario = scratch.as_ref().expect("the cursor just yielded a scenario");
-        reducer.fold(&mut acc, job(runner, scenario)?);
+        reducer.fold_weighted(&mut acc, job(runner, scenario)?, scenario.weight);
     }
     let after = runner_counters(runner);
     let stats = SweepStats {

@@ -258,6 +258,19 @@ impl Reducer for Thm1Reducer {
         acc.structure += item.structure;
     }
 
+    /// Counts multiply by the weight; a flag any folded run raised stays
+    /// raised.
+    fn fold_weighted(&self, acc: &mut Thm1Outcome, item: Thm1Outcome, weight: u64) {
+        if weight > 0 {
+            let scaled = Thm1Outcome {
+                violations: item.violations * weight,
+                structure: item.structure * weight,
+                ..item
+            };
+            self.fold(acc, scaled);
+        }
+    }
+
     fn merge(&self, mut left: Thm1Outcome, right: Thm1Outcome) -> Thm1Outcome {
         self.fold(&mut left, right);
         left
@@ -297,7 +310,7 @@ pub fn thm1_scope(n: usize, t: usize, k: usize) -> EnumerationConfig {
 pub fn thm1_source(scope: EnumerationConfig, k: usize) -> Result<ExhaustiveSource, ModelError> {
     let space = AdversarySpace::new(scope)?;
     let params = TaskParams::new(SystemParams::new(scope.n, scope.t)?, k)?;
-    ExhaustiveSource::new(space, params, TaskVariant::Nonuniform)
+    ExhaustiveSource::up_to_relabeling(space, params, TaskVariant::Nonuniform)
 }
 
 /// The per-scenario job of the Theorem 1 sweep: execute `Optmin[k]` and
@@ -432,7 +445,7 @@ pub fn omission_scope(n: usize, t: usize, k: usize) -> OmissionConfig {
 pub fn omission_source(scope: OmissionConfig, k: usize) -> Result<ExhaustiveSource, ModelError> {
     let space = AdversarySpace::omission(scope)?;
     let params = TaskParams::new(SystemParams::new(scope.n, scope.t)?, k)?;
-    ExhaustiveSource::new(space, params, TaskVariant::Nonuniform)
+    ExhaustiveSource::up_to_relabeling(space, params, TaskVariant::Nonuniform)
 }
 
 /// Assembles the [`Thm1Case`] row of one swept omission scope from its
@@ -826,6 +839,7 @@ pub fn fig4_source() -> Result<(FixedSource, Vec<Fig4Shape>), ModelError> {
                 params,
                 variant: TaskVariant::Uniform,
                 adversary: scenario.adversary,
+                weight: 1,
             });
         }
     }
@@ -1126,4 +1140,57 @@ fn prop2_targeted() -> Result<Prop2Targeted, ModelError> {
         link_betti: link_betti.all().to_vec(),
         link_connected: homology::is_q_connected(&link, k.saturating_sub(2)),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fmt::Debug;
+
+    use super::*;
+    use crate::reduce::{Count, DecisionTimeHistogram, KeyedReducer};
+
+    /// The weight law of [`Reducer::fold_weighted`]: folding an item with
+    /// weight `w` equals `w` repeated folds of it, into an empty and into a
+    /// nonempty accumulator alike.
+    fn assert_weight_law<R>(name: &str, reducer: &R, items: &[R::Item])
+    where
+        R: Reducer,
+        R::Acc: PartialEq + Debug,
+    {
+        for weight in [0u64, 1, 2, 7, 120] {
+            let (mut weighted, mut repeated) = (reducer.empty(), reducer.empty());
+            for item in items {
+                reducer.fold_weighted(&mut weighted, item.clone(), weight);
+                for _ in 0..weight {
+                    reducer.fold(&mut repeated, item.clone());
+                }
+            }
+            assert_eq!(weighted, repeated, "{name} at weight {weight}");
+        }
+    }
+
+    #[test]
+    fn every_library_reducer_obeys_the_weight_law() {
+        assert_weight_law("Count", &Count, &[3, 0, 5]);
+        assert_weight_law("DecisionTimeHistogram", &DecisionTimeHistogram, &[2, 2, 3]);
+        let keyed = KeyedReducer::new(|slot: &mut u32, value| *slot = (*slot).max(value));
+        assert_weight_law("KeyedReducer", &keyed, &[("a", 3), ("b", 1), ("a", 5)]);
+        let outcome = |violations, beaten, structure| Thm1Outcome { violations, beaten, structure };
+        assert_weight_law(
+            "Thm1Reducer",
+            &Thm1Reducer,
+            &[
+                outcome(0, [false, false], 0),
+                outcome(2, [false, true], 1),
+                outcome(1, [true, false], 3),
+            ],
+        );
+        assert_weight_law("Thm3Reducer", &Thm3Reducer, &[(2, 3, 0), (1, 2, 1), (2, 4, 0)]);
+        assert_weight_law(
+            "Fig4Reducer",
+            &Fig4Reducer,
+            &[(0, [2, 2, 3, 3], 0), (3, [2, 3, 5, 5], 1)],
+        );
+        assert_weight_law("Prop2Reducer", &Prop2Reducer, &[vec![4, 1], vec![], vec![1, 9]]);
+    }
 }

@@ -22,7 +22,11 @@
 //!   caller-owned scratch instead of materializing them per index; the
 //!   exhaustive source's *block cursor* unranks each failure pattern once
 //!   per block and steps the mixed-radix input code in place, so a worker's
-//!   steady state allocates nothing per scenario;
+//!   steady state allocates nothing per scenario.  The Theorem 1 and
+//!   omission sources walk their scope *up to process relabeling*
+//!   ([`source::ExhaustiveSource::up_to_relabeling`]): one failure pattern
+//!   per relabeling orbit, every scenario carrying its orbit size as its
+//!   [`Scenario::weight`];
 //! * [`sweep`] (and [`sweep_with_stats`]) — partitions the scenario space
 //!   into deterministic contiguous shards (aligned to the source's
 //!   structure block) and lets worker threads *steal* shards from a shared
@@ -47,7 +51,9 @@
 //!   `merge(fold(A), fold(B)) == fold(A ++ B)` makes the final result
 //!   **independent of the shard and thread counts** — the same
 //!   [`SweepConfig::seed`] yields bit-identical folds at `--threads 1` and
-//!   `--threads 64`;
+//!   `--threads 64`.  The engine folds each outcome with its scenario's
+//!   weight through [`Reducer::fold_weighted`], whose law is "`w` repeated
+//!   folds";
 //! * [`experiments`] — the paper's headline experiments (Theorem 1,
 //!   Theorem 3, Fig. 4, Proposition 2) ported onto the engine; the `sweep`
 //!   CLI binary in the `bench_harness` crate is a thin formatting wrapper
@@ -71,6 +77,9 @@
 //! ```
 //!
 //! * `<S>` — [`SweepStats::scenarios`], the number of scenarios executed.
+//!   For `thm1` and `omission` that is orbit representatives × input
+//!   vectors (10,923 and 936 for the built-in cases), not the scope's
+//!   adversary count (167,890 and 14,256), which the tables report.
 //! * `<L>`/`<C>`/`<H>` — the [`knowledge::CacheStats`] of the per-worker
 //!   analysis caches, summed: `ViewAnalysis` lookups requested, full
 //!   constructions actually performed, and constructions avoided (served

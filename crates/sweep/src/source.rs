@@ -11,17 +11,26 @@ use crate::engine::{CursorStats, Scenario, ScenarioCursor, ScenarioSource};
 /// The exhaustive adversary space of an enumeration scope, every adversary
 /// executed under the same task parameters.
 ///
+/// A source built by [`ExhaustiveSource::new`] walks every adversary of the
+/// space.  One built by [`ExhaustiveSource::up_to_relabeling`] walks the
+/// orbit representatives of its failure patterns instead, each scenario
+/// weighted by its pattern's orbit size; either way [`Self::space`] is the
+/// whole scope.
+///
 /// Random access is delegated to [`AdversarySpace::nth`], so a shard's
 /// first scenario costs the same as any other — no sequential replay.
 #[derive(Debug, Clone)]
 pub struct ExhaustiveSource {
     space: AdversarySpace,
+    /// What the scenarios index: `space` itself, or its orbit
+    /// representatives.
+    walked: AdversarySpace,
     params: TaskParams,
     variant: TaskVariant,
 }
 
 impl ExhaustiveSource {
-    /// Wraps an adversary space.
+    /// Wraps an adversary space; every scenario has weight 1.
     ///
     /// # Errors
     ///
@@ -32,26 +41,61 @@ impl ExhaustiveSource {
         params: TaskParams,
         variant: TaskVariant,
     ) -> Result<Self, ModelError> {
-        if space.len() > usize::MAX as u128 {
+        Self::walking(space.clone(), space, params, variant)
+    }
+
+    /// Wraps an adversary space up to process relabeling: the scenarios
+    /// are the orbit representatives of its failure patterns crossed with
+    /// every input vector ([`AdversarySpace::up_to_relabeling`]), each
+    /// weighted by its orbit size.  Folds equal those of
+    /// [`ExhaustiveSource::new`] only for jobs whose outcome relabeling
+    /// does not change.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the space is too large to index or to list its
+    /// orbits.
+    pub fn up_to_relabeling(
+        space: AdversarySpace,
+        params: TaskParams,
+        variant: TaskVariant,
+    ) -> Result<Self, ModelError> {
+        let walked = space.up_to_relabeling()?;
+        Self::walking(space, walked, params, variant)
+    }
+
+    fn walking(
+        space: AdversarySpace,
+        walked: AdversarySpace,
+        params: TaskParams,
+        variant: TaskVariant,
+    ) -> Result<Self, ModelError> {
+        if walked.len() > usize::MAX as u128 {
             return Err(ModelError::InvalidTaskParameter {
                 reason: format!(
                     "enumeration scope of {} adversaries exceeds the addressable sweep size",
-                    space.len()
+                    walked.len()
                 ),
             });
         }
-        Ok(ExhaustiveSource { space, params, variant })
+        Ok(ExhaustiveSource { space, walked, params, variant })
     }
 
-    /// Returns the underlying adversary space.
+    /// Returns the whole adversary space of the scope — also for a source
+    /// that walks only its orbit representatives.
     pub fn space(&self) -> &AdversarySpace {
         &self.space
+    }
+
+    /// The weight of the scenario at `index`: its pattern's orbit size.
+    fn weight(&self, index: usize) -> u64 {
+        self.walked.pattern_weight((index / self.structure_block()) as u128)
     }
 }
 
 impl ScenarioSource for ExhaustiveSource {
     fn len(&self) -> usize {
-        self.space.len() as usize
+        self.walked.len() as usize
     }
 
     fn scenario(&self, index: usize) -> Result<Scenario, ModelError> {
@@ -59,7 +103,8 @@ impl ScenarioSource for ExhaustiveSource {
             index,
             params: self.params,
             variant: self.variant,
-            adversary: self.space.nth(index as u128),
+            adversary: self.walked.nth(index as u128),
+            weight: self.weight(index),
         })
     }
 
@@ -69,7 +114,7 @@ impl ScenarioSource for ExhaustiveSource {
     /// truncate: the constructor rejects spaces beyond `usize::MAX`, and a
     /// block never exceeds the space.)
     fn structure_block(&self) -> usize {
-        self.space.inputs_per_pattern() as usize
+        self.walked.inputs_per_pattern() as usize
     }
 
     /// The block cursor: the failure pattern is unranked once per structure
@@ -79,10 +124,8 @@ impl ScenarioSource for ExhaustiveSource {
     /// materialization per index on the default path.
     fn cursor(&self, start: usize, end: usize) -> Box<dyn ScenarioCursor + '_> {
         Box::new(BlockCursor {
-            inner: self.space.cursor(start as u128, end as u128),
-            n: self.space.n(),
-            params: self.params,
-            variant: self.variant,
+            source: self,
+            inner: self.walked.cursor(start as u128, end as u128),
             index: start,
         })
     }
@@ -91,10 +134,8 @@ impl ScenarioSource for ExhaustiveSource {
 /// [`ExhaustiveSource`]'s cursor: a thin scenario-level wrapper around
 /// [`AdversaryCursor`], which does the actual in-place stepping.
 struct BlockCursor<'a> {
+    source: &'a ExhaustiveSource,
     inner: AdversaryCursor<'a>,
-    n: usize,
-    params: TaskParams,
-    variant: TaskVariant,
     /// Index of the next scenario to yield.
     index: usize,
 }
@@ -108,18 +149,20 @@ impl ScenarioCursor for BlockCursor<'_> {
             // its contents never surface.
             None => scratch.insert(Scenario {
                 index: 0,
-                params: self.params,
-                variant: self.variant,
-                adversary: Adversary::failure_free(InputVector::uniform(self.n, 0))
+                params: self.source.params,
+                variant: self.source.variant,
+                adversary: Adversary::failure_free(InputVector::uniform(self.source.walked.n(), 0))
                     .expect("enumeration scopes have at least two processes"),
+                weight: 1,
             }),
         };
         if !self.inner.advance(&mut scenario.adversary) {
             return Ok(false);
         }
         scenario.index = self.index;
-        scenario.params = self.params;
-        scenario.variant = self.variant;
+        scenario.params = self.source.params;
+        scenario.variant = self.source.variant;
+        scenario.weight = self.source.weight(self.index);
         self.index += 1;
         Ok(true)
     }
@@ -175,7 +218,7 @@ impl ScenarioSource for RandomSource {
     fn scenario(&self, index: usize) -> Result<Scenario, ModelError> {
         let seed = Self::stream_seed(self.seed, index as u64);
         let adversary = RandomAdversaries::new(self.config, seed).next_adversary();
-        Ok(Scenario { index, params: self.params, variant: self.variant, adversary })
+        Ok(Scenario { index, params: self.params, variant: self.variant, adversary, weight: 1 })
     }
 }
 
@@ -297,8 +340,13 @@ mod tests {
     #[test]
     fn fixed_source_reindexes() {
         let adversary = AdversarySpace::new(EnumerationConfig::small(3, 1, 1)).unwrap().nth(0);
-        let scenario =
-            Scenario { index: 99, params: params(), variant: TaskVariant::Uniform, adversary };
+        let scenario = Scenario {
+            index: 99,
+            params: params(),
+            variant: TaskVariant::Uniform,
+            adversary,
+            weight: 1,
+        };
         let source = FixedSource::new(vec![scenario.clone(), scenario]);
         assert_eq!(source.scenario(0).unwrap().index, 0);
         assert_eq!(source.scenario(1).unwrap().index, 1);

@@ -137,7 +137,8 @@ fn oracle_indices(source: &ExhaustiveSource, config: &SweepConfig) -> BTreeSet<u
 /// EarlyFloodMin and FloodMin.  The runner's analysis-cache handle — warmed
 /// by every pattern the worker swept before — must also agree with
 /// `ViewAnalysis::new` at every active node there.  On the side, the whole
-/// sweep simulates and unranks each failure pattern exactly once.
+/// sweep simulates and unranks each pattern block of the source — one per
+/// relabeling orbit — exactly once.
 #[test]
 fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
     let config = SweepConfig { shards: 7, threads: 2, ..SweepConfig::default() };
@@ -164,6 +165,7 @@ fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
             let index = scenario.index;
             let oracle = source.scenario(index)?;
             assert_eq!(scenario.adversary, oracle.adversary, "{label}: cursor ≠ scenario({index})");
+            assert_eq!(scenario.weight, oracle.weight, "{label}: weight of {index}");
             for (protocol, transcript) in protocols.iter().zip(transcripts) {
                 let (_, expected) = execute(*protocol, &oracle.params, oracle.adversary.clone())?;
                 assert_eq!(transcript, &expected, "{label}: {} at {index}", protocol.name());
@@ -182,11 +184,13 @@ fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
             }
             Ok(1)
         };
+        // `Count` folds each sample with its weight.
         let (checked, stats) = sweep_with_stats(source, &config, &Count, job).unwrap();
-        assert_eq!(checked, samples.len() as u64, "{label}: every sample was checked");
-        let patterns = source.space().num_patterns() as u64;
-        assert_eq!(stats.runs.simulated, patterns, "{label}: one simulation per pattern");
-        assert_eq!(stats.cursor.patterns_unranked, patterns, "{label}: one unranking per pattern");
+        let weights: u64 = samples.iter().map(|&i| source.scenario(i).unwrap().weight).sum();
+        assert_eq!(checked, weights, "{label}: every sample was checked");
+        let blocks = (source.len() / source.structure_block()) as u64;
+        assert_eq!(stats.runs.simulated, blocks, "{label}: one simulation per pattern block");
+        assert_eq!(stats.cursor.patterns_unranked, blocks, "{label}: one unranking per block");
     }
 }
 

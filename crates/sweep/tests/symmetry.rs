@@ -11,9 +11,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use set_consensus::{execute, BatchRunner, EarlyFloodMin, FloodMin, Optmin, Protocol};
-use sweep::experiments::{self, OMISSION_CASES, THM1_CASES};
+use sweep::experiments::{self, ScopeSpec, Thm1Reducer, OMISSION_CASES, THM1_CASES};
+use sweep::reduce::Count;
 use sweep::source::ExhaustiveSource;
-use sweep::{Scenario, ScenarioSource};
+use sweep::{sweep, Scenario, ScenarioSource, SweepConfig};
 use synchrony::{Adversary, FailurePattern, InputVector};
 
 /// Adversaries drawn per scope.
@@ -97,6 +98,54 @@ fn relabeling_an_adversary_relabels_every_decision_and_keeps_the_thm1_outcome() 
             let relabeled =
                 experiments::thm1_job(&mut BatchRunner::new(), &scenario(image)).unwrap();
             assert_eq!(relabeled, outcome, "{at}: thm1_job outcome");
+        }
+    }
+}
+
+/// The full-space twin of a reduced source: the same scope and task,
+/// every adversary walked with weight 1.
+fn full_twin(source: &ExhaustiveSource) -> ExhaustiveSource {
+    let template = source.scenario(0).unwrap();
+    ExhaustiveSource::new(source.space().clone(), template.params, template.variant).unwrap()
+}
+
+/// Reduced folds equal full folds: on every built-in Theorem 1 and
+/// omission scope, plus `(4,1,1)`, `(4,2,2)` without partial delivery and
+/// the omission scope `(3,1,2)`, the Theorem 1 fold over the orbit
+/// representatives equals the fold over the whole space at every
+/// shard/thread count — and the weights add up to the whole space.
+#[test]
+fn reduced_folds_equal_full_folds() {
+    let mut sources = builtin_sources();
+    let silent = ScopeSpec { partial_delivery: false, ..ScopeSpec::builtin(4, 2, 2) };
+    sources.push((
+        "crash (4,1,1)".into(),
+        experiments::thm1_source(experiments::thm1_scope(4, 1, 1), 1).unwrap(),
+    ));
+    sources.push((
+        "crash (4,2,2) silent".into(),
+        experiments::thm1_source(silent.to_crash(), 2).unwrap(),
+    ));
+    sources.push((
+        "omission (3,1,2)".into(),
+        experiments::omission_source(experiments::omission_scope(3, 1, 2), 2).unwrap(),
+    ));
+
+    let count = |_: &mut BatchRunner, _: &Scenario| Ok(1u64);
+    for (label, reduced) in &sources {
+        let full = full_twin(reduced);
+        assert!(reduced.len() < full.len(), "{label}: the reduction lists fewer scenarios");
+        let config = SweepConfig { threads: 2, ..SweepConfig::default() };
+        let reference = sweep(&full, &config, &Thm1Reducer, experiments::thm1_job).unwrap();
+        for shards in [1, 3, 7] {
+            for threads in [1, 2] {
+                let config = SweepConfig { shards, threads, ..SweepConfig::default() };
+                let at = format!("{label} at shards={shards}, threads={threads}");
+                let fold = sweep(reduced, &config, &Thm1Reducer, experiments::thm1_job).unwrap();
+                assert_eq!(fold, reference, "{at}: reduced fold ≠ full fold");
+                let weights = sweep(reduced, &config, &Count, count).unwrap();
+                assert_eq!(u128::from(weights), reduced.space().len(), "{at}: weights");
+            }
         }
     }
 }
