@@ -677,7 +677,22 @@ fn handle_connection(
                 ));
                 break;
             }
-            Frame::Register => {
+            Frame::Register { fold } => {
+                // A worker of other fold semantics would cut the shard
+                // ranges differently, or fold them differently: refuse it.
+                let ours = code_version();
+                if fold.as_deref() != Some(ours.as_str()) {
+                    let theirs = fold.as_deref().unwrap_or("none (a worker that predates it)");
+                    reply.send(&error_frame(
+                        None,
+                        ErrorKind::Protocol,
+                        format!(
+                            "worker fold semantics {theirs} do not match this coordinator's \
+                             {ours}; run workers built from the coordinator's version"
+                        ),
+                    ));
+                    break;
+                }
                 // The connection becomes a worker session: it stops
                 // accepting job frames and serves the lease protocol
                 // until EOF or shutdown.
@@ -767,6 +782,7 @@ fn worker_session(mut reader: FrameReader<'_>, reply: &FrameWriter, fleet: &Arc<
         worker,
         lease_ttl_ms: config.lease_ttl.as_millis() as u64,
         heartbeat_ms: config.heartbeat_ms(),
+        fold: Some(code_version()),
     }) {
         fleet.worker_gone(worker, Instant::now());
         return;

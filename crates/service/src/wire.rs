@@ -52,11 +52,11 @@
 //!                   {"type":"cancel-ack","job":N,"found":b} (cancel ack)
 //!                   {"type":"shutting-down"}                (shutdown ack)
 //!                   {"type":"stats-result", ...}            (metrics snapshot)
-//! worker → server   {"type":"register"}                     (join the fleet)
+//! worker → server   {"type":"register","fold":s}            (join the fleet)
 //!                   {"type":"heartbeat","worker":N}         (liveness, periodic)
 //!                   {"type":"lease-done", ...LeaseDone}     (shard executed)
 //!                   {"type":"lease-failed", ...LeaseFailed} (shard rejected)
-//! server → worker   {"type":"registered", ...}              (worker id + TTLs)
+//! server → worker   {"type":"registered", ...,"fold":s}     (worker id + TTLs)
 //!                   {"type":"lease", ...LeaseGrant}         (one shard to run)
 //!                   {"type":"lease-revoke","lease":N,...}   (grant withdrawn)
 //! ```
@@ -364,6 +364,17 @@ fn tagged<const N: usize>(tag: &str, fields: [(&str, Value); N]) -> Value {
     object.push(("type".to_owned(), Value::Str(tag.to_owned())));
     object.extend(fields.map(|(name, value)| (name.to_owned(), value)));
     Value::Object(object)
+}
+
+/// Appends `field` to a tagged object under `key`, unless it is absent.
+fn with_field<T: ToWire>(value: Value, key: &str, field: &T) -> Value {
+    match (value, field.to_wire_field()) {
+        (Value::Object(mut object), Some(field)) => {
+            object.push((key.to_owned(), field));
+            Value::Object(object)
+        }
+        (value, _) => value,
+    }
 }
 
 fn missing(key: &str) -> WireError {
@@ -1338,7 +1349,12 @@ pub enum Frame {
     },
     /// Worker → server: join the fleet (this connection becomes a worker
     /// session and stops accepting job frames).
-    Register,
+    Register {
+        /// The worker's fold semantics (`fingerprint::code_version`); the
+        /// coordinator refuses a worker whose shards would fold
+        /// differently from its own.  Absent from workers that predate it.
+        fold: Option<String>,
+    },
     /// Server → worker: registration accepted.
     Registered {
         /// Assigned worker id, echoed in heartbeats and completions.
@@ -1347,6 +1363,9 @@ pub enum Frame {
         lease_ttl_ms: u64,
         /// Heartbeat cadence the worker should keep, in milliseconds.
         heartbeat_ms: u64,
+        /// The coordinator's fold semantics; a worker leaves a coordinator
+        /// whose value differs or is absent.
+        fold: Option<String>,
     },
     /// Worker → server: still alive (extends the worker's TTL deadline).
     Heartbeat {
@@ -1389,14 +1408,18 @@ impl ToWire for Frame {
             Frame::JobDone(frame) => frame.to_wire(),
             Frame::Error(frame) => frame.to_wire(),
             Frame::Hello { token } => tagged("hello", [("token", token.to_wire())]),
-            Frame::Register => tagged("register", []),
-            Frame::Registered { worker, lease_ttl_ms, heartbeat_ms } => tagged(
-                "registered",
-                [
-                    ("worker", worker.to_wire()),
-                    ("lease_ttl_ms", lease_ttl_ms.to_wire()),
-                    ("heartbeat_ms", heartbeat_ms.to_wire()),
-                ],
+            Frame::Register { fold } => with_field(tagged("register", []), "fold", fold),
+            Frame::Registered { worker, lease_ttl_ms, heartbeat_ms, fold } => with_field(
+                tagged(
+                    "registered",
+                    [
+                        ("worker", worker.to_wire()),
+                        ("lease_ttl_ms", lease_ttl_ms.to_wire()),
+                        ("heartbeat_ms", heartbeat_ms.to_wire()),
+                    ],
+                ),
+                "fold",
+                fold,
             ),
             Frame::Heartbeat { worker } => tagged("heartbeat", [("worker", worker.to_wire())]),
             Frame::Lease(frame) => frame.to_wire(),
@@ -1429,11 +1452,12 @@ impl FromWire for Frame {
             "job-done" => Frame::JobDone(JobDone::from_wire(value)?),
             "error" => Frame::Error(ErrorFrame::from_wire(value)?),
             "hello" => Frame::Hello { token: value.field("token", "hello.token")? },
-            "register" => Frame::Register,
+            "register" => Frame::Register { fold: value.field("fold", "register.fold")? },
             "registered" => Frame::Registered {
                 worker: value.field("worker", "registered.worker")?,
                 lease_ttl_ms: value.field("lease_ttl_ms", "registered.lease_ttl_ms")?,
                 heartbeat_ms: value.field("heartbeat_ms", "registered.heartbeat_ms")?,
+                fold: value.field("fold", "registered.fold")?,
             },
             "heartbeat" => Frame::Heartbeat { worker: value.field("worker", "heartbeat.worker")? },
             "lease" => Frame::Lease(LeaseGrant::from_wire(value)?),

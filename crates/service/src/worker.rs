@@ -25,6 +25,7 @@ use sweep::{fold_shard_stats, shard_ranges, ScenarioSource, SweepStats};
 use synchrony::ModelError;
 
 use crate::client::open;
+use crate::fingerprint::code_version;
 use crate::net::{ConnectOptions, Endpoint};
 use crate::pool::WorkerState;
 use crate::query::ServedQuery;
@@ -67,11 +68,21 @@ impl WorkerOptions {
 pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
     // The heartbeat thread and the lease loop both send on `writer`.
     let (mut reader, writer) = open(&options.endpoint, &options.connect)?;
-    if !writer.send(&Frame::Register) {
+    let ours = code_version();
+    if !writer.send(&Frame::Register { fold: Some(ours.clone()) }) {
         return Err(ServiceError::Protocol("connection closed during registration".into()));
     }
     let (worker_id, advertised_heartbeat_ms) = match reader.read_frame()? {
-        Some(Frame::Registered { worker, heartbeat_ms, .. }) => (worker, heartbeat_ms),
+        Some(Frame::Registered { worker, heartbeat_ms, fold, .. }) => {
+            if fold.as_deref() != Some(ours.as_str()) {
+                let theirs = fold.as_deref().unwrap_or("none (a coordinator that predates it)");
+                return Err(ServiceError::Protocol(format!(
+                    "coordinator fold semantics {theirs} do not match this worker's {ours}; \
+                     run a worker built from the coordinator's version"
+                )));
+            }
+            (worker, heartbeat_ms)
+        }
         Some(Frame::Error(error)) => {
             return Err(ServiceError::Remote { kind: error.kind, message: error.message })
         }

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use service::fingerprint::code_version;
 use service::net::Stream;
 use service::wire::{self, encode_line, ErrorKind, Frame, LeaseDone, QueryResult, Value};
 use service::{
@@ -333,7 +334,7 @@ fn dropped_heartbeats_expire_the_lease_and_late_duplicates_are_dropped() {
     let expected = in_process_reference(SMALL_SCOPE, 2);
 
     let mut fake = RawConnection::connect(&endpoint);
-    fake.send(&Frame::Register);
+    fake.send(&Frame::Register { fold: Some(code_version()) });
     let Frame::Registered { worker, lease_ttl_ms, .. } = fake.read_frame() else {
         panic!("registered frame expected")
     };
@@ -384,6 +385,61 @@ fn dropped_heartbeats_expire_the_lease_and_late_duplicates_are_dropped() {
     let after = client::submit(&endpoint, &spec(62, SMALL_SCOPE, 2)).expect("post-forgery submit");
     assert_eq!(after.result, expected, "a dropped duplicate must not corrupt later folds");
     stop_daemon(&endpoint, handle);
+}
+
+/// Cross-version fleets fail loudly, coordinator side: a `register` with
+/// no fold semantics (a worker that predates them) or with other ones is
+/// refused with a typed `protocol` error, and the connection closes before
+/// any lease could cut a shard by the other version's partition.
+#[test]
+fn a_coordinator_refuses_workers_of_other_fold_semantics() {
+    let (endpoint, handle) = start_daemon(fleet_options("fold-refused", 1_000));
+    for fold in [None, Some("0.1.0+fold.v2".to_string())] {
+        let mut stale = RawConnection::connect(&endpoint);
+        stale.send(&Frame::Register { fold: fold.clone() });
+        let Frame::Error(error) = stale.read_frame() else {
+            panic!("{fold:?}: an error frame expected")
+        };
+        assert_eq!(error.kind, ErrorKind::Protocol, "{fold:?}");
+        assert!(error.message.contains(&code_version()), "{fold:?}: {}", error.message);
+        let mut rest = String::new();
+        assert_eq!(stale.reader.read_line(&mut rest).expect("read to EOF"), 0, "{fold:?}");
+    }
+    let outcome = client::submit(&endpoint, &spec(91, SMALL_SCOPE, 2)).expect("local submit");
+    assert_eq!(outcome.fleet_workers, 0, "no refused worker joined the fleet");
+    stop_daemon(&endpoint, handle);
+}
+
+/// Cross-version fleets fail loudly, worker side: a coordinator whose
+/// `registered` frame carries no fold semantics (one that predates them)
+/// makes `sweep worker` exit with an error instead of serving leases.
+#[test]
+fn a_worker_leaves_a_coordinator_of_other_fold_semantics() {
+    let socket = temp_socket("fold-left");
+    let listener = std::os::unix::net::UnixListener::bind(&socket).expect("bind fake coordinator");
+    let coordinator = thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("worker connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("read half"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("register line");
+        let Frame::Register { fold } = wire::decode_line(&line).expect("a frame") else {
+            panic!("register expected, got {line}")
+        };
+        assert_eq!(fold, Some(code_version()), "a worker announces its fold semantics");
+        let parent = r#"{"type":"registered","worker":1,"lease_ttl_ms":5000,"heartbeat_ms":1000}"#;
+        let mut writer = stream;
+        writer.write_all(format!("{parent}\n").as_bytes()).expect("registered line");
+        // Hold the connection open until the worker hangs up.
+        let _ = reader.read_line(&mut line);
+    });
+    let error = service::worker::run(&WorkerOptions::new(Endpoint::Unix(socket.clone())))
+        .expect_err("the worker must refuse the coordinator");
+    assert!(
+        matches!(&error, ServiceError::Protocol(message) if message.contains("fold semantics")),
+        "{error}"
+    );
+    coordinator.join().expect("fake coordinator");
+    let _ = std::fs::remove_file(socket);
 }
 
 /// TCP endpoints with a configured token require the `hello` handshake:

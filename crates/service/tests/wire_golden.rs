@@ -106,8 +106,8 @@ fn golden_frames() -> Vec<(Frame, &'static str)> {
         (Frame::Error(ErrorFrame { job: Some(9), kind: ErrorKind::Merge, message: "shard 7 \"range\" mismatch\n".into() }), ERROR),
         (Frame::Error(ErrorFrame { job: None, kind: ErrorKind::Protocol, message: "bad frame".into() }), r#"{"type":"error","kind":"protocol","message":"bad frame"}"#),
         (Frame::Hello { token: "s3cret".into() }, r#"{"type":"hello","token":"s3cret"}"#),
-        (Frame::Register, r#"{"type":"register"}"#),
-        (Frame::Registered { worker: 3, lease_ttl_ms: 5000, heartbeat_ms: 1000 }, r#"{"type":"registered","worker":3,"lease_ttl_ms":5000,"heartbeat_ms":1000}"#),
+        (Frame::Register { fold: Some("0.1.0+fold.v3".into()) }, r#"{"type":"register","fold":"0.1.0+fold.v3"}"#),
+        (Frame::Registered { worker: 3, lease_ttl_ms: 5000, heartbeat_ms: 1000, fold: Some("0.1.0+fold.v3".into()) }, r#"{"type":"registered","worker":3,"lease_ttl_ms":5000,"heartbeat_ms":1000,"fold":"0.1.0+fold.v3"}"#),
         (Frame::Heartbeat { worker: 3 }, r#"{"type":"heartbeat","worker":3}"#),
         (Frame::Lease(LeaseGrant { lease: 11, generation: 2, task }), LEASE),
         (Frame::LeaseDone(LeaseDone { lease: 11, generation: 2, worker: 3, start: 750, end: 900, stats: stats(), payload: thm1_outcome().to_wire() }), LEASE_DONE),

@@ -158,6 +158,11 @@ fn random_kind(rng: &mut StdRng) -> ErrorKind {
     }
 }
 
+/// A fold-semantics string, or none (a peer that predates the field).
+fn random_fold(rng: &mut StdRng) -> Option<String> {
+    rng.random_bool(0.5).then(|| format!("0.1.0+fold.v{}", rng.random_range(0..9u64)))
+}
+
 fn random_task(rng: &mut StdRng) -> TaskSpec {
     let query = match rng.random_range(0..3u64) {
         0 => QueryKind::Thm1,
@@ -266,11 +271,12 @@ fn random_frame(rng: &mut StdRng) -> Frame {
             ),
         }),
         9 => Frame::Hello { token: format!("secret-{}", rng.random_range(0..u64::MAX)) },
-        10 => Frame::Register,
+        10 => Frame::Register { fold: random_fold(rng) },
         11 => Frame::Registered {
             worker: rng.random_range(1..u64::MAX),
             lease_ttl_ms: rng.random_range(1..100_000u64),
             heartbeat_ms: rng.random_range(1..25_000u64),
+            fold: random_fold(rng),
         },
         12 => Frame::Heartbeat { worker: rng.random_range(1..u64::MAX) },
         13 => Frame::Lease(LeaseGrant {
