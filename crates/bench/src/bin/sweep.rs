@@ -37,10 +37,12 @@
 //! repeated queries) replayed from its shard-accumulator cache.
 //! Progress/stats stay on stderr; stdout is the diffable result.
 //!
-//! `--connect ADDR` treats an address containing `/` as a Unix socket
-//! path and anything else as `host:port`.  `--auth-token` (or the
-//! `SWEEP_TOKEN` environment variable) is required by daemons started
-//! with a token on TCP endpoints; Unix sockets never need it.
+//! `--connect ADDR` dials TCP when the address ends in `:PORT` (a `u16`
+//! port, as in `127.0.0.1:7000` or `localhost:7000`) and treats anything
+//! else as a Unix socket path (`serve.sock`, `./serve.sock`,
+//! `/tmp/s.sock`).  `--auth-token` (or the `SWEEP_TOKEN` environment
+//! variable) is required by daemons started with a token on TCP
+//! endpoints; Unix sockets never need it.
 
 use adversary::PatternModel;
 use bench_harness::{report, sweep_config_from_args};
@@ -328,16 +330,7 @@ fn worker_main(mut args: impl Iterator<Item = String>) {
             continue;
         }
         match flag.as_str() {
-            // A path has a '/', a TCP address is host:port — the same
-            // heuristic ssh-style tools use.
-            "--connect" => {
-                let address = value_of(&flag, &mut args);
-                endpoint.0 = Some(if address.contains('/') {
-                    Endpoint::Unix(address.into())
-                } else {
-                    Endpoint::Tcp(address)
-                });
-            }
+            "--connect" => endpoint.0 = Some(connect_endpoint(&value_of(&flag, &mut args))),
             "--heartbeat-ms" => {
                 heartbeat_ms = Some(parse_number(&flag, &value_of(&flag, &mut args)))
             }
@@ -349,6 +342,16 @@ fn worker_main(mut args: impl Iterator<Item = String>) {
     if let Err(error) = service::worker::run(&options) {
         telemetry::log::error(LOG_TARGET, format!("sweep worker: {error}"), &[]);
         std::process::exit(1);
+    }
+}
+
+/// The endpoint `sweep worker --connect ADDR` dials: TCP when the address
+/// ends in `:PORT` with a `u16` port (`127.0.0.1:7000`, `localhost:7000`),
+/// otherwise the Unix socket at that path (`serve.sock`, `/tmp/s.sock`).
+fn connect_endpoint(address: &str) -> Endpoint {
+    match address.rsplit_once(':') {
+        Some((_, port)) if port.parse::<u16>().is_ok() => Endpoint::Tcp(address.into()),
+        _ => Endpoint::Unix(address.into()),
     }
 }
 
@@ -550,6 +553,21 @@ fn shutdown_main(mut args: impl Iterator<Item = String>) {
         Err(error) => {
             telemetry::log::error(LOG_TARGET, format!("sweep shutdown: {error}"), &[]);
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connect_addresses_dial_tcp_only_with_a_port_suffix() {
+        for path in ["serve.sock", "./serve.sock", "/tmp/s.sock"] {
+            assert_eq!(connect_endpoint(path), Endpoint::Unix(path.into()), "{path}");
+        }
+        for address in ["127.0.0.1:7000", "localhost:7000"] {
+            assert_eq!(connect_endpoint(address), Endpoint::Tcp(address.into()), "{address}");
         }
     }
 }
