@@ -157,11 +157,6 @@ impl OrbitSpace {
     pub fn representative(&self, rank: u128) -> u128 {
         self.representatives[rank as usize]
     }
-
-    /// Returns the full space the orbits partition.
-    pub fn full(&self) -> &Arc<dyn PatternSpace> {
-        &self.full
-    }
 }
 
 impl PatternSpace for OrbitSpace {

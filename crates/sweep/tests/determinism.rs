@@ -194,37 +194,40 @@ fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
     }
 }
 
-/// The engine's counter invariants at every shard/thread count: pattern-
+/// The engine's counter invariants at every shard/thread count, on the
+/// full (3,1,1) space and on the same scope up to relabeling: pattern-
 /// aligned shard boundaries keep every pattern block in one shard, so the
-/// sweep simulates and unranks each failure pattern exactly once, and the
+/// sweep simulates and unranks each block's pattern exactly once, and the
 /// block cursor materializes one scenario wholesale per non-empty shard
 /// and steps every other one in place.
 #[test]
 fn engine_counters_hold_at_every_parallelism() {
-    let source = exhaustive_source();
-    let patterns = source.space().num_patterns() as u64;
-    let block = source.structure_block();
-    let total = ScenarioSource::len(&source);
-    assert_eq!(patterns * source.space().inputs_per_pattern() as u64, total as u64);
+    let reduced = experiments::thm1_source(EnumerationConfig::small(3, 1, 1), 1).unwrap();
+    for source in [exhaustive_source(), reduced] {
+        let block = source.structure_block();
+        let total = ScenarioSource::len(&source);
+        let blocks = (total / block) as u64;
+        assert_eq!(total % block, 0, "blocks tile the source");
 
-    let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
-        runner.execute_one(&Optmin, &scenario.params, &scenario.adversary)?;
-        Ok(runner.count_violations(&scenario.params, scenario.variant))
-    };
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let config = SweepConfig { shards, threads, ..SweepConfig::default() };
-            let (violations, stats) = sweep_with_stats(&source, &config, &Count, job).unwrap();
-            assert_eq!(violations, 0);
-            let at = format!("shards={shards}, threads={threads}");
-            assert_eq!(stats.scenarios, total as u64, "{at}");
-            assert_eq!(stats.runs.simulated, patterns, "{at} split a pattern block");
-            assert_eq!(stats.runs.reused, total as u64 - patterns, "{at}");
-            let nonempty_shards =
-                shard_ranges(total, shards, block).iter().filter(|(s, e)| s < e).count() as u64;
-            assert_eq!(stats.cursor.materialized, nonempty_shards, "{at}");
-            assert_eq!(stats.cursor.patterns_unranked, patterns, "{at}");
-            assert_eq!(stats.cursor.stepped, total as u64 - nonempty_shards, "{at}");
+        let job = |runner: &mut set_consensus::BatchRunner, scenario: &sweep::Scenario| {
+            runner.execute_one(&Optmin, &scenario.params, &scenario.adversary)?;
+            Ok(runner.count_violations(&scenario.params, scenario.variant))
+        };
+        for shards in SHARD_COUNTS {
+            for threads in THREAD_COUNTS {
+                let config = SweepConfig { shards, threads, ..SweepConfig::default() };
+                let (violations, stats) = sweep_with_stats(&source, &config, &Count, job).unwrap();
+                assert_eq!(violations, 0);
+                let at = format!("{total} scenarios at shards={shards}, threads={threads}");
+                assert_eq!(stats.scenarios, total as u64, "{at}");
+                assert_eq!(stats.runs.simulated, blocks, "{at} split a pattern block");
+                assert_eq!(stats.runs.reused, total as u64 - blocks, "{at}");
+                let nonempty_shards =
+                    shard_ranges(total, shards, block).iter().filter(|(s, e)| s < e).count() as u64;
+                assert_eq!(stats.cursor.materialized, nonempty_shards, "{at}");
+                assert_eq!(stats.cursor.patterns_unranked, blocks, "{at}");
+                assert_eq!(stats.cursor.stepped, total as u64 - nonempty_shards, "{at}");
+            }
         }
     }
 }
