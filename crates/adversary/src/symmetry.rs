@@ -40,9 +40,9 @@ use crate::space::{PatternModel, PatternSpace};
 /// listing holds one packed key per pattern.
 pub const MAX_LISTED_PATTERNS: u128 = 1 << 20;
 
-/// The most processes a listed space may range over (a delivery row is
-/// one `u64` mask).
-const MAX_LISTED_PROCESSES: usize = 32;
+/// The most processes a listed space may range over: a delivery row is
+/// one `u64` mask, and a row of all `n` bits must fit below bit 64.
+const MAX_LISTED_PROCESSES: usize = 63;
 
 /// A pattern space up to process relabeling: the lowest-rank member of
 /// every relabeling orbit of a full space, in the full space's rank order,
@@ -79,7 +79,7 @@ impl OrbitSpace {
     /// # Errors
     ///
     /// Returns an error if the space has more than [`MAX_LISTED_PATTERNS`]
-    /// patterns or more than 32 processes, or if it breaks the pattern-space
+    /// patterns or more than 63 processes, or if it breaks the pattern-space
     /// contract: two ranks with one delivery matrix, or a pattern whose
     /// relabeling lies outside the space.
     pub fn new(full: Arc<dyn PatternSpace>) -> Result<Self, ModelError> {
