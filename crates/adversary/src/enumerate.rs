@@ -453,13 +453,19 @@ impl AdversarySpace {
 
     /// The same scope up to process relabeling: the orbit representatives
     /// of this space's patterns (see [`OrbitSpace`]) crossed with every
-    /// input vector, each pattern weighted by its orbit size.
+    /// input vector, each pattern weighted by its orbit size.  A pattern
+    /// space too large to list its orbits ([`OrbitSpace::is_listable`]) is
+    /// returned whole, every pattern of weight 1: it folds to the same
+    /// result, only slower.
     ///
     /// # Errors
     ///
-    /// Returns an error if the pattern space is too large to list its
-    /// orbits, or breaks the relabeling contract.
+    /// Returns an error if the pattern space breaks the relabeling
+    /// contract.
     pub fn up_to_relabeling(&self) -> Result<Self, ModelError> {
+        if !OrbitSpace::is_listable(self.space.as_ref()) {
+            return Ok(self.clone());
+        }
         Ok(Self::from_pattern_space(Arc::new(OrbitSpace::new(self.space.clone())?)))
     }
 

@@ -29,16 +29,26 @@
 //! `n!` per orbit.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use synchrony::{FailurePattern, ModelError};
 
 use crate::space::{PatternModel, PatternSpace};
 
-/// The most patterns a space may have for its orbits to be listed: the
-/// listing holds one packed key per pattern.
-pub const MAX_LISTED_PATTERNS: u128 = 1 << 20;
+/// The most memory an orbit listing may take, in bytes
+/// ([`OrbitSpace::listing_bytes`]).  A space whose listing would take more
+/// is walked whole by [`AdversarySpace::up_to_relabeling`], which folds to
+/// the same result, only slower.  Which scopes are listed decides how
+/// their shards are cut, so changing this bound changes fold semantics.
+///
+/// [`AdversarySpace::up_to_relabeling`]: crate::AdversarySpace::up_to_relabeling
+pub const MAX_LISTING_BYTES: u128 = 256 << 20;
+
+/// The listing's bytes per pattern besides its packed key: a hash-map
+/// slot (a key reference and a rank, 24 B, with its control byte and up
+/// to 16/7 over-allocation), a seen flag, a stack slot and, at worst, an
+/// orbit of its own (a representative and a size).
+const BYTES_PER_PATTERN: u128 = 96;
 
 /// The most processes a listed space may range over: a delivery row is
 /// one `u64` mask, and a row of all `n` bits must fit below bit 64.
@@ -78,17 +88,17 @@ impl OrbitSpace {
     ///
     /// # Errors
     ///
-    /// Returns an error if the space has more than [`MAX_LISTED_PATTERNS`]
-    /// patterns or more than 63 processes, or if it breaks the pattern-space
-    /// contract: two ranks with one delivery matrix, or a pattern whose
-    /// relabeling lies outside the space.
+    /// Returns an error if the listing would take more than
+    /// [`MAX_LISTING_BYTES`] or the space has more than 63 processes, or if
+    /// the space breaks the pattern-space contract: two ranks with one
+    /// delivery matrix, or a pattern whose relabeling lies outside the
+    /// space.
     pub fn new(full: Arc<dyn PatternSpace>) -> Result<Self, ModelError> {
-        let n = full.n();
-        let total = full.num_patterns();
-        if total > MAX_LISTED_PATTERNS || n > MAX_LISTED_PROCESSES {
+        let (n, total) = (full.n(), full.num_patterns());
+        if !Self::is_listable(full.as_ref()) {
             return Err(refusal(format!(
                 "a {} space of {total} patterns over {n} processes is too large to list its \
-                 relabeling orbits (at most {MAX_LISTED_PATTERNS} patterns and \
+                 relabeling orbits (at most {MAX_LISTING_BYTES} bytes and \
                  {MAX_LISTED_PROCESSES} processes)",
                 full.model()
             )));
@@ -103,8 +113,7 @@ impl OrbitSpace {
             layout.rows_of(&full.pattern_at(rank as u128), &mut rows);
             layout.pack(&rows, key);
         }
-        let mut rank_of: HashMap<&[u64], usize, BuildHasherDefault<KeyHasher>> =
-            HashMap::with_capacity_and_hasher(total, Default::default());
+        let mut rank_of: HashMap<&[u64], usize> = HashMap::with_capacity(total);
         for (rank, key) in keys.chunks_exact(layout.words).enumerate() {
             if let Some(other) = rank_of.insert(key, rank) {
                 return Err(broken(full.model(), format!("ranks {other} and {rank} coincide")));
@@ -147,6 +156,22 @@ impl OrbitSpace {
             sizes.push(size);
         }
         Ok(OrbitSpace { full, representatives, sizes })
+    }
+
+    /// Returns the bytes listing the orbits of `full` takes: its packed
+    /// keys and [`BYTES_PER_PATTERN`] more per pattern.  `None` if its
+    /// delivery rows do not fit a `u64` (more than 63 processes).
+    pub fn listing_bytes(full: &dyn PatternSpace) -> Option<u128> {
+        (full.n() <= MAX_LISTED_PROCESSES).then(|| {
+            let key_bytes = 8 * KeyLayout::new(full.n(), full.fault_rounds()).words as u128;
+            full.num_patterns().saturating_mul(key_bytes + BYTES_PER_PATTERN)
+        })
+    }
+
+    /// Returns whether [`OrbitSpace::new`] lists `full` rather than refuse
+    /// it for its size.
+    pub fn is_listable(full: &dyn PatternSpace) -> bool {
+        Self::listing_bytes(full).is_some_and(|bytes| bytes <= MAX_LISTING_BYTES)
     }
 
     /// Returns the full-space rank of the orbit representative at `rank`.
@@ -255,37 +280,6 @@ impl KeyLayout {
     }
 }
 
-/// A multiply-rotate hash of packed keys (the keys are trusted, so the
-/// standard library's flooding-resistant hash only costs time here).
-#[derive(Debug, Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let words = bytes.chunks_exact(8);
-        let mut tail = [0u8; 8];
-        tail[..words.remainder().len()].copy_from_slice(words.remainder());
-        for word in words {
-            self.add(u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")));
-        }
-        self.add(u64::from_le_bytes(tail));
-    }
-
-    fn write_usize(&mut self, value: usize) {
-        self.add(value as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The first word of a process set: its mask over processes `0 … 63`.
 fn mask(words: &[u64]) -> u64 {
     words.first().copied().unwrap_or(0)
@@ -308,7 +302,7 @@ fn transpose(rows: &mut [u64], n: usize, a: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{CrashSpace, EnumerationConfig};
+    use crate::enumerate::{AdversarySpace, CrashSpace, EnumerationConfig};
     use crate::space::{OmissionConfig, OmissionSpace};
 
     fn orbit_counts(space: Arc<dyn PatternSpace>) -> (u128, u128) {
@@ -356,8 +350,11 @@ mod tests {
         assert_eq!(back, rows);
     }
 
+    /// A space whose listing would outgrow [`MAX_LISTING_BYTES`] is refused
+    /// by `OrbitSpace::new` and walked whole, at weight 1, by
+    /// `AdversarySpace::up_to_relabeling`.
     #[test]
-    fn oversized_spaces_are_refused() {
+    fn oversized_spaces_are_refused_and_walked_whole() {
         let config = EnumerationConfig {
             n: 8,
             t: 4,
@@ -365,7 +362,33 @@ mod tests {
             max_crash_round: 3,
             partial_delivery: true,
         };
-        let error = OrbitSpace::new(Arc::new(CrashSpace::new(config).unwrap())).unwrap_err();
-        assert!(error.to_string().contains("too large to list"), "{error}");
+        let full = Arc::new(CrashSpace::new(config).unwrap());
+        let bytes = OrbitSpace::listing_bytes(full.as_ref()).unwrap();
+        assert!(bytes > MAX_LISTING_BYTES, "{bytes} bytes");
+        let error = OrbitSpace::new(full).unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            "invalid task parameter: a crash space of 1525204061185 patterns over 8 processes is \
+             too large to list its relabeling orbits (at most 268435456 bytes and 63 processes)"
+        );
+        let space = AdversarySpace::new(config).unwrap();
+        let walked = space.up_to_relabeling().unwrap();
+        assert_eq!((walked.len(), walked.pattern_weight(12_345)), (space.len(), 1));
+        assert_eq!(walked.pattern_at(12_345), space.pattern_at(12_345));
+    }
+
+    /// The listing cost of a built-in scope, and the budget's reach: the
+    /// complete (6,2,2) crash scope lists, n = 6, t = 3 with crashes up to
+    /// round 3 is walked whole.
+    #[test]
+    fn listing_costs_are_bounded_by_the_budget() {
+        let crash = |n, t, max_crash_round| {
+            let config =
+                EnumerationConfig { n, t, max_value: 2, max_crash_round, partial_delivery: true };
+            CrashSpace::new(config).unwrap()
+        };
+        assert_eq!(OrbitSpace::listing_bytes(&crash(4, 2, 2)), Some(1_601 * (8 + 96)));
+        assert!(OrbitSpace::is_listable(&crash(6, 2, 2)));
+        assert!(!OrbitSpace::is_listable(&crash(6, 3, 3)));
     }
 }

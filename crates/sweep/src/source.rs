@@ -47,14 +47,14 @@ impl ExhaustiveSource {
     /// Wraps an adversary space up to process relabeling: the scenarios
     /// are the orbit representatives of its failure patterns crossed with
     /// every input vector ([`AdversarySpace::up_to_relabeling`]), each
-    /// weighted by its orbit size.  Folds equal those of
-    /// [`ExhaustiveSource::new`] only for jobs whose outcome relabeling
-    /// does not change.
+    /// weighted by its orbit size; a space too large to list its orbits is
+    /// walked whole.  Folds equal those of [`ExhaustiveSource::new`] only
+    /// for jobs whose outcome relabeling does not change.
     ///
     /// # Errors
     ///
-    /// Returns an error if the space is too large to index or to list its
-    /// orbits.
+    /// Returns an error if the space is too large to index or breaks the
+    /// relabeling contract.
     pub fn up_to_relabeling(
         space: AdversarySpace,
         params: TaskParams,
