@@ -11,15 +11,12 @@
 //! Tasks are type-erased closures: the scheduler in `server` monomorphizes
 //! per query and the pool stays ignorant of reducers and accumulators.
 
-use std::any::Any;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use set_consensus::BatchRunner;
 use sweep::Scenario;
-
-use crate::wire::TaskSpec;
 
 /// The long-lived state a pool worker threads through every task it runs.
 #[derive(Debug)]
@@ -33,26 +30,6 @@ pub struct WorkerState {
     /// source's cursor overwrites it wholesale on first advance, so it may
     /// carry state from a different job's source.
     pub scratch: Option<Scenario>,
-    /// The scenario source of the last case a remote worker was leased,
-    /// under that lease's task (shard index zeroed).  A remote worker
-    /// rebuilds a case's source from its lease — for Theorem 1 and
-    /// omission cases that lists the scope's relabeling orbits — so a run
-    /// of leases of one case builds it once.  Pool tasks get their source
-    /// from the scheduler and leave this empty.
-    pub source: Option<(TaskSpec, Box<dyn Any + Send + Sync>)>,
-}
-
-impl WorkerState {
-    /// A cold state: a fresh runner, no scratch scenario, no source.
-    pub fn new() -> Self {
-        WorkerState { runner: BatchRunner::new(), scratch: None, source: None }
-    }
-}
-
-impl Default for WorkerState {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 type Task = Box<dyn FnOnce(&mut WorkerState) + Send>;
@@ -76,7 +53,7 @@ impl WorkerPool {
             .map(|_| {
                 let receiver: Arc<Mutex<Receiver<Task>>> = Arc::clone(&receiver);
                 std::thread::spawn(move || {
-                    let mut state = WorkerState::new();
+                    let mut state = WorkerState { runner: BatchRunner::new(), scratch: None };
                     loop {
                         // Hold the queue lock only while popping, never
                         // while running a task.

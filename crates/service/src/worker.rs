@@ -2,7 +2,8 @@
 //!
 //! A worker is deliberately thin: it registers with a coordinator, then
 //! loops — pull one lease, rebuild the scenario source self-containedly
-//! from the [`TaskSpec`], recompute the identical block-aligned shard
+//! from the [`TaskSpec`] (or keep the last lease's, for the same case),
+//! recompute the identical block-aligned shard
 //! partition with `sweep::shard_ranges`, execute the shard through the
 //! very same `sweep::fold_shard_stats` kernel the local pool uses, and
 //! stream the accumulator back as a `lease-done` frame.  All policy
@@ -16,10 +17,12 @@
 //! worker that dies mid-shard simply never completes its lease; the
 //! coordinator re-queues the shard and the fold is unaffected.
 
+use std::any::Any;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
 
+use set_consensus::BatchRunner;
 use sweep::experiments::{Fig4Query, Thm1Query, Thm3Query};
 use sweep::{fold_shard_stats, shard_ranges, ScenarioSource, SweepStats};
 use synchrony::ModelError;
@@ -34,6 +37,23 @@ use crate::ServiceError;
 
 /// Log target of the worker's structured stderr lines.
 const LOG_TARGET: &str = "service::worker";
+
+/// What a worker keeps between leases: the warm runner and scratch slot a
+/// pool worker keeps, and the scenario source of the last case it was
+/// leased.
+struct LeaseState {
+    warm: WorkerState,
+    /// The last case's source, under its lease's task with the shard index
+    /// zeroed.  Building a Theorem 1 or omission source lists the scope's
+    /// relabeling orbits, so a run of leases of one case builds it once.
+    source: Option<(TaskSpec, Box<dyn Any>)>,
+}
+
+impl LeaseState {
+    fn new() -> Self {
+        LeaseState { warm: WorkerState { runner: BatchRunner::new(), scratch: None }, source: None }
+    }
+}
 
 /// How a worker process is launched.
 #[derive(Debug, Clone)]
@@ -126,7 +146,7 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
 
     // One warm runner + scratch slot, reused across leases — the same
     // warmth the local pool keeps, with the same bit-identity guarantee.
-    let mut state = WorkerState::new();
+    let mut state = LeaseState::new();
     loop {
         match reader.read_frame()? {
             Some(Frame::Lease(grant)) => {
@@ -205,12 +225,13 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// Rebuilds the task's scenario source and executes its shard through the
-/// shared `fold_shard_stats` kernel, returning the accumulator's wire
-/// rendering, the range actually covered, and the execution statistics.
-pub(crate) fn execute_task(
+/// Rebuilds the task's scenario source (unless `state` keeps it from the
+/// last lease) and executes its shard through the shared
+/// `fold_shard_stats` kernel, returning the accumulator's wire rendering,
+/// the range actually covered, and the execution statistics.
+fn execute_task(
     task: &TaskSpec,
-    state: &mut WorkerState,
+    state: &mut LeaseState,
 ) -> Result<(Value, (usize, usize), SweepStats), ModelError> {
     match task.query {
         QueryKind::Thm1 => fold_task(Thm1Query::CRASH, task, state),
@@ -229,14 +250,12 @@ pub(crate) fn execute_task(
 fn fold_task<Q: ServedQuery>(
     query: Q,
     task: &TaskSpec,
-    state: &mut WorkerState,
+    state: &mut LeaseState,
 ) -> Result<(Value, (usize, usize), SweepStats), ModelError> {
     let case = query.task_case(task.case, task.scope.as_ref())?;
-    let WorkerState { runner, scratch, source: last } = state;
+    let LeaseState { warm, source: last } = state;
     let key = TaskSpec { shard: 0, ..task.clone() };
-    let reusable =
-        last.as_ref().is_some_and(|(spec, source)| *spec == key && source.is::<Q::Source>());
-    if !reusable {
+    if !last.as_ref().is_some_and(|(spec, source)| *spec == key && source.is::<Q::Source>()) {
         *last = Some((key, Box::new(query.source(&case, task.seed)?)));
     }
     let source = last
@@ -252,8 +271,14 @@ fn fold_task<Q: ServedQuery>(
                 ranges.len()
             ),
         })?;
-    let (acc, stats) =
-        fold_shard_stats(source, &Q::Reducer::default(), &Q::JOB, runner, scratch, range)?;
+    let (acc, stats) = fold_shard_stats(
+        source,
+        &Q::Reducer::default(),
+        &Q::JOB,
+        &mut warm.runner,
+        &mut warm.scratch,
+        range,
+    )?;
     Ok((acc.to_wire(), range, stats))
 }
 
@@ -261,7 +286,6 @@ fn fold_task<Q: ServedQuery>(
 mod tests {
     use super::*;
     use crate::wire::{FromWire, ScopeSpec};
-    use set_consensus::BatchRunner;
     use sweep::experiments::{self, Fig4Reducer, Thm1Reducer, Thm3Reducer, THM3_CASES};
     use sweep::{Reducer, Scenario};
 
@@ -273,7 +297,7 @@ mod tests {
     /// shard directly from `source`; the decoded payload and covered range
     /// must agree.
     fn assert_matches_local_fold<S, R>(
-        state: &mut WorkerState,
+        state: &mut LeaseState,
         task: &TaskSpec,
         source: &S,
         reducer: &R,
@@ -286,7 +310,7 @@ mod tests {
         let (payload, range, _) = execute_task(task, state).expect("task executes");
         let ranges = shard_ranges(source.len(), task.shards, source.structure_block());
         assert_eq!(range, ranges[task.shard], "{} range", task.query.name());
-        let mut reference = WorkerState::new();
+        let mut reference = LeaseState::new().warm;
         let (expected, _) = fold_shard_stats(
             source,
             reducer,
@@ -299,7 +323,7 @@ mod tests {
         assert_eq!(R::Acc::from_wire(&payload).unwrap(), expected, "{} fold", task.query.name());
     }
 
-    /// One worker state serves every lease in turn, so consecutive leases
+    /// One lease state serves every lease in turn, so consecutive leases
     /// of one case reuse its source and a lease of another case replaces
     /// it.
     #[test]
@@ -312,7 +336,7 @@ mod tests {
             max_crash_round: 1,
             partial_delivery: false,
         };
-        let state = &mut WorkerState::new();
+        let state = &mut LeaseState::new();
         let thm1 = experiments::thm1_source(scope.to_crash(), 1).unwrap();
         for shard in [1, 2] {
             assert_matches_local_fold(
@@ -356,7 +380,7 @@ mod tests {
 
     #[test]
     fn malformed_tasks_are_typed_rejections() {
-        let mut state = WorkerState::new();
+        let mut state = LeaseState::new();
         for (what, task) in [
             ("thm1 without a scope", TaskSpec { query: QueryKind::Thm1, ..LEASE }),
             ("thm3 with an unknown case", TaskSpec { query: QueryKind::Thm3, case: 99, ..LEASE }),
