@@ -159,7 +159,7 @@ impl OrbitSpace {
     }
 
     /// Returns the bytes listing the orbits of `full` takes: its packed
-    /// keys and [`BYTES_PER_PATTERN`] more per pattern.  `None` if its
+    /// keys and 96 bytes more per pattern.  `None` if its
     /// delivery rows do not fit a `u64` (more than 63 processes).
     pub fn listing_bytes(full: &dyn PatternSpace) -> Option<u128> {
         (full.n() <= MAX_LISTED_PROCESSES).then(|| {
