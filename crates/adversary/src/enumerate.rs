@@ -238,9 +238,7 @@ pub fn input_vectors(config: &EnumerationConfig) -> Vec<InputVector> {
 ///
 /// The code is a mixed-radix numeral in base `max_value + 1` with process 0
 /// as the least significant digit: `input_vector_at(config, code)` assigns
-/// process `p` the value `(code / base^p) % base`.  Consecutive codes
-/// therefore differ by a single increment-with-carry, which is what the
-/// [`AdversaryCursor`] exploits to step an input vector in place.
+/// process `p` the value `(code / base^p) % base`.
 ///
 /// ```
 /// use adversary::enumerate::{input_vector_at, input_vectors, EnumerationConfig};
@@ -392,8 +390,8 @@ impl PatternSpace for CrashSpace {
 /// Nothing is materialized: input vectors are decoded from their mixed-radix
 /// code and failure patterns are **unranked** on demand against the space's
 /// `O(n · t)` table of subtree sizes ([`CrashSpace`] for the paper's crash
-/// model, [`OmissionSpace`] for mobile send omissions — the crossing,
-/// blocking and cursor machinery below is model-agnostic).
+/// model, [`OmissionSpace`] for mobile send omissions — the crossing and
+/// blocking below are model-agnostic).
 /// [`AdversarySpace::nth`] therefore runs in `O(n · t)` per adversary with
 /// peak memory independent of the scope size, which is what lets shards of a
 /// sweep seek to their slice of scopes whose pattern space alone would never
@@ -537,26 +535,6 @@ impl AdversarySpace {
         let input = decode_input(self.space.n(), self.space.max_value(), index % self.num_inputs);
         Adversary::new(input, pattern).expect("enumerated adversaries are always well formed")
     }
-
-    /// Iterates over the adversaries of the half-open index range
-    /// `start..end` — the shard access pattern of the sweep engine.
-    pub fn iter_range(&self, start: u128, end: u128) -> impl Iterator<Item = Adversary> + '_ {
-        (start..end.min(self.len())).map(move |index| self.nth(index))
-    }
-
-    /// Returns a block cursor over the half-open index range `start..end`
-    /// (clamped to the space) — the allocation-free replacement for calling
-    /// [`AdversarySpace::nth`] per index.  See [`AdversaryCursor`].
-    pub fn cursor(&self, start: u128, end: u128) -> AdversaryCursor<'_> {
-        AdversaryCursor {
-            space: self,
-            next: start,
-            end: end.min(self.len()),
-            digits: vec![0; self.space.n()],
-            primed: false,
-            counters: CursorCounters::default(),
-        }
-    }
 }
 
 /// Decodes the input vector at mixed-radix `code` over `n` processes with
@@ -571,177 +549,6 @@ fn decode_input(n: usize, max_value: u64, code: u128) -> InputVector {
         rest /= base;
     }
     InputVector::from_values(values)
-}
-
-/// Production counters of an [`AdversaryCursor`] — how each adversary of the
-/// range was obtained.
-///
-/// In steady state a cursor *steps*: zero pattern or input-vector
-/// allocations per adversary.  `materialized` stays at one per cursor (the
-/// first advance) and `patterns_unranked` at one per structure block
-/// touched, so `materialized / (materialized + stepped) → 0` as the range
-/// grows — the property the `bench_block_cursor` snapshot asserts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CursorCounters {
-    /// Adversaries produced by a full materialization (an [`AdversarySpace::nth`]
-    /// call replacing the scratch wholesale) — exactly one per cursor that
-    /// yielded anything.
-    pub materialized: u64,
-    /// Adversaries produced by stepping the previous one in place —
-    /// allocation-free except at block boundaries, where a fresh failure
-    /// pattern is unranked into the scratch.
-    pub stepped: u64,
-    /// Failure patterns unranked — once per structure block the range
-    /// touches (including the block the first advance lands in).
-    pub patterns_unranked: u64,
-}
-
-impl CursorCounters {
-    /// Returns the total number of adversaries produced.
-    pub fn total(&self) -> u64 {
-        self.materialized + self.stepped
-    }
-
-    /// Returns the fraction of adversaries produced without a fresh
-    /// materialization, in `[0, 1]` (`0` when nothing was produced).
-    pub fn in_place_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.stepped as f64 / self.total() as f64
-        }
-    }
-
-    /// Adds another cursor's counters into this one.
-    pub fn merge(&mut self, other: CursorCounters) {
-        self.materialized += other.materialized;
-        self.stepped += other.stepped;
-        self.patterns_unranked += other.patterns_unranked;
-    }
-}
-
-/// A *block cursor* over a contiguous range of an [`AdversarySpace`]: the
-/// allocation-free way to walk the enumeration.
-///
-/// [`AdversarySpace::nth`] builds a fresh [`FailurePattern`], [`InputVector`]
-/// and [`Adversary`] per index; swept exhaustively, those allocations are
-/// pure per-scenario overhead because the enumeration is pattern-major —
-/// `inputs_per_pattern()` consecutive indices share one failure pattern and
-/// their input vectors differ by a single mixed-radix increment.  The cursor
-/// exploits exactly that: it unranks the failure pattern **once per block**,
-/// steps the input code **in place** inside a caller-owned scratch
-/// [`Adversary`], and only falls back to a full `nth` materialization on its
-/// very first advance (which also makes any pre-existing scratch contents
-/// irrelevant).
-///
-/// The yielded sequence is bit-identical to `nth(start), …, nth(end - 1)` —
-/// pinned by the cursor/`nth` equivalence property test — for **every**
-/// range, including ranges that start mid-block or straddle block
-/// boundaries.
-///
-/// ```
-/// use adversary::enumerate::{AdversarySpace, EnumerationConfig};
-/// use synchrony::{Adversary, InputVector};
-///
-/// let space = AdversarySpace::new(EnumerationConfig::small(3, 1, 1)).unwrap();
-/// let mut cursor = space.cursor(5, 25);
-/// // Any well-formed adversary works as scratch: the first advance
-/// // replaces it wholesale.
-/// let mut scratch = Adversary::failure_free(InputVector::uniform(3, 0)).unwrap();
-/// let mut index = 5u128;
-/// while cursor.advance(&mut scratch) {
-///     assert_eq!(scratch, space.nth(index));
-///     index += 1;
-/// }
-/// assert_eq!(index, 25);
-/// // Steady state: everything after the first advance was stepped in place.
-/// assert_eq!(cursor.counters().materialized, 1);
-/// assert_eq!(cursor.counters().stepped, 19);
-/// ```
-#[derive(Debug)]
-pub struct AdversaryCursor<'a> {
-    space: &'a AdversarySpace,
-    /// Index of the next adversary to yield.
-    next: u128,
-    end: u128,
-    /// Little-endian mixed-radix digits of the input code last written into
-    /// the scratch (meaningful once `primed`).
-    digits: Vec<u64>,
-    /// Whether the scratch currently holds the adversary at `next - 1` (set
-    /// by the first advance, which overwrites the scratch wholesale).
-    primed: bool,
-    counters: CursorCounters,
-}
-
-impl AdversaryCursor<'_> {
-    /// Returns the index of the next adversary the cursor will yield.
-    pub fn position(&self) -> u128 {
-        self.next
-    }
-
-    /// Advances the cursor, writing the next adversary of the range into
-    /// `scratch`; returns `false` (leaving `scratch` untouched) once the
-    /// range is exhausted.
-    ///
-    /// The first successful advance replaces `*scratch` wholesale, so its
-    /// prior contents may be anything; every later advance mutates it in
-    /// place and relies on it being unmodified since the previous advance.
-    pub fn advance(&mut self, scratch: &mut Adversary) -> bool {
-        if self.next >= self.end {
-            return false;
-        }
-        let code = self.next % self.space.num_inputs;
-        if !self.primed {
-            *scratch = self.space.nth(self.next);
-            let base = self.space.max_value() as u128 + 1;
-            let mut rest = code;
-            for digit in &mut self.digits {
-                *digit = (rest % base) as u64;
-                rest /= base;
-            }
-            self.primed = true;
-            self.counters.materialized += 1;
-            self.counters.patterns_unranked += 1;
-        } else if code == 0 {
-            // Block boundary: a fresh failure pattern, input code back to 0.
-            let pattern = self.space.pattern_at(self.next / self.space.num_inputs);
-            scratch
-                .set_failures(pattern)
-                .expect("cursor patterns range over the scratch's processes");
-            for (process, digit) in self.digits.iter_mut().enumerate() {
-                if *digit != 0 {
-                    *digit = 0;
-                    scratch.set_input(process, 0u64);
-                }
-            }
-            self.counters.stepped += 1;
-            self.counters.patterns_unranked += 1;
-        } else {
-            // Mixed-radix increment with carry; the carry cannot run off the
-            // end because `code != 0` means the previous code was not the
-            // block's last.
-            let base = self.space.max_value() + 1;
-            let mut process = 0usize;
-            loop {
-                self.digits[process] += 1;
-                if self.digits[process] < base {
-                    scratch.set_input(process, self.digits[process]);
-                    break;
-                }
-                self.digits[process] = 0;
-                scratch.set_input(process, 0u64);
-                process += 1;
-            }
-            self.counters.stepped += 1;
-        }
-        self.next += 1;
-        true
-    }
-
-    /// Returns the production counters accumulated so far.
-    pub fn counters(&self) -> CursorCounters {
-        self.counters
-    }
 }
 
 #[cfg(test)]
@@ -764,10 +571,6 @@ mod tests {
         for (i, expected) in all.iter().enumerate() {
             assert_eq!(&space.nth(i as u128), expected, "divergence at index {i}");
         }
-        let tail: Vec<Adversary> = space.iter_range(5, 9).collect();
-        assert_eq!(tail.as_slice(), &all[5..9]);
-        // Ranges saturate at the end of the space.
-        assert_eq!(space.iter_range(space.len() - 2, space.len() + 10).count(), 2);
     }
 
     /// Seeded-loop property test for the satellite acceptance: across a
@@ -853,8 +656,8 @@ mod tests {
 
     /// `AdversarySpace::new` must not materialize the pattern space: this
     /// scope holds ~10^12 failure patterns, which would exhaust memory
-    /// instantly if the old `Vec<FailurePattern>` were still built, yet the
-    /// lazy cursor addresses both ends of it.
+    /// instantly if the old `Vec<FailurePattern>` were still built, yet
+    /// `nth` addresses both ends of it.
     #[test]
     fn space_construction_is_independent_of_scope_size() {
         let config = EnumerationConfig {
@@ -890,86 +693,6 @@ mod tests {
     #[test]
     fn space_rejects_degenerate_scopes() {
         assert!(AdversarySpace::new(EnumerationConfig::small(1, 0, 1)).is_err());
-    }
-
-    /// Seeded-loop property test (satellite acceptance): over a batch of
-    /// scopes and random half-open ranges — including ranges that start
-    /// mid-block, end mid-block, straddle several block boundaries, are
-    /// empty, or run past the end of the space — the block cursor yields
-    /// exactly the `(FailurePattern, InputVector)` sequence of repeated
-    /// `nth` calls, and its counters account for every adversary produced.
-    #[test]
-    fn cursor_matches_nth_on_random_ranges() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let scopes = [
-            EnumerationConfig::small(3, 1, 1),
-            EnumerationConfig::small(3, 2, 2),
-            EnumerationConfig {
-                n: 4,
-                t: 2,
-                max_value: 1,
-                max_crash_round: 2,
-                partial_delivery: false,
-            },
-            EnumerationConfig {
-                n: 2,
-                t: 0,
-                max_value: 3,
-                max_crash_round: 1,
-                partial_delivery: true,
-            },
-        ];
-        let mut rng = StdRng::seed_from_u64(0xB10C);
-        for config in scopes {
-            let space = AdversarySpace::new(config).unwrap();
-            let len = space.len();
-            let block = space.inputs_per_pattern();
-            for trial in 0..40u32 {
-                let (start, end) = match trial {
-                    // Directed cases: full space, one exact block, an empty
-                    // range, and a range clamped past the end.
-                    0 => (0, len),
-                    1 => (block, 2 * block.min(len / 2).max(1)),
-                    2 => (len / 2, len / 2),
-                    3 => (len.saturating_sub(3), len + 100),
-                    // Random ranges, biased to straddle block boundaries.
-                    _ => {
-                        let a = rng.random_range(0..len as u64) as u128;
-                        let span = rng.random_range(0..(3 * block).min(len) as u64) as u128;
-                        (a, (a + span).min(len))
-                    }
-                };
-                let mut cursor = space.cursor(start, end);
-                let mut scratch =
-                    Adversary::failure_free(InputVector::uniform(config.n, 0)).unwrap();
-                let mut index = start;
-                while cursor.advance(&mut scratch) {
-                    let expected = space.nth(index);
-                    assert_eq!(
-                        scratch.failures(),
-                        expected.failures(),
-                        "pattern divergence at {index} of {start}..{end} in {config:?}"
-                    );
-                    assert_eq!(
-                        scratch.inputs(),
-                        expected.inputs(),
-                        "input divergence at {index} of {start}..{end} in {config:?}"
-                    );
-                    index += 1;
-                }
-                assert_eq!(index, end.min(len), "cursor stopped early on {start}..{end}");
-                let counters = cursor.counters();
-                assert_eq!(counters.total() as u128, end.min(len).saturating_sub(start));
-                assert_eq!(counters.materialized, u64::from(end.min(len) > start));
-                // One unranking per structure block the range touches.
-                let produced = end.min(len).saturating_sub(start);
-                let blocks_touched =
-                    if produced == 0 { 0 } else { (end.min(len) - 1) / block - start / block + 1 };
-                assert_eq!(counters.patterns_unranked as u128, blocks_touched);
-            }
-        }
     }
 
     #[test]

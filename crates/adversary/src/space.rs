@@ -3,7 +3,7 @@
 //!
 //! The sweep engine enumerates adversaries as `pattern-major` blocks: every
 //! failure pattern is crossed with every input vector, and everything
-//! downstream — the block cursor, run-structure reuse, shard alignment, the
+//! downstream — the shard walk, run-structure reuse, shard alignment, the
 //! service's shard-accumulator cache — is keyed on the *rank* of a pattern
 //! within its space.  [`PatternSpace`] abstracts exactly the piece that
 //! varies between fault models: how many patterns a scope contains and how a
@@ -26,8 +26,8 @@
 //!    [`omission_patterns`]), which is what pins enumeration order across
 //!    refactors.
 //! 3. **Scope closure** — every decoded pattern ranges over exactly `n()`
-//!    processes, so a single scratch [`synchrony::Adversary`] can absorb any
-//!    pattern of the space in place (`set_failures` never changes `n`).
+//!    processes, so every pattern of the space crosses with the same input
+//!    vectors.
 //! 4. **Relabeling closure** — relabeling the processes of any pattern of
 //!    the space gives a pattern of the space, so its relabeling orbits
 //!    partition it ([`crate::symmetry::OrbitSpace`] refuses a space that
@@ -36,7 +36,7 @@
 //! Rule 3 is what keeps the shard/block alignment invariant of the sweep
 //! engine model-agnostic: `AdversarySpace` crosses any conforming space with
 //! the mixed-radix input enumeration, so structure blocks, shard alignment
-//! and the cursor's in-place stepping work identically for every model.  The
+//! and the in-block input rewrite work identically for every model.  The
 //! generic conformance suite in `crates/adversary/tests/conformance.rs`
 //! checks all of the above against both spaces.
 
@@ -62,15 +62,6 @@ impl PatternModel {
         match self {
             PatternModel::Crash => "crash",
             PatternModel::Omission => "omission",
-        }
-    }
-
-    /// Parses a canonical model name.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "crash" => Some(PatternModel::Crash),
-            "omission" => Some(PatternModel::Omission),
-            _ => None,
         }
     }
 }
@@ -374,14 +365,6 @@ pub fn omission_patterns(config: &OmissionConfig) -> Vec<FailurePattern> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn model_names_round_trip() {
-        for model in [PatternModel::Crash, PatternModel::Omission] {
-            assert_eq!(PatternModel::parse(model.name()), Some(model));
-        }
-        assert_eq!(PatternModel::parse("byzantine"), None);
-    }
 
     #[test]
     fn omission_counts_match_the_reference_enumeration() {

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! # one-shot (in-process) experiments, as before
-//! sweep <thm1|omission|thm3|fig4|prop2|all> [--model crash|omission]
-//!       [--shards N] [--threads N] [--seed N]
+//! sweep <thm1|omission|thm3|fig4|prop2|all> [--shards N] [--threads N]
+//!       [--seed N]
 //!
 //! # the service layer
 //! sweep serve    (--socket PATH | --tcp ADDR) [--workers N]
@@ -14,8 +14,7 @@
 //! sweep worker   --connect ADDR [--auth-token TOKEN]
 //!                [--connect-timeout SECS] [--heartbeat-ms N]
 //! sweep submit   (--socket PATH | --tcp ADDR) <thm1|omission|thm3|fig4|prop2>
-//!                [--model crash|omission] [--scope n,t,k[,maxv[,mcr[,pd]]]]
-//!                [--shards N] [--seed N]
+//!                [--scope n,t,k[,maxv[,mcr[,pd]]]] [--shards N] [--seed N]
 //!                [--id N] [--no-shard-cache] [--connect-timeout SECS]
 //!                [--auth-token TOKEN]
 //! sweep cancel   (--socket PATH | --tcp ADDR) --id N [...]
@@ -44,7 +43,6 @@
 //! variable) is required by daemons started with a token on TCP
 //! endpoints; Unix sockets never need it.
 
-use adversary::PatternModel;
 use bench_harness::{report, sweep_config_from_args};
 use service::wire::ToWire;
 use service::{
@@ -58,7 +56,7 @@ use sweep::SweepConfig;
 /// under their `service::*` targets).
 const LOG_TARGET: &str = "sweep::cli";
 
-const USAGE: &str = "usage: sweep <thm1|omission|thm3|fig4|prop2|all> [--model crash|omission] \
+const USAGE: &str = "usage: sweep <thm1|omission|thm3|fig4|prop2|all> \
                      [--shards N] [--threads N] [--seed N]\n\
        sweep serve    (--socket PATH | --tcp ADDR) [--workers N] [--dispatchers N] \
                       [--queue-capacity N] [--cache-dir PATH] [--cache-budget BYTES] \
@@ -66,7 +64,7 @@ const USAGE: &str = "usage: sweep <thm1|omission|thm3|fig4|prop2|all> [--model c
        sweep worker   (--connect ADDR | --socket PATH | --tcp ADDR) [--auth-token TOKEN] \
                       [--connect-timeout SECS] [--heartbeat-ms N]\n\
        sweep submit   (--socket PATH | --tcp ADDR) <thm1|omission|thm3|fig4|prop2> \
-                      [--model crash|omission] [--scope n,t,k[,maxv[,mcr[,pd]]]] \
+                      [--scope n,t,k[,maxv[,mcr[,pd]]]] \
                       [--shards N] [--seed N] [--id N] \
                       [--no-shard-cache] [--connect-timeout SECS] [--auth-token TOKEN]\n\
        sweep cancel   (--socket PATH | --tcp ADDR) --id N [--connect-timeout SECS] \
@@ -133,41 +131,20 @@ fn print_result(result: &QueryResult) {
     println!("{claim}");
 }
 
-/// Resolves a query name and its `--model`: `omission` reroutes `thm1`
-/// onto its send-omission twin (the only experiment with one), `crash` is
-/// the explicit default.
-fn resolve_query(name: &str, model: Option<&str>) -> QueryKind {
-    let query =
-        QueryKind::parse(name).unwrap_or_else(|_| usage_exit(&format!("unknown query {name:?}")));
-    let Some(name) = model else { return query };
-    let model = PatternModel::parse(name)
-        .unwrap_or_else(|| usage_exit(&format!("unknown --model {name:?} (crash|omission)")));
-    query.with_model(model).unwrap_or_else(|| {
-        usage_exit(&format!("experiment {} has no {model}-model variant (only thm1)", query.name()))
-    })
+/// Parses a query name, or exits with a usage error.
+fn parse_query(name: &str) -> QueryKind {
+    QueryKind::parse(name).unwrap_or_else(|_| usage_exit(&format!("unknown query {name:?}")))
 }
 
 // ---------------------------------------------------------------------------
 // One-shot experiment mode.
 // ---------------------------------------------------------------------------
 
-fn experiment_main(experiment: &str, mut args: impl Iterator<Item = String>) {
-    // `--model` is pulled out before the engine flags are parsed;
-    // everything else passes through untouched.
-    let mut model = None;
-    let mut passthrough = Vec::new();
-    while let Some(arg) = args.next() {
-        if arg == "--model" {
-            model = Some(args.next().unwrap_or_else(|| usage_exit("missing value for --model")));
-        } else {
-            passthrough.push(arg);
-        }
-    }
+fn experiment_main(experiment: &str, args: impl Iterator<Item = String>) {
     let names =
         if experiment == "all" { vec!["thm1", "thm3", "fig4", "prop2"] } else { vec![experiment] };
-    let queries: Vec<QueryKind> =
-        names.into_iter().map(|name| resolve_query(name, model.as_deref())).collect();
-    let config = match sweep_config_from_args(passthrough.into_iter()) {
+    let queries: Vec<QueryKind> = names.into_iter().map(parse_query).collect();
+    let config = match sweep_config_from_args(args) {
         Ok(config) => config,
         Err(message) => usage_exit(&message),
     };
@@ -383,7 +360,6 @@ fn submit_main(mut args: impl Iterator<Item = String>) {
     let mut endpoint = EndpointFlag(None);
     let mut connect = ConnectFlags::new(Duration::from_secs(5));
     let mut query: Option<String> = None;
-    let mut model: Option<String> = None;
     let mut spec = JobSpec {
         id: std::process::id() as u64,
         query: QueryKind::Thm1,
@@ -401,7 +377,6 @@ fn submit_main(mut args: impl Iterator<Item = String>) {
         }
         match flag.as_str() {
             "--scope" => spec.scope = Some(parse_scope(&value_of(&flag, &mut args))),
-            "--model" => model = Some(value_of(&flag, &mut args)),
             "--shards" => spec.shards = parse_number(&flag, &value_of(&flag, &mut args)),
             "--seed" => spec.seed = parse_number(&flag, &value_of(&flag, &mut args)),
             "--id" => spec.id = parse_number(&flag, &value_of(&flag, &mut args)),
@@ -412,7 +387,7 @@ fn submit_main(mut args: impl Iterator<Item = String>) {
     }
     let query =
         query.unwrap_or_else(|| usage_exit("missing query (thm1|omission|thm3|fig4|prop2)"));
-    spec.query = resolve_query(&query, model.as_deref());
+    spec.query = parse_query(&query);
     let endpoint = endpoint.require();
 
     let outcome = match client::submit_with(&endpoint, &spec, &connect.options()) {

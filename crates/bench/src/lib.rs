@@ -110,9 +110,11 @@ pub fn sweep_config_from_args(
             |flag: &str| args.next().ok_or_else(|| format!("missing value for {flag}"));
         match flag.as_str() {
             "--shards" => {
-                config.shards = value_of("--shards")?
+                let shards = value_of("--shards")?
                     .parse()
                     .map_err(|e| format!("invalid --shards value: {e}"))?;
+                config.shards = sweep::check_shard_count(shards)
+                    .map_err(|e| format!("invalid --shards: {e}"))?;
             }
             "--threads" => {
                 config.threads = value_of("--threads")?
@@ -191,6 +193,16 @@ mod tests {
     use super::*;
     use set_consensus::{all_protocols, TaskVariant};
     use synchrony::{InputVector, SystemParams};
+
+    #[test]
+    fn shard_counts_above_the_bound_are_usage_errors() {
+        let parse = |shards: usize| {
+            sweep_config_from_args(["--shards".to_string(), shards.to_string()].into_iter())
+        };
+        assert_eq!(parse(sweep::MAX_SHARDS).unwrap().shards, sweep::MAX_SHARDS);
+        let error = parse(sweep::MAX_SHARDS + 1).unwrap_err();
+        assert!(error.contains("--shards"), "{error}");
+    }
 
     #[test]
     fn table_formats_rows_and_headers() {

@@ -13,14 +13,15 @@
 //! time plus the lease TTL — heartbeats and completions extend it, and a
 //! worker past its deadline is expired wholesale (its in-flight lease
 //! re-queued).  A re-queued shard waits out a capped exponential backoff,
-//! then goes to a *different* worker when one is idle; after
-//! [`FleetConfig::max_attempts`] grants (or whenever the fleet is empty)
-//! the shard *falls back* to the local dispatcher path instead — remote
-//! execution is an accelerator, never a point of failure.  A completion
-//! carrying a stale `(lease, generation)` — the late `lease-done` of an
-//! expired grant — is counted and dropped: the shard's accumulator enters
-//! the fold exactly once, which is what keeps the merged result
-//! bit-identical to the in-process sweep under any crash schedule.
+//! then goes to a *different* worker when one is idle; after three grants
+//! (or whenever the fleet is empty) the shard *falls back* to the local
+//! dispatcher path instead — remote execution is an accelerator, never a
+//! point of failure.  A completion carrying a stale `(lease, generation)`
+//! — the late `lease-done` of an expired grant — is counted and dropped:
+//! the shard's accumulator enters the fold exactly once, which is what
+//! keeps the merged result bit-identical to the in-process sweep under any
+//! crash schedule.  The lease TTL is the one setting (`--lease-ttl-ms`);
+//! the retry budget and the backoff ramp are fixed constants.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -35,50 +36,15 @@ use crate::wire::{Frame, LeaseGrant, TaskSpec, Value};
 /// Default lease TTL when the daemon is started without an override.
 pub const DEFAULT_LEASE_TTL_MS: u64 = 10_000;
 
-/// How the coordinator treats its fleet: lease TTL, retry budget, and the
-/// re-queue backoff ramp.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// A worker silent for longer than this is declared dead and its
-    /// in-flight lease re-queued.
-    pub lease_ttl: Duration,
-    /// Total grants a shard may consume before falling back to local
-    /// execution.
-    pub max_attempts: u32,
-    /// Backoff before the first re-grant; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Upper bound on the backoff ramp.
-    pub backoff_cap: Duration,
-}
+/// Total grants a shard may consume before falling back to local
+/// execution.
+const MAX_ATTEMPTS: u32 = 3;
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            lease_ttl: Duration::from_millis(DEFAULT_LEASE_TTL_MS),
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(1),
-        }
-    }
-}
+/// Backoff before a shard's first re-grant; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
 
-impl FleetConfig {
-    /// A config with the given TTL in milliseconds (`0` keeps the
-    /// default).
-    pub fn with_ttl_ms(ttl_ms: u64) -> Self {
-        let mut config = FleetConfig::default();
-        if ttl_ms > 0 {
-            config.lease_ttl = Duration::from_millis(ttl_ms);
-        }
-        config
-    }
-
-    /// The heartbeat cadence advertised to workers: a quarter of the TTL,
-    /// floored so short test TTLs still leave room for several beats.
-    pub fn heartbeat_ms(&self) -> u64 {
-        (self.lease_ttl.as_millis() as u64 / 4).max(25)
-    }
-}
+/// Upper bound on the backoff ramp.
+const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Sends one frame to a registered worker, returning `false` when the
 /// worker's connection is gone (which expires the worker).
@@ -168,7 +134,9 @@ struct Inner {
 /// the counters the daemon stats line reports.
 pub struct LeaseTable {
     inner: Mutex<Inner>,
-    config: FleetConfig,
+    /// A worker silent for longer than this is declared dead and its
+    /// in-flight lease re-queued.
+    lease_ttl: Duration,
     granted: AtomicU64,
     completed: AtomicU64,
     expired: AtomicU64,
@@ -180,7 +148,7 @@ pub struct LeaseTable {
 impl std::fmt::Debug for LeaseTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LeaseTable")
-            .field("config", &self.config)
+            .field("lease_ttl", &self.lease_ttl)
             .field("granted", &self.granted)
             .field("completed", &self.completed)
             .field("expired", &self.expired)
@@ -192,8 +160,9 @@ impl std::fmt::Debug for LeaseTable {
 }
 
 impl LeaseTable {
-    /// Creates an empty table under `config`.
-    pub fn new(config: FleetConfig) -> Self {
+    /// Creates an empty table whose workers expire after `lease_ttl` of
+    /// silence.
+    pub fn new(lease_ttl: Duration) -> Self {
         LeaseTable {
             inner: Mutex::new(Inner {
                 workers: HashMap::new(),
@@ -202,7 +171,7 @@ impl LeaseTable {
                 next_worker: 0,
                 next_lease: 0,
             }),
-            config,
+            lease_ttl,
             granted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
@@ -212,9 +181,15 @@ impl LeaseTable {
         }
     }
 
-    /// The config the table enforces.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
+    /// The lease TTL the table enforces.
+    pub fn lease_ttl(&self) -> Duration {
+        self.lease_ttl
+    }
+
+    /// The heartbeat cadence advertised to workers: a quarter of the TTL,
+    /// floored so short test TTLs still leave room for several beats.
+    pub fn heartbeat_ms(&self) -> u64 {
+        (self.lease_ttl.as_millis() as u64 / 4).max(25)
     }
 
     /// Registers a worker connection and returns its id.  Deliberately
@@ -225,9 +200,7 @@ impl LeaseTable {
         let mut inner = self.inner.lock().expect("lease table lock");
         inner.next_worker += 1;
         let id = inner.next_worker;
-        inner
-            .workers
-            .insert(id, WorkerEntry { send, busy: None, deadline: now + self.config.lease_ttl });
+        inner.workers.insert(id, WorkerEntry { send, busy: None, deadline: now + self.lease_ttl });
         id
     }
 
@@ -236,7 +209,7 @@ impl LeaseTable {
     pub fn heartbeat(&self, worker: u64, now: Instant) {
         let mut inner = self.inner.lock().expect("lease table lock");
         if let Some(entry) = inner.workers.get_mut(&worker) {
-            entry.deadline = now + self.config.lease_ttl;
+            entry.deadline = now + self.lease_ttl;
         }
     }
 
@@ -294,7 +267,7 @@ impl LeaseTable {
     ) -> bool {
         let mut inner = self.inner.lock().expect("lease table lock");
         if let Some(entry) = inner.workers.get_mut(&worker) {
-            entry.deadline = now + self.config.lease_ttl;
+            entry.deadline = now + self.lease_ttl;
         }
         let valid = inner
             .leases
@@ -321,7 +294,7 @@ impl LeaseTable {
     pub fn lease_failed(&self, lease: u64, generation: u64, worker: u64, now: Instant) {
         let mut inner = self.inner.lock().expect("lease table lock");
         if let Some(entry) = inner.workers.get_mut(&worker) {
-            entry.deadline = now + self.config.lease_ttl;
+            entry.deadline = now + self.lease_ttl;
         }
         let valid = inner
             .leases
@@ -403,7 +376,7 @@ impl LeaseTable {
     /// minus the time still left.
     pub fn heartbeat_ages_ms(&self, now: Instant) -> Vec<(u64, u64)> {
         let inner = self.inner.lock().expect("lease table lock");
-        let ttl = self.config.lease_ttl;
+        let ttl = self.lease_ttl;
         let mut ages: Vec<(u64, u64)> = inner
             .workers
             .iter()
@@ -448,7 +421,7 @@ impl LeaseTable {
         // Invalidate the lost grant: a late completion must fail the
         // assigned check *and* (after a re-grant) the generation check.
         state.generation += 1;
-        if state.attempts >= self.config.max_attempts || inner.workers.is_empty() {
+        if state.attempts >= MAX_ATTEMPTS || inner.workers.is_empty() {
             let state = inner.leases.remove(&lease).expect("requeue looked the lease up");
             inner.queue.retain(|&queued| queued != lease);
             self.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -457,8 +430,7 @@ impl LeaseTable {
         }
         state.requeues += 1;
         let exponent = state.attempts.saturating_sub(1).min(16);
-        let backoff =
-            self.config.backoff_base.saturating_mul(1u32 << exponent).min(self.config.backoff_cap);
+        let backoff = BACKOFF_BASE.saturating_mul(1u32 << exponent).min(BACKOFF_CAP);
         state.not_before = Some(now + backoff);
         self.requeued.fetch_add(1, Ordering::Relaxed);
         telemetry::log::warn(
@@ -469,7 +441,7 @@ impl LeaseTable {
                 state.spec.query.name(),
                 state.spec.case,
                 state.attempts + 1,
-                self.config.max_attempts,
+                MAX_ATTEMPTS,
                 backoff.as_millis(),
             ),
             &[
@@ -477,7 +449,7 @@ impl LeaseTable {
                 ("query", state.spec.query.name().into()),
                 ("case", state.spec.case.into()),
                 ("attempt", (state.attempts + 1).into()),
-                ("max_attempts", self.config.max_attempts.into()),
+                ("max_attempts", MAX_ATTEMPTS.into()),
                 ("backoff_ms", (backoff.as_millis() as u64).into()),
             ],
         );
@@ -592,13 +564,13 @@ mod tests {
         }
     }
 
-    fn config() -> FleetConfig {
-        FleetConfig::with_ttl_ms(1_000)
+    fn ttl() -> Duration {
+        Duration::from_millis(1_000)
     }
 
     #[test]
     fn empty_fleet_rejects_submissions_without_consuming_them() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let (task, outcomes) = channel_task(0);
         assert!(!table.submit(task, now));
@@ -608,7 +580,7 @@ mod tests {
 
     #[test]
     fn grant_complete_round_trip() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
@@ -639,7 +611,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_stale_completions_are_dropped() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
@@ -682,7 +654,7 @@ mod tests {
 
     #[test]
     fn expiry_requeues_to_a_different_worker_and_drops_the_late_done() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let t0 = Instant::now();
         let (sender_a, frames_a) = channel_worker();
         let (sender_b, frames_b) = channel_worker();
@@ -693,7 +665,7 @@ mod tests {
         // Smallest idle worker id wins the first grant.
         let first = grant_of(frames_a.try_recv().expect("worker A granted first"));
         // Worker B heartbeats; worker A goes silent past the TTL.
-        let late = t0 + table.config().lease_ttl + Duration::from_millis(1);
+        let late = t0 + table.lease_ttl() + Duration::from_millis(1);
         table.heartbeat(worker_b, late);
         table.tick(late);
         assert_eq!(table.expired_total(), 1);
@@ -705,7 +677,7 @@ mod tests {
             .any(|f| matches!(f, Frame::LeaseRevoke { lease, .. } if lease == first.lease)));
         // After the backoff, the re-grant goes to worker B with a bumped
         // generation.
-        let after_backoff = late + table.config().backoff_base;
+        let after_backoff = late + BACKOFF_BASE;
         table.tick(after_backoff);
         let second = grant_of(frames_b.try_recv().expect("worker B granted the retry"));
         assert_eq!(second.lease, first.lease);
@@ -739,7 +711,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fall_back_locally() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let mut now = Instant::now();
         // One worker that accepts grants but never completes them; killed
         // and re-registered each round so the fleet never empties.
@@ -747,7 +719,7 @@ mod tests {
         let (sender, _frames) = channel_worker();
         let mut worker = table.register(sender, now);
         assert!(table.submit(task, now));
-        for _ in 0..table.config().max_attempts {
+        for _ in 0..MAX_ATTEMPTS {
             // Replacement registers first so the fleet stays non-empty
             // when the holder dies (otherwise the fallback fires early).
             let (sender, _frames) = channel_worker();
@@ -760,7 +732,7 @@ mod tests {
         }
         match outcomes.try_recv().expect("fallback fires after the retry budget") {
             TaskOutcome::Fallback { requeues } => {
-                assert_eq!(requeues, u64::from(table.config().max_attempts) - 1)
+                assert_eq!(requeues, u64::from(MAX_ATTEMPTS) - 1)
             }
             other => panic!("expected Fallback, got {other:?}"),
         }
@@ -770,7 +742,7 @@ mod tests {
 
     #[test]
     fn losing_the_whole_fleet_falls_back_immediately() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let (sender, _frames) = channel_worker();
         let worker = table.register(sender, now);
@@ -786,7 +758,7 @@ mod tests {
 
     #[test]
     fn losing_the_last_worker_drains_queued_leases_to_fallback() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
@@ -806,7 +778,7 @@ mod tests {
 
     #[test]
     fn lease_failed_falls_back_without_retry() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
@@ -823,7 +795,7 @@ mod tests {
 
     #[test]
     fn send_failure_expires_the_worker_and_falls_back() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let dead: WorkerSender = Box::new(|_| false);
         table.register(dead, now);
@@ -837,7 +809,7 @@ mod tests {
 
     #[test]
     fn one_worker_runs_shards_sequentially() {
-        let table = LeaseTable::new(config());
+        let table = LeaseTable::new(ttl());
         let now = Instant::now();
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
@@ -866,7 +838,7 @@ mod tests {
         // routed through Arc across threads.
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<LeaseTable>();
-        let table = Arc::new(LeaseTable::new(config()));
+        let table = Arc::new(LeaseTable::new(ttl()));
         let handle = {
             let table = Arc::clone(&table);
             std::thread::spawn(move || table.live_workers())

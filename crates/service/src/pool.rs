@@ -3,10 +3,10 @@
 //! Unlike the in-process engine — which spawns scoped threads per sweep —
 //! the daemon keeps `workers` threads alive for its whole lifetime, each
 //! owning a warm [`set_consensus::BatchRunner`] (analysis cache, run
-//! structures, transcript and check buffers) and a scratch
-//! [`sweep::Scenario`] slot.  Shard tasks from *all* jobs and connections
-//! share the pool, so a worker's caches stay warm across requests — the
-//! runner-level analogue of the shard-accumulator cache one level up.
+//! structures, transcript and check buffers).  Shard tasks from *all* jobs
+//! and connections share the pool, so a worker's caches stay warm across
+//! requests — the runner-level analogue of the shard-accumulator cache one
+//! level up.
 //!
 //! Tasks are type-erased closures: the scheduler in `server` monomorphizes
 //! per query and the pool stays ignorant of reducers and accumulators.
@@ -16,23 +16,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use set_consensus::BatchRunner;
-use sweep::Scenario;
 
-/// The long-lived state a pool worker threads through every task it runs.
-#[derive(Debug)]
-pub struct WorkerState {
-    /// A cached, structure-reusing batch runner, warm across tasks and
-    /// jobs.  Both reuse layers are speed-only (bit-identity at any warmth
-    /// is pinned by the determinism tests), so sharing the runner across
-    /// jobs never changes a fold.
-    pub runner: BatchRunner,
-    /// The worker's scratch scenario slot for block-cursor walks — any
-    /// source's cursor overwrites it wholesale on first advance, so it may
-    /// carry state from a different job's source.
-    pub scratch: Option<Scenario>,
-}
-
-type Task = Box<dyn FnOnce(&mut WorkerState) + Send>;
+/// A shard task, run on a worker's runner.  The runner is warm across
+/// tasks and jobs; both of its reuse layers are speed-only (bit-identity at
+/// any warmth is pinned by the determinism tests), so sharing it across
+/// jobs never changes a fold.
+type Task = Box<dyn FnOnce(&mut BatchRunner) + Send>;
 
 /// A fixed-size pool of persistent worker threads consuming a shared task
 /// queue.
@@ -53,13 +42,13 @@ impl WorkerPool {
             .map(|_| {
                 let receiver: Arc<Mutex<Receiver<Task>>> = Arc::clone(&receiver);
                 std::thread::spawn(move || {
-                    let mut state = WorkerState { runner: BatchRunner::new(), scratch: None };
+                    let mut runner = BatchRunner::new();
                     loop {
                         // Hold the queue lock only while popping, never
                         // while running a task.
                         let task = receiver.lock().expect("worker queue lock").recv();
                         match task {
-                            Ok(task) => task(&mut state),
+                            Ok(task) => task(&mut runner),
                             Err(_) => break, // queue closed: shutdown
                         }
                     }
@@ -114,9 +103,9 @@ mod tests {
         for _ in 0..10 {
             let counter = Arc::clone(&counter);
             let tx = tx.clone();
-            pool.submit(Box::new(move |state| {
-                // The worker state is genuinely threaded through.
-                let _ = &state.runner;
+            pool.submit(Box::new(move |runner| {
+                // The worker's runner is genuinely threaded through.
+                let _ = runner.run_stats();
                 counter.fetch_add(1, Ordering::Relaxed);
                 tx.send(()).expect("test receiver alive");
             }));

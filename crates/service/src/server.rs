@@ -64,12 +64,15 @@ use std::time::{Duration, Instant};
 
 use adversary::PatternModel;
 use sweep::experiments::{self, Fig4Query, QueryAcc, Thm1Query, Thm3Query};
-use sweep::{fold_shard_stats, shard_ranges, Reducer, ScenarioSource, SweepConfig, SweepStats};
+use sweep::{
+    check_shard_count, fold_shard_stats, shard_ranges, Reducer, ScenarioSource, SweepConfig,
+    SweepStats,
+};
 use synchrony::ModelError;
 
 use crate::cache::ShardCache;
 use crate::fingerprint::{code_version, JobFingerprint};
-use crate::lease::{FleetConfig, LeaseTable, RemoteTask, TaskOutcome};
+use crate::lease::{LeaseTable, RemoteTask, TaskOutcome, DEFAULT_LEASE_TTL_MS};
 use crate::net::{Endpoint, FrameReader, FrameWriter, Listener, Stream};
 use crate::pool::WorkerPool;
 use crate::query::ServedQuery;
@@ -358,7 +361,7 @@ pub struct Server {
     dispatchers: usize,
     queue_capacity: usize,
     cache: Arc<ShardCache>,
-    fleet_config: FleetConfig,
+    lease_ttl: Duration,
     auth_token: Option<String>,
     metrics: Arc<Registry>,
 }
@@ -387,6 +390,8 @@ impl Server {
         } else {
             ServeOptions::DEFAULT_DISPATCHERS
         };
+        let lease_ttl_ms =
+            if options.lease_ttl_ms > 0 { options.lease_ttl_ms } else { DEFAULT_LEASE_TTL_MS };
         let queue_capacity = if options.queue_capacity > 0 {
             options.queue_capacity
         } else {
@@ -403,7 +408,7 @@ impl Server {
             dispatchers,
             queue_capacity,
             cache: Arc::new(ShardCache::new(store)),
-            fleet_config: FleetConfig::with_ttl_ms(options.lease_ttl_ms),
+            lease_ttl: Duration::from_millis(lease_ttl_ms),
             auth_token: options.auth_token.clone(),
             metrics: options.metrics.clone().unwrap_or_else(telemetry::global),
         })
@@ -447,7 +452,7 @@ impl Server {
         // shards go to remote workers when any are registered and fan out
         // across the persistent local workers otherwise.
         let pool = Arc::new(WorkerPool::new(self.workers));
-        let fleet = Arc::new(LeaseTable::new(self.fleet_config.clone()));
+        let fleet = Arc::new(LeaseTable::new(self.lease_ttl));
         let metrics = Arc::new(ServerTelemetry::new(Arc::clone(&self.metrics)));
         let dispatchers: Vec<_> = (0..self.dispatchers)
             .map(|_| {
@@ -477,9 +482,8 @@ impl Server {
         let sweeper = {
             let fleet = Arc::clone(&fleet);
             let shutdown = Arc::clone(&shutdown);
-            let interval = Duration::from_millis(
-                (self.fleet_config.lease_ttl.as_millis() as u64 / 4).clamp(10, 100),
-            );
+            let interval =
+                Duration::from_millis((self.lease_ttl.as_millis() as u64 / 4).clamp(10, 100));
             thread::spawn(move || {
                 while !shutdown.load(Ordering::Relaxed) {
                     fleet.tick(Instant::now());
@@ -777,11 +781,10 @@ fn worker_session(mut reader: FrameReader<'_>, reply: &FrameWriter, fleet: &Arc<
         },
         Instant::now(),
     );
-    let config = fleet.config();
     if !reply.send(&Frame::Registered {
         worker,
-        lease_ttl_ms: config.lease_ttl.as_millis() as u64,
-        heartbeat_ms: config.heartbeat_ms(),
+        lease_ttl_ms: fleet.lease_ttl().as_millis() as u64,
+        heartbeat_ms: fleet.heartbeat_ms(),
         fold: Some(code_version()),
     }) {
         fleet.worker_gone(worker, Instant::now());
@@ -986,13 +989,10 @@ fn execute_job(
 }
 
 /// Resolves `shards = 0` to `4 × workers`, mirroring
-/// [`SweepConfig::resolved_shards`] over the pool size.
-fn resolved_shards(spec: &JobSpec, pool: &WorkerPool) -> usize {
-    if spec.shards > 0 {
-        spec.shards
-    } else {
-        pool.workers() * 4
-    }
+/// [`SweepConfig::resolved_shards`] over the pool size, and refuses a
+/// count above [`sweep::MAX_SHARDS`] before any partition is cut.
+fn resolved_shards(spec: &JobSpec, pool: &WorkerPool) -> Result<usize, ModelError> {
+    check_shard_count(if spec.shards > 0 { spec.shards } else { pool.workers() * 4 })
 }
 
 /// What the runners of one job share: the daemon's pool, cache, fleet
@@ -1022,7 +1022,7 @@ fn run_query(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
 /// [`run_case`] and turned into rows, all by the query's descriptor.
 fn run_sharded<Q: ServedQuery>(query: Q, job: &JobContext<'_>) -> Result<JobSummary, JobError> {
     let cases = query.job_cases(job.spec.scope.as_ref())?;
-    let shards = resolved_shards(job.spec, job.pool);
+    let shards = resolved_shards(job.spec, job.pool)?;
     let seed = if Q::SEEDED { job.spec.seed } else { 0 };
     let mut rows = Vec::new();
     let mut summary = JobSummary::new(query.result(Vec::new()));
@@ -1066,6 +1066,7 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
             reason: "custom scopes are only supported for thm1 and omission jobs".into(),
         }));
     }
+    let shards = resolved_shards(spec, pool)?;
     let fingerprint = JobFingerprint {
         query: "prop2".into(),
         model: PatternModel::Crash.name().into(),
@@ -1080,11 +1081,7 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
     let (report, stats, range, was_cached) = match cached {
         Some((report, range)) => (report, SweepStats::default(), range, true),
         None => {
-            let config = SweepConfig {
-                shards: resolved_shards(spec, pool),
-                threads: pool.workers(),
-                seed: spec.seed,
-            };
+            let config = SweepConfig { shards, threads: pool.workers(), seed: spec.seed };
             let (report, stats) = experiments::prop2_with_stats(&config)?;
             let range = (0, stats.scenarios as usize);
             if spec.shard_cache {
@@ -1209,20 +1206,14 @@ fn run_case<Q: ServedQuery>(
         // The histogram handle is an atomic-backed clone — recording from
         // the pool thread costs two shifts and a relaxed fetch_add.
         let shard_exec_us = metrics.shard_exec_us.clone();
-        pool.submit(Box::new(move |state| {
+        pool.submit(Box::new(move |runner| {
             let folded = if cancel.load(Ordering::Relaxed) {
                 Err(JobError::Cancelled)
             } else {
                 let exec_started = Instant::now();
-                let folded = fold_shard_stats(
-                    &*source,
-                    &Q::Reducer::default(),
-                    &Q::JOB,
-                    &mut state.runner,
-                    &mut state.scratch,
-                    range,
-                )
-                .map_err(JobError::Model);
+                let folded =
+                    fold_shard_stats(&*source, &Q::Reducer::default(), &Q::JOB, runner, range)
+                        .map_err(JobError::Model);
                 shard_exec_us.observe(exec_started.elapsed());
                 folded
             };

@@ -64,7 +64,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use adversary::PatternModel;
 use sweep::experiments::{
     Fig4Acc, Fig4Row, Prop2ExhaustiveRow, Prop2Report, Prop2Targeted, Thm1Case, Thm1Outcome,
     Thm3Acc, Thm3Row,
@@ -761,17 +760,6 @@ impl QueryKind {
             .into_iter()
             .find(|kind| kind.name() == name)
             .ok_or_else(|| WireError::new(format!("unknown query {name:?}")))
-    }
-
-    /// The query folding this one's experiment over `model`'s pattern
-    /// space, or `None` if it has no variant there (Theorem 1 is the only
-    /// experiment with a send-omission twin).
-    pub fn with_model(self, model: PatternModel) -> Option<Self> {
-        let thm1 = matches!(self, QueryKind::Thm1 | QueryKind::Omission);
-        match model {
-            PatternModel::Crash => Some(self),
-            PatternModel::Omission => thm1.then_some(QueryKind::Omission),
-        }
     }
 }
 

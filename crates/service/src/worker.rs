@@ -24,13 +24,12 @@ use std::time::Duration;
 
 use set_consensus::BatchRunner;
 use sweep::experiments::{Fig4Query, Thm1Query, Thm3Query};
-use sweep::{fold_shard_stats, shard_ranges, ScenarioSource, SweepStats};
+use sweep::{check_shard_count, fold_shard_stats, shard_ranges, ScenarioSource, SweepStats};
 use synchrony::ModelError;
 
 use crate::client::open;
 use crate::fingerprint::code_version;
 use crate::net::{ConnectOptions, Endpoint};
-use crate::pool::WorkerState;
 use crate::query::ServedQuery;
 use crate::wire::{Frame, LeaseDone, LeaseFailed, QueryKind, TaskSpec, ToWire, Value};
 use crate::ServiceError;
@@ -38,11 +37,10 @@ use crate::ServiceError;
 /// Log target of the worker's structured stderr lines.
 const LOG_TARGET: &str = "service::worker";
 
-/// What a worker keeps between leases: the warm runner and scratch slot a
-/// pool worker keeps, and the scenario source of the last case it was
-/// leased.
+/// What a worker keeps between leases: the warm runner a pool worker
+/// keeps, and the scenario source of the last case it was leased.
 struct LeaseState {
-    warm: WorkerState,
+    runner: BatchRunner,
     /// The last case's source, under its lease's task with the shard index
     /// zeroed.  Building a Theorem 1 or omission source lists the scope's
     /// relabeling orbits, so a run of leases of one case builds it once.
@@ -51,7 +49,7 @@ struct LeaseState {
 
 impl LeaseState {
     fn new() -> Self {
-        LeaseState { warm: WorkerState { runner: BatchRunner::new(), scratch: None }, source: None }
+        LeaseState { runner: BatchRunner::new(), source: None }
     }
 }
 
@@ -144,7 +142,7 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
         })
     });
 
-    // One warm runner + scratch slot, reused across leases — the same
+    // One warm runner, reused across leases — the same
     // warmth the local pool keeps, with the same bit-identity guarantee.
     let mut state = LeaseState::new();
     loop {
@@ -253,7 +251,8 @@ fn fold_task<Q: ServedQuery>(
     state: &mut LeaseState,
 ) -> Result<(Value, (usize, usize), SweepStats), ModelError> {
     let case = query.task_case(task.case, task.scope.as_ref())?;
-    let LeaseState { warm, source: last } = state;
+    check_shard_count(task.shards)?;
+    let LeaseState { runner, source: last } = state;
     let key = TaskSpec { shard: 0, ..task.clone() };
     if !last.as_ref().is_some_and(|(spec, source)| *spec == key && source.is::<Q::Source>()) {
         *last = Some((key, Box::new(query.source(&case, task.seed)?)));
@@ -271,14 +270,7 @@ fn fold_task<Q: ServedQuery>(
                 ranges.len()
             ),
         })?;
-    let (acc, stats) = fold_shard_stats(
-        source,
-        &Q::Reducer::default(),
-        &Q::JOB,
-        &mut warm.runner,
-        &mut warm.scratch,
-        range,
-    )?;
+    let (acc, stats) = fold_shard_stats(source, &Q::Reducer::default(), &Q::JOB, runner, range)?;
     Ok((acc.to_wire(), range, stats))
 }
 
@@ -310,16 +302,8 @@ mod tests {
         let (payload, range, _) = execute_task(task, state).expect("task executes");
         let ranges = shard_ranges(source.len(), task.shards, source.structure_block());
         assert_eq!(range, ranges[task.shard], "{} range", task.query.name());
-        let mut reference = LeaseState::new().warm;
-        let (expected, _) = fold_shard_stats(
-            source,
-            reducer,
-            &job,
-            &mut reference.runner,
-            &mut reference.scratch,
-            range,
-        )
-        .unwrap();
+        let (expected, _) =
+            fold_shard_stats(source, reducer, &job, &mut BatchRunner::new(), range).unwrap();
         assert_eq!(R::Acc::from_wire(&payload).unwrap(), expected, "{} fold", task.query.name());
     }
 
@@ -387,6 +371,7 @@ mod tests {
             ("fig4 with an unknown case", TaskSpec { case: 5, ..LEASE }),
             ("prop2, never leasable", TaskSpec { query: QueryKind::Prop2, ..LEASE }),
             ("a shard beyond the partition", TaskSpec { shard: 7, ..LEASE }),
+            ("a shard count over the bound", TaskSpec { shards: sweep::MAX_SHARDS + 1, ..LEASE }),
         ] {
             let error = execute_task(&task, &mut state).expect_err(what);
             assert!(matches!(error, ModelError::InvalidTaskParameter { .. }), "{what}: {error}");

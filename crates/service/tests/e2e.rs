@@ -360,6 +360,34 @@ fn invalid_jobs_error_without_killing_the_daemon() {
     stop_daemon(&endpoint, handle);
 }
 
+/// A job frame asking for more than `sweep::MAX_SHARDS` shards (here
+/// 2^40, whose range list alone would need 16 TiB) gets a typed `model`
+/// error frame before any partition is cut — for a sharded query and for
+/// prop2 — and the same daemon then completes a normal job.
+#[test]
+fn oversized_shard_counts_are_refused_and_the_daemon_keeps_serving() {
+    let (endpoint, handle) = start_daemon("shards", 1);
+    let mut raw = RawConnection::connect(&endpoint);
+    for (id, query) in [(21, QueryKind::Thm1), (22, QueryKind::Prop2)] {
+        let scope = (query == QueryKind::Thm1).then_some(SMALL_SCOPE);
+        raw.send(&Frame::Job(JobSpec {
+            scope,
+            query,
+            ..small_scope_spec(id, 1_099_511_627_776, true)
+        }));
+        match raw.read_frame() {
+            Frame::Error(error) => {
+                assert_eq!((error.job, error.kind), (Some(id), ErrorKind::Model), "{query:?}");
+                assert!(error.message.contains("65536"), "{}", error.message);
+            }
+            other => panic!("expected a model error frame for {query:?}, got {other:?}"),
+        }
+    }
+    let outcome = client::submit(&endpoint, &small_scope_spec(23, 2, true));
+    assert!(outcome.is_ok(), "the daemon keeps serving: {outcome:?}");
+    stop_daemon(&endpoint, handle);
+}
+
 /// A line longer than the frame bound is refused — a `protocol` error
 /// frame naming the bound, then EOF — instead of being buffered without
 /// end, and the daemon keeps serving fresh connections.  The read timeout

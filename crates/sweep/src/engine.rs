@@ -15,7 +15,7 @@ use synchrony::{Adversary, ModelError};
 /// the laws that guarantee this; the shard-determinism integration tests
 /// enforce it).  How a shard is executed is not configurable: every worker
 /// owns a [`BatchRunner`] (view-keyed analysis cache, run-structure reuse)
-/// and walks its shards through [`ScenarioSource::cursor`].
+/// and walks its shards through [`fold_shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Number of deterministic shards the scenario space is partitioned
@@ -68,18 +68,45 @@ impl Default for SweepConfig {
 }
 
 /// Scenario-production counters of one sweep: how each scenario reached its
-/// job, summed over every shard cursor.
+/// job, summed over every shard.
 ///
-/// This is [`adversary::enumerate::CursorCounters`] — one definition for
-/// the whole stack, read here as "scenarios" rather than "adversaries".
-/// For a block-cursor source, steady state means **zero per-scenario
-/// pattern/input allocations**: `materialized` equals the number of
-/// non-empty shards (one wholesale construction each), `patterns_unranked`
-/// the number of structure blocks, and every other scenario is `stepped` in
-/// place.  For sources without an in-place representation every scenario
-/// counts as `materialized`, the per-index [`ScenarioSource::scenario`]
-/// cost.
-pub use adversary::enumerate::CursorCounters as CursorStats;
+/// A shard walk builds a fresh scenario ([`ScenarioSource::scenario`]) at
+/// its range start and at every structure-block boundary, and derives every
+/// other scenario from the previous one in the same block
+/// ([`ScenarioSource::step_within_block`]).  On an exhaustive source that
+/// is one fresh scenario per pattern block (shard boundaries are
+/// block-aligned) with only the inputs rewritten inside a block; random
+/// and fixed sources are blocks of one, so every scenario is fresh.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CursorStats {
+    /// Scenarios built fresh through [`ScenarioSource::scenario`].
+    pub materialized: u64,
+    /// Scenarios derived in place from the previous one of their block.
+    pub stepped: u64,
+    /// Pattern blocks opened by sources whose blocks span several
+    /// scenarios — `0` for random and fixed sources.
+    pub patterns_unranked: u64,
+}
+
+impl CursorStats {
+    /// Returns the fraction of scenarios derived in place, in `[0, 1]`
+    /// (`0` when nothing was produced).
+    pub fn in_place_rate(&self) -> f64 {
+        let total = self.materialized + self.stepped;
+        if total == 0 {
+            0.0
+        } else {
+            self.stepped as f64 / total as f64
+        }
+    }
+
+    /// Adds another shard's counters into this one.
+    pub fn merge(&mut self, other: CursorStats) {
+        self.materialized += other.materialized;
+        self.stepped += other.stepped;
+        self.patterns_unranked += other.patterns_unranked;
+    }
+}
 
 /// Execution statistics of one sweep, aggregated over every worker.
 ///
@@ -98,9 +125,9 @@ pub struct SweepStats {
     /// runners: how many communication structures were simulated vs. reused
     /// outright across input vectors.
     pub runs: RunReuseStats,
-    /// Scenario-production counters summed over the per-shard cursors: how
-    /// many scenarios were materialized wholesale vs. stepped in place, and
-    /// how many failure patterns were unranked.
+    /// Scenario-production counters summed over the shards: how many
+    /// scenarios were built fresh vs. stepped in place, and how many
+    /// pattern blocks were opened.
     pub cursor: CursorStats,
 }
 
@@ -191,80 +218,31 @@ pub trait ScenarioSource: Sync {
     /// The engine aligns shard boundaries to multiples of this block so a
     /// worker's [`BatchRunner`] can reuse one simulated [`synchrony::Run`]
     /// structure across a whole block regardless of the `--shards` and
-    /// `--threads` settings.  Purely an efficiency hint: any value is
-    /// correct (the fold never depends on shard boundaries), a misaligned
-    /// value only costs extra simulations.
+    /// `--threads` settings, and steps from one scenario of a block to the
+    /// next with [`ScenarioSource::step_within_block`].  For a source that
+    /// keeps the default step this is purely an efficiency hint: any value
+    /// is correct (the fold never depends on shard boundaries), a
+    /// misaligned value only costs extra simulations.
     fn structure_block(&self) -> usize {
         1
     }
 
-    /// Returns a cursor over the half-open index range `start..end` — the
-    /// engine's shard access path.
+    /// Turns `scenario`, the scenario just before `index` in the same
+    /// structure block, into the scenario at `index` — the shard walk's
+    /// step inside a block (see [`fold_shard_stats`]).
     ///
-    /// The default implementation materializes each scenario through
-    /// [`ScenarioSource::scenario`] (counting it in
-    /// [`CursorStats::materialized`]), so any source gets a correct cursor
-    /// for free.  Sources with an in-place representation override it:
-    /// `source::ExhaustiveSource` wraps the block cursor of
-    /// `adversary::enumerate::AdversarySpace`, which unranks the failure
-    /// pattern once per structure block and then only steps the mixed-radix
-    /// input code inside the worker's scratch scenario.  Either way the
-    /// yielded sequence must be identical to `scenario(start..end)`: the
-    /// cursor changes how fast a shard is walked, never what it folds.
-    fn cursor(&self, start: usize, end: usize) -> Box<dyn ScenarioCursor + '_> {
-        Box::new(NthCursor {
-            source: self,
-            next: start,
-            end: end.min(self.len()),
-            stats: CursorStats::default(),
-        })
-    }
-}
-
-/// A position-tracking producer of consecutive scenarios that writes into a
-/// caller-owned scratch slot instead of returning fresh allocations — see
-/// [`ScenarioSource::cursor`].
-pub trait ScenarioCursor {
-    /// Writes the next scenario of the range into `scratch` and returns
-    /// `true`, or returns `false` (leaving `scratch` untouched) once the
-    /// range is exhausted.
-    ///
-    /// A `None` scratch is populated on the first call; a `Some` scratch is
-    /// either stepped in place (block-cursor sources) or overwritten.  The
-    /// caller must not modify the scratch between calls.
+    /// The default rebuilds it through [`ScenarioSource::scenario`].
+    /// `source::ExhaustiveSource` overrides it to rewrite only the input
+    /// values, since a block shares its failure pattern and weight.  Either
+    /// way the result must equal `scenario(index)`.
     ///
     /// # Errors
     ///
     /// Returns an error if the scenario cannot be constructed (same
     /// conditions as [`ScenarioSource::scenario`]).
-    fn next(&mut self, scratch: &mut Option<Scenario>) -> Result<bool, ModelError>;
-
-    /// Returns the production counters accumulated by this cursor.
-    fn stats(&self) -> CursorStats;
-}
-
-/// The fallback cursor behind the default [`ScenarioSource::cursor`]:
-/// materializes every scenario per index.
-struct NthCursor<'a, S: ?Sized> {
-    source: &'a S,
-    next: usize,
-    end: usize,
-    stats: CursorStats,
-}
-
-impl<S: ScenarioSource + ?Sized> ScenarioCursor for NthCursor<'_, S> {
-    fn next(&mut self, scratch: &mut Option<Scenario>) -> Result<bool, ModelError> {
-        if self.next >= self.end {
-            return Ok(false);
-        }
-        *scratch = Some(self.source.scenario(self.next)?);
-        self.next += 1;
-        self.stats.materialized += 1;
-        Ok(true)
-    }
-
-    fn stats(&self) -> CursorStats {
-        self.stats
+    fn step_within_block(&self, scenario: &mut Scenario, index: usize) -> Result<(), ModelError> {
+        *scenario = self.scenario(index)?;
+        Ok(())
     }
 }
 
@@ -311,6 +289,27 @@ pub trait Reducer: Sync {
     /// Merges two adjacent shard accumulators (`left` covers earlier
     /// scenario indices).
     fn merge(&self, left: Self::Acc, right: Self::Acc) -> Self::Acc;
+}
+
+/// The largest shard count a partition may have.  A count that arrives from
+/// outside — a `--shards` flag, a daemon job, a worker lease — is checked
+/// against it ([`check_shard_count`]) before [`shard_ranges`] allocates one
+/// range per shard.  Counts above a source's block count stay legal: the
+/// trailing shards come out empty.
+pub const MAX_SHARDS: usize = 65_536;
+
+/// Returns `shards` if it is at most [`MAX_SHARDS`].
+///
+/// # Errors
+///
+/// Returns [`ModelError::InvalidTaskParameter`] for a larger count.
+pub fn check_shard_count(shards: usize) -> Result<usize, ModelError> {
+    if shards > MAX_SHARDS {
+        return Err(ModelError::InvalidTaskParameter {
+            reason: format!("{shards} shards exceed the limit of {MAX_SHARDS}"),
+        });
+    }
+    Ok(shards)
 }
 
 /// Splits `0..total` into `shards` contiguous ranges whose boundaries fall
@@ -368,15 +367,17 @@ fn runner_counters(runner: &BatchRunner) -> (CacheStats, RunReuseStats) {
 }
 
 /// Folds the scenarios of one contiguous index range into a fresh
-/// accumulator, using a caller-owned runner and scratch slot, and reports
-/// the statistics of **this shard alone**: the runner's cache and
-/// run-reuse counters are snapshotted around the fold, so the numbers stay
-/// per-shard even on a long-lived runner.
+/// accumulator, using a caller-owned runner, and reports the statistics of
+/// **this shard alone**: the runner's cache and run-reuse counters are
+/// snapshotted around the fold, so the numbers stay per-shard even on a
+/// long-lived runner.
 ///
 /// This is the single-shard kernel of every execution path: the worker
 /// threads of [`sweep_with_stats`], the `service` daemon's persistent
-/// worker pool and its remote `sweep worker` processes.  The range is
-/// walked through the source's [`ScenarioSource::cursor`].
+/// worker pool and its remote `sweep worker` processes.  The walk builds
+/// one scenario through [`ScenarioSource::scenario`] at the range start
+/// and at each [`ScenarioSource::structure_block`] boundary, and reaches
+/// every other index with [`ScenarioSource::step_within_block`].
 ///
 /// # Errors
 ///
@@ -386,7 +387,6 @@ pub fn fold_shard_stats<S, R, F>(
     reducer: &R,
     job: &F,
     runner: &mut BatchRunner,
-    scratch: &mut Option<Scenario>,
     range: (usize, usize),
 ) -> Result<(R::Acc, SweepStats), ModelError>
 where
@@ -395,10 +395,23 @@ where
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError>,
 {
     let before = runner_counters(runner);
+    let block = source.structure_block().max(1);
     let mut acc = reducer.empty();
-    let mut cursor = source.cursor(range.0, range.1);
-    while cursor.next(scratch)? {
-        let scenario = scratch.as_ref().expect("the cursor just yielded a scenario");
+    let mut cursor = CursorStats::default();
+    let mut current: Option<Scenario> = None;
+    for index in range.0..range.1 {
+        let scenario = match current.as_mut() {
+            Some(scenario) if index % block != 0 => {
+                source.step_within_block(scenario, index)?;
+                cursor.stepped += 1;
+                scenario
+            }
+            _ => {
+                cursor.materialized += 1;
+                cursor.patterns_unranked += u64::from(block > 1);
+                current.insert(source.scenario(index)?)
+            }
+        };
         reducer.fold_weighted(&mut acc, job(runner, scenario)?, scenario.weight);
     }
     let after = runner_counters(runner);
@@ -412,7 +425,7 @@ where
             simulated: after.1.simulated - before.1.simulated,
             reused: after.1.reused - before.1.reused,
         },
-        cursor: cursor.stats(),
+        cursor,
     };
     Ok((acc, stats))
 }
@@ -442,7 +455,7 @@ where
 
 /// Runs `job` on every scenario of `source`, folds the outcomes with
 /// `reducer`, and reports execution statistics (scenario, analysis-cache,
-/// run-structure-reuse and scenario-cursor counters) alongside the fold.
+/// run-structure-reuse and scenario-production counters) alongside the fold.
 ///
 /// The scenario space is partitioned into [`SweepConfig::resolved_shards`]
 /// contiguous shards, with boundaries aligned to the source's
@@ -452,9 +465,8 @@ where
 /// [`knowledge::AnalysisCache`] and run-structure reuse across same-pattern
 /// scenarios — so run/transcript buffers, cached view analyses and whole
 /// communication structures are reused across every scenario the worker
-/// executes.  Each shard is walked through the source's
-/// [`ScenarioSource::cursor`] into a per-worker scratch [`Scenario`], so
-/// block-cursor sources materialize nothing per scenario in steady state.
+/// executes.  Each shard is walked by [`fold_shard_stats`], which builds
+/// one scenario per structure block and steps the rest in place.
 /// Shard accumulators are merged in shard order, which — given the
 /// [`Reducer`] laws — makes the fold identical for every shard/thread
 /// count, including the fully sequential path; only the statistics may
@@ -477,16 +489,15 @@ where
 {
     let threads = config.resolved_threads();
     let ranges = shard_ranges(source.len(), config.resolved_shards(), source.structure_block());
-    let fold = |runner: &mut BatchRunner, scratch: &mut Option<Scenario>, shard: usize| {
-        fold_shard_stats(source, reducer, &job, runner, scratch, ranges[shard])
+    let fold = |runner: &mut BatchRunner, shard: usize| {
+        fold_shard_stats(source, reducer, &job, runner, ranges[shard])
     };
 
     let mut folded: Vec<Option<(R::Acc, SweepStats)>> = (0..ranges.len()).map(|_| None).collect();
     if threads <= 1 || ranges.len() <= 1 {
         let mut runner = BatchRunner::new();
-        let mut scratch = None;
         for (shard, slot) in folded.iter_mut().enumerate() {
-            *slot = Some(fold(&mut runner, &mut scratch, shard)?);
+            *slot = Some(fold(&mut runner, shard)?);
         }
     } else {
         let next_shard = AtomicUsize::new(0);
@@ -498,7 +509,6 @@ where
             for _ in 0..threads.min(ranges.len()) {
                 scope.spawn(|| {
                     let mut runner = BatchRunner::new();
-                    let mut scratch = None;
                     loop {
                         if failed.load(Ordering::Relaxed) {
                             break;
@@ -507,7 +517,7 @@ where
                         if shard >= ranges.len() {
                             break;
                         }
-                        match fold(&mut runner, &mut scratch, shard) {
+                        match fold(&mut runner, shard) {
                             Ok(shard_fold) => {
                                 slots.lock().expect("sweep outcome lock")[shard] = Some(shard_fold);
                             }
@@ -625,9 +635,7 @@ mod tests {
     #[test]
     fn cursor_stats_rates_are_well_defined() {
         assert_eq!(CursorStats::default().in_place_rate(), 0.0);
-        assert_eq!(CursorStats::default().total(), 0);
         let stats = CursorStats { materialized: 1, stepped: 3, patterns_unranked: 1 };
-        assert_eq!(stats.total(), 4);
         assert!((stats.in_place_rate() - 0.75).abs() < 1e-12);
     }
 }

@@ -17,12 +17,10 @@
 //!   advertise their *structure block*
 //!   ([`ScenarioSource::structure_block`]): the number of consecutive
 //!   scenarios sharing one failure pattern, so the engine can cut shard
-//!   boundaries pattern-contiguously — and offer a [`ScenarioCursor`]
-//!   ([`ScenarioSource::cursor`]) that writes consecutive scenarios into a
-//!   caller-owned scratch instead of materializing them per index; the
-//!   exhaustive source's *block cursor* unranks each failure pattern once
-//!   per block and steps the mixed-radix input code in place, so a worker's
-//!   steady state allocates nothing per scenario.  The Theorem 1 and
+//!   boundaries pattern-contiguously — and step from one scenario of a
+//!   block to the next ([`ScenarioSource::step_within_block`]); the
+//!   exhaustive source rewrites only the input values there, so a shard
+//!   builds one scenario per pattern block.  The Theorem 1 and
 //!   omission sources walk their scope *up to process relabeling*
 //!   ([`source::ExhaustiveSource::up_to_relabeling`]): one failure pattern
 //!   per relabeling orbit, every scenario carrying its orbit size as its
@@ -39,8 +37,8 @@
 //!   *structure-major* — every scenario that repeats the previous failure
 //!   pattern (the whole input-vector block of an exhaustive scope) skips
 //!   the run simulation outright and only swaps the input overlay
-//!   (`synchrony::RunStructure`).  Shards are walked through the source's
-//!   cursor into a per-worker scratch scenario.  All counters are reported
+//!   (`synchrony::RunStructure`).  Each shard is one loop over its range
+//!   ([`fold_shard_stats`]).  All counters are reported
 //!   through [`SweepStats`].  The partition ([`shard_ranges`]) and the
 //!   per-shard kernel ([`fold_shard_stats`]) are public: the `service`
 //!   daemon schedules the same shards over its own worker pool and remote
@@ -59,8 +57,8 @@
 //!   CLI binary in the `bench_harness` crate is a thin formatting wrapper
 //!   around them.
 //!
-//! The three reuse layers — analysis cache, run-structure memo, block
-//! cursor — are documented as one system in `docs/ARCHITECTURE.md` at the
+//! The reuse layers — analysis cache, run-structure memo, the shard walk —
+//! are documented as one system in `docs/ARCHITECTURE.md` at the
 //! repository root.
 //!
 //! # The stderr stats line
@@ -88,16 +86,17 @@
 //!   per-worker runners, summed: communication structures simulated from
 //!   scratch vs. reused outright because the failure pattern repeated.
 //!   `reuse rate` is `reu / (sim + reu)`.
-//! * `<st>`/`<mat>`/`<pat>` — the [`CursorStats`] of the per-shard
-//!   scenario cursors, summed: scenarios stepped in place inside a
-//!   worker's scratch vs. materialized wholesale (a fresh
-//!   pattern/input/adversary allocation, as `nth` would do), plus the
-//!   number of failure patterns unranked (once per structure block).  On
-//!   an exhaustive source, steady state shows `mat` equal to the number of
-//!   non-empty shards and `pat` equal to the number of pattern blocks —
-//!   zero per-scenario allocations; sources without a block cursor
-//!   (random, fixed) count every scenario as `materialized`.  `in-place
-//!   rate` is `st / (st + mat)`.
+//! * `<st>`/`<mat>`/`<pat>` — the [`CursorStats`] of the shard walks,
+//!   summed: scenarios stepped in place from the previous scenario of
+//!   their structure block vs. built fresh through
+//!   [`ScenarioSource::scenario`] (at each shard start and block
+//!   boundary), plus the number of pattern blocks opened.  On an
+//!   exhaustive source with more than one input vector per pattern, `mat`
+//!   and `pat` both equal the number of pattern
+//!   blocks (shard boundaries never split one) and `st` is every other
+//!   scenario; random and fixed sources are blocks of one, so every
+//!   scenario counts in `mat` and `pat` is 0.  `in-place rate` is
+//!   `st / (st + mat)`.
 //!
 //! The counters describe *how* the fold was computed and may legally vary
 //! with the shard/thread counts; the fold value itself never does.
@@ -146,6 +145,6 @@ pub mod reduce;
 pub mod source;
 
 pub use engine::{
-    fold_shard_stats, shard_ranges, sweep, sweep_with_stats, CursorStats, Reducer, Scenario,
-    ScenarioCursor, ScenarioSource, SweepConfig, SweepStats, FOLD_SEMANTICS_VERSION,
+    check_shard_count, fold_shard_stats, shard_ranges, sweep, sweep_with_stats, CursorStats,
+    Reducer, Scenario, ScenarioSource, SweepConfig, SweepStats, FOLD_SEMANTICS_VERSION, MAX_SHARDS,
 };

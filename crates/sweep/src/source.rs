@@ -1,12 +1,12 @@
 //! Scenario sources: adapters from the `adversary` generators to the
 //! engine's randomly-addressable [`ScenarioSource`] interface.
 
-use adversary::enumerate::{AdversaryCursor, AdversarySpace};
+use adversary::enumerate::AdversarySpace;
 use adversary::{RandomAdversaries, RandomConfig};
 use set_consensus::{TaskParams, TaskVariant};
-use synchrony::{Adversary, InputVector, ModelError};
+use synchrony::ModelError;
 
-use crate::engine::{CursorStats, Scenario, ScenarioCursor, ScenarioSource};
+use crate::engine::{Scenario, ScenarioSource};
 
 /// The exhaustive adversary space of an enumeration scope, every adversary
 /// executed under the same task parameters.
@@ -19,6 +19,8 @@ use crate::engine::{CursorStats, Scenario, ScenarioCursor, ScenarioSource};
 ///
 /// Random access is delegated to [`AdversarySpace::nth`], so a shard's
 /// first scenario costs the same as any other — no sequential replay.
+/// Inside a pattern block the shard walk rewrites only the input values
+/// ([`ScenarioSource::step_within_block`]).
 #[derive(Debug, Clone)]
 pub struct ExhaustiveSource {
     space: AdversarySpace,
@@ -117,58 +119,22 @@ impl ScenarioSource for ExhaustiveSource {
         self.walked.inputs_per_pattern() as usize
     }
 
-    /// The block cursor: the failure pattern is unranked once per structure
-    /// block and the mixed-radix input code is stepped in place inside the
-    /// worker's scratch scenario — zero per-scenario pattern/input
-    /// allocations in steady state, versus a full [`AdversarySpace::nth`]
-    /// materialization per index on the default path.
-    fn cursor(&self, start: usize, end: usize) -> Box<dyn ScenarioCursor + '_> {
-        Box::new(BlockCursor {
-            source: self,
-            inner: self.walked.cursor(start as u128, end as u128),
-            index: start,
-        })
-    }
-}
-
-/// [`ExhaustiveSource`]'s cursor: a thin scenario-level wrapper around
-/// [`AdversaryCursor`], which does the actual in-place stepping.
-struct BlockCursor<'a> {
-    source: &'a ExhaustiveSource,
-    inner: AdversaryCursor<'a>,
-    /// Index of the next scenario to yield.
-    index: usize,
-}
-
-impl ScenarioCursor for BlockCursor<'_> {
-    fn next(&mut self, scratch: &mut Option<Scenario>) -> Result<bool, ModelError> {
-        let scenario = match scratch {
-            Some(scenario) => scenario,
-            // Seed the slot once per worker; the inner cursor's first
-            // advance overwrites the placeholder adversary wholesale, so
-            // its contents never surface.
-            None => scratch.insert(Scenario {
-                index: 0,
-                params: self.source.params,
-                variant: self.source.variant,
-                adversary: Adversary::failure_free(InputVector::uniform(self.source.walked.n(), 0))
-                    .expect("enumeration scopes have at least two processes"),
-                weight: 1,
-            }),
-        };
-        if !self.inner.advance(&mut scenario.adversary) {
-            return Ok(false);
+    /// A block shares its failure pattern and weight, so stepping inside
+    /// it only rewrites the input values: the mixed-radix input code
+    /// `index mod structure_block()` decoded with process 0 least
+    /// significant, as [`AdversarySpace::nth`] decodes it.
+    ///
+    /// (`u64` arithmetic cannot overflow: the constructor rejects spaces
+    /// beyond `usize::MAX`, so `max_value + 1` and the code both fit.)
+    fn step_within_block(&self, scenario: &mut Scenario, index: usize) -> Result<(), ModelError> {
+        let base = self.walked.max_value() + 1;
+        let mut code = (index % self.structure_block()) as u64;
+        for process in 0..self.walked.n() {
+            scenario.adversary.set_input(process, code % base);
+            code /= base;
         }
-        scenario.index = self.index;
-        scenario.params = self.source.params;
-        scenario.variant = self.source.variant;
-        scenario.weight = self.source.weight(self.index);
-        self.index += 1;
-        Ok(true)
-    }
-
-    fn stats(&self) -> CursorStats {
-        self.inner.counters()
+        scenario.index = index;
+        Ok(())
     }
 }
 
@@ -253,7 +219,12 @@ impl ScenarioSource for FixedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{fold_shard_stats, Reducer};
     use adversary::enumerate::EnumerationConfig;
+    use adversary::OmissionConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use set_consensus::BatchRunner;
     use synchrony::SystemParams;
 
     fn params() -> TaskParams {
@@ -273,49 +244,125 @@ mod tests {
         }
     }
 
-    /// Satellite acceptance: the scenario-level block cursor yields exactly
-    /// the `(index, FailurePattern, InputVector)` sequence of repeated
-    /// `scenario()` calls over random ranges, including ranges that start
-    /// mid-block and straddle block boundaries — and its counters show the
-    /// steady state materializing nothing.
-    #[test]
-    fn exhaustive_cursor_matches_per_index_scenarios() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+    /// Records every scenario the walk hands its job, once each: the
+    /// weight is checked on the recorded scenario instead of being folded.
+    struct Record;
 
-        let space = AdversarySpace::new(EnumerationConfig::small(3, 1, 1)).unwrap();
-        let source = ExhaustiveSource::new(space, params(), TaskVariant::Nonuniform).unwrap();
-        let total = source.len();
-        let block = source.structure_block();
-        let mut rng = StdRng::seed_from_u64(0xC0DE);
-        for trial in 0..25u32 {
-            let (start, end) = match trial {
-                0 => (0, total),
-                1 => (block / 2, total.min(block * 2 + block / 2)),
-                2 => (total, total),
-                _ => {
-                    let a = rng.random_range(0..total as u64) as usize;
-                    let b = rng.random_range(0..=total as u64) as usize;
-                    (a.min(b), a.max(b))
+    impl Reducer for Record {
+        type Item = Scenario;
+        type Acc = Vec<Scenario>;
+
+        fn empty(&self) -> Vec<Scenario> {
+            Vec::new()
+        }
+
+        fn fold(&self, acc: &mut Vec<Scenario>, item: Scenario) {
+            acc.push(item);
+        }
+
+        fn fold_weighted(&self, acc: &mut Vec<Scenario>, item: Scenario, _weight: u64) {
+            acc.push(item);
+        }
+
+        fn merge(&self, mut left: Vec<Scenario>, right: Vec<Scenario>) -> Vec<Scenario> {
+            left.extend(right);
+            left
+        }
+    }
+
+    /// The ranges the walk is checked on: the whole space, empty ranges
+    /// (at the start, inside and at the end), a range that starts and ends
+    /// mid-block across two boundaries, and seeded random ranges — long
+    /// ones and ones of up to three blocks.
+    fn walk_ranges(total: usize, block: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
+        let mut ranges = vec![
+            (0, total),
+            (0, 0),
+            (total / 2, total / 2),
+            (total, total),
+            (block / 2, (2 * block + block / 2).min(total)),
+        ];
+        for _ in 0..12 {
+            let a = rng.random_range(0..total as u64) as usize;
+            let b = rng.random_range(0..=total as u64) as usize;
+            ranges.push((a.min(b), a.max(b)));
+            let span = rng.random_range(0..=(3 * block) as u64) as usize;
+            ranges.push((a, (a + span).min(total)));
+        }
+        ranges
+    }
+
+    /// Seeded property test of the shard walk: over random ranges of crash
+    /// and omission spaces (full and up to relabeling), a random source
+    /// and a fixed source, `fold_shard_stats` hands its job exactly
+    /// `scenario(i)` for every index of the range — index, parameters,
+    /// variant, adversary and weight — and its counters add up: one fresh
+    /// scenario per pattern block touched, every scenario fresh for blocks
+    /// of one.
+    #[test]
+    fn walk_matches_per_index_scenarios() {
+        let crash_scopes = [
+            EnumerationConfig::small(3, 1, 1),
+            EnumerationConfig {
+                n: 4,
+                t: 2,
+                max_value: 2,
+                max_crash_round: 2,
+                partial_delivery: false,
+            },
+        ];
+        let omission_scopes = [
+            OmissionConfig::small(3, 1, 1),
+            OmissionConfig { n: 4, t: 1, max_value: 1, rounds: 2 },
+        ];
+        let mut sources: Vec<(String, Box<dyn ScenarioSource>)> = Vec::new();
+        let spaces = crash_scopes
+            .iter()
+            .map(|&scope| (format!("crash {scope:?}"), AdversarySpace::new(scope).unwrap()))
+            .chain(omission_scopes.iter().map(|&scope| {
+                (format!("omission {scope:?}"), AdversarySpace::omission(scope).unwrap())
+            }));
+        for (label, space) in spaces {
+            let params = TaskParams::new(SystemParams::new(space.n(), 1).unwrap(), 1).unwrap();
+            let reduced =
+                ExhaustiveSource::up_to_relabeling(space.clone(), params, TaskVariant::Uniform);
+            sources.push((format!("{label} up to relabeling"), Box::new(reduced.unwrap())));
+            let full = ExhaustiveSource::new(space, params, TaskVariant::Nonuniform).unwrap();
+            sources.push((label, Box::new(full)));
+        }
+        let random =
+            RandomSource::new(RandomConfig::new(5, 2, 2), params(), TaskVariant::Uniform, 3, 40);
+        sources.push(("random".into(), Box::new(random)));
+        sources.push(("fixed fig4".into(), Box::new(crate::experiments::fig4_source().unwrap().0)));
+
+        let mut rng = StdRng::seed_from_u64(0x5A1C);
+        let mut runner = BatchRunner::new();
+        let job = |_: &mut BatchRunner, scenario: &Scenario| Ok(scenario.clone());
+        for (label, source) in &sources {
+            let (total, block) = (source.len(), source.structure_block());
+            for (start, end) in walk_ranges(total, block, &mut rng) {
+                let at = format!("{label}, range {start}..{end}");
+                let (walked, stats) =
+                    fold_shard_stats(source.as_ref(), &Record, &job, &mut runner, (start, end))
+                        .unwrap();
+                assert_eq!(walked.len(), end - start, "{at}");
+                for (scenario, index) in walked.iter().zip(start..end) {
+                    let expected = source.scenario(index).unwrap();
+                    assert_eq!(scenario.index, index, "{at}");
+                    assert_eq!(scenario.params, expected.params, "{at}: params of {index}");
+                    assert_eq!(scenario.variant, expected.variant, "{at}: variant of {index}");
+                    assert_eq!(scenario.adversary, expected.adversary, "{at}: adversary {index}");
+                    assert_eq!(scenario.weight, expected.weight, "{at}: weight of {index}");
                 }
-            };
-            let mut cursor = source.cursor(start, end);
-            // A stale scratch from "another shard" must be overwritten.
-            let mut scratch = Some(source.scenario(0).unwrap());
-            let mut index = start;
-            while cursor.next(&mut scratch).unwrap() {
-                let yielded = scratch.as_ref().unwrap();
-                let expected = source.scenario(index).unwrap();
-                assert_eq!(yielded.index, expected.index, "range {start}..{end}");
-                assert_eq!(yielded.adversary, expected.adversary, "range {start}..{end}");
-                assert_eq!(yielded.params, expected.params);
-                assert_eq!(yielded.variant, expected.variant);
-                index += 1;
+                let blocks_touched =
+                    if start == end { 0 } else { (end - 1) / block - start / block + 1 } as u64;
+                let cursor = stats.cursor;
+                assert_eq!(stats.scenarios, (end - start) as u64, "{at}");
+                assert_eq!(cursor.materialized + cursor.stepped, stats.scenarios, "{at}");
+                assert_eq!(cursor.materialized, blocks_touched, "{at}");
+                let opened = if block > 1 { blocks_touched } else { 0 };
+                assert_eq!(cursor.patterns_unranked, opened, "{at}");
             }
-            assert_eq!(index, end, "cursor stopped early on {start}..{end}");
-            let stats = cursor.stats();
-            assert_eq!(stats.total() as usize, end - start);
-            assert_eq!(stats.materialized, u64::from(end > start));
         }
     }
 

@@ -1,8 +1,8 @@
 //! Shard-determinism contract of the sweep engine: for a fixed seed and
 //! scenario family, the fold result is identical for every shard and thread
 //! count (1, 2 and 8 shards) — and the engine's reused runner (analysis
-//! cache, run-structure reuse, block cursor) produces exactly the
-//! transcripts of one-shot `set_consensus::execute`.
+//! cache, run-structure reuse, the shard walk's in-place steps) produces
+//! exactly the transcripts of one-shot `set_consensus::execute`.
 
 use std::collections::BTreeSet;
 
@@ -137,7 +137,7 @@ fn oracle_indices(source: &ExhaustiveSource, config: &SweepConfig) -> BTreeSet<u
 /// EarlyFloodMin and FloodMin.  The runner's analysis-cache handle — warmed
 /// by every pattern the worker swept before — must also agree with
 /// `ViewAnalysis::new` at every active node there.  On the side, the whole
-/// sweep simulates and unranks each pattern block of the source — one per
+/// sweep simulates and opens each pattern block of the source — one per
 /// relabeling orbit — exactly once.
 #[test]
 fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
@@ -164,7 +164,7 @@ fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
             }
             let index = scenario.index;
             let oracle = source.scenario(index)?;
-            assert_eq!(scenario.adversary, oracle.adversary, "{label}: cursor ≠ scenario({index})");
+            assert_eq!(scenario.adversary, oracle.adversary, "{label}: walk ≠ scenario({index})");
             assert_eq!(scenario.weight, oracle.weight, "{label}: weight of {index}");
             for (protocol, transcript) in protocols.iter().zip(transcripts) {
                 let (_, expected) = execute(*protocol, &oracle.params, oracle.adversary.clone())?;
@@ -190,16 +190,16 @@ fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
         assert_eq!(checked, weights, "{label}: every sample was checked");
         let blocks = (source.len() / source.structure_block()) as u64;
         assert_eq!(stats.runs.simulated, blocks, "{label}: one simulation per pattern block");
-        assert_eq!(stats.cursor.patterns_unranked, blocks, "{label}: one unranking per block");
+        assert_eq!(stats.cursor.patterns_unranked, blocks, "{label}: each block opened once");
     }
 }
 
 /// The engine's counter invariants at every shard/thread count, on the
 /// full (3,1,1) space and on the same scope up to relabeling: pattern-
 /// aligned shard boundaries keep every pattern block in one shard, so the
-/// sweep simulates and unranks each block's pattern exactly once, and the
-/// block cursor materializes one scenario wholesale per non-empty shard
-/// and steps every other one in place.
+/// sweep simulates each block's pattern exactly once, and the shard walk
+/// builds one scenario fresh per block and steps every other one in
+/// place.
 #[test]
 fn engine_counters_hold_at_every_parallelism() {
     let reduced = experiments::thm1_source(EnumerationConfig::small(3, 1, 1), 1).unwrap();
@@ -222,11 +222,9 @@ fn engine_counters_hold_at_every_parallelism() {
                 assert_eq!(stats.scenarios, total as u64, "{at}");
                 assert_eq!(stats.runs.simulated, blocks, "{at} split a pattern block");
                 assert_eq!(stats.runs.reused, total as u64 - blocks, "{at}");
-                let nonempty_shards =
-                    shard_ranges(total, shards, block).iter().filter(|(s, e)| s < e).count() as u64;
-                assert_eq!(stats.cursor.materialized, nonempty_shards, "{at}");
+                assert_eq!(stats.cursor.materialized, blocks, "{at}");
                 assert_eq!(stats.cursor.patterns_unranked, blocks, "{at}");
-                assert_eq!(stats.cursor.stepped, total as u64 - nonempty_shards, "{at}");
+                assert_eq!(stats.cursor.stepped, total as u64 - blocks, "{at}");
             }
         }
     }

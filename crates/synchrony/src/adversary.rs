@@ -96,35 +96,15 @@ impl Adversary {
 
     /// Overwrites the initial value of one process in place.
     ///
-    /// Together with [`Adversary::set_failures`], this is what lets a block
-    /// cursor (`adversary::enumerate::AdversaryCursor`) reuse one scratch
-    /// adversary across a whole enumeration: stepping an input code touches
-    /// only the digits that changed, allocating nothing.
+    /// This is how a sweep steps through the input vectors of one failure
+    /// pattern (`sweep::ScenarioSource::step_within_block`): the pattern
+    /// and every allocation stay, only the values change.
     ///
     /// # Panics
     ///
     /// Panics if `process` is out of range.
     pub fn set_input(&mut self, process: impl Into<ProcessId>, value: impl Into<Value>) {
         self.inputs.set_value(process, value);
-    }
-
-    /// Replaces the failure pattern, keeping the input vector (and the
-    /// adversary's allocations) in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InputLengthMismatch`] if the new pattern does
-    /// not range over the same number of processes — the adversary is left
-    /// unchanged in that case.
-    pub fn set_failures(&mut self, failures: FailurePattern) -> Result<(), ModelError> {
-        if failures.n() != self.inputs.len() {
-            return Err(ModelError::InputLengthMismatch {
-                got: failures.n(),
-                expected: self.inputs.len(),
-            });
-        }
-        self.failures = failures;
-        Ok(())
     }
 }
 
@@ -179,20 +159,7 @@ mod tests {
         let mut adv = Adversary::failure_free(InputVector::from_values([0, 1, 2])).unwrap();
         adv.set_input(1, 7u64);
         assert_eq!(adv.inputs().value_of(1), Value::new(7));
-
-        let mut failures = FailurePattern::crash_free(3);
-        failures.crash_silent(0, 1).unwrap();
-        adv.set_failures(failures).unwrap();
-        assert_eq!(adv.num_failures(), 1);
-
-        // A pattern over the wrong process count is rejected and nothing
-        // changes.
-        let wrong = FailurePattern::crash_free(4);
-        assert_eq!(
-            adv.set_failures(wrong),
-            Err(ModelError::InputLengthMismatch { got: 4, expected: 3 })
-        );
-        assert_eq!(adv.num_failures(), 1);
+        assert_eq!(adv.n(), 3);
     }
 
     #[test]

@@ -104,11 +104,10 @@ impl InputVector {
 
     /// Overwrites the value of `process` in place, without reallocating.
     ///
-    /// This is the mutation primitive behind the block-cursor enumeration
-    /// (`adversary::enumerate::AdversaryCursor`), which steps one mixed-radix
-    /// digit of an input code per scenario instead of building a fresh
-    /// vector.  The vector's length — and therefore every [`crate::Adversary`]
-    /// invariant — is unaffected.
+    /// This is the mutation primitive behind [`crate::Adversary::set_input`],
+    /// which a sweep uses to rewrite the inputs of one failure pattern's
+    /// scenarios instead of building a fresh vector.  The vector's length —
+    /// and therefore every [`crate::Adversary`] invariant — is unaffected.
     ///
     /// # Panics
     ///

@@ -6,7 +6,7 @@
 #                           #   + doctests + cargo doc -D warnings
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
-#                           #   + determinism smoke (fig4 at 1 vs 4 threads)
+#                           #   + determinism smoke (fig4, thm1 across threads)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + query-parity smoke (one-shot ≡ submit)
@@ -108,34 +108,36 @@ fi
 echo "ci.sh: daemon smoke passed (warm run 100% cached, graceful shutdown)"
 
 # --- Determinism smoke ------------------------------------------------------
-# The same fold at different parallelism must print the same bytes: fig4
-# sequentially versus four threads over eight shards.
+# The same fold at different parallelism must print the same bytes: fig4 (a
+# fixed source, blocks of one) sequentially versus four threads over eight
+# shards, and thm1 (the exhaustive shard walk, which steps inputs in place
+# inside each pattern block) sequentially versus two threads over 13 shards,
+# a count that cuts no built-in scope evenly.
 target/debug/sweep fig4 --threads 1 >"$SMOKE_DIR/fig4-seq.txt" 2>/dev/null
 target/debug/sweep fig4 --threads 4 --shards 8 >"$SMOKE_DIR/fig4-par.txt" 2>/dev/null
 diff "$SMOKE_DIR/fig4-seq.txt" "$SMOKE_DIR/fig4-par.txt"
-echo "ci.sh: determinism smoke passed (fig4 --threads 1 ≡ --threads 4 --shards 8)"
+target/debug/sweep thm1 --threads 1 >"$SMOKE_DIR/thm1-seq.txt" 2>/dev/null
+target/debug/sweep thm1 --threads 2 --shards 13 >"$SMOKE_DIR/thm1-par.txt" 2>/dev/null
+diff "$SMOKE_DIR/thm1-seq.txt" "$SMOKE_DIR/thm1-par.txt"
+echo "ci.sh: determinism smoke passed (fig4 and thm1 identical across parallelism)"
 
 # --- Omission smoke ---------------------------------------------------------
-# The omission pattern space end to end.  One-shot: `sweep omission` and its
-# spelled-out twin `sweep thm1 --model omission` print the same table at
-# different shard counts (parallelism-invariance across models).  Daemon: a
-# crash job first warms the shard cache for a scope, then the omission job on
-# the *same* scope must run fully cold — the model is part of the cache
-# fingerprint, so crash accumulators never replay into an omission fold — and
-# only its own warm repeat is served 100% from cache with a clean diff.
+# The omission pattern space end to end.  One-shot: `sweep omission` prints
+# the same table at different shard counts.  Daemon: a crash job first warms
+# the shard cache for a scope, then the omission job on the *same* scope must
+# run fully cold — the model is part of the cache fingerprint, so crash
+# accumulators never replay into an omission fold — and only its own warm
+# repeat is served 100% from cache with a clean diff.
 target/debug/sweep omission --shards 3 >"$SMOKE_DIR/omission-a.txt" 2>/dev/null
-target/debug/sweep thm1 --model omission --shards 7 \
-    >"$SMOKE_DIR/omission-b.txt" 2>/dev/null
+target/debug/sweep omission --shards 7 >"$SMOKE_DIR/omission-b.txt" 2>/dev/null
 diff "$SMOKE_DIR/omission-a.txt" "$SMOKE_DIR/omission-b.txt"
 OMISSION_SOCK="$SMOKE_DIR/omission.sock"
 start_daemon "$OMISSION_SOCK" "$SMOKE_DIR/omission-serve.log" --workers 1
 target/debug/sweep submit --socket "$OMISSION_SOCK" thm1 --scope 3,1,1 --shards 4 \
     >/dev/null 2>&1
-target/debug/sweep submit --socket "$OMISSION_SOCK" thm1 --model omission \
-    --scope 3,1,1 --shards 4 \
+target/debug/sweep submit --socket "$OMISSION_SOCK" omission --scope 3,1,1 --shards 4 \
     >"$SMOKE_DIR/omission-cold.txt" 2>"$SMOKE_DIR/omission-cold.log"
-target/debug/sweep submit --socket "$OMISSION_SOCK" thm1 --model omission \
-    --scope 3,1,1 --shards 4 \
+target/debug/sweep submit --socket "$OMISSION_SOCK" omission --scope 3,1,1 --shards 4 \
     >"$SMOKE_DIR/omission-warm.txt" 2>"$SMOKE_DIR/omission-warm.log"
 diff "$SMOKE_DIR/omission-cold.txt" "$SMOKE_DIR/omission-warm.txt"
 grep -q "4 shards total, 0 cached" "$SMOKE_DIR/omission-cold.log"
