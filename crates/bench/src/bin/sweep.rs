@@ -282,6 +282,9 @@ fn serve_main(mut args: impl Iterator<Item = String>) {
         auth_token: auth_token.or_else(token_from_env),
         metrics: None,
     };
+    if let Err(error) = options.check_bounds() {
+        usage_exit(&format!("invalid sweep serve option: {error}"));
+    }
     let server = match Server::bind(&options) {
         Ok(server) => server,
         Err(error) => {
@@ -408,14 +411,12 @@ fn submit_main(mut args: impl Iterator<Item = String>) {
         LOG_TARGET,
         format!(
             "job stats: {} shards total, {} cached ({:.1}% cached), {} executed ({} remote); \
-             {} partial folds streamed; fleet: {} workers, {} leases re-queued; \
-             server wall {:.0} ms",
+             fleet: {} workers, {} leases re-queued; server wall {:.0} ms",
             outcome.shards_total,
             outcome.shards_cached,
             outcome.cached_fraction() * 100.0,
             outcome.shards_executed,
             outcome.shards_remote,
-            outcome.partials,
             outcome.fleet_workers,
             outcome.leases_requeued,
             outcome.wall_ms,
@@ -425,7 +426,6 @@ fn submit_main(mut args: impl Iterator<Item = String>) {
             ("shards_cached", outcome.shards_cached.into()),
             ("shards_executed", outcome.shards_executed.into()),
             ("shards_remote", outcome.shards_remote.into()),
-            ("partials", outcome.partials.into()),
             ("fleet_workers", outcome.fleet_workers.into()),
             ("leases_requeued", outcome.leases_requeued.into()),
             ("wall_ms", outcome.wall_ms.into()),

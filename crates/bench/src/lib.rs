@@ -117,9 +117,11 @@ pub fn sweep_config_from_args(
                     .map_err(|e| format!("invalid --shards: {e}"))?;
             }
             "--threads" => {
-                config.threads = value_of("--threads")?
+                let threads = value_of("--threads")?
                     .parse()
                     .map_err(|e| format!("invalid --threads value: {e}"))?;
+                config.threads = sweep::check_thread_count(threads)
+                    .map_err(|e| format!("invalid --threads: {e}"))?;
             }
             "--seed" => {
                 config.seed = value_of("--seed")?
@@ -195,13 +197,16 @@ mod tests {
     use synchrony::{InputVector, SystemParams};
 
     #[test]
-    fn shard_counts_above_the_bound_are_usage_errors() {
-        let parse = |shards: usize| {
-            sweep_config_from_args(["--shards".to_string(), shards.to_string()].into_iter())
-        };
-        assert_eq!(parse(sweep::MAX_SHARDS).unwrap().shards, sweep::MAX_SHARDS);
-        let error = parse(sweep::MAX_SHARDS + 1).unwrap_err();
-        assert!(error.contains("--shards"), "{error}");
+    fn counts_above_their_bounds_are_usage_errors() {
+        for (flag, max) in [("--shards", sweep::MAX_SHARDS), ("--threads", sweep::MAX_THREADS)] {
+            let parse = |count: usize| {
+                sweep_config_from_args([flag.to_string(), count.to_string()].into_iter())
+            };
+            let config = parse(max).unwrap();
+            assert_eq!(if flag == "--shards" { config.shards } else { config.threads }, max);
+            let error = parse(max + 1).unwrap_err();
+            assert!(error.contains(flag), "{error}");
+        }
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub struct JobOutcome {
     pub leases_requeued: u64,
     /// Every `shard-done` frame, in arrival order.
     pub shard_frames: Vec<ShardDone>,
-    /// Number of `partial` frames received.
-    pub partials: usize,
     /// Server-side wall time of the job in milliseconds.
     pub wall_ms: f64,
 }
@@ -122,15 +120,10 @@ pub fn submit_with(
     options: &ConnectOptions,
 ) -> Result<JobOutcome, ServiceError> {
     let mut shard_frames = Vec::new();
-    let mut partials = 0usize;
     let closed = "connection closed before the job finished";
     request(endpoint, options, &Frame::Job(spec.clone()), closed, |frame| match frame {
         Frame::ShardDone(frame) => {
             shard_frames.push(frame);
-            Ok(None)
-        }
-        Frame::Partial(_) => {
-            partials += 1;
             Ok(None)
         }
         Frame::JobDone(done) if done.job != spec.id => Err(ServiceError::Protocol(format!(
@@ -147,7 +140,6 @@ pub fn submit_with(
             shards_remote: done.shards_remote,
             leases_requeued: done.leases_requeued,
             shard_frames: std::mem::take(&mut shard_frames),
-            partials,
             wall_ms: done.wall_ms,
         })),
         other => Err(unexpected(other)),
@@ -237,4 +229,51 @@ pub fn shutdown_with(endpoint: &Endpoint, options: &ConnectOptions) -> Result<()
         Frame::ShuttingDown => Ok(Some(())),
         other => Err(unexpected(other)),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixListener;
+
+    use super::*;
+    use crate::wire::{decode_line, QueryKind};
+
+    /// An older daemon's reply to a one-shard thm1 job: it was built as
+    /// `0.1.0+fold.v3`, like this one, but before the `partial` frame was
+    /// retired, so a `partial` line follows the `shard-done`.
+    const OLDER_DAEMON_REPLY: [&str; 3] = [
+        r#"{"type":"shard-done","job":5,"case":0,"cases":1,"shard":0,"shards":1,"start":0,"end":200,"cached":false,"stats":{"scenarios":200,"cache_hits":0,"cache_misses":0,"runs_simulated":8,"runs_reused":192,"cursor_materialized":8,"cursor_stepped":192,"patterns_unranked":8}}"#,
+        r#"{"type":"partial","job":5,"case":0,"shards_done":1,"shards":1,"scenarios_done":200,"fold":{"violations":0,"beaten":[false,false],"structure":0}}"#,
+        r#"{"type":"job-done","job":5,"result":{"query":"thm1","rows":[{"n":3,"t":1,"k":1,"adversaries":200,"correctness_violations":0,"beaten_by":0,"structure_violations":0}]},"stats":{"scenarios":200,"cache_hits":0,"cache_misses":0,"runs_simulated":8,"runs_reused":192,"cursor_materialized":8,"cursor_stepped":192,"patterns_unranked":8},"shards_total":1,"shards_cached":0,"shards_executed":1,"fleet_workers":0,"shards_remote":0,"leases_requeued":0,"wall_ms":2.5}"#,
+    ];
+
+    #[test]
+    fn an_older_daemons_partial_frames_are_skipped() {
+        let path = std::env::temp_dir().join(format!("sweep-older-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind a socket");
+        let daemon = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept the client");
+            BufReader::new(&stream).read_line(&mut String::new()).expect("read the job line");
+            let reply = format!("{}\n", OLDER_DAEMON_REPLY.join("\n"));
+            (&stream).write_all(reply.as_bytes()).expect("write the reply");
+        });
+        let spec = JobSpec {
+            id: 5,
+            query: QueryKind::Thm1,
+            scope: None,
+            shards: 1,
+            seed: 1,
+            shard_cache: true,
+        };
+        let outcome = submit(&Endpoint::Unix(path.clone()), &spec).expect("submit");
+        daemon.join().expect("listener thread");
+        std::fs::remove_file(&path).expect("remove the socket");
+        let Ok(Frame::JobDone(done)) = decode_line(OLDER_DAEMON_REPLY[2]) else {
+            panic!("the job-done line decodes")
+        };
+        assert_eq!(outcome.result, done.result);
+        assert_eq!(outcome.shard_frames.len(), 1);
+    }
 }

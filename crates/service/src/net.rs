@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::wire::{decode_line, encode_line, Frame};
+use crate::wire::{decode_stream_line, encode_line, Frame};
 use crate::ServiceError;
 
 /// The longest frame line, newline excluded, that any reader accepts.
@@ -284,9 +284,10 @@ impl<'a> FrameReader<'a> {
         FrameReader { reader: BufReader::new(stream), line: Vec::new(), shutdown }
     }
 
-    /// Reads the next frame, skipping blank lines; `None` at EOF or once
-    /// the shutdown flag is seen set (a partial line stays buffered).  An
-    /// unterminated last line before EOF is decoded like a terminated one.
+    /// Reads the next frame, skipping blank lines and retired frame types
+    /// (see [`decode_stream_line`]); `None` at EOF or once the shutdown
+    /// flag is seen set (a partial line stays buffered).  An unterminated
+    /// last line before EOF is decoded like a terminated one.
     ///
     /// # Errors
     ///
@@ -319,15 +320,13 @@ impl<'a> FrameReader<'a> {
                 )));
             }
             let decoded = match std::str::from_utf8(&self.line) {
-                Ok(text) if text.trim().is_empty() => None,
-                Ok(text) => Some(decode_line(text).map_err(ServiceError::from)),
-                Err(_) => Some(Err(ServiceError::Protocol("frame line is not UTF-8".into()))),
+                Ok(text) => decode_stream_line(text).map_err(ServiceError::from),
+                Err(_) => Err(ServiceError::Protocol("frame line is not UTF-8".into())),
             };
             self.line.clear();
             match decoded {
-                Some(frame) => return frame.map(Some),
-                None if terminated => continue,
-                None => return Ok(None),
+                Ok(None) if terminated => continue,
+                frame => return frame,
             }
         }
     }
@@ -407,8 +406,11 @@ mod tests {
 
     #[test]
     fn blank_lines_are_skipped_and_a_bad_line_leaves_the_reader_usable() {
-        let frames = read_all(b"\n  \r\n{\"type\":\"stats\"}\nnot json\n{\"type\":\"shutdown\"}");
-        assert!(matches!(frames[0], Ok(Some(Frame::Stats))));
+        let frames = read_all(
+            b"\n  \r\n{\"type\":\"partial\",\"job\":1}\n{\"type\":\"stats\"}\nnot json\n\
+              {\"type\":\"shutdown\"}",
+        );
+        assert!(matches!(frames[0], Ok(Some(Frame::Stats))), "the retired partial line is skipped");
         assert!(matches!(frames[1], Err(ServiceError::Wire(_))));
         assert!(matches!(frames[2], Ok(Some(Frame::Shutdown))), "unterminated last line");
         assert!(matches!(frames[3], Ok(None)));

@@ -14,7 +14,7 @@
 //!                                  │ per case: shard_ranges → warm/cold split
 //!                                  │ cold shards ──►  persistent worker pool
 //!                                  │                   (fold_shard_stats each)
-//!                                  ◄── completions; streams shard-done/partial
+//!                                  ◄── completions; streams shard-done
 //!                                  └─ ordered merge → job-done
 //!                                     (typed error frame on failure)
 //! ```
@@ -65,8 +65,8 @@ use std::time::{Duration, Instant};
 use adversary::PatternModel;
 use sweep::experiments::{self, Fig4Query, QueryAcc, Thm1Query, Thm3Query};
 use sweep::{
-    check_shard_count, fold_shard_stats, shard_ranges, Reducer, ScenarioSource, SweepConfig,
-    SweepStats,
+    check_count, check_shard_count, fold_shard_stats, shard_ranges, Reducer, ScenarioSource,
+    SweepConfig, SweepStats, MAX_THREADS,
 };
 use synchrony::ModelError;
 
@@ -78,8 +78,8 @@ use crate::pool::WorkerPool;
 use crate::query::ServedQuery;
 use crate::store::DurableStore;
 use crate::wire::{
-    ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, Partial, QueryKind, QueryResult,
-    ShardDone, TaskSpec, ToWire,
+    ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, QueryKind, QueryResult, ShardDone,
+    TaskSpec,
 };
 use crate::ServiceError;
 use telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -94,15 +94,17 @@ const LOG_TARGET: &str = "service::server";
 pub struct ServeOptions {
     /// Where to listen.
     pub endpoint: Endpoint,
-    /// Size of the persistent worker pool; `0` picks the machine's
-    /// available parallelism.
+    /// Size of the persistent worker pool, at most [`sweep::MAX_THREADS`];
+    /// `0` picks the machine's available parallelism.
     pub workers: usize,
-    /// Concurrent job dispatchers (jobs running at once); `0` picks
+    /// Concurrent job dispatchers (jobs running at once), at most
+    /// [`sweep::MAX_THREADS`]; `0` picks
     /// [`ServeOptions::DEFAULT_DISPATCHERS`].
     pub dispatchers: usize,
     /// Bound of the job queue: jobs admitted but not yet dispatched.  A
     /// submit hitting a full queue is rejected with a `queue-full` error
-    /// frame instead of growing the queue without bound.  `0` picks
+    /// frame instead of growing the queue without bound.  At most
+    /// [`ServeOptions::MAX_QUEUE_CAPACITY`]; `0` picks
     /// [`ServeOptions::DEFAULT_QUEUE_CAPACITY`].
     pub queue_capacity: usize,
     /// Persist the shard-accumulator cache under this directory
@@ -131,6 +133,10 @@ impl ServeOptions {
     pub const DEFAULT_DISPATCHERS: usize = 2;
     /// Queue bound used when [`ServeOptions::queue_capacity`] is `0`.
     pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
+    /// The largest [`ServeOptions::queue_capacity`].  The queue is a
+    /// bounded `sync_channel`, which allocates every slot when it is
+    /// created, so a huge capacity would cost its memory up front.
+    pub const MAX_QUEUE_CAPACITY: usize = 4_096;
 
     /// Options with every hardening knob at its default: in-memory
     /// unbounded cache, default dispatcher count and queue bound.
@@ -146,6 +152,21 @@ impl ServeOptions {
             auth_token: None,
             metrics: None,
         }
+    }
+
+    /// Checks the counts that size what [`Server::run`] creates: workers
+    /// and dispatchers against [`sweep::MAX_THREADS`], the queue against
+    /// [`ServeOptions::MAX_QUEUE_CAPACITY`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidTaskParameter`] naming the first count
+    /// over its bound.
+    pub fn check_bounds(&self) -> Result<(), ModelError> {
+        check_count(self.workers, MAX_THREADS, "workers")?;
+        check_count(self.dispatchers, MAX_THREADS, "dispatchers")?;
+        check_count(self.queue_capacity, Self::MAX_QUEUE_CAPACITY, "queue slots")?;
+        Ok(())
     }
 }
 
@@ -333,7 +354,7 @@ impl From<ModelError> for JobError {
 /// the cancel token the registry can flip.
 struct JobTask {
     spec: JobSpec,
-    /// Where the job's `shard-done`/`partial`/`job-done` frames go.  A
+    /// Where the job's `shard-done`/`job-done` frames go.  A
     /// disconnected client never aborts a job — its shards keep warming
     /// the cache — so sends ignore whether the client is still there.
     reply: FrameWriter,
@@ -367,17 +388,20 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the endpoint, resolves the worker/dispatcher counts, and
-    /// opens the shard cache's store: persisted under
-    /// [`ServeOptions::cache_dir`], memory-only without it.
+    /// Checks the options' bounds ([`ServeOptions::check_bounds`]), binds
+    /// the endpoint, resolves the worker/dispatcher counts, and opens the
+    /// shard cache's store: persisted under [`ServeOptions::cache_dir`],
+    /// memory-only without it.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures (address in use, stale socket file, …) and
-    /// cache-directory I/O failures.  Damaged cache *content* is never an
-    /// error: the store drops the damage and recovers (see
-    /// `store::DurableStore::open`).
+    /// Returns [`ServiceError::Model`] for a count over its bound, before
+    /// anything is bound or spawned.  Propagates bind failures (address in
+    /// use, stale socket file, …) and cache-directory I/O failures.
+    /// Damaged cache *content* is never an error: the store drops the
+    /// damage and recovers (see `store::DurableStore::open`).
     pub fn bind(options: &ServeOptions) -> Result<Server, ServiceError> {
+        options.check_bounds()?;
         let listener = Listener::bind(&options.endpoint)?;
         let endpoint = listener.local_endpoint();
         let workers = if options.workers > 0 {
@@ -1114,9 +1138,9 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
 
 /// Schedules one case: splits its scenario range into block-aligned
 /// shards, replays warm shards from the accumulator cache, fans the cold
-/// ones out across the remote fleet and the persistent pool, streams
-/// `shard-done`/`partial` frames as they land, and merges everything in
-/// shard order.
+/// ones out across the remote fleet and the persistent pool, streams a
+/// `shard-done` frame as each lands, and merges everything in shard
+/// order.
 ///
 /// This is the one warm/cold shard protocol of the stack: the partition
 /// is `sweep::shard_ranges` and the per-shard kernel
@@ -1151,7 +1175,6 @@ fn run_case<Q: ServedQuery>(
     let ranges = shard_ranges(source.len(), lease.shards, source.structure_block());
     let shard_count = ranges.len();
     let mut accs: Vec<Option<QueryAcc<Q>>> = (0..shard_count).map(|_| None).collect();
-    let mut prefix = PrefixFold::new(&reducer);
     let mut cold = Vec::new();
 
     let stream_shard = |shard: usize, cached: bool, stats: SweepStats| {
@@ -1184,7 +1207,6 @@ fn run_case<Q: ServedQuery>(
             None => cold.push(shard),
         }
     }
-    prefix.emit_if_grown(reply, job_id, case, &ranges, &accs, &reducer);
 
     // Cold pass: offer every cold shard to the remote fleet first; shards
     // the fleet cannot take (zero workers) or gives up on (exhausted
@@ -1326,7 +1348,6 @@ fn run_case<Q: ServedQuery>(
             summary.stats.merge(stats);
             stream_shard(shard, false, stats);
             accs[shard] = Some(acc);
-            prefix.emit_if_grown(reply, job_id, case, &ranges, &accs, &reducer);
         }
     }
     if let Some((_, error)) = first_error {
@@ -1343,51 +1364,36 @@ fn run_case<Q: ServedQuery>(
     Ok(merged)
 }
 
-/// The streamed-preview state of one case: the contiguous completed
-/// prefix of its shards, with a running fold so each newly completed
-/// shard is merged exactly once (not re-merged from the identity per
-/// frame).  Only a contiguous prefix can be previewed — the `Reducer`
-/// laws cover merging adjacent slices in order and nothing else.
-struct PrefixFold<A> {
-    done: usize,
-    acc: A,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl<A: Clone + ToWire> PrefixFold<A> {
-    fn new<R: Reducer<Acc = A>>(reducer: &R) -> Self {
-        PrefixFold { done: 0, acc: reducer.empty() }
-    }
-
-    /// Extends the prefix over newly completed shards and emits a
-    /// `partial` frame, carrying the prefix accumulator in its wire codec,
-    /// if it grew.
-    fn emit_if_grown<R: Reducer<Acc = A>>(
-        &mut self,
-        reply: &FrameWriter,
-        job_id: u64,
-        case: usize,
-        ranges: &[(usize, usize)],
-        accs: &[Option<A>],
-        reducer: &R,
-    ) {
-        let before = self.done;
-        while self.done < accs.len() {
-            let Some(acc) = &accs[self.done] else { break };
-            let merged =
-                reducer.merge(std::mem::replace(&mut self.acc, reducer.empty()), acc.clone());
-            self.acc = merged;
-            self.done += 1;
+    /// A worker, dispatcher or queue count over its bound is refused by
+    /// `bind` before the endpoint is bound, so `run` never gets to spawn
+    /// the threads or allocate the queue.
+    #[test]
+    fn oversized_thread_and_queue_counts_are_refused_before_binding() {
+        let path = std::env::temp_dir().join(format!("sweep-bounds-{}.sock", std::process::id()));
+        let base = ServeOptions::new(Endpoint::Unix(path.clone()), 1);
+        let at_bounds = ServeOptions {
+            workers: sweep::MAX_THREADS,
+            dispatchers: sweep::MAX_THREADS,
+            queue_capacity: ServeOptions::MAX_QUEUE_CAPACITY,
+            ..base.clone()
+        };
+        assert_eq!(at_bounds.check_bounds(), Ok(()));
+        for options in [
+            ServeOptions { workers: sweep::MAX_THREADS + 1, ..base.clone() },
+            ServeOptions { dispatchers: sweep::MAX_THREADS + 1, ..base.clone() },
+            ServeOptions { queue_capacity: ServeOptions::MAX_QUEUE_CAPACITY + 1, ..base.clone() },
+        ] {
+            match Server::bind(&options) {
+                Err(ServiceError::Model(error)) => {
+                    assert!(error.to_string().contains("the limit of"), "{error}")
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+            assert!(!path.exists(), "a refused daemon binds nothing");
         }
-        if self.done == before || self.done == 0 {
-            return;
-        }
-        reply.send(&Frame::Partial(Partial {
-            job: job_id,
-            case,
-            shards_done: self.done,
-            shards: accs.len(),
-            scenarios_done: ranges[self.done - 1].1 as u64,
-            fold: self.acc.to_wire(),
-        }));
     }
 }

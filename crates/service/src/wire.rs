@@ -46,7 +46,6 @@
 //!                   {"type":"shutdown"}
 //!                   {"type":"stats"}                        (metrics snapshot request)
 //! server → client   {"type":"shard-done", ...ShardDone}     (per shard)
-//!                   {"type":"partial", ...Partial}          (per prefix growth)
 //!                   {"type":"job-done", ...JobDone}         (terminal, success)
 //!                   {"type":"error", ...ErrorFrame}         (terminal, failure)
 //!                   {"type":"cancel-ack","job":N,"found":b} (cancel ack)
@@ -954,31 +953,6 @@ wire_record!(ShardDone, "shard-done", tag "shard-done" {
     job, case, cases, shard, shards, start, end, cached, stats,
 });
 
-/// The fold over the completed *prefix* of a case's shards grew — the
-/// streaming preview of the final fold.  (Only a contiguous prefix can be
-/// previewed: the `Reducer` laws cover merging adjacent slices in order,
-/// nothing else.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct Partial {
-    /// Job id.
-    pub job: u64,
-    /// Sub-sweep index within the job.
-    pub case: usize,
-    /// Shards of the contiguous completed prefix.
-    pub shards_done: usize,
-    /// Shard count of the case.
-    pub shards: usize,
-    /// Scenarios covered by the prefix.
-    pub scenarios_done: u64,
-    /// The prefix fold: the case's reducer accumulator in its wire codec
-    /// (the rendering the cache store and `lease-done` frames carry).
-    pub fold: Value,
-}
-
-wire_record!(Partial, "partial", tag "partial" {
-    job, case, shards_done, shards, scenarios_done, fold,
-});
-
 /// The final result of a job.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
@@ -1010,9 +984,9 @@ wire_record!(Prop2Targeted, "prop2" {
 wire_record!(Prop2Report, "prop2" { exhaustive, targeted });
 
 // ---------------------------------------------------------------------------
-// Per-shard accumulators — the payloads of the persisted cache store, of
-// `lease-done` frames and of `partial` previews.  One `Value` model (and
-// one torn-input discipline) covers every surface.
+// Per-shard accumulators — the payloads of the persisted cache store and
+// of `lease-done` frames.  One `Value` model (and one torn-input
+// discipline) covers both surfaces.
 // ---------------------------------------------------------------------------
 
 wire_record!(Thm1Outcome, "thm1-acc" { violations, beaten, structure });
@@ -1323,8 +1297,6 @@ pub enum Frame {
     },
     /// Server → client: one shard finished.
     ShardDone(ShardDone),
-    /// Server → client: the completed prefix fold grew.
-    Partial(Partial),
     /// Server → client: the job finished.
     JobDone(JobDone),
     /// Server → client: the job (or request) failed.
@@ -1392,7 +1364,6 @@ impl ToWire for Frame {
                 tagged("cancel-ack", [("job", job.to_wire()), ("found", found.to_wire())])
             }
             Frame::ShardDone(frame) => frame.to_wire(),
-            Frame::Partial(frame) => frame.to_wire(),
             Frame::JobDone(frame) => frame.to_wire(),
             Frame::Error(frame) => frame.to_wire(),
             Frame::Hello { token } => tagged("hello", [("token", token.to_wire())]),
@@ -1436,7 +1407,6 @@ impl FromWire for Frame {
                 found: value.field("found", "cancel-ack.found")?,
             },
             "shard-done" => Frame::ShardDone(ShardDone::from_wire(value)?),
-            "partial" => Frame::Partial(Partial::from_wire(value)?),
             "job-done" => Frame::JobDone(JobDone::from_wire(value)?),
             "error" => Frame::Error(ErrorFrame::from_wire(value)?),
             "hello" => Frame::Hello { token: value.field("token", "hello.token")? },
@@ -1478,6 +1448,28 @@ pub fn encode_line(frame: &Frame) -> String {
 /// fails (a prefix of a valid frame is never itself a valid frame).
 pub fn decode_line(line: &str) -> Result<Frame, WireError> {
     Frame::from_wire(&Value::parse(line.trim_end_matches(['\r', '\n']))?)
+}
+
+/// Decodes one line of a frame stream, as the crate's frame reader reads
+/// it: `None` for a blank line or a retired frame type, which the reader
+/// skips; otherwise as [`decode_line`].
+///
+/// # Errors
+///
+/// As [`decode_line`]: a frame type that is neither known nor retired is
+/// still an error.
+pub fn decode_stream_line(line: &str) -> Result<Option<Frame>, WireError> {
+    if line.trim().is_empty() {
+        return Ok(None);
+    }
+    let value = Value::parse(line.trim_end_matches(['\r', '\n']))?;
+    match value.get("type") {
+        // Retired: daemons built as `0.1.0+fold.v3` before this arm was
+        // added streamed a `partial` frame, a preview of the case's prefix
+        // fold, at every shard completion.
+        Some(Value::Str(tag)) if tag == "partial" => Ok(None),
+        _ => Frame::from_wire(&value).map(Some),
+    }
 }
 
 #[cfg(test)]

@@ -174,8 +174,8 @@ impl RawConnection {
             line.clear();
             let read = self.reader.read_line(&mut line).expect("raw read");
             assert!(read > 0, "daemon closed the connection mid-stream");
-            if !line.trim().is_empty() {
-                return wire::decode_line(&line).expect("well-formed frame");
+            if let Some(frame) = wire::decode_stream_line(&line).expect("well-formed frame") {
+                return frame;
             }
         }
     }
@@ -242,7 +242,7 @@ fn sigkilled_worker_mid_shard_requeues_and_fold_stays_bit_identical() {
     let done = loop {
         match job.read_frame() {
             Frame::JobDone(done) => break done,
-            Frame::ShardDone(_) | Frame::Partial(_) => {}
+            Frame::ShardDone(_) => {}
             other => panic!("unexpected frame {other:?}"),
         }
     };
@@ -357,7 +357,7 @@ fn dropped_heartbeats_expire_the_lease_and_late_duplicates_are_dropped() {
     let done = loop {
         match job.read_frame() {
             Frame::JobDone(done) => break done,
-            Frame::ShardDone(_) | Frame::Partial(_) => {}
+            Frame::ShardDone(_) => {}
             other => panic!("unexpected frame {other:?}"),
         }
     };

@@ -206,7 +206,6 @@ fn shards_observed_before_a_mid_job_sigkill_replay_after_restart() {
                 assert!(!frame.cached);
                 observed += 1;
             }
-            Frame::Partial(_) => {}
             other => panic!("unexpected frame before the kill: {other:?}"),
         }
     }

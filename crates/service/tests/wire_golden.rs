@@ -11,9 +11,9 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use service::wire::{
-    decode_line, encode_line, ErrorFrame, ErrorKind, Frame, FromWire, JobDone, JobSpec, LeaseDone,
-    LeaseFailed, LeaseGrant, Partial, QueryKind, QueryResult, ScopeSpec, ShardDone, TaskSpec,
-    ToWire, Value,
+    decode_line, decode_stream_line, encode_line, ErrorFrame, ErrorKind, Frame, FromWire, JobDone,
+    JobSpec, LeaseDone, LeaseFailed, LeaseGrant, QueryKind, QueryResult, ScopeSpec, ShardDone,
+    TaskSpec, ToWire, Value,
 };
 use sweep::experiments::{
     Fig4Acc, Fig4Row, Prop2ExhaustiveRow, Prop2Report, Prop2Targeted, Thm1Case, Thm1Outcome,
@@ -24,7 +24,9 @@ use telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 const JOB: &str = r#"{"type":"job","id":7,"query":"omission","scope":{"n":4,"t":2,"k":1,"max_value":1,"max_crash_round":3,"partial_delivery":true},"shards":4,"seed":42,"shard_cache":true}"#;
 const SHARD_DONE: &str = r#"{"type":"shard-done","job":9,"case":1,"cases":4,"shard":2,"shards":8,"start":300,"end":450,"cached":false,"stats":{"scenarios":1200,"cache_hits":40,"cache_misses":3,"runs_simulated":75,"runs_reused":1125,"cursor_materialized":2,"cursor_stepped":1198,"patterns_unranked":75}}"#;
-const PARTIAL: &str = r#"{"type":"partial","job":9,"case":1,"shards_done":3,"shards":8,"scenarios_done":450,"fold":{"violations":3,"beaten":[true,false],"structure":7}}"#;
+/// A `partial` frame as daemons built as `0.1.0+fold.v3` before its
+/// retirement streamed it; readers skip it.
+const PARENT_PARTIAL: &str = r#"{"type":"partial","job":9,"case":1,"shards_done":3,"shards":8,"scenarios_done":450,"fold":{"violations":3,"beaten":[true,false],"structure":7}}"#;
 const JOB_DONE_THM1: &str = r#"{"type":"job-done","job":9,"result":{"query":"thm1","rows":[{"n":3,"t":2,"k":1,"adversaries":200,"correctness_violations":0,"beaten_by":1,"structure_violations":2},{"n":4,"t":2,"k":1,"adversaries":1180591620717411303424,"correctness_violations":0,"beaten_by":1,"structure_violations":2}]},"stats":{"scenarios":1200,"cache_hits":40,"cache_misses":3,"runs_simulated":75,"runs_reused":1125,"cursor_materialized":2,"cursor_stepped":1198,"patterns_unranked":75},"shards_total":8,"shards_cached":5,"shards_executed":3,"fleet_workers":2,"shards_remote":1,"leases_requeued":0,"wall_ms":12.5}"#;
 const JOB_DONE_OMISSION: &str = r#"{"type":"job-done","job":9,"result":{"query":"omission","rows":[{"n":4,"t":2,"k":1,"adversaries":14256,"correctness_violations":0,"beaten_by":1,"structure_violations":2}]},"stats":{"scenarios":1200,"cache_hits":40,"cache_misses":3,"runs_simulated":75,"runs_reused":1125,"cursor_materialized":2,"cursor_stepped":1198,"patterns_unranked":75},"shards_total":8,"shards_cached":5,"shards_executed":3,"fleet_workers":2,"shards_remote":1,"leases_requeued":0,"wall_ms":12.5}"#;
 const JOB_DONE_THM3: &str = r#"{"type":"job-done","job":9,"result":{"query":"thm3","rows":[{"n":8,"t":6,"k":2,"f":4,"runs":310,"worst":3,"bound":3,"violations":0}]},"stats":{"scenarios":1200,"cache_hits":40,"cache_misses":3,"runs_simulated":75,"runs_reused":1125,"cursor_materialized":2,"cursor_stepped":1198,"patterns_unranked":75},"shards_total":8,"shards_cached":5,"shards_executed":3,"fleet_workers":2,"shards_remote":1,"leases_requeued":0,"wall_ms":12.5}"#;
@@ -97,7 +99,6 @@ fn golden_frames() -> Vec<(Frame, &'static str)> {
         (Frame::ShuttingDown, r#"{"type":"shutting-down"}"#),
         (Frame::CancelAck { job: 7, found: true }, r#"{"type":"cancel-ack","job":7,"found":true}"#),
         (Frame::ShardDone(ShardDone { job: 9, case: 1, cases: 4, shard: 2, shards: 8, start: 300, end: 450, cached: false, stats: stats() }), SHARD_DONE),
-        (Frame::Partial(Partial { job: 9, case: 1, shards_done: 3, shards: 8, scenarios_done: 450, fold: thm1_outcome().to_wire() }), PARTIAL),
         (job_done(QueryResult::Thm1(vec![thm1_case(3, 200), thm1_case(4, 1 << 70)])), JOB_DONE_THM1),
         (job_done(QueryResult::Omission(vec![thm1_case(4, 14_256)])), JOB_DONE_OMISSION),
         (job_done(QueryResult::Thm3(vec![Thm3Row { n: 8, t: 6, k: 2, f: 4, runs: 310, worst: 3, bound: 3, violations: 0 }])), JOB_DONE_THM3),
@@ -124,11 +125,26 @@ fn every_frame_kind_encodes_to_its_golden_line_and_back() {
     let mut kinds: Vec<&str> =
         frames.iter().map(|(_, line)| line.split('"').nth(3).unwrap()).collect();
     kinds.dedup();
-    assert_eq!(kinds.len(), 19, "one golden line per frame kind: {kinds:?}");
+    assert_eq!(kinds.len(), 18, "one golden line per frame kind: {kinds:?}");
     for (frame, golden) in frames {
         assert_eq!(encode_line(&frame), format!("{golden}\n"), "encoding of {frame:?}");
         assert_eq!(decode_line(golden).as_ref(), Ok(&frame), "decoding of {golden}");
     }
+}
+
+/// A stream from a parent daemon: its `partial` line is skipped and the
+/// `job-done` line after it is read.  A lone `partial` line is no frame,
+/// and any other unknown type is still refused on a stream.
+#[test]
+fn a_parent_partial_line_is_skipped_before_the_job_done_it_precedes() {
+    let frames: Vec<Frame> = [PARENT_PARTIAL, JOB_DONE_THM1]
+        .iter()
+        .filter_map(|line| decode_stream_line(line).expect(line))
+        .collect();
+    assert_eq!(frames, [decode_line(JOB_DONE_THM1).expect("golden job-done")]);
+    assert!(decode_line(PARENT_PARTIAL).is_err(), "a partial line decodes to no frame");
+    let unknown = PARENT_PARTIAL.replacen("partial", "preview", 1);
+    assert!(decode_stream_line(&unknown).is_err(), "other unknown types stay errors");
 }
 
 fn check_payload<A: ToWire + FromWire + PartialEq + Debug>(acc: A, golden: &str) {
@@ -172,7 +188,6 @@ const MALFORMED_FRAMES: &[(&str, &str, &str, &str)] = &[
     (LEASE_DONE, r#""payload""#, r#""pay""#, r#"missing field "payload""#),
     (LEASE_FAILED, r#""case 9 out of range""#, "5", "lease-failed.message must be a string"),
     (SHARD_DONE, r#""cached":false"#, r#""cached":1"#, "shard-done.cached must be a boolean"),
-    (PARTIAL, r#""scenarios_done":450"#, r#""scenarios_done":-5"#, "partial.scenarios_done out of u64 range"),
     (JOB_DONE_THM1, r#""wall_ms":12.5"#, r#""wall_ms":"slow""#, "job-done.wall_ms must be a number"),
     (JOB_DONE_THM1, r#""adversaries":200"#, r#""adversaries":-1"#, "thm1.adversaries out of u128 range"),
     (JOB_DONE_THM1, r#""adversaries":200"#, r#""adversaries":"many""#, "thm1.adversaries must be an integer"),

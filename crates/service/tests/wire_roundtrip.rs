@@ -9,8 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use service::wire::{
     decode_line, encode_line, ErrorFrame, ErrorKind, Frame, JobDone, JobSpec, LeaseDone,
-    LeaseFailed, LeaseGrant, Partial, QueryKind, QueryResult, ScopeSpec, ShardDone, TaskSpec,
-    Value,
+    LeaseFailed, LeaseGrant, QueryKind, QueryResult, ScopeSpec, ShardDone, TaskSpec, Value,
 };
 use service::{JobOutcome, ServiceError};
 use sweep::experiments::{
@@ -220,7 +219,7 @@ fn random_snapshot(rng: &mut StdRng) -> MetricsSnapshot {
 }
 
 fn random_frame(rng: &mut StdRng) -> Frame {
-    match rng.random_range(0..19u64) {
+    match rng.random_range(0..18u64) {
         0 => Frame::Job(random_spec(rng)),
         1 => Frame::Shutdown,
         2 => Frame::ShuttingDown,
@@ -235,18 +234,7 @@ fn random_frame(rng: &mut StdRng) -> Frame {
             cached: rng.random_bool(0.5),
             stats: random_stats(rng),
         }),
-        4 => Frame::Partial(Partial {
-            job: rng.random_range(0..u64::MAX),
-            case: rng.random_range(0..4u64) as usize,
-            shards_done: rng.random_range(0..64u64) as usize,
-            shards: rng.random_range(1..65u64) as usize,
-            scenarios_done: rng.random_range(0..1_000_000u64),
-            fold: Value::Object(vec![
-                ("violations".into(), Value::Int(rng.random_range(0..100u64) as i128)),
-                ("note".into(), Value::Str("prefix \"fold\"\n".into())),
-            ]),
-        }),
-        5 => Frame::JobDone(JobDone {
+        4 => Frame::JobDone(JobDone {
             job: rng.random_range(0..u64::MAX),
             result: random_result(rng),
             stats: random_stats(rng),
@@ -260,9 +248,9 @@ fn random_frame(rng: &mut StdRng) -> Frame {
             // `{:?}` is shortest-round-trip anyway).
             wall_ms: rng.random_range(0..1_000_000u64) as f64 / 64.0,
         }),
-        6 => Frame::Cancel { job: rng.random_range(0..u64::MAX) },
-        7 => Frame::CancelAck { job: rng.random_range(0..u64::MAX), found: rng.random_bool(0.5) },
-        8 => Frame::Error(ErrorFrame {
+        5 => Frame::Cancel { job: rng.random_range(0..u64::MAX) },
+        6 => Frame::CancelAck { job: rng.random_range(0..u64::MAX), found: rng.random_bool(0.5) },
+        7 => Frame::Error(ErrorFrame {
             job: if rng.random_bool(0.5) { Some(rng.random_range(0..u64::MAX)) } else { None },
             kind: random_kind(rng),
             message: format!(
@@ -270,21 +258,21 @@ fn random_frame(rng: &mut StdRng) -> Frame {
                 rng.random_range(0..99u64)
             ),
         }),
-        9 => Frame::Hello { token: format!("secret-{}", rng.random_range(0..u64::MAX)) },
-        10 => Frame::Register { fold: random_fold(rng) },
-        11 => Frame::Registered {
+        8 => Frame::Hello { token: format!("secret-{}", rng.random_range(0..u64::MAX)) },
+        9 => Frame::Register { fold: random_fold(rng) },
+        10 => Frame::Registered {
             worker: rng.random_range(1..u64::MAX),
             lease_ttl_ms: rng.random_range(1..100_000u64),
             heartbeat_ms: rng.random_range(1..25_000u64),
             fold: random_fold(rng),
         },
-        12 => Frame::Heartbeat { worker: rng.random_range(1..u64::MAX) },
-        13 => Frame::Lease(LeaseGrant {
+        11 => Frame::Heartbeat { worker: rng.random_range(1..u64::MAX) },
+        12 => Frame::Lease(LeaseGrant {
             lease: rng.random_range(1..u64::MAX),
             generation: rng.random_range(0..1000u64),
             task: random_task(rng),
         }),
-        14 => Frame::LeaseDone(LeaseDone {
+        13 => Frame::LeaseDone(LeaseDone {
             lease: rng.random_range(1..u64::MAX),
             generation: rng.random_range(0..1000u64),
             worker: rng.random_range(1..u64::MAX),
@@ -296,16 +284,16 @@ fn random_frame(rng: &mut StdRng) -> Frame {
                 ("beaten".into(), Value::Bool(rng.random_bool(0.5))),
             ]),
         }),
-        15 => Frame::LeaseRevoke {
+        14 => Frame::LeaseRevoke {
             lease: rng.random_range(1..u64::MAX),
             generation: rng.random_range(0..1000u64),
         },
-        16 => Frame::LeaseFailed(LeaseFailed {
+        15 => Frame::LeaseFailed(LeaseFailed {
             lease: rng.random_range(1..u64::MAX),
             generation: rng.random_range(0..1000u64),
             message: format!("lease error #{}", rng.random_range(0..99u64)),
         }),
-        17 => Frame::Stats,
+        16 => Frame::Stats,
         _ => Frame::StatsResult(random_snapshot(rng)),
     }
 }
@@ -441,7 +429,6 @@ fn outcome_and_error_plumbing_is_usable() {
         shards_remote: 0,
         leases_requeued: 0,
         shard_frames: Vec::new(),
-        partials: 0,
         wall_ms: 1.25,
     };
     assert_eq!(outcome.cached_fraction(), 1.0);

@@ -298,18 +298,44 @@ pub trait Reducer: Sync {
 /// trailing shards come out empty.
 pub const MAX_SHARDS: usize = 65_536;
 
-/// Returns `shards` if it is at most [`MAX_SHARDS`].
+/// Returns `count` if it is at most `limit`; `what` names the counted
+/// items in the error (`"shards"`, `"threads"`).
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::InvalidTaskParameter`] for a larger count.
-pub fn check_shard_count(shards: usize) -> Result<usize, ModelError> {
-    if shards > MAX_SHARDS {
+pub fn check_count(count: usize, limit: usize, what: &str) -> Result<usize, ModelError> {
+    if count > limit {
         return Err(ModelError::InvalidTaskParameter {
-            reason: format!("{shards} shards exceed the limit of {MAX_SHARDS}"),
+            reason: format!("{count} {what} exceed the limit of {limit}"),
         });
     }
-    Ok(shards)
+    Ok(count)
+}
+
+/// [`check_count`] of a shard count against [`MAX_SHARDS`].
+///
+/// # Errors
+///
+/// As [`check_count`].
+pub fn check_shard_count(shards: usize) -> Result<usize, ModelError> {
+    check_count(shards, MAX_SHARDS, "shards")
+}
+
+/// The largest thread count a caller may ask for.  A count that arrives
+/// from outside is checked against it before any thread is spawned:
+/// `--threads` by [`check_thread_count`], a daemon's `--workers` and
+/// `--dispatchers` by `service::ServeOptions::check_bounds`.  It also keeps
+/// the default shard count (`4 × threads`) under [`MAX_SHARDS`].
+pub const MAX_THREADS: usize = 1_024;
+
+/// [`check_count`] of a thread count against [`MAX_THREADS`].
+///
+/// # Errors
+///
+/// As [`check_count`].
+pub fn check_thread_count(threads: usize) -> Result<usize, ModelError> {
+    check_count(threads, MAX_THREADS, "threads")
 }
 
 /// Splits `0..total` into `shards` contiguous ranges whose boundaries fall

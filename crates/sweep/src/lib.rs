@@ -145,6 +145,7 @@ pub mod reduce;
 pub mod source;
 
 pub use engine::{
-    check_shard_count, fold_shard_stats, shard_ranges, sweep, sweep_with_stats, CursorStats,
-    Reducer, Scenario, ScenarioSource, SweepConfig, SweepStats, FOLD_SEMANTICS_VERSION, MAX_SHARDS,
+    check_count, check_shard_count, check_thread_count, fold_shard_stats, shard_ranges, sweep,
+    sweep_with_stats, CursorStats, Reducer, Scenario, ScenarioSource, SweepConfig, SweepStats,
+    FOLD_SEMANTICS_VERSION, MAX_SHARDS, MAX_THREADS,
 };

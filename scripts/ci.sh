@@ -6,6 +6,7 @@
 #                           #   + doctests + cargo doc -D warnings
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
+#                           #   + bounds smoke (oversized counts exit 2)
 #                           #   + determinism smoke (fig4, thm1 across threads)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
@@ -106,6 +107,25 @@ if [[ -e "$SMOKE_SOCK" ]]; then
     exit 1
 fi
 echo "ci.sh: daemon smoke passed (warm run 100% cached, graceful shutdown)"
+
+# --- Bounds smoke -----------------------------------------------------------
+# A thread count above sweep::MAX_THREADS (1,024) or a queue capacity above
+# ServeOptions::MAX_QUEUE_CAPACITY (4,096) is a usage error: exit 2 with the
+# usage text, before any thread starts or the daemon binds its socket.
+BOUNDS_SOCK="$SMOKE_DIR/bounds.sock"
+for args in "thm1 --threads 1025" "serve --socket $BOUNDS_SOCK --workers 1025" \
+    "serve --socket $BOUNDS_SOCK --queue-capacity 4097"; do
+    status=0
+    # shellcheck disable=SC2086 # the flags are word-split on purpose
+    target/debug/sweep $args >/dev/null 2>"$SMOKE_DIR/bounds.log" || status=$?
+    if [[ "$status" != 2 ]] || ! grep -q "^usage: sweep" "$SMOKE_DIR/bounds.log" ||
+        [[ -e "$BOUNDS_SOCK" ]]; then
+        echo "ci.sh: 'sweep $args' was not refused as a usage error (exit $status)" >&2
+        cat "$SMOKE_DIR/bounds.log" >&2
+        exit 1
+    fi
+done
+echo "ci.sh: bounds smoke passed (oversized thread and queue counts are usage errors)"
 
 # --- Determinism smoke ------------------------------------------------------
 # The same fold at different parallelism must print the same bytes: fig4 (a
