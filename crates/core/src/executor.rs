@@ -1,6 +1,6 @@
 //! Execution of a protocol against an adversary.
 
-use knowledge::{AnalysisCache, StructureMemo, ViewAnalysis};
+use knowledge::{AnalysisCache, CacheStats, ViewAnalysis};
 use synchrony::{Adversary, ModelError, Node, Run, StructureReuse, Time};
 
 use crate::check::CheckScratch;
@@ -124,15 +124,13 @@ pub type NodeObserver<'a> =
 ///   them, including their protocol-name strings) are reused across runs;
 /// * each node's knowledge analysis is computed **once per run** and shared
 ///   by every protocol in the batch, instead of once per protocol;
-/// * the *structural* part of each analysis is shared **across runs**
-///   through the runner's view-keyed
-///   [`AnalysisCache`]: adversaries that induce the same view pattern at a
-///   node (the common case in exhaustive sweeps, where input vectors are
-///   crossed with failure patterns) reuse one construction;
-/// * while the run structure is being reused, a per-structure
-///   [`StructureMemo`] additionally pins each node's *completed* analysis
-///   and refreshes only its value-dependent fields per run — the whole
-///   view-key/hashing path is skipped across an input block;
+/// * the runner keeps **one analysis per node slot** `(m, i)` for its whole
+///   lifetime and refills it in its own buffers: after a re-simulation a
+///   node's first analysis is a full in-place
+///   [`ViewAnalysis::recompute`]; while the structure is reused, only the
+///   value-dependent fields are refreshed
+///   ([`ViewAnalysis::refresh_values`]) — counted in
+///   [`BatchRunner::analysis_stats`];
 /// * a [`CheckScratch`] rides along for the specification checks, so job
 ///   code can verify every transcript of the batch without allocating —
 ///   see [`BatchRunner::batch_parts`] and [`BatchRunner::count_violations`].
@@ -157,22 +155,60 @@ pub type NodeObserver<'a> =
 pub struct BatchRunner {
     run: Option<Run>,
     transcripts: Vec<Transcript>,
+    /// The analysis of node `⟨i, m⟩` at index `m · n + i`.
+    slots: Vec<AnalysisSlot>,
+    /// Counts the run structures simulated into `run`; a slot filled under
+    /// an older one is stale.
+    generation: u64,
+    /// Slot work: in-place recomputes (misses) and value-only refreshes
+    /// (hits).
+    slot_stats: CacheStats,
+    /// Served to job code only; the executor never consults it.
     cache: AnalysisCache,
-    /// Per-node analyses of the *current* run structure, recompleted in
-    /// place while the structure is being reused (invalidated on every
-    /// re-simulation).  Only consulted once the structure has actually been
-    /// reused (`memo_live`), so workloads that never repeat a failure
-    /// pattern — random sources — never pay for populating a memo that the
-    /// next run would throw away.
-    memo: StructureMemo,
-    /// `true` from the first [`StructureReuse::Reused`] run on the current
-    /// structure until its next re-simulation.
-    memo_live: bool,
     run_stats: RunReuseStats,
     /// Reusable buffers for the correctness checks of the runner's batches
     /// — see [`BatchRunner::batch_parts`] and
     /// [`BatchRunner::count_violations`].
     checks: CheckScratch,
+}
+
+/// One node slot of a [`BatchRunner`].
+#[derive(Debug, Default)]
+struct AnalysisSlot {
+    analysis: Option<ViewAnalysis>,
+    /// The structure generation `analysis` was last fully computed under.
+    generation: u64,
+}
+
+impl AnalysisSlot {
+    /// Returns the slot's analysis of `node` in `run`, whose structure is
+    /// generation `generation`: refreshed in place when the slot already
+    /// holds this structure's analysis of the node, recomputed in place
+    /// otherwise.
+    fn analyze(
+        &mut self,
+        run: &Run,
+        node: Node,
+        generation: u64,
+        stats: &mut CacheStats,
+    ) -> Result<&ViewAnalysis, ModelError> {
+        match &mut self.analysis {
+            Some(analysis) if self.generation == generation => {
+                analysis.refresh_values(run);
+                stats.hits += 1;
+            }
+            Some(analysis) => {
+                analysis.recompute(run, node)?;
+                stats.misses += 1;
+            }
+            None => {
+                self.analysis = Some(ViewAnalysis::new(run, node)?);
+                stats.misses += 1;
+            }
+        }
+        self.generation = generation;
+        Ok(self.analysis.as_ref().expect("the slot was just filled"))
+    }
 }
 
 impl Default for BatchRunner {
@@ -182,26 +218,36 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// Creates an empty runner with its own cross-run [`AnalysisCache`];
-    /// buffers are allocated lazily by the first batch.
+    /// Creates an empty runner; buffers are allocated lazily by the first
+    /// batch.
     pub fn new() -> Self {
         BatchRunner {
             run: None,
             transcripts: Vec::new(),
+            slots: Vec::new(),
+            generation: 0,
+            slot_stats: CacheStats::default(),
             cache: AnalysisCache::new(),
-            memo: StructureMemo::new(),
-            memo_live: false,
             run_stats: RunReuseStats::default(),
             checks: CheckScratch::new(),
         }
     }
 
-    /// Returns a handle to the runner's analysis cache.  The handle shares
-    /// state with the runner, so job code can run extra per-node analyses
-    /// through the same cache (clone it *before* borrowing the runner's run)
-    /// and read the hit/miss counters afterwards.
+    /// Returns a handle to the runner's [`AnalysisCache`], for job code that
+    /// analyzes nodes beyond the executor's own (clone it *before*
+    /// borrowing the runner's run).  The executor itself never consults it;
+    /// its lookups count in [`BatchRunner::analysis_stats`].
     pub fn cache(&self) -> &AnalysisCache {
         &self.cache
+    }
+
+    /// Returns the analysis work of this runner so far: the node slots'
+    /// in-place recomputes (misses) and value-only refreshes (hits), plus
+    /// the lookups of [`BatchRunner::cache`].
+    pub fn analysis_stats(&self) -> CacheStats {
+        let mut stats = self.slot_stats;
+        stats.merge(self.cache.stats());
+        stats
     }
 
     /// Returns a snapshot of the run-structure simulation counters.
@@ -324,6 +370,10 @@ impl BatchRunner {
         self.simulate(params.system(), adversary, horizon)?;
         let run = self.run.as_ref().expect("the run was just simulated");
         let n = run.n();
+        let num_nodes = (run.horizon().index() + 1) * n;
+        if self.slots.len() < num_nodes {
+            self.slots.resize_with(num_nodes, AnalysisSlot::default);
+        }
 
         // Reshape the transcript pool, reusing the decision buffers — and the
         // protocol-name strings, which are rewritten only when the protocol
@@ -361,19 +411,12 @@ impl BatchRunner {
                     continue;
                 }
                 let node = Node::new(i, time);
-                // Structure-major fast path: once the structure is actually
-                // being reused, the node's analysis comes from the
-                // per-structure memo (recompleted in place); the first run
-                // of a pattern — and every run of a never-repeating
-                // workload — goes through the view-keyed cache instead, so
-                // the memo is only ever populated when it will pay off.
-                let analysis_slot;
-                let analysis: &ViewAnalysis = if self.memo_live {
-                    self.memo.analyze(&self.cache, run, node)?
-                } else {
-                    analysis_slot = self.cache.analyze(run, node)?;
-                    &analysis_slot
-                };
+                let analysis = self.slots[m * n + i].analyze(
+                    run,
+                    node,
+                    self.generation,
+                    &mut self.slot_stats,
+                )?;
                 let ctx = DecisionContext::new(params, analysis);
                 for (transcript, protocol) in self.transcripts.iter_mut().zip(protocols) {
                     if transcript.decisions[i].is_none() {
@@ -414,12 +457,8 @@ impl BatchRunner {
             }
         };
         self.run_stats.record(reuse);
-        match reuse {
-            StructureReuse::Simulated => {
-                self.memo.invalidate();
-                self.memo_live = false;
-            }
-            StructureReuse::Reused => self.memo_live = true,
+        if reuse == StructureReuse::Simulated {
+            self.generation += 1;
         }
         Ok(self.run.as_ref().expect("the run was just simulated"))
     }
@@ -521,8 +560,9 @@ mod tests {
         let mut runner = BatchRunner::new();
         for _ in 0..25 {
             let adversary = random_adversary(&mut rng, n, t, k);
+            let before = (runner.analysis_stats(), runner.run_stats());
 
-            // The cross-run cache must not change a single decision.
+            // Slots refilled across runs must not change a single decision.
             let (run, batched) = runner.execute_batch(&protocols, &params, &adversary).unwrap();
             let reference_run =
                 synchrony::Run::generate(params.system(), adversary.clone(), params.horizon())
@@ -532,9 +572,15 @@ mod tests {
                 let reference = execute_on_run(*protocol, &params, &reference_run).unwrap();
                 assert_eq!(transcript, &reference);
             }
+            // A re-simulated structure is never served by a value-only
+            // refresh: every analysis of that run is a full recompute.
+            let after = runner.analysis_stats();
+            assert!(after.misses > before.0.misses);
+            if runner.run_stats().simulated > before.1.simulated {
+                assert_eq!(after.hits, before.0.hits, "a stale slot was refreshed");
+            }
         }
-        let stats = runner.cache().stats();
-        assert!(stats.hits > 0, "repeated view patterns must hit the cache");
+        assert_eq!(runner.cache().stats().lookups(), 0, "the executor never consults the cache");
     }
 
     /// Replaying input vectors over a fixed failure pattern must reuse the

@@ -23,6 +23,12 @@ use crate::{DirectObservations, HiddenCapacity, NodeStatus};
 /// * the failures the observer has directly missed, which drive the classical
 ///   early-deciding baselines;
 /// * the persistence predicate of Definition 3.
+///
+/// Besides [`ViewAnalysis::new`], an analysis can be refilled in its own
+/// buffers: [`ViewAnalysis::recompute`] analyzes another node or run from
+/// scratch, and [`ViewAnalysis::refresh_values`] recomputes only the
+/// input-value-dependent fields when the communication structure is
+/// unchanged.  Both leave the analysis `==` to a fresh one.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ViewAnalysis {
     node: Node,
@@ -39,209 +45,10 @@ pub struct ViewAnalysis {
     observations: DirectObservations,
     /// Values of `vals` that the observer knows will persist (Definition 3).
     persistent: ValueSet,
-}
-
-/// The input-value-independent part of a [`ViewAnalysis`].
-///
-/// Everything here is determined by the *pattern* of the observer's view —
-/// its [`synchrony::ViewKey`] — alone: relabeling the initial values of the
-/// adversary changes none of these fields.  That makes the structure safe to
-/// share across adversaries through [`crate::AnalysisCache`];
-/// [`ViewStructure::complete`] then recomputes the (cheap) value-dependent
-/// fields against a concrete run.
-#[derive(Debug, Clone)]
-pub(crate) struct ViewStructure {
-    node: Node,
-    n: usize,
-    t: usize,
-    seen: SeenLayers,
-    capacity: HiddenCapacity,
-    prev_capacity: Option<usize>,
-    earliest_known_crash: Vec<Option<Round>>,
-    known_crashed: PidSet,
-    observations: DirectObservations,
-    /// Layer-0 seen set of the observer's previous node (`None` at time 0) —
-    /// the support of `Vals⟨i, m − 1⟩`.
-    prev_seen0: Option<PidSet>,
-    /// Layer-0 seen set of every time-`(m − 1)` witness, in increasing
-    /// process order of `seen.layer(m − 1)` — the supports behind the
-    /// persistence witness counts of Definition 3.
-    witness_seen0: Vec<PidSet>,
-}
-
-impl ViewStructure {
-    /// Computes the structural analysis of the node `⟨i, m⟩` of `run`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the node lies beyond the run's horizon, its
-    /// process is out of range, or the process has already crashed at that
-    /// time (a crashed node has no local state to analyze).
-    pub(crate) fn compute(run: &Run, node: Node) -> Result<Self, ModelError> {
-        validate_node(run, node)?;
-
-        let n = run.n();
-        let t = run.t();
-        let m = node.time.index();
-        let seen = run.seen(node.process, node.time).clone();
-
-        // Provable crashes: a seen node did not hear from the process.
-        let mut earliest_known_crash: Vec<Option<Round>> = vec![None; n];
-        for (layer_time, layer) in seen.iter() {
-            if layer_time == Time::ZERO {
-                continue;
-            }
-            let round = Round::new(layer_time.value());
-            for h in layer.iter() {
-                let heard = run.heard_from(h, layer_time);
-                for p in 0..n {
-                    if !heard.contains(p) {
-                        let slot = &mut earliest_known_crash[p];
-                        if slot.is_none_or(|prev| round < prev) {
-                            *slot = Some(round);
-                        }
-                    }
-                }
-            }
-        }
-        let known_crashed: PidSet = earliest_known_crash
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(p, _)| p)
-            .collect();
-
-        // Hidden layers: neither seen nor guaranteed crashed.
-        let mut hidden_layers = Vec::with_capacity(m + 1);
-        for (layer_time, layer) in seen.iter() {
-            let mut hidden = PidSet::with_capacity(n);
-            for j in 0..n {
-                if layer.contains(j) {
-                    continue;
-                }
-                let guaranteed = earliest_known_crash[j]
-                    .is_some_and(|r| u64::from(r.number()) <= u64::from(layer_time.value()));
-                if !guaranteed {
-                    hidden.insert(j);
-                }
-            }
-            hidden_layers.push(hidden);
-        }
-        let capacity = HiddenCapacity::from_layers(node, hidden_layers);
-
-        let prev_capacity = if m > 0 {
-            let prev_analysis_capacity =
-                hidden_capacity_of(run, Node::new(node.process, node.time - 1));
-            Some(prev_analysis_capacity)
-        } else {
-            None
-        };
-
-        let observations = DirectObservations::compute(run, node);
-
-        // Persistence supports: the subviews of seen nodes are determined by
-        // the observer's view, so these sets are structural too.
-        let (prev_seen0, witness_seen0) = if m > 0 {
-            let prev_time = node.time - 1;
-            let prev_seen0 = run.seen(node.process, prev_time).layer(Time::ZERO).clone();
-            let witness_seen0 = seen
-                .layer(prev_time)
-                .iter()
-                .map(|j| run.seen(j, prev_time).layer(Time::ZERO).clone())
-                .collect();
-            (Some(prev_seen0), witness_seen0)
-        } else {
-            (None, Vec::new())
-        };
-
-        Ok(ViewStructure {
-            node,
-            n,
-            t,
-            seen,
-            capacity,
-            prev_capacity,
-            earliest_known_crash,
-            known_crashed,
-            observations,
-            prev_seen0,
-            witness_seen0,
-        })
-    }
-
-    /// Completes the structure against a concrete run's initial values,
-    /// producing a [`ViewAnalysis`] identical (`==`) to
-    /// [`ViewAnalysis::new`] of that run and node.
-    ///
-    /// The run must induce this structure at the node (guaranteed when the
-    /// structure was looked up by the run's [`synchrony::ViewKey`]); only the
-    /// layer-0 value assignment is read from it.
-    pub(crate) fn complete(&self, run: &Run) -> ViewAnalysis {
-        let mut analysis = ViewAnalysis {
-            node: self.node,
-            n: self.n,
-            t: self.t,
-            seen: self.seen.clone(),
-            vals: ValueSet::new(),
-            prev_vals: ValueSet::new(),
-            capacity: self.capacity.clone(),
-            prev_capacity: self.prev_capacity,
-            earliest_known_crash: self.earliest_known_crash.clone(),
-            known_crashed: self.known_crashed.clone(),
-            observations: self.observations.clone(),
-            persistent: ValueSet::new(),
-        };
-        self.recomplete(run, &mut analysis);
-        analysis
-    }
-
-    /// Refreshes the value-dependent fields (`vals`, `prev_vals`,
-    /// `persistent`) of an analysis previously produced by
-    /// [`ViewStructure::complete`] of *this* structure, against a new run
-    /// that induces the same structure at the node.
-    ///
-    /// This is the innermost step of structure-major sweep execution: when
-    /// only the input overlay of a run changed, every structural field of
-    /// the analysis is already correct and the refresh allocates nothing —
-    /// in particular, persistence is counted directly on the cached witness
-    /// supports instead of materializing per-witness value sets.
-    pub(crate) fn recomplete(&self, run: &Run, analysis: &mut ViewAnalysis) {
-        debug_assert_eq!(analysis.node, self.node, "analysis completed from another structure");
-        let m = self.node.time.index();
-        let values_into = |support: &PidSet, out: &mut ValueSet| {
-            out.clear();
-            for p in support.iter() {
-                out.insert(run.initial_value(p));
-            }
-        };
-
-        let ViewAnalysis { vals, prev_vals, persistent, .. } = analysis;
-        values_into(self.seen.layer(Time::ZERO), vals);
-        match &self.prev_seen0 {
-            Some(support) => values_into(support, prev_vals),
-            None => prev_vals.clear(),
-        }
-
-        // Persistence (Definition 3), against the cached witness supports.
-        let d = self.known_crashed.len();
-        let needed = self.t.saturating_sub(d);
-        persistent.clear();
-        for v in vals.iter() {
-            let via_own_history = m > 0 && prev_vals.contains(v);
-            let via_witnesses = if m > 0 {
-                self.witness_seen0
-                    .iter()
-                    .filter(|support| support.iter().any(|p| run.initial_value(p) == v))
-                    .count()
-                    >= needed
-            } else {
-                needed == 0
-            };
-            if via_own_history || via_witnesses {
-                persistent.insert(v);
-            }
-        }
-    }
+    /// For the `r`-th value of `vals`, words `r·W … r·W + W − 1` (with
+    /// `W = ⌈n / 64⌉`) are the bitmap of the seen time-0 processes holding
+    /// it — the supports the persistence witness counts test against.
+    holders: Vec<u64>,
 }
 
 impl ViewAnalysis {
@@ -253,7 +60,157 @@ impl ViewAnalysis {
     /// is out of range, or the process has already crashed at that time (a
     /// crashed node has no local state to analyze).
     pub fn new(run: &Run, node: Node) -> Result<Self, ModelError> {
-        Ok(ViewStructure::compute(run, node)?.complete(run))
+        validate_node(run, node)?;
+        let mut analysis = ViewAnalysis {
+            node,
+            n: run.n(),
+            t: run.t(),
+            seen: run.seen(node.process, node.time).clone(),
+            vals: ValueSet::new(),
+            prev_vals: ValueSet::new(),
+            capacity: HiddenCapacity::from_layers(node, Vec::new()),
+            prev_capacity: None,
+            earliest_known_crash: Vec::new(),
+            known_crashed: PidSet::new(),
+            observations: DirectObservations::compute(run, node),
+            persistent: ValueSet::new(),
+            holders: Vec::new(),
+        };
+        analysis.fill_structure(run);
+        analysis.refresh_values(run);
+        Ok(analysis)
+    }
+
+    /// Re-analyzes this value as the node `⟨i, m⟩` of `run`, reusing every
+    /// buffer it holds; afterwards it is `==` to
+    /// `ViewAnalysis::new(run, node)`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ViewAnalysis::new`]; on an error the analysis
+    /// is left unchanged.
+    pub fn recompute(&mut self, run: &Run, node: Node) -> Result<(), ModelError> {
+        validate_node(run, node)?;
+        self.node = node;
+        self.n = run.n();
+        self.t = run.t();
+        self.seen.clone_from(run.seen(node.process, node.time));
+        self.observations.recompute(run, node);
+        self.fill_structure(run);
+        self.refresh_values(run);
+        Ok(())
+    }
+
+    /// Recomputes the input-value-dependent fields — `Vals`, the previous
+    /// node's `Vals` and the persistent values — against `run`, keeping
+    /// every structural field.
+    ///
+    /// `run` must induce the analyzed node's view up to its initial values:
+    /// the run this analysis was computed from with a new input vector, or
+    /// any run whose `synchrony::ViewKey` at the node is the same.  The
+    /// refresh reads only nodes of that view, and then leaves the analysis
+    /// `==` to `ViewAnalysis::new(run, node)`.
+    pub fn refresh_values(&mut self, run: &Run) {
+        let process = self.node.process;
+        let m = self.node.time.index();
+        let words = self.n.div_ceil(64);
+        let ViewAnalysis { seen, vals, prev_vals, known_crashed, persistent, holders, t, .. } =
+            self;
+        let seen0 = seen.layer(Time::ZERO);
+
+        vals.clear();
+        for p in seen0 {
+            vals.insert(run.initial_value(p));
+        }
+        holders.clear();
+        holders.resize(vals.len() * words, 0);
+        for p in seen0 {
+            let value = run.initial_value(p);
+            let rank = vals.iter().position(|v| v == value).expect("the value was just inserted");
+            holders[rank * words + p.index() / 64] |= 1 << (p.index() % 64);
+        }
+        prev_vals.clear();
+        if m > 0 {
+            for p in run.seen(process, self.node.time - 1).layer(Time::ZERO) {
+                prev_vals.insert(run.initial_value(p));
+            }
+        }
+
+        // Persistence (Definition 3): the value was already seen at m − 1,
+        // or at least t − d seen time-(m − 1) nodes had seen it.  A
+        // witness's time-0 support lies inside the observer's, so testing
+        // it against the value's holders decides whether it saw the value.
+        let needed = t.saturating_sub(known_crashed.len());
+        persistent.clear();
+        for (rank, value) in vals.iter().enumerate() {
+            let persists = if m == 0 {
+                needed == 0
+            } else if prev_vals.contains(value) {
+                true
+            } else {
+                let prev_time = self.node.time - 1;
+                let held = &holders[rank * words..(rank + 1) * words];
+                seen.layer(prev_time)
+                    .iter()
+                    .filter(|&j| {
+                        let support = run.seen(j, prev_time).layer(Time::ZERO);
+                        held.iter().enumerate().any(|(w, &h)| support.word(w) & h != 0)
+                    })
+                    .take(needed)
+                    .count()
+                    >= needed
+            };
+            if persists {
+                persistent.insert(value);
+            }
+        }
+    }
+
+    /// Fills the structural fields other than the seen-layers and the
+    /// direct observations from `self.node` and `self.seen`: the previous
+    /// node's hidden capacity, the provable crashes and the hidden layers.
+    /// The previous node's pass uses the crash buffers as scratch before
+    /// the observer's own pass overwrites them.
+    fn fill_structure(&mut self, run: &Run) {
+        let n = self.n;
+        let words = n.div_ceil(64);
+        let node = self.node;
+        let ViewAnalysis {
+            seen, capacity, prev_capacity, earliest_known_crash, known_crashed, ..
+        } = self;
+
+        *prev_capacity = (node.time > Time::ZERO).then(|| {
+            let mut smallest = usize::MAX;
+            let prev_seen = run.seen(node.process, node.time - 1);
+            walk_hidden_layers(
+                run,
+                prev_seen,
+                earliest_known_crash,
+                known_crashed,
+                |_, layer, known| {
+                    let hidden = (0..words)
+                        .map(|w| (!layer.word(w) & !known.word(w) & word_mask(n, w)).count_ones())
+                        .sum::<u32>() as usize;
+                    smallest = smallest.min(hidden);
+                },
+            );
+            smallest
+        });
+
+        capacity.rebuild(node, |hidden_layers| {
+            hidden_layers.resize_with(seen.num_layers(), PidSet::new);
+            walk_hidden_layers(
+                run,
+                seen,
+                earliest_known_crash,
+                known_crashed,
+                |l, layer, known| {
+                    hidden_layers[l].update_words(words, |w, _| {
+                        !layer.word(w) & !known.word(w) & word_mask(n, w)
+                    });
+                },
+            );
+        });
     }
 
     /// Returns the analyzed node `⟨i, m⟩`.
@@ -303,7 +260,8 @@ impl ViewAnalysis {
     /// Returns `true` if the observer is *low* at `m`: it has seen a value
     /// strictly smaller than `k`.
     pub fn is_low(&self, k: usize) -> bool {
-        !self.lows(k).is_empty()
+        // `Lows` is non-empty exactly when the smallest value is low.
+        self.vals.min().is_some_and(|v| v.is_low(k))
     }
 
     /// Returns `true` if the observer is *high* at `m` (not low).
@@ -324,7 +282,7 @@ impl ViewAnalysis {
 
     /// Returns `true` if the observer was low at its previous node.
     pub fn was_low(&self, k: usize) -> bool {
-        !self.prev_vals.lows(k).is_empty()
+        self.prev_vals.min().is_some_and(|v| v.is_low(k))
     }
 
     /// Returns the hidden-capacity record of the observer.
@@ -428,8 +386,7 @@ impl fmt::Display for ViewAnalysis {
 
 /// Checks that `⟨i, m⟩` is a node an analysis is defined for: within the
 /// run's horizon, a real process, and still active (a crashed node has no
-/// local state).  Shared by [`ViewAnalysis::new`] and the analysis cache,
-/// which must reject invalid nodes *before* touching the run's structures.
+/// local state).  Checked before an analysis touches the run's structures.
 pub(crate) fn validate_node(run: &Run, node: Node) -> Result<(), ModelError> {
     run.check_time(node.time)?;
     run.params().check_process(node.process)?;
@@ -442,45 +399,54 @@ pub(crate) fn validate_node(run: &Run, node: Node) -> Result<(), ModelError> {
     Ok(())
 }
 
-/// The hidden capacity of an arbitrary node, computed directly (used for the
-/// observer's previous node without building a full analysis).
-fn hidden_capacity_of(run: &Run, node: Node) -> usize {
+/// The bits of bitmap word `w` that stand for processes below `n`.
+pub(crate) fn word_mask(n: usize, w: usize) -> u64 {
+    match n.saturating_sub(64 * w) {
+        0 => 0,
+        bits if bits >= 64 => u64::MAX,
+        bits => (1 << bits) - 1,
+    }
+}
+
+/// Walks the seen-layers `seen` of an observer from time 0 up, one bitmap
+/// word at a time, tracking what the observer can prove about crashes.
+///
+/// A process is provably crashed by round `ℓ` when some seen node at time
+/// `ℓ` did not hear from it in round `ℓ`.  On return, `earliest` holds the
+/// earliest such round of every process (or `None`) and `known` the
+/// processes with one.  Before that, `on_layer(ℓ, layer, known)` is called
+/// for every layer `ℓ` with the processes proven crashed in rounds `≤ ℓ`:
+/// the nodes at time `ℓ` neither in `layer` nor in `known` are exactly the
+/// hidden ones.
+fn walk_hidden_layers(
+    run: &Run,
+    seen: &SeenLayers,
+    earliest: &mut Vec<Option<Round>>,
+    known: &mut PidSet,
+    mut on_layer: impl FnMut(usize, &PidSet, &PidSet),
+) {
     let n = run.n();
-    let seen = run.seen(node.process, node.time);
-    let mut earliest_known_crash: Vec<Option<Round>> = vec![None; n];
-    for (layer_time, layer) in seen.iter() {
-        if layer_time == Time::ZERO {
-            continue;
-        }
-        let round = Round::new(layer_time.value());
-        for h in layer.iter() {
-            let heard = run.heard_from(h, layer_time);
-            for p in 0..n {
-                if !heard.contains(p) {
-                    let slot = &mut earliest_known_crash[p];
-                    if slot.is_none_or(|prev| round < prev) {
-                        *slot = Some(round);
-                    }
+    let words = n.div_ceil(64);
+    earliest.clear();
+    earliest.resize(n, None);
+    known.clear();
+    for (time, layer) in seen.iter() {
+        if time > Time::ZERO {
+            let round = Round::new(time.value());
+            known.update_words(words, |w, known_word| {
+                let missed =
+                    layer.iter().fold(0, |missed, h| missed | !run.heard_from(h, time).word(w));
+                let mut fresh = missed & word_mask(n, w) & !known_word;
+                let proven = known_word | fresh;
+                while fresh != 0 {
+                    earliest[64 * w + fresh.trailing_zeros() as usize] = Some(round);
+                    fresh &= fresh - 1;
                 }
-            }
+                proven
+            });
         }
+        on_layer(time.index(), layer, known);
     }
-    let mut capacity = usize::MAX;
-    for (layer_time, layer) in seen.iter() {
-        let mut hidden = 0;
-        for j in 0..n {
-            if layer.contains(j) {
-                continue;
-            }
-            let guaranteed = earliest_known_crash[j]
-                .is_some_and(|r| u64::from(r.number()) <= u64::from(layer_time.value()));
-            if !guaranteed {
-                hidden += 1;
-            }
-        }
-        capacity = capacity.min(hidden);
-    }
-    capacity
 }
 
 #[cfg(test)]
@@ -703,5 +669,188 @@ mod tests {
         let a = ViewAnalysis::new(&run, Node::new(4, Time::new(2))).unwrap();
         assert!(a.observations().missed().contains(0));
         assert_eq!(a.observations().num_missed(), 2);
+    }
+
+    /// A SplitMix64 stream, enough to draw test runs without a generator
+    /// dependency.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+    }
+
+    /// A run of `n` processes in which up to `n − 1` crash in rounds
+    /// `1 … horizon`, each reaching every other process with probability
+    /// `percent` %, with inputs in `0 … 3`.
+    fn random_run(n: usize, percent: u64, horizon: u32, draws: &mut Draws) -> Run {
+        let t = n - 1;
+        let mut failures = FailurePattern::crash_free(n);
+        let mut crashed = 0;
+        for p in 0..n {
+            if crashed < t && draws.below(100) < 60 {
+                let round = 1 + draws.below(u64::from(horizon)) as u32;
+                let delivered: Vec<usize> = (0..n).filter(|_| draws.below(100) < percent).collect();
+                failures.crash(p, round, delivered).unwrap();
+                crashed += 1;
+            }
+        }
+        let inputs: Vec<u64> = (0..n).map(|_| draws.below(4)).collect();
+        let adversary = Adversary::new(InputVector::from_values(inputs), failures).unwrap();
+        Run::generate(SystemParams::new(n, t).unwrap(), adversary, Time::new(horizon)).unwrap()
+    }
+
+    /// Per-process definition of the earliest provable crash round: the
+    /// first round `ℓ` in which some seen time-`ℓ` node did not hear from
+    /// the process.
+    fn earliest_by_definition(run: &Run, seen: &SeenLayers) -> Vec<Option<Round>> {
+        let mut earliest = vec![None; run.n()];
+        for (time, layer) in seen.iter().skip(1) {
+            for h in layer {
+                for (p, slot) in earliest.iter_mut().enumerate() {
+                    if !run.heard_from(h, time).contains(p) && slot.is_none() {
+                        *slot = Some(Round::new(time.value()));
+                    }
+                }
+            }
+        }
+        earliest
+    }
+
+    /// Per-process definition of the hidden layers: neither seen nor
+    /// provably crashed by the layer's time.
+    fn hidden_by_definition(run: &Run, seen: &SeenLayers) -> Vec<PidSet> {
+        let earliest = earliest_by_definition(run, seen);
+        seen.iter()
+            .map(|(time, layer)| {
+                (0..run.n())
+                    .filter(|&j| {
+                        !layer.contains(j) && earliest[j].is_none_or(|r| r.number() > time.value())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Definition 3 persistence, one witness and one process at a time.
+    fn persistent_by_definition(run: &Run, node: Node, vals: &ValueSet, d: usize) -> ValueSet {
+        let m = node.time.index();
+        let needed = run.t().saturating_sub(d);
+        vals.iter()
+            .filter(|&v| {
+                if m == 0 {
+                    return needed == 0;
+                }
+                let prev = node.time - 1;
+                let sees_v = |j| {
+                    run.seen(j, prev).layer(Time::ZERO).iter().any(|p| run.initial_value(p) == v)
+                };
+                sees_v(node.process)
+                    || run
+                        .seen(node.process, node.time)
+                        .layer(prev)
+                        .iter()
+                        .filter(|&j| sees_v(j))
+                        .count()
+                        >= needed
+            })
+            .collect()
+    }
+
+    /// The word mask keeps exactly the processes below `n`, at `n = 1` and
+    /// around the 64-bit word boundaries.
+    #[test]
+    fn word_mask_covers_exactly_the_processes_below_n() {
+        for n in [1usize, 2, 63, 64, 65, 83, 128] {
+            for w in 0..3 {
+                let by_bit = (0..64).filter(|b| 64 * w + b < n).fold(0u64, |mask, b| mask | 1 << b);
+                assert_eq!(word_mask(n, w), by_bit, "n={n} word {w}");
+            }
+        }
+    }
+
+    /// The word-parallel kernels agree with the per-process definitions at
+    /// system sizes around the 64-bit word boundaries (a system needs
+    /// `n ≥ 2`; `n = 1` is covered by the word-mask test above).
+    #[test]
+    fn word_kernels_match_the_per_process_definitions() {
+        let mut draws = Draws(2016);
+        for n in [2usize, 63, 64, 65, 83] {
+            for percent in [5, 50, 95] {
+                let run = random_run(n, percent, 4, &mut draws);
+                let mut reused = ViewAnalysis::new(&run, Node::new(0, Time::ZERO)).unwrap();
+                for m in 0..=4u32 {
+                    for i in 0..n {
+                        let node = Node::new(i, Time::new(m));
+                        if !run.is_active(i, node.time) {
+                            continue;
+                        }
+                        let a = ViewAnalysis::new(&run, node).unwrap();
+                        let seen = run.seen(i, node.time);
+                        let earliest = earliest_by_definition(&run, seen);
+                        for (p, &round) in earliest.iter().enumerate() {
+                            assert_eq!(a.earliest_known_crash(p), round, "n={n} {node} p{p}");
+                        }
+                        let known: PidSet = (0..n).filter(|&p| earliest[p].is_some()).collect();
+                        assert_eq!(a.known_crashed(), &known);
+                        let hidden = hidden_by_definition(&run, seen);
+                        for (l, layer) in hidden.iter().enumerate() {
+                            assert_eq!(a.hidden_at(Time::new(l as u32)), layer, "n={n} {node}");
+                        }
+                        let capacity = hidden.iter().map(PidSet::len).min().unwrap();
+                        assert_eq!(a.hidden_capacity(), capacity);
+                        let prev_capacity = (m > 0).then(|| {
+                            let prev = run.seen(i, node.time - 1);
+                            hidden_by_definition(&run, prev).iter().map(PidSet::len).min().unwrap()
+                        });
+                        assert_eq!(a.prev_hidden_capacity(), prev_capacity);
+                        let mut missed = PidSet::new();
+                        for round in 1..=m {
+                            let heard = run.heard_from(i, Time::new(round));
+                            missed.extend((0..n).filter(|&p| !heard.contains(p)));
+                            assert_eq!(a.observations().missed_by(Round::new(round)), &missed);
+                        }
+                        let vals: ValueSet =
+                            seen.layer(Time::ZERO).iter().map(|p| run.initial_value(p)).collect();
+                        assert_eq!(a.vals(), &vals);
+                        assert_eq!(
+                            a.persistent_values(),
+                            &persistent_by_definition(&run, node, &vals, known.len())
+                        );
+                        reused.recompute(&run, node).unwrap();
+                        assert_eq!(reused, a, "in-place recompute diverged at n={n} {node}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A value-only refresh against a relabeled run equals a fresh analysis,
+    /// and a failed recompute leaves the analysis untouched.
+    #[test]
+    fn refresh_follows_new_inputs_and_errors_change_nothing() {
+        let crash = |f: &mut FailurePattern| {
+            f.crash(0, 1, [1]).unwrap();
+            f.crash(1, 2, [2]).unwrap();
+        };
+        let first = build_run(5, 3, &[0, 1, 1, 1, 1], crash, 3);
+        let mut a = ViewAnalysis::new(&first, Node::new(2, Time::new(2))).unwrap();
+        for inputs in [[3u64, 2, 1, 0, 9], [1, 1, 1, 1, 1], [0, 0, 4, 4, 0]] {
+            let relabeled = build_run(5, 3, &inputs, crash, 3);
+            a.refresh_values(&relabeled);
+            assert_eq!(a, ViewAnalysis::new(&relabeled, Node::new(2, Time::new(2))).unwrap());
+        }
+        let before = a.clone();
+        assert!(a.recompute(&first, Node::new(0, Time::new(2))).is_err());
+        assert_eq!(a, before);
     }
 }

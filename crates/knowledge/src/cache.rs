@@ -8,16 +8,20 @@
 //! hidden capacity, direct observations, persistence witness supports — is
 //! a function of that pattern only, so it can be computed once per distinct
 //! [`ViewKey`] and shared across every adversary (and every run) that
-//! revisits it.  Only the cheap value-dependent fields (`Vals`, `Lows`,
-//! persistence against concrete values) are recomputed per run.
+//! revisits it.  A hit clones the stored analysis and recomputes only its
+//! value-dependent fields (`Vals`, persistence against concrete values)
+//! through [`ViewAnalysis::refresh_values`].
 //!
+//! The batch executor does not consult this cache: it keeps one analysis
+//! per node and refills it in place.  The cache serves job code that
+//! analyzes extra nodes itself (Proposition 2's per-run scan).
 //! [`AnalysisCache`] is a cheaply clonable handle over shared interior
-//! state, so an executor (`set_consensus::BatchRunner`) and the job closures
-//! it serves can consult the *same* cache without borrow gymnastics.  It is
-//! deliberately **not** thread-safe: the sweep engine gives every worker
-//! thread its own cache, which keeps the hot path lock-free and the fold
-//! results bit-identical at any parallelism (a cache hit reconstructs a
-//! `ViewAnalysis` equal, `==`, to what [`ViewAnalysis::new`] would return).
+//! state, so a runner (`set_consensus::BatchRunner`) and the job closures
+//! it serves can share one without borrow gymnastics.  It is deliberately
+//! **not** thread-safe: the sweep engine gives every worker thread its own
+//! runner, which keeps it lock-free and the fold results bit-identical at
+//! any parallelism (a cache hit returns a `ViewAnalysis` equal, `==`, to
+//! what [`ViewAnalysis::new`] would return).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -25,7 +29,7 @@ use std::rc::Rc;
 
 use synchrony::{ModelError, Node, Run, ViewKey};
 
-use crate::analysis::{validate_node, ViewStructure};
+use crate::analysis::validate_node;
 use crate::ViewAnalysis;
 
 /// Upper bound on stored view patterns per cache.
@@ -40,9 +44,11 @@ const MAX_ENTRIES: usize = 1 << 20;
 
 /// Hit/miss counters of an [`AnalysisCache`].
 ///
-/// A *miss* is a full structural construction (the expensive part of
-/// [`ViewAnalysis::new`]); a *hit* is a construction avoided, so `misses`
-/// equals the number of structural constructions performed.
+/// A *miss* is a full construction of an analysis; a *hit* is one avoided
+/// by recomputing only the value-dependent fields, so `misses` equals the
+/// number of full constructions performed.  The same pair counts the batch
+/// executor's per-node slots (`set_consensus::BatchRunner::analysis_stats`):
+/// a miss there is an in-place recompute, a hit a value-only refresh.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -87,7 +93,7 @@ impl CacheStats {
 
 #[derive(Debug)]
 struct CacheInner {
-    map: HashMap<ViewKey, ViewStructure>,
+    map: HashMap<ViewKey, ViewAnalysis>,
     stats: CacheStats,
 }
 
@@ -131,59 +137,32 @@ impl AnalysisCache {
         }
     }
 
-    /// Analyzes the node `⟨i, m⟩` of `run`, reusing the cached structural
-    /// analysis of any previously seen run whose view at that node has the
-    /// same pattern ([`ViewKey`]).  The result is identical (`==`) to
+    /// Analyzes the node `⟨i, m⟩` of `run`, reusing the stored analysis of
+    /// any previously seen run whose view at that node has the same pattern
+    /// ([`ViewKey`]).  The result is identical (`==`) to
     /// [`ViewAnalysis::new`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`ViewAnalysis::new`].
     pub fn analyze(&self, run: &Run, node: Node) -> Result<ViewAnalysis, ModelError> {
-        self.with_structure(run, node, |structure| structure.complete(run))
-    }
-
-    /// Looks up (or computes and stores) the structural analysis of the
-    /// node, returning a clone of the [`ViewStructure`] — the entry point of
-    /// the per-structure memo ([`crate::StructureMemo`]), which keeps the
-    /// clone alive across every input overlay of the structure.  Counts in
-    /// the same hit/miss statistics as [`AnalysisCache::analyze`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ViewAnalysis::new`].
-    pub(crate) fn structure_for(&self, run: &Run, node: Node) -> Result<ViewStructure, ModelError> {
-        self.with_structure(run, node, ViewStructure::clone)
-    }
-
-    /// The lookup-or-compute core shared by [`AnalysisCache::analyze`] and
-    /// [`AnalysisCache::structure_for`]: validates the node, resolves its
-    /// [`ViewStructure`] (from the map on a hit, computed — and stored, up
-    /// to [`MAX_ENTRIES`] — on a miss),
-    /// counts the hit/miss, and hands the structure to `use_structure`.
-    fn with_structure<T>(
-        &self,
-        run: &Run,
-        node: Node,
-        use_structure: impl FnOnce(&ViewStructure) -> T,
-    ) -> Result<T, ModelError> {
         // Reject invalid nodes up front: key extraction reads the run's
         // structures directly and must only ever see validated nodes.
         validate_node(run, node)?;
         let mut inner = self.inner.borrow_mut();
         let key = ViewKey::from_run(run, node);
-        if let Some(structure) = inner.map.get(&key) {
-            let result = use_structure(structure);
+        if let Some(stored) = inner.map.get(&key) {
+            let mut analysis = stored.clone();
+            analysis.refresh_values(run);
             inner.stats.hits += 1;
-            return Ok(result);
+            return Ok(analysis);
         }
-        let structure = ViewStructure::compute(run, node)?;
-        let result = use_structure(&structure);
+        let analysis = ViewAnalysis::new(run, node)?;
         inner.stats.misses += 1;
         if inner.map.len() < MAX_ENTRIES {
-            inner.map.insert(key, structure);
+            inner.map.insert(key, analysis.clone());
         }
-        Ok(result)
+        Ok(analysis)
     }
 
     /// Returns a snapshot of the hit/miss counters.

@@ -34,6 +34,15 @@ impl HiddenCapacity {
         HiddenCapacity { observer, hidden_layers, capacity }
     }
 
+    /// Refills the record in place for `observer`: `fill` rewrites the
+    /// per-layer hidden sets (keeping their buffers), then the capacity is
+    /// recomputed from them.
+    pub(crate) fn rebuild(&mut self, observer: Node, fill: impl FnOnce(&mut Vec<PidSet>)) {
+        fill(&mut self.hidden_layers);
+        self.observer = observer;
+        self.capacity = self.hidden_layers.iter().map(PidSet::len).min().unwrap_or(0);
+    }
+
     /// Returns the observer node `⟨i, m⟩`.
     pub fn observer(&self) -> Node {
         self.observer

@@ -16,10 +16,13 @@
 //!
 //! The central type is [`ViewAnalysis`], computed once per node from a
 //! [`synchrony::Run`]; protocol implementations in the `set-consensus` crate
-//! consume it and read exactly like the paper's pseudo-code.  For sweeps
-//! over whole adversary spaces, [`AnalysisCache`] memoizes the structural
-//! (input-value-independent) part of every analysis *across adversaries*,
-//! keyed by the view's `synchrony::ViewKey` — see the [`cache`] module.
+//! consume it and read exactly like the paper's pseudo-code.  An analysis
+//! can be refilled in place ([`ViewAnalysis::recompute`],
+//! [`ViewAnalysis::refresh_values`]), which is how the `set-consensus` batch
+//! executor keeps one per node across a whole sweep.  [`AnalysisCache`]
+//! shares analyses *across adversaries* whose views at a node differ only
+//! in input values, keyed by the view's `synchrony::ViewKey` — see the
+//! [`cache`] module.
 //!
 //! ```
 //! use synchrony::{Adversary, FailurePattern, InputVector, Node, Run, SystemParams, Time};
@@ -47,13 +50,11 @@
 pub mod analysis;
 pub mod cache;
 pub mod capacity;
-pub mod memo;
 pub mod observation;
 pub mod status;
 
 pub use analysis::ViewAnalysis;
 pub use cache::{AnalysisCache, CacheStats};
 pub use capacity::HiddenCapacity;
-pub use memo::StructureMemo;
 pub use observation::DirectObservations;
 pub use status::NodeStatus;

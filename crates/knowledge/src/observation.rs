@@ -20,6 +20,8 @@ use serde::{Deserialize, Serialize};
 
 use synchrony::{Node, PidSet, Round, Run, Time};
 
+use crate::analysis::word_mask;
+
 /// The failures directly observed by a node `⟨i, m⟩`: for every round
 /// `ρ ≤ m`, the processes whose round-`ρ` message to `i` never arrived.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,22 +37,26 @@ impl DirectObservations {
     /// The observer must be active at its time; callers normally obtain this
     /// through [`crate::ViewAnalysis`], which validates that.
     pub fn compute(run: &Run, observer: Node) -> Self {
-        let m = observer.time.index();
+        let mut observations = DirectObservations { observer, missed_by_round: Vec::new() };
+        observations.recompute(run, observer);
+        observations
+    }
+
+    /// Recomputes the observations of `observer` in place, one bitmap word
+    /// at a time, reusing every per-round buffer.
+    pub(crate) fn recompute(&mut self, run: &Run, observer: Node) {
         let n = run.n();
-        let mut missed_by_round: Vec<PidSet> = Vec::with_capacity(m + 1);
-        missed_by_round.push(PidSet::new());
-        let mut cumulative = PidSet::new();
-        for round in 1..=m {
-            let time = Time::new(round as u32);
-            let heard = run.heard_from(observer.process, time);
-            for j in 0..n {
-                if !heard.contains(j) {
-                    cumulative.insert(j);
-                }
-            }
-            missed_by_round.push(cumulative.clone());
+        let words = n.div_ceil(64);
+        self.observer = observer;
+        self.missed_by_round.resize_with(observer.time.index() + 1, PidSet::new);
+        self.missed_by_round[0].clear();
+        for round in 1..self.missed_by_round.len() {
+            let heard = run.heard_from(observer.process, Time::new(round as u32));
+            let (earlier, later) = self.missed_by_round.split_at_mut(round);
+            let before = &earlier[round - 1];
+            later[0]
+                .update_words(words, |w, _| before.word(w) | (!heard.word(w) & word_mask(n, w)));
         }
-        DirectObservations { observer, missed_by_round }
     }
 
     /// Returns the observer node.

@@ -45,9 +45,9 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// A bound listener of either flavor, in non-blocking accept mode (the
-/// server polls so a shutdown request can interrupt the accept loop
-/// without signal machinery).
+/// A bound listener of either flavor.  [`Listener::accept`] blocks; the
+/// server's shutdown handler wakes a blocked accept by connecting to the
+/// listener itself, so no signal machinery or polling is needed.
 #[derive(Debug)]
 pub enum Listener {
     /// Unix-domain flavor.
@@ -69,17 +69,11 @@ impl Listener {
             Endpoint::Unix(path) => {
                 let listener = UnixListener::bind(path)
                     .map_err(|e| ServiceError::io(format!("binding {}", path.display()), e))?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| ServiceError::io("setting non-blocking accept", e))?;
                 Ok(Listener::Unix(listener, path.clone()))
             }
             Endpoint::Tcp(addr) => {
                 let listener = TcpListener::bind(addr)
                     .map_err(|e| ServiceError::io(format!("binding {addr}"), e))?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| ServiceError::io("setting non-blocking accept", e))?;
                 Ok(Listener::Tcp(listener))
             }
         }
@@ -96,27 +90,17 @@ impl Listener {
         }
     }
 
-    /// Accepts one connection if one is pending (`Ok(None)` when the
-    /// listener would block), restoring the stream to blocking mode.
+    /// Blocks until a connection arrives and accepts it.
     ///
     /// # Errors
     ///
-    /// Propagates accept failures other than `WouldBlock`.
-    pub fn try_accept(&self) -> Result<Option<Stream>, ServiceError> {
-        let accepted = match self {
+    /// Propagates accept failures.
+    pub fn accept(&self) -> Result<Stream, ServiceError> {
+        match self {
             Listener::Unix(listener, _) => listener.accept().map(|(s, _)| Stream::Unix(s)),
             Listener::Tcp(listener) => listener.accept().map(|(s, _)| Stream::Tcp(s)),
-        };
-        match accepted {
-            Ok(stream) => {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| ServiceError::io("restoring blocking mode", e))?;
-                Ok(Some(stream))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(ServiceError::io("accepting a connection", e)),
         }
+        .map_err(|e| ServiceError::io("accepting a connection", e))
     }
 }
 
@@ -217,13 +201,6 @@ impl Stream {
                 .try_clone()
                 .map(Stream::Tcp)
                 .map_err(|e| ServiceError::io("cloning a tcp stream", e)),
-        }
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(nonblocking),
-            Stream::Tcp(s) => s.set_nonblocking(nonblocking),
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! Unlike the in-process engine — which spawns scoped threads per sweep —
 //! the daemon keeps `workers` threads alive for its whole lifetime, each
-//! owning a warm [`set_consensus::BatchRunner`] (analysis cache, run
-//! structures, transcript and check buffers).  Shard tasks from *all* jobs
-//! and connections share the pool, so a worker's caches stay warm across
-//! requests — the runner-level analogue of the shard-accumulator cache one
+//! owning a warm [`set_consensus::BatchRunner`] (per-node analysis slots,
+//! run structures, transcript and check buffers).  Shard tasks from *all*
+//! jobs and connections share the pool, so a worker's buffers stay warm
+//! across requests — the runner-level analogue of the shard-accumulator cache one
 //! level up.
 //!
 //! Tasks are type-erased closures: the scheduler in `server` monomorphizes

@@ -555,8 +555,14 @@ impl Server {
             // bounded by the number of *live* connections, not by the
             // daemon-lifetime total.
             connections.retain(|handle| !handle.is_finished());
-            match self.listener.try_accept() {
-                Ok(Some(stream)) => {
+            match self.listener.accept() {
+                Ok(stream) => {
+                    // A shutdown request wakes this blocked accept with a
+                    // connection of its own; whatever was accepted, the
+                    // loop ends.
+                    if shutdown.load(Ordering::Relaxed) {
+                        break;
+                    }
                     let job_tx = job_tx.clone();
                     let registry = Arc::clone(&registry);
                     let shutdown = Arc::clone(&shutdown);
@@ -564,12 +570,14 @@ impl Server {
                     let cache = Arc::clone(&self.cache);
                     let metrics = Arc::clone(&metrics);
                     let auth_token = self.auth_token.clone();
+                    let endpoint = self.endpoint.clone();
                     connections.push(thread::spawn(move || {
                         handle_connection(
                             stream,
                             &job_tx,
                             &registry,
                             &shutdown,
+                            &endpoint,
                             &fleet,
                             &cache,
                             &metrics,
@@ -577,7 +585,6 @@ impl Server {
                         );
                     }));
                 }
-                Ok(None) => thread::sleep(Duration::from_millis(5)),
                 Err(error) => {
                     // Transient accept failures (ECONNABORTED, fd
                     // exhaustion under load) must not kill a long-running
@@ -617,6 +624,19 @@ impl Server {
 /// clients that connect and never submit.
 const CONNECTION_READ_TIMEOUT: Duration = Duration::from_millis(200);
 
+/// Wakes `Server::run`'s accept loop, blocked in `accept`, once the
+/// shutdown flag is set: one connection to the daemon's own endpoint,
+/// closed at once.
+fn wake_accept_loop(endpoint: &Endpoint) {
+    if let Err(error) = Stream::connect(endpoint) {
+        telemetry::log::warn(
+            LOG_TARGET,
+            format!("sweep serve: could not wake the accept loop for shutdown: {error}"),
+            &[("error", error.to_string().into())],
+        );
+    }
+}
+
 /// Compares two secrets without an early exit, so the comparison time
 /// does not leak how long a matching prefix an attacker has guessed.
 /// Length is folded into the accumulator rather than short-circuited.
@@ -643,6 +663,7 @@ fn handle_connection(
     job_tx: &SyncSender<JobTask>,
     registry: &CancelRegistry,
     shutdown: &AtomicBool,
+    endpoint: &Endpoint,
     fleet: &Arc<LeaseTable>,
     cache: &ShardCache,
     metrics: &Arc<ServerTelemetry>,
@@ -764,6 +785,7 @@ fn handle_connection(
                 // this connection's) still run to completion.
                 reply.send(&Frame::ShuttingDown);
                 shutdown.store(true, Ordering::Relaxed);
+                wake_accept_loop(endpoint);
                 break;
             }
             Frame::Stats => {

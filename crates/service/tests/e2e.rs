@@ -93,10 +93,31 @@ impl RawConnection {
     }
 }
 
-/// A scope big enough (1040 scenarios) that a 1-worker daemon is reliably
-/// still executing it while a test submits, cancels or queues other jobs.
+/// A scope far bigger than any test waits for (839,565 scenarios, about
+/// 2.4 s on one release-build worker and many times that in a debug build),
+/// so a 1-worker daemon is still executing it while a test submits,
+/// cancels or queues other jobs.  Every test that starts it cancels it
+/// rather than waiting for it to finish; its 64 shards keep the in-flight
+/// work a cancellation waits for short.
 const LONG_SCOPE: ScopeSpec =
-    ScopeSpec { n: 4, t: 1, k: 1, max_value: 1, max_crash_round: 2, partial_delivery: true };
+    ScopeSpec { n: 5, t: 3, k: 2, max_value: 2, max_crash_round: 2, partial_delivery: true };
+
+/// Cancels the running long job `job` and reads its connection up to the
+/// terminal frame, which must be the typed cancellation error.
+fn cancel_long_job(endpoint: &Endpoint, long: &mut RawConnection, job: u64) {
+    assert!(client::cancel(endpoint, job).expect("cancel"), "the long job must still be running");
+    loop {
+        match long.read_frame() {
+            Frame::Error(error) => {
+                assert_eq!(error.kind, ErrorKind::Cancelled);
+                assert_eq!(error.job, Some(job));
+                return;
+            }
+            Frame::ShardDone(_) => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+}
 
 fn long_scope_spec(id: u64, shards: usize) -> JobSpec {
     JobSpec {
@@ -459,7 +480,8 @@ fn thread_scaling_smoke() {
         return;
     }
     // A somewhat larger scope so the parallel arm has work to spread:
-    // n = 4, t = 1 ⇒ 1040 scenarios.
+    // n = 4, t = 1 ⇒ 144 scenarios (one failure pattern per relabeling
+    // orbit).
     let scope =
         ScopeSpec { n: 4, t: 1, k: 1, max_value: 1, max_crash_round: 2, partial_delivery: true };
     let spec = |id: u64| JobSpec {
@@ -495,14 +517,14 @@ fn thread_scaling_smoke() {
 
 /// A job cancelled while still queued never executes: with one dispatcher
 /// occupied by a long job, the queued job's cancel is acknowledged as
-/// found, and the job terminates with a `cancelled` error frame once the
-/// dispatcher reaches it — while the long job completes untouched.
+/// found, the long job keeps executing untouched, and once the dispatcher
+/// reaches the queued job it terminates with a `cancelled` error frame.
 #[test]
 fn queued_jobs_can_be_cancelled_before_running() {
     let (endpoint, handle) = start_daemon_with(hardened_options("cancel-queued", 1, 8));
 
     let mut long = RawConnection::connect(&endpoint);
-    long.send(&Frame::Job(long_scope_spec(1, 8)));
+    long.send(&Frame::Job(long_scope_spec(1, 64)));
     long.wait_for_first_shard(1); // the one dispatcher is now occupied
 
     let mut queued = RawConnection::connect(&endpoint);
@@ -515,6 +537,11 @@ fn queued_jobs_can_be_cancelled_before_running() {
         thread::sleep(std::time::Duration::from_millis(2));
     }
 
+    // The long job is unaffected: it completes another shard, then ends
+    // only when it is cancelled itself, which frees the dispatcher.
+    long.wait_for_first_shard(1);
+    cancel_long_job(&endpoint, &mut long, 1);
+
     // The queued job's only frame is the typed cancellation error.
     match queued.read_frame() {
         Frame::Error(error) => {
@@ -522,18 +549,6 @@ fn queued_jobs_can_be_cancelled_before_running() {
             assert_eq!(error.job, Some(2));
         }
         other => panic!("expected a cancelled error frame, got {other:?}"),
-    }
-
-    // The long job is unaffected.
-    loop {
-        match long.read_frame() {
-            Frame::JobDone(done) => {
-                assert_eq!(done.job, 1);
-                break;
-            }
-            Frame::ShardDone(_) => {}
-            other => panic!("unexpected frame {other:?}"),
-        }
     }
     stop_daemon(&endpoint, handle);
 }
@@ -546,23 +561,11 @@ fn running_jobs_can_be_cancelled() {
     let (endpoint, handle) = start_daemon_with(hardened_options("cancel-running", 1, 8));
 
     let mut long = RawConnection::connect(&endpoint);
-    long.send(&Frame::Job(long_scope_spec(31, 8)));
+    long.send(&Frame::Job(long_scope_spec(31, 64)));
     long.wait_for_first_shard(31);
-    assert!(client::cancel(&endpoint, 31).expect("cancel"), "running job must be found");
-
     // In-flight shards may still land; the terminal frame is the typed
     // cancellation error.
-    loop {
-        match long.read_frame() {
-            Frame::Error(error) => {
-                assert_eq!(error.kind, ErrorKind::Cancelled);
-                assert_eq!(error.job, Some(31));
-                break;
-            }
-            Frame::ShardDone(_) => {}
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
+    cancel_long_job(&endpoint, &mut long, 31);
 
     // A cancel for a finished (deregistered) job reports not-found.
     assert!(!client::cancel(&endpoint, 31).expect("cancel after the fact"));
@@ -580,7 +583,7 @@ fn full_job_queue_rejects_with_typed_error() {
     let (endpoint, handle) = start_daemon_with(hardened_options("backpressure", 1, 1));
 
     let mut long = RawConnection::connect(&endpoint);
-    long.send(&Frame::Job(long_scope_spec(11, 8)));
+    long.send(&Frame::Job(long_scope_spec(11, 64)));
     long.wait_for_first_shard(11); // popped: the queue itself is empty again
 
     // Same connection ⇒ strictly ordered handling: the first job fills the
@@ -590,7 +593,8 @@ fn full_job_queue_rejects_with_typed_error() {
     queued.send(&Frame::Job(small_scope_spec(13, 2, false)));
 
     // The rejection arrives first (sent synchronously by the connection
-    // thread); the admitted job's frames follow once the dispatcher frees.
+    // thread); the admitted job's frames follow once the dispatcher frees,
+    // which cancelling the long job brings forward.
     match queued.read_frame() {
         Frame::Error(error) => {
             assert_eq!(error.kind, ErrorKind::QueueFull);
@@ -598,6 +602,7 @@ fn full_job_queue_rejects_with_typed_error() {
         }
         other => panic!("expected a queue-full error frame, got {other:?}"),
     }
+    cancel_long_job(&endpoint, &mut long, 11);
     loop {
         match queued.read_frame() {
             Frame::JobDone(done) => {
@@ -606,12 +611,6 @@ fn full_job_queue_rejects_with_typed_error() {
             }
             Frame::ShardDone(_) => {}
             other => panic!("unexpected frame {other:?}"),
-        }
-    }
-    loop {
-        if let Frame::JobDone(done) = long.read_frame() {
-            assert_eq!(done.job, 11);
-            break;
         }
     }
     stop_daemon(&endpoint, handle);
@@ -629,27 +628,16 @@ fn concurrent_dispatch_lets_warm_jobs_overtake_long_ones() {
     assert_eq!(cold.shards_cached, 0);
 
     let mut long = RawConnection::connect(&endpoint);
-    long.send(&Frame::Job(long_scope_spec(22, 8)));
+    long.send(&Frame::Job(long_scope_spec(22, 64)));
     long.wait_for_first_shard(22);
 
     // The long job holds one dispatcher; the warm job rides the other.
-    let overtake_started = Instant::now();
     let warm = client::submit(&endpoint, &small_scope_spec(23, 2, true)).expect("warm submit");
-    let warm_done = Instant::now();
     assert_eq!(warm.shards_executed, 0, "overtaking job must be pure replay");
 
-    let long_done = loop {
-        if let Frame::JobDone(done) = long.read_frame() {
-            assert_eq!(done.job, 22);
-            break Instant::now();
-        }
-    };
-    assert!(
-        warm_done < long_done,
-        "warm job must finish while the long job is still executing \
-         (warm took {:?} from submit)",
-        warm_done - overtake_started
-    );
+    // The warm job finished while the long job is still executing: the
+    // cancel finds it running.
+    cancel_long_job(&endpoint, &mut long, 22);
     stop_daemon(&endpoint, handle);
 }
 

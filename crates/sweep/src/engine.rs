@@ -14,7 +14,7 @@ use synchrony::{Adversary, ModelError};
 /// `shards` nor `threads` may change the fold result (see [`Reducer`] for
 /// the laws that guarantee this; the shard-determinism integration tests
 /// enforce it).  How a shard is executed is not configurable: every worker
-/// owns a [`BatchRunner`] (view-keyed analysis cache, run-structure reuse)
+/// owns a [`BatchRunner`] (per-node analysis slots, run-structure reuse)
 /// and walks its shards through [`fold_shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
@@ -118,8 +118,11 @@ impl CursorStats {
 pub struct SweepStats {
     /// Number of scenarios executed.
     pub scenarios: u64,
-    /// Knowledge-analysis cache counters summed over the per-worker caches
-    /// (all zeros for jobs that never request an analysis).
+    /// Knowledge-analysis counters summed over the per-worker runners
+    /// (`BatchRunner::analysis_stats`): node-slot recomputes and
+    /// `AnalysisCache` misses as misses, value-only slot refreshes and
+    /// cache hits as hits (all zeros for jobs that never request an
+    /// analysis).
     pub cache: CacheStats,
     /// Run-structure simulation counters summed over the per-worker
     /// runners: how many communication structures were simulated vs. reused
@@ -389,12 +392,12 @@ pub const FOLD_SEMANTICS_VERSION: u32 = 3;
 /// Snapshots a runner's cumulative counters so a per-shard delta can be
 /// taken around one shard fold.
 fn runner_counters(runner: &BatchRunner) -> (CacheStats, RunReuseStats) {
-    (runner.cache().stats(), runner.run_stats())
+    (runner.analysis_stats(), runner.run_stats())
 }
 
 /// Folds the scenarios of one contiguous index range into a fresh
 /// accumulator, using a caller-owned runner, and reports the statistics of
-/// **this shard alone**: the runner's cache and run-reuse counters are
+/// **this shard alone**: the runner's analysis and run-reuse counters are
 /// snapshotted around the fold, so the numbers stay per-shard even on a
 /// long-lived runner.
 ///
@@ -480,18 +483,17 @@ where
 }
 
 /// Runs `job` on every scenario of `source`, folds the outcomes with
-/// `reducer`, and reports execution statistics (scenario, analysis-cache,
+/// `reducer`, and reports execution statistics (scenario, analysis,
 /// run-structure-reuse and scenario-production counters) alongside the fold.
 ///
 /// The scenario space is partitioned into [`SweepConfig::resolved_shards`]
 /// contiguous shards, with boundaries aligned to the source's
 /// [`ScenarioSource::structure_block`]; worker threads *steal* shards from
 /// a shared queue (an atomic cursor), so a slow shard never idles the other
-/// workers.  Each worker owns a [`BatchRunner`] — with a cross-adversary
-/// [`knowledge::AnalysisCache`] and run-structure reuse across same-pattern
-/// scenarios — so run/transcript buffers, cached view analyses and whole
-/// communication structures are reused across every scenario the worker
-/// executes.  Each shard is walked by [`fold_shard_stats`], which builds
+/// workers.  Each worker owns a [`BatchRunner`] — with per-node analysis
+/// slots refilled in place and run-structure reuse across same-pattern
+/// scenarios — so run/transcript/analysis buffers and whole communication
+/// structures are reused across every scenario the worker executes.  Each shard is walked by [`fold_shard_stats`], which builds
 /// one scenario per structure block and steps the rest in place.
 /// Shard accumulators are merged in shard order, which — given the
 /// [`Reducer`] laws — makes the fold identical for every shard/thread

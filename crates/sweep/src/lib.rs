@@ -30,14 +30,12 @@
 //!   structure block) and lets worker threads *steal* shards from a shared
 //!   queue; every worker owns a `set_consensus::BatchRunner`, so run,
 //!   transcript and analysis buffers are reused across all the runs it
-//!   executes.  Two cross-adversary reuse layers ride on top, always on
-//!   and invisible to the fold: a `knowledge::AnalysisCache` shares the
-//!   structural part of every node's knowledge analysis between all the
-//!   adversaries the worker visits, and the runner executes
-//!   *structure-major* — every scenario that repeats the previous failure
-//!   pattern (the whole input-vector block of an exhaustive scope) skips
-//!   the run simulation outright and only swaps the input overlay
-//!   (`synchrony::RunStructure`).  Each shard is one loop over its range
+//!   executes.  The runner executes *structure-major*, always on and
+//!   invisible to the fold: every scenario that repeats the previous
+//!   failure pattern (the whole input-vector block of an exhaustive scope)
+//!   skips the run simulation outright and only swaps the input overlay
+//!   (`synchrony::RunStructure`), and its per-node knowledge analyses are
+//!   then refreshed in place, values only.  Each shard is one loop over its range
 //!   ([`fold_shard_stats`]).  All counters are reported
 //!   through [`SweepStats`].  The partition ([`shard_ranges`]) and the
 //!   per-shard kernel ([`fold_shard_stats`]) are public: the `service`
@@ -57,9 +55,9 @@
 //!   CLI binary in the `bench_harness` crate is a thin formatting wrapper
 //!   around them.
 //!
-//! The reuse layers — analysis cache, run-structure memo, the shard walk —
-//! are documented as one system in `docs/ARCHITECTURE.md` at the
-//! repository root.
+//! The reuse layers — symmetry reduction, the shard walk, run structures
+//! with their per-node analysis slots — are documented as one system in
+//! `docs/ARCHITECTURE.md` at the repository root.
 //!
 //! # The stderr stats line
 //!
@@ -78,10 +76,14 @@
 //!   For `thm1` and `omission` that is orbit representatives × input
 //!   vectors (10,923 and 936 for the built-in cases), not the scope's
 //!   adversary count (167,890 and 14,256), which the tables report.
-//! * `<L>`/`<C>`/`<H>` — the [`knowledge::CacheStats`] of the per-worker
-//!   analysis caches, summed: `ViewAnalysis` lookups requested, full
-//!   constructions actually performed, and constructions avoided (served
-//!   structurally from the view-keyed cache).  `hit rate` is `H / L`.
+//! * `<L>`/`<C>`/`<H>` — the per-worker runners'
+//!   `set_consensus::BatchRunner::analysis_stats`, summed as
+//!   [`knowledge::CacheStats`]: every `ViewAnalysis` the runners handed
+//!   out (`L = C + H`), of which `C` were full in-place recomputes of a
+//!   node slot (the first analysis of a node after a re-simulation) and
+//!   `H` value-only refreshes of a slot whose structure was reused.  Job
+//!   code's own lookups through `BatchRunner::cache` (Proposition 2) add
+//!   their misses to `C` and hits to `H`.  `hit rate` is `H / L`.
 //! * `<sim>`/`<reu>` — the [`set_consensus::RunReuseStats`] of the
 //!   per-worker runners, summed: communication structures simulated from
 //!   scratch vs. reused outright because the failure pattern repeated.

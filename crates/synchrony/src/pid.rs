@@ -91,9 +91,20 @@ impl fmt::Display for ProcessId {
 /// s.remove(2);
 /// assert_eq!(s.iter().map(|p| p.index()).collect::<Vec<_>>(), vec![0, 5]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct PidSet {
     words: Vec<u64>,
+}
+
+impl Clone for PidSet {
+    fn clone(&self) -> Self {
+        PidSet { words: self.words.clone() }
+    }
+
+    /// Copies `source` into this set, reusing the word buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl PidSet {
@@ -254,6 +265,31 @@ impl PidSet {
     /// structural encoding (see [`crate::ViewKey`]).
     pub fn as_words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Returns word `index` of the bitmap (processes `64·index` to
+    /// `64·index + 63`), which is `0` past the stored words.
+    pub fn word(&self, index: usize) -> u64 {
+        self.words.get(index).copied().unwrap_or(0)
+    }
+
+    /// Rewrites the set word by word in its own buffer: word `w < len`
+    /// becomes `f(w, old word w)` (`0` past the stored words), and every
+    /// member at or above `64·len` is dropped.
+    ///
+    /// ```
+    /// use synchrony::PidSet;
+    ///
+    /// let mut s: PidSet = [1usize, 70].into_iter().collect();
+    /// s.update_words(2, |w, word| if w == 0 { word | 0b1000 } else { 0 });
+    /// assert_eq!(s, [1usize, 3].into_iter().collect());
+    /// ```
+    pub fn update_words(&mut self, len: usize, mut f: impl FnMut(usize, u64) -> u64) {
+        self.words.resize(len, 0);
+        for (index, word) in self.words.iter_mut().enumerate() {
+            *word = f(index, *word);
+        }
+        self.normalize();
     }
 }
 
@@ -418,6 +454,24 @@ mod tests {
         assert!(s.contains(0));
         assert!(s.contains(69));
         assert!(!s.contains(70));
+    }
+
+    #[test]
+    fn word_access_and_in_place_rewrites() {
+        let mut s: PidSet = [0usize, 63, 64, 130].into_iter().collect();
+        assert_eq!(s.word(0), 1 | 1 << 63);
+        assert_eq!(s.word(1), 1);
+        assert_eq!(s.word(9), 0);
+        // Clearing the high words normalizes the bitmap.
+        s.update_words(3, |w, word| if w == 2 { 0 } else { word });
+        assert_eq!(s, [0usize, 63, 64].into_iter().collect());
+        assert_eq!(s.as_words().len(), 2);
+        s.update_words(1, |_, word| word & !1);
+        assert_eq!(s, PidSet::singleton(63));
+        let mut copy = PidSet::full(200);
+        copy.clone_from(&s);
+        assert_eq!(copy, s);
+        assert_eq!(copy.as_words(), s.as_words());
     }
 
     #[test]

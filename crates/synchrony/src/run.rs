@@ -30,9 +30,21 @@ use crate::{
 /// The layers of nodes seen by a given observer node `⟨i, m⟩`: for every time
 /// `ℓ ≤ m`, the set of processes `j` such that `⟨j, ℓ⟩` is *seen by* `⟨i, m⟩`
 /// (i.e. there is a Lamport message chain from `⟨j, ℓ⟩` to `⟨i, m⟩`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SeenLayers {
     layers: Vec<PidSet>,
+}
+
+impl Clone for SeenLayers {
+    fn clone(&self) -> Self {
+        SeenLayers { layers: self.layers.clone() }
+    }
+
+    /// Copies `source` into these layers, reusing the layer vector and the
+    /// word buffer of every layer both have.
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+    }
 }
 
 impl SeenLayers {

@@ -5,7 +5,6 @@
 //! of the paper).  Values smaller than `k` are called *low*, and `k` and above
 //! are *high*.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -83,7 +82,10 @@ impl fmt::Display for Value {
 /// An ordered set of [`Value`]s.
 ///
 /// Used for `Vals⟨i,m⟩` (the set of values a process knows to exist) and for
-/// the sets of values decided in a run.
+/// the sets of values decided in a run.  The values are kept in a sorted
+/// vector, which keeps its capacity across [`ValueSet::clear`], so a set
+/// refilled at every node of a sweep allocates only when it outgrows its
+/// largest earlier contents.
 ///
 /// ```
 /// use synchrony::{Value, ValueSet};
@@ -94,15 +96,27 @@ impl fmt::Display for Value {
 /// assert_eq!(vals.min(), Some(Value::new(1)));
 /// assert_eq!(vals.lows(2).len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ValueSet {
-    values: BTreeSet<Value>,
+    /// Strictly increasing.
+    values: Vec<Value>,
+}
+
+impl Clone for ValueSet {
+    fn clone(&self) -> Self {
+        ValueSet { values: self.values.clone() }
+    }
+
+    /// Copies `source` into this set, reusing its buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl ValueSet {
     /// Creates an empty value set.
     pub fn new() -> Self {
-        ValueSet { values: BTreeSet::new() }
+        ValueSet { values: Vec::new() }
     }
 
     /// Creates the singleton set `{value}`.
@@ -114,17 +128,29 @@ impl ValueSet {
 
     /// Inserts a value; returns `true` if it was not already present.
     pub fn insert(&mut self, value: impl Into<Value>) -> bool {
-        self.values.insert(value.into())
+        let value = value.into();
+        // Values mostly arrive in increasing order: try the end first.
+        if self.values.last().is_none_or(|&last| last < value) {
+            self.values.push(value);
+            return true;
+        }
+        match self.values.binary_search(&value) {
+            Ok(_) => false,
+            Err(at) => {
+                self.values.insert(at, value);
+                true
+            }
+        }
     }
 
-    /// Removes every value from the set.
+    /// Removes every value from the set, keeping its buffer.
     pub fn clear(&mut self) {
         self.values.clear();
     }
 
     /// Returns `true` if the value belongs to the set.
     pub fn contains(&self, value: impl Into<Value>) -> bool {
-        self.values.contains(&value.into())
+        self.values.binary_search(&value.into()).is_ok()
     }
 
     /// Returns the number of values in the set.
@@ -154,12 +180,14 @@ impl ValueSet {
 
     /// Returns the subset of *low* values (those `< k`).
     pub fn lows(&self, k: usize) -> ValueSet {
-        ValueSet { values: self.values.iter().copied().filter(|v| v.is_low(k)).collect() }
+        ValueSet { values: self.values.iter().copied().take_while(|v| v.is_low(k)).collect() }
     }
 
     /// Adds every value of `other` to this set.
     pub fn union_with(&mut self, other: &ValueSet) {
-        self.values.extend(other.values.iter().copied());
+        for value in other {
+            self.insert(value);
+        }
     }
 
     /// Returns the union of the two sets.
@@ -171,25 +199,29 @@ impl ValueSet {
 
     /// Returns `true` if every value of `self` belongs to `other`.
     pub fn is_subset(&self, other: &ValueSet) -> bool {
-        self.values.is_subset(&other.values)
+        self.values.iter().all(|&v| other.contains(v))
     }
 }
 
 impl<V: Into<Value>> FromIterator<V> for ValueSet {
     fn from_iter<I: IntoIterator<Item = V>>(iter: I) -> Self {
-        ValueSet { values: iter.into_iter().map(Into::into).collect() }
+        let mut s = ValueSet::new();
+        s.extend(iter);
+        s
     }
 }
 
 impl<V: Into<Value>> Extend<V> for ValueSet {
     fn extend<I: IntoIterator<Item = V>>(&mut self, iter: I) {
-        self.values.extend(iter.into_iter().map(Into::into));
+        for value in iter {
+            self.insert(value);
+        }
     }
 }
 
 impl<'a> IntoIterator for &'a ValueSet {
     type Item = Value;
-    type IntoIter = std::iter::Copied<std::collections::btree_set::Iter<'a, Value>>;
+    type IntoIter = std::iter::Copied<std::slice::Iter<'a, Value>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.values.iter().copied()
@@ -231,6 +263,22 @@ mod tests {
         assert_eq!(lows.len(), 2);
         assert!(lows.contains(0u64) && lows.contains(2u64));
         assert!(lows.is_subset(&s));
+    }
+
+    #[test]
+    fn out_of_order_inserts_keep_the_set_sorted_and_unique() {
+        let mut s = ValueSet::new();
+        for v in [5u64, 1, 9, 1, 3, 9, 0] {
+            s.insert(v);
+        }
+        assert_eq!(s.iter().map(Value::get).collect::<Vec<_>>(), vec![0, 1, 3, 5, 9]);
+        assert_eq!(s, [9u64, 5, 3, 1, 0].into_iter().collect());
+        assert!(!s.insert(3u64));
+        assert_eq!(s.lows(3).iter().map(Value::get).collect::<Vec<_>>(), vec![0, 1]);
+        s.clear();
+        assert!(s.is_empty() && s.lows(10).is_empty());
+        s.insert(4u64);
+        assert_eq!(s.lows(5), ValueSet::singleton(4u64));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + bounds smoke (oversized counts exit 2)
-#                           #   + determinism smoke (fig4, thm1 across threads)
+#                           #   + determinism smoke (fig4, thm1, thm3 across threads)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + query-parity smoke (one-shot ≡ submit)
@@ -130,16 +130,22 @@ echo "ci.sh: bounds smoke passed (oversized thread and queue counts are usage er
 # --- Determinism smoke ------------------------------------------------------
 # The same fold at different parallelism must print the same bytes: fig4 (a
 # fixed source, blocks of one) sequentially versus four threads over eight
-# shards, and thm1 (the exhaustive shard walk, which steps inputs in place
+# shards, thm1 (the exhaustive shard walk, which steps inputs in place
 # inside each pattern block) sequentially versus two threads over 13 shards,
-# a count that cuts no built-in scope evenly.
+# a count that cuts no built-in scope evenly, and thm3 (a random source)
+# sequentially versus two threads over seven shards: the sharding decides
+# which patterns follow each other through a runner's per-node analysis
+# slots, so a stale slot would show here.
 target/debug/sweep fig4 --threads 1 >"$SMOKE_DIR/fig4-seq.txt" 2>/dev/null
 target/debug/sweep fig4 --threads 4 --shards 8 >"$SMOKE_DIR/fig4-par.txt" 2>/dev/null
 diff "$SMOKE_DIR/fig4-seq.txt" "$SMOKE_DIR/fig4-par.txt"
 target/debug/sweep thm1 --threads 1 >"$SMOKE_DIR/thm1-seq.txt" 2>/dev/null
 target/debug/sweep thm1 --threads 2 --shards 13 >"$SMOKE_DIR/thm1-par.txt" 2>/dev/null
 diff "$SMOKE_DIR/thm1-seq.txt" "$SMOKE_DIR/thm1-par.txt"
-echo "ci.sh: determinism smoke passed (fig4 and thm1 identical across parallelism)"
+target/debug/sweep thm3 --threads 1 >"$SMOKE_DIR/thm3-seq.txt" 2>/dev/null
+target/debug/sweep thm3 --threads 2 --shards 7 >"$SMOKE_DIR/thm3-par.txt" 2>/dev/null
+diff "$SMOKE_DIR/thm3-seq.txt" "$SMOKE_DIR/thm3-par.txt"
+echo "ci.sh: determinism smoke passed (fig4, thm1 and thm3 identical across parallelism)"
 
 # --- Omission smoke ---------------------------------------------------------
 # The omission pattern space end to end.  One-shot: `sweep omission` prints
