@@ -10,15 +10,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{Adversary, FailurePattern, InputVector, ModelError};
 
 use crate::space::{OmissionConfig, OmissionSpace, PatternModel, PatternSpace};
 use crate::symmetry::OrbitSpace;
 
 /// The scope of an exhaustive enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnumerationConfig {
     /// Number of processes.
     pub n: usize,

@@ -11,8 +11,6 @@
 //!   hidden capacity of every correct process collapses at time 2, letting
 //!   `u-Pmin[k]` (and `Optmin[k]`) decide at time 2.
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{Adversary, FailurePattern, InputVector, ModelError, PidSet, ProcessId};
 
 /// The Fig. 1 scenario: process 0 holds the value 0 and crashes in round 1
@@ -46,7 +44,7 @@ pub fn hidden_path(n: usize, chain_len: usize) -> Result<Adversary, ModelError> 
 }
 
 /// A Fig. 2 scenario with its distinguished observer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HiddenCapacityScenario {
     /// The adversary realizing the scenario.
     pub adversary: Adversary,
@@ -99,7 +97,7 @@ pub fn hidden_capacity_chains(
 }
 
 /// A Fig. 4-style scenario with its bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UniformGapScenario {
     /// The adversary realizing the scenario.
     pub adversary: Adversary,

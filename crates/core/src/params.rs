@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{ModelError, SystemParams};
 
 /// The variant of the agreement property being solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskVariant {
     /// Only the values decided by *correct* processes are counted towards the
     /// `k`-Agreement bound (§2.3).
@@ -40,7 +38,7 @@ impl fmt::Display for TaskVariant {
 /// assert_eq!(params.worst_case_decision_time().value(), 3); // ⌊t/k⌋ + 1 = 3
 /// # Ok::<(), synchrony::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskParams {
     system: SystemParams,
     k: usize,

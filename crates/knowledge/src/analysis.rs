@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{ModelError, Node, PidSet, Round, Run, SeenLayers, Time, Value, ValueSet};
 
 use crate::{DirectObservations, HiddenCapacity, NodeStatus};
@@ -29,7 +27,7 @@ use crate::{DirectObservations, HiddenCapacity, NodeStatus};
 /// scratch, and [`ViewAnalysis::refresh_values`] recomputes only the
 /// input-value-dependent fields when the communication structure is
 /// unchanged.  Both leave the analysis `==` to a fresh one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewAnalysis {
     node: Node,
     n: usize,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{Node, PidSet, Time};
 
 /// The hidden capacity of an observer node, together with the per-layer
@@ -19,7 +17,7 @@ use synchrony::{Node, PidSet, Time};
 /// The capacity equals the size of the smallest layer; any choice of
 /// `capacity` processes per layer forms a family of witnesses in the sense of
 /// Definition 2.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HiddenCapacity {
     observer: Node,
     hidden_layers: Vec<PidSet>,

@@ -26,7 +26,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sweep::SweepStats;
@@ -128,12 +128,18 @@ struct Inner {
     queue: VecDeque<u64>,
     next_worker: u64,
     next_lease: u64,
+    /// Set by [`LeaseTable::stop_waiting`]: no caller waits for a worker
+    /// any more.
+    stopped: bool,
 }
 
 /// The lease table: registered workers, queued and granted shards, and
 /// the counters the daemon stats line reports.
 pub struct LeaseTable {
     inner: Mutex<Inner>,
+    /// Signalled when a worker registers or waiting stops; see
+    /// [`LeaseTable::wait_for_worker`].
+    worker_arrived: Condvar,
     /// A worker silent for longer than this is declared dead and its
     /// in-flight lease re-queued.
     lease_ttl: Duration,
@@ -170,7 +176,9 @@ impl LeaseTable {
                 queue: VecDeque::new(),
                 next_worker: 0,
                 next_lease: 0,
+                stopped: false,
             }),
+            worker_arrived: Condvar::new(),
             lease_ttl,
             granted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -201,7 +209,29 @@ impl LeaseTable {
         inner.next_worker += 1;
         let id = inner.next_worker;
         inner.workers.insert(id, WorkerEntry { send, busy: None, deadline: now + self.lease_ttl });
+        self.worker_arrived.notify_all();
         id
+    }
+
+    /// Blocks while no worker is registered, and returns `true` once one
+    /// is, or `false` once [`LeaseTable::stop_waiting`] was called.  With
+    /// no worker there is nothing to expire and no lease to grant (every
+    /// call that removes the last worker falls its queue back), so the
+    /// periodic sweep waits here instead of ticking an empty table.
+    pub fn wait_for_worker(&self) -> bool {
+        let inner = self.inner.lock().expect("lease table lock");
+        let inner = self
+            .worker_arrived
+            .wait_while(inner, |inner| inner.workers.is_empty() && !inner.stopped)
+            .expect("lease table lock");
+        !inner.stopped
+    }
+
+    /// Makes every current and future [`LeaseTable::wait_for_worker`]
+    /// return `false`.
+    pub fn stop_waiting(&self) {
+        self.inner.lock().expect("lease table lock").stopped = true;
+        self.worker_arrived.notify_all();
     }
 
     /// Extends a worker's liveness deadline.  Unknown ids (a worker
@@ -805,6 +835,35 @@ mod tests {
         assert!(table.submit(task, now));
         assert!(matches!(outcomes.try_recv(), Ok(TaskOutcome::Fallback { .. })));
         assert_eq!(table.live_workers(), 0);
+    }
+
+    /// A waiter on an empty table stays blocked until a worker registers,
+    /// returns at once while one is registered, blocks again once the
+    /// last worker is gone, and is released by `stop_waiting`.
+    #[test]
+    fn waiting_for_a_worker_blocks_until_one_registers_or_waiting_stops() {
+        let table = Arc::new(LeaseTable::new(ttl()));
+        let waiter = |table: &Arc<LeaseTable>| {
+            let (tx, rx) = mpsc::channel();
+            let table = Arc::clone(table);
+            std::thread::spawn(move || tx.send(table.wait_for_worker()).unwrap());
+            rx
+        };
+        let quiet = Duration::from_millis(100);
+
+        let woken = waiter(&table);
+        assert!(woken.recv_timeout(quiet).is_err(), "no worker: the waiter must block");
+        let (sender, _frames) = channel_worker();
+        let worker = table.register(sender, Instant::now());
+        assert_eq!(woken.recv_timeout(ttl()), Ok(true), "register wakes the waiter");
+        assert_eq!(waiter(&table).recv_timeout(ttl()), Ok(true), "a registered worker");
+
+        table.worker_gone(worker, Instant::now());
+        let stopped = waiter(&table);
+        assert!(stopped.recv_timeout(quiet).is_err(), "the last worker left: block again");
+        table.stop_waiting();
+        assert_eq!(stopped.recv_timeout(ttl()), Ok(false), "stop_waiting releases the waiter");
+        assert_eq!(waiter(&table).recv_timeout(ttl()), Ok(false), "and every later one");
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! thread-invariance) is exactly what makes per-shard accumulators safe to
 //! cache across requests.  Module map:
 //!
-//! * [`wire`] — the line-delimited JSON protocol (hand-rolled, with
-//!   `ToWire`/`FromWire` traits shaped for an eventual swap to the real
-//!   serde; see `vendor/README.md`): every plain record gets its codec from
-//!   one `wire_record!` line, and only encodings that are not field by
+//! * [`wire`] — the line-delimited JSON protocol and the project's own
+//!   codec (the `ToWire`/`FromWire` traits): every plain record gets its
+//!   codec from one `wire_record!` line, and only encodings that are not field by
 //!   field (`Value`, `Frame`, `QueryResult`, …) are written by hand;
 //! * [`query`] — the wire-side fact of each `sweep::experiments::Query`
 //!   descriptor (its `QueryResult` variant) and [`fold_local`], the

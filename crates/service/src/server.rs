@@ -4,7 +4,9 @@
 //! Thread anatomy (one process):
 //!
 //! ```text
-//!   accept loop (main)  ──spawn──►  connection threads (1 per client)
+//!   accept loop (main)  ──spawn──►  connection threads (1 per client,
+//!        │                           at most MAX_CONNECTIONS; one more
+//!        │                           ⇒ queue-full error frame)
 //!        │                             │ parse line frames; cancel registry
 //!        │                             ▼
 //!        │                          job queue (bounded sync_channel;
@@ -137,6 +139,11 @@ impl ServeOptions {
     /// bounded `sync_channel`, which allocates every slot when it is
     /// created, so a huge capacity would cost its memory up front.
     pub const MAX_QUEUE_CAPACITY: usize = 4_096;
+    /// The most client and worker connections the daemon serves at once.
+    /// Each costs a thread from its first byte (before any `hello`), so
+    /// the accept loop answers one more with a `queue-full` error frame
+    /// and closes it.  Fixed, not an option.
+    pub const MAX_CONNECTIONS: usize = 128;
 
     /// Options with every hardening knob at its default: in-memory
     /// unbounded cache, default dispatcher count and queue bound.
@@ -499,17 +506,19 @@ impl Server {
             .collect();
 
         // The sweeper expires workers whose heartbeats stopped and grants
-        // re-queued shards once their backoff elapses.  During the
-        // shutdown drain the worker sessions exit and hand their leases
-        // back through `worker_gone`, so jobs finishing after the sweeper
-        // stops still fall back to local execution.
+        // re-queued shards once their backoff elapses.  While no worker is
+        // registered it sleeps until one registers, so an idle daemon
+        // makes no periodic wake-ups.  During the shutdown drain the
+        // worker sessions exit and hand their leases back through
+        // `worker_gone`, so jobs finishing after the sweeper stops still
+        // fall back to local execution.
         let sweeper = {
             let fleet = Arc::clone(&fleet);
             let shutdown = Arc::clone(&shutdown);
             let interval =
                 Duration::from_millis((self.lease_ttl.as_millis() as u64 / 4).clamp(10, 100));
             thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
+                while !shutdown.load(Ordering::Relaxed) && fleet.wait_for_worker() {
                     fleet.tick(Instant::now());
                     thread::sleep(interval);
                 }
@@ -551,10 +560,6 @@ impl Server {
 
         let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
         while !shutdown.load(Ordering::Relaxed) {
-            // Reap finished connection threads so the handle list stays
-            // bounded by the number of *live* connections, not by the
-            // daemon-lifetime total.
-            connections.retain(|handle| !handle.is_finished());
             match self.listener.accept() {
                 Ok(stream) => {
                     // A shutdown request wakes this blocked accept with a
@@ -562,6 +567,14 @@ impl Server {
                     // loop ends.
                     if shutdown.load(Ordering::Relaxed) {
                         break;
+                    }
+                    // Reap finished connection threads so the handle list
+                    // holds the *live* connections only, then refuse one
+                    // over the bound before it costs a thread.
+                    connections.retain(|handle| !handle.is_finished());
+                    if connections.len() >= ServeOptions::MAX_CONNECTIONS {
+                        refuse_connection(stream);
+                        continue;
                     }
                     let job_tx = job_tx.clone();
                     let registry = Arc::clone(&registry);
@@ -600,6 +613,7 @@ impl Server {
                 }
             }
         }
+        fleet.stop_waiting();
         drop(job_tx);
         for connection in connections {
             let _ = connection.join();
@@ -803,6 +817,16 @@ fn handle_connection(
             }
         }
     }
+}
+
+/// Answers a connection over [`ServeOptions::MAX_CONNECTIONS`] with one
+/// `queue-full` error frame and closes it.
+fn refuse_connection(stream: Stream) {
+    let message = format!(
+        "the daemon already serves {} connections; reconnect later",
+        ServeOptions::MAX_CONNECTIONS
+    );
+    FrameWriter::new(stream).send(&error_frame(None, ErrorKind::QueueFull, message));
 }
 
 /// An `error` frame about `job`, or about the connection when `None`.

@@ -5,36 +5,25 @@
 //! blocking reader can parse frames with nothing but `read_line`, and a
 //! human can drive the daemon with `nc -U`.  The crate's own peers read
 //! lines through the bounded frame reader in [`crate::net`], which hands
-//! each complete line to [`decode_line`].  The vendored `serde` stubs do
-//! not serialize (see `vendor/README.md`), so the codec here is hand
-//! rolled around a small JSON [`Value`] model and two traits:
+//! each complete line to [`decode_line`].  This codec is the project's one
+//! serializer: it is written around a small JSON [`Value`] model and two
+//! traits:
 //!
-//! * [`ToWire`] — renders a type into a [`Value`] (the analogue of
-//!   `serde::Serialize`);
-//! * [`FromWire`] — rebuilds a type from a [`Value`] (the analogue of
-//!   `serde::Deserialize`), rejecting missing fields, wrong types and
-//!   out-of-range numbers with a [`WireError`] instead of panicking.
+//! * [`ToWire`] — renders a type into a [`Value`];
+//! * [`FromWire`] — rebuilds a type from a [`Value`], rejecting missing
+//!   fields, wrong types and out-of-range numbers with a [`WireError`]
+//!   instead of panicking.
 //!
 //! Scalars, `String`, `Value`, [`QueryKind`], [`ErrorKind`], `Vec<T>`,
 //! `[T; N]` and `Option<T>` implement both traits.  A plain record — a JSON object of
 //! its fields under their own names — gets its pair from one
 //! `wire_record!` line listing the fields in wire order; an optional field
-//! is left out when `None` and read as `None` when absent.
-//!
-//! **Swapping in the real serde** (once the build environment has network
-//! access): `Value` is isomorphic to `serde_json::Value` with ordered
-//! object fields, and each `wire_record!` line maps to one
-//! `#[derive(Serialize, Deserialize)]` (plus `#[serde(tag = "type")]` for a
-//! tagged record and `skip_serializing_if = "Option::is_none"` on its
-//! optional fields).  What a swap would still write by hand is what is
-//! hand-written here, because its encoding is not field by field: the
-//! [`Value`] parser, the [`QueryKind`]/[`ErrorKind`] names, [`QueryResult`]
-//! (keyed by its query), [`Frame`] and its inline variants, the
-//! counter/gauge pairs of a [`MetricsSnapshot`], the tuple arrays of
-//! [`Thm3Acc`] and [`Fig4Acc`], and the flattened [`SweepStats`].
-//! [`encode_line`]/[`decode_line`] become `serde_json::to_string`/
-//! `from_str`; the on-wire format is designed to come out identical, so
-//! old clients keep working.
+//! is left out when `None` and read as `None` when absent.  What is written
+//! by hand is what is not encoded field by field: the [`Value`] parser, the
+//! [`QueryKind`]/[`ErrorKind`] names, [`QueryResult`] (keyed by its query),
+//! [`Frame`] and its inline variants, the counter/gauge pairs of a
+//! [`MetricsSnapshot`], the tuple arrays of [`Thm3Acc`] and [`Fig4Acc`], and
+//! the flattened [`SweepStats`].
 //!
 //! The frame grammar (the full lifecycle is diagrammed in
 //! `docs/ARCHITECTURE.md`):
@@ -127,8 +116,7 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Renders a type into a wire [`Value`] — the hand-rolled analogue of
-/// `serde::Serialize` (see the module docs for the swap path).
+/// Renders a type into a wire [`Value`].
 pub trait ToWire {
     /// Returns the wire representation of `self`.
     fn to_wire(&self) -> Value;
@@ -140,8 +128,7 @@ pub trait ToWire {
     }
 }
 
-/// Rebuilds a type from a wire [`Value`] — the hand-rolled analogue of
-/// `serde::Deserialize`.
+/// Rebuilds a type from a wire [`Value`].
 pub trait FromWire: Sized {
     /// Parses `value` into `Self`.
     ///

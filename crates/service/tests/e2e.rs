@@ -450,6 +450,67 @@ fn shutdown_is_not_blocked_by_idle_connections() {
     drop(idle);
 }
 
+/// The daemon serves at most `ServeOptions::MAX_CONNECTIONS` connections
+/// at once: one more gets a single `queue-full` error frame and is closed,
+/// while the sessions already open keep working, and a slot freed by a
+/// closed session is reused.
+#[test]
+fn a_connection_over_the_bound_is_refused_and_open_sessions_keep_working() {
+    let (endpoint, handle) = start_daemon("connection-bound", 1);
+    let mut open: Vec<RawConnection> =
+        (0..ServeOptions::MAX_CONNECTIONS).map(|_| RawConnection::connect(&endpoint)).collect();
+    // A round trip on the last one: every bounded slot has been accepted.
+    open.last_mut().unwrap().send(&Frame::Stats);
+    assert!(matches!(open.last_mut().unwrap().read_frame(), Frame::StatsResult(_)));
+
+    let mut excess = RawConnection::connect(&endpoint);
+    // Fail rather than hang if the daemon serves it instead.
+    excess.reader.get_ref().set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    match excess.read_frame() {
+        Frame::Error(error) => {
+            assert_eq!(error.kind, ErrorKind::QueueFull);
+            assert_eq!(error.job, None);
+        }
+        other => panic!("expected a queue-full error frame, got {other:?}"),
+    }
+    let mut rest = String::new();
+    assert_eq!(excess.reader.read_line(&mut rest).expect("read to EOF"), 0, "then EOF");
+
+    // An open session still runs a job to completion.
+    let first = &mut open[0];
+    first.send(&Frame::Job(small_scope_spec(41, 2, false)));
+    loop {
+        match first.read_frame() {
+            Frame::JobDone(done) => break assert_eq!(done.job, 41),
+            Frame::ShardDone(_) => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+
+    // Closing one session frees its slot once its thread has ended; the
+    // session that takes it shuts the daemon down.
+    drop(open.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut last = loop {
+        let mut retry = RawConnection::connect(&endpoint);
+        // A refused connection may already be closed: ignore a failed
+        // send and read the refusal.
+        let _ = retry.writer.write_all(encode_line(&Frame::Stats).as_bytes());
+        match retry.read_frame() {
+            Frame::StatsResult(_) => break retry,
+            Frame::Error(error) if error.kind == ErrorKind::QueueFull => {
+                assert!(Instant::now() < deadline, "the freed slot was never reused");
+                thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+    last.send(&Frame::Shutdown);
+    assert!(matches!(last.read_frame(), Frame::ShuttingDown));
+    drop(open);
+    handle.join().expect("daemon thread");
+}
+
 /// Graceful shutdown: the ack arrives, every thread joins, and the socket
 /// file is removed.
 #[test]

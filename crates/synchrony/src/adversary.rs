@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FailurePattern, InputVector, ModelError, ProcessId, SystemParams, Value};
 
 /// An adversary `α = (v⃗, F)`: the input vector and the failure pattern chosen
@@ -20,7 +18,7 @@ use crate::{FailurePattern, InputVector, ModelError, ProcessId, SystemParams, Va
 /// assert_eq!(adversary.num_failures(), 1);
 /// # Ok::<(), synchrony::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Adversary {
     inputs: InputVector,
     failures: FailurePattern,

@@ -18,13 +18,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ModelError, PidSet, ProcessId, Round, SystemParams, Time};
 
 /// The crash of a single process: its crashing round and the set of processes
 /// that still receive its final round of messages.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CrashFault {
     round: Round,
     delivered: PidSet,
@@ -66,7 +64,7 @@ impl CrashFault {
 /// assert!(!f.is_active_at(0, Time::new(1)));
 /// # Ok::<(), synchrony::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailurePattern {
     n: usize,
     faults: BTreeMap<ProcessId, CrashFault>,

@@ -2,10 +2,6 @@
 
 use std::fmt;
 
-use serde::de::{SeqAccess, Visitor};
-use serde::ser::SerializeSeq;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 /// Identifier of a process in a system of `n` processes.
 ///
 /// The paper numbers processes `1, …, n`; this crate uses zero-based indices
@@ -19,8 +15,7 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 /// assert_eq!(p.index(), 3);
 /// assert_eq!(p.to_string(), "p3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(u32);
 
 impl ProcessId {
@@ -360,40 +355,6 @@ impl fmt::Display for PidSet {
     }
 }
 
-impl Serialize for PidSet {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.len()))?;
-        for pid in self.iter() {
-            seq.serialize_element(&(pid.index() as u32))?;
-        }
-        seq.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for PidSet {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct PidSetVisitor;
-
-        impl<'de> Visitor<'de> for PidSetVisitor {
-            type Value = PidSet;
-
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a sequence of process indices")
-            }
-
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<PidSet, A::Error> {
-                let mut set = PidSet::new();
-                while let Some(idx) = seq.next_element::<u32>()? {
-                    set.insert(idx);
-                }
-                Ok(set)
-            }
-        }
-
-        deserializer.deserialize_seq(PidSetVisitor)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,17 +449,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_membership() {
+    fn collecting_the_iterated_indices_rebuilds_the_set() {
         let s: PidSet = [0usize, 5, 64].into_iter().collect();
-        let json = serde_json_like_roundtrip(&s);
-        assert_eq!(json, s);
-    }
-
-    /// Round-trips through serde's in-memory token representation using the
-    /// `serde_test`-free approach of serializing to a `Vec<u32>` manually.
-    fn serde_json_like_roundtrip(s: &PidSet) -> PidSet {
-        // Serialize to the natural external representation and rebuild.
         let indices: Vec<u32> = s.iter().map(|p| p.index() as u32).collect();
-        indices.into_iter().collect()
+        assert_eq!(indices.into_iter().collect::<PidSet>(), s);
     }
 }

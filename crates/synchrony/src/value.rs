@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An initial or decision value.
 ///
 /// ```
@@ -18,10 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(v.is_low(3));
 /// assert!(!v.is_low(2));
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(u64);
 
 impl Value {
@@ -96,7 +91,7 @@ impl fmt::Display for Value {
 /// assert_eq!(vals.min(), Some(Value::new(1)));
 /// assert_eq!(vals.lows(2).len(), 1);
 /// ```
-#[derive(Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct ValueSet {
     /// Strictly increasing.
     values: Vec<Value>,

@@ -10,8 +10,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Node, PidSet, Run, SeenLayers, Time, Value};
 
 /// The view `G_α(i, m)` of an observer node, extracted from a [`Run`].
@@ -30,7 +28,7 @@ use crate::{Node, PidSet, Run, SeenLayers, Time, Value};
 /// assert_eq!(view.initial_value(2), Some(synchrony::Value::new(2)));
 /// # Ok::<(), synchrony::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct View {
     node: Node,
     seen: SeenLayers,

@@ -19,12 +19,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PidSet, ProcessId, Round, Run, Time, Value, ValueSet};
 
 /// A single report carried by a wire message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireReport {
     /// "Process `origin` started with initial value `value`."
     Value {
@@ -44,7 +42,7 @@ pub enum WireReport {
 
 /// A message of the efficient protocol: a possibly empty batch of reports.
 /// An empty batch is the *I'm alive* message.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireMessage {
     reports: Vec<WireReport>,
 }
@@ -81,7 +79,7 @@ impl WireMessage {
 }
 
 /// Aggregate traffic statistics of a [`WireRun`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireStats {
     n: usize,
     /// `bits[i][j]`: total bits sent by `i` to `j` over the whole run.
@@ -133,7 +131,7 @@ impl WireStats {
 }
 
 /// Per-process knowledge snapshot of the efficient protocol at some time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct WireKnowledge {
     /// `values[j] = Some(v)` iff the initial value of `j` is known to be `v`.
     values: Vec<Option<Value>>,
@@ -149,7 +147,7 @@ impl WireKnowledge {
 }
 
 /// A simulation of the Appendix E protocol under the adversary of a [`Run`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireRun {
     n: usize,
     horizon: Time,

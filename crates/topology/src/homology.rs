@@ -8,13 +8,11 @@
 //! dimension `q`.  Over GF(2) these reduce to rank computations on boundary
 //! matrices, which is what this module implements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Simplex, SimplicialComplex};
 
 /// The reduced GF(2) Betti numbers `β̃_0, β̃_1, …` of a complex, up to the
 /// complex's dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BettiNumbers {
     reduced: Vec<usize>,
 }

@@ -10,20 +10,17 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use synchrony::{Adversary, ModelError, Node, ProcessId, Run, SystemParams, Time, View};
 
 use crate::{homology, Simplex, SimplicialComplex};
 
 /// The `m`-round protocol complex of the full-information protocol over a
 /// given set of adversaries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolComplex {
     time: Time,
     complex: SimplicialComplex,
     labels: Vec<(ProcessId, View)>,
-    #[serde(skip)]
     index: HashMap<(ProcessId, View), usize>,
 }
 

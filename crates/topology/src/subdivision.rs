@@ -5,13 +5,11 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Simplex, SimplicialComplex};
 
 /// A vertex of a subdivision: either an original vertex of the base simplex,
 /// or a new vertex identified with the face it subdivides.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DivVertex {
     /// An original vertex of the base simplex.
     Original(usize),
@@ -54,7 +52,7 @@ impl fmt::Display for DivVertex {
 /// identifiers; [`Subdivision::carrier`] recovers the face of the base
 /// simplex that carries each identifier, which is what Sperner colorings are
 /// defined against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Subdivision {
     base: Simplex,
     complex: SimplicialComplex,

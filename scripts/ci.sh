@@ -22,11 +22,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
-cargo clippy --workspace --all-targets -- -D warnings
-cargo test --workspace -q
+# `--locked` on the root-workspace builds: a root Cargo.lock that no longer
+# matches the manifests fails CI instead of being rewritten silently.
+cargo clippy --locked --workspace --all-targets -- -D warnings
+cargo test --locked --workspace -q
 # Doc tests again in isolation (fast; makes a doctest-only breakage obvious)
 # and warning-free API docs.
-cargo test --workspace --doc -q
+cargo test --locked --workspace --doc -q
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # --- Benchmark smoke --------------------------------------------------------
@@ -44,7 +46,7 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml -- --test
 # (the server process exits by itself — no orphaned workers — and removes its
 # socket file).  Binaries are run directly (not via `cargo run`) so the
 # server and client never contend for the cargo target-dir lock.
-cargo build -q -p bench_harness --bin sweep
+cargo build --locked -q -p bench_harness --bin sweep
 SMOKE_DIR="$(mktemp -d)"
 SMOKE_SOCK="$SMOKE_DIR/serve.sock"
 # A failing assertion below must not orphan the background daemon (the
@@ -204,9 +206,10 @@ echo "ci.sh: restart smoke passed (persisted cache replayed 100% after restart)"
 # same job re-run with an empty fleet (pure local execution), and the
 # empty-fleet run reports zero live workers.  Shard caching is off on both
 # submits so the second run really re-executes every shard locally.  The
-# scope is (4,2,1): 1,552 scenarios after the symmetry reduction, enough
-# that the job is still running when the SIGKILL lands ((4,1,1) has only
-# 144, and a job that ends first re-queues nothing).
+# scope is (4,2,2): 7,857 scenarios after the symmetry reduction, enough
+# that the job is still running when the SIGKILL lands.  (4,2,1) has 1,552,
+# which a debug build folds in about 25 ms, and in about one run of ten the
+# job ended before the kill and re-queued nothing.
 FLEET_SOCK="$SMOKE_DIR/fleet.sock"
 start_daemon "$FLEET_SOCK" "$SMOKE_DIR/fleet-serve.log" --workers 1 --lease-ttl-ms 2000
 target/debug/sweep worker --connect "$FLEET_SOCK" 2>"$SMOKE_DIR/worker-1.log" &
@@ -214,7 +217,7 @@ WORKER1_PID=$!
 target/debug/sweep worker --connect "$FLEET_SOCK" 2>"$SMOKE_DIR/worker-2.log" &
 WORKER2_PID=$!
 wait_registered "$SMOKE_DIR/worker-1.log" "$SMOKE_DIR/worker-2.log"
-target/debug/sweep submit --socket "$FLEET_SOCK" thm1 --scope 4,2,1 --shards 12 \
+target/debug/sweep submit --socket "$FLEET_SOCK" thm1 --scope 4,2,2 --shards 12 \
     --no-shard-cache >"$SMOKE_DIR/fleet.txt" 2>"$SMOKE_DIR/fleet.log" &
 SUBMIT_PID=$!
 for _ in $(seq 1 500); do
@@ -231,7 +234,7 @@ wait "$WORKER1_PID" 2>/dev/null || true
 wait "$WORKER2_PID" 2>/dev/null || true
 WORKER1_PID=""
 WORKER2_PID=""
-target/debug/sweep submit --socket "$FLEET_SOCK" thm1 --scope 4,2,1 --shards 12 \
+target/debug/sweep submit --socket "$FLEET_SOCK" thm1 --scope 4,2,2 --shards 12 \
     --no-shard-cache >"$SMOKE_DIR/local.txt" 2>"$SMOKE_DIR/local.log"
 diff "$SMOKE_DIR/fleet.txt" "$SMOKE_DIR/local.txt"
 grep -q "fleet: 0 workers" "$SMOKE_DIR/local.log"

@@ -11,51 +11,74 @@ use set_consensus::{
 use synchrony::{Node, Run, SystemParams, Time, Value, View};
 
 /// Fig. 1: a hidden path forces the observer of `Opt0` to wait, while the
-/// chain endpoint (which received the hidden 0) decides immediately.
+/// chain endpoint (which received the hidden 0) decides immediately.  For
+/// every chain length, the path is still hidden from the observer at time
+/// `chain_len`, and the observer decides one round later, once it collapses.
 #[test]
 fn fig1_hidden_path_delays_opt0() {
-    let chain_len = 3usize;
-    let n = chain_len + 3;
-    let adversary = scenarios::hidden_path(n, chain_len).unwrap();
-    let params =
-        TaskParams::with_max_value(SystemParams::new(n, chain_len).unwrap(), 1, 1).unwrap();
-    let (run, transcript) = execute(&Opt0, &params, adversary).unwrap();
-    let observer = n - 1;
-    assert!(transcript.decision_time(observer).unwrap() >= Time::new(chain_len as u32));
-    assert_eq!(transcript.decision_value(chain_len), Some(Value::new(0)));
-    assert!(check::check(&run, &transcript, &params, TaskVariant::Nonuniform).is_empty());
+    for chain_len in 1..=6usize {
+        let n = chain_len + 3;
+        let adversary = scenarios::hidden_path(n, chain_len).unwrap();
+        let params =
+            TaskParams::with_max_value(SystemParams::new(n, chain_len).unwrap(), 1, 1).unwrap();
+        let (run, transcript) = execute(&Opt0, &params, adversary).unwrap();
+        let observer = n - 1;
+        let chain_end = Time::new(chain_len as u32);
+        let analysis = ViewAnalysis::new(&run, Node::new(observer, chain_end)).unwrap();
+        assert!(analysis.has_hidden_path(), "chain {chain_len}");
+        assert_eq!(transcript.decision_time(observer), Some(chain_end + 1), "chain {chain_len}");
+        assert_eq!(transcript.decision_time(chain_len), Some(chain_end), "chain {chain_len}");
+        assert_eq!(transcript.decision_value(chain_len), Some(Value::new(0)));
+        assert!(check::check(&run, &transcript, &params, TaskVariant::Nonuniform).is_empty());
+    }
 }
 
-/// Fig. 2 + Lemma 2: the hidden-capacity chains admit an indistinguishable
-/// witness run carrying arbitrary low values, and `Optmin[k]` keeps the
-/// observer undecided while its hidden capacity is `k`.
+/// Fig. 2 + Lemma 2: the observer of the hidden-capacity chains has hidden
+/// capacity exactly `k`, the chains admit an indistinguishable witness run in
+/// which every chain node holds its chain's low value, and `Optmin[k]` keeps
+/// the observer undecided while its hidden capacity is `k`.
 #[test]
 fn fig2_hidden_capacity_blocks_optmin_and_admits_witness_runs() {
-    let k = 3usize;
-    let depth = 2usize;
-    let scenario = scenarios::hidden_capacity_chains(k * (depth + 1) + 3, k, depth).unwrap();
-    let t = scenario.adversary.num_failures();
-    let system = SystemParams::new(scenario.adversary.n(), t).unwrap();
-    let params = TaskParams::new(system, k).unwrap();
-    let run =
-        Run::generate(system, scenario.adversary.clone(), Time::new(depth as u32 + 2)).unwrap();
-    let transcript = execute_on_run(&Optmin, &params, &run).unwrap();
-    // The observer cannot decide while its hidden capacity is at least k.
-    assert!(transcript.decision_time(scenario.observer).unwrap() > Time::new(depth as u32));
-    assert!(check::check(&run, &transcript, &params, TaskVariant::Nonuniform).is_empty());
+    for k in 2..=4usize {
+        for depth in 1..=3usize {
+            let scenario =
+                scenarios::hidden_capacity_chains(k * (depth + 1) + 3, k, depth).unwrap();
+            let t = scenario.adversary.num_failures();
+            let system = SystemParams::new(scenario.adversary.n(), t).unwrap();
+            let params = TaskParams::new(system, k).unwrap();
+            let run =
+                Run::generate(system, scenario.adversary.clone(), Time::new(depth as u32 + 2))
+                    .unwrap();
+            let observer = Node::new(scenario.observer, Time::new(depth as u32));
+            let capacity = ViewAnalysis::new(&run, observer).unwrap().hidden_capacity();
+            assert_eq!(capacity, k, "k={k}, depth={depth}");
+            let transcript = execute_on_run(&Optmin, &params, &run).unwrap();
+            // The observer cannot decide while its hidden capacity is at least k.
+            assert!(transcript.decision_time(scenario.observer).unwrap() > observer.time);
+            assert!(check::check(&run, &transcript, &params, TaskVariant::Nonuniform).is_empty());
 
-    // Lemma 2 witness run: indistinguishable to the observer.
-    let observer = Node::new(scenario.observer, Time::new(depth as u32));
-    let values: Vec<Value> = (0..k as u64).map(Value::new).collect();
-    let (witness, witness_run) = lemma2::witness_run(&run, observer, &values).unwrap();
-    assert!(View::extract(&run, observer)
-        .indistinguishable_from(&View::extract(&witness_run, observer)));
-    assert_eq!(witness.chains.len(), k);
+            // Lemma 2 witness run: indistinguishable to the observer, with one
+            // chain per value, each carrying its value along every layer.
+            let values: Vec<Value> = (0..k as u64).map(Value::new).collect();
+            let (witness, witness_run) = lemma2::witness_run(&run, observer, &values).unwrap();
+            assert!(View::extract(&run, observer)
+                .indistinguishable_from(&View::extract(&witness_run, observer)));
+            assert_eq!(witness.chains.len(), k);
+            for (b, chain) in witness.chains.iter().enumerate() {
+                for (layer, &member) in chain.iter().enumerate() {
+                    let node = Node::new(member, Time::new(layer as u32));
+                    let analysis = ViewAnalysis::new(&witness_run, node).unwrap();
+                    assert!(analysis.vals().contains(values[b]), "k={k}, depth={depth}, {node}");
+                }
+            }
+        }
+    }
 }
 
-/// Fig. 3 / Lemma 1: in the witness run, the hidden chain endpoints decide all
-/// `k` low values under `Optmin[k]`, so no high decision is possible at the
-/// observer's time.
+/// Fig. 3 / Lemma 1: in the witness run, each hidden chain endpoint is low
+/// with a unique low value and decides it under `Optmin[k]` at the observer's
+/// time, so all `k` low values are decided and the observer, still
+/// undecided, has no high decision left.
 #[test]
 fn fig3_lemma1_low_values_are_all_decided_in_the_witness_run() {
     let k = 3usize;
@@ -70,11 +93,17 @@ fn fig3_lemma1_low_values_are_all_decided_in_the_witness_run() {
     let values: Vec<Value> = (0..k as u64).map(Value::new).collect();
     let (witness, witness_run) = lemma2::witness_run(&run, observer, &values).unwrap();
     let transcript = execute_on_run(&Optmin, &params, &witness_run).unwrap();
+    assert!(transcript.decision_time(observer.process).is_none_or(|time| time > observer.time));
     let mut decided_lows = std::collections::BTreeSet::new();
     for (b, chain) in witness.chains.iter().enumerate() {
         let endpoint = chain[depth];
+        let lows =
+            ViewAnalysis::new(&witness_run, Node::new(endpoint, observer.time)).unwrap().lows(k);
+        assert_eq!(lows.len(), 1, "chain {b} endpoint has one low value");
+        assert_eq!(lows.min(), Some(values[b]), "chain {b} endpoint's low value");
         let decision = transcript.decision_value(endpoint).unwrap();
         assert_eq!(decision, values[b], "chain {b} endpoint decides its hidden low value");
+        assert_eq!(transcript.decision_time(endpoint), Some(observer.time));
         decided_lows.insert(decision);
     }
     assert_eq!(decided_lows.len(), k, "all k low values are decided by hidden processes");

@@ -70,7 +70,7 @@ fn one_round_protocol_complex_is_connected() {
 }
 
 /// Sperner's lemma on the paper's subdivision, for every k up to 5 and many
-/// random Sperner colorings.
+/// random Sperner colorings; each `Div σ` is also `(k − 1)`-connected.
 #[test]
 fn sperner_lemma_on_the_paper_subdivision() {
     use rand::rngs::StdRng;
@@ -79,7 +79,8 @@ fn sperner_lemma_on_the_paper_subdivision() {
     for k in 1..=5usize {
         let sub = Subdivision::paper_div(&Simplex::new(0..=k));
         assert!(sub.is_structurally_valid());
-        for _ in 0..25 {
+        assert!(homology::is_q_connected(sub.complex(), k - 1), "k = {k}");
+        for _ in 0..200 {
             let coloring = sperner::Coloring::from_rule(&sub, |id| {
                 let carrier: Vec<usize> = sub.carrier(id).vertices().collect();
                 carrier[rng.random_range(0..carrier.len())]

@@ -31,6 +31,35 @@ fn wire_implementation_supports_the_protocols() {
     }
 }
 
+/// Lemma 6 as `n` grows: over seeded random runs of `t / k + 2` rounds with
+/// `t = n / 2`, the worst per-pair traffic stays within a constant multiple of
+/// `n log₂ n` bits, and the wire knowledge always matches the fip.
+#[test]
+fn wire_traffic_per_pair_stays_within_n_log_n() {
+    for n in [4usize, 8, 16, 32] {
+        let (t, k) = (n / 2, 2usize);
+        let rounds = (t / k + 2) as u32;
+        let system = SystemParams::new(n, t).unwrap();
+        let mut generator = RandomAdversaries::new(
+            RandomConfig {
+                max_crash_round: rounds - 1,
+                crash_probability: 0.6,
+                ..RandomConfig::new(n, t, k)
+            },
+            99,
+        );
+        let mut worst_bits = 0u64;
+        for _ in 0..20 {
+            let run = Run::generate(system, generator.next_adversary(), Time::new(rounds)).unwrap();
+            let wire = WireRun::simulate(&run);
+            assert!(wire.matches_full_information(&run), "n = {n}");
+            worst_bits = worst_bits.max(wire.stats().max_pair_bits());
+        }
+        let constant = worst_bits as f64 / (n as f64 * (n as f64).log2());
+        assert!(constant <= 6.0, "n = {n}: {worst_bits} bits is {constant:.2} n log2 n");
+    }
+}
+
 /// The Fig. 4 family keeps working at larger scale (the example's default and
 /// beyond): correct processes decide at time 2 under u-Pmin[k] for t up to 40.
 #[test]
