@@ -6,7 +6,8 @@
 //! through one `FrameWriter`; no other code touches socket lines.  A
 //! line longer than [`MAX_FRAME_BYTES`] is refused before it is decoded,
 //! so a peer that never sends a newline cannot grow a reader's buffer
-//! without bound.
+//! without bound, and a reader given a first-frame deadline refuses a
+//! peer that completes no frame by then, however slowly it trickles bytes.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -15,7 +16,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::wire::{decode_stream_line, encode_line, Frame};
 use crate::ServiceError;
@@ -246,7 +247,7 @@ impl Write for Stream {
 
 /// Reads line frames off the read half of a connection.
 pub(crate) struct FrameReader<'a> {
-    reader: BufReader<Stream>,
+    reader: BufReader<DeadlineStream>,
     /// The line assembled so far; a read timeout leaves a partial line
     /// here for the next read to finish.
     line: Vec<u8>,
@@ -254,11 +255,43 @@ pub(crate) struct FrameReader<'a> {
     shutdown: Option<&'a AtomicBool>,
 }
 
+/// A stream whose reads fail with `TimedOut` once its deadline has
+/// passed, checked before every read of the socket.
+struct DeadlineStream {
+    stream: Stream,
+    deadline: Option<Instant>,
+}
+
+impl DeadlineStream {
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|deadline| Instant::now() >= deadline)
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.expired() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.read(buf)
+    }
+}
+
 impl<'a> FrameReader<'a> {
     /// A reader over `stream`.  With a `shutdown` flag, a read timeout set
     /// on the stream makes the reader re-check the flag instead of failing.
     pub(crate) fn new(stream: Stream, shutdown: Option<&'a AtomicBool>) -> Self {
+        let stream = DeadlineStream { stream, deadline: None };
         FrameReader { reader: BufReader::new(stream), line: Vec::new(), shutdown }
+    }
+
+    /// The same reader, refusing the peer with a [`ServiceError::Protocol`]
+    /// error unless its first frame is complete within `limit` from now.
+    /// The deadline is checked before each socket read and on each read
+    /// timeout, so a stream read timeout bounds how late it is noticed.
+    pub(crate) fn with_first_frame_deadline(mut self, limit: Duration) -> Self {
+        self.reader.get_mut().deadline = Some(Instant::now() + limit);
+        self
     }
 
     /// Reads the next frame, skipping blank lines and retired frame types
@@ -270,20 +303,25 @@ impl<'a> FrameReader<'a> {
     ///
     /// [`ServiceError::Wire`] for a line that does not decode (the reader
     /// stays usable), [`ServiceError::Protocol`] for a line longer than
-    /// [`MAX_FRAME_BYTES`] or not UTF-8, and [`ServiceError::Io`] for a
-    /// failed read.  After a `Protocol` or `Io` error the caller closes
-    /// the connection: an over-long line cannot be skipped.
+    /// [`MAX_FRAME_BYTES`] or not UTF-8, or for a first frame not complete
+    /// by the first-frame deadline, and [`ServiceError::Io`] for a failed
+    /// read.  After a `Protocol` or `Io` error the caller closes the
+    /// connection: an over-long line cannot be skipped.
     pub(crate) fn read_frame(&mut self) -> Result<Option<Frame>, ServiceError> {
         loop {
             let budget = (MAX_FRAME_BYTES + 1 - self.line.len()) as u64;
             if let Err(error) = (&mut self.reader).take(budget).read_until(b'\n', &mut self.line) {
-                match (error.kind(), self.shutdown) {
-                    (io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut, Some(flag)) => {
-                        if flag.load(Ordering::Relaxed) {
-                            return Ok(None);
-                        }
-                        continue;
+                let timed_out =
+                    matches!(error.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut);
+                match self.shutdown {
+                    Some(flag) if timed_out && flag.load(Ordering::Relaxed) => return Ok(None),
+                    _ if timed_out && self.reader.get_ref().expired() => {
+                        self.line.clear();
+                        return Err(ServiceError::Protocol(
+                            "no complete frame before the first-frame deadline".into(),
+                        ));
                     }
+                    Some(_) if timed_out => continue,
                     _ => return Err(ServiceError::io("reading a frame", error)),
                 }
             }
@@ -303,6 +341,10 @@ impl<'a> FrameReader<'a> {
             self.line.clear();
             match decoded {
                 Ok(None) if terminated => continue,
+                Ok(Some(frame)) => {
+                    self.reader.get_mut().deadline = None;
+                    return Ok(Some(frame));
+                }
                 frame => return frame,
             }
         }
@@ -406,5 +448,40 @@ mod tests {
         shutdown.store(false, Ordering::Relaxed);
         tx.write_all(b"\"stats\"}\n").expect("write");
         assert!(matches!(reader.read_frame(), Ok(Some(Frame::Stats))));
+    }
+
+    #[test]
+    fn a_first_frame_deadline_refuses_a_trickling_peer_and_lifts_after_one_frame() {
+        let (mut tx, rx) = UnixStream::pair().expect("socket pair");
+        rx.set_read_timeout(Some(Duration::from_millis(10))).expect("read timeout");
+        let shutdown = AtomicBool::new(false);
+        let limit = Duration::from_millis(150);
+        // A peer that keeps sending bytes but never a whole line is cut
+        // off at the deadline all the same.
+        let mut reader =
+            FrameReader::new(Stream::Unix(rx), Some(&shutdown)).with_first_frame_deadline(limit);
+        let writer = std::thread::spawn(move || {
+            for _ in 0..40 {
+                if tx.write_all(b" ").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        let start = Instant::now();
+        assert!(matches!(reader.read_frame(), Err(ServiceError::Protocol(_))));
+        assert!(start.elapsed() >= limit && start.elapsed() < Duration::from_secs(5));
+        writer.join().expect("writer thread");
+
+        // A first frame in time lifts the deadline for good.
+        let (mut tx, rx) = UnixStream::pair().expect("socket pair");
+        rx.set_read_timeout(Some(Duration::from_millis(10))).expect("read timeout");
+        let mut reader =
+            FrameReader::new(Stream::Unix(rx), Some(&shutdown)).with_first_frame_deadline(limit);
+        tx.write_all(b"{\"type\":\"stats\"}\n").expect("write");
+        assert!(matches!(reader.read_frame(), Ok(Some(Frame::Stats))));
+        std::thread::sleep(limit * 2);
+        tx.write_all(b"{\"type\":\"shutdown\"}\n").expect("write");
+        assert!(matches!(reader.read_frame(), Ok(Some(Frame::Shutdown))));
     }
 }

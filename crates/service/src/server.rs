@@ -6,7 +6,8 @@
 //! ```text
 //!   accept loop (main)  ──spawn──►  connection threads (1 per client,
 //!        │                           at most MAX_CONNECTIONS; one more
-//!        │                           ⇒ queue-full error frame)
+//!        │                           ⇒ queue-full error frame; no first
+//!        │                           frame by FIRST_FRAME_DEADLINE ⇒ closed)
 //!        │                             │ parse line frames; cancel registry
 //!        │                             ▼
 //!        │                          job queue (bounded sync_channel;
@@ -144,6 +145,13 @@ impl ServeOptions {
     /// the accept loop answers one more with a `queue-full` error frame
     /// and closes it.  Fixed, not an option.
     pub const MAX_CONNECTIONS: usize = 128;
+    /// How long a new connection may take to complete its first frame.
+    /// Past it the daemon answers with a `protocol` error frame and closes
+    /// the connection, so clients that connect and never speak cannot hold
+    /// every [`ServeOptions::MAX_CONNECTIONS`] slot (and lock out
+    /// `shutdown`).  Real clients and workers send their first frame as
+    /// soon as they connect.  Fixed, not an option.
+    pub const FIRST_FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
     /// Options with every hardening knob at its default: in-memory
     /// unbounded cache, default dispatcher count and queue bound.
@@ -696,7 +704,8 @@ fn handle_connection(
         return;
     }
     let reply = FrameWriter::new(write_half);
-    let mut reader = FrameReader::new(stream, Some(shutdown));
+    let mut reader = FrameReader::new(stream, Some(shutdown))
+        .with_first_frame_deadline(ServeOptions::FIRST_FRAME_DEADLINE);
     loop {
         let frame = match reader.read_frame() {
             Ok(Some(frame)) => frame,

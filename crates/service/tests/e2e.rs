@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 
 use service::net::{Stream, MAX_FRAME_BYTES};
 use service::wire::{self, encode_line, ErrorKind, Frame, QueryResult};
-use service::{client, Endpoint, JobSpec, QueryKind, ScopeSpec, ServeOptions, Server};
+use service::{
+    client, Endpoint, JobSpec, QueryKind, ScopeSpec, ServeOptions, Server, ServiceError,
+};
 use sweep::experiments::{self, Thm1Reducer};
 use sweep::{sweep_with_stats, SweepConfig};
 
@@ -459,9 +461,12 @@ fn a_connection_over_the_bound_is_refused_and_open_sessions_keep_working() {
     let (endpoint, handle) = start_daemon("connection-bound", 1);
     let mut open: Vec<RawConnection> =
         (0..ServeOptions::MAX_CONNECTIONS).map(|_| RawConnection::connect(&endpoint)).collect();
-    // A round trip on the last one: every bounded slot has been accepted.
-    open.last_mut().unwrap().send(&Frame::Stats);
-    assert!(matches!(open.last_mut().unwrap().read_frame(), Frame::StatsResult(_)));
+    // A round trip on each: every bounded slot has been accepted, and each
+    // session has completed its first frame, so none is closed as idle.
+    for session in &mut open {
+        session.send(&Frame::Stats);
+        assert!(matches!(session.read_frame(), Frame::StatsResult(_)));
+    }
 
     let mut excess = RawConnection::connect(&endpoint);
     // Fail rather than hang if the daemon serves it instead.
@@ -509,6 +514,52 @@ fn a_connection_over_the_bound_is_refused_and_open_sessions_keep_working() {
     assert!(matches!(last.read_frame(), Frame::ShuttingDown));
     drop(open);
     handle.join().expect("daemon thread");
+}
+
+/// Connections that never complete a first frame are closed once
+/// `ServeOptions::FIRST_FRAME_DEADLINE` passes, so a full house of idle
+/// clients locks `shutdown` out only until then.
+#[test]
+fn idle_connections_are_closed_at_the_first_frame_deadline() {
+    let (endpoint, handle) = start_daemon("idle-deadline", 1);
+    let start = Instant::now();
+    let mut idle: Vec<RawConnection> =
+        (0..ServeOptions::MAX_CONNECTIONS).map(|_| RawConnection::connect(&endpoint)).collect();
+
+    // While they hold every slot, a shutdown request is refused ...
+    let early = client::shutdown(&endpoint);
+    if start.elapsed() < ServeOptions::FIRST_FRAME_DEADLINE {
+        assert!(
+            matches!(early, Err(ServiceError::Remote { kind: ErrorKind::QueueFull, .. })),
+            "every slot is held, so shutdown must be refused: {early:?}"
+        );
+    }
+
+    // ... and each idle connection gets a protocol error frame, then EOF.
+    for connection in &mut idle {
+        // Fail rather than hang if the daemon never closes it.
+        let patience = ServeOptions::FIRST_FRAME_DEADLINE + Duration::from_secs(10);
+        connection.reader.get_ref().set_read_timeout(Some(patience)).unwrap();
+        match connection.read_frame() {
+            Frame::Error(error) => {
+                assert_eq!(error.kind, ErrorKind::Protocol);
+                assert_eq!(error.job, None);
+            }
+            other => panic!("expected a protocol error frame, got {other:?}"),
+        }
+        let mut rest = String::new();
+        assert_eq!(connection.reader.read_line(&mut rest).expect("read to EOF"), 0, "then EOF");
+    }
+    assert!(start.elapsed() >= ServeOptions::FIRST_FRAME_DEADLINE);
+
+    // The freed slots take a shutdown request once their threads have ended.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while let Err(error) = client::shutdown(&endpoint) {
+        assert!(Instant::now() < deadline, "shutdown still refused: {error}");
+        thread::sleep(Duration::from_millis(20));
+    }
+    handle.join().expect("daemon thread");
+    drop(idle);
 }
 
 /// Graceful shutdown: the ack arrives, every thread joins, and the socket

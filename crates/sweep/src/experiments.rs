@@ -1169,6 +1169,40 @@ mod tests {
         }
     }
 
+    /// The whole Proposition 2 report, pinned value for value: the
+    /// exhaustive `k = 1` rows and the targeted `k = 2` star, sequential and
+    /// at 2 threads over 7 shards.
+    #[test]
+    fn the_proposition_two_report_is_pinned() {
+        let row = |n, t, states, with_capacity, connected| Prop2ExhaustiveRow {
+            n,
+            t,
+            states,
+            with_capacity,
+            connected,
+            counterexamples: 0,
+        };
+        let expected = Prop2Report {
+            exhaustive: vec![row(3, 1, 48, 24, 24), row(4, 2, 208, 144, 144)],
+            targeted: Prop2Targeted {
+                hidden_capacity: 2,
+                executions: 576,
+                star_states: 33,
+                star_facets: 100,
+                star_betti: vec![0, 0, 0],
+                star_connected: true,
+                link_betti: vec![0, 69],
+                link_connected: true,
+            },
+        };
+        for config in [
+            SweepConfig::sequential(),
+            SweepConfig { shards: 7, threads: 2, ..SweepConfig::sequential() },
+        ] {
+            assert_eq!(prop2(&config).unwrap(), expected, "{config:?}");
+        }
+    }
+
     #[test]
     fn every_library_reducer_obeys_the_weight_law() {
         assert_weight_law("Count", &Count, &[3, 0, 5]);

@@ -102,6 +102,45 @@ impl View {
         self == other
     }
 
+    /// Writes an exact word encoding of `node`'s view in `run` into `words`
+    /// (cleared first), without materializing the view: two nodes get
+    /// equal encodings exactly when their `View`s are equal.  The words are `n`, the node, the length-prefixed pattern
+    /// words of [`ViewKey`] (each seen layer, then the heard-from set of
+    /// each seen node at a positive time), and last the initial values of
+    /// the seen time-0 nodes in increasing process order — a count fixed by
+    /// the time-0 layer before them.  Reusing one buffer makes interning
+    /// many views allocation-free except for the views kept.
+    ///
+    /// ```
+    /// use synchrony::{Adversary, InputVector, Node, Run, SystemParams, Time, View};
+    ///
+    /// let params = SystemParams::new(3, 1)?;
+    /// let run = |inputs: [u64; 3]| {
+    ///     Run::generate(params, Adversary::failure_free(InputVector::from_values(inputs))?,
+    ///         Time::new(1))
+    /// };
+    /// let (a, b) = (run([0, 1, 2])?, run([0, 1, 1])?);
+    /// let node = Node::new(0, Time::new(1));
+    /// let (mut x, mut y) = (Vec::new(), Vec::new());
+    /// View::encode(&a, node, &mut x);
+    /// View::encode(&b, node, &mut y);
+    /// // Unlike the pattern keys, the encodings see the differing input.
+    /// assert_ne!(x, y);
+    /// # Ok::<(), synchrony::ModelError>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node lies beyond the run's horizon or its process is out
+    /// of range.
+    pub fn encode(run: &Run, node: Node, words: &mut Vec<u64>) {
+        words.clear();
+        words.extend([run.n() as u64, node.process.index() as u64, u64::from(node.time.value())]);
+        let seen = run.seen(node.process, node.time);
+        push_pattern_words(words, run, seen);
+        words.extend(seen.layer(Time::ZERO).iter().map(|p| run.initial_value(p).get()));
+    }
+
     /// Returns the canonical *pattern* key of this view under failure bound
     /// `t` — the input-value-free identity used by cross-adversary caches.
     /// See [`ViewKey`] for the equivalence it induces.
@@ -181,21 +220,29 @@ impl ViewKey {
     pub fn from_run(run: &Run, node: Node) -> Self {
         let seen = run.seen(node.process, node.time);
         let mut words = Vec::with_capacity(2 * seen.num_layers());
-        for (time, layer) in seen.iter() {
-            push_set_words(&mut words, layer);
-            if time == Time::ZERO {
-                continue;
-            }
-            for p in layer.iter() {
-                push_set_words(&mut words, run.heard_from(p, time));
-            }
-        }
+        push_pattern_words(&mut words, run, seen);
         ViewKey { n: run.n() as u32, t: run.t() as u32, node, words: words.into_boxed_slice() }
     }
 
     /// Returns the observer node the key describes.
     pub fn node(&self) -> Node {
         self.node
+    }
+}
+
+/// Appends the pattern words of the view whose seen layers are `seen`: for
+/// every layer time `ℓ`, the seen set at `ℓ`, followed (for `ℓ ≥ 1`) by the
+/// heard-from set of each seen node at `ℓ` in increasing process order, each
+/// set length-prefixed.
+fn push_pattern_words(words: &mut Vec<u64>, run: &Run, seen: &SeenLayers) {
+    for (time, layer) in seen.iter() {
+        push_set_words(words, layer);
+        if time == Time::ZERO {
+            continue;
+        }
+        for p in layer.iter() {
+            push_set_words(words, run.heard_from(p, time));
+        }
     }
 }
 
@@ -382,6 +429,54 @@ mod tests {
                 assert_eq!(view.canonical_key(2), ViewKey::from_run(&run, node));
             }
         }
+    }
+
+    #[test]
+    fn encodings_are_equal_exactly_when_views_are_equal() {
+        use std::collections::HashMap;
+
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Seeded runs over few inputs and crash shapes, so that many nodes of
+        // different runs share a view and many nearly do.
+        let (n, t, horizon) = (4, 2, 3u32);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut encoding_of: HashMap<View, Vec<u64>> = HashMap::new();
+        let mut view_of: HashMap<Vec<u64>, View> = HashMap::new();
+        let mut words = Vec::new();
+        for _ in 0..300 {
+            let inputs: Vec<u64> = (0..n).map(|_| rng.random_range(0..2u64)).collect();
+            let mut crashes: Vec<(usize, u32, Vec<usize>)> = Vec::new();
+            for p in 0..t {
+                if rng.random_bool(0.6) {
+                    let round = rng.random_range(1..=horizon);
+                    crashes.push((p, round, (0..n).filter(|_| rng.random_bool(0.5)).collect()));
+                }
+            }
+            let run = run_with(
+                n,
+                t,
+                &inputs,
+                |f| {
+                    for (p, round, delivered) in crashes {
+                        f.crash(p, round, delivered).unwrap();
+                    }
+                },
+                horizon,
+            );
+            for m in 0..=horizon {
+                for i in 0..n {
+                    let node = Node::new(i, Time::new(m));
+                    View::encode(&run, node, &mut words);
+                    let view = View::extract(&run, node);
+                    let kept = encoding_of.entry(view.clone()).or_insert_with(|| words.clone());
+                    assert_eq!(*kept, words, "one view, two encodings");
+                    assert_eq!(*view_of.entry(words.clone()).or_insert(view.clone()), view);
+                }
+            }
+        }
+        assert!(view_of.len() > 500, "only {} distinct views", view_of.len());
     }
 
     #[test]

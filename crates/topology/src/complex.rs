@@ -1,6 +1,6 @@
 //! Abstract simplicial complexes.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 use crate::Simplex;
@@ -8,9 +8,12 @@ use crate::Simplex;
 /// An abstract simplicial complex: a finite collection of simplices closed
 /// under taking faces.
 ///
-/// The complex stores every simplex explicitly (not just the facets), which
-/// keeps face queries and boundary-matrix construction simple; the complexes
-/// arising in this reproduction are small.
+/// The complex stores every simplex explicitly (not just the facets), in one
+/// ordered set of flat [`Simplex`] values, which keeps face queries and
+/// boundary-matrix construction simple: the simplices of each dimension come
+/// out in lexicographic order, so homology can index them by binary search.
+/// Every constructor keeps the set closed under taking faces, which is what
+/// lets [`SimplicialComplex::facets`] find the maximal simplices in one pass.
 ///
 /// ```
 /// use topology::{Simplex, SimplicialComplex};
@@ -45,12 +48,15 @@ impl SimplicialComplex {
 
     /// Adds a simplex and all of its faces.  Returns `true` if the simplex was
     /// not already present.
+    ///
+    /// A face already in the complex has all of its own faces there too, so
+    /// the closure descends only through the boundary faces that are new.
     pub fn add(&mut self, simplex: Simplex) -> bool {
         if self.simplices.contains(&simplex) {
             return false;
         }
-        for face in simplex.faces() {
-            self.simplices.insert(face);
+        for face in simplex.boundary() {
+            self.add(face);
         }
         self.simplices.insert(simplex)
     }
@@ -93,10 +99,13 @@ impl SimplicialComplex {
 
     /// Iterates over the facets: the simplices that are maximal under
     /// inclusion.
+    ///
+    /// Because the complex is closed under faces, a simplex lies in a larger
+    /// one exactly when it is a boundary face of a simplex one dimension up,
+    /// so one pass over every simplex's boundary finds the non-facets.
     pub fn facets(&self) -> impl Iterator<Item = &Simplex> {
-        self.simplices
-            .iter()
-            .filter(move |s| !self.simplices.iter().any(|other| other != *s && s.is_face_of(other)))
+        let covered: HashSet<Simplex> = self.simplices.iter().flat_map(Simplex::boundary).collect();
+        self.simplices.iter().filter(move |s| !covered.contains(*s))
     }
 
     /// Returns `true` if all facets have the same dimension.
@@ -185,6 +194,24 @@ impl fmt::Display for SimplicialComplex {
     }
 }
 
+/// A seeded random complex for the tests: the closure of up to twelve random
+/// simplices of one to five vertices drawn from nine, some of them faces or
+/// duplicates of others.
+#[cfg(test)]
+pub(crate) fn random_complex(seed: u64) -> SimplicialComplex {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let generators = rng.random_range(1..=12usize);
+    (0..generators)
+        .map(|_| {
+            let size = rng.random_range(1..=5usize);
+            Simplex::new((0..size).map(|_| rng.random_range(0..9usize)))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,11 +228,14 @@ mod tests {
     #[test]
     fn adding_a_simplex_adds_all_faces() {
         let mut complex = SimplicialComplex::new();
-        complex.add(Simplex::new([0, 1, 2]));
+        assert!(complex.add(Simplex::new([0, 1, 2])), "a new simplex returns true");
         assert_eq!(complex.len(), 7);
         assert!(complex.contains(&Simplex::vertex(1)));
         assert!(complex.contains(&Simplex::new([0, 2])));
         assert!(!complex.add(Simplex::new([0, 1, 2])), "re-adding returns false");
+        assert!(!complex.add(Simplex::new([1, 2])), "adding a present face returns false");
+        assert!(complex.add(Simplex::new([1, 2, 3])));
+        assert_eq!(complex.len(), 7 + 4);
     }
 
     #[test]
@@ -217,6 +247,18 @@ mod tests {
         assert!(complex.is_pure());
         complex.add(Simplex::vertex(9));
         assert!(!complex.is_pure());
+    }
+
+    #[test]
+    fn one_pass_facets_match_the_pairwise_definition() {
+        for seed in 0..40 {
+            let complex = random_complex(seed);
+            let pairwise: Vec<&Simplex> = complex
+                .simplices()
+                .filter(|s| !complex.simplices().any(|other| other != *s && s.is_face_of(other)))
+                .collect();
+            assert_eq!(complex.facets().collect::<Vec<_>>(), pairwise, "seed {seed}");
+        }
     }
 
     #[test]

@@ -92,14 +92,24 @@ impl Gf2Matrix {
 /// For the empty complex all reduced Betti numbers are zero by convention
 /// (the paper never evaluates connectivity of an empty subcomplex).
 pub fn betti_numbers(complex: &SimplicialComplex) -> BettiNumbers {
-    let Some(dimension) = complex.dimension() else {
-        return BettiNumbers { reduced: Vec::new() };
-    };
+    match complex.dimension() {
+        Some(dimension) => reduced_betti_up_to(complex, dimension),
+        None => BettiNumbers { reduced: Vec::new() },
+    }
+}
 
-    // Index the simplices of each dimension.
-    let mut by_dim: Vec<Vec<&Simplex>> = vec![Vec::new(); dimension + 1];
+/// Computes `β̃_0 … β̃_top` of a non-empty complex, for `top` at most its
+/// dimension.  `β̃_d = n_d − rank ∂_d − rank ∂_{d+1}` needs the boundary maps
+/// up to `∂_{top+1}` only, so no simplex above dimension `top + 1` is indexed
+/// and no higher matrix is reduced.
+fn reduced_betti_up_to(complex: &SimplicialComplex, top: usize) -> BettiNumbers {
+    // Index the simplices of each dimension up to top + 1.  The complex
+    // yields them in lexicographic order, so each list is sorted.
+    let mut by_dim: Vec<Vec<&Simplex>> = vec![Vec::new(); top + 2];
     for simplex in complex.simplices() {
-        by_dim[simplex.dimension()].push(simplex);
+        if let Some(list) = by_dim.get_mut(simplex.dimension()) {
+            list.push(simplex);
+        }
     }
     let index_of = |dim: usize, simplex: &Simplex| -> usize {
         by_dim[dim]
@@ -107,21 +117,20 @@ pub fn betti_numbers(complex: &SimplicialComplex) -> BettiNumbers {
             .expect("faces of stored simplices are stored")
     };
 
-    // rank of ∂_d for d = 0..=dimension+1, where ∂_0 is the augmentation map
+    // rank of ∂_d for d = 0..=top+1, where ∂_0 is the augmentation map
     // (every vertex maps to the single generator of GF(2)).
-    let mut ranks = vec![0usize; dimension + 2];
+    let mut ranks = vec![0usize; top + 2];
     // Augmentation: a 1 × n_0 matrix of ones has rank 1 whenever n_0 > 0.
     ranks[0] = usize::from(!by_dim[0].is_empty());
-    for d in 1..=dimension {
+    for d in 1..=top + 1 {
         let mut matrix = Gf2Matrix::new(by_dim[d - 1].len());
         for simplex in &by_dim[d] {
             matrix.add_column(simplex.boundary().map(|face| index_of(d - 1, &face)));
         }
         ranks[d] = matrix.rank();
     }
-    ranks[dimension + 1] = 0;
 
-    let reduced = (0..=dimension).map(|d| by_dim[d].len() - ranks[d] - ranks[d + 1]).collect();
+    let reduced = (0..=top).map(|d| by_dim[d].len() - ranks[d] - ranks[d + 1]).collect();
     BettiNumbers { reduced }
 }
 
@@ -137,8 +146,15 @@ pub fn connected_components(complex: &SimplicialComplex) -> usize {
 /// Returns `true` if the complex is non-empty and its reduced homology
 /// vanishes up to dimension `q` — the computational proxy for
 /// `q`-connectivity.
+///
+/// Only the boundary maps `∂_1 … ∂_{q+1}` are reduced: for `q = 0` (path
+/// connectivity) that is the single vertex–edge matrix, however high the
+/// complex's dimension.
 pub fn is_q_connected(complex: &SimplicialComplex, q: usize) -> bool {
-    !complex.is_empty() && betti_numbers(complex).is_connected_up_to(q)
+    match complex.dimension() {
+        Some(dimension) => reduced_betti_up_to(complex, q.min(dimension)).is_connected_up_to(q),
+        None => false,
+    }
 }
 
 #[cfg(test)]
@@ -214,6 +230,25 @@ mod tests {
                 .map(|(d, &b)| if d % 2 == 0 { b as i64 } else { -(b as i64) })
                 .sum();
             assert_eq!(complex.euler_characteristic(), 1 + alternating);
+        }
+    }
+
+    #[test]
+    fn truncated_connectivity_matches_the_full_betti_numbers() {
+        let complexes = (0..60)
+            .map(crate::complex::random_complex)
+            .chain((0..4).map(sphere))
+            .chain([full(0..5), SimplicialComplex::new()]);
+        for (case, complex) in complexes.enumerate() {
+            let betti = betti_numbers(&complex);
+            for q in 0..=3 {
+                assert_eq!(
+                    is_q_connected(&complex, q),
+                    !complex.is_empty() && betti.is_connected_up_to(q),
+                    "case {case}, q = {q}, betti {:?}",
+                    betti.all()
+                );
+            }
         }
     }
 

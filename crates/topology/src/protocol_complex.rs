@@ -6,11 +6,22 @@
 //! at time `m` in that execution.  The *star* `St(⟨i,m⟩, P_m)` of a state is
 //! the subcomplex of executions indistinguishable to that state — the object
 //! the paper's Proposition 2 relates to hidden capacity.
+//!
+//! Three representation choices keep the build and the star checks cheap:
+//!
+//! * a state is interned by one exact word encoding of its view
+//!   ([`View::encode`]), read straight off the run, so no [`View`] is
+//!   materialized;
+//! * every vertex keeps the distinct run facets that contain it, and its star
+//!   is the closure of those facets alone — equal to the closed star of the
+//!   whole complex, because the complex is the closure of the run facets;
+//! * the build re-targets one run buffer with [`Run::regenerate`], so
+//!   adversaries that share a failure pattern are simulated once.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use synchrony::{Adversary, ModelError, Node, ProcessId, Run, SystemParams, Time, View};
+use synchrony::{Adversary, ModelError, Node, Run, SystemParams, Time, View};
 
 use crate::{homology, Simplex, SimplicialComplex};
 
@@ -20,8 +31,13 @@ use crate::{homology, Simplex, SimplicialComplex};
 pub struct ProtocolComplex {
     time: Time,
     complex: SimplicialComplex,
-    labels: Vec<(ProcessId, View)>,
-    index: HashMap<(ProcessId, View), usize>,
+    /// The state encodings (see [`View::encode`]) and their vertex ids.
+    index: HashMap<Box<[u64]>, usize>,
+    /// The distinct run facets, in the order the build met them.
+    run_facets: Vec<Simplex>,
+    /// For each vertex, the indices into `run_facets` of the facets that
+    /// contain it, increasing.
+    incidence: Vec<Vec<usize>>,
 }
 
 impl ProtocolComplex {
@@ -37,34 +53,53 @@ impl ProtocolComplex {
         adversaries: &[Adversary],
         time: Time,
     ) -> Result<Self, ModelError> {
-        let mut labels: Vec<(ProcessId, View)> = Vec::new();
-        let mut index: HashMap<(ProcessId, View), usize> = HashMap::new();
-        let mut complex = SimplicialComplex::new();
-        for adversary in adversaries {
-            let run = Run::generate(system, adversary.clone(), time)?;
-            let mut facet = Vec::new();
+        let mut pc = ProtocolComplex {
+            time,
+            complex: SimplicialComplex::new(),
+            index: HashMap::new(),
+            run_facets: Vec::new(),
+            incidence: Vec::new(),
+        };
+        let Some(first) = adversaries.first() else { return Ok(pc) };
+        let mut run = Run::generate(system, first.clone(), time)?;
+        let mut key = Vec::new();
+        let mut facet = Vec::new();
+        for (position, adversary) in adversaries.iter().enumerate() {
+            if position > 0 {
+                run.regenerate(system, adversary, time)?;
+            }
+            facet.clear();
             for i in 0..run.n() {
                 if !run.is_active(i, time) {
                     continue;
                 }
-                let view = View::extract(&run, Node::new(i, time));
-                let key = (ProcessId::new(i), view);
-                let id = match index.get(&key) {
+                View::encode(&run, Node::new(i, time), &mut key);
+                let id = match pc.index.get(key.as_slice()) {
                     Some(&id) => id,
                     None => {
-                        let id = labels.len();
-                        labels.push(key.clone());
-                        index.insert(key, id);
+                        let id = pc.incidence.len();
+                        pc.incidence.push(Vec::new());
+                        pc.index.insert(key.as_slice().into(), id);
                         id
                     }
                 };
                 facet.push(id);
             }
-            if !facet.is_empty() {
-                complex.add(Simplex::new(facet));
+            if facet.is_empty() {
+                continue;
+            }
+            let simplex = Simplex::new(facet.iter().copied());
+            // A run facet already in the complex is a face of an earlier run
+            // facet, whose closure already covers it in every star.
+            if pc.complex.add(simplex.clone()) {
+                let f = pc.run_facets.len();
+                for v in simplex.vertices() {
+                    pc.incidence[v].push(f);
+                }
+                pc.run_facets.push(simplex);
             }
         }
-        Ok(ProtocolComplex { time, complex, labels, index })
+        Ok(pc)
     }
 
     /// Returns the time of the protocol complex.
@@ -79,30 +114,36 @@ impl ProtocolComplex {
 
     /// Returns the number of distinct local states (vertices).
     pub fn num_states(&self) -> usize {
-        self.labels.len()
+        self.incidence.len()
     }
 
-    /// Returns the number of executions contributing facets.
+    /// Returns the number of facets: the maximal simplices, i.e. the
+    /// distinct execution facets that lie in no other one.
     pub fn num_facets(&self) -> usize {
         self.complex.facets().count()
     }
 
-    /// Returns the label `(process, view)` of a vertex.
-    pub fn label(&self, id: usize) -> &(ProcessId, View) {
-        &self.labels[id]
-    }
-
     /// Returns the vertex identifier of the local state of `node` in `run`,
     /// if that state occurs in the complex.
+    ///
+    /// States are keyed by [`View::encode`], an exact word encoding of the
+    /// view `G_α(i, m)`: two nodes get the same id exactly when their
+    /// [`View`]s are equal.
     pub fn state_id(&self, run: &Run, node: Node) -> Option<usize> {
-        let view = View::extract(run, node);
-        self.index.get(&(node.process, view)).copied()
+        let mut key = Vec::new();
+        View::encode(run, node, &mut key);
+        self.index.get(key.as_slice()).copied()
     }
 
     /// Returns the star complex `St(v, P_m)` of the vertex `id`: every facet
-    /// containing the vertex, together with all faces.
+    /// containing the vertex, together with all faces.  It is the closure of
+    /// the run facets through the vertex, not a scan of the whole complex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a vertex of the complex.
     pub fn star(&self, id: usize) -> SimplicialComplex {
-        self.complex.star(id)
+        self.incidence[id].iter().map(|&f| self.run_facets[f].clone()).collect()
     }
 
     /// Returns `true` if the star complex of the vertex is `q`-connected in
@@ -126,8 +167,11 @@ impl fmt::Display for ProtocolComplex {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::hash_map::Entry;
+
     use super::*;
-    use synchrony::{FailurePattern, InputVector};
+    use adversary::enumerate::{self, EnumerationConfig};
+    use synchrony::{FailurePattern, InputVector, ProcessId};
 
     /// All adversaries over `n` processes with binary inputs and at most one
     /// crash, occurring in round 1 with an arbitrary delivery subset.
@@ -226,5 +270,74 @@ mod tests {
         let adversary = Adversary::new(InputVector::from_values([0, 1, 1]), failures).unwrap();
         let run = Run::generate(system, adversary, Time::new(1)).unwrap();
         assert!(pc.state_id(&run, Node::new(2, Time::new(1))).is_none());
+    }
+
+    /// The adversaries and system of `sweep prop2`'s exhaustive `(n, t)` rows.
+    fn prop2_scope(n: usize, t: usize) -> (SystemParams, Vec<Adversary>) {
+        let scope =
+            EnumerationConfig { n, t, max_value: 1, max_crash_round: 1, partial_delivery: true };
+        (SystemParams::new(n, t).unwrap(), enumerate::adversaries(&scope).unwrap())
+    }
+
+    #[test]
+    fn stars_from_facet_incidence_equal_the_closed_stars_of_the_complex() {
+        for (n, t) in [(3, 1), (4, 2)] {
+            let (system, adversaries) = prop2_scope(n, t);
+            let pc = ProtocolComplex::build(system, &adversaries, Time::new(1)).unwrap();
+            for id in 0..pc.num_states() {
+                assert_eq!(pc.star(id), pc.complex().star(id), "({n},{t}) vertex {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn state_ids_are_equal_exactly_when_views_are_equal() {
+        for (n, t) in [(3, 1), (4, 2)] {
+            let (system, adversaries) = prop2_scope(n, t);
+            let time = Time::new(1);
+            let pc = ProtocolComplex::build(system, &adversaries, time).unwrap();
+            let mut id_of_view: HashMap<View, usize> = HashMap::new();
+            let mut view_of_id: HashMap<usize, View> = HashMap::new();
+            for adversary in &adversaries {
+                let run = Run::generate(system, adversary.clone(), time).unwrap();
+                for i in (0..n).filter(|&i| run.is_active(i, time)) {
+                    let node = Node::new(i, time);
+                    let id = pc.state_id(&run, node).expect("every active state is a vertex");
+                    let view = View::extract(&run, node);
+                    assert_eq!(*id_of_view.entry(view.clone()).or_insert(id), id, "({n},{t})");
+                    assert_eq!(*view_of_id.entry(id).or_insert(view.clone()), view, "({n},{t})");
+                }
+            }
+            assert_eq!(view_of_id.len(), pc.num_states(), "({n},{t}): every vertex is met");
+        }
+    }
+
+    #[test]
+    fn the_reusing_build_equals_a_generate_per_adversary_build() {
+        for (n, t) in [(3, 1), (4, 2)] {
+            let (system, adversaries) = prop2_scope(n, t);
+            let time = Time::new(1);
+            let pc = ProtocolComplex::build(system, &adversaries, time).unwrap();
+            // The view-keyed build: one fresh run per adversary, states
+            // numbered in order of first appearance.
+            let mut index: HashMap<(ProcessId, View), usize> = HashMap::new();
+            let mut complex = SimplicialComplex::new();
+            for adversary in &adversaries {
+                let run = Run::generate(system, adversary.clone(), time).unwrap();
+                let mut facet = Vec::new();
+                for i in (0..n).filter(|&i| run.is_active(i, time)) {
+                    let next = index.len();
+                    let key = (ProcessId::new(i), View::extract(&run, Node::new(i, time)));
+                    facet.push(match index.entry(key) {
+                        Entry::Occupied(entry) => *entry.get(),
+                        Entry::Vacant(entry) => *entry.insert(next),
+                    });
+                }
+                complex.add(Simplex::new(facet));
+            }
+            assert_eq!(pc.num_states(), index.len(), "({n},{t})");
+            assert_eq!(*pc.complex(), complex, "({n},{t})");
+            assert_eq!(pc.num_facets(), complex.facets().count(), "({n},{t})");
+        }
     }
 }

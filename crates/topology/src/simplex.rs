@@ -1,12 +1,17 @@
 //! Abstract simplices over integer vertex identifiers.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// An abstract simplex: a finite, non-empty set of vertex identifiers.
 ///
 /// The dimension of a simplex is one less than its cardinality; a vertex is a
 /// 0-simplex, an edge a 1-simplex, and so on.
+///
+/// The vertices are stored flat, as a sorted vector without duplicates, so a
+/// simplex is one allocation and its faces are built by copying slices.  The
+/// derived `Ord` compares the sorted vertex lists lexicographically (the same
+/// order a `BTreeSet<usize>` would give), which fixes the iteration order of
+/// every [`SimplicialComplex`](crate::SimplicialComplex).
 ///
 /// ```
 /// use topology::Simplex;
@@ -17,7 +22,8 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Simplex {
-    vertices: BTreeSet<usize>,
+    /// Strictly increasing vertex identifiers; never empty.
+    vertices: Vec<usize>,
 }
 
 impl Simplex {
@@ -28,14 +34,16 @@ impl Simplex {
     /// Panics if the vertex set is empty; the empty simplex is not
     /// representable.
     pub fn new(vertices: impl IntoIterator<Item = usize>) -> Self {
-        let vertices: BTreeSet<usize> = vertices.into_iter().collect();
+        let mut vertices: Vec<usize> = vertices.into_iter().collect();
+        vertices.sort_unstable();
+        vertices.dedup();
         assert!(!vertices.is_empty(), "a simplex has at least one vertex");
         Simplex { vertices }
     }
 
     /// Creates the 0-simplex `{vertex}`.
     pub fn vertex(vertex: usize) -> Self {
-        Simplex::new([vertex])
+        Simplex { vertices: vec![vertex] }
     }
 
     /// Returns the dimension (cardinality minus one).
@@ -56,7 +64,7 @@ impl Simplex {
 
     /// Returns `true` if `vertex` belongs to the simplex.
     pub fn contains(&self, vertex: usize) -> bool {
-        self.vertices.contains(&vertex)
+        self.vertices.binary_search(&vertex).is_ok()
     }
 
     /// Iterates over the vertices in increasing order.
@@ -66,51 +74,57 @@ impl Simplex {
 
     /// Returns `true` if `self` is a (not necessarily proper) face of `other`.
     pub fn is_face_of(&self, other: &Simplex) -> bool {
-        self.vertices.is_subset(&other.vertices)
+        let mut others = other.vertices.iter();
+        self.vertices.iter().all(|v| others.any(|o| o == v))
     }
 
     /// Returns the face obtained by removing `vertex`, or `None` if the
     /// simplex is a single vertex or does not contain it.
     pub fn without(&self, vertex: usize) -> Option<Simplex> {
-        if !self.contains(vertex) || self.len() == 1 {
-            return None;
-        }
-        let vertices: BTreeSet<usize> =
-            self.vertices.iter().copied().filter(|&v| v != vertex).collect();
-        Some(Simplex { vertices })
+        let position = self.vertices.binary_search(&vertex).ok()?;
+        (self.len() > 1).then(|| self.without_position(position))
+    }
+
+    /// Returns the face obtained by removing the vertex at `position` (of a
+    /// simplex with at least two vertices).
+    fn without_position(&self, position: usize) -> Simplex {
+        let mut vertices = Vec::with_capacity(self.len() - 1);
+        vertices.extend_from_slice(&self.vertices[..position]);
+        vertices.extend_from_slice(&self.vertices[position + 1..]);
+        Simplex { vertices }
     }
 
     /// Returns the simplex extended by `vertex`.
     pub fn with(&self, vertex: usize) -> Simplex {
         let mut vertices = self.vertices.clone();
-        vertices.insert(vertex);
+        if let Err(position) = vertices.binary_search(&vertex) {
+            vertices.insert(position, vertex);
+        }
         Simplex { vertices }
     }
 
     /// Iterates over all non-empty faces, including the simplex itself.
     pub fn faces(&self) -> impl Iterator<Item = Simplex> + '_ {
-        let vertices: Vec<usize> = self.vertices.iter().copied().collect();
-        let count = 1usize << vertices.len();
-        (1..count).map(move |mask| {
-            Simplex::new(
-                vertices
-                    .iter()
-                    .enumerate()
-                    .filter(|(bit, _)| mask & (1 << bit) != 0)
-                    .map(|(_, &v)| v),
-            )
+        let count = 1usize << self.len();
+        (1..count).map(move |mask| Simplex {
+            vertices: (0..self.len())
+                .filter(|bit| mask & (1 << bit) != 0)
+                .map(|bit| self.vertices[bit])
+                .collect(),
         })
     }
 
-    /// Iterates over the codimension-1 faces (the boundary facets).
+    /// Iterates over the codimension-1 faces (the boundary facets), in
+    /// increasing order of the removed vertex.
     pub fn boundary(&self) -> impl Iterator<Item = Simplex> + '_ {
-        self.vertices.iter().copied().filter_map(|v| self.without(v))
+        let faces = if self.len() > 1 { self.len() } else { 0 };
+        (0..faces).map(|position| self.without_position(position))
     }
 
     /// Returns the union of the two vertex sets (the join of disjoint
     /// simplices, or simply the combined simplex otherwise).
     pub fn union(&self, other: &Simplex) -> Simplex {
-        Simplex { vertices: self.vertices.union(&other.vertices).copied().collect() }
+        Simplex::new(self.vertices().chain(other.vertices()))
     }
 }
 

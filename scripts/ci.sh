@@ -7,7 +7,7 @@
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + bounds smoke (oversized counts exit 2)
-#                           #   + determinism smoke (fig4, thm1, thm3 across threads)
+#                           #   + determinism smoke (fig4, thm1, thm3, prop2 across threads)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + query-parity smoke (one-shot ≡ submit)
@@ -137,7 +137,8 @@ echo "ci.sh: bounds smoke passed (oversized thread and queue counts are usage er
 # a count that cuts no built-in scope evenly, and thm3 (a random source)
 # sequentially versus two threads over seven shards: the sharding decides
 # which patterns follow each other through a runner's per-node analysis
-# slots, so a stale slot would show here.
+# slots, so a stale slot would show here.  prop2 (a protocol-complex build
+# beside a sharded per-run scan) is diffed the same way as thm3.
 target/debug/sweep fig4 --threads 1 >"$SMOKE_DIR/fig4-seq.txt" 2>/dev/null
 target/debug/sweep fig4 --threads 4 --shards 8 >"$SMOKE_DIR/fig4-par.txt" 2>/dev/null
 diff "$SMOKE_DIR/fig4-seq.txt" "$SMOKE_DIR/fig4-par.txt"
@@ -147,7 +148,10 @@ diff "$SMOKE_DIR/thm1-seq.txt" "$SMOKE_DIR/thm1-par.txt"
 target/debug/sweep thm3 --threads 1 >"$SMOKE_DIR/thm3-seq.txt" 2>/dev/null
 target/debug/sweep thm3 --threads 2 --shards 7 >"$SMOKE_DIR/thm3-par.txt" 2>/dev/null
 diff "$SMOKE_DIR/thm3-seq.txt" "$SMOKE_DIR/thm3-par.txt"
-echo "ci.sh: determinism smoke passed (fig4, thm1 and thm3 identical across parallelism)"
+target/debug/sweep prop2 --threads 1 >"$SMOKE_DIR/prop2-seq.txt" 2>/dev/null
+target/debug/sweep prop2 --threads 2 --shards 7 >"$SMOKE_DIR/prop2-par.txt" 2>/dev/null
+diff "$SMOKE_DIR/prop2-seq.txt" "$SMOKE_DIR/prop2-par.txt"
+echo "ci.sh: determinism smoke passed (fig4, thm1, thm3 and prop2 identical across parallelism)"
 
 # --- Omission smoke ---------------------------------------------------------
 # The omission pattern space end to end.  One-shot: `sweep omission` prints
