@@ -7,7 +7,8 @@ use crate::check::CheckScratch;
 use crate::{Decision, DecisionContext, Protocol, TaskParams, TaskVariant, Transcript};
 
 /// Executes `protocol` on the (already simulated) communication structure of
-/// `run`, producing the decision transcript.
+/// `run`, producing the decision transcript.  The run must be simulated
+/// through its horizon, as [`Run::generate`] leaves it.
 ///
 /// At every time `m = 0, 1, …` up to the run's horizon, every process that is
 /// still active and undecided is offered the chance to decide based on its
@@ -59,12 +60,14 @@ pub fn execute(
 /// Communication-structure simulation counters of a [`BatchRunner`].
 ///
 /// `simulated + reused` is the total number of runs the runner prepared; a
-/// *reused* run skipped the `O(horizon² · n²)` full-information simulation
-/// because its failure pattern (and parameters and horizon) matched the
-/// previous run's — see [`synchrony::StructureReuse`].
+/// *reused* run kept the rows already simulated — up to `O(horizon² · n²)`
+/// layer unions of `⌈n/64⌉` words each — because its failure pattern (and
+/// parameters and horizon) matched the previous run's — see
+/// [`synchrony::StructureReuse`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunReuseStats {
-    /// Runs whose communication structure was simulated from scratch.
+    /// Runs whose communication structure was started afresh; its rows
+    /// are simulated as far as the batch reads them.
     pub simulated: u64,
     /// Runs that reused the previous communication structure outright.
     pub reused: u64,
@@ -115,11 +118,18 @@ pub type NodeObserver<'a> =
 /// those allocations the dominant cost, so a `BatchRunner` keeps them alive
 /// across the runs of a batch:
 ///
-/// * the simulated [`Run`] is rebuilt **in place** via [`Run::regenerate`];
-///   when consecutive adversaries share a failure pattern (the
-///   structure-major order of exhaustive sweeps), the simulation is skipped
-///   outright and only the input overlay is swapped — counted in
-///   [`BatchRunner::run_stats`];
+/// * the simulated [`Run`] is re-targeted **in place** via
+///   [`Run::retarget`]; when consecutive adversaries share a failure
+///   pattern (the structure-major order of exhaustive sweeps), the rows
+///   already simulated are kept and only the input overlay is swapped —
+///   counted in [`BatchRunner::run_stats`];
+/// * rows are simulated **on demand**: a plain batch
+///   ([`BatchRunner::execute_batch`]) extends the run just before the
+///   first node it analyzes at each time, so an early-deciding protocol
+///   never pays for the rows after its last decision, and the run it
+///   returns is simulated only through the last time it analyzed (its
+///   [`Run::frontier`]); an observed batch and [`BatchRunner::simulate`]
+///   simulate through the horizon;
 /// * the per-protocol decision buffers (and the [`Transcript`]s wrapping
 ///   them, including their protocol-name strings) are reused across runs;
 /// * each node's knowledge analysis is computed **once per run** and shared
@@ -127,8 +137,10 @@ pub type NodeObserver<'a> =
 /// * the runner keeps **one analysis per node slot** `(m, i)` for its whole
 ///   lifetime and refills it in its own buffers: after a re-simulation a
 ///   node's first analysis is a full in-place
-///   [`ViewAnalysis::recompute`]; while the structure is reused, only the
-///   value-dependent fields are refreshed
+///   [`ViewAnalysis::recompute`], which takes `HC⟨i, m − 1⟩` from the slot
+///   of `⟨i, m − 1⟩`; while the structure is reused — and at every time-0
+///   node of a run with the same `(n, t)`, which sees only itself — only
+///   the value-dependent fields are refreshed
 ///   ([`ViewAnalysis::refresh_values`]) — counted in
 ///   [`BatchRunner::analysis_stats`];
 /// * a [`CheckScratch`] rides along for the specification checks, so job
@@ -183,31 +195,53 @@ struct AnalysisSlot {
 impl AnalysisSlot {
     /// Returns the slot's analysis of `node` in `run`, whose structure is
     /// generation `generation`: refreshed in place when the slot already
-    /// holds this structure's analysis of the node, recomputed in place
-    /// otherwise.
+    /// holds this structure's analysis of the node — or the node's time-0
+    /// analysis in a system of the same `(n, t)`, since `⟨i, 0⟩` sees only
+    /// itself in every run — and recomputed in place otherwise, from
+    /// `prev_capacity` = `HC⟨i, m − 1⟩`.
     fn analyze(
         &mut self,
         run: &Run,
         node: Node,
         generation: u64,
+        prev_capacity: Option<usize>,
         stats: &mut CacheStats,
     ) -> Result<&ViewAnalysis, ModelError> {
         match &mut self.analysis {
-            Some(analysis) if self.generation == generation => {
+            Some(analysis)
+                if self.generation == generation
+                    || (node.time == Time::ZERO
+                        && analysis.node() == node
+                        && analysis.n() == run.n()
+                        && analysis.t() == run.t()) =>
+            {
                 analysis.refresh_values(run);
                 stats.hits += 1;
             }
             Some(analysis) => {
-                analysis.recompute(run, node)?;
+                analysis.recompute(run, node, prev_capacity)?;
                 stats.misses += 1;
             }
             None => {
-                self.analysis = Some(ViewAnalysis::new(run, node)?);
+                // A fresh slot starts from the process's time-0 analysis,
+                // which costs `O(n / 64)`, and is recomputed in place like
+                // any other: that spares `ViewAnalysis::new`'s walk over
+                // the previous node's layers.
+                let fresh = ViewAnalysis::new(run, Node::new(node.process, Time::ZERO))?;
+                self.analysis.insert(fresh).recompute(run, node, prev_capacity)?;
                 stats.misses += 1;
             }
         }
         self.generation = generation;
         Ok(self.analysis.as_ref().expect("the slot was just filled"))
+    }
+
+    /// Returns `HC` of the slot's node, which the batch analyzed under
+    /// structure generation `generation`.
+    fn hidden_capacity(&self, node: Node, generation: u64) -> usize {
+        let analysis = self.analysis.as_ref().expect("the batch analyzed this node");
+        debug_assert!(self.generation == generation && analysis.node() == node);
+        analysis.hidden_capacity()
     }
 }
 
@@ -312,7 +346,11 @@ impl BatchRunner {
     /// the decision buffers of the previous batch.
     ///
     /// Returns the shared run together with one transcript per protocol, in
-    /// the order given.  The borrows are valid until the next batch.
+    /// the order given.  The borrows are valid until the next batch.  The
+    /// run is simulated only through the last time the batch analyzed a
+    /// node ([`Run::frontier`]): its activity, inputs and failure pattern
+    /// are complete, but reading a later row panics — clone it and call
+    /// [`Run::simulate_through`] for those.
     ///
     /// # Errors
     ///
@@ -359,6 +397,11 @@ impl BatchRunner {
 
     /// The shared batch loop behind [`BatchRunner::execute_batch`] and
     /// [`BatchRunner::execute_batch_observed`].
+    ///
+    /// An observed batch simulates its run through the horizon up front.
+    /// A plain one re-targets the run at time 0 and extends it just before
+    /// the first node it analyzes at each later time, so rows past the
+    /// last decision are never simulated.
     fn run_batch(
         &mut self,
         protocols: &[&dyn Protocol],
@@ -367,27 +410,31 @@ impl BatchRunner {
         mut observer: Option<NodeObserver<'_>>,
     ) -> Result<(), ModelError> {
         let horizon = params.horizon();
-        self.simulate(params.system(), adversary, horizon)?;
-        let run = self.run.as_ref().expect("the run was just simulated");
+        self.retarget(params.system(), adversary, horizon)?;
+        let BatchRunner { run, transcripts, slots, generation, slot_stats, .. } = self;
+        let run = run.as_mut().expect("the run was just re-targeted");
+        if observer.is_some() {
+            run.simulate_through(horizon);
+        }
         let n = run.n();
-        let num_nodes = (run.horizon().index() + 1) * n;
-        if self.slots.len() < num_nodes {
-            self.slots.resize_with(num_nodes, AnalysisSlot::default);
+        let num_nodes = (horizon.index() + 1) * n;
+        if slots.len() < num_nodes {
+            slots.resize_with(num_nodes, AnalysisSlot::default);
         }
 
         // Reshape the transcript pool, reusing the decision buffers — and the
         // protocol-name strings, which are rewritten only when the protocol
         // in that slot actually changed (names are compared, not rebuilt, so
         // steady-state batches allocate nothing here).
-        self.transcripts.truncate(protocols.len());
-        while self.transcripts.len() < protocols.len() {
-            self.transcripts.push(Transcript {
+        transcripts.truncate(protocols.len());
+        while transcripts.len() < protocols.len() {
+            transcripts.push(Transcript {
                 protocol: String::new(),
                 decisions: Vec::new(),
                 horizon,
             });
         }
-        for (transcript, protocol) in self.transcripts.iter_mut().zip(protocols) {
+        for (transcript, protocol) in transcripts.iter_mut().zip(protocols) {
             let name = protocol.name();
             if transcript.protocol != name {
                 transcript.protocol.clear();
@@ -398,7 +445,7 @@ impl BatchRunner {
             transcript.decisions.resize(n, None);
         }
 
-        for m in 0..=run.horizon().index() {
+        for m in 0..=horizon.index() {
             let time = Time::new(m as u32);
             for i in 0..n {
                 if !run.is_active(i, time) {
@@ -407,18 +454,22 @@ impl BatchRunner {
                 // Without an observer, a node whose every protocol has
                 // already decided needs no analysis; an observer must see
                 // every active node exactly once.
-                if observer.is_none() && self.transcripts.iter().all(|t| t.decisions[i].is_some()) {
+                if observer.is_none() && transcripts.iter().all(|t| t.decisions[i].is_some()) {
                     continue;
                 }
+                if run.frontier() < time {
+                    run.simulate_through(time);
+                }
                 let node = Node::new(i, time);
-                let analysis = self.slots[m * n + i].analyze(
-                    run,
-                    node,
-                    self.generation,
-                    &mut self.slot_stats,
-                )?;
+                // ⟨i, m⟩ is analyzed only if ⟨i, m − 1⟩ was: the process was
+                // active then, and no decision is ever taken back.
+                let prev_capacity = (m > 0).then(|| {
+                    slots[(m - 1) * n + i].hidden_capacity(Node::new(i, time - 1), *generation)
+                });
+                let analysis =
+                    slots[m * n + i].analyze(run, node, *generation, prev_capacity, slot_stats)?;
                 let ctx = DecisionContext::new(params, analysis);
-                for (transcript, protocol) in self.transcripts.iter_mut().zip(protocols) {
+                for (transcript, protocol) in transcripts.iter_mut().zip(protocols) {
                     if transcript.decisions[i].is_none() {
                         if let Some(value) = protocol.decide(&ctx) {
                             transcript.decisions[i] = Some(Decision { time, value });
@@ -426,18 +477,40 @@ impl BatchRunner {
                     }
                 }
                 if let Some(observe) = observer.as_mut() {
-                    observe(run, node, analysis, &self.transcripts)?;
+                    observe(run, node, analysis, transcripts)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Simulates the run induced by `adversary` into the reused run buffer
-    /// without executing any protocol — for jobs that only need the
-    /// communication structure (e.g. topology sweeps).  When the adversary's
-    /// failure pattern matches the previous run's, the simulation is skipped
-    /// and only the input overlay is swapped.
+    /// Re-targets the reused run at `adversary` (time 0 only; see
+    /// [`Run::retarget`]), counting the structure switch.
+    fn retarget(
+        &mut self,
+        system: synchrony::SystemParams,
+        adversary: &Adversary,
+        horizon: Time,
+    ) -> Result<&mut Run, ModelError> {
+        let reuse = match self.run.as_mut() {
+            Some(run) => run.retarget(system, adversary, horizon)?,
+            None => {
+                self.run = Some(Run::generate(system, adversary.clone(), horizon)?);
+                StructureReuse::Simulated
+            }
+        };
+        self.run_stats.record(reuse);
+        if reuse == StructureReuse::Simulated {
+            self.generation += 1;
+        }
+        Ok(self.run.as_mut().expect("the run was just re-targeted"))
+    }
+
+    /// Simulates the run induced by `adversary` through `horizon` into the
+    /// reused run buffer without executing any protocol — for jobs that
+    /// only need the communication structure (e.g. topology sweeps).  When
+    /// the adversary's failure pattern matches the previous run's, the rows
+    /// already simulated are kept and only the input overlay is swapped.
     ///
     /// # Errors
     ///
@@ -449,18 +522,9 @@ impl BatchRunner {
         adversary: &Adversary,
         horizon: Time,
     ) -> Result<&Run, ModelError> {
-        let reuse = match self.run.as_mut() {
-            Some(run) => run.regenerate(system, adversary, horizon)?,
-            None => {
-                self.run = Some(Run::generate(system, adversary.clone(), horizon)?);
-                StructureReuse::Simulated
-            }
-        };
-        self.run_stats.record(reuse);
-        if reuse == StructureReuse::Simulated {
-            self.generation += 1;
-        }
-        Ok(self.run.as_ref().expect("the run was just simulated"))
+        let run = self.retarget(system, adversary, horizon)?;
+        run.simulate_through(horizon);
+        Ok(run)
     }
 
     /// Single-protocol convenience wrapper around [`BatchRunner::execute_batch`].
@@ -558,7 +622,8 @@ mod tests {
         let protocols: [&dyn Protocol; 3] = [&Optmin, &EarlyFloodMin, &FloodMin];
         let mut rng = StdRng::seed_from_u64(99);
         let mut runner = BatchRunner::new();
-        for _ in 0..25 {
+        let mut partial = 0;
+        for batch in 0..25 {
             let adversary = random_adversary(&mut rng, n, t, k);
             let before = (runner.analysis_stats(), runner.run_stats());
 
@@ -567,19 +632,28 @@ mod tests {
             let reference_run =
                 synchrony::Run::generate(params.system(), adversary.clone(), params.horizon())
                     .unwrap();
+            // The rows the batch simulated are the reference rows, and the
+            // rest follow on demand.
             assert_eq!(run, &reference_run);
+            partial += usize::from(run.frontier() < params.horizon());
+            let mut completed = run.clone();
+            completed.simulate_through(params.horizon());
+            assert_eq!(completed, reference_run);
             for (protocol, transcript) in protocols.iter().zip(batched) {
                 let reference = execute_on_run(*protocol, &params, &reference_run).unwrap();
                 assert_eq!(transcript, &reference);
             }
-            // A re-simulated structure is never served by a value-only
-            // refresh: every analysis of that run is a full recompute.
+            // A re-simulated batch refreshes only time-0 slots: `⟨i, 0⟩`
+            // sees only itself, so every later analysis of the new structure
+            // is a full recompute.
             let after = runner.analysis_stats();
             assert!(after.misses > before.0.misses);
             if runner.run_stats().simulated > before.1.simulated {
-                assert_eq!(after.hits, before.0.hits, "a stale slot was refreshed");
+                let time_zero = if batch == 0 { 0 } else { n as u64 };
+                assert_eq!(after.hits - before.0.hits, time_zero, "a stale slot was refreshed");
             }
         }
+        assert!(partial > 0, "no batch stopped simulating before the horizon");
         assert_eq!(runner.cache().stats().lookups(), 0, "the executor never consults the cache");
     }
 

@@ -24,9 +24,10 @@ use crate::{DirectObservations, HiddenCapacity, NodeStatus};
 ///
 /// Besides [`ViewAnalysis::new`], an analysis can be refilled in its own
 /// buffers: [`ViewAnalysis::recompute`] analyzes another node or run from
-/// scratch, and [`ViewAnalysis::refresh_values`] recomputes only the
-/// input-value-dependent fields when the communication structure is
-/// unchanged.  Both leave the analysis `==` to a fresh one.
+/// scratch given the previous node's hidden capacity, and
+/// [`ViewAnalysis::refresh_values`] recomputes only the
+/// input-value-dependent fields when the node's view is unchanged up to
+/// its initial values.  Both leave the analysis `==` to a fresh one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewAnalysis {
     node: Node,
@@ -74,6 +75,7 @@ impl ViewAnalysis {
             persistent: ValueSet::new(),
             holders: Vec::new(),
         };
+        analysis.prev_capacity = analysis.walk_prev_capacity(run);
         analysis.fill_structure(run);
         analysis.refresh_values(run);
         Ok(analysis)
@@ -83,17 +85,30 @@ impl ViewAnalysis {
     /// buffer it holds; afterwards it is `==` to
     /// `ViewAnalysis::new(run, node)`.
     ///
+    /// `prev_capacity` must be `HC⟨i, m − 1⟩` in `run` (`None` at time 0),
+    /// which a caller that analyzed `⟨i, m − 1⟩` already holds as that
+    /// analysis's [`ViewAnalysis::hidden_capacity`]; taking it spares the
+    /// walk over the previous node's layers that [`ViewAnalysis::new`]
+    /// makes.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`ViewAnalysis::new`]; on an error the analysis
     /// is left unchanged.
-    pub fn recompute(&mut self, run: &Run, node: Node) -> Result<(), ModelError> {
+    pub fn recompute(
+        &mut self,
+        run: &Run,
+        node: Node,
+        prev_capacity: Option<usize>,
+    ) -> Result<(), ModelError> {
         validate_node(run, node)?;
+        debug_assert_eq!(prev_capacity.is_some(), node.time > Time::ZERO);
         self.node = node;
         self.n = run.n();
         self.t = run.t();
         self.seen.clone_from(run.seen(node.process, node.time));
         self.observations.recompute(run, node);
+        self.prev_capacity = prev_capacity;
         self.fill_structure(run);
         self.refresh_values(run);
         Ok(())
@@ -164,27 +179,18 @@ impl ViewAnalysis {
         }
     }
 
-    /// Fills the structural fields other than the seen-layers and the
-    /// direct observations from `self.node` and `self.seen`: the previous
-    /// node's hidden capacity, the provable crashes and the hidden layers.
-    /// The previous node's pass uses the crash buffers as scratch before
-    /// the observer's own pass overwrites them.
-    fn fill_structure(&mut self, run: &Run) {
-        let n = self.n;
+    /// `HC⟨i, m − 1⟩` by a walk over the previous node's seen-layers
+    /// (`None` at time 0), using the crash buffers as scratch.
+    fn walk_prev_capacity(&mut self, run: &Run) -> Option<usize> {
+        let (n, node) = (self.n, self.node);
         let words = n.div_ceil(64);
-        let node = self.node;
-        let ViewAnalysis {
-            seen, capacity, prev_capacity, earliest_known_crash, known_crashed, ..
-        } = self;
-
-        *prev_capacity = (node.time > Time::ZERO).then(|| {
+        (node.time > Time::ZERO).then(|| {
             let mut smallest = usize::MAX;
-            let prev_seen = run.seen(node.process, node.time - 1);
             walk_hidden_layers(
                 run,
-                prev_seen,
-                earliest_known_crash,
-                known_crashed,
+                run.seen(node.process, node.time - 1),
+                &mut self.earliest_known_crash,
+                &mut self.known_crashed,
                 |_, layer, known| {
                     let hidden = (0..words)
                         .map(|w| (!layer.word(w) & !known.word(w) & word_mask(n, w)).count_ones())
@@ -193,8 +199,18 @@ impl ViewAnalysis {
                 },
             );
             smallest
-        });
+        })
+    }
 
+    /// Fills the structural fields other than the seen-layers, the direct
+    /// observations and the previous node's hidden capacity from
+    /// `self.node` and `self.seen`: the provable crashes and the hidden
+    /// layers.
+    fn fill_structure(&mut self, run: &Run) {
+        let n = self.n;
+        let words = n.div_ceil(64);
+        let node = self.node;
+        let ViewAnalysis { seen, capacity, earliest_known_crash, known_crashed, .. } = self;
         capacity.rebuild(node, |hidden_layers| {
             hidden_layers.resize_with(seen.num_layers(), PidSet::new);
             walk_hidden_layers(
@@ -824,7 +840,7 @@ mod tests {
                             a.persistent_values(),
                             &persistent_by_definition(&run, node, &vals, known.len())
                         );
-                        reused.recompute(&run, node).unwrap();
+                        reused.recompute(&run, node, prev_capacity).unwrap();
                         assert_eq!(reused, a, "in-place recompute diverged at n={n} {node}");
                     }
                 }
@@ -848,7 +864,7 @@ mod tests {
             assert_eq!(a, ViewAnalysis::new(&relabeled, Node::new(2, Time::new(2))).unwrap());
         }
         let before = a.clone();
-        assert!(a.recompute(&first, Node::new(0, Time::new(2))).is_err());
+        assert!(a.recompute(&first, Node::new(0, Time::new(2)), Some(1)).is_err());
         assert_eq!(a, before);
     }
 }

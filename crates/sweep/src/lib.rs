@@ -81,13 +81,19 @@
 //!   [`knowledge::CacheStats`]: every `ViewAnalysis` the runners handed
 //!   out (`L = C + H`), of which `C` were full in-place recomputes of a
 //!   node slot (the first analysis of a node after a re-simulation) and
-//!   `H` value-only refreshes of a slot whose structure was reused.  Job
-//!   code's own lookups through `BatchRunner::cache` (Proposition 2) add
-//!   their misses to `C` and hits to `H`.  `hit rate` is `H / L`.
+//!   `H` value-only refreshes of a slot whose structure was reused, or of
+//!   a time-0 slot, which sees only its own node in every run of the same
+//!   `(n, t)`.  So `thm3`, whose patterns never repeat, reads 23,196
+//!   requested, 11,226 constructed and 11,970 served at `--threads 1`:
+//!   the time-0 nodes of every run but the first of each case (a second
+//!   worker moves 30 from served to constructed with its own first runs).  Job code's own lookups
+//!   through `BatchRunner::cache` (Proposition 2) add their misses to `C`
+//!   and hits to `H`.  `hit rate` is `H / L`.
 //! * `<sim>`/`<reu>` — the [`set_consensus::RunReuseStats`] of the
-//!   per-worker runners, summed: communication structures simulated from
-//!   scratch vs. reused outright because the failure pattern repeated.
-//!   `reuse rate` is `reu / (sim + reu)`.
+//!   per-worker runners, summed: communication structures started afresh
+//!   (their rows then simulated as far as the batch reads them) vs. reused
+//!   outright because the failure pattern repeated.  `reuse rate` is
+//!   `reu / (sim + reu)`.
 //! * `<st>`/`<mat>`/`<pat>` — the [`CursorStats`] of the shard walks,
 //!   summed: scenarios stepped in place from the previous scenario of
 //!   their structure block vs. built fresh through

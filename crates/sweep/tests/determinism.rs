@@ -170,6 +170,11 @@ fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
                 let (_, expected) = execute(*protocol, &oracle.params, oracle.adversary.clone())?;
                 assert_eq!(transcript, &expected, "{label}: {} at {index}", protocol.name());
             }
+            // A plain batch simulates only the rows its nodes read; the
+            // check covers the whole horizon.
+            let mut run = run.clone();
+            run.simulate_through(run.horizon());
+            let run = &run;
             for m in 0..=run.horizon().index() {
                 let time = Time::new(m as u32);
                 for i in (0..run.n()).filter(|&i| run.is_active(i, time)) {

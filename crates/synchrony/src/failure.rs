@@ -11,9 +11,13 @@
 //! omitting sender stays active forever, but the individual messages named by
 //! [`FailurePattern::omit`] are dropped, pruning the corresponding heard-edge
 //! of the run structure instead of killing the sender.  Crash-only patterns
-//! (the paper's model) carry no omissions and behave exactly as before; both
-//! kinds route through [`FailurePattern::delivers`], which is the single
-//! point the run simulation consults.
+//! (the paper's model) carry no omissions and behave exactly as before.
+//! [`FailurePattern::delivers`] states for both kinds, one message at a
+//! time, which messages arrive: it is the specification of the run
+//! simulation's delivery rows.  The simulation itself builds each row
+//! word-parallel from the crash rounds, the crashers' delivered sets and
+//! the omission entries, and a conformance test holds every simulated row
+//! equal to `delivers`.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -8,13 +8,20 @@
 //! That observation is reified in the type split here:
 //!
 //! * [`RunStructure`] — the failure-pattern-keyed part: the `heard`/`seen`
-//!   layers plus activity, simulated once per `(params, failures, horizon)`;
+//!   rows plus cached crash rounds, a pure function of
+//!   `(params, failures, horizon)`;
 //! * [`Run`] — a `RunStructure` plus the thin input-vector overlay.
 //!
-//! [`Run::regenerate`] exploits the split: when the next adversary shares
-//! the previous one's failure pattern (the common case in exhaustive
+//! Rows are simulated in time order up to a *frontier*, by one loop
+//! ([`Run::simulate_through`]).  [`Run::generate`] and [`Run::regenerate`]
+//! run it through the horizon; [`Run::retarget`] stops at time 0, so an
+//! early-deciding executor pays only for the rows its nodes read.  A row
+//! past the frontier panics when read.
+//!
+//! [`Run::regenerate`] also exploits the split: when the next adversary
+//! shares the previous one's failure pattern (the common case in exhaustive
 //! sweeps, which cross every input vector with every pattern), only the
-//! overlay is swapped and the simulation is skipped entirely — reported as
+//! overlay is swapped and the simulated rows are kept — reported as
 //! [`StructureReuse::Reused`].  Decision rules are layered on top by the
 //! `set-consensus` crate.
 
@@ -88,19 +95,19 @@ impl SeenLayers {
     }
 }
 
-/// Whether [`Run::regenerate`] had to re-simulate the communication
-/// structure or could reuse the previous one outright.
+/// Whether [`Run::retarget`] (and so [`Run::regenerate`]) switched to a new
+/// communication structure or kept the previous one outright.
 ///
 /// Reuse happens exactly when the new `(params, failures, horizon)` triple
 /// equals the previous run's — the structure is a pure function of that
-/// triple, so skipping the simulation is observationally invisible (the
-/// resulting [`Run`] is `==` to a freshly generated one).  The enum exists
-/// so callers (the `set-consensus` batch executor, the sweep engine) can
-/// count how much simulation work a sweep actually avoided.
+/// triple, so keeping it is observationally invisible (the resulting
+/// [`Run`] is `==` to a freshly generated one).  The enum exists so callers
+/// (the `set-consensus` batch executor, the sweep engine) can count how
+/// much simulation work a sweep actually avoided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StructureReuse {
-    /// The communication structure was simulated (first run, or the failure
-    /// pattern / parameters / horizon changed).
+    /// The communication structure was simulated afresh (first run, or the
+    /// failure pattern / parameters / horizon changed).
     Simulated,
     /// The previous structure was kept; only the input overlay was swapped.
     Reused,
@@ -108,8 +115,8 @@ pub enum StructureReuse {
 
 /// The failure-pattern-keyed communication structure of a run.
 ///
-/// A `RunStructure` records, for every time `m` up to the horizon and every
-/// process `i` that is still active at `m`:
+/// A `RunStructure` records, for every time `m` up to its *simulated
+/// frontier* and every process `i` that is still active at `m`:
 ///
 /// * `heard_from(i, m)` — the processes whose round-`m` messages reached `i`
 ///   (including `i` itself);
@@ -119,20 +126,50 @@ pub enum StructureReuse {
 /// For processes that have already crashed at `m`, both structures are empty;
 /// such nodes never take decisions.
 ///
+/// Rows are simulated in time order by one loop,
+/// [`RunStructure::simulate_through`], up to the horizon.
+/// [`RunStructure::generate`] simulates every row; a structure re-targeted
+/// by [`Run::retarget`] holds row 0 only, and its owner extends it just
+/// before it reads a later row.  Reading a row past the frontier panics,
+/// and never returns the stale row of an earlier structure.  Equality
+/// compares `(params, failures, horizon)` and every row both structures
+/// have simulated.
+///
 /// The structure is a pure function of `(params, failures, horizon)` — input
 /// values never enter the simulation — which is what makes it shareable
 /// across every input vector of a sweep (see [`Run::regenerate`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RunStructure {
     params: SystemParams,
     failures: FailurePattern,
     horizon: Time,
+    /// The last simulated time: rows `0 ..= frontier` hold this structure,
+    /// later rows are buffers left by an earlier one.
+    frontier: Time,
+    /// The crash round of each process (`None` for a correct one), read by
+    /// every activity test.
+    crash_rounds: Vec<Option<Round>>,
+    /// Scratch: the senders alive through the round being simulated.
+    alive: PidSet,
     /// `heard[m][i]`: senders of round-`m` messages received by `i` (row 0 is
     /// the singleton `{i}` by convention — a process "hears from itself").
     heard: Vec<Vec<PidSet>>,
     /// `seen[m][i]`: the seen-layers of `⟨i, m⟩`.
     seen: Vec<Vec<SeenLayers>>,
 }
+
+impl PartialEq for RunStructure {
+    fn eq(&self, other: &Self) -> bool {
+        let common = self.frontier.min(other.frontier).index();
+        self.params == other.params
+            && self.horizon == other.horizon
+            && self.failures == other.failures
+            && self.heard[..=common] == other.heard[..=common]
+            && self.seen[..=common] == other.seen[..=common]
+    }
+}
+
+impl Eq for RunStructure {}
 
 impl RunStructure {
     /// Simulates the full-information exchange under `failures` for
@@ -151,9 +188,18 @@ impl RunStructure {
         if horizon == Time::ZERO {
             return Err(ModelError::EmptyHorizon);
         }
-        let mut structure =
-            RunStructure { params, failures, horizon, heard: Vec::new(), seen: Vec::new() };
-        structure.resimulate();
+        let mut structure = RunStructure {
+            params,
+            failures,
+            horizon,
+            frontier: Time::ZERO,
+            crash_rounds: Vec::new(),
+            alive: PidSet::new(),
+            heard: Vec::new(),
+            seen: Vec::new(),
+        };
+        structure.restart();
+        structure.simulate_through(horizon);
         Ok(structure)
     }
 
@@ -164,70 +210,97 @@ impl RunStructure {
         self.params == *params && self.horizon == horizon && self.failures == *failures
     }
 
-    /// The simulation loop, writing into `self.heard` / `self.seen` while
-    /// reusing any existing allocations (outer rows, per-node `PidSet` word
-    /// vectors and seen-layer vectors).
-    fn resimulate(&mut self) {
+    /// Starts the structure of the current `(params, failures, horizon)`
+    /// over: caches the crash rounds and simulates row 0, reusing every
+    /// existing allocation.
+    fn restart(&mut self) {
         let n = self.params.n();
-        let end = self.horizon.index();
-        let failures = &self.failures;
-        let heard = &mut self.heard;
-        let seen = &mut self.seen;
+        self.crash_rounds.clear();
+        self.crash_rounds.resize(n, None);
+        for (process, crash) in self.failures.faulty() {
+            self.crash_rounds[process.index()] = Some(crash.round());
+        }
+        self.frontier = Time::ZERO;
+        self.shape_row(0);
+        for i in 0..n {
+            self.heard[0][i].insert(i);
+            self.seen[0][i].layers[0].insert(i);
+        }
+    }
 
-        // Shape the time-indexed rows, reusing surviving rows and cells.
-        heard.resize_with(end + 1, Vec::new);
-        seen.resize_with(end + 1, Vec::new);
-        for row in heard.iter_mut() {
-            row.resize_with(n, PidSet::new);
-            for cell in row.iter_mut() {
-                cell.clear();
-            }
+    /// Shapes row `m` to `n` empty cells of `m + 1` empty layers each,
+    /// reusing the row's cells and word buffers.
+    fn shape_row(&mut self, m: usize) {
+        let n = self.params.n();
+        if self.heard.len() <= m {
+            self.heard.resize_with(m + 1, Vec::new);
+            self.seen.resize_with(m + 1, Vec::new);
         }
-        for row in seen.iter_mut() {
-            row.resize_with(n, || SeenLayers { layers: Vec::new() });
+        self.heard[m].resize_with(n, PidSet::new);
+        for cell in &mut self.heard[m] {
+            cell.clear();
         }
-        let reshape_layers = |layers: &mut Vec<PidSet>, num_layers: usize| {
-            layers.resize_with(num_layers, PidSet::new);
-            for layer in layers.iter_mut() {
+        self.seen[m].resize_with(n, || SeenLayers { layers: Vec::new() });
+        for cell in &mut self.seen[m] {
+            cell.layers.resize_with(m + 1, PidSet::new);
+            for layer in &mut cell.layers {
                 layer.clear();
             }
-        };
-
-        // Time 0: every process has seen only its own initial node.
-        for i in 0..n {
-            heard[0][i].insert(i);
-            let layers = &mut seen[0][i].layers;
-            reshape_layers(layers, 1);
-            layers[0].insert(i);
         }
+    }
 
-        for m in 1..=end {
-            let time = Time::new(m as u32);
+    /// Extends the simulation through `time`: the one simulation loop.
+    /// Rows already simulated are kept, so this is a no-op at or below
+    /// [`RunStructure::frontier`].
+    ///
+    /// Row `m` starts every receiver active at `m` from the senders alive
+    /// through round `m`, adds the round-`m` crashers whose final messages
+    /// reach it and drops the send omissions `(j, m)` that name it — the
+    /// word-parallel form of [`FailurePattern::delivers`] — and then unions
+    /// the senders' time-`(m − 1)` seen-layers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` exceeds the horizon.
+    pub fn simulate_through(&mut self, time: Time) {
+        assert!(time <= self.horizon, "cannot simulate {time} past the horizon {}", self.horizon);
+        let n = self.params.n();
+        for m in self.frontier.index() + 1..=time.index() {
             let round = Round::new(m as u32);
+            self.shape_row(m);
+            let RunStructure { failures, crash_rounds, alive, heard, seen, .. } = self;
+            let active = |p: usize| crash_rounds[p].is_none_or(|r| r > round);
+
+            alive.clear();
+            alive.extend((0..n).filter(|&p| active(p)));
+            let row = &mut heard[m];
+            for i in (0..n).filter(|&i| active(i)) {
+                row[i].clone_from(alive);
+            }
+            for (j, crash) in failures.faulty().filter(|(_, crash)| crash.round() == round) {
+                for i in crash.delivered().iter().filter(|i| active(i.index())) {
+                    row[i.index()].insert(j);
+                }
+            }
+            for ((j, _), dropped) in failures.omission_faults().filter(|((_, r), _)| *r == round) {
+                for i in dropped.iter() {
+                    row[i.index()].remove(j);
+                }
+            }
+
             let (earlier, later) = seen.split_at_mut(m);
             let (prev_row, cur_row) = (&earlier[m - 1], &mut later[0]);
-            for i in 0..n {
+            for i in (0..n).filter(|&i| active(i)) {
                 let layers = &mut cur_row[i].layers;
-                reshape_layers(layers, m + 1);
-                if !failures.is_active_at(i, time) {
-                    // heard[m][i] stays empty; the layers stay empty too.
-                    continue;
-                }
-                let senders = &mut heard[m][i];
-                for j in 0..n {
-                    if failures.delivers(j, round, i) {
-                        senders.insert(j);
-                    }
-                }
-                for sender in senders.iter() {
-                    let prev = &prev_row[sender.index()];
-                    for (time, layer) in prev.iter() {
+                for sender in row[i].iter() {
+                    for (time, layer) in prev_row[sender.index()].iter() {
                         layers[time.index()].union_with(layer);
                     }
                 }
                 layers[m].insert(i);
             }
         }
+        self.frontier = self.frontier.max(time);
     }
 
     /// Returns the system parameters of the structure.
@@ -240,9 +313,38 @@ impl RunStructure {
         &self.failures
     }
 
-    /// Returns the last simulated time.
+    /// Returns the last time the structure may be simulated to.
     pub fn horizon(&self) -> Time {
         self.horizon
+    }
+
+    /// Returns the simulated frontier: rows `0 ..= frontier` may be read.
+    pub fn frontier(&self) -> Time {
+        self.frontier
+    }
+
+    /// Returns `true` if `process` has not yet crashed at `time` (`true`
+    /// for a process outside the system, as [`FailurePattern::is_active_at`]
+    /// answers).
+    pub fn is_active(&self, process: impl Into<ProcessId>, time: Time) -> bool {
+        match self.crash_rounds.get(process.into().index()) {
+            Some(Some(round)) => time.value() < round.number(),
+            _ => true,
+        }
+    }
+
+    /// Returns `true` if `process` never crashes.
+    pub fn is_correct(&self, process: impl Into<ProcessId>) -> bool {
+        !matches!(self.crash_rounds.get(process.into().index()), Some(Some(_)))
+    }
+
+    /// Panics unless row `time` is simulated.
+    fn check_frontier(&self, time: Time) {
+        assert!(
+            time <= self.frontier,
+            "row {time} lies past the simulated frontier {}: call simulate_through first",
+            self.frontier
+        );
     }
 
     /// Returns the set of processes whose round-`time` messages reached
@@ -251,8 +353,10 @@ impl RunStructure {
     ///
     /// # Panics
     ///
-    /// Panics if `time` exceeds the horizon or `process` is out of range.
+    /// Panics if `time` lies past the simulated frontier (see
+    /// [`RunStructure::simulate_through`]) or `process` is out of range.
     pub fn heard_from(&self, process: impl Into<ProcessId>, time: Time) -> &PidSet {
+        self.check_frontier(time);
         &self.heard[time.index()][process.into().index()]
     }
 
@@ -260,8 +364,10 @@ impl RunStructure {
     ///
     /// # Panics
     ///
-    /// Panics if `time` exceeds the horizon or `process` is out of range.
+    /// Panics if `time` lies past the simulated frontier (see
+    /// [`RunStructure::simulate_through`]) or `process` is out of range.
     pub fn seen(&self, process: impl Into<ProcessId>, time: Time) -> &SeenLayers {
+        self.check_frontier(time);
         &self.seen[time.index()][process.into().index()]
     }
 }
@@ -297,24 +403,23 @@ impl Run {
     }
 
     /// Re-targets this run at a new adversary (and possibly new parameters
-    /// and horizon), reusing as much of the previous simulation as possible.
+    /// and horizon) and simulates it through the horizon, reusing as much
+    /// of the previous simulation as possible: [`Run::retarget`] followed
+    /// by [`Run::simulate_through`] the horizon.
     ///
     /// Two levels of reuse stack up here:
     ///
     /// * if the new `(params, failure pattern, horizon)` triple equals the
     ///   previous one — the structure-major access pattern of exhaustive
     ///   sweeps, which enumerate every input vector under one pattern before
-    ///   moving on — the simulation is **skipped entirely** and only the
-    ///   input overlay is swapped ([`StructureReuse::Reused`]);
+    ///   moving on — the rows already simulated are kept and only the input
+    ///   overlay is swapped ([`StructureReuse::Reused`]);
     /// * otherwise the run is re-simulated in place, reusing the allocations
-    ///   of the previous simulation (`O(horizon² · n)` of layer structure).
+    ///   of the previous simulation; the seen-layer unions dominate, at
+    ///   `O(horizon² · n²)` bitmap-word operations per `n / 64` words.
     ///
     /// Either way the resulting run is indistinguishable (`==`) from one
     /// produced by [`Run::generate`] with the same arguments.
-    ///
-    /// The adversary is taken by reference so the reuse path clones only
-    /// the input vector — the failure pattern (a heap-backed map) is merely
-    /// compared, never copied, on the hot path of a structure-major sweep.
     ///
     /// # Errors
     ///
@@ -326,20 +431,61 @@ impl Run {
         adversary: &Adversary,
         horizon: Time,
     ) -> Result<StructureReuse, ModelError> {
+        let reuse = self.retarget(params, adversary, horizon)?;
+        self.simulate_through(horizon);
+        Ok(reuse)
+    }
+
+    /// Re-targets this run at a new adversary (and possibly new parameters
+    /// and horizon) without simulating past time 0: a new structure holds
+    /// row 0 only, and a kept one ([`StructureReuse::Reused`]) keeps every
+    /// row it had simulated.  Extend it with [`Run::simulate_through`]
+    /// before reading a later row.
+    ///
+    /// The adversary is taken by reference so the reuse path clones only
+    /// the input vector — the failure pattern (a heap-backed map) is merely
+    /// compared, never copied, on the hot path of a structure-major sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the adversary is inconsistent with `params` or the
+    /// horizon is zero; `self` is left unchanged in that case.
+    pub fn retarget(
+        &mut self,
+        params: SystemParams,
+        adversary: &Adversary,
+        horizon: Time,
+    ) -> Result<StructureReuse, ModelError> {
         adversary.validate_against(&params)?;
         if horizon == Time::ZERO {
             return Err(ModelError::EmptyHorizon);
         }
+        self.inputs.clone_from(adversary.inputs());
         if self.structure.matches(&params, adversary.failures(), horizon) {
-            self.inputs.clone_from(adversary.inputs());
             return Ok(StructureReuse::Reused);
         }
         self.structure.params = params;
         self.structure.failures.clone_from(adversary.failures());
         self.structure.horizon = horizon;
-        self.structure.resimulate();
-        self.inputs.clone_from(adversary.inputs());
+        self.structure.restart();
         Ok(StructureReuse::Simulated)
+    }
+
+    /// Extends the simulation through `time`; see
+    /// [`RunStructure::simulate_through`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` exceeds the horizon.
+    pub fn simulate_through(&mut self, time: Time) {
+        self.structure.simulate_through(time);
+    }
+
+    /// Returns the simulated frontier: rows `0 ..= frontier` may be read.
+    /// It is the horizon for a run from [`Run::generate`] or
+    /// [`Run::regenerate`].
+    pub fn frontier(&self) -> Time {
+        self.structure.frontier()
     }
 
     /// A horizon long enough for every protocol in this repository to decide:
@@ -406,22 +552,22 @@ impl Run {
 
     /// Returns `true` if `process` has not yet crashed at `time`.
     pub fn is_active(&self, process: impl Into<ProcessId>, time: Time) -> bool {
-        self.failures().is_active_at(process, time)
+        self.structure.is_active(process, time)
     }
 
     /// Returns the set of processes still active at `time`.
     pub fn active_at(&self, time: Time) -> PidSet {
-        self.failures().active_at(time)
+        (0..self.n()).filter(|&i| self.is_active(i, time)).collect()
     }
 
     /// Returns `true` if `process` never crashes in this run.
     pub fn is_correct(&self, process: impl Into<ProcessId>) -> bool {
-        self.failures().is_correct(process)
+        self.structure.is_correct(process)
     }
 
     /// Returns the set of processes that never crash in this run.
     pub fn correct_set(&self) -> PidSet {
-        self.failures().correct_set()
+        (0..self.n()).filter(|&i| self.is_correct(i)).collect()
     }
 
     /// Returns the set of processes whose round-`time` messages reached
@@ -430,7 +576,8 @@ impl Run {
     ///
     /// # Panics
     ///
-    /// Panics if `time` exceeds the horizon or `process` is out of range.
+    /// Panics if `time` lies past the simulated frontier (see
+    /// [`Run::simulate_through`]) or `process` is out of range.
     pub fn heard_from(&self, process: impl Into<ProcessId>, time: Time) -> &PidSet {
         self.structure.heard_from(process, time)
     }
@@ -439,7 +586,8 @@ impl Run {
     ///
     /// # Panics
     ///
-    /// Panics if `time` exceeds the horizon or `process` is out of range.
+    /// Panics if `time` lies past the simulated frontier (see
+    /// [`Run::simulate_through`]) or `process` is out of range.
     pub fn seen(&self, process: impl Into<ProcessId>, time: Time) -> &SeenLayers {
         self.structure.seen(process, time)
     }
@@ -689,6 +837,60 @@ mod tests {
             run.regenerate(params, &other, Time::new(5)).unwrap(),
             StructureReuse::Simulated
         );
+    }
+
+    /// A re-targeted run holds row 0 only, compares equal to the full run
+    /// on the rows both hold, and catches up row by row.
+    #[test]
+    fn retarget_simulates_rows_on_demand() {
+        let full = small_run(
+            4,
+            2,
+            &[0, 1, 2, 3],
+            |f| {
+                f.crash(0, 1, [1]).unwrap();
+            },
+            3,
+        );
+        let mut run = small_run(
+            4,
+            2,
+            &[3, 2, 1, 0],
+            |f| {
+                f.crash_silent(2, 2).unwrap();
+            },
+            3,
+        );
+        let adversary = full.to_adversary();
+        let reuse = run.retarget(*full.params(), &adversary, full.horizon()).unwrap();
+        assert_eq!(reuse, StructureReuse::Simulated);
+        assert_eq!(run.frontier(), Time::ZERO);
+        assert_eq!(run, full, "equal on row 0");
+        for m in 1..=3 {
+            run.simulate_through(Time::new(m));
+            assert_eq!(run.frontier(), Time::new(m));
+            assert_eq!(run.seen(1, Time::new(m)), full.seen(1, Time::new(m)));
+        }
+        assert_eq!(run.structure(), full.structure());
+        // A repeated pattern keeps every simulated row.
+        assert_eq!(
+            run.retarget(*full.params(), &adversary, full.horizon()).unwrap(),
+            StructureReuse::Reused
+        );
+        assert_eq!(run.frontier(), Time::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "call simulate_through first")]
+    fn rows_past_the_frontier_panic() {
+        let mut run = small_run(3, 1, &[0, 1, 2], |_| {}, 2);
+        let adversary = run.to_adversary();
+        let mut failures = adversary.failures().clone();
+        failures.crash_silent(0, 1).unwrap();
+        let other = Adversary::new(adversary.inputs().clone(), failures).unwrap();
+        run.retarget(*run.params(), &other, Time::new(2)).unwrap();
+        // Row 1 of the previous pattern is still in the buffers.
+        run.heard_from(1, Time::new(1));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + bounds smoke (oversized counts exit 2)
-#                           #   + determinism smoke (fig4, thm1, thm3, prop2 across threads)
+#                           #   + determinism smoke (fig4, thm1, thm3, prop2,
+#                           #     omission across threads)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + query-parity smoke (one-shot ≡ submit)
@@ -25,10 +26,29 @@ cargo fmt --all --check
 # `--locked` on the root-workspace builds: a root Cargo.lock that no longer
 # matches the manifests fails CI instead of being rewritten silently.
 cargo clippy --locked --workspace --all-targets -- -D warnings
-cargo test --locked --workspace -q
+
+# The cargo test steps keep their temp files in a fresh directory on
+# /dev/shm when that is a writable tmpfs: the durable-store suites call
+# `sync_all` thousands of times, which waits on a disk and not on a tmpfs
+# (`store_faults.rs` spent ~160 s of its run in fsync).  Elsewhere TMPDIR is
+# left as it is.
+TEST_TMPDIR=""
+if [[ -d /dev/shm && -w /dev/shm && "$(stat -f -c %T /dev/shm 2>/dev/null)" == tmpfs ]]; then
+    TEST_TMPDIR="$(mktemp -d /dev/shm/ci-tests.XXXXXX)"
+    trap 'rm -rf "$TEST_TMPDIR"' EXIT
+fi
+# with_test_tmpdir CMD…: runs CMD with TMPDIR set to TEST_TMPDIR, if any.
+with_test_tmpdir() {
+    if [[ -n "$TEST_TMPDIR" ]]; then
+        TMPDIR="$TEST_TMPDIR" "$@"
+    else
+        "$@"
+    fi
+}
+with_test_tmpdir cargo test --locked --workspace -q
 # Doc tests again in isolation (fast; makes a doctest-only breakage obvious)
 # and warning-free API docs.
-cargo test --locked --workspace --doc -q
+with_test_tmpdir cargo test --locked --workspace --doc -q
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # --- Benchmark smoke --------------------------------------------------------
@@ -37,7 +57,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # A library change that breaks the benchmark's build or gate fails here.
 # One test at a time: the traced run's gate compares traced and untraced
 # walls, which concurrent workloads on a 2-core machine skew past its band.
-cargo test --release --offline -q --manifest-path perfbench/Cargo.toml -- --test-threads 1
+with_test_tmpdir cargo test --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --test-threads 1
+if [[ -n "$TEST_TMPDIR" ]]; then
+    rm -rf "$TEST_TMPDIR"
+    trap - EXIT
+fi
 
 # --- Daemon smoke -----------------------------------------------------------
 # Boot `sweep serve` on a temp socket, submit the same small thm1 job twice,
@@ -151,7 +176,11 @@ diff "$SMOKE_DIR/thm3-seq.txt" "$SMOKE_DIR/thm3-par.txt"
 target/debug/sweep prop2 --threads 1 >"$SMOKE_DIR/prop2-seq.txt" 2>/dev/null
 target/debug/sweep prop2 --threads 2 --shards 7 >"$SMOKE_DIR/prop2-par.txt" 2>/dev/null
 diff "$SMOKE_DIR/prop2-seq.txt" "$SMOKE_DIR/prop2-par.txt"
-echo "ci.sh: determinism smoke passed (fig4, thm1, thm3 and prop2 identical across parallelism)"
+# omission: the only patterns whose delivery rows drop send omissions.
+target/debug/sweep omission --threads 1 >"$SMOKE_DIR/omission-seq.txt" 2>/dev/null
+target/debug/sweep omission --threads 2 --shards 13 >"$SMOKE_DIR/omission-par.txt" 2>/dev/null
+diff "$SMOKE_DIR/omission-seq.txt" "$SMOKE_DIR/omission-par.txt"
+echo "ci.sh: determinism smoke passed (fig4, thm1, thm3, prop2 and omission identical across parallelism)"
 
 # --- Omission smoke ---------------------------------------------------------
 # The omission pattern space end to end.  One-shot: `sweep omission` prints
