@@ -106,8 +106,9 @@ impl SeenLayers {
 /// much simulation work a sweep actually avoided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StructureReuse {
-    /// The communication structure was simulated afresh (first run, or the
-    /// failure pattern / parameters / horizon changed).
+    /// A new communication structure was started (first run, or the
+    /// failure pattern / parameters / horizon changed); its rows are
+    /// simulated afresh.
     Simulated,
     /// The previous structure was kept; only the input overlay was swapped.
     Reused,
@@ -557,7 +558,7 @@ impl Run {
 
     /// Returns the set of processes still active at `time`.
     pub fn active_at(&self, time: Time) -> PidSet {
-        (0..self.n()).filter(|&i| self.is_active(i, time)).collect()
+        self.failures().active_at(time)
     }
 
     /// Returns `true` if `process` never crashes in this run.
@@ -567,7 +568,7 @@ impl Run {
 
     /// Returns the set of processes that never crash in this run.
     pub fn correct_set(&self) -> PidSet {
-        (0..self.n()).filter(|&i| self.is_correct(i)).collect()
+        self.failures().correct_set()
     }
 
     /// Returns the set of processes whose round-`time` messages reached
