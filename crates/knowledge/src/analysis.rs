@@ -466,7 +466,7 @@ fn walk_hidden_layers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synchrony::{Adversary, FailurePattern, InputVector, SystemParams};
+    use synchrony::{Adversary, FailurePattern, InputVector, StructureReuse, SystemParams};
 
     fn build_run(
         n: usize,
@@ -846,6 +846,123 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A crash pattern of `n` processes in which up to `t` crash in rounds
+    /// `1 … horizon`, each reaching every other process with probability
+    /// `percent` %.
+    fn random_pattern(
+        n: usize,
+        t: usize,
+        percent: u64,
+        horizon: u32,
+        draws: &mut Draws,
+    ) -> FailurePattern {
+        let mut failures = FailurePattern::crash_free(n);
+        let mut crashed = 0;
+        for p in 0..n {
+            if crashed < t && draws.below(100) < 60 {
+                let round = 1 + draws.below(u64::from(horizon)) as u32;
+                let delivered: Vec<usize> = (0..n).filter(|_| draws.below(100) < percent).collect();
+                failures.crash(p, round, delivered).unwrap();
+                crashed += 1;
+            }
+        }
+        failures
+    }
+
+    /// The value-dependent fields stay right while one run is re-targeted
+    /// across input vectors under a fixed pattern (the structure is kept)
+    /// and across fresh patterns (rows are extended one at a time): at
+    /// every active node, a refresh of the slot from the previous input
+    /// vector and an in-place recompute both equal a fresh analysis and
+    /// the per-process definitions of `Vals`, `Vals⟨i, m − 1⟩` and
+    /// persistence.  Values are sparse and reach past 64, so no value can
+    /// stand in for a process index or a bit position.
+    #[test]
+    fn value_fields_follow_retargets_and_row_extensions() {
+        const SPARSE: [u64; 4] = [0, 9, 64, 1000];
+        let horizon = 4u32;
+        let mut draws = Draws(1311);
+        // Newly seen values that did not / did persist through witnesses.
+        let mut witness_tests = [0usize; 2];
+        for n in [2usize, 63, 64, 65, 83] {
+            let end = Time::new(horizon);
+            let mut run: Option<Run> = None;
+            let mut reused = None::<ViewAnalysis>;
+            // A large t keeps most values from persisting through witnesses;
+            // a small one lets them.
+            for (t, percent) in [(n - 1, 10), ((n / 4).max(1), 70), (n - 1, 50)] {
+                let params = SystemParams::new(n, t).unwrap();
+                let failures = random_pattern(n, t, percent, horizon, &mut draws);
+                let mut slots: Vec<Option<ViewAnalysis>> = vec![None; (horizon as usize + 1) * n];
+                for round in 0..3 {
+                    let inputs: Vec<u64> =
+                        (0..n).map(|_| SPARSE[draws.below(4) as usize]).collect();
+                    let adversary =
+                        Adversary::new(InputVector::from_values(inputs), failures.clone()).unwrap();
+                    let run = match run.as_mut() {
+                        Some(run) => {
+                            let reuse = run.retarget(params, &adversary, end).unwrap();
+                            if round > 0 {
+                                assert_eq!(reuse, StructureReuse::Reused, "n={n}");
+                                assert_eq!(run.frontier(), end, "n={n}: reuse keeps the rows");
+                            }
+                            run
+                        }
+                        None => run.insert(Run::generate(params, adversary, end).unwrap()),
+                    };
+                    for m in 0..=horizon {
+                        let time = Time::new(m);
+                        if run.frontier() < time {
+                            run.simulate_through(time);
+                        }
+                        for i in (0..n).filter(|&i| run.is_active(i, time)) {
+                            let node = Node::new(i, time);
+                            let fresh = ViewAnalysis::new(run, node).unwrap();
+                            let seen0 = run.seen(i, time).layer(Time::ZERO);
+                            let vals: ValueSet =
+                                seen0.iter().map(|p| run.initial_value(p)).collect();
+                            let prev_vals: ValueSet = if m == 0 {
+                                ValueSet::new()
+                            } else {
+                                let prev0 = run.seen(i, time - 1).layer(Time::ZERO);
+                                prev0.iter().map(|p| run.initial_value(p)).collect()
+                            };
+                            let d = fresh.num_known_crashed();
+                            if m > 0 {
+                                for v in vals.iter().filter(|&v| !prev_vals.contains(v)) {
+                                    witness_tests[usize::from(fresh.knows_will_persist(v))] += 1;
+                                }
+                            }
+                            let label = format!("n={n} {node} round {round}");
+                            assert_eq!(fresh.vals(), &vals, "{label}");
+                            assert_eq!(fresh.prev_vals(), &prev_vals, "{label}");
+                            assert_eq!(
+                                fresh.persistent_values(),
+                                &persistent_by_definition(run, node, &vals, d),
+                                "{label}"
+                            );
+                            let slot = &mut slots[m as usize * n + i];
+                            if let Some(slot) = slot.as_mut() {
+                                slot.refresh_values(run);
+                                assert_eq!(slot, &fresh, "refresh diverged at {label}");
+                            } else {
+                                *slot = Some(fresh.clone());
+                            }
+                            let prev_capacity = (m > 0).then(|| {
+                                let prev = ViewAnalysis::new(run, Node::new(i, time - 1)).unwrap();
+                                prev.hidden_capacity()
+                            });
+                            let reused = reused.get_or_insert_with(|| fresh.clone());
+                            reused.recompute(run, node, prev_capacity).unwrap();
+                            assert_eq!(reused, &fresh, "recompute diverged at {label}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(witness_tests.iter().all(|&c| c > 0), "witness counts untested: {witness_tests:?}");
     }
 
     /// A value-only refresh against a relabeled run equals a fresh analysis,

@@ -7,8 +7,8 @@
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + bounds smoke (oversized counts exit 2)
-#                           #   + determinism smoke (fig4, thm1, thm3, prop2,
-#                           #     omission across threads)
+#                           #   + determinism smoke (thm1, omission, thm3,
+#                           #     fig4, prop2 ≡ tests/golden/ across threads)
 #                           #   + omission smoke (cross-model cache isolation)
 #                           #   + fleet smoke (workers, SIGKILL, re-queue)
 #                           #   + query-parity smoke (one-shot ≡ submit)
@@ -155,32 +155,33 @@ done
 echo "ci.sh: bounds smoke passed (oversized thread and queue counts are usage errors)"
 
 # --- Determinism smoke ------------------------------------------------------
-# The same fold at different parallelism must print the same bytes: fig4 (a
-# fixed source, blocks of one) sequentially versus four threads over eight
-# shards, thm1 (the exhaustive shard walk, which steps inputs in place
-# inside each pattern block) sequentially versus two threads over 13 shards,
-# a count that cuts no built-in scope evenly, and thm3 (a random source)
-# sequentially versus two threads over seven shards: the sharding decides
-# which patterns follow each other through a runner's per-node analysis
-# slots, so a stale slot would show here.  prop2 (a protocol-complex build
-# beside a sharded per-run scan) is diffed the same way as thm3.
-target/debug/sweep fig4 --threads 1 >"$SMOKE_DIR/fig4-seq.txt" 2>/dev/null
-target/debug/sweep fig4 --threads 4 --shards 8 >"$SMOKE_DIR/fig4-par.txt" 2>/dev/null
-diff "$SMOKE_DIR/fig4-seq.txt" "$SMOKE_DIR/fig4-par.txt"
-target/debug/sweep thm1 --threads 1 >"$SMOKE_DIR/thm1-seq.txt" 2>/dev/null
-target/debug/sweep thm1 --threads 2 --shards 13 >"$SMOKE_DIR/thm1-par.txt" 2>/dev/null
-diff "$SMOKE_DIR/thm1-seq.txt" "$SMOKE_DIR/thm1-par.txt"
-target/debug/sweep thm3 --threads 1 >"$SMOKE_DIR/thm3-seq.txt" 2>/dev/null
-target/debug/sweep thm3 --threads 2 --shards 7 >"$SMOKE_DIR/thm3-par.txt" 2>/dev/null
-diff "$SMOKE_DIR/thm3-seq.txt" "$SMOKE_DIR/thm3-par.txt"
-target/debug/sweep prop2 --threads 1 >"$SMOKE_DIR/prop2-seq.txt" 2>/dev/null
-target/debug/sweep prop2 --threads 2 --shards 7 >"$SMOKE_DIR/prop2-par.txt" 2>/dev/null
-diff "$SMOKE_DIR/prop2-seq.txt" "$SMOKE_DIR/prop2-par.txt"
-# omission: the only patterns whose delivery rows drop send omissions.
-target/debug/sweep omission --threads 1 >"$SMOKE_DIR/omission-seq.txt" 2>/dev/null
-target/debug/sweep omission --threads 2 --shards 13 >"$SMOKE_DIR/omission-par.txt" 2>/dev/null
-diff "$SMOKE_DIR/omission-seq.txt" "$SMOKE_DIR/omission-par.txt"
-echo "ci.sh: determinism smoke passed (fig4, thm1, thm3, prop2 and omission identical across parallelism)"
+# Every built-in table must print the bytes checked in under tests/golden/,
+# sequentially and at two threads over 13 shards, a count that cuts no
+# built-in scope evenly.  A change that must not move any fold (a speedup, a
+# refactor) is held to those bytes here; a change that moves a table on
+# purpose regenerates its file with `sweep <query> --threads 1` and says why.
+# The sharding decides which patterns follow each other through a runner's
+# per-node analysis slots, so a stale slot would show here.  fig4 (a fixed
+# source, blocks of one) is also run at four threads over eight shards, and
+# thm3 (a random source) and prop2 (a protocol-complex build beside a
+# sharded per-run scan) at two threads over seven.
+golden_diff() {
+    local query="$1"
+    shift
+    target/debug/sweep "$query" "$@" >"$SMOKE_DIR/$query-run.txt" 2>/dev/null
+    if ! diff "tests/golden/$query.txt" "$SMOKE_DIR/$query-run.txt"; then
+        echo "ci.sh: 'sweep $query $*' differs from tests/golden/$query.txt" >&2
+        exit 1
+    fi
+}
+for query in thm1 omission thm3 fig4 prop2; do
+    golden_diff "$query" --threads 1
+    golden_diff "$query" --threads 2 --shards 13
+done
+golden_diff fig4 --threads 4 --shards 8
+golden_diff thm3 --threads 2 --shards 7
+golden_diff prop2 --threads 2 --shards 7
+echo "ci.sh: determinism smoke passed (every table equals its golden file across parallelism)"
 
 # --- Omission smoke ---------------------------------------------------------
 # The omission pattern space end to end.  One-shot: `sweep omission` prints
