@@ -110,15 +110,14 @@ impl fmt::Display for Violation {
 /// Reusable buffers for checking many run/transcript pairs without
 /// per-check allocations.
 ///
-/// The scratch holds the violation list and the distinct-value buffers the
-/// Validity and Agreement checks need; every check *clears* them (keeping
-/// their capacity) instead of reallocating, and hands back a borrowed
-/// `&[Violation]` view valid until the next check.  Distinct values are
-/// tracked in sorted `Vec`s rather than `ValueSet` (a `BTreeSet`), whose
-/// node allocations would defeat the purpose — clearing a `Vec` retains its
-/// heap block, clearing a tree does not.  Only an actual Agreement
-/// violation allocates (its payload carries an owned [`ValueSet`]), which
-/// never happens on the paper's correct protocols.
+/// The scratch holds the violation list and the decided-value buffer the
+/// Agreement check needs; every check *clears* them (keeping their
+/// capacity) instead of reallocating, and hands back a borrowed
+/// `&[Violation]` view valid until the next check.  The Validity check
+/// reads the run's distinct input values from its `synchrony::ValueIndex`.
+/// Only an actual Agreement violation allocates (its payload carries an
+/// owned [`ValueSet`]), which never happens on the paper's correct
+/// protocols.
 ///
 /// The violation list is identical, element for element, to what the free
 /// functions return for the same inputs — they are implemented on top of a
@@ -126,8 +125,6 @@ impl fmt::Display for Violation {
 #[derive(Debug, Default)]
 pub struct CheckScratch {
     violations: Vec<Violation>,
-    /// Sorted distinct initial values of the run (the `∃v` set).
-    present: Vec<Value>,
     /// Sorted distinct decided values counted by the variant.
     decided: Vec<Value>,
 }
@@ -158,14 +155,12 @@ impl CheckScratch {
     }
 
     /// Appends the Validity violations (and the value-domain side
-    /// condition) to the violation buffer.
+    /// condition) to the violation buffer.  The `∃v` set is the run's
+    /// distinct input values ([`synchrony::ValueIndex::values`]).
     fn validity_into(&mut self, run: &Run, transcript: &Transcript, params: &TaskParams) {
-        self.present.clear();
-        self.present.extend(run.inputs().iter().map(|(_, value)| value));
-        self.present.sort_unstable();
-        self.present.dedup();
+        let present = run.value_index().values();
         for (process, decision) in transcript.decisions() {
-            if self.present.binary_search(&decision.value).is_err() {
+            if present.binary_search(&decision.value).is_err() {
                 self.violations.push(Violation::Validity { process, value: decision.value });
             }
             if decision.value.get() > params.max_value() {

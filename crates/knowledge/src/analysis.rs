@@ -44,10 +44,6 @@ pub struct ViewAnalysis {
     observations: DirectObservations,
     /// Values of `vals` that the observer knows will persist (Definition 3).
     persistent: ValueSet,
-    /// For the `r`-th value of `vals`, words `r·W … r·W + W − 1` (with
-    /// `W = ⌈n / 64⌉`) are the bitmap of the seen time-0 processes holding
-    /// it — the supports the persistence witness counts test against.
-    holders: Vec<u64>,
 }
 
 impl ViewAnalysis {
@@ -73,7 +69,6 @@ impl ViewAnalysis {
             known_crashed: PidSet::new(),
             observations: DirectObservations::compute(run, node),
             persistent: ValueSet::new(),
-            holders: Vec::new(),
         };
         analysis.prev_capacity = analysis.walk_prev_capacity(run);
         analysis.fill_structure(run);
@@ -123,55 +118,50 @@ impl ViewAnalysis {
     /// any run whose `synchrony::ViewKey` at the node is the same.  The
     /// refresh reads only nodes of that view, and then leaves the analysis
     /// `==` to `ViewAnalysis::new(run, node)`.
+    ///
+    /// It makes one pass over the run's distinct values
+    /// ([`synchrony::ValueIndex`]), at `O(⌈n / 64⌉)` word operations per
+    /// value: a value is in `Vals⟨i, m⟩` (or `Vals⟨i, m − 1⟩`) when its
+    /// holders meet the node's (or the previous node's) time-0 layer.
     pub fn refresh_values(&mut self, run: &Run) {
-        let process = self.node.process;
-        let m = self.node.time.index();
-        let words = self.n.div_ceil(64);
-        let ViewAnalysis { seen, vals, prev_vals, known_crashed, persistent, holders, t, .. } =
-            self;
+        let time = self.node.time;
+        let index = run.value_index();
+        let ViewAnalysis { seen, vals, prev_vals, known_crashed, persistent, t, .. } = self;
         let seen0 = seen.layer(Time::ZERO);
+        let prev = (time > Time::ZERO).then(|| {
+            (run.seen(self.node.process, time - 1).layer(Time::ZERO), seen.layer(time - 1))
+        });
+        let meets = |set: &PidSet, bits: &[u64]| {
+            bits.iter().enumerate().any(|(w, &b)| set.word(w) & b != 0)
+        };
+        // Persistence (Definition 3): the value was already seen at m − 1,
+        // or at least t − d seen time-(m − 1) nodes had seen it.
+        let needed = t.saturating_sub(known_crashed.len());
 
         vals.clear();
-        for p in seen0 {
-            vals.insert(run.initial_value(p));
-        }
-        holders.clear();
-        holders.resize(vals.len() * words, 0);
-        for p in seen0 {
-            let value = run.initial_value(p);
-            let rank = vals.iter().position(|v| v == value).expect("the value was just inserted");
-            holders[rank * words + p.index() / 64] |= 1 << (p.index() % 64);
-        }
         prev_vals.clear();
-        if m > 0 {
-            for p in run.seen(process, self.node.time - 1).layer(Time::ZERO) {
-                prev_vals.insert(run.initial_value(p));
-            }
-        }
-
-        // Persistence (Definition 3): the value was already seen at m − 1,
-        // or at least t − d seen time-(m − 1) nodes had seen it.  A
-        // witness's time-0 support lies inside the observer's, so testing
-        // it against the value's holders decides whether it saw the value.
-        let needed = t.saturating_sub(known_crashed.len());
         persistent.clear();
-        for (rank, value) in vals.iter().enumerate() {
-            let persists = if m == 0 {
-                needed == 0
-            } else if prev_vals.contains(value) {
-                true
-            } else {
-                let prev_time = self.node.time - 1;
-                let held = &holders[rank * words..(rank + 1) * words];
-                seen.layer(prev_time)
-                    .iter()
-                    .filter(|&j| {
-                        let support = run.seen(j, prev_time).layer(Time::ZERO);
-                        held.iter().enumerate().any(|(w, &h)| support.word(w) & h != 0)
-                    })
-                    .take(needed)
-                    .count()
-                    >= needed
+        for (rank, &value) in index.values().iter().enumerate() {
+            let holders = index.holders(rank);
+            if !meets(seen0, holders) {
+                continue;
+            }
+            vals.insert(value);
+            let persists = match prev {
+                None => needed == 0,
+                Some((prev0, _)) if meets(prev0, holders) => {
+                    prev_vals.insert(value);
+                    true
+                }
+                Some((_, witnesses)) => {
+                    let knowers = index.knowers(time - 1, rank);
+                    let count: u32 = knowers
+                        .iter()
+                        .enumerate()
+                        .map(|(w, &k)| (witnesses.word(w) & k).count_ones())
+                        .sum();
+                    count as usize >= needed
+                }
             };
             if persists {
                 persistent.insert(value);

@@ -8,9 +8,12 @@
 //! hidden capacity, direct observations, persistence witness supports — is
 //! a function of that pattern only, so it can be computed once per distinct
 //! [`ViewKey`] and shared across every adversary (and every run) that
-//! revisits it.  A hit clones the stored analysis and recomputes only its
+//! revisits it.  A hit recomputes only the stored analysis's
 //! value-dependent fields (`Vals`, persistence against concrete values)
-//! through [`ViewAnalysis::refresh_values`].
+//! through [`ViewAnalysis::refresh_values`], in place, and hands out
+//! another [`Rc`] of it: nothing is copied unless the caller still holds
+//! the previous result for that view (then [`Rc::make_mut`] copies it
+//! once, and the held result keeps describing its own run).
 //!
 //! The batch executor does not consult this cache: it keeps one analysis
 //! per node and refills it in place.  The cache serves job code that
@@ -20,8 +23,8 @@
 //! it serves can share one without borrow gymnastics.  It is deliberately
 //! **not** thread-safe: the sweep engine gives every worker thread its own
 //! runner, which keeps it lock-free and the fold results bit-identical at
-//! any parallelism (a cache hit returns a `ViewAnalysis` equal, `==`, to
-//! what [`ViewAnalysis::new`] would return).
+//! any parallelism (a cache hit returns an analysis equal, `==`, to what
+//! [`ViewAnalysis::new`] would return).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -93,7 +96,7 @@ impl CacheStats {
 
 #[derive(Debug)]
 struct CacheInner {
-    map: HashMap<ViewKey, ViewAnalysis>,
+    map: HashMap<ViewKey, Rc<ViewAnalysis>>,
     stats: CacheStats,
 }
 
@@ -114,7 +117,7 @@ struct CacheInner {
 ///     let adversary = Adversary::failure_free(InputVector::from_values(values))?;
 ///     let run = Run::generate(params, adversary, Time::new(1))?;
 ///     // Identical to an uncached analysis, bit for bit.
-///     assert_eq!(cache.analyze(&run, node)?, ViewAnalysis::new(&run, node)?);
+///     assert_eq!(*cache.analyze(&run, node)?, ViewAnalysis::new(&run, node)?);
 /// }
 /// // Three input vectors, one failure pattern: one construction, two hits.
 /// assert_eq!(cache.stats().misses, 1);
@@ -142,25 +145,30 @@ impl AnalysisCache {
     /// ([`ViewKey`]).  The result is identical (`==`) to
     /// [`ViewAnalysis::new`].
     ///
+    /// The result shares the stored analysis: a hit refreshes it in place,
+    /// and copies it first only if an earlier result for the same view is
+    /// still held.  Drop each result before the next lookup to keep hits
+    /// copy-free.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`ViewAnalysis::new`].
-    pub fn analyze(&self, run: &Run, node: Node) -> Result<ViewAnalysis, ModelError> {
+    pub fn analyze(&self, run: &Run, node: Node) -> Result<Rc<ViewAnalysis>, ModelError> {
         // Reject invalid nodes up front: key extraction reads the run's
         // structures directly and must only ever see validated nodes.
         validate_node(run, node)?;
         let mut inner = self.inner.borrow_mut();
         let key = ViewKey::from_run(run, node);
-        if let Some(stored) = inner.map.get(&key) {
-            let mut analysis = stored.clone();
-            analysis.refresh_values(run);
+        if let Some(stored) = inner.map.get_mut(&key) {
+            Rc::make_mut(stored).refresh_values(run);
+            let analysis = Rc::clone(stored);
             inner.stats.hits += 1;
             return Ok(analysis);
         }
-        let analysis = ViewAnalysis::new(run, node)?;
+        let analysis = Rc::new(ViewAnalysis::new(run, node)?);
         inner.stats.misses += 1;
         if inner.map.len() < MAX_ENTRIES {
-            inner.map.insert(key, analysis.clone());
+            inner.map.insert(key, Rc::clone(&analysis));
         }
         Ok(analysis)
     }
@@ -238,7 +246,12 @@ mod tests {
                     }
                     let cached = cache.analyze(run, node).unwrap();
                     let reference = ViewAnalysis::new(run, node).unwrap();
-                    assert_eq!(cached, reference, "divergence at {node} of {}", run.to_adversary());
+                    assert_eq!(
+                        *cached,
+                        reference,
+                        "divergence at {node} of {}",
+                        run.to_adversary()
+                    );
                 }
             }
         }
@@ -246,6 +259,40 @@ mod tests {
         assert!(stats.hits > 0, "input relabelings must hit the cache");
         assert_eq!(stats.lookups(), stats.hits + stats.misses);
         assert!(stats.hit_rate() > 0.0);
+    }
+
+    /// A hit refreshes the stored analysis in place, so a result still held
+    /// by the caller must be copied off first: it keeps describing its own
+    /// run while later lookups of the same view describe theirs, and the
+    /// counters are those of one construction and hits for the rest.
+    #[test]
+    fn held_results_survive_later_hits_on_the_same_view() {
+        let crash = |f: &mut FailurePattern| {
+            f.crash(0, 1, [1]).unwrap();
+        };
+        let runs = [
+            run_with([0, 1, 2, 3], crash),
+            run_with([9, 9, 1, 1], crash),
+            run_with([3, 2, 1, 0], crash),
+            run_with([5, 0, 5, 0], crash),
+        ];
+        let node = Node::new(1, Time::new(2));
+        let cache = AnalysisCache::new();
+        let first = cache.analyze(&runs[0], node).unwrap();
+        let second = cache.analyze(&runs[1], node).unwrap();
+        let held = [first, second];
+        for run in &runs[2..] {
+            let fresh = cache.analyze(run, node).unwrap();
+            assert_eq!(*fresh, ViewAnalysis::new(run, node).unwrap());
+            // Dropped before the next lookup: that one refreshes in place.
+            drop(fresh);
+        }
+        for (analysis, run) in held.iter().zip(&runs) {
+            assert_eq!(**analysis, ViewAnalysis::new(run, node).unwrap());
+        }
+        assert_ne!(held[0].vals(), held[1].vals(), "the two held results differ");
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 1 });
+        assert_eq!(cache.len(), 1);
     }
 
     /// Invalid nodes must surface the same `Err` as `ViewAnalysis::new` —

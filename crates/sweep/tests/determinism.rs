@@ -181,7 +181,7 @@ fn reused_runner_matches_one_shot_execute_on_every_builtin_scope() {
                     let node = Node::new(i, time);
                     let expected = ViewAnalysis::new(run, node)?;
                     assert_eq!(
-                        analyzer.analyze(run, node)?,
+                        *analyzer.analyze(run, node)?,
                         expected,
                         "{label}: {node} at {index}"
                     );

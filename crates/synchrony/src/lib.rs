@@ -71,7 +71,7 @@ pub use input::InputVector;
 pub use node::Node;
 pub use params::SystemParams;
 pub use pid::{PidSet, ProcessId};
-pub use run::{Run, RunStructure, SeenLayers, StructureReuse};
+pub use run::{Run, RunStructure, SeenLayers, StructureReuse, ValueIndex};
 pub use time::{Round, Time};
 pub use value::{Value, ValueSet};
 pub use view::{View, ViewKey};

@@ -24,6 +24,10 @@
 //! overlay is swapped and the simulated rows are kept — reported as
 //! [`StructureReuse::Reused`].  Decision rules are layered on top by the
 //! `set-consensus` crate.
+//!
+//! The overlay carries a [`ValueIndex`]: the run's distinct input values,
+//! who holds each, and, row by row, who has seen each — the only value
+//! facts the paper's decision rules read.
 
 use std::fmt;
 
@@ -373,17 +377,140 @@ impl RunStructure {
     }
 }
 
+/// The value facts of a run, indexed once per input vector: its distinct
+/// input values in increasing order, the *holders* of each (the processes
+/// that start with it) and, for every simulated time `m`, its *knowers*
+/// (the processes `j` whose `seen(j, m)` time-0 layer meets the holders —
+/// an inactive process knows nothing).
+///
+/// Every set is a bitmap of exactly `⌈n / 64⌉` words: bit `b` of word `w`
+/// is process `64·w + b`, as in [`PidSet::word`].  Values are named by
+/// their *rank*, their position in [`ValueIndex::values`].
+///
+/// The index covers rows `0 ..= frontier` of its [`Run`]: it is rebuilt
+/// whenever the input overlay changes ([`Run::generate`], [`Run::retarget`])
+/// and extended by [`Run::simulate_through`], at `O(V · n · ⌈n / 64⌉)` word
+/// operations per row for `V` distinct values.
+///
+/// ```
+/// use synchrony::{Adversary, FailurePattern, InputVector, Run, SystemParams, Time, Value};
+///
+/// // p0 starts with 7 and crashes in round 1, reaching only p1.
+/// let mut failures = FailurePattern::crash_free(3);
+/// failures.crash(0, 1, [1])?;
+/// let adversary = Adversary::new(InputVector::from_values([7, 2, 2]), failures)?;
+/// let run = Run::generate(SystemParams::new(3, 1)?, adversary, Time::new(2))?;
+/// let index = run.value_index();
+/// assert_eq!(index.values(), &[Value::new(2), Value::new(7)]);
+/// assert_eq!(index.holders(1), &[0b001]);
+/// assert_eq!(index.knowers(Time::new(1), 1), &[0b010], "p0 has crashed; p1 heard it");
+/// assert_eq!(index.knowers(Time::new(2), 1), &[0b110]);
+/// # Ok::<(), synchrony::ModelError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ValueIndex {
+    /// `⌈n / 64⌉`: the words of every bitmap.
+    words: usize,
+    /// Strictly increasing.
+    values: Vec<Value>,
+    /// The holders of rank `r` at words `r·W …`, with `W` = `words`.
+    holders: Vec<u64>,
+    /// The knowers of rank `r` at time `m` at words `(m·V + r)·W …`, for
+    /// `V` values; the simulated rows only.
+    knowers: Vec<u64>,
+}
+
+impl ValueIndex {
+    /// Returns the distinct input values of the run, in increasing order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// Returns the holders of the value of rank `rank`: the processes that
+    /// start with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not below the number of distinct values.
+    pub fn holders(&self, rank: usize) -> &[u64] {
+        &self.holders[rank * self.words..(rank + 1) * self.words]
+    }
+
+    /// Returns the knowers of the value of rank `rank` at `time`: the
+    /// processes whose node at `time` has seen a holder's time-0 node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is out of range or `time` lies past the run's
+    /// simulated frontier.
+    pub fn knowers(&self, time: Time, rank: usize) -> &[u64] {
+        let start = (time.index() * self.values.len() + rank) * self.words;
+        &self.knowers[start..start + self.words]
+    }
+
+    /// Indexes the values of `inputs` and the knowers of rows
+    /// `0 ..= structure.frontier()`, reusing every buffer.
+    fn rebuild(&mut self, structure: &RunStructure, inputs: &InputVector) {
+        let words = structure.params.n().div_ceil(64);
+        self.words = words;
+        self.values.clear();
+        self.values.extend(inputs.iter().map(|(_, value)| value));
+        self.values.sort_unstable();
+        self.values.dedup();
+        self.holders.clear();
+        self.holders.resize(self.values.len() * words, 0);
+        for (p, value) in inputs.iter() {
+            let rank = self.values.binary_search(&value).expect("every input is indexed");
+            self.holders[rank * words + p.index() / 64] |= 1 << (p.index() % 64);
+        }
+        self.knowers.clear();
+        self.extend(structure);
+    }
+
+    /// Indexes the knowers of the rows simulated since the last call, up to
+    /// `structure.frontier()`.
+    fn extend(&mut self, structure: &RunStructure) {
+        let (words, num_values) = (self.words, self.values.len());
+        let row_len = num_values * words;
+        for m in self.knowers.len() / row_len..=structure.frontier.index() {
+            let start = self.knowers.len();
+            self.knowers.resize(start + row_len, 0);
+            let row = &mut self.knowers[start..];
+            for (j, seen) in structure.seen[m].iter().enumerate() {
+                let support = seen.layers[0].as_words();
+                for (rank, held) in self.holders.chunks_exact(words).enumerate() {
+                    if support.iter().zip(held).any(|(s, h)| s & h != 0) {
+                        row[rank * words + j / 64] |= 1 << (j % 64);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The full-information structure of a run: a (potentially shared)
-/// [`RunStructure`] plus the input-vector overlay.
+/// [`RunStructure`] plus the input-vector overlay and its [`ValueIndex`].
 ///
 /// The horizon must be long enough for the protocols under study to decide;
 /// `⌊t/k⌋ + 2` always suffices for the protocols in this repository, and
 /// [`Run::generous_horizon`] provides a safe default of `t + 2`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares the structure and the input vector; the index is a
+/// function of the two.
+#[derive(Debug, Clone)]
 pub struct Run {
     structure: RunStructure,
     inputs: InputVector,
+    index: ValueIndex,
 }
+
+impl PartialEq for Run {
+    fn eq(&self, other: &Self) -> bool {
+        self.structure == other.structure && self.inputs == other.inputs
+    }
+}
+
+impl Eq for Run {}
 
 impl Run {
     /// Simulates the full-information exchange under `adversary` for
@@ -400,7 +527,10 @@ impl Run {
     ) -> Result<Self, ModelError> {
         adversary.validate_against(&params)?;
         let (inputs, failures) = adversary.into_parts();
-        Ok(Run { structure: RunStructure::generate(params, failures, horizon)?, inputs })
+        let structure = RunStructure::generate(params, failures, horizon)?;
+        let mut index = ValueIndex::default();
+        index.rebuild(&structure, &inputs);
+        Ok(Run { structure, inputs, index })
     }
 
     /// Re-targets this run at a new adversary (and possibly new parameters
@@ -446,6 +576,8 @@ impl Run {
     /// The adversary is taken by reference so the reuse path clones only
     /// the input vector — the failure pattern (a heap-backed map) is merely
     /// compared, never copied, on the hot path of a structure-major sweep.
+    /// Either way the [`ValueIndex`] is rebuilt for the new inputs over the
+    /// rows the run holds.
     ///
     /// # Errors
     ///
@@ -462,24 +594,30 @@ impl Run {
             return Err(ModelError::EmptyHorizon);
         }
         self.inputs.clone_from(adversary.inputs());
-        if self.structure.matches(&params, adversary.failures(), horizon) {
-            return Ok(StructureReuse::Reused);
-        }
-        self.structure.params = params;
-        self.structure.failures.clone_from(adversary.failures());
-        self.structure.horizon = horizon;
-        self.structure.restart();
-        Ok(StructureReuse::Simulated)
+        let reuse = if self.structure.matches(&params, adversary.failures(), horizon) {
+            StructureReuse::Reused
+        } else {
+            self.structure.params = params;
+            self.structure.failures.clone_from(adversary.failures());
+            self.structure.horizon = horizon;
+            self.structure.restart();
+            StructureReuse::Simulated
+        };
+        self.index.rebuild(&self.structure, &self.inputs);
+        Ok(reuse)
     }
 
-    /// Extends the simulation through `time`; see
+    /// Extends the simulation, and the [`ValueIndex`], through `time`; see
     /// [`RunStructure::simulate_through`].
     ///
     /// # Panics
     ///
     /// Panics if `time` exceeds the horizon.
     pub fn simulate_through(&mut self, time: Time) {
-        self.structure.simulate_through(time);
+        if time > self.structure.frontier {
+            self.structure.simulate_through(time);
+            self.index.extend(&self.structure);
+        }
     }
 
     /// Returns the simulated frontier: rows `0 ..= frontier` may be read.
@@ -509,6 +647,11 @@ impl Run {
     /// Returns the input vector of the run.
     pub fn inputs(&self) -> &InputVector {
         &self.inputs
+    }
+
+    /// Returns the run's [`ValueIndex`], which covers the simulated rows.
+    pub fn value_index(&self) -> &ValueIndex {
+        &self.index
     }
 
     /// Returns the failure pattern of the run.
