@@ -871,11 +871,19 @@ mod tests {
     /// stand in for a process index or a bit position.
     #[test]
     fn value_fields_follow_retargets_and_row_extensions() {
-        const SPARSE: [u64; 4] = [0, 9, 64, 1000];
+        // Most processes start with 1000 and few with each of 0, 9 and 64,
+        // so a crash can keep a value from some processes past time 1.
+        let value = |draws: &mut Draws| match draws.below(100) {
+            0..4 => 0,
+            4..8 => 9,
+            8..12 => 64,
+            _ => 1000,
+        };
         let horizon = 4u32;
         let mut draws = Draws(1311);
-        // Newly seen values that did not / did persist through witnesses.
-        let mut witness_tests = [0usize; 2];
+        // Newly seen values at time 1 / later that did not / did persist
+        // through witnesses.
+        let mut witness_tests = [[0usize; 2]; 2];
         for n in [2usize, 63, 64, 65, 83] {
             let end = Time::new(horizon);
             let mut run: Option<Run> = None;
@@ -887,8 +895,7 @@ mod tests {
                 let failures = random_pattern(n, t, percent, horizon, &mut draws);
                 let mut slots: Vec<Option<ViewAnalysis>> = vec![None; (horizon as usize + 1) * n];
                 for round in 0..3 {
-                    let inputs: Vec<u64> =
-                        (0..n).map(|_| SPARSE[draws.below(4) as usize]).collect();
+                    let inputs: Vec<u64> = (0..n).map(|_| value(&mut draws)).collect();
                     let adversary =
                         Adversary::new(InputVector::from_values(inputs), failures.clone()).unwrap();
                     let run = match run.as_mut() {
@@ -922,7 +929,8 @@ mod tests {
                             let d = fresh.num_known_crashed();
                             if m > 0 {
                                 for v in vals.iter().filter(|&v| !prev_vals.contains(v)) {
-                                    witness_tests[usize::from(fresh.knows_will_persist(v))] += 1;
+                                    let persists = fresh.knows_will_persist(v);
+                                    witness_tests[usize::from(m > 1)][usize::from(persists)] += 1;
                                 }
                             }
                             let label = format!("n={n} {node} round {round}");
@@ -952,7 +960,10 @@ mod tests {
                 }
             }
         }
-        assert!(witness_tests.iter().all(|&c| c > 0), "witness counts untested: {witness_tests:?}");
+        assert!(
+            witness_tests.iter().flatten().all(|&c| c > 0),
+            "witness counts untested: {witness_tests:?}"
+        );
     }
 
     /// A value-only refresh against a relabeled run equals a fresh analysis,
