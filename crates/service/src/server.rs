@@ -779,9 +779,13 @@ fn handle_connection(
                 registry.lock().expect("cancel registry lock").insert(id, Arc::clone(&cancel));
                 let task =
                     JobTask { spec, reply: reply.clone(), cancel, queued_at: Instant::now() };
+                // Count the job before it is queued: a dispatcher may dequeue
+                // it, and take it off the gauge, before `try_send` returns.
+                metrics.queue_depth.add(1);
                 match job_tx.try_send(task) {
-                    Ok(()) => metrics.queue_depth.add(1),
+                    Ok(()) => {}
                     Err(TrySendError::Full(_)) => {
+                        metrics.queue_depth.add(-1);
                         registry.lock().expect("cancel registry lock").remove(&id);
                         reply.send(&error_frame(
                             Some(id),
@@ -790,6 +794,7 @@ fn handle_connection(
                         ));
                     }
                     Err(TrySendError::Disconnected(_)) => {
+                        metrics.queue_depth.add(-1);
                         registry.lock().expect("cancel registry lock").remove(&id);
                         break;
                     }
