@@ -5,15 +5,15 @@
 //! a view is determined by the failure pattern alone up to input relabeling,
 //! and the input vectors are swept as a cross product.  The structural part
 //! of a [`ViewAnalysis`] — seen/hidden classification, provable crashes,
-//! hidden capacity, direct observations, persistence witness supports — is
-//! a function of that pattern only, so it can be computed once per distinct
-//! [`ViewKey`] and shared across every adversary (and every run) that
-//! revisits it.  A hit recomputes only the stored analysis's
-//! value-dependent fields (`Vals`, persistence against concrete values)
-//! through [`ViewAnalysis::refresh_values`], in place, and hands out
-//! another [`Rc`] of it: nothing is copied unless the caller still holds
-//! the previous result for that view (then [`Rc::make_mut`] copies it
-//! once, and the held result keeps describing its own run).
+//! hidden capacity, direct observations — is a function of that pattern
+//! only, so it can be computed once per distinct [`ViewKey`] and shared
+//! across every adversary (and every run) that revisits it.  A hit
+//! recomputes only the stored analysis's value-dependent fields (`Vals`,
+//! persistence against concrete values) through
+//! [`ViewAnalysis::refresh_values`], in place, and hands out another
+//! [`Rc`] of it: nothing is copied unless the caller still holds the
+//! previous result for that view (then [`Rc::make_mut`] copies it once,
+//! and the held result keeps describing its own run).
 //!
 //! The batch executor does not consult this cache: it keeps one analysis
 //! per node and refills it in place.  The cache serves job code that

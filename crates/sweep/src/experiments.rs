@@ -402,14 +402,15 @@ pub fn thm1_case_row(
 ///
 /// This experiment is the headline scope of the sweep-performance work:
 ///
-/// * every per-node analysis — including the Lemma-3 structure check, which
-///   runs *inside* the executor's decision loop via the per-node observer,
-///   analyzing each node exactly once per run — goes through each worker's
-///   view-keyed cache, so `stats.cache.constructions()` is the number of
-///   full `ViewAnalysis` constructions the whole experiment performed;
+/// * every active node is analyzed exactly once per run, in the executor's
+///   decision loop — the Lemma-3 structure check runs there too, through
+///   the per-node observer — in the runner's per-node slot: a full
+///   in-place recompute after each re-simulation, and a value-only refresh
+///   while the structure is reused.  `stats.cache` counts the two as
+///   misses and hits; the view-keyed `AnalysisCache` is not consulted;
 /// * the exhaustive scopes are swept pattern-major, so `stats.runs` shows
 ///   one communication-structure simulation per failure pattern with every
-///   other input vector reusing it.
+///   other input vector reusing it, and most analyses are refreshes.
 ///
 /// # Errors
 ///
