@@ -444,6 +444,7 @@ impl ValueIndex {
     /// Panics if `rank` is out of range or `time` lies past the run's
     /// simulated frontier.
     pub fn knowers(&self, time: Time, rank: usize) -> &[u64] {
+        assert!(rank < self.values.len(), "no value of rank {rank}");
         let start = (time.index() * self.values.len() + rank) * self.words;
         &self.knowers[start..start + self.words]
     }
@@ -473,11 +474,20 @@ impl ValueIndex {
         let (words, num_values) = (self.words, self.values.len());
         let row_len = num_values * words;
         for m in self.knowers.len() / row_len..=structure.frontier.index() {
+            if m == 0 {
+                // ⟨j, 0⟩ sees only itself: the knowers are the holders.
+                self.knowers.extend_from_slice(&self.holders);
+                continue;
+            }
             let start = self.knowers.len();
             self.knowers.resize(start + row_len, 0);
             let row = &mut self.knowers[start..];
             for (j, seen) in structure.seen[m].iter().enumerate() {
+                // Empty for a crashed process.
                 let support = seen.layers[0].as_words();
+                if support.is_empty() {
+                    continue;
+                }
                 for (rank, held) in self.holders.chunks_exact(words).enumerate() {
                     if support.iter().zip(held).any(|(s, h)| s & h != 0) {
                         row[rank * words + j / 64] |= 1 << (j % 64);
@@ -614,10 +624,8 @@ impl Run {
     ///
     /// Panics if `time` exceeds the horizon.
     pub fn simulate_through(&mut self, time: Time) {
-        if time > self.structure.frontier {
-            self.structure.simulate_through(time);
-            self.index.extend(&self.structure);
-        }
+        self.structure.simulate_through(time);
+        self.index.extend(&self.structure);
     }
 
     /// Returns the simulated frontier: rows `0 ..= frontier` may be read.
@@ -1022,6 +1030,47 @@ mod tests {
             StructureReuse::Reused
         );
         assert_eq!(run.frontier(), Time::new(3));
+    }
+
+    /// The value index follows the inputs across both arms of a retarget
+    /// and covers exactly the simulated rows, each equal to its definition.
+    #[test]
+    fn value_index_matches_its_definition_row_by_row() {
+        let bits = |set: &PidSet| (0..4).filter(|&p| set.contains(p)).fold(0u64, |b, p| b | 1 << p);
+        let mut run = small_run(4, 2, &[0, 0, 0, 0], |_| {}, 3);
+        let mut failures = FailurePattern::crash_free(4);
+        failures.crash(0, 1, [1]).unwrap();
+        failures.crash(1, 2, [2]).unwrap();
+        for inputs in [[64u64, 9, 64, 1000], [5, 5, 5, 5], [1000, 0, 9, 9]] {
+            let adversary =
+                Adversary::new(InputVector::from_values(inputs), failures.clone()).unwrap();
+            run.retarget(*run.params(), &adversary, Time::new(3)).unwrap();
+            for m in 0..=3u32 {
+                run.simulate_through(Time::new(m));
+                let index = run.value_index();
+                let mut values = inputs.to_vec();
+                values.sort_unstable();
+                values.dedup();
+                assert_eq!(
+                    index.values(),
+                    values.iter().map(|&v| Value::new(v)).collect::<Vec<_>>()
+                );
+                for (rank, &v) in values.iter().enumerate() {
+                    let holders: PidSet = (0..4).filter(|&p| inputs[p] == v).collect();
+                    assert_eq!(index.holders(rank), &[bits(&holders)]);
+                    for time in (0..=m).map(Time::new) {
+                        let knowers: PidSet = (0..4)
+                            .filter(|&j| !run.seen(j, time).layer(Time::ZERO).is_disjoint(&holders))
+                            .collect();
+                        assert_eq!(
+                            index.knowers(time, rank),
+                            &[bits(&knowers)],
+                            "{inputs:?} {time}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl WireRun {
         let failures = run.failures();
 
         let id_bits = (usize::BITS - (n.max(2) - 1).leading_zeros()).max(1);
-        let max_value = run.inputs().present_values().max().map(Value::get).unwrap_or(0);
+        let max_value = run.value_index().values().last().map_or(0, |v| v.get());
         let value_bits = (u64::BITS - max_value.leading_zeros()).max(1);
         let round_bits = (u32::BITS - horizon.value().leading_zeros()).max(1);
 
