@@ -131,9 +131,9 @@ impl ViewAnalysis {
         let prev = (time > Time::ZERO).then(|| {
             (run.seen(self.node.process, time - 1).layer(Time::ZERO), seen.layer(time - 1))
         });
-        let meets = |set: &PidSet, bits: &[u64]| {
-            bits.iter().enumerate().any(|(w, &b)| set.word(w) & b != 0)
-        };
+        // A set's stored words may stop early: the missing ones are zero.
+        let meets =
+            |set: &PidSet, bits: &[u64]| set.as_words().iter().zip(bits).any(|(s, b)| s & b != 0);
         // Persistence (Definition 3): the value was already seen at m − 1,
         // or at least t − d seen time-(m − 1) nodes had seen it.
         let needed = t.saturating_sub(known_crashed.len());
@@ -155,10 +155,11 @@ impl ViewAnalysis {
                 }
                 Some((_, witnesses)) => {
                     let knowers = index.knowers(time - 1, rank);
-                    let count: u32 = knowers
+                    let count: u32 = witnesses
+                        .as_words()
                         .iter()
-                        .enumerate()
-                        .map(|(w, &k)| (witnesses.word(w) & k).count_ones())
+                        .zip(knowers)
+                        .map(|(w, k)| (w & k).count_ones())
                         .sum();
                     count as usize >= needed
                 }
