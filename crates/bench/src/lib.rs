@@ -1,11 +1,11 @@
-//! Shared infrastructure for the `sweep` CLI and the experiment binaries.
+//! Shared infrastructure for the `sweep` CLI and the experiment binary.
 //!
 //! This library provides the shared plumbing they need:
 //!
 //! * [`Table`] — the plain-text result tables the binaries print, mirroring
 //!   the rows the paper reports;
 //! * [`summarize`] — decision-time statistics over the correct processes of
-//!   a run, and [`run_sweep`] — every protocol on one shared adversary;
+//!   a run;
 //! * [`report`] — renderers for the result structs of
 //!   `sweep::experiments`, shared by the `sweep` CLI's one-shot and daemon
 //!   paths so both print byte-identical output.
@@ -14,8 +14,8 @@
 //! the omission scan) run on the sharded sweep engine of the `sweep` crate
 //! behind `sweep thm1|thm3|fig4|prop2|omission`, which accepts `--shards`,
 //! `--threads` and `--seed` flags; the fold results are independent of both
-//! parallelism knobs.  The `exp_*` binaries are small single-scenario
-//! demonstrations and stay sequential.
+//! parallelism knobs.  The `exp_prop1_decision_bound` binary is a small
+//! single-scenario demonstration and stays sequential.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +25,8 @@ pub mod report;
 
 use std::fmt;
 
-use set_consensus::{execute, Protocol, TaskParams, Transcript};
-use synchrony::{Adversary, ModelError, Run, Time};
+use set_consensus::Transcript;
+use synchrony::{Run, Time};
 
 /// A plain-text table printed by the experiment binaries, mirroring the rows
 /// the paper reports.
@@ -169,32 +169,11 @@ pub fn summarize(run: &Run, transcript: &Transcript) -> DecisionSummary {
     }
 }
 
-/// Runs every protocol on the same adversary and returns the transcripts
-/// together with the (shared) run.
-///
-/// # Errors
-///
-/// Propagates model errors from the executor.
-pub fn run_sweep(
-    protocols: &[Box<dyn Protocol>],
-    params: &TaskParams,
-    adversary: &Adversary,
-) -> Result<(Run, Vec<Transcript>), ModelError> {
-    let mut transcripts = Vec::with_capacity(protocols.len());
-    let mut shared_run = None;
-    for protocol in protocols {
-        let (run, transcript) = execute(protocol.as_ref(), params, adversary.clone())?;
-        shared_run.get_or_insert(run);
-        transcripts.push(transcript);
-    }
-    Ok((shared_run.expect("at least one protocol"), transcripts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use set_consensus::{all_protocols, TaskVariant};
-    use synchrony::{InputVector, SystemParams};
+    use set_consensus::{all_protocols, execute, TaskParams, TaskVariant};
+    use synchrony::{Adversary, InputVector, SystemParams};
 
     #[test]
     fn counts_above_their_bounds_are_usage_errors() {
@@ -229,14 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn summarize_and_sweep_work_together() {
+    fn summarize_covers_every_correct_decider() {
         let params = TaskParams::new(SystemParams::new(4, 2).unwrap(), 2).unwrap();
         let adversary = Adversary::failure_free(InputVector::from_values([2, 2, 1, 0])).unwrap();
-        let protocols = all_protocols(TaskVariant::Nonuniform);
-        let (run, transcripts) = run_sweep(&protocols, &params, &adversary).unwrap();
-        assert_eq!(transcripts.len(), protocols.len());
-        for transcript in &transcripts {
-            let summary = summarize(&run, transcript);
+        for protocol in all_protocols(TaskVariant::Nonuniform) {
+            let (run, transcript) = execute(protocol.as_ref(), &params, adversary.clone()).unwrap();
+            let summary = summarize(&run, &transcript);
+            assert_eq!(summary.correct, 4);
             assert_eq!(summary.decided, summary.correct);
             assert!(summary.earliest <= summary.latest);
             assert!(summary.mean >= summary.earliest as f64);

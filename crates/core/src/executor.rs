@@ -123,13 +123,15 @@ pub type NodeObserver<'a> =
 ///   pattern (the structure-major order of exhaustive sweeps), the rows
 ///   already simulated are kept and only the input overlay is swapped —
 ///   counted in [`BatchRunner::run_stats`];
-/// * rows are simulated **on demand**: a plain batch
-///   ([`BatchRunner::execute_batch`]) extends the run just before the
-///   first node it analyzes at each time, so an early-deciding protocol
-///   never pays for the rows after its last decision, and the run it
-///   returns is simulated only through the last time it analyzed (its
-///   [`Run::frontier`]); an observed batch and [`BatchRunner::simulate`]
-///   simulate through the horizon;
+/// * rows are simulated **on demand**: a batch extends the run just
+///   before the first node it analyzes at each time, so an early-deciding
+///   protocol never pays for the rows after its last decision, and the run
+///   a plain batch ([`BatchRunner::execute_batch`]) returns is simulated
+///   only through the last time it analyzed (its [`Run::frontier`]).  An
+///   observed batch analyzes every active node, and some process is
+///   active at every time up to the horizon (t ≤ n − 1), so its run ends
+///   at the horizon; [`BatchRunner::simulate`] simulates through the
+///   horizon directly;
 /// * the per-protocol decision buffers (and the [`Transcript`]s wrapping
 ///   them, including their protocol-name strings) are reused across runs;
 /// * each node's knowledge analysis is computed **once per run** and shared
@@ -378,7 +380,9 @@ impl BatchRunner {
     /// and including the observed node.  Unlike the plain batch loop —
     /// which skips analyzing nodes once every protocol has decided — the
     /// observed loop analyzes every active node, so the observer sees all of
-    /// them.
+    /// them.  Rows are simulated on demand, as in the plain loop: the run
+    /// the observer sees is simulated through the observed node's time, and
+    /// the returned run through the horizon.
     ///
     /// # Errors
     ///
@@ -398,10 +402,11 @@ impl BatchRunner {
     /// The shared batch loop behind [`BatchRunner::execute_batch`] and
     /// [`BatchRunner::execute_batch_observed`].
     ///
-    /// An observed batch simulates its run through the horizon up front.
-    /// A plain one re-targets the run at time 0 and extends it just before
-    /// the first node it analyzes at each later time, so rows past the
-    /// last decision are never simulated.
+    /// Both re-target the run at time 0 and extend it just before the
+    /// first node they analyze at each later time.  A plain batch skips
+    /// the nodes whose protocols have all decided, so rows past the last
+    /// decision are never simulated; an observed batch analyzes every
+    /// active node and so reaches the horizon.
     fn run_batch(
         &mut self,
         protocols: &[&dyn Protocol],
@@ -413,9 +418,6 @@ impl BatchRunner {
         self.retarget(params.system(), adversary, horizon)?;
         let BatchRunner { run, transcripts, slots, generation, slot_stats, .. } = self;
         let run = run.as_mut().expect("the run was just re-targeted");
-        if observer.is_some() {
-            run.simulate_through(horizon);
-        }
         let n = run.n();
         let num_nodes = (horizon.index() + 1) * n;
         if slots.len() < num_nodes {
@@ -710,6 +712,7 @@ mod tests {
                     |run, node, analysis, transcripts| {
                         assert_eq!(analysis.time(), node.time);
                         assert!(run.is_active(node.process, node.time));
+                        assert!(run.frontier() >= node.time, "row {} unsimulated", node.time);
                         visited.push(node);
                         live_optmin.push((node, transcripts[0].decision_time(node.process)));
                         Ok(())
@@ -728,6 +731,7 @@ mod tests {
                 }
             }
             assert_eq!(visited, expected);
+            assert_eq!(run.frontier(), run.horizon(), "an observed batch reaches the horizon");
 
             // The live decision state equals the final transcript, truncated
             // at the observed node's time.

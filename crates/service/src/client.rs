@@ -27,7 +27,7 @@ pub struct JobOutcome {
     pub fleet_workers: u64,
     /// Of the executed shards, how many ran on remote workers.
     pub shards_remote: u64,
-    /// Lease re-queues the job survived.
+    /// Leases a worker lost whose shards the daemon's local pool re-ran.
     pub leases_requeued: u64,
     /// Every `shard-done` frame, in arrival order.
     pub shard_frames: Vec<ShardDone>,

@@ -3,25 +3,28 @@
 //! A *lease* is one shard of one case granted to one remote worker: a
 //! `(lease id, generation)` pair plus a [`TaskSpec`] the worker can
 //! execute self-containedly.  The table owns the full failure policy —
-//! liveness, expiry, re-queue, backoff, fallback — and nothing else: it
-//! talks to workers only through injected [`WorkerSender`] closures and
-//! reports task outcomes only through per-task completion callbacks, so
-//! every policy decision is unit-testable without sockets or threads
-//! (all methods take the current [`Instant`] explicitly).
+//! liveness, expiry, fallback — and nothing else: it talks to workers only
+//! through injected [`WorkerSender`] closures and reports task outcomes
+//! only through per-task completion callbacks, so every policy decision is
+//! unit-testable without sockets or threads (every method that reads the
+//! clock takes the current [`Instant`] explicitly).
 //!
 //! The policy, in one paragraph: a worker's deadline is its last frame
 //! time plus the lease TTL — heartbeats and completions extend it, and a
-//! worker past its deadline is expired wholesale (its in-flight lease
-//! re-queued).  A re-queued shard waits out a capped exponential backoff,
-//! then goes to a *different* worker when one is idle; after three grants
-//! (or whenever the fleet is empty) the shard *falls back* to the local
-//! dispatcher path instead — remote execution is an accelerator, never a
-//! point of failure.  A completion carrying a stale `(lease, generation)`
-//! — the late `lease-done` of an expired grant — is counted and dropped:
-//! the shard's accumulator enters the fold exactly once, which is what
-//! keeps the merged result bit-identical to the in-process sweep under any
-//! crash schedule.  The lease TTL is the one setting (`--lease-ttl-ms`);
-//! the retry budget and the backoff ramp are fixed constants.
+//! worker past its deadline is expired wholesale.  A lease that does not
+//! complete — its worker expired, disconnected or could not be sent to,
+//! the worker rejected it, or the fleet became empty — leaves the table
+//! and its shard *falls back* to the local dispatcher path at once; it is
+//! never granted again.  Like a crashed process in the synchronous crash
+//! model, a lost worker is simply gone: while any worker is registered the
+//! coordinator's local pool is otherwise idle, so it re-runs the shard
+//! without waiting.  Remote execution is an accelerator, never a point of
+//! failure.  A completion whose `(lease, generation)` no longer names an
+//! assigned grant — the late `lease-done` of an expired worker — is
+//! counted and dropped: the shard's accumulator enters the fold exactly
+//! once, which is what keeps the merged result bit-identical to the
+//! in-process sweep under any crash schedule.  The lease TTL is the one
+//! setting (`--lease-ttl-ms`).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -35,16 +38,6 @@ use crate::wire::{Frame, LeaseGrant, TaskSpec, Value};
 
 /// Default lease TTL when the daemon is started without an override.
 pub const DEFAULT_LEASE_TTL_MS: u64 = 10_000;
-
-/// Total grants a shard may consume before falling back to local
-/// execution.
-const MAX_ATTEMPTS: u32 = 3;
-
-/// Backoff before a shard's first re-grant; doubles per attempt.
-const BACKOFF_BASE: Duration = Duration::from_millis(50);
-
-/// Upper bound on the backoff ramp.
-const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
 /// Sends one frame to a registered worker, returning `false` when the
 /// worker's connection is gone (which expires the worker).
@@ -62,14 +55,14 @@ pub enum TaskOutcome {
         range: (usize, usize),
         /// Execution statistics of the shard.
         stats: SweepStats,
-        /// Re-queues this shard survived before completing.
-        requeues: u64,
     },
-    /// The fleet could not finish the shard (empty, exhausted retries, or
-    /// the task was cancelled) — execute it on the local dispatcher path.
+    /// The fleet did not finish the shard — execute it on the local
+    /// dispatcher path.
     Fallback {
-        /// Re-queues this shard consumed before falling back.
-        requeues: u64,
+        /// Whether a worker held the lease and lost it (expired,
+        /// disconnected or could not be sent to), rather than rejecting it
+        /// or never being granted it.
+        lost: bool,
     },
 }
 
@@ -104,27 +97,19 @@ struct WorkerEntry {
 struct TaskState {
     spec: TaskSpec,
     complete: CompleteFn,
-    /// Bumped on every grant; a completion must match the current value
-    /// *and* find the lease assigned, so late duplicates never land.
+    /// Set by the grant; a completion must match it *and* find the lease
+    /// assigned to the sending worker, so late or forged duplicates never
+    /// land.
     generation: u64,
-    /// Grants consumed so far.
-    attempts: u32,
-    /// Re-queues survived so far.
-    requeues: u64,
     /// The worker currently holding the grant, when assigned.
     assigned: Option<u64>,
-    /// Workers that already held (and lost) this lease — avoided on
-    /// re-grant when any other worker is idle.
-    last_worker: Option<u64>,
-    /// Earliest instant the next grant may happen (the backoff ramp).
-    not_before: Option<Instant>,
 }
 
 struct Inner {
     workers: HashMap<u64, WorkerEntry>,
     /// Every live task, keyed by lease id (queued or assigned).
     leases: HashMap<u64, TaskState>,
-    /// Lease ids awaiting (re-)assignment, oldest first.
+    /// Lease ids awaiting assignment, oldest first.
     queue: VecDeque<u64>,
     next_worker: u64,
     next_lease: u64,
@@ -141,7 +126,7 @@ pub struct LeaseTable {
     /// [`LeaseTable::wait_for_worker`].
     worker_arrived: Condvar,
     /// A worker silent for longer than this is declared dead and its
-    /// in-flight lease re-queued.
+    /// in-flight lease falls back.
     lease_ttl: Duration,
     granted: AtomicU64,
     completed: AtomicU64,
@@ -243,19 +228,19 @@ impl LeaseTable {
         }
     }
 
-    /// Removes a worker whose connection ended, re-queueing its in-flight
-    /// lease.
-    pub fn worker_gone(&self, worker: u64, now: Instant) {
+    /// Removes a worker whose connection ended, falling its in-flight
+    /// lease back.
+    pub fn worker_gone(&self, worker: u64) {
         let mut inner = self.inner.lock().expect("lease table lock");
-        self.kill_worker(&mut inner, worker, now, false);
-        self.dispatch(&mut inner, now);
+        self.kill_worker(&mut inner, worker, false);
+        self.dispatch(&mut inner);
     }
 
     /// Submits a shard for remote execution.  Returns `false` — without
     /// consuming the task's completion callback against a fallback — when
     /// no workers are registered, so the caller can dispatch locally
     /// without a round trip through the outcome channel.
-    pub fn submit(&self, task: RemoteTask, now: Instant) -> bool {
+    pub fn submit(&self, task: RemoteTask) -> bool {
         let mut inner = self.inner.lock().expect("lease table lock");
         if inner.workers.is_empty() {
             return false;
@@ -264,19 +249,10 @@ impl LeaseTable {
         let lease = inner.next_lease;
         inner.leases.insert(
             lease,
-            TaskState {
-                spec: task.spec,
-                complete: task.complete,
-                generation: 0,
-                attempts: 0,
-                requeues: 0,
-                assigned: None,
-                last_worker: None,
-                not_before: None,
-            },
+            TaskState { spec: task.spec, complete: task.complete, generation: 0, assigned: None },
         );
         inner.queue.push_back(lease);
-        self.dispatch(&mut inner, now);
+        self.dispatch(&mut inner);
         true
     }
 
@@ -296,55 +272,29 @@ impl LeaseTable {
         now: Instant,
     ) -> bool {
         let mut inner = self.inner.lock().expect("lease table lock");
-        if let Some(entry) = inner.workers.get_mut(&worker) {
-            entry.deadline = now + self.lease_ttl;
-        }
-        let valid = inner
-            .leases
-            .get(&lease)
-            .is_some_and(|state| state.generation == generation && state.assigned == Some(worker));
-        if !valid {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
+        if !self.settle(&mut inner, lease, generation, worker, now) {
             return false;
         }
-        let state = inner.leases.remove(&lease).expect("validated lease present");
-        if let Some(entry) = inner.workers.get_mut(&worker) {
-            entry.busy = None;
-        }
+        let state = inner.leases.remove(&lease).expect("settled lease present");
         self.completed.fetch_add(1, Ordering::Relaxed);
-        (state.complete)(TaskOutcome::Done { payload, range, stats, requeues: state.requeues });
-        self.dispatch(&mut inner, now);
+        (state.complete)(TaskOutcome::Done { payload, range, stats });
+        self.dispatch(&mut inner);
         true
     }
 
     /// Lands a worker's typed rejection of a lease: the shard falls back
-    /// to local execution immediately (the rejection is deterministic, so
-    /// retrying it remotely would fail the same way — the local path
-    /// surfaces the same model error as a typed error frame).
+    /// to local execution, which surfaces the same model error as a typed
+    /// error frame.
     pub fn lease_failed(&self, lease: u64, generation: u64, worker: u64, now: Instant) {
         let mut inner = self.inner.lock().expect("lease table lock");
-        if let Some(entry) = inner.workers.get_mut(&worker) {
-            entry.deadline = now + self.lease_ttl;
+        if self.settle(&mut inner, lease, generation, worker, now) {
+            self.fall_back(&mut inner, lease, false);
+            self.dispatch(&mut inner);
         }
-        let valid = inner
-            .leases
-            .get(&lease)
-            .is_some_and(|state| state.generation == generation && state.assigned == Some(worker));
-        if !valid {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let state = inner.leases.remove(&lease).expect("validated lease present");
-        if let Some(entry) = inner.workers.get_mut(&worker) {
-            entry.busy = None;
-        }
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        (state.complete)(TaskOutcome::Fallback { requeues: state.requeues });
-        self.dispatch(&mut inner, now);
     }
 
-    /// The periodic sweep: expires workers past their deadline (re-queueing
-    /// their leases) and grants queued shards whose backoff has elapsed.
+    /// The periodic sweep: expires workers past their deadline, falling
+    /// their leases back.
     pub fn tick(&self, now: Instant) {
         let mut inner = self.inner.lock().expect("lease table lock");
         let dead: Vec<u64> = inner
@@ -354,9 +304,9 @@ impl LeaseTable {
             .map(|(&id, _)| id)
             .collect();
         for worker in dead {
-            self.kill_worker(&mut inner, worker, now, true);
+            self.kill_worker(&mut inner, worker, true);
         }
-        self.dispatch(&mut inner, now);
+        self.dispatch(&mut inner);
     }
 
     /// Number of currently registered workers.
@@ -384,7 +334,7 @@ impl LeaseTable {
         self.expired.load(Ordering::Relaxed)
     }
 
-    /// Lifetime lease re-queues.
+    /// Lifetime leases a worker lost whose shards went to the local pool.
     pub fn requeued_total(&self) -> u64 {
         self.requeued.load(Ordering::Relaxed)
     }
@@ -419,10 +369,37 @@ impl LeaseTable {
         ages
     }
 
-    /// Removes a worker (TTL expiry when `expired`, clean disconnect
-    /// otherwise), re-queueing its in-flight lease.  A best-effort revoke
-    /// frame tells a worker that is alive-but-silent to drop the result.
-    fn kill_worker(&self, inner: &mut Inner, worker: u64, now: Instant, expired: bool) {
+    /// Takes a worker's answer to a grant: extends the worker's deadline,
+    /// then checks that `(lease, generation)` names the grant the worker
+    /// holds and frees the worker if so.  Anything else — a late or forged
+    /// frame — is counted as a duplicate and `false` returned.
+    fn settle(
+        &self,
+        inner: &mut Inner,
+        lease: u64,
+        generation: u64,
+        worker: u64,
+        now: Instant,
+    ) -> bool {
+        let valid = inner
+            .leases
+            .get(&lease)
+            .is_some_and(|state| state.generation == generation && state.assigned == Some(worker));
+        if let Some(entry) = inner.workers.get_mut(&worker) {
+            entry.deadline = now + self.lease_ttl;
+            if valid {
+                entry.busy = None;
+            }
+        }
+        if !valid {
+            self.duplicates.fetch_add(1, Ordering::Relaxed);
+        }
+        valid
+    }
+
+    /// Removes a worker (TTL expiry when `expired`, clean disconnect or
+    /// send failure otherwise), falling its in-flight lease back.
+    fn kill_worker(&self, inner: &mut Inner, worker: u64, expired: bool) {
         let Some(entry) = inner.workers.remove(&worker) else {
             return;
         };
@@ -430,107 +407,57 @@ impl LeaseTable {
             self.expired.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(lease) = entry.busy {
-            if expired {
-                if let Some(state) = inner.leases.get(&lease) {
-                    let _ =
-                        (entry.send)(&Frame::LeaseRevoke { lease, generation: state.generation });
-                }
-            }
-            self.requeue(inner, lease, now);
+            self.fall_back(inner, lease, true);
         }
     }
 
-    /// Puts an assigned lease back on the queue behind its backoff, or
-    /// falls the shard back to local execution when its retry budget is
-    /// exhausted or the fleet is empty.
-    fn requeue(&self, inner: &mut Inner, lease: u64, now: Instant) {
-        let Some(state) = inner.leases.get_mut(&lease) else {
-            return;
-        };
-        state.last_worker = state.assigned.take();
-        // Invalidate the lost grant: a late completion must fail the
-        // assigned check *and* (after a re-grant) the generation check.
-        state.generation += 1;
-        if state.attempts >= MAX_ATTEMPTS || inner.workers.is_empty() {
-            let state = inner.leases.remove(&lease).expect("requeue looked the lease up");
-            inner.queue.retain(|&queued| queued != lease);
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            (state.complete)(TaskOutcome::Fallback { requeues: state.requeues });
-            return;
+    /// Removes a lease from the table and hands its shard to the local
+    /// pool; `lost` marks a lease a worker held and lost.  The lease is
+    /// never granted again, so a late completion for it finds no entry and
+    /// is dropped as a duplicate.
+    fn fall_back(&self, inner: &mut Inner, lease: u64, lost: bool) {
+        let state = inner.leases.remove(&lease).expect("a falling-back lease is in the table");
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        if lost {
+            self.requeued.fetch_add(1, Ordering::Relaxed);
+            telemetry::log::warn(
+                "service::lease",
+                format!(
+                    "sweep serve: re-queued shard {} of {} (case {}) on the local pool",
+                    state.spec.shard,
+                    state.spec.query.name(),
+                    state.spec.case,
+                ),
+                &[
+                    ("shard", state.spec.shard.into()),
+                    ("query", state.spec.query.name().into()),
+                    ("case", state.spec.case.into()),
+                ],
+            );
         }
-        state.requeues += 1;
-        let exponent = state.attempts.saturating_sub(1).min(16);
-        let backoff = BACKOFF_BASE.saturating_mul(1u32 << exponent).min(BACKOFF_CAP);
-        state.not_before = Some(now + backoff);
-        self.requeued.fetch_add(1, Ordering::Relaxed);
-        telemetry::log::warn(
-            "service::lease",
-            format!(
-                "sweep serve: re-queued shard {} of {} (case {}, attempt {}/{}, backoff {} ms)",
-                state.spec.shard,
-                state.spec.query.name(),
-                state.spec.case,
-                state.attempts + 1,
-                MAX_ATTEMPTS,
-                backoff.as_millis(),
-            ),
-            &[
-                ("shard", state.spec.shard.into()),
-                ("query", state.spec.query.name().into()),
-                ("case", state.spec.case.into()),
-                ("attempt", (state.attempts + 1).into()),
-                ("max_attempts", MAX_ATTEMPTS.into()),
-                ("backoff_ms", (backoff.as_millis() as u64).into()),
-            ],
-        );
-        inner.queue.push_back(lease);
+        (state.complete)(TaskOutcome::Fallback { lost });
     }
 
-    /// Grants queued shards to idle workers: oldest shard first, smallest
-    /// idle worker id first, preferring a worker the shard has not failed
-    /// on.  A send failure expires the target worker and the grant is
-    /// retried on the next candidate.
-    fn dispatch(&self, inner: &mut Inner, now: Instant) {
-        let mut deferred: VecDeque<u64> = VecDeque::new();
-        while let Some(lease) = inner.queue.pop_front() {
-            let Some(state) = inner.leases.get(&lease) else {
-                continue;
-            };
-            // An empty fleet can never serve a queued shard: fall it back
-            // now (backoff included), so losing the last worker drains the
-            // whole queue to the local pool instead of stranding it.
+    /// Grants queued shards to idle workers, oldest shard first and
+    /// smallest idle worker id first.  A send failure removes the target
+    /// worker, which falls the shard back; an empty fleet drains the whole
+    /// queue to the local pool instead of stranding it.
+    fn dispatch(&self, inner: &mut Inner) {
+        while let Some(&lease) = inner.queue.front() {
             if inner.workers.is_empty() {
-                let state = inner.leases.remove(&lease).expect("queued lease present");
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                (state.complete)(TaskOutcome::Fallback { requeues: state.requeues });
+                inner.queue.pop_front();
+                self.fall_back(inner, lease, false);
                 continue;
             }
-            if state.not_before.is_some_and(|at| at > now) {
-                deferred.push_back(lease);
-                continue;
-            }
-            let avoid = state.last_worker;
-            let mut idle: Vec<u64> = inner
-                .workers
-                .iter()
-                .filter(|(_, entry)| entry.busy.is_none())
-                .map(|(&id, _)| id)
-                .collect();
-            idle.sort_unstable();
-            let preferred = idle
-                .iter()
-                .copied()
-                .find(|&id| Some(id) != avoid)
-                .or_else(|| idle.first().copied());
-            let Some(worker) = preferred else {
-                deferred.push_back(lease);
-                continue;
+            let idle =
+                inner.workers.iter().filter(|(_, entry)| entry.busy.is_none()).map(|(&id, _)| id);
+            let Some(worker) = idle.min() else {
+                return;
             };
-            let state = inner.leases.get_mut(&lease).expect("lease present");
-            state.attempts += 1;
+            inner.queue.pop_front();
+            let state = inner.leases.get_mut(&lease).expect("a queued lease is in the table");
             state.generation += 1;
             state.assigned = Some(worker);
-            state.not_before = None;
             let grant = Frame::Lease(LeaseGrant {
                 lease,
                 generation: state.generation,
@@ -541,12 +468,9 @@ impl LeaseTable {
             if (entry.send)(&grant) {
                 self.granted.fetch_add(1, Ordering::Relaxed);
             } else {
-                // The connection is gone: expire the worker, which
-                // re-queues this very lease, then keep draining.
-                self.kill_worker(inner, worker, now, false);
+                self.kill_worker(inner, worker, false);
             }
         }
-        inner.queue = deferred;
     }
 }
 
@@ -601,9 +525,8 @@ mod tests {
     #[test]
     fn empty_fleet_rejects_submissions_without_consuming_them() {
         let table = LeaseTable::new(ttl());
-        let now = Instant::now();
         let (task, outcomes) = channel_task(0);
-        assert!(!table.submit(task, now));
+        assert!(!table.submit(task));
         assert!(outcomes.try_recv().is_err(), "no outcome may fire on a rejected submit");
         assert_eq!(table.active_leases(), 0);
     }
@@ -615,7 +538,7 @@ mod tests {
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
         let (task, outcomes) = channel_task(2);
-        assert!(table.submit(task, now));
+        assert!(table.submit(task));
         let grant = grant_of(frames.try_recv().expect("a grant goes out immediately"));
         assert_eq!(grant.task.shard, 2);
         let stats = SweepStats::default();
@@ -629,10 +552,7 @@ mod tests {
             now
         ));
         match outcomes.try_recv().expect("outcome fires") {
-            TaskOutcome::Done { range, requeues, .. } => {
-                assert_eq!(range, (10, 20));
-                assert_eq!(requeues, 0);
-            }
+            TaskOutcome::Done { range, .. } => assert_eq!(range, (10, 20)),
             other => panic!("expected Done, got {other:?}"),
         }
         assert_eq!(table.completed_total(), 1);
@@ -646,7 +566,7 @@ mod tests {
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
         let (task, outcomes) = channel_task(0);
-        assert!(table.submit(task, now));
+        assert!(table.submit(task));
         let grant = grant_of(frames.try_recv().unwrap());
         // Wrong generation: dropped.
         assert!(!table.lease_done(
@@ -683,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn expiry_requeues_to_a_different_worker_and_drops_the_late_done() {
+    fn expiry_falls_back_at_once_and_drops_the_late_done() {
         let table = LeaseTable::new(ttl());
         let t0 = Instant::now();
         let (sender_a, frames_a) = channel_worker();
@@ -691,7 +611,7 @@ mod tests {
         let worker_a = table.register(sender_a, t0);
         let worker_b = table.register(sender_b, t0);
         let (task, outcomes) = channel_task(1);
-        assert!(table.submit(task, t0));
+        assert!(table.submit(task));
         // Smallest idle worker id wins the first grant.
         let first = grant_of(frames_a.try_recv().expect("worker A granted first"));
         // Worker B heartbeats; worker A goes silent past the TTL.
@@ -699,20 +619,17 @@ mod tests {
         table.heartbeat(worker_b, late);
         table.tick(late);
         assert_eq!(table.expired_total(), 1);
-        assert_eq!(table.requeued_total(), 1);
         assert_eq!(table.live_workers(), 1);
-        // A revoke went to the expired worker before its sender was dropped.
-        assert!(frames_a
-            .try_iter()
-            .any(|f| matches!(f, Frame::LeaseRevoke { lease, .. } if lease == first.lease)));
-        // After the backoff, the re-grant goes to worker B with a bumped
-        // generation.
-        let after_backoff = late + BACKOFF_BASE;
-        table.tick(after_backoff);
-        let second = grant_of(frames_b.try_recv().expect("worker B granted the retry"));
-        assert_eq!(second.lease, first.lease);
-        assert!(second.generation > first.generation);
-        // The late completion from the dead worker is dropped...
+        // The shard goes to the local pool at once, marked as lost...
+        assert!(matches!(outcomes.try_recv(), Ok(TaskOutcome::Fallback { lost: true })));
+        assert_eq!(table.requeued_total(), 1);
+        assert_eq!(table.fallbacks_total(), 1);
+        assert_eq!(table.active_leases(), 0);
+        // ...and is never granted again, not even to the idle worker B.
+        table.tick(late + table.lease_ttl() / 2);
+        assert!(frames_b.try_recv().is_err(), "a lost lease is never re-granted");
+        assert!(frames_a.try_recv().is_err(), "the expired worker is sent nothing more");
+        // The late completion from the dead worker is dropped.
         assert!(!table.lease_done(
             first.lease,
             first.generation,
@@ -720,54 +637,10 @@ mod tests {
             Value::Null,
             (0, 5),
             SweepStats::default(),
-            after_backoff
+            late
         ));
-        assert!(outcomes.try_recv().is_err(), "dropped completion must not fire the outcome");
-        // ...and worker B's genuine completion lands with the requeue count.
-        assert!(table.lease_done(
-            second.lease,
-            second.generation,
-            worker_b,
-            Value::Null,
-            (0, 5),
-            SweepStats::default(),
-            after_backoff
-        ));
-        match outcomes.try_recv().unwrap() {
-            TaskOutcome::Done { requeues, .. } => assert_eq!(requeues, 1),
-            other => panic!("expected Done, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn exhausted_retries_fall_back_locally() {
-        let table = LeaseTable::new(ttl());
-        let mut now = Instant::now();
-        // One worker that accepts grants but never completes them; killed
-        // and re-registered each round so the fleet never empties.
-        let (task, outcomes) = channel_task(0);
-        let (sender, _frames) = channel_worker();
-        let mut worker = table.register(sender, now);
-        assert!(table.submit(task, now));
-        for _ in 0..MAX_ATTEMPTS {
-            // Replacement registers first so the fleet stays non-empty
-            // when the holder dies (otherwise the fallback fires early).
-            let (sender, _frames) = channel_worker();
-            let replacement = table.register(sender, now);
-            table.worker_gone(worker, now);
-            worker = replacement;
-            now += Duration::from_secs(2);
-            table.heartbeat(worker, now);
-            table.tick(now);
-        }
-        match outcomes.try_recv().expect("fallback fires after the retry budget") {
-            TaskOutcome::Fallback { requeues } => {
-                assert_eq!(requeues, u64::from(MAX_ATTEMPTS) - 1)
-            }
-            other => panic!("expected Fallback, got {other:?}"),
-        }
-        assert_eq!(table.fallbacks_total(), 1);
-        assert_eq!(table.active_leases(), 0);
+        assert_eq!(table.duplicates_total(), 1);
+        assert!(outcomes.try_recv().is_err(), "the outcome fires exactly once");
     }
 
     #[test]
@@ -777,10 +650,10 @@ mod tests {
         let (sender, _frames) = channel_worker();
         let worker = table.register(sender, now);
         let (task, outcomes) = channel_task(3);
-        assert!(table.submit(task, now));
-        table.worker_gone(worker, now);
+        assert!(table.submit(task));
+        table.worker_gone(worker);
         match outcomes.try_recv().expect("fallback fires when the fleet empties") {
-            TaskOutcome::Fallback { requeues } => assert_eq!(requeues, 0),
+            TaskOutcome::Fallback { lost } => assert!(lost, "the worker held the lease"),
             other => panic!("expected Fallback, got {other:?}"),
         }
         assert_eq!(table.live_workers(), 0);
@@ -795,15 +668,17 @@ mod tests {
         // First task is granted (worker busy), second waits in the queue.
         let (task_a, out_a) = channel_task(0);
         let (task_b, out_b) = channel_task(1);
-        assert!(table.submit(task_a, now));
-        assert!(table.submit(task_b, now));
+        assert!(table.submit(task_a));
+        assert!(table.submit(task_b));
         assert!(frames.try_recv().is_ok(), "first task is granted");
-        table.worker_gone(worker, now);
-        // Both the busy lease and the never-granted queued one fall back.
-        assert!(matches!(out_a.try_recv(), Ok(TaskOutcome::Fallback { .. })));
-        assert!(matches!(out_b.try_recv(), Ok(TaskOutcome::Fallback { .. })));
+        table.worker_gone(worker);
+        // Both the busy lease and the never-granted queued one fall back;
+        // only the busy one was lost by a worker.
+        assert!(matches!(out_a.try_recv(), Ok(TaskOutcome::Fallback { lost: true })));
+        assert!(matches!(out_b.try_recv(), Ok(TaskOutcome::Fallback { lost: false })));
         assert_eq!(table.active_leases(), 0);
         assert_eq!(table.fallbacks_total(), 2);
+        assert_eq!(table.requeued_total(), 1);
     }
 
     #[test]
@@ -813,13 +688,13 @@ mod tests {
         let (sender, frames) = channel_worker();
         let worker = table.register(sender, now);
         let (task, outcomes) = channel_task(0);
-        assert!(table.submit(task, now));
+        assert!(table.submit(task));
         let grant = grant_of(frames.try_recv().unwrap());
         table.lease_failed(grant.lease, grant.generation, worker, now);
-        assert!(matches!(outcomes.try_recv(), Ok(TaskOutcome::Fallback { requeues: 0 })));
+        assert!(matches!(outcomes.try_recv(), Ok(TaskOutcome::Fallback { lost: false })));
         // The worker is idle again and serves the next submission.
         let (task, _outcomes) = channel_task(1);
-        assert!(table.submit(task, now));
+        assert!(table.submit(task));
         assert!(frames.try_recv().is_ok());
     }
 
@@ -831,9 +706,9 @@ mod tests {
         table.register(dead, now);
         let (task, outcomes) = channel_task(0);
         // The submit sees one worker, the grant fails to send, the worker
-        // dies, and — the fleet now empty — the shard falls back.
-        assert!(table.submit(task, now));
-        assert!(matches!(outcomes.try_recv(), Ok(TaskOutcome::Fallback { .. })));
+        // dies, and its lease falls back.
+        assert!(table.submit(task));
+        assert!(matches!(outcomes.try_recv(), Ok(TaskOutcome::Fallback { lost: true })));
         assert_eq!(table.live_workers(), 0);
     }
 
@@ -858,7 +733,7 @@ mod tests {
         assert_eq!(woken.recv_timeout(ttl()), Ok(true), "register wakes the waiter");
         assert_eq!(waiter(&table).recv_timeout(ttl()), Ok(true), "a registered worker");
 
-        table.worker_gone(worker, Instant::now());
+        table.worker_gone(worker);
         let stopped = waiter(&table);
         assert!(stopped.recv_timeout(quiet).is_err(), "the last worker left: block again");
         table.stop_waiting();
@@ -874,8 +749,8 @@ mod tests {
         let worker = table.register(sender, now);
         let (task_a, _out_a) = channel_task(0);
         let (task_b, _out_b) = channel_task(1);
-        assert!(table.submit(task_a, now));
-        assert!(table.submit(task_b, now));
+        assert!(table.submit(task_a));
+        assert!(table.submit(task_b));
         let first = grant_of(frames.try_recv().expect("first grant"));
         assert!(frames.try_recv().is_err(), "a busy worker gets no second grant");
         assert!(table.lease_done(

@@ -33,9 +33,9 @@
 //!   plus the job-level Proposition 2 runner), streaming, cancellation,
 //!   graceful shutdown;
 //! * [`lease`] — the coordinator-side lease table of the distributed
-//!   fleet: shard grants with TTL expiry, heartbeat liveness, capped
-//!   backoff re-queue, generation-based duplicate drop, and fallback to
-//!   local execution;
+//!   fleet: shard grants with TTL expiry, heartbeat liveness,
+//!   generation-based duplicate drop, and one failure rule — a lease
+//!   that does not complete falls back to local execution at once;
 //! * [`worker`] — the remote worker process loop behind
 //!   `sweep worker --connect`, folding each lease through one generic
 //!   `fold_task` over the descriptors;

@@ -48,9 +48,9 @@
 //! over the same endpoint (a `register` frame turns the connection into a
 //! worker session) and the shard scheduler offers every cold shard to the
 //! fleet first, through the [`crate::lease`] table: leases carry TTLs,
-//! heartbeats keep workers alive, a dead worker's shard is re-queued with
-//! capped backoff, and a shard the fleet cannot finish *falls back* to
-//! the local pool — with zero workers registered the daemon behaves
+//! heartbeats keep workers alive, and a shard the fleet does not finish
+//! — its worker died, went silent or rejected it — *falls back* to the
+//! local pool at once; with zero workers registered the daemon behaves
 //! exactly as before.  Remote accumulators take the same
 //! insert-before-stream path into the cache as local ones, and late
 //! duplicate completions are dropped by lease generation, so the merged
@@ -117,7 +117,7 @@ pub struct ServeOptions {
     /// it); `None` leaves the cache unbounded.
     pub cache_budget: Option<u64>,
     /// Lease TTL for remote workers in milliseconds: a worker silent for
-    /// longer loses its lease (re-queued elsewhere).  `0` picks
+    /// longer loses its lease (re-run on the local pool).  `0` picks
     /// [`crate::lease::DEFAULT_LEASE_TTL_MS`].
     pub lease_ttl_ms: u64,
     /// Shared secret required from connections on TCP endpoints (as a
@@ -513,8 +513,8 @@ impl Server {
             })
             .collect();
 
-        // The sweeper expires workers whose heartbeats stopped and grants
-        // re-queued shards once their backoff elapses.  While no worker is
+        // The sweeper expires workers whose heartbeats stopped, falling
+        // their leases back to the local pool.  While no worker is
         // registered it sleeps until one registers, so an idle daemon
         // makes no periodic wake-ups.  During the shutdown drain the
         // worker sessions exit and hand their leases back through
@@ -851,8 +851,8 @@ fn error_frame(job: Option<u64>, kind: ErrorKind, message: impl Into<String>) ->
 /// Serves one registered worker connection: announces the worker to the
 /// lease table, then relays heartbeats and lease completions until EOF or
 /// shutdown.  Leaving the loop — however it happens — hands the worker's
-/// in-flight lease back to the table, which re-queues or falls it back,
-/// so a SIGKILLed worker can never strand a shard.
+/// in-flight lease back to the table, which falls it back to the local
+/// pool, so a SIGKILLed worker can never strand a shard.
 fn worker_session(mut reader: FrameReader<'_>, reply: &FrameWriter, fleet: &Arc<LeaseTable>) {
     // `registered` must be on the wire before any lease frame, so the
     // worker id handshake happens before the table may grant (the table
@@ -871,7 +871,7 @@ fn worker_session(mut reader: FrameReader<'_>, reply: &FrameWriter, fleet: &Arc<
         heartbeat_ms: fleet.heartbeat_ms(),
         fold: Some(code_version()),
     }) {
-        fleet.worker_gone(worker, Instant::now());
+        fleet.worker_gone(worker);
         return;
     }
     telemetry::log::info(
@@ -935,7 +935,7 @@ fn worker_session(mut reader: FrameReader<'_>, reply: &FrameWriter, fleet: &Arc<
     // Best effort: tell a still-connected worker the session is over so
     // its process exits instead of blocking on a dead read.
     reply.send(&Frame::ShuttingDown);
-    fleet.worker_gone(worker, Instant::now());
+    fleet.worker_gone(worker);
     telemetry::log::info(
         LOG_TARGET,
         format!("sweep serve: worker {worker} disconnected ({} in fleet)", fleet.live_workers()),
@@ -1269,8 +1269,8 @@ fn run_case<Q: ServedQuery>(
     }
 
     // Cold pass: offer every cold shard to the remote fleet first; shards
-    // the fleet cannot take (zero workers) or gives up on (exhausted
-    // retries, typed rejection) fall back to the local pool, so an empty
+    // the fleet cannot take (zero workers) or does not finish (a lost
+    // worker, a typed rejection) fall back to the local pool, so an empty
     // fleet degrades to exactly the pre-distributed scheduler.  Each local
     // task re-checks the cancel token just before executing, so a revoked
     // job's pending shards drain as fast cancellations instead of
@@ -1314,7 +1314,7 @@ fn run_case<Q: ServedQuery>(
                 let _ = remote_tx.send(Completion::Remote { shard, outcome });
             }),
         };
-        if !fleet.submit(task, Instant::now()) {
+        if !fleet.submit(task) {
             dispatch_local(shard);
         }
     }
@@ -1351,8 +1351,7 @@ fn run_case<Q: ServedQuery>(
                 None
             }
             Completion::Remote { shard, outcome } => match outcome {
-                TaskOutcome::Done { payload, range, stats, requeues } => {
-                    summary.leases_requeued += requeues;
+                TaskOutcome::Done { payload, range, stats } => {
                     let decoded = if range == ranges[shard] {
                         QueryAcc::<Q>::from_wire(&payload).ok()
                     } else {
@@ -1387,8 +1386,8 @@ fn run_case<Q: ServedQuery>(
                         }
                     }
                 }
-                TaskOutcome::Fallback { requeues } => {
-                    summary.leases_requeued += requeues;
+                TaskOutcome::Fallback { lost } => {
+                    summary.leases_requeued += u64::from(lost);
                     if first_error.is_some() {
                         pending -= 1;
                     } else {

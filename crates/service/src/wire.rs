@@ -46,7 +46,6 @@
 //!                   {"type":"lease-failed", ...LeaseFailed} (shard rejected)
 //! server → worker   {"type":"registered", ...,"fold":s}     (worker id + TTLs)
 //!                   {"type":"lease", ...LeaseGrant}         (one shard to run)
-//!                   {"type":"lease-revoke","lease":N,...}   (grant withdrawn)
 //! ```
 
 use std::collections::BTreeMap;
@@ -815,14 +814,15 @@ pub struct TaskSpec {
 wire_record!(TaskSpec, "task" { query, case, scope, seed, shards, shard });
 
 /// Server → worker: one shard to execute.  The `(lease, generation)` pair
-/// identifies the grant; a completion carrying a stale generation (the
-/// lease expired and was re-queued meanwhile) is dropped by the
-/// coordinator, which is what makes dead-worker re-queue idempotent.
+/// identifies the grant; a completion that no longer names an assigned
+/// grant (the worker expired and its shard fell back to the local pool
+/// meanwhile) is dropped by the coordinator, so the shard enters the fold
+/// exactly once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseGrant {
     /// Lease id, unique per daemon process.
     pub lease: u64,
-    /// Grant generation — bumped every time the same shard is re-leased.
+    /// Grant generation, echoed by the worker's answer.
     pub generation: u64,
     /// What to execute.
     pub task: TaskSpec,
@@ -857,9 +857,8 @@ wire_record!(LeaseDone, "lease-done", tag "lease-done" {
 });
 
 /// Worker → server: a leased shard could not be executed (the model
-/// rejected the task's parameters).  Deterministic failures re-queue like
-/// crashes do, and surface as typed errors once the local fallback hits
-/// the same rejection.
+/// rejected the task's parameters).  The shard falls back to the local
+/// pool, which surfaces the same rejection as a typed error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseFailed {
     /// Lease id echoed from the grant.
@@ -1101,8 +1100,8 @@ pub struct JobDone {
     pub fleet_workers: u64,
     /// Of the executed shards, how many ran on remote workers.
     pub shards_remote: u64,
-    /// Lease re-queues the job survived (expired or failed grants that
-    /// were re-leased or fell back to local execution).
+    /// Leases of the job that a worker lost (expired, disconnected or
+    /// unreachable) and whose shards the local pool re-ran.
     pub leases_requeued: u64,
     /// Server-side wall time of the job in milliseconds.
     pub wall_ms: f64,
@@ -1323,14 +1322,6 @@ pub enum Frame {
     Lease(LeaseGrant),
     /// Worker → server: the leased shard finished.
     LeaseDone(LeaseDone),
-    /// Server → worker: a grant was withdrawn (its TTL lapsed before the
-    /// completion arrived); any in-flight result for it will be dropped.
-    LeaseRevoke {
-        /// Lease id of the withdrawn grant.
-        lease: u64,
-        /// Generation of the withdrawn grant.
-        generation: u64,
-    },
     /// Worker → server: the leased shard was rejected by the model.
     LeaseFailed(LeaseFailed),
     /// Client → server: dump the daemon's metrics snapshot.
@@ -1370,10 +1361,6 @@ impl ToWire for Frame {
             Frame::Heartbeat { worker } => tagged("heartbeat", [("worker", worker.to_wire())]),
             Frame::Lease(frame) => frame.to_wire(),
             Frame::LeaseDone(frame) => frame.to_wire(),
-            Frame::LeaseRevoke { lease, generation } => tagged(
-                "lease-revoke",
-                [("lease", lease.to_wire()), ("generation", generation.to_wire())],
-            ),
             Frame::LeaseFailed(frame) => frame.to_wire(),
             Frame::Stats => tagged("stats", []),
             Frame::StatsResult(snapshot) => snapshot.to_wire(),
@@ -1407,10 +1394,6 @@ impl FromWire for Frame {
             "heartbeat" => Frame::Heartbeat { worker: value.field("worker", "heartbeat.worker")? },
             "lease" => Frame::Lease(LeaseGrant::from_wire(value)?),
             "lease-done" => Frame::LeaseDone(LeaseDone::from_wire(value)?),
-            "lease-revoke" => Frame::LeaseRevoke {
-                lease: value.field("lease", "lease-revoke.lease")?,
-                generation: value.field("generation", "lease-revoke.generation")?,
-            },
             "lease-failed" => Frame::LeaseFailed(LeaseFailed::from_wire(value)?),
             "stats" => Frame::Stats,
             "stats-result" => Frame::StatsResult(MetricsSnapshot::from_wire(value)?),
@@ -1453,8 +1436,10 @@ pub fn decode_stream_line(line: &str) -> Result<Option<Frame>, WireError> {
     match value.get("type") {
         // Retired: daemons built as `0.1.0+fold.v3` before this arm was
         // added streamed a `partial` frame, a preview of the case's prefix
-        // fold, at every shard completion.
-        Some(Value::Str(tag)) if tag == "partial" => Ok(None),
+        // fold, at every shard completion.  Coordinators built before the
+        // `lease-revoke` skip was added sent that frame to an expired
+        // worker, which only logged it.
+        Some(Value::Str(tag)) if tag == "partial" || tag == "lease-revoke" => Ok(None),
         _ => Frame::from_wire(&value).map(Some),
     }
 }

@@ -7,7 +7,7 @@
 //! partition with `sweep::shard_ranges`, execute the shard through the
 //! very same `sweep::fold_shard_stats` kernel the local pool uses, and
 //! stream the accumulator back as a `lease-done` frame.  All policy
-//! (TTLs, re-queue, dedup, fallback) lives coordinator-side in
+//! (TTLs, dedup, fallback) lives coordinator-side in
 //! [`crate::lease`]; the worker's only liveness duty is the heartbeat
 //! thread, which keeps beating while a long fold occupies the read loop.
 //!
@@ -15,7 +15,8 @@
 //! throughout, so their wire round-trip is lossless and a remotely
 //! executed shard merges bit-identically to a locally executed one.  A
 //! worker that dies mid-shard simply never completes its lease; the
-//! coordinator re-queues the shard and the fold is unaffected.
+//! coordinator re-runs the shard on its local pool and the fold is
+//! unaffected.
 
 use std::any::Any;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -82,7 +83,8 @@ impl WorkerOptions {
 /// Returns connect/auth failures and protocol violations during the
 /// handshake.  After registration the worker is fault-tolerant by
 /// construction: a dropped connection ends the loop cleanly (`Ok`),
-/// because the coordinator re-queues whatever this worker was holding.
+/// because the coordinator re-runs whatever this worker was holding on
+/// its local pool.
 pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
     // The heartbeat thread and the lease loop both send on `writer`.
     let (mut reader, writer) = open(&options.endpoint, &options.connect)?;
@@ -189,21 +191,6 @@ pub fn run(options: &WorkerOptions) -> Result<(), ServiceError> {
                 if !writer.send(&reply) {
                     break;
                 }
-            }
-            Some(Frame::LeaseRevoke { lease, generation }) => {
-                // Informational: the grant expired coordinator-side while
-                // this worker was silent.  Execution here is synchronous,
-                // so by the time a revoke is read any result was already
-                // sent — and will be dropped by its stale generation.
-                telemetry::log::warn(
-                    LOG_TARGET,
-                    format!("sweep worker {worker_id}: lease {lease} (gen {generation}) revoked"),
-                    &[
-                        ("worker", worker_id.into()),
-                        ("lease", lease.into()),
-                        ("generation", generation.into()),
-                    ],
-                );
             }
             Some(Frame::ShuttingDown) | None => break,
             Some(other) => {

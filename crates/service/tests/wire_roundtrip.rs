@@ -217,7 +217,7 @@ fn random_snapshot(rng: &mut StdRng) -> MetricsSnapshot {
 }
 
 fn random_frame(rng: &mut StdRng) -> Frame {
-    match rng.random_range(0..18u64) {
+    match rng.random_range(0..17u64) {
         0 => Frame::Job(random_spec(rng)),
         1 => Frame::Shutdown,
         2 => Frame::ShuttingDown,
@@ -282,16 +282,12 @@ fn random_frame(rng: &mut StdRng) -> Frame {
                 ("beaten".into(), Value::Bool(rng.random_bool(0.5))),
             ]),
         }),
-        14 => Frame::LeaseRevoke {
-            lease: rng.random_range(1..u64::MAX),
-            generation: rng.random_range(0..1000u64),
-        },
-        15 => Frame::LeaseFailed(LeaseFailed {
+        14 => Frame::LeaseFailed(LeaseFailed {
             lease: rng.random_range(1..u64::MAX),
             generation: rng.random_range(0..1000u64),
             message: format!("lease error #{}", rng.random_range(0..99u64)),
         }),
-        16 => Frame::Stats,
+        15 => Frame::Stats,
         _ => Frame::StatsResult(random_snapshot(rng)),
     }
 }

@@ -10,7 +10,7 @@
 #                           #   + determinism smoke (thm1, omission, thm3,
 #                           #     fig4, prop2 ≡ tests/golden/ across threads)
 #                           #   + omission smoke (cross-model cache isolation)
-#                           #   + fleet smoke (workers, SIGKILL, re-queue)
+#                           #   + fleet smoke (workers, SIGKILL, local re-run)
 #                           #   + query-parity smoke (one-shot ≡ submit)
 #                           #   + observability smoke (stats/--prom/--log-json)
 #   scripts/ci.sh --bench   # additionally run the benchmark declared in
@@ -236,14 +236,14 @@ echo "ci.sh: restart smoke passed (persisted cache replayed 100% after restart)"
 # --- Fleet smoke ------------------------------------------------------------
 # Coordinator plus two worker processes on a temp socket.  SIGKILL one worker
 # the moment it starts executing a lease mid-job, and assert: the daemon
-# re-queued at least one shard, the merged fold still diffs clean against the
+# re-ran at least one lost shard on its local pool, the merged fold still diffs clean against the
 # same job re-run with an empty fleet (pure local execution), and the
 # empty-fleet run reports zero live workers.  Shard caching is off on both
 # submits so the second run really re-executes every shard locally.  The
 # scope is (4,2,2): 7,857 scenarios after the symmetry reduction, enough
 # that the job is still running when the SIGKILL lands.  (4,2,1) has 1,552,
 # which a debug build folds in about 25 ms, and in about one run of ten the
-# job ended before the kill and re-queued nothing.
+# job ended before the kill and lost nothing.
 FLEET_SOCK="$SMOKE_DIR/fleet.sock"
 start_daemon "$FLEET_SOCK" "$SMOKE_DIR/fleet-serve.log" --workers 1 --lease-ttl-ms 2000
 target/debug/sweep worker --connect "$FLEET_SOCK" 2>"$SMOKE_DIR/worker-1.log" &
@@ -260,7 +260,7 @@ for _ in $(seq 1 500); do
 done
 kill -9 "$WORKER1_PID" 2>/dev/null || true
 wait "$SUBMIT_PID"
-grep -q "re-queued shard" "$SMOKE_DIR/fleet-serve.log"
+grep -q "re-queued shard .* on the local pool" "$SMOKE_DIR/fleet-serve.log"
 # Drop the surviving worker too and re-submit: the empty fleet must degrade
 # to pure local execution with a bit-identical fold.
 kill -9 "$WORKER2_PID" 2>/dev/null || true
@@ -275,7 +275,7 @@ grep -q "fleet: 0 workers" "$SMOKE_DIR/local.log"
 target/debug/sweep shutdown --socket "$FLEET_SOCK" 2>/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
-echo "ci.sh: fleet smoke passed (SIGKILL re-queue + empty-fleet degradation diff clean)"
+echo "ci.sh: fleet smoke passed (SIGKILL local re-run + empty-fleet degradation diff clean)"
 
 # --- Query-parity smoke -----------------------------------------------------
 # Every built-in query through all three paths: the one-shot CLI, a cold

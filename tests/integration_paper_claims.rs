@@ -2,11 +2,12 @@
 //! reproduced end to end on the scenario families of the `adversary` crate.
 
 use adversary::enumerate::{self, EnumerationConfig};
-use adversary::{lemma2, scenarios};
+use adversary::{lemma2, scenarios, RandomAdversaries, RandomConfig};
 use knowledge::ViewAnalysis;
 use set_consensus::{
-    check, compare, execute, execute_on_run, DominationRelation, EarlyFloodMin,
-    EarlyUniformFloodMin, FloodMin, Opt0, Optmin, Protocol, TaskParams, TaskVariant, UPmin,
+    check, compare, compare_last_decider, execute, execute_on_run, DominationRelation,
+    EarlyFloodMin, EarlyUniformFloodMin, FloodMin, Opt0, Optmin, Protocol, TaskParams, TaskVariant,
+    UPmin,
 };
 use synchrony::{Node, Run, SystemParams, Time, Value, View};
 
@@ -154,6 +155,47 @@ fn exhaustive_domination_check_matches_theorem_one() {
         let report = compare(&Optmin, competitor, &params, &adversaries).unwrap();
         assert!(report.first_dominates(), "{report}");
         assert_eq!(report.relation(), DominationRelation::FirstStrictlyDominates, "{report}");
+    }
+}
+
+/// Theorem 2: `Optmin[k]` is last-decider unbeatable, so no competitor
+/// ever makes the last correct decision of a run strictly earlier.  Checked
+/// exhaustively on the (4, 2, 1) and (4, 2, 2) scopes of the sibling tests
+/// and on seeded random (9, 6, 2) and (10, 6, 3) adversaries.
+#[test]
+fn no_competitor_finishes_a_run_before_optmin() {
+    let mut cases: Vec<(TaskParams, Vec<_>)> = Vec::new();
+    for (n, t, k) in [(4usize, 2usize, 1usize), (4, 2, 2)] {
+        let config = EnumerationConfig {
+            n,
+            t,
+            max_value: k as u64,
+            max_crash_round: 2,
+            partial_delivery: false,
+        };
+        let params = TaskParams::new(SystemParams::new(n, t).unwrap(), k).unwrap();
+        cases.push((params, enumerate::adversaries(&config).unwrap()));
+    }
+    for (n, t, k) in [(9usize, 6usize, 2usize), (10, 6, 3)] {
+        let params = TaskParams::new(SystemParams::new(n, t).unwrap(), k).unwrap();
+        let random = RandomConfig { crash_probability: 0.6, ..RandomConfig::new(n, t, k) };
+        cases.push((params, RandomAdversaries::new(random, 7).batch(200)));
+    }
+    for (params, adversaries) in &cases {
+        for competitor in [&EarlyFloodMin as &dyn Protocol, &FloodMin] {
+            let report = compare_last_decider(&Optmin, competitor, params, adversaries).unwrap();
+            assert_eq!(report.num_adversaries(), adversaries.len());
+            let beaten: Vec<_> =
+                report.second_earlier().iter().map(|&i| adversaries[i].to_string()).collect();
+            assert!(
+                beaten.is_empty(),
+                "{} finishes before Optmin[{}] with n={} t={} on {beaten:?}",
+                competitor.name(),
+                params.k(),
+                params.system().n(),
+                params.system().t(),
+            );
+        }
     }
 }
 
