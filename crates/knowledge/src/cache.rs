@@ -13,7 +13,10 @@
 //! [`ViewAnalysis::refresh_values`], in place, and hands out another
 //! [`Rc`] of it: nothing is copied unless the caller still holds the
 //! previous result for that view (then [`Rc::make_mut`] copies it once,
-//! and the held result keeps describing its own run).
+//! and the held result keeps describing its own run).  A lookup writes the
+//! key's words ([`ViewKey::encode`]) into a buffer the cache keeps and
+//! probes its [`WordMap`] with the borrowed slice, so a hit allocates
+//! nothing and only a new pattern's insert allocates a key.
 //!
 //! The batch executor does not consult this cache: it keeps one analysis
 //! per node and refills it in place.  The cache serves job code that
@@ -27,10 +30,9 @@
 //! [`ViewAnalysis::new`] would return).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use synchrony::{ModelError, Node, Run, ViewKey};
+use synchrony::{ModelError, Node, Run, ViewKey, WordMap};
 
 use crate::analysis::validate_node;
 use crate::ViewAnalysis;
@@ -96,7 +98,11 @@ impl CacheStats {
 
 #[derive(Debug)]
 struct CacheInner {
-    map: HashMap<ViewKey, Rc<ViewAnalysis>>,
+    /// Stored analyses keyed by [`ViewKey::encode`]'s words.
+    map: WordMap<Box<[u64]>, Rc<ViewAnalysis>>,
+    /// The probe buffer: each lookup writes its key here and probes the map
+    /// with the borrowed slice, so only an insert allocates a key.
+    key: Vec<u64>,
     stats: CacheStats,
 }
 
@@ -134,7 +140,8 @@ impl AnalysisCache {
     pub fn new() -> Self {
         AnalysisCache {
             inner: Rc::new(RefCell::new(CacheInner {
-                map: HashMap::new(),
+                map: WordMap::default(),
+                key: Vec::new(),
                 stats: CacheStats::default(),
             })),
         }
@@ -157,9 +164,10 @@ impl AnalysisCache {
         // Reject invalid nodes up front: key extraction reads the run's
         // structures directly and must only ever see validated nodes.
         validate_node(run, node)?;
-        let mut inner = self.inner.borrow_mut();
-        let key = ViewKey::from_run(run, node);
-        if let Some(stored) = inner.map.get_mut(&key) {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        ViewKey::encode(run, node, &mut inner.key);
+        if let Some(stored) = inner.map.get_mut(inner.key.as_slice()) {
             Rc::make_mut(stored).refresh_values(run);
             let analysis = Rc::clone(stored);
             inner.stats.hits += 1;
@@ -168,7 +176,7 @@ impl AnalysisCache {
         let analysis = Rc::new(ViewAnalysis::new(run, node)?);
         inner.stats.misses += 1;
         if inner.map.len() < MAX_ENTRIES {
-            inner.map.insert(key, Rc::clone(&analysis));
+            inner.map.insert(inner.key.as_slice().into(), Rc::clone(&analysis));
         }
         Ok(analysis)
     }

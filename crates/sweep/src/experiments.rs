@@ -1027,8 +1027,7 @@ pub fn prop2_with_stats(config: &SweepConfig) -> Result<(Prop2Report, SweepStats
     let mut stats = SweepStats::default();
     let mut exhaustive = Vec::new();
     for (n, t) in [(3usize, 1usize), (4, 2)] {
-        let scope =
-            EnumerationConfig { n, t, max_value: 1, max_crash_round: 1, partial_delivery: true };
+        let scope = prop2_scope(n, t);
         let adversaries = enumerate::adversaries(&scope)?;
         let system = SystemParams::new(n, t)?;
         let time = Time::new(1);
@@ -1071,6 +1070,12 @@ pub fn prop2_with_stats(config: &SweepConfig) -> Result<(Prop2Report, SweepStats
         });
     }
     Ok((Prop2Report { exhaustive, targeted: prop2_targeted()? }, stats))
+}
+
+/// The scope of the exhaustive `(n, t)` row: binary inputs and every
+/// round-1 crash with any delivery subset.
+fn prop2_scope(n: usize, t: usize) -> EnumerationConfig {
+    EnumerationConfig { n, t, max_value: 1, max_crash_round: 1, partial_delivery: true }
 }
 
 /// The targeted `k = 2` analysis of experiment E9b, unchanged from the
@@ -1202,6 +1207,45 @@ mod tests {
         ] {
             assert_eq!(prop2(&config).unwrap(), expected, "{config:?}");
         }
+    }
+
+    /// The work of one sequential pass, pinned: a speedup that skips work
+    /// shows up as a changed counter, not only as a shorter wall.
+    #[test]
+    fn the_proposition_two_work_counters_are_pinned() {
+        let (_, stats) = prop2_with_stats(&SweepConfig::sequential()).unwrap();
+        assert_eq!(stats.scenarios, 6_776);
+        assert_eq!(stats.cache.lookups(), 14_104);
+        assert_eq!(stats.cache.constructions(), 37);
+    }
+
+    /// The cache probes its map with borrowed key words.  Over every active
+    /// time-1 node of every run of the (4,2) scope, two nodes must share a
+    /// cache entry exactly when their `ViewKey`s are equal.  An entry is
+    /// told by its address: a result dropped before the next lookup is
+    /// refreshed in place, never copied.
+    #[test]
+    fn cache_entries_are_shared_exactly_by_equal_view_keys() {
+        use std::collections::HashMap;
+        use std::rc::Rc;
+
+        let (n, t, time) = (4, 2, Time::new(1));
+        let system = SystemParams::new(n, t).unwrap();
+        let cache = knowledge::AnalysisCache::new();
+        let mut entry_of_key = HashMap::new();
+        let mut key_of_entry = HashMap::new();
+        for adversary in enumerate::adversaries(&prop2_scope(n, t)).unwrap() {
+            let run = Run::generate(system, adversary, time).unwrap();
+            for i in (0..n).filter(|&i| run.is_active(i, time)) {
+                let node = Node::new(i, time);
+                let entry = Rc::as_ptr(&cache.analyze(&run, node).unwrap());
+                let key = synchrony::ViewKey::from_run(&run, node);
+                assert_eq!(*entry_of_key.entry(key.clone()).or_insert(entry), entry, "{node}");
+                assert_eq!(*key_of_entry.entry(entry).or_insert(key.clone()), key, "{node}");
+            }
+        }
+        assert_eq!(entry_of_key.len(), cache.len());
+        assert_eq!(cache.stats().constructions(), cache.len() as u64);
     }
 
     #[test]

@@ -54,6 +54,7 @@
 pub mod adversary;
 pub mod error;
 pub mod failure;
+pub mod hash;
 pub mod input;
 pub mod node;
 pub mod params;
@@ -67,6 +68,7 @@ pub mod wire;
 pub use adversary::Adversary;
 pub use error::ModelError;
 pub use failure::{CrashFault, FailurePattern};
+pub use hash::WordMap;
 pub use input::InputVector;
 pub use node::Node;
 pub use params::SystemParams;

@@ -224,6 +224,27 @@ impl ViewKey {
         ViewKey { n: run.n() as u32, t: run.t() as u32, node, words: words.into_boxed_slice() }
     }
 
+    /// Writes the whole key of `node`'s view in `run` into `words` (cleared
+    /// first): `n`, `t`, the node's process and time, then the pattern
+    /// words.  Two nodes get equal words exactly when their
+    /// [`ViewKey::from_run`] keys are equal, so a map keyed by these words
+    /// can be probed from one reused buffer and allocate only on insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node lies beyond the run's horizon or its process is out
+    /// of range.
+    pub fn encode(run: &Run, node: Node, words: &mut Vec<u64>) {
+        words.clear();
+        words.extend([
+            run.n() as u64,
+            run.t() as u64,
+            node.process.index() as u64,
+            u64::from(node.time.value()),
+        ]);
+        push_pattern_words(words, run, run.seen(node.process, node.time));
+    }
+
     /// Returns the observer node the key describes.
     pub fn node(&self) -> Node {
         self.node
@@ -408,6 +429,39 @@ mod tests {
         assert_ne!(ViewKey::from_run(&a, late), ViewKey::from_run(&silent, late));
         // Keys of different observers never collide.
         assert_ne!(ViewKey::from_run(&a, late), ViewKey::from_run(&a, Node::new(2, Time::new(2))));
+    }
+
+    #[test]
+    fn encoded_key_words_are_equal_exactly_when_the_keys_are() {
+        let crash = |f: &mut FailurePattern| {
+            f.crash(0, 1, [1]).unwrap();
+        };
+        let silent = |f: &mut FailurePattern| {
+            f.crash_silent(0, 1).unwrap();
+        };
+        let runs = [
+            run_with(4, 1, &[0, 1, 2, 3], crash, 2),
+            run_with(4, 1, &[3, 0, 0, 1], crash, 2),
+            run_with(4, 1, &[0, 1, 2, 3], silent, 2),
+            // Same pattern under another failure bound: the keys differ.
+            run_with(4, 2, &[0, 1, 2, 3], silent, 2),
+        ];
+        let mut keyed = Vec::new();
+        for run in &runs {
+            for i in 1..4 {
+                for m in 0..=2u32 {
+                    let node = Node::new(i, Time::new(m));
+                    let mut words = Vec::new();
+                    ViewKey::encode(run, node, &mut words);
+                    keyed.push((ViewKey::from_run(run, node), words));
+                }
+            }
+        }
+        for (key_a, words_a) in &keyed {
+            for (key_b, words_b) in &keyed {
+                assert_eq!(key_a == key_b, words_a == words_b, "{key_a:?} vs {key_b:?}");
+            }
+        }
     }
 
     #[test]

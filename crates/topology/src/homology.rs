@@ -135,12 +135,61 @@ fn reduced_betti_up_to(complex: &SimplicialComplex, top: usize) -> BettiNumbers 
 }
 
 /// Returns the number of connected components of the complex (0 for the
-/// empty complex).
+/// empty complex): `β̃_0 + 1` for a non-empty one, found by a union-find over
+/// the vertices and edges, with no boundary matrix reduced.
 pub fn connected_components(complex: &SimplicialComplex) -> usize {
-    if complex.is_empty() {
-        return 0;
+    count_components(complex.simplices().filter(|s| s.dimension() <= 1))
+}
+
+/// Returns `true` if the complex generated by `simplices` (their closure) is
+/// non-empty and path-connected, i.e. `0`-connected.  Each simplex joins its
+/// own vertices in a union-find, so neither the closure nor any boundary
+/// matrix is built; a star is checked from its facets alone.
+///
+/// ```
+/// use topology::{homology, Simplex};
+///
+/// let chain = [Simplex::new([0, 1, 2]), Simplex::new([2, 3])];
+/// assert!(homology::is_path_connected(&chain));
+/// assert!(!homology::is_path_connected(&[Simplex::new([0, 1]), Simplex::new([2, 3])]));
+/// assert!(!homology::is_path_connected(std::iter::empty()));
+/// ```
+pub fn is_path_connected<'a>(simplices: impl IntoIterator<Item = &'a Simplex>) -> bool {
+    count_components(simplices) == 1
+}
+
+/// Counts the connected components of the closure of `simplices` by a
+/// union-find over their vertices.
+fn count_components<'a>(simplices: impl IntoIterator<Item = &'a Simplex>) -> usize {
+    let simplices: Vec<&Simplex> = simplices.into_iter().collect();
+    let mut vertices: Vec<usize> = simplices.iter().flat_map(|s| s.vertices()).collect();
+    vertices.sort_unstable();
+    vertices.dedup();
+    let slot = |v: usize| vertices.binary_search(&v).expect("every vertex is listed");
+    let mut parent: Vec<usize> = (0..vertices.len()).collect();
+    let mut components = vertices.len();
+    for simplex in simplices {
+        let mut rest = simplex.vertices();
+        let Some(first) = rest.next() else { continue };
+        let root = find_root(&mut parent, slot(first));
+        for v in rest {
+            let other = find_root(&mut parent, slot(v));
+            if other != root {
+                parent[other] = root;
+                components -= 1;
+            }
+        }
     }
-    betti_numbers(complex).reduced(0) + 1
+    components
+}
+
+/// Returns the root of `x`'s union-find tree, halving the path on the way.
+fn find_root(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
 /// Returns `true` if the complex is non-empty and its reduced homology
@@ -149,7 +198,8 @@ pub fn connected_components(complex: &SimplicialComplex) -> usize {
 ///
 /// Only the boundary maps `∂_1 … ∂_{q+1}` are reduced: for `q = 0` (path
 /// connectivity) that is the single vertex–edge matrix, however high the
-/// complex's dimension.
+/// complex's dimension.  [`is_path_connected`] answers `q = 0` from a list
+/// of facets without a matrix.
 pub fn is_q_connected(complex: &SimplicialComplex, q: usize) -> bool {
     match complex.dimension() {
         Some(dimension) => reduced_betti_up_to(complex, q.min(dimension)).is_connected_up_to(q),
@@ -250,6 +300,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn union_find_components_match_the_zeroth_betti_number() {
+        let two_edges =
+            SimplicialComplex::from_simplices([Simplex::new([0, 1]), Simplex::new([2, 3])]);
+        let wedge = SimplicialComplex::from_simplices([
+            Simplex::new([0, 1, 2]),
+            Simplex::new([0, 3]),
+            Simplex::new([7]),
+        ]);
+        let complexes = [full(0..4), full(0..3), sphere(1), sphere(2), two_edges, wedge]
+            .into_iter()
+            .chain((0..60).map(crate::complex::random_complex));
+        for (case, complex) in complexes.enumerate() {
+            if complex.is_empty() {
+                assert_eq!(connected_components(&complex), 0, "case {case}");
+                continue;
+            }
+            let components = betti_numbers(&complex).reduced(0) + 1;
+            assert_eq!(connected_components(&complex), components, "case {case}");
+            let facets: Vec<&Simplex> = complex.facets().collect();
+            assert_eq!(is_path_connected(facets), components == 1, "case {case}");
+        }
+    }
+
+    #[test]
+    fn path_connectivity_of_a_facet_list() {
+        let connected = [Simplex::new([0, 1, 2]), Simplex::new([2, 5]), Simplex::new([5, 9, 4])];
+        assert!(is_path_connected(&connected));
+        assert!(is_path_connected(&[Simplex::vertex(3)]));
+        assert!(!is_path_connected(&[Simplex::new([0, 1, 2]), Simplex::new([3, 4, 5])]));
+        assert!(!is_path_connected(std::iter::empty()));
     }
 
     #[test]

@@ -11,17 +11,21 @@
 //!
 //! * a state is interned by one exact word encoding of its view
 //!   ([`View::encode`]), read straight off the run, so no [`View`] is
-//!   materialized;
+//!   materialized; the index is a [`WordMap`], and
+//!   [`ProtocolComplex::state_id`] encodes into a reused thread-local buffer,
+//!   so a lookup allocates nothing;
 //! * every vertex keeps the distinct run facets that contain it, and its star
 //!   is the closure of those facets alone — equal to the closed star of the
 //!   whole complex, because the complex is the closure of the run facets;
+//!   path connectivity (`q = 0`) needs not even the closure, only a
+//!   union-find over the facets' vertices;
 //! * the build re-targets one run buffer with [`Run::regenerate`], so
 //!   adversaries that share a failure pattern are simulated once.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::fmt;
 
-use synchrony::{Adversary, ModelError, Node, Run, SystemParams, Time, View};
+use synchrony::{Adversary, ModelError, Node, Run, SystemParams, Time, View, WordMap};
 
 use crate::{homology, Simplex, SimplicialComplex};
 
@@ -32,7 +36,7 @@ pub struct ProtocolComplex {
     time: Time,
     complex: SimplicialComplex,
     /// The state encodings (see [`View::encode`]) and their vertex ids.
-    index: HashMap<Box<[u64]>, usize>,
+    index: WordMap<Box<[u64]>, usize>,
     /// The distinct run facets, in the order the build met them.
     run_facets: Vec<Simplex>,
     /// For each vertex, the indices into `run_facets` of the facets that
@@ -56,7 +60,7 @@ impl ProtocolComplex {
         let mut pc = ProtocolComplex {
             time,
             complex: SimplicialComplex::new(),
-            index: HashMap::new(),
+            index: WordMap::default(),
             run_facets: Vec::new(),
             incidence: Vec::new(),
         };
@@ -130,9 +134,14 @@ impl ProtocolComplex {
     /// view `G_α(i, m)`: two nodes get the same id exactly when their
     /// [`View`]s are equal.
     pub fn state_id(&self, run: &Run, node: Node) -> Option<usize> {
-        let mut key = Vec::new();
-        View::encode(run, node, &mut key);
-        self.index.get(key.as_slice()).copied()
+        thread_local! {
+            /// The encoding buffer every lookup on this thread reuses.
+            static KEY: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        }
+        KEY.with_borrow_mut(|key| {
+            View::encode(run, node, key);
+            self.index.get(key.as_slice()).copied()
+        })
     }
 
     /// Returns the star complex `St(v, P_m)` of the vertex `id`: every facet
@@ -148,7 +157,24 @@ impl ProtocolComplex {
 
     /// Returns `true` if the star complex of the vertex is `q`-connected in
     /// the reduced-GF(2)-homology sense.
+    ///
+    /// For `q = 0` the star is not built: a union-find over the vertices of
+    /// the run facets through the vertex ([`homology::is_path_connected`])
+    /// decides path connectivity.  Every `q ≥ 1` closes the star and reduces
+    /// its boundary maps.
+    ///
+    /// The closed star is a cone over the vertex, so it is contractible and
+    /// this is `true` for every vertex at every `q`; see the test
+    /// `every_closed_star_is_connected_at_every_q`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a vertex of the complex.
     pub fn star_is_q_connected(&self, id: usize, q: usize) -> bool {
+        if q == 0 {
+            let facets = self.incidence[id].iter().map(|&f| &self.run_facets[f]);
+            return homology::is_path_connected(facets);
+        }
         homology::is_q_connected(&self.star(id), q)
     }
 }
@@ -168,6 +194,7 @@ impl fmt::Display for ProtocolComplex {
 #[cfg(test)]
 mod tests {
     use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
 
     use super::*;
     use adversary::enumerate::{self, EnumerationConfig};
@@ -286,6 +313,31 @@ mod tests {
             let pc = ProtocolComplex::build(system, &adversaries, Time::new(1)).unwrap();
             for id in 0..pc.num_states() {
                 assert_eq!(pc.star(id), pc.complex().star(id), "({n},{t}) vertex {id}");
+            }
+        }
+    }
+
+    /// `star(id)` is the *closed* star: every simplex through the vertex
+    /// with all its faces, a cone with apex `id`.  A cone is contractible, so
+    /// every star is `q`-connected at every `q`, whatever the vertex's hidden
+    /// capacity, and the exhaustive Proposition 2 check cannot find a
+    /// counterexample this way.  Which subcomplex the proposition constrains
+    /// is an open question of the roadmap (item 6).  At `q = 0` the
+    /// union-find kernel must also agree with the homology of the closed star.
+    #[test]
+    fn every_closed_star_is_connected_at_every_q() {
+        for (n, t) in [(3, 1), (4, 2)] {
+            let (system, adversaries) = prop2_scope(n, t);
+            let pc = ProtocolComplex::build(system, &adversaries, Time::new(1)).unwrap();
+            for id in 0..pc.num_states() {
+                assert_eq!(
+                    pc.star_is_q_connected(id, 0),
+                    homology::is_q_connected(&pc.star(id), 0),
+                    "({n},{t}) vertex {id}"
+                );
+                for q in 0..=3 {
+                    assert!(pc.star_is_q_connected(id, q), "({n},{t}) vertex {id}, q = {q}");
+                }
             }
         }
     }

@@ -4,6 +4,7 @@
 #
 #   scripts/ci.sh           # fmt --check + clippy -D warnings + tests
 #                           #   + doctests + cargo doc -D warnings
+#                           #   + fast examples (each must exit 0)
 #                           #   + benchmark smoke (perfbench's own tests)
 #                           #   + daemon smoke (serve/submit/cache/shutdown)
 #                           #   + bounds smoke (oversized counts exit 2)
@@ -50,6 +51,14 @@ with_test_tmpdir cargo test --locked --workspace -q
 # and warning-free API docs.
 with_test_tmpdir cargo test --locked --workspace --doc -q
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+# --- Examples ---------------------------------------------------------------
+# The fast examples run end to end in release (each takes milliseconds), so
+# a panic in one fails CI; topology_tour drives the protocol-complex star
+# checks.  unbeatability_audit (about 4 s) is left out.
+for example in quickstart topology_tour uniform_gap wire_efficiency; do
+    cargo run --locked --release -q --example "$example" >/dev/null
+done
 
 # --- Benchmark smoke --------------------------------------------------------
 # perfbench is a workspace of its own that builds against the library
