@@ -2,11 +2,11 @@
 //!
 //! Unbeatability is a statement about *all* runs; for small systems the space
 //! of adversaries is finite and can be enumerated outright, which is how the
-//! experiment harness spot-checks the paper's optimality claims (experiment
-//! E7 in `DESIGN.md`).  The enumeration covers every input vector over
-//! `{0, …, max_value}` and every failure pattern with at most `t` crashes in
-//! rounds `1 … max_crash_round`, with every possible delivery subset in the
-//! crashing round.
+//! experiment harness spot-checks the paper's optimality claims (the
+//! experiment E7 scopes in README's "Paper section → module" table).  The
+//! enumeration covers every input vector over `{0, …, max_value}` and every
+//! failure pattern with at most `t` crashes in rounds `1 … max_crash_round`,
+//! with every possible delivery subset in the crashing round.
 
 use std::sync::Arc;
 

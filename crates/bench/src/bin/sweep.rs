@@ -8,7 +8,6 @@
 //!
 //! # the service layer
 //! sweep serve    (--socket PATH | --tcp ADDR) [--workers N]
-//!                [--dispatchers N] [--queue-capacity N]
 //!                [--cache-dir PATH] [--cache-budget BYTES]
 //!                [--lease-ttl-ms N] [--auth-token TOKEN]
 //! sweep worker   --connect ADDR [--auth-token TOKEN]
@@ -58,9 +57,8 @@ const LOG_TARGET: &str = "sweep::cli";
 
 const USAGE: &str = "usage: sweep <thm1|omission|thm3|fig4|prop2|all> \
                      [--shards N] [--threads N] [--seed N]\n\
-       sweep serve    (--socket PATH | --tcp ADDR) [--workers N] [--dispatchers N] \
-                      [--queue-capacity N] [--cache-dir PATH] [--cache-budget BYTES] \
-                      [--lease-ttl-ms N] [--auth-token TOKEN]\n\
+       sweep serve    (--socket PATH | --tcp ADDR) [--workers N] [--cache-dir PATH] \
+                      [--cache-budget BYTES] [--lease-ttl-ms N] [--auth-token TOKEN]\n\
        sweep worker   (--connect ADDR | --socket PATH | --tcp ADDR) [--auth-token TOKEN] \
                       [--connect-timeout SECS] [--heartbeat-ms N]\n\
        sweep submit   (--socket PATH | --tcp ADDR) <thm1|omission|thm3|fig4|prop2> \
@@ -248,8 +246,6 @@ impl ConnectFlags {
 fn serve_main(mut args: impl Iterator<Item = String>) {
     let mut endpoint = EndpointFlag(None);
     let mut workers = 0usize;
-    let mut dispatchers = 0usize;
-    let mut queue_capacity = 0usize;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_budget: Option<u64> = None;
     let mut lease_ttl_ms = 0u64;
@@ -260,8 +256,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) {
         }
         match flag.as_str() {
             "--workers" => workers = parse_number(&flag, &value_of(&flag, &mut args)),
-            "--dispatchers" => dispatchers = parse_number(&flag, &value_of(&flag, &mut args)),
-            "--queue-capacity" => queue_capacity = parse_number(&flag, &value_of(&flag, &mut args)),
             "--cache-dir" => cache_dir = Some(value_of(&flag, &mut args).into()),
             "--cache-budget" => {
                 cache_budget = Some(parse_number(&flag, &value_of(&flag, &mut args)))
@@ -274,8 +268,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) {
     let options = ServeOptions {
         endpoint: endpoint.require(),
         workers,
-        dispatchers,
-        queue_capacity,
         cache_dir,
         cache_budget,
         lease_ttl_ms,
@@ -459,7 +451,7 @@ fn cancel_main(mut args: impl Iterator<Item = String>) {
         Ok(false) => {
             telemetry::log::warn(
                 LOG_TARGET,
-                format!("sweep cancel: job {job} not found (already finished or never queued)"),
+                format!("sweep cancel: job {job} not found (already finished or never submitted)"),
                 &[("job", job.into())],
             );
             std::process::exit(1);

@@ -146,7 +146,7 @@ pub fn submit_with(
     })
 }
 
-/// Asks a running daemon to revoke a queued or running job by its id,
+/// Asks a running daemon to revoke a running job by its id,
 /// returning whether the daemon knew the job when the cancel arrived.
 /// The revoked job itself terminates with a `cancelled` error frame on
 /// the connection that submitted it.

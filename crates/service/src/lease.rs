@@ -14,9 +14,9 @@
 //! worker past its deadline is expired wholesale.  A lease that does not
 //! complete — its worker expired, disconnected or could not be sent to,
 //! the worker rejected it, or the fleet became empty — leaves the table
-//! and its shard *falls back* to the local dispatcher path at once; it is
-//! never granted again.  Like a crashed process in the synchronous crash
-//! model, a lost worker is simply gone: while any worker is registered the
+//! and its shard *falls back* to the local pool at once; it is never
+//! granted again.  Like a crashed process in the synchronous crash model,
+//! a lost worker is simply gone: while any worker is registered the
 //! coordinator's local pool is otherwise idle, so it re-runs the shard
 //! without waiting.  Remote execution is an accelerator, never a point of
 //! failure.  A completion whose `(lease, generation)` no longer names an
@@ -56,8 +56,7 @@ pub enum TaskOutcome {
         /// Execution statistics of the shard.
         stats: SweepStats,
     },
-    /// The fleet did not finish the shard — execute it on the local
-    /// dispatcher path.
+    /// The fleet did not finish the shard — execute it on the local pool.
     Fallback {
         /// Whether a worker held the lease and lost it (expired,
         /// disconnected or could not be sent to), rather than rejecting it
@@ -339,7 +338,7 @@ impl LeaseTable {
         self.requeued.load(Ordering::Relaxed)
     }
 
-    /// Lifetime shards handed back to the local dispatcher path.
+    /// Lifetime shards handed back to the local pool.
     pub fn fallbacks_total(&self) -> u64 {
         self.fallbacks.load(Ordering::Relaxed)
     }

@@ -27,8 +27,8 @@
 //!   cache dir, with byte-budgeted LRU eviction;
 //! * [`pool`] — the persistent worker pool (warm `BatchRunner` per
 //!   worker, shared across jobs and connections);
-//! * [`server`] — accept loop, bounded job queue, concurrent
-//!   dispatchers, the shard scheduler (one generic `run_sharded` over the
+//! * [`server`] — accept loop, one thread per connection that runs its
+//!   jobs in order, the shard scheduler (one generic `run_sharded` over the
 //!   descriptors, whose `run_case` is the one warm/cold shard-replay path,
 //!   plus the job-level Proposition 2 runner), streaming, cancellation,
 //!   graceful shutdown;

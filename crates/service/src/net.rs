@@ -352,8 +352,8 @@ impl<'a> FrameReader<'a> {
 }
 
 /// Writes line frames to the write half of a connection.  Clones share
-/// the half, so threads that send on one connection (a job's dispatcher,
-/// a worker's heartbeat) never interleave two frames' bytes.
+/// the half, so threads that send on one connection (a job's connection
+/// thread, a worker's heartbeat) never interleave two frames' bytes.
 #[derive(Clone)]
 pub(crate) struct FrameWriter(Arc<Mutex<Stream>>);
 

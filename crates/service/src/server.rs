@@ -1,5 +1,5 @@
-//! The `sweep serve` daemon: accept loop, bounded job queue, concurrent
-//! dispatchers, shard scheduler and result streaming.
+//! The `sweep serve` daemon: accept loop, connection threads, shard
+//! scheduler and result streaming.
 //!
 //! Thread anatomy (one process):
 //!
@@ -9,25 +9,24 @@
 //!        │                           ⇒ queue-full error frame; no first
 //!        │                           frame by FIRST_FRAME_DEADLINE ⇒ closed)
 //!        │                             │ parse line frames; cancel registry
-//!        │                             ▼
-//!        │                          job queue (bounded sync_channel;
-//!        │                           full ⇒ queue-full error frame)
-//!        ▼                             │
-//!   shutdown flag  ◄──────────  dispatcher threads (N, sharing the queue)
-//!                                  │ per case: shard_ranges → warm/cold split
-//!                                  │ cold shards ──►  persistent worker pool
-//!                                  │                   (fold_shard_stats each)
-//!                                  ◄── completions; streams shard-done
-//!                                  └─ ordered merge → job-done
-//!                                     (typed error frame on failure)
+//!        ▼                             │ each job frame runs here, in order:
+//!   shutdown flag  ◄─────────────────  │ per case: shard_ranges → warm/cold split
+//!                                      │ cold shards ──►  persistent worker pool
+//!                                      │                   (fold_shard_stats each)
+//!                                      ◄── completions; streams shard-done
+//!                                      └─ ordered merge → job-done
+//!                                         (typed error frame on failure)
 //! ```
 //!
-//! Jobs are popped FIFO but up to `dispatchers` of them run concurrently,
-//! sharing one worker pool — a long job no longer blocks a warm
-//! cache-replay behind it.  *Within* a job, each case's block-aligned
-//! shards fan out across the pool and complete in any order.  Determinism
-//! is unaffected: `run_case` owns the daemon's one shard-replay path,
-//! cutting the space with `sweep::shard_ranges`, folding cold shards with
+//! A connection runs its jobs one after another on its own thread; jobs
+//! on different connections run at once and share one worker pool, so a
+//! long job never blocks a warm cache replay on another connection.  No
+//! job starts a thread of its own: the daemon's threads are the accept
+//! loop, the connection threads, the pool workers and the lease sweeper.
+//! *Within* a job, each case's block-aligned shards fan out across the
+//! pool and complete in any order.  Determinism is unaffected: `run_case`
+//! owns the daemon's one shard-replay path, cutting the space with
+//! `sweep::shard_ranges`, folding cold shards with
 //! `sweep::fold_shard_stats` and merging accumulators in shard order, so
 //! the streamed final fold is bit-identical to an in-process
 //! `sweep::sweep_with_stats` at any worker count, warm or cold — the
@@ -60,7 +59,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -85,7 +84,7 @@ use crate::wire::{
     TaskSpec,
 };
 use crate::ServiceError;
-use telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+use telemetry::{Counter, Histogram, MetricsSnapshot, Registry};
 
 /// Log target of every structured line the daemon emits (`--log-json`
 /// routes them through `telemetry::log` as JSON objects; the default human
@@ -100,16 +99,6 @@ pub struct ServeOptions {
     /// Size of the persistent worker pool, at most [`sweep::MAX_THREADS`];
     /// `0` picks the machine's available parallelism.
     pub workers: usize,
-    /// Concurrent job dispatchers (jobs running at once), at most
-    /// [`sweep::MAX_THREADS`]; `0` picks
-    /// [`ServeOptions::DEFAULT_DISPATCHERS`].
-    pub dispatchers: usize,
-    /// Bound of the job queue: jobs admitted but not yet dispatched.  A
-    /// submit hitting a full queue is rejected with a `queue-full` error
-    /// frame instead of growing the queue without bound.  At most
-    /// [`ServeOptions::MAX_QUEUE_CAPACITY`]; `0` picks
-    /// [`ServeOptions::DEFAULT_QUEUE_CAPACITY`].
-    pub queue_capacity: usize,
     /// Persist the shard-accumulator cache under this directory
     /// (append-log + snapshot; see `store::DurableStore`).
     pub cache_dir: Option<std::path::PathBuf>,
@@ -132,18 +121,11 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Dispatcher count used when [`ServeOptions::dispatchers`] is `0`.
-    pub const DEFAULT_DISPATCHERS: usize = 2;
-    /// Queue bound used when [`ServeOptions::queue_capacity`] is `0`.
-    pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-    /// The largest [`ServeOptions::queue_capacity`].  The queue is a
-    /// bounded `sync_channel`, which allocates every slot when it is
-    /// created, so a huge capacity would cost its memory up front.
-    pub const MAX_QUEUE_CAPACITY: usize = 4_096;
-    /// The most client and worker connections the daemon serves at once.
-    /// Each costs a thread from its first byte (before any `hello`), so
-    /// the accept loop answers one more with a `queue-full` error frame
-    /// and closes it.  Fixed, not an option.
+    /// The most client and worker connections the daemon serves at once,
+    /// and so the most jobs running at once.  Each costs a thread from its
+    /// first byte (before any `hello`), so the accept loop answers one more
+    /// with a `queue-full` error frame and closes it.  Fixed, not an
+    /// option.
     pub const MAX_CONNECTIONS: usize = 128;
     /// How long a new connection may take to complete its first frame.
     /// Past it the daemon answers with a `protocol` error frame and closes
@@ -154,13 +136,11 @@ impl ServeOptions {
     pub const FIRST_FRAME_DEADLINE: Duration = Duration::from_secs(5);
 
     /// Options with every hardening knob at its default: in-memory
-    /// unbounded cache, default dispatcher count and queue bound.
+    /// unbounded cache, default lease TTL, no auth token.
     pub fn new(endpoint: Endpoint, workers: usize) -> Self {
         ServeOptions {
             endpoint,
             workers,
-            dispatchers: 0,
-            queue_capacity: 0,
             cache_dir: None,
             cache_budget: None,
             lease_ttl_ms: 0,
@@ -169,32 +149,29 @@ impl ServeOptions {
         }
     }
 
-    /// Checks the counts that size what [`Server::run`] creates: workers
-    /// and dispatchers against [`sweep::MAX_THREADS`], the queue against
-    /// [`ServeOptions::MAX_QUEUE_CAPACITY`].
+    /// Checks the count that sizes what [`Server::run`] creates: the
+    /// workers against [`sweep::MAX_THREADS`].
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidTaskParameter`] naming the first count
-    /// over its bound.
+    /// Returns [`ModelError::InvalidTaskParameter`] when the worker count
+    /// is over its bound.
     pub fn check_bounds(&self) -> Result<(), ModelError> {
         check_count(self.workers, MAX_THREADS, "workers")?;
-        check_count(self.dispatchers, MAX_THREADS, "dispatchers")?;
-        check_count(self.queue_capacity, Self::MAX_QUEUE_CAPACITY, "queue slots")?;
         Ok(())
     }
 }
 
 /// The daemon's recording half of the telemetry subsystem: the registry
 /// plus cached hot-path handles (`Registry::counter` takes a lock, so the
-/// dispatchers record through these lock-free atomics instead), and the
-/// snapshot assembler.
+/// jobs record through these lock-free atomics instead), and the snapshot
+/// assembler.
 ///
 /// The registry owns only the metrics that are *new* with telemetry (job
-/// counters, phase histograms, queue depth, uptime).  Subsystems that
-/// already kept their own counters — the shard cache, the lease
-/// table, the durable store — are **sampled** into the snapshot at stats
-/// time, so nothing is double-counted by mirroring them live.
+/// counters, phase histograms, uptime).  Subsystems that already kept
+/// their own counters — the shard cache, the lease table, the durable
+/// store — are **sampled** into the snapshot at stats time, so nothing is
+/// double-counted by mirroring them live.
 struct ServerTelemetry {
     registry: Arc<Registry>,
     started: Instant,
@@ -212,8 +189,6 @@ struct ServerTelemetry {
     engine_cursor_stepped: Counter,
     engine_cursor_materialized: Counter,
     engine_patterns_unranked: Counter,
-    queue_depth: Gauge,
-    queue_wait_us: Histogram,
     dispatch_us: Histogram,
     shard_exec_us: Histogram,
     merge_us: Histogram,
@@ -238,8 +213,6 @@ impl ServerTelemetry {
             engine_cursor_stepped: registry.counter("engine.cursor_stepped"),
             engine_cursor_materialized: registry.counter("engine.cursor_materialized"),
             engine_patterns_unranked: registry.counter("engine.patterns_unranked"),
-            queue_depth: registry.gauge("queue.depth"),
-            queue_wait_us: registry.histogram("phase.queue_wait_us"),
             dispatch_us: registry.histogram("phase.dispatch_us"),
             shard_exec_us: registry.histogram("phase.shard_exec_us"),
             merge_us: registry.histogram("phase.merge_us"),
@@ -365,24 +338,22 @@ impl From<ModelError> for JobError {
     }
 }
 
-/// A queued job: the parsed spec, the submitting connection's writer, and
-/// the cancel token the registry can flip.
-struct JobTask {
-    spec: JobSpec,
-    /// Where the job's `shard-done`/`job-done` frames go.  A
-    /// disconnected client never aborts a job — its shards keep warming
-    /// the cache — so sends ignore whether the client is still there.
-    reply: FrameWriter,
-    cancel: Arc<AtomicBool>,
-    /// When the job was admitted to the queue — the dispatcher that pops
-    /// it records the difference as the `phase.queue_wait_us` histogram.
-    queued_at: Instant,
-}
-
-/// Job id → cancel token of every queued or running job.  Ids are
+/// Job id → cancel token of every running job.  Ids are
 /// client-chosen; a resubmitted id overwrites the previous token, so
 /// clients wanting reliable cancel semantics should keep ids unique.
-type CancelRegistry = Arc<Mutex<HashMap<u64, Arc<AtomicBool>>>>;
+type CancelRegistry = Mutex<HashMap<u64, Arc<AtomicBool>>>;
+
+/// What every connection thread of one daemon shares.
+struct Shared {
+    pool: WorkerPool,
+    cache: ShardCache,
+    registry: CancelRegistry,
+    fleet: Arc<LeaseTable>,
+    metrics: ServerTelemetry,
+    shutdown: Arc<AtomicBool>,
+    endpoint: Endpoint,
+    auth_token: Option<String>,
+}
 
 /// A bound, not-yet-running daemon.
 ///
@@ -394,9 +365,7 @@ pub struct Server {
     listener: Listener,
     endpoint: Endpoint,
     workers: usize,
-    dispatchers: usize,
-    queue_capacity: usize,
-    cache: Arc<ShardCache>,
+    cache: ShardCache,
     lease_ttl: Duration,
     auth_token: Option<String>,
     metrics: Arc<Registry>,
@@ -404,7 +373,7 @@ pub struct Server {
 
 impl Server {
     /// Checks the options' bounds ([`ServeOptions::check_bounds`]), binds
-    /// the endpoint, resolves the worker/dispatcher counts, and opens the
+    /// the endpoint, resolves the worker count, and opens the
     /// shard cache's store: persisted under [`ServeOptions::cache_dir`],
     /// memory-only without it.
     ///
@@ -424,18 +393,8 @@ impl Server {
         } else {
             thread::available_parallelism().map(usize::from).unwrap_or(1)
         };
-        let dispatchers = if options.dispatchers > 0 {
-            options.dispatchers
-        } else {
-            ServeOptions::DEFAULT_DISPATCHERS
-        };
         let lease_ttl_ms =
             if options.lease_ttl_ms > 0 { options.lease_ttl_ms } else { DEFAULT_LEASE_TTL_MS };
-        let queue_capacity = if options.queue_capacity > 0 {
-            options.queue_capacity
-        } else {
-            ServeOptions::DEFAULT_QUEUE_CAPACITY
-        };
         let store = match &options.cache_dir {
             Some(dir) => DurableStore::open(dir, options.cache_budget, &code_version())?,
             None => DurableStore::in_memory(options.cache_budget),
@@ -444,9 +403,7 @@ impl Server {
             listener,
             endpoint,
             workers,
-            dispatchers,
-            queue_capacity,
-            cache: Arc::new(ShardCache::new(store)),
+            cache: ShardCache::new(store),
             lease_ttl: Duration::from_millis(lease_ttl_ms),
             auth_token: options.auth_token.clone(),
             metrics: options.metrics.clone().unwrap_or_else(telemetry::global),
@@ -463,13 +420,8 @@ impl Server {
         self.workers
     }
 
-    /// The resolved dispatcher count.
-    pub fn dispatchers(&self) -> usize {
-        self.dispatchers
-    }
-
     /// Runs the daemon until a client sends a `shutdown` frame, then
-    /// finishes every queued job, joins every thread (no orphaned
+    /// finishes every running job, joins every thread (no orphaned
     /// workers), removes a Unix socket file, and returns.
     ///
     /// # Errors
@@ -482,36 +434,7 @@ impl Server {
     /// exit.
     pub fn run(self) -> Result<(), ServiceError> {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (job_tx, job_rx) = mpsc::sync_channel::<JobTask>(self.queue_capacity);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let registry: CancelRegistry = Arc::new(Mutex::new(HashMap::new()));
-
-        // The dispatchers share the pool, the cache and the fleet's lease
-        // table: jobs are popped FIFO, up to `dispatchers` run at once,
-        // shards go to remote workers when any are registered and fan out
-        // across the persistent local workers otherwise.
-        let pool = Arc::new(WorkerPool::new(self.workers));
         let fleet = Arc::new(LeaseTable::new(self.lease_ttl));
-        let metrics = Arc::new(ServerTelemetry::new(Arc::clone(&self.metrics)));
-        let dispatchers: Vec<_> = (0..self.dispatchers)
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let pool = Arc::clone(&pool);
-                let cache = Arc::clone(&self.cache);
-                let registry = Arc::clone(&registry);
-                let fleet = Arc::clone(&fleet);
-                let metrics = Arc::clone(&metrics);
-                thread::spawn(move || loop {
-                    // Hold the queue lock only while popping, never while
-                    // executing a job.
-                    let task = job_rx.lock().expect("job queue lock").recv();
-                    match task {
-                        Ok(task) => execute_job(&pool, &cache, &registry, &fleet, &metrics, task),
-                        Err(_) => break, // queue closed: shutdown
-                    }
-                })
-            })
-            .collect();
 
         // The sweeper expires workers whose heartbeats stopped, falling
         // their leases back to the local pool.  While no worker is
@@ -536,16 +459,14 @@ impl Server {
         telemetry::log::info(
             LOG_TARGET,
             format!(
-                "sweep serve: listening on {} with {} worker(s), {} dispatcher(s), {}",
+                "sweep serve: listening on {} with {} worker(s), {}",
                 self.endpoint,
                 self.workers,
-                self.dispatchers,
                 code_version()
             ),
             &[
                 ("endpoint", self.endpoint.to_string().into()),
                 ("workers", self.workers.into()),
-                ("dispatchers", self.dispatchers.into()),
                 ("code_version", code_version().into()),
             ],
         );
@@ -566,6 +487,20 @@ impl Server {
             ],
         );
 
+        // Every connection's jobs share the pool, the cache and the fleet's
+        // lease table: shards go to remote workers when any are registered
+        // and fan out across the persistent local workers otherwise.
+        let shared = Arc::new(Shared {
+            pool: WorkerPool::new(self.workers),
+            cache: self.cache,
+            registry: Mutex::new(HashMap::new()),
+            fleet: Arc::clone(&fleet),
+            metrics: ServerTelemetry::new(self.metrics),
+            shutdown: Arc::clone(&shutdown),
+            endpoint: self.endpoint.clone(),
+            auth_token: self.auth_token,
+        });
+
         let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
         while !shutdown.load(Ordering::Relaxed) {
             match self.listener.accept() {
@@ -584,27 +519,8 @@ impl Server {
                         refuse_connection(stream);
                         continue;
                     }
-                    let job_tx = job_tx.clone();
-                    let registry = Arc::clone(&registry);
-                    let shutdown = Arc::clone(&shutdown);
-                    let fleet = Arc::clone(&fleet);
-                    let cache = Arc::clone(&self.cache);
-                    let metrics = Arc::clone(&metrics);
-                    let auth_token = self.auth_token.clone();
-                    let endpoint = self.endpoint.clone();
-                    connections.push(thread::spawn(move || {
-                        handle_connection(
-                            stream,
-                            &job_tx,
-                            &registry,
-                            &shutdown,
-                            &endpoint,
-                            &fleet,
-                            &cache,
-                            &metrics,
-                            auth_token.as_deref(),
-                        );
-                    }));
+                    let shared = Arc::clone(&shared);
+                    connections.push(thread::spawn(move || handle_connection(stream, &shared)));
                 }
                 Err(error) => {
                     // Transient accept failures (ECONNABORTED, fd
@@ -622,17 +538,14 @@ impl Server {
             }
         }
         fleet.stop_waiting();
-        drop(job_tx);
+        // Joining the connections lets every running job finish.
         for connection in connections {
             let _ = connection.join();
         }
-        for dispatcher in dispatchers {
-            dispatcher.join().expect("dispatcher thread panicked");
-        }
         sweeper.join().expect("sweeper thread panicked");
-        // Dropping the last pool handle closes its queue and joins the
-        // workers.
-        drop(pool);
+        // Dropping the last handle drops the pool, which closes its queue
+        // and joins the workers.
+        drop(shared);
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
@@ -673,24 +586,15 @@ fn constant_time_eq(a: &str, b: &str) -> bool {
     diff == 0
 }
 
-/// Reads line frames off one connection until EOF or shutdown, queueing
-/// jobs (bounded — a full queue rejects with a `queue-full` error frame),
-/// flipping cancel tokens, and acknowledging shutdown requests.  On a
+/// Reads line frames off one connection until EOF or shutdown, running
+/// each job to its terminal frame before reading the next frame, flipping
+/// cancel tokens, and acknowledging shutdown requests.  On a
 /// token-protected TCP endpoint the first frame must be a matching
 /// `hello`; a `register` frame turns the connection into a worker
 /// session.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    stream: Stream,
-    job_tx: &SyncSender<JobTask>,
-    registry: &CancelRegistry,
-    shutdown: &AtomicBool,
-    endpoint: &Endpoint,
-    fleet: &Arc<LeaseTable>,
-    cache: &ShardCache,
-    metrics: &Arc<ServerTelemetry>,
-    auth_token: Option<&str>,
-) {
+fn handle_connection(stream: Stream, shared: &Shared) {
+    let Shared { cache, registry, fleet, metrics, shutdown, endpoint, auth_token, .. } = shared;
+    let auth_token = auth_token.as_deref();
     // Unix sockets are gated by filesystem permissions already; the
     // shared-secret handshake protects only TCP endpoints.
     let requires_auth = auth_token.is_some() && matches!(stream, Stream::Tcp(_));
@@ -704,7 +608,7 @@ fn handle_connection(
         return;
     }
     let reply = FrameWriter::new(write_half);
-    let mut reader = FrameReader::new(stream, Some(shutdown))
+    let mut reader = FrameReader::new(stream, Some(shutdown.as_ref()))
         .with_first_frame_deadline(ServeOptions::FIRST_FRAME_DEADLINE);
     loop {
         let frame = match reader.read_frame() {
@@ -771,35 +675,7 @@ fn handle_connection(
                 worker_session(reader, &reply, fleet);
                 return;
             }
-            Frame::Job(spec) => {
-                let id = spec.id;
-                let cancel = Arc::new(AtomicBool::new(false));
-                // Register before queueing, so a cancel can never race past
-                // a job that is queued but not yet visible.
-                registry.lock().expect("cancel registry lock").insert(id, Arc::clone(&cancel));
-                let task =
-                    JobTask { spec, reply: reply.clone(), cancel, queued_at: Instant::now() };
-                // Count the job before it is queued: a dispatcher may dequeue
-                // it, and take it off the gauge, before `try_send` returns.
-                metrics.queue_depth.add(1);
-                match job_tx.try_send(task) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        metrics.queue_depth.add(-1);
-                        registry.lock().expect("cancel registry lock").remove(&id);
-                        reply.send(&error_frame(
-                            Some(id),
-                            ErrorKind::QueueFull,
-                            "job queue is full; resubmit later",
-                        ));
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        metrics.queue_depth.add(-1);
-                        registry.lock().expect("cancel registry lock").remove(&id);
-                        break;
-                    }
-                }
-            }
+            Frame::Job(spec) => execute_job(shared, &spec, &reply),
             Frame::Cancel { job } => {
                 let token = registry.lock().expect("cancel registry lock").get(&job).cloned();
                 let found = token.is_some();
@@ -809,8 +685,8 @@ fn handle_connection(
                 reply.send(&Frame::CancelAck { job, found });
             }
             Frame::Shutdown => {
-                // Ack, then stop accepting: jobs already queued (including
-                // this connection's) still run to completion.
+                // Ack, then stop accepting: jobs running on other
+                // connections still run to completion.
                 reply.send(&Frame::ShuttingDown);
                 shutdown.store(true, Ordering::Relaxed);
                 wake_accept_loop(endpoint);
@@ -968,31 +844,20 @@ impl JobSummary {
     }
 }
 
-/// Runs one queued job end to end and streams its terminal frame.  A job
-/// failure — model error, poisoned merge, cancellation — terminates the
-/// job with a typed error frame and leaves the daemon (and this
-/// dispatcher) serving.
-fn execute_job(
-    pool: &WorkerPool,
-    cache: &ShardCache,
-    registry: &CancelRegistry,
-    fleet: &Arc<LeaseTable>,
-    metrics: &ServerTelemetry,
-    task: JobTask,
-) {
-    let JobTask { spec, reply, cancel, queued_at } = task;
+/// Runs one job end to end on its connection's thread and streams its
+/// terminal frame to `reply`.  A job failure — model error, poisoned
+/// merge, cancellation — terminates the job with a typed error frame and
+/// leaves the daemon (and this connection) serving.  A disconnected
+/// client never aborts a job — its shards keep warming the cache — so
+/// sends ignore whether the client is still there.
+fn execute_job(shared: &Shared, spec: &JobSpec, reply: &FrameWriter) {
+    let Shared { pool, cache, registry, fleet, metrics, .. } = shared;
     let start = Instant::now();
-    metrics.queue_depth.add(-1);
     metrics.jobs_total.inc();
-    metrics.queue_wait_us.observe(start.saturating_duration_since(queued_at));
-    let outcome = if cancel.load(Ordering::Relaxed) {
-        // Revoked while still queued: never starts executing.
-        Err(JobError::Cancelled)
-    } else {
-        let job =
-            JobContext { pool, cache, fleet, metrics, spec: &spec, reply: &reply, cancel: &cancel };
-        run_query(&job)
-    };
+    let cancel = Arc::new(AtomicBool::new(false));
+    registry.lock().expect("cancel registry lock").insert(spec.id, Arc::clone(&cancel));
+    let job = JobContext { pool, cache, fleet, metrics, spec, reply, cancel: &cancel };
+    let outcome = run_query(&job);
     registry.lock().expect("cancel registry lock").remove(&spec.id);
     match outcome {
         Ok(summary) => {
@@ -1141,10 +1006,10 @@ fn run_sharded<Q: ServedQuery>(query: Q, job: &JobContext<'_>) -> Result<JobSumm
 
 /// Proposition 2 mixes sweeps with global protocol-complex builds, so it
 /// is cached at job granularity (one "shard" covering the whole report)
-/// and executed on the dispatcher thread with the engine's own scoped
-/// parallelism.
+/// and executed as one pool task at one thread, so a prop2 job starts no
+/// thread of its own.  The report does not depend on the thread count.
 fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
-    let JobContext { pool, cache, spec, reply, .. } = *job;
+    let JobContext { pool, cache, spec, reply, cancel, .. } = *job;
     if spec.scope.is_some() {
         return Err(JobError::Model(ModelError::InvalidTaskParameter {
             reason: "custom scopes are only supported for thm1 and omission jobs".into(),
@@ -1165,8 +1030,18 @@ fn run_prop2(job: &JobContext<'_>) -> Result<JobSummary, JobError> {
     let (report, stats, range, was_cached) = match cached {
         Some((report, range)) => (report, SweepStats::default(), range, true),
         None => {
-            let config = SweepConfig { shards, threads: pool.workers(), seed: spec.seed };
-            let (report, stats) = experiments::prop2_with_stats(&config)?;
+            let config = SweepConfig { shards, threads: 1, seed: spec.seed };
+            let (done_tx, done_rx) = mpsc::channel();
+            let cancel = Arc::clone(cancel);
+            pool.submit(Box::new(move |_| {
+                let folded = if cancel.load(Ordering::Relaxed) {
+                    Err(JobError::Cancelled)
+                } else {
+                    experiments::prop2_with_stats(&config).map_err(JobError::Model)
+                };
+                let _ = done_tx.send(folded);
+            }));
+            let (report, stats) = done_rx.recv().expect("pool workers alive")?;
             let range = (0, stats.scenarios as usize);
             if spec.shard_cache {
                 cache.insert(&key, range, &report);
@@ -1299,8 +1174,8 @@ fn run_case<Q: ServedQuery>(
                 shard_exec_us.observe(exec_started.elapsed());
                 folded
             };
-            // The dispatcher outlives every task it queues, so the send
-            // only fails if it already gave up on the job — nothing to do.
+            // The job outlives every task it queues, so the send only
+            // fails if it already gave up on the job — nothing to do.
             let _ = done_tx.send(Completion::Local { shard, folded });
         }));
     };
@@ -1427,32 +1302,20 @@ fn run_case<Q: ServedQuery>(
 mod tests {
     use super::*;
 
-    /// A worker, dispatcher or queue count over its bound is refused by
-    /// `bind` before the endpoint is bound, so `run` never gets to spawn
-    /// the threads or allocate the queue.
+    /// A worker count over its bound is refused by `bind` before the
+    /// endpoint is bound, so `run` never gets to spawn the threads.
     #[test]
-    fn oversized_thread_and_queue_counts_are_refused_before_binding() {
+    fn oversized_worker_counts_are_refused_before_binding() {
         let path = std::env::temp_dir().join(format!("sweep-bounds-{}.sock", std::process::id()));
         let base = ServeOptions::new(Endpoint::Unix(path.clone()), 1);
-        let at_bounds = ServeOptions {
-            workers: sweep::MAX_THREADS,
-            dispatchers: sweep::MAX_THREADS,
-            queue_capacity: ServeOptions::MAX_QUEUE_CAPACITY,
-            ..base.clone()
-        };
-        assert_eq!(at_bounds.check_bounds(), Ok(()));
-        for options in [
-            ServeOptions { workers: sweep::MAX_THREADS + 1, ..base.clone() },
-            ServeOptions { dispatchers: sweep::MAX_THREADS + 1, ..base.clone() },
-            ServeOptions { queue_capacity: ServeOptions::MAX_QUEUE_CAPACITY + 1, ..base.clone() },
-        ] {
-            match Server::bind(&options) {
-                Err(ServiceError::Model(error)) => {
-                    assert!(error.to_string().contains("the limit of"), "{error}")
-                }
-                other => panic!("expected a refusal, got {other:?}"),
+        let at_bound = ServeOptions { workers: sweep::MAX_THREADS, ..base.clone() };
+        assert_eq!(at_bound.check_bounds(), Ok(()));
+        match Server::bind(&ServeOptions { workers: sweep::MAX_THREADS + 1, ..base }) {
+            Err(ServiceError::Model(error)) => {
+                assert!(error.to_string().contains("the limit of"), "{error}")
             }
-            assert!(!path.exists(), "a refused daemon binds nothing");
+            other => panic!("expected a refusal, got {other:?}"),
         }
+        assert!(!path.exists(), "a refused daemon binds nothing");
     }
 }

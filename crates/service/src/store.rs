@@ -234,7 +234,7 @@ struct Inner {
 /// persisted as an append-log + snapshot pair under a cache directory.
 ///
 /// All methods take `&self` and are thread-safe — one store instance is
-/// shared by every connection and dispatcher of the daemon.  See the
+/// shared by every connection and pool worker of the daemon.  See the
 /// module docs for the disk layout and recovery rules.
 #[derive(Debug)]
 pub struct DurableStore {

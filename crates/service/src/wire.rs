@@ -1120,7 +1120,10 @@ pub enum ErrorKind {
     /// The request itself violated the protocol (malformed frame, custom
     /// scope on the wrong query, …).
     Protocol,
-    /// The daemon's bounded job queue was full; resubmit later.
+    /// The daemon already serves
+    /// [`ServeOptions::MAX_CONNECTIONS`](crate::ServeOptions::MAX_CONNECTIONS)
+    /// connections; reconnect later.  The wire name stays `queue-full`, so
+    /// clients of every version decode it.
     QueueFull,
     /// The job was revoked by a `cancel` frame.
     Cancelled,
@@ -1262,23 +1265,23 @@ impl FromWire for MetricsSnapshot {
 pub enum Frame {
     /// Client → server: run this job.
     Job(JobSpec),
-    /// Client → server: revoke a queued or running job by its id.
+    /// Client → server: revoke a running job by its id.
     Cancel {
         /// Id of the job to revoke.
         job: u64,
     },
-    /// Client → server: finish queued jobs, then exit.
+    /// Client → server: finish running jobs, then exit.
     Shutdown,
     /// Server → client: shutdown acknowledged.
     ShuttingDown,
     /// Server → client: cancel acknowledged.  `found` reports whether the
-    /// job was known (queued or running) when the cancel arrived; the
+    /// job was known (running) when the cancel arrived; the
     /// revoked job itself still terminates with an
     /// [`ErrorKind::Cancelled`] error frame on its own connection.
     CancelAck {
         /// Id echoed from the cancel request.
         job: u64,
-        /// Whether the job was queued or running.
+        /// Whether the job was running.
         found: bool,
     },
     /// Server → client: one shard finished.

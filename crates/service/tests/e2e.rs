@@ -1,8 +1,8 @@
 //! End-to-end daemon tests: determinism of the streamed fold against the
 //! in-process engine (cold and warm cache, several shard/worker combos),
-//! the job-granularity Proposition 2 path, concurrent dispatch,
-//! cancellation, queue backpressure, the thread-scaling smoke hook, and
-//! graceful shutdown.
+//! the job-granularity Proposition 2 path, jobs on concurrent
+//! connections and back to back on one, cancellation, the connection
+//! bound, the thread-scaling smoke hook, and graceful shutdown.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -28,27 +28,13 @@ fn temp_socket(tag: &str) -> PathBuf {
     ))
 }
 
-/// Binds a daemon with explicit options and runs it on its own thread.
-fn start_daemon_with(options: ServeOptions) -> (Endpoint, JoinHandle<()>) {
+/// Binds a daemon on a fresh Unix socket and runs it on its own thread.
+fn start_daemon(tag: &str, workers: usize) -> (Endpoint, JoinHandle<()>) {
+    let options = ServeOptions::new(Endpoint::Unix(temp_socket(tag)), workers);
     let server = Server::bind(&options).expect("bind the daemon");
     let endpoint = server.endpoint().clone();
     let handle = thread::spawn(move || server.run().expect("daemon run"));
     (endpoint, handle)
-}
-
-/// Binds a daemon on a fresh Unix socket and runs it on its own thread.
-fn start_daemon(tag: &str, workers: usize) -> (Endpoint, JoinHandle<()>) {
-    start_daemon_with(ServeOptions::new(Endpoint::Unix(temp_socket(tag)), workers))
-}
-
-/// Options for the hardening tests: explicit dispatcher count and queue
-/// bound so the scheduling scenarios are deterministic.
-fn hardened_options(tag: &str, dispatchers: usize, queue_capacity: usize) -> ServeOptions {
-    ServeOptions {
-        dispatchers,
-        queue_capacity,
-        ..ServeOptions::new(Endpoint::Unix(temp_socket(tag)), 1)
-    }
 }
 
 /// A raw client connection: lets a test hold a job open (streamed frames
@@ -84,7 +70,7 @@ impl RawConnection {
     }
 
     /// Reads until the first `shard-done` of `job` — the witness that the
-    /// job has been popped off the queue and is executing.
+    /// job is executing.
     fn wait_for_first_shard(&mut self, job: u64) {
         loop {
             if let Frame::ShardDone(frame) = self.read_frame() {
@@ -97,8 +83,8 @@ impl RawConnection {
 
 /// A scope far bigger than any test waits for (839,565 scenarios, about
 /// 2.4 s on one release-build worker and many times that in a debug build),
-/// so a 1-worker daemon is still executing it while a test submits,
-/// cancels or queues other jobs.  Every test that starts it cancels it
+/// so a 1-worker daemon is still executing it while a test submits or
+/// cancels other jobs.  Every test that starts it cancels it
 /// rather than waiting for it to finish; its 64 shards keep the in-flight
 /// work a cancellation waits for short.
 const LONG_SCOPE: ScopeSpec =
@@ -627,50 +613,12 @@ fn thread_scaling_smoke() {
     );
 }
 
-/// A job cancelled while still queued never executes: with one dispatcher
-/// occupied by a long job, the queued job's cancel is acknowledged as
-/// found, the long job keeps executing untouched, and once the dispatcher
-/// reaches the queued job it terminates with a `cancelled` error frame.
-#[test]
-fn queued_jobs_can_be_cancelled_before_running() {
-    let (endpoint, handle) = start_daemon_with(hardened_options("cancel-queued", 1, 8));
-
-    let mut long = RawConnection::connect(&endpoint);
-    long.send(&Frame::Job(long_scope_spec(1, 64)));
-    long.wait_for_first_shard(1); // the one dispatcher is now occupied
-
-    let mut queued = RawConnection::connect(&endpoint);
-    queued.send(&Frame::Job(small_scope_spec(2, 2, false)));
-    // The job registers on its connection thread; retry until the cancel
-    // finds it (it stays registered — the dispatcher is busy).
-    let deadline = Instant::now() + std::time::Duration::from_secs(10);
-    while !client::cancel(&endpoint, 2).expect("cancel") {
-        assert!(Instant::now() < deadline, "queued job never became cancellable");
-        thread::sleep(std::time::Duration::from_millis(2));
-    }
-
-    // The long job is unaffected: it completes another shard, then ends
-    // only when it is cancelled itself, which frees the dispatcher.
-    long.wait_for_first_shard(1);
-    cancel_long_job(&endpoint, &mut long, 1);
-
-    // The queued job's only frame is the typed cancellation error.
-    match queued.read_frame() {
-        Frame::Error(error) => {
-            assert_eq!(error.kind, ErrorKind::Cancelled);
-            assert_eq!(error.job, Some(2));
-        }
-        other => panic!("expected a cancelled error frame, got {other:?}"),
-    }
-    stop_daemon(&endpoint, handle);
-}
-
 /// Cancelling a *running* job drains its pending shards as fast
 /// cancellations: the job terminates with a `cancelled` error frame and
 /// the daemon keeps serving.
 #[test]
 fn running_jobs_can_be_cancelled() {
-    let (endpoint, handle) = start_daemon_with(hardened_options("cancel-running", 1, 8));
+    let (endpoint, handle) = start_daemon("cancel-running", 1);
 
     let mut long = RawConnection::connect(&endpoint);
     long.send(&Frame::Job(long_scope_spec(31, 64)));
@@ -688,52 +636,11 @@ fn running_jobs_can_be_cancelled() {
     stop_daemon(&endpoint, handle);
 }
 
-/// A full job queue rejects further submissions with a typed `queue-full`
-/// error frame — and the job that *did* fit still runs to completion.
-#[test]
-fn full_job_queue_rejects_with_typed_error() {
-    let (endpoint, handle) = start_daemon_with(hardened_options("backpressure", 1, 1));
-
-    let mut long = RawConnection::connect(&endpoint);
-    long.send(&Frame::Job(long_scope_spec(11, 64)));
-    long.wait_for_first_shard(11); // popped: the queue itself is empty again
-
-    // Same connection ⇒ strictly ordered handling: the first job fills the
-    // 1-slot queue, the second must bounce.
-    let mut queued = RawConnection::connect(&endpoint);
-    queued.send(&Frame::Job(small_scope_spec(12, 2, false)));
-    queued.send(&Frame::Job(small_scope_spec(13, 2, false)));
-
-    // The rejection arrives first (sent synchronously by the connection
-    // thread); the admitted job's frames follow once the dispatcher frees,
-    // which cancelling the long job brings forward.
-    match queued.read_frame() {
-        Frame::Error(error) => {
-            assert_eq!(error.kind, ErrorKind::QueueFull);
-            assert_eq!(error.job, Some(13));
-        }
-        other => panic!("expected a queue-full error frame, got {other:?}"),
-    }
-    cancel_long_job(&endpoint, &mut long, 11);
-    loop {
-        match queued.read_frame() {
-            Frame::JobDone(done) => {
-                assert_eq!(done.job, 12, "the admitted job must still complete");
-                break;
-            }
-            Frame::ShardDone(_) => {}
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
-    stop_daemon(&endpoint, handle);
-}
-
-/// With more than one dispatcher, a warm (fully cached) job overtakes a
-/// long cold job instead of waiting behind it in FIFO order — the point of
-/// concurrent per-connection dispatch.
+/// Jobs on different connections run at once: a warm (fully cached) job
+/// overtakes a long cold job instead of waiting behind it.
 #[test]
 fn concurrent_dispatch_lets_warm_jobs_overtake_long_ones() {
-    let (endpoint, handle) = start_daemon_with(hardened_options("overtake", 2, 8));
+    let (endpoint, handle) = start_daemon("overtake", 1);
 
     // Warm the small scope so the overtaking job is pure cache replay.
     let cold = client::submit(&endpoint, &small_scope_spec(21, 2, true)).expect("warming submit");
@@ -743,13 +650,51 @@ fn concurrent_dispatch_lets_warm_jobs_overtake_long_ones() {
     long.send(&Frame::Job(long_scope_spec(22, 64)));
     long.wait_for_first_shard(22);
 
-    // The long job holds one dispatcher; the warm job rides the other.
+    // The long job holds the one pool worker; the warm job runs on its own
+    // connection thread and needs no worker.
     let warm = client::submit(&endpoint, &small_scope_spec(23, 2, true)).expect("warm submit");
     assert_eq!(warm.shards_executed, 0, "overtaking job must be pure replay");
 
     // The warm job finished while the long job is still executing: the
     // cancel finds it running.
     cancel_long_job(&endpoint, &mut long, 22);
+    stop_daemon(&endpoint, handle);
+}
+
+/// Two `job` frames sent back to back on one connection run in order: the
+/// first job's `job-done` arrives before any frame of the second, and each
+/// result equals its in-process fold.
+#[test]
+fn back_to_back_jobs_on_one_connection_complete_in_order() {
+    let shards = 2;
+    let (endpoint, handle) = start_daemon("back-to-back", 2);
+    let mut raw = RawConnection::connect(&endpoint);
+    let jobs = [
+        (
+            small_scope_spec(81, shards, false),
+            QueryResult::Thm1(vec![in_process_reference(shards, 2).0]),
+        ),
+        (
+            omission_scope_spec(82, shards, false),
+            QueryResult::Omission(vec![omission_reference(shards, 2)]),
+        ),
+    ];
+    for (spec, _) in &jobs {
+        raw.send(&Frame::Job(spec.clone()));
+    }
+    for (spec, expected) in jobs {
+        loop {
+            match raw.read_frame() {
+                Frame::ShardDone(frame) => assert_eq!(frame.job, spec.id, "frames stay in order"),
+                Frame::JobDone(done) => {
+                    assert_eq!(done.job, spec.id, "jobs finish in order");
+                    assert_eq!(done.result, expected, "job {} fold", spec.id);
+                    break;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
     stop_daemon(&endpoint, handle);
 }
 

@@ -72,14 +72,12 @@ fn stop_daemon(endpoint: &Endpoint, handle: JoinHandle<()>) {
     handle.join().expect("daemon thread");
 }
 
-/// Fleet-flavored serve options: one local pool worker, one dispatcher,
-/// and an explicit lease TTL so expiry is fast in tests.  Each daemon
-/// gets its own metrics registry — several run in this one process, and
-/// sharing the global registry would cross-contaminate their snapshots.
+/// Fleet-flavored serve options: one local pool worker and an explicit
+/// lease TTL so expiry is fast in tests.  Each daemon gets its own
+/// metrics registry — several run in this one process, and sharing the
+/// global registry would cross-contaminate their snapshots.
 fn fleet_options(tag: &str, lease_ttl_ms: u64) -> ServeOptions {
     ServeOptions {
-        dispatchers: 1,
-        queue_capacity: 8,
         lease_ttl_ms,
         metrics: Some(Arc::new(telemetry::Registry::new())),
         ..ServeOptions::new(Endpoint::Unix(temp_socket(tag)), 1)

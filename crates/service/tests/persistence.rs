@@ -31,12 +31,7 @@ use sweep::{shard_ranges, sweep_with_stats, ScenarioSource, SweepConfig};
 fn child_daemon_entry() {
     let Ok(socket) = std::env::var("SWEEP_PERSISTENCE_SOCKET") else { return };
     let cache_dir = std::env::var("SWEEP_PERSISTENCE_CACHE_DIR").ok().map(PathBuf::from);
-    let options = ServeOptions {
-        dispatchers: 1,
-        queue_capacity: 8,
-        cache_dir,
-        ..ServeOptions::new(Endpoint::Unix(socket.into()), 1)
-    };
+    let options = ServeOptions { cache_dir, ..ServeOptions::new(Endpoint::Unix(socket.into()), 1) };
     let server = Server::bind(&options).expect("child daemon bind");
     server.run().expect("child daemon run");
 }

@@ -327,8 +327,8 @@ pub fn check_shard_count(shards: usize) -> Result<usize, ModelError> {
 
 /// The largest thread count a caller may ask for.  A count that arrives
 /// from outside is checked against it before any thread is spawned:
-/// `--threads` by [`check_thread_count`], a daemon's `--workers` and
-/// `--dispatchers` by `service::ServeOptions::check_bounds`.  It also keeps
+/// `--threads` by [`check_thread_count`], a daemon's `--workers` by
+/// `service::ServeOptions::check_bounds`.  It also keeps
 /// the default shard count (`4 × threads`) under [`MAX_SHARDS`].
 pub const MAX_THREADS: usize = 1_024;
 

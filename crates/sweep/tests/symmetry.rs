@@ -6,11 +6,15 @@
 //! failure pattern per relabeling orbit, weighted by the orbit's size.
 //!
 //! Seeded loop: random adversaries from every built-in Theorem 1 and
-//! omission scope, each under a random permutation.
+//! omission scope, each under a random permutation.  The decision check
+//! also covers the uniform protocols u-Pmin and `EarlyUniformFloodMin`,
+//! so a fold of theirs may use the same reduction.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use set_consensus::{execute, BatchRunner, EarlyFloodMin, FloodMin, Optmin, Protocol};
+use set_consensus::{
+    execute, BatchRunner, EarlyFloodMin, EarlyUniformFloodMin, FloodMin, Optmin, Protocol, UPmin,
+};
 use sweep::experiments::{self, ScopeSpec, Thm1Reducer, OMISSION_CASES, THM1_CASES};
 use sweep::reduce::Count;
 use sweep::source::ExhaustiveSource;
@@ -67,7 +71,8 @@ fn builtin_sources() -> Vec<(String, ExhaustiveSource)> {
 #[test]
 fn relabeling_an_adversary_relabels_every_decision_and_keeps_the_thm1_outcome() {
     let mut rng = StdRng::seed_from_u64(0x5EED_0019);
-    let protocols: [&dyn Protocol; 3] = [&Optmin, &EarlyFloodMin, &FloodMin];
+    let protocols: [&dyn Protocol; 5] =
+        [&Optmin, &EarlyFloodMin, &FloodMin, &UPmin, &EarlyUniformFloodMin];
     for (label, source) in builtin_sources() {
         let space = source.space();
         let template = source.scenario(0).unwrap();

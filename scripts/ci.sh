@@ -6,8 +6,9 @@
 #                           #   + doctests + cargo doc -D warnings
 #                           #   + fast examples (each must exit 0)
 #                           #   + benchmark smoke (perfbench's own tests)
-#                           #   + daemon smoke (serve/submit/cache/shutdown)
-#                           #   + bounds smoke (oversized counts exit 2)
+#                           #   + daemon smoke (serve/submit/cache/shutdown,
+#                           #     two concurrent clients ≡ tests/golden/)
+#                           #   + bounds smoke (oversized thread counts exit 2)
 #                           #   + determinism smoke (thm1, omission, thm3,
 #                           #     fig4, prop2 ≡ tests/golden/ across threads)
 #                           #   + omission smoke (cross-model cache isolation)
@@ -135,6 +136,19 @@ target/debug/sweep submit --socket "$SMOKE_SOCK" thm1 --scope 3,1,1 --shards 4 \
 diff "$SMOKE_DIR/cold.txt" "$SMOKE_DIR/warm.txt"
 grep -q "4 shards total, 0 cached" "$SMOKE_DIR/cold.log"
 grep -q "(100.0% cached), 0 executed" "$SMOKE_DIR/warm.log"
+# Two clients at once: each connection runs its job on its own thread, so
+# the thm1 and omission jobs run side by side over the one pool worker, and
+# each table must still equal its golden file.
+target/debug/sweep submit --socket "$SMOKE_SOCK" thm1 >"$SMOKE_DIR/thm1-concurrent.txt" \
+    2>/dev/null &
+THM1_SUBMIT_PID=$!
+target/debug/sweep submit --socket "$SMOKE_SOCK" omission \
+    >"$SMOKE_DIR/omission-concurrent.txt" 2>/dev/null &
+OMISSION_SUBMIT_PID=$!
+wait "$THM1_SUBMIT_PID"
+wait "$OMISSION_SUBMIT_PID"
+diff tests/golden/thm1.txt "$SMOKE_DIR/thm1-concurrent.txt"
+diff tests/golden/omission.txt "$SMOKE_DIR/omission-concurrent.txt"
 target/debug/sweep shutdown --socket "$SMOKE_SOCK" 2>/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
@@ -142,15 +156,15 @@ if [[ -e "$SMOKE_SOCK" ]]; then
     echo "ci.sh: daemon left its socket behind" >&2
     exit 1
 fi
-echo "ci.sh: daemon smoke passed (warm run 100% cached, graceful shutdown)"
+echo "ci.sh: daemon smoke passed (warm run 100% cached, concurrent clients ≡ golden," \
+    "graceful shutdown)"
 
 # --- Bounds smoke -----------------------------------------------------------
-# A thread count above sweep::MAX_THREADS (1,024) or a queue capacity above
-# ServeOptions::MAX_QUEUE_CAPACITY (4,096) is a usage error: exit 2 with the
-# usage text, before any thread starts or the daemon binds its socket.
+# A thread count above sweep::MAX_THREADS (1,024), for the one-shot engine or
+# the daemon's pool, is a usage error: exit 2 with the usage text, before any
+# thread starts or the daemon binds its socket.
 BOUNDS_SOCK="$SMOKE_DIR/bounds.sock"
-for args in "thm1 --threads 1025" "serve --socket $BOUNDS_SOCK --workers 1025" \
-    "serve --socket $BOUNDS_SOCK --queue-capacity 4097"; do
+for args in "thm1 --threads 1025" "serve --socket $BOUNDS_SOCK --workers 1025"; do
     status=0
     # shellcheck disable=SC2086 # the flags are word-split on purpose
     target/debug/sweep $args >/dev/null 2>"$SMOKE_DIR/bounds.log" || status=$?
@@ -161,7 +175,7 @@ for args in "thm1 --threads 1025" "serve --socket $BOUNDS_SOCK --workers 1025" \
         exit 1
     fi
 done
-echo "ci.sh: bounds smoke passed (oversized thread and queue counts are usage errors)"
+echo "ci.sh: bounds smoke passed (oversized thread counts are usage errors)"
 
 # --- Determinism smoke ------------------------------------------------------
 # Every built-in table must print the bytes checked in under tests/golden/,
