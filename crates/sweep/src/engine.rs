@@ -1,7 +1,8 @@
 //! The sharded, work-stealing sweep loop.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::borrow::Borrow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 use knowledge::CacheStats;
@@ -488,17 +489,23 @@ where
 ///
 /// The scenario space is partitioned into [`SweepConfig::resolved_shards`]
 /// contiguous shards, with boundaries aligned to the source's
-/// [`ScenarioSource::structure_block`]; worker threads *steal* shards from
-/// a shared queue (an atomic cursor), so a slow shard never idles the other
-/// workers.  Each worker owns a [`BatchRunner`] — with per-node analysis
-/// slots refilled in place and run-structure reuse across same-pattern
-/// scenarios — so run/transcript/analysis buffers and whole communication
-/// structures are reused across every scenario the worker executes.  Each shard is walked by [`fold_shard_stats`], which builds
-/// one scenario per structure block and steps the rest in place.
-/// Shard accumulators are merged in shard order, which — given the
-/// [`Reducer`] laws — makes the fold identical for every shard/thread
-/// count, including the fully sequential path; only the statistics may
-/// differ between parallelisms.
+/// [`ScenarioSource::structure_block`]; workers *steal* shards from a
+/// shared queue (an atomic cursor), so a slow shard never idles the other
+/// workers.  The calling thread is the first worker: it spawns only
+/// `min(threads, shards) − 1` helpers, and none at one thread.  Each worker
+/// owns a [`BatchRunner`] — with per-node analysis slots refilled in place
+/// and run-structure reuse across same-pattern scenarios — so
+/// run/transcript/analysis buffers and whole communication structures are
+/// reused across every scenario the worker executes.  Each shard is walked
+/// by [`fold_shard_stats`], which builds one scenario per structure block
+/// and steps the rest in place.  Shard accumulators are merged in shard
+/// order, which — given the [`Reducer`] laws — makes the fold identical for
+/// every shard/thread count, including the fully sequential path; only the
+/// statistics may differ between parallelisms.
+///
+/// This is the one-source case of the parallel region behind
+/// `experiments::fold_cases`, which drains the shards of every case of a
+/// query from one queue.
 ///
 /// # Errors
 ///
@@ -515,72 +522,241 @@ where
     R: Reducer,
     F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError> + Sync,
 {
-    let threads = config.resolved_threads();
-    let ranges = shard_ranges(source.len(), config.resolved_shards(), source.structure_block());
-    let fold = |runner: &mut BatchRunner, shard: usize| {
-        fold_shard_stats(source, reducer, &job, runner, ranges[shard])
-    };
+    let mut folds = fold_region::<_, S, _, _, _>(1, |_| Ok(source), config, reducer, &job)?;
+    let (_, acc, stats) = folds.pop().expect("one case folded");
+    Ok((acc, stats))
+}
 
-    let mut folded: Vec<Option<(R::Acc, SweepStats)>> = (0..ranges.len()).map(|_| None).collect();
-    if threads <= 1 || ranges.len() <= 1 {
-        let mut runner = BatchRunner::new();
-        for (shard, slot) in folded.iter_mut().enumerate() {
-            *slot = Some(fold(&mut runner, shard)?);
+/// Folds `cases` scenario sources with one reducer and one job in a single
+/// parallel region, and returns each case's source, fold and statistics in
+/// case order.
+///
+/// The region runs on the calling thread plus `min(threads, cases ×
+/// shards) − 1` helpers (none at one thread), in two phases on the same
+/// workers:
+///
+/// 1. the workers build the case sources (`build(case)`) and cut their
+///    shard ranges, taking cases from an atomic cursor;
+/// 2. they drain one queue of every `(case, shard)` pair in that order,
+///    each folding through [`fold_shard_stats`] on a [`BatchRunner`] it
+///    keeps across the shards of a case.  A pair whose source another
+///    worker is still building waits for it.
+///
+/// Every case cuts [`SweepConfig::resolved_shards`] shards with
+/// [`shard_ranges`] and merges its shard accumulators in shard order, so
+/// each fold is the one a per-case [`sweep_with_stats`] makes.
+///
+/// # Errors
+///
+/// Returns the error of the lowest failing `(case, shard)`, a case's
+/// source error counting before its shard errors; work past a known error
+/// is skipped.
+pub(crate) fn fold_region<T, S, R, F, B>(
+    cases: usize,
+    build: B,
+    config: &SweepConfig,
+    reducer: &R,
+    job: &F,
+) -> Result<Vec<(T, R::Acc, SweepStats)>, ModelError>
+where
+    T: Borrow<S> + Send + Sync,
+    S: ScenarioSource + ?Sized,
+    R: Reducer,
+    F: Fn(&mut BatchRunner, &Scenario) -> Result<R::Item, ModelError> + Sync,
+    B: Fn(usize) -> Result<T, ModelError> + Sync,
+{
+    let shards = config.resolved_shards();
+    let tasks = cases * shards;
+    // Work keys order errors: case `c`'s source is key `c · (shards + 1)`,
+    // and its shard `s` the key `s + 1` above it.
+    let key = |case: usize, slot: usize| case * (shards + 1) + slot;
+    // Each case's source and shard ranges (`None`: the build failed),
+    // and each pair's shard fold.
+    let sources: Vec<OnceLock<_>> = (0..cases).map(|_| OnceLock::new()).collect();
+    let folded = Mutex::new((0..tasks).map(|_| None).collect::<Vec<_>>());
+    let first_error: Mutex<Option<(usize, ModelError)>> = Mutex::new(None);
+    // The lowest key known to fail; no work above it is started.
+    let bound = AtomicUsize::new(usize::MAX);
+    let (next_case, next_task) = (AtomicUsize::new(0), AtomicUsize::new(0));
+
+    let fail = |at: usize, error: ModelError| {
+        let mut slot = first_error.lock().expect("sweep error lock");
+        if slot.as_ref().is_none_or(|(k, _)| at < *k) {
+            *slot = Some((at, error));
         }
-    } else {
-        let next_shard = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let slots = Mutex::new(&mut folded);
-        let first_error: Mutex<Option<(usize, ModelError)>> = Mutex::new(None);
-
-        thread::scope(|scope| {
-            for _ in 0..threads.min(ranges.len()) {
-                scope.spawn(|| {
-                    let mut runner = BatchRunner::new();
-                    loop {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                        if shard >= ranges.len() {
-                            break;
-                        }
-                        match fold(&mut runner, shard) {
-                            Ok(shard_fold) => {
-                                slots.lock().expect("sweep outcome lock")[shard] = Some(shard_fold);
-                            }
-                            Err(error) => {
-                                failed.store(true, Ordering::Relaxed);
-                                let mut slot = first_error.lock().expect("sweep error lock");
-                                if slot.as_ref().is_none_or(|(s, _)| shard < *s) {
-                                    *slot = Some((shard, error));
-                                }
-                            }
-                        }
-                    }
-                });
+        bound.fetch_min(at, Ordering::Relaxed);
+    };
+    let source_of = |case: usize| {
+        let built = sources[case].get_or_init(|| match build(case) {
+            Ok(owned) => {
+                let source = owned.borrow();
+                let ranges = shard_ranges(source.len(), shards, source.structure_block());
+                Some((owned, ranges))
+            }
+            Err(error) => {
+                fail(key(case, 0), error);
+                None
             }
         });
-
-        if let Some((_, error)) = first_error.into_inner().expect("sweep error lock") {
-            return Err(error);
+        built.as_ref()
+    };
+    let work = || {
+        loop {
+            let case = next_case.fetch_add(1, Ordering::Relaxed);
+            if case >= cases || key(case, 0) > bound.load(Ordering::Relaxed) {
+                break;
+            }
+            source_of(case);
         }
+        let (mut runner, mut runner_case) = (BatchRunner::new(), None);
+        loop {
+            let task = next_task.fetch_add(1, Ordering::Relaxed);
+            let (case, shard) = (task / shards, task % shards);
+            let at = key(case, shard + 1);
+            if task >= tasks || at > bound.load(Ordering::Relaxed) {
+                break;
+            }
+            // A new case starts a new runner, so the work counters at one
+            // thread are those of a per-case `sweep_with_stats`.
+            if runner_case.replace(case).is_some_and(|last| last != case) {
+                runner = BatchRunner::new();
+            }
+            // `None`: the source failed, and the bound already stops here.
+            let Some((source, ranges)) = source_of(case) else { continue };
+            match fold_shard_stats(source.borrow(), reducer, job, &mut runner, ranges[shard]) {
+                Ok(shard_fold) => {
+                    folded.lock().expect("sweep outcome lock")[task] = Some(shard_fold)
+                }
+                Err(error) => fail(at, error),
+            }
+        }
+    };
+
+    let workers = config.resolved_threads().min(tasks);
+    if workers <= 1 {
+        work();
+    } else {
+        thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
+        });
+    }
+    if let Some((_, error)) = first_error.into_inner().expect("sweep error lock") {
+        return Err(error);
     }
 
-    // Merge in shard order: the only order the `Reducer` laws cover.
-    let mut acc = reducer.empty();
-    let mut stats = SweepStats::default();
-    for slot in folded {
-        let (shard_acc, shard_stats) = slot.expect("every shard folded");
-        acc = reducer.merge(acc, shard_acc);
-        stats.merge(shard_stats);
+    // Merge each case in shard order: the only order the `Reducer` laws
+    // cover.
+    let mut folded = folded.into_inner().expect("sweep outcome lock").into_iter();
+    let mut folds = Vec::with_capacity(cases);
+    for built in sources {
+        let (source, _) = built.into_inner().flatten().expect("every source built");
+        let mut acc = reducer.empty();
+        let mut stats = SweepStats::default();
+        for slot in folded.by_ref().take(shards) {
+            let (shard_acc, shard_stats) = slot.expect("every shard folded");
+            acc = reducer.merge(acc, shard_acc);
+            stats.merge(shard_stats);
+        }
+        folds.push((source, acc, stats));
     }
-    Ok((acc, stats))
+    Ok(folds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::Count;
+    use synchrony::{InputVector, SystemParams};
+
+    /// `len` copies of one failure-free scenario whose walk fails at the
+    /// indices `fails`, naming its case and the index in the error.
+    struct Faulty {
+        case: usize,
+        len: usize,
+        fails: &'static [usize],
+    }
+
+    fn fault(reason: String) -> ModelError {
+        ModelError::InvalidTaskParameter { reason }
+    }
+
+    impl ScenarioSource for Faulty {
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn scenario(&self, index: usize) -> Result<Scenario, ModelError> {
+            if self.fails.contains(&index) {
+                return Err(fault(format!("case {} scenario {index}", self.case)));
+            }
+            Ok(Scenario {
+                index,
+                params: TaskParams::new(SystemParams::new(3, 1)?, 1)?,
+                variant: TaskVariant::Nonuniform,
+                adversary: Adversary::failure_free(InputVector::from_values([0, 1, 1]))?,
+                weight: 1,
+            })
+        }
+    }
+
+    /// Each plan lists per case whether its source fails to build and which
+    /// scenarios fail in its shards (40 scenarios, shards of 10), with the
+    /// error the region must return.
+    #[test]
+    fn a_region_returns_the_error_of_its_lowest_failing_case_and_shard() {
+        type Plan = &'static [(bool, &'static [usize])];
+        let plans: [(Plan, Option<&str>); 5] = [
+            (&[(false, &[]), (false, &[25, 7]), (true, &[])], Some("case 1 scenario 7")),
+            (&[(false, &[]), (true, &[]), (false, &[0])], Some("case 1 source")),
+            (&[(false, &[39]), (true, &[]), (false, &[0])], Some("case 0 scenario 39")),
+            (&[(false, &[]), (false, &[]), (true, &[])], Some("case 2 source")),
+            (&[(false, &[]), (false, &[]), (false, &[])], None),
+        ];
+        for (plan, expected) in plans {
+            for threads in [1, 3] {
+                let config = SweepConfig { shards: 4, threads, ..SweepConfig::default() };
+                let build = |case: usize| match plan[case] {
+                    (true, _) => Err(fault(format!("case {case} source"))),
+                    (false, fails) => Ok(Faulty { case, len: 40, fails }),
+                };
+                let job = |_: &mut BatchRunner, _: &Scenario| Ok(1);
+                let folded =
+                    fold_region::<_, Faulty, _, _, _>(plan.len(), build, &config, &Count, &job);
+                match (folded, expected) {
+                    (Err(ModelError::InvalidTaskParameter { reason }), Some(expected)) => {
+                        assert_eq!(reason, expected, "{plan:?} at {threads} threads");
+                    }
+                    (Ok(folds), None) => {
+                        let counts: Vec<u64> = folds.iter().map(|(_, acc, _)| *acc).collect();
+                        assert_eq!(counts, [40, 40, 40], "{plan:?} at {threads} threads");
+                    }
+                    (other, _) => panic!("{plan:?} at {threads} threads: {:?}", other.map(|_| ())),
+                }
+            }
+        }
+    }
+
+    /// The caller is a worker: a sweep that needs one worker runs every job
+    /// on the calling thread.
+    #[test]
+    fn a_one_worker_sweep_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let source = Faulty { case: 0, len: 12, fails: &[] };
+        for config in [
+            SweepConfig { shards: 3, threads: 1, ..SweepConfig::default() },
+            SweepConfig { shards: 1, threads: 4, ..SweepConfig::default() },
+        ] {
+            let (count, _) = sweep_with_stats(&source, &config, &Count, |_, _| {
+                assert_eq!(thread::current().id(), caller, "{config:?}");
+                Ok(1)
+            })
+            .unwrap();
+            assert_eq!(count, 12);
+        }
+    }
 
     #[test]
     fn shard_ranges_cover_the_space_contiguously() {

@@ -28,7 +28,9 @@ use synchrony::{
 };
 use topology::{homology, ProtocolComplex};
 
-use crate::engine::{sweep_with_stats, Reducer, Scenario, ScenarioSource, SweepConfig, SweepStats};
+use crate::engine::{
+    fold_region, sweep_with_stats, Reducer, Scenario, ScenarioSource, SweepConfig, SweepStats,
+};
 use crate::source::{ExhaustiveSource, FixedSource, RandomSource};
 
 /// Latest decision time among the correct processes of a run (`0` if no
@@ -100,8 +102,8 @@ pub type JobFn<Q> =
 /// [`Query::scope_string`], [`Query::PROTOCOLS`]) key persisted shard
 /// caches: changing their bytes orphans every stored accumulator.
 pub trait Query: Copy + Send + Sync + 'static {
-    /// One sub-sweep of the query.
-    type Case;
+    /// One sub-sweep of the query (shared by the workers of a fold).
+    type Case: Sync;
     /// The scenario source of a case.
     type Source: ScenarioSource + Send + Sync + 'static;
     /// The reducer folding the job outcomes of a case.
@@ -179,22 +181,35 @@ pub trait Query: Copy + Send + Sync + 'static {
 }
 
 /// Folds every built-in case of `query` in process and returns the table
-/// rows, plus the execution statistics summed over the per-case sweeps.
+/// rows, plus the execution statistics summed over the cases.
+///
+/// The whole query is one parallel region on the calling thread and its
+/// helpers: the workers build the case sources, then drain one queue of
+/// every `(case, shard)` pair, each keeping one runner per case.  Every
+/// case still merges its shards in shard order, so its fold is the one a
+/// per-case [`sweep_with_stats`] makes.
 ///
 /// # Errors
 ///
-/// Propagates source-construction and executor errors.
+/// Propagates source-construction and executor errors: the lowest failing
+/// `(case, shard)`, a case's source error counting before its shards'.
 pub fn fold_cases<Q: Query>(
     query: Q,
     config: &SweepConfig,
 ) -> Result<(Vec<Q::Row>, SweepStats), ModelError> {
+    let cases = query.cases();
+    let folds = fold_region::<_, Q::Source, _, _, _>(
+        cases.len(),
+        |case| query.source(&cases[case], config.seed),
+        config,
+        &Q::Reducer::default(),
+        &Q::JOB,
+    )?;
     let mut rows = Vec::new();
     let mut stats = SweepStats::default();
-    for case in query.cases() {
-        let source = query.source(&case, config.seed)?;
-        let (acc, case_stats) = sweep_with_stats(&source, config, &Q::Reducer::default(), Q::JOB)?;
+    for (case, (source, acc, case_stats)) in cases.iter().zip(folds) {
         stats.merge(case_stats);
-        rows.extend(query.rows(&case, &source, &acc)?);
+        rows.extend(query.rows(case, &source, &acc)?);
     }
     Ok((rows, stats))
 }
@@ -398,7 +413,7 @@ pub fn thm1_case_row(
     }
 }
 
-/// [`thm1`], plus the execution statistics summed over the per-case sweeps.
+/// [`thm1`], plus the execution statistics summed over the cases.
 ///
 /// This experiment is the headline scope of the sweep-performance work:
 ///
@@ -472,8 +487,7 @@ pub fn omission(config: &SweepConfig) -> Result<Vec<Thm1Case>, ModelError> {
     omission_with_stats(config).map(|(rows, _)| rows)
 }
 
-/// [`omission`], plus the execution statistics summed over the per-case
-/// sweeps.
+/// [`omission`], plus the execution statistics summed over the cases.
 ///
 /// # Errors
 ///

@@ -27,10 +27,14 @@
 //!   [`Scenario::weight`];
 //! * [`sweep`] (and [`sweep_with_stats`]) — partitions the scenario space
 //!   into deterministic contiguous shards (aligned to the source's
-//!   structure block) and lets worker threads *steal* shards from a shared
-//!   queue; every worker owns a `set_consensus::BatchRunner`, so run,
+//!   structure block) and lets workers *steal* shards from a shared queue,
+//!   the calling thread being the first of them (at one thread nothing is
+//!   spawned).  A multi-case query ([`experiments::fold_cases`]) is one
+//!   such region: its workers build every case's source, then drain one
+//!   queue of every `(case, shard)` pair, with no barrier between cases.
+//!   Every worker owns a `set_consensus::BatchRunner` per case, so run,
 //!   transcript and analysis buffers are reused across all the runs it
-//!   executes.  The runner executes *structure-major*, always on and
+//!   executes in that case.  The runner executes *structure-major*, always on and
 //!   invisible to the fold: every scenario that repeats the previous
 //!   failure pattern (the whole input-vector block of an exhaustive scope)
 //!   skips the run simulation outright and only swaps the input overlay

@@ -95,17 +95,25 @@ fn random_family_fold_is_seed_deterministic_and_shard_invariant() {
 
 /// The ported experiments themselves are shard- and thread-invariant (the
 /// acceptance criterion behind `sweep <exp> --threads 1` matching any other
-/// parallelism).  Fig. 4 and Theorem 3 are the cheap ones; Theorem 1 and
-/// Proposition 2 are covered by the same engine path.
+/// parallelism).  Theorem 1 and the omission scan, whose cases share one
+/// queue of `(case, shard)` pairs, are folded at two and three threads;
+/// Proposition 2 is covered by the same engine path.
 #[test]
 fn ported_experiments_are_parallelism_invariant() {
     let sequential = SweepConfig::sequential();
     let fig4_reference = experiments::fig4(&sequential).unwrap();
     let thm3_reference = experiments::thm3(&sequential).unwrap();
+    let thm1_reference = experiments::thm1(&sequential).unwrap();
+    let omission_reference = experiments::omission(&sequential).unwrap();
     for shards in SHARD_COUNTS {
         let config = SweepConfig { shards, threads: 4, ..SweepConfig::default() };
         assert_eq!(experiments::fig4(&config).unwrap(), fig4_reference);
         assert_eq!(experiments::thm3(&config).unwrap(), thm3_reference);
+        for threads in [2, 3] {
+            let config = SweepConfig { shards, threads, ..SweepConfig::default() };
+            assert_eq!(experiments::thm1(&config).unwrap(), thm1_reference, "{config:?}");
+            assert_eq!(experiments::omission(&config).unwrap(), omission_reference, "{config:?}");
+        }
     }
 }
 

@@ -19,11 +19,15 @@
 //!   whole complex, because the complex is the closure of the run facets;
 //!   path connectivity (`q = 0`) needs not even the closure, only a
 //!   union-find over the facets' vertices;
+//! * the build dedupes run facets by their sorted vertex ids in a
+//!   [`WordMap`], and the closed complex itself is built only when first
+//!   asked for ([`ProtocolComplex::complex`]);
 //! * the build re-targets one run buffer with [`Run::regenerate`], so
 //!   adversaries that share a failure pattern are simulated once.
 
 use std::cell::RefCell;
 use std::fmt;
+use std::sync::OnceLock;
 
 use synchrony::{Adversary, ModelError, Node, Run, SystemParams, Time, View, WordMap};
 
@@ -34,10 +38,12 @@ use crate::{homology, Simplex, SimplicialComplex};
 #[derive(Debug, Clone)]
 pub struct ProtocolComplex {
     time: Time,
-    complex: SimplicialComplex,
+    /// The closure of `run_facets`, built on first use.
+    complex: OnceLock<SimplicialComplex>,
     /// The state encodings (see [`View::encode`]) and their vertex ids.
     index: WordMap<Box<[u64]>, usize>,
-    /// The distinct run facets, in the order the build met them.
+    /// The distinct run facets, in the order the build met them.  One may
+    /// be a face of another; a face adds nothing to any closure.
     run_facets: Vec<Simplex>,
     /// For each vertex, the indices into `run_facets` of the facets that
     /// contain it, increasing.
@@ -59,11 +65,13 @@ impl ProtocolComplex {
     ) -> Result<Self, ModelError> {
         let mut pc = ProtocolComplex {
             time,
-            complex: SimplicialComplex::new(),
+            complex: OnceLock::new(),
             index: WordMap::default(),
             run_facets: Vec::new(),
             incidence: Vec::new(),
         };
+        // The sorted vertex ids of every run facet met so far.
+        let mut facets: WordMap<Box<[usize]>, ()> = WordMap::default();
         let Some(first) = adversaries.first() else { return Ok(pc) };
         let mut run = Run::generate(system, first.clone(), time)?;
         let mut key = Vec::new();
@@ -89,19 +97,16 @@ impl ProtocolComplex {
                 };
                 facet.push(id);
             }
-            if facet.is_empty() {
+            facet.sort_unstable();
+            if facet.is_empty() || facets.contains_key(facet.as_slice()) {
                 continue;
             }
-            let simplex = Simplex::new(facet.iter().copied());
-            // A run facet already in the complex is a face of an earlier run
-            // facet, whose closure already covers it in every star.
-            if pc.complex.add(simplex.clone()) {
-                let f = pc.run_facets.len();
-                for v in simplex.vertices() {
-                    pc.incidence[v].push(f);
-                }
-                pc.run_facets.push(simplex);
+            facets.insert(facet.as_slice().into(), ());
+            let f = pc.run_facets.len();
+            for &v in &facet {
+                pc.incidence[v].push(f);
             }
+            pc.run_facets.push(Simplex::new(facet.iter().copied()));
         }
         Ok(pc)
     }
@@ -111,9 +116,10 @@ impl ProtocolComplex {
         self.time
     }
 
-    /// Returns the underlying simplicial complex.
+    /// Returns the underlying simplicial complex: the closure of the run
+    /// facets, built on the first call.
     pub fn complex(&self) -> &SimplicialComplex {
-        &self.complex
+        self.complex.get_or_init(|| self.run_facets.iter().cloned().collect())
     }
 
     /// Returns the number of distinct local states (vertices).
@@ -124,7 +130,7 @@ impl ProtocolComplex {
     /// Returns the number of facets: the maximal simplices, i.e. the
     /// distinct execution facets that lie in no other one.
     pub fn num_facets(&self) -> usize {
-        self.complex.facets().count()
+        self.complex().facets().count()
     }
 
     /// Returns the vertex identifier of the local state of `node` in `run`,

@@ -185,9 +185,11 @@ echo "ci.sh: bounds smoke passed (oversized thread counts are usage errors)"
 # purpose regenerates its file with `sweep <query> --threads 1` and says why.
 # The sharding decides which patterns follow each other through a runner's
 # per-node analysis slots, so a stale slot would show here.  fig4 (a fixed
-# source, blocks of one) is also run at four threads over eight shards, and
+# source, blocks of one) is also run at four threads over eight shards,
 # thm3 (a random source) and prop2 (a protocol-complex build beside a
-# sharded per-run scan) at two threads over seven.
+# sharded per-run scan) at two threads over seven, and thm1 and omission,
+# whose cases drain one queue of (case, shard) pairs, at three threads: more
+# workers than cores, the calling thread plus two helpers.
 golden_diff() {
     local query="$1"
     shift
@@ -204,6 +206,8 @@ done
 golden_diff fig4 --threads 4 --shards 8
 golden_diff thm3 --threads 2 --shards 7
 golden_diff prop2 --threads 2 --shards 7
+golden_diff thm1 --threads 3 --shards 5
+golden_diff omission --threads 3
 echo "ci.sh: determinism smoke passed (every table equals its golden file across parallelism)"
 
 # --- Omission smoke ---------------------------------------------------------
